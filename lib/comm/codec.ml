@@ -208,7 +208,36 @@ let list c =
   }
 
 let int_array = array int
-let uint_array = array uint
+
+(* The same bytes as [array uint], written as one loop: dense sketch
+   states are mostly zero counters, and a value below 0x80 is its own
+   one-byte varint, so it skips the varint machinery on both sides. Any
+   other byte falls back to [dec_unonneg], which keeps every error. *)
+let uint_array =
+  {
+    enc =
+      (fun b a ->
+        enc_uvarint b (Array.length a);
+        Array.iter
+          (fun v ->
+            if v >= 0 && v < 0x80 then Buffer.add_char b (Char.unsafe_chr v)
+            else enc_uvarint b v)
+          a);
+    dec =
+      (fun s pos ->
+        let n = dec_count s pos "Codec.array" in
+        let a = Array.make n 0 in
+        let len = String.length s in
+        for i = 0 to n - 1 do
+          let p = !pos in
+          if p < len && String.unsafe_get s p < '\x80' then begin
+            Array.unsafe_set a i (Char.code (String.unsafe_get s p));
+            pos := p + 1
+          end
+          else Array.unsafe_set a i (dec_unonneg s pos)
+        done;
+        a);
+  }
 
 let sorted_int_array =
   {

@@ -57,6 +57,9 @@ val int_array : int array t
 (** Zigzag varints, length-prefixed. *)
 
 val uint_array : int array t
+(** Non-negative varints, length-prefixed: byte for byte [array uint],
+    with the same decode errors, plus a one-byte fast path for values
+    below 0x80 — the zero counters that fill dense sketch states. *)
 
 val sorted_int_array : int array t
 (** Strictly increasing non-negative ints, delta-coded — the natural

@@ -113,7 +113,7 @@ let run ctx prm ~a ~b =
     let probes' =
       Ctx.a2b ctx ~label:"candidate probes"
         (Codec.list
-           (Codec.triple coord_codec Codec.uint (Codec.array Codec.uint)))
+           (Codec.triple coord_codec Codec.uint Codec.uint_array))
         (List.map (fun (i, j, deg, s) -> ((i, j), deg, s)) probes)
     in
     let out =

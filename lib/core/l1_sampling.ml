@@ -70,7 +70,7 @@ let run_many ctx ~count ~a ~b =
         Array.fold_left (fun acc (_, v) -> acc + v) 0 (Imat.row at k))
   in
   let sums =
-    Ctx.a2b ctx ~label:"l1 col sums" (Codec.array Codec.uint) col_sums
+    Ctx.a2b ctx ~label:"l1 col sums" Codec.uint_array col_sums
   in
   (* Bob: count witnesses, each k ∝ colsum_k · rowsum_k. *)
   let weights = List.init inner (fun k -> (k, sums.(k) * Imat.row_l1 b k)) in
@@ -80,7 +80,7 @@ let run_many ctx ~count ~a ~b =
     else Array.init count (fun _ -> weighted_pick ctx.Ctx.bob weights total)
   in
   let witnesses =
-    Ctx.b2a ctx ~label:"l1 witnesses" (Codec.array Codec.uint) witnesses
+    Ctx.b2a ctx ~label:"l1 witnesses" Codec.uint_array witnesses
   in
   (* Alice: one row draw per witness, ∝ A_{·,k}. *)
   let rows =
@@ -91,7 +91,7 @@ let run_many ctx ~count ~a ~b =
         weighted_pick ctx.Ctx.alice (Array.to_list col) col_total)
       witnesses
   in
-  let rows = Ctx.a2b ctx ~label:"l1 row draws" (Codec.array Codec.uint) rows in
+  let rows = Ctx.a2b ctx ~label:"l1 row draws" Codec.uint_array rows in
   if total = 0 then Array.make count None
   else
     Array.init count (fun t ->

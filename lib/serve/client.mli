@@ -34,7 +34,8 @@ val gen :
   t -> name:string -> n:int -> density:float -> seed:int -> zipf:bool ->
   (int * int, string) result
 (** Ask the server to synthesise (or reuse) a named pair; returns
-    [(rows, cols)]. *)
+    [(rows, cols)], or [Error] when the name holds a pair made from
+    other parameters. *)
 
 val batch :
   t -> id:int -> pair:string -> specs:string list ->

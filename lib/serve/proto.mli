@@ -19,7 +19,9 @@ type request =
   | Hello of { session_seed : int }
       (** must be the first request on a connection *)
   | Gen of { name : string; n : int; density : float; seed : int; zipf : bool }
-      (** server-side synthetic workload, the CLI generator's pair *)
+      (** server-side synthetic workload, the CLI generator's pair; a
+          name already bound to another pair (other parameters, or an
+          uploaded pair) is answered with [Err] *)
   | Register of { name : string; a : Imat.t; b : Imat.t }
       (** upload an explicit pair *)
   | Batch of { id : int; pair : string; specs : string list }

@@ -33,6 +33,9 @@ type stats = {
   batch_errors : int;
 }
 
+(* The parameters a [Gen] pair was made from; [None] for an uploaded pair. *)
+type gen = { n : int; density : float; seed : int; zipf : bool }
+
 type t = {
   cfg : config;
   listener : Unix.file_descr;
@@ -45,7 +48,7 @@ type t = {
      both at once. *)
   m : Mutex.t;
   exec : Mutex.t;
-  pairs : (string, Imat.t * Imat.t) Hashtbl.t;
+  pairs : (string, gen option * (Imat.t * Imat.t)) Hashtbl.t;
   mutable conns : Unix.file_descr list;
   mutable active : int;
   mutable sessions : int;
@@ -141,27 +144,44 @@ let gen_pair ~zipf ~seed ~n ~density =
 
 let respond fd resp = Transport.write_frame fd (Proto.encode_response resp)
 
-let store_pair t name pair =
-  locked t.m (fun () -> Hashtbl.replace t.pairs name pair)
+let find_entry t name = locked t.m (fun () -> Hashtbl.find_opt t.pairs name)
+let find_pair t name = Option.map snd (find_entry t name)
 
-let find_pair t name = locked t.m (fun () -> Hashtbl.find_opt t.pairs name)
+(* Store [entry] unless [name] is taken; either way return what [name]
+   holds, so two sessions racing on one name agree on the winner. *)
+let claim t name entry =
+  locked t.m (fun () ->
+      match Hashtbl.find_opt t.pairs name with
+      | Some held -> held
+      | None ->
+          Hashtbl.replace t.pairs name entry;
+          entry)
 
 let ready name (a, _b) =
   Proto.Ready { name; rows = Imat.rows a; cols = Imat.cols a }
 
 let do_gen t ~name ~n ~density ~seed ~zipf =
   if n < 1 || n > 65536 then Proto.Err "gen: n outside [1, 65536]"
-  else if density < 0.0 || density > 1.0 then
+  else if not (density >= 0.0 && density <= 1.0) then
     Proto.Err "gen: density outside [0, 1]"
   else begin
     (* Deterministic in its parameters, so a duplicate Gen (another
-       session, same workload) can reuse the stored pair. *)
-    match find_pair t name with
-    | Some pair -> ready name pair
+       session, same workload) reuses the stored pair; a Gen that reuses
+       the name with other parameters, or the name of an uploaded pair,
+       is refused rather than answered with the wrong pair. *)
+    let params = Some { n; density; seed; zipf } in
+    let answer (held, pair) =
+      if held = params then ready name pair
+      else
+        Proto.Err
+          (Printf.sprintf "gen: pair %S already exists with other parameters"
+             name)
+    in
+    match find_entry t name with
+    | Some entry -> answer entry
     | None ->
         let pair = locked t.exec (fun () -> gen_pair ~zipf ~seed ~n ~density) in
-        store_pair t name pair;
-        ready name pair
+        answer (claim t name (params, pair))
   end
 
 let do_register t ~name ~a ~b =
@@ -170,7 +190,7 @@ let do_register t ~name ~a ~b =
       (Printf.sprintf "register: cols a = %d <> rows b = %d" (Imat.cols a)
          (Imat.rows b))
   else begin
-    store_pair t name (a, b);
+    locked t.m (fun () -> Hashtbl.replace t.pairs name (None, (a, b)));
     ready name (a, b)
   end
 

@@ -211,13 +211,22 @@ let sketch_with_plan t p vec =
       apply_plan t p arr vec;
       arr)
 
+(* Zero source cells are skipped: on canonical residues mul c 0 = 0 and
+   add x 0 = x, so the result is the dense loop's, cell for cell. A
+   column sketch is >99% zeros, so only its few nonzero cells pay for the
+   field arithmetic (docs/PERFORMANCE.md, "Dense on the wire, sparse on
+   the CPU"). *)
 let add_scaled t ~dst ~coeff src =
-  if Array.length dst <> size t || Array.length src <> size t then
+  let n = size t in
+  if Array.length dst <> n || Array.length src <> n then
     invalid_arg "L0_sketch.add_scaled: size mismatch";
   let c = Field31.of_int coeff in
   if c <> 0 then
-    for i = 0 to size t - 1 do
-      dst.(i) <- Field31.add dst.(i) (Field31.mul c src.(i))
+    for i = 0 to n - 1 do
+      let s = Array.unsafe_get src i in
+      if s <> 0 then
+        Array.unsafe_set dst i
+          (Field31.add (Array.unsafe_get dst i) (Field31.mul c s))
     done
 
 (* Linear-counting estimate at one level: m ≈ ln(empty/K) / ln(1 - 1/K). *)

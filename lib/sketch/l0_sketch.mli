@@ -36,6 +36,10 @@ val update : t -> int array -> int -> int -> unit
 (** [update t state i v] adds v·e_i in place. *)
 
 val add_scaled : t -> dst:int array -> coeff:int -> int array -> unit
+(** [add_scaled t ~dst ~coeff src] sets [dst <- dst + coeff·src] over the
+    field, cell by cell. [dst] must hold canonical residues in [[0, p)] —
+    every state this module builds or combines does. Cost is linear in
+    the cell count with field arithmetic only on nonzero cells of [src]. *)
 
 (** {1 Plan/apply} — per-rep level/coefficient/bucket tables for keys in
     [0, dim); field accumulation identical to {!sketch} operation for

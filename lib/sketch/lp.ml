@@ -102,7 +102,9 @@ let wire t =
   (* Norm sketches ship dense: their Θ(1/ε²) word count is exactly the
      quantity the paper's bounds speak about, so compressing zero counters
      away would hide the ε-scaling being measured. Recovery structures
-     (samplers), whose content is genuinely sparse, do ship sparsely. *)
+     (samplers), whose content is genuinely sparse, do ship sparsely.
+     The zeros cost wire bytes but not CPU: docs/PERFORMANCE.md, "Dense
+     on the wire, sparse on the CPU". *)
   | L0 _ ->
       Codec.map
         (function Z a -> a | F _ -> type_error ())

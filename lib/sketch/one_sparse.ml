@@ -61,7 +61,9 @@ let cell_codec =
 
 (* Recovery structures over subsampling levels are mostly zero cells, so
    the wire format carries (length, nonzero cells with their positions)
-   rather than every cell. *)
+   rather than every cell. The declared length drives an allocation the
+   wire bytes do not pay for, so decoding caps it like
+   [Codec.counter_array] does, and positions must fall inside it. *)
 let cells_wire =
   Codec.map
     (fun cells ->
@@ -71,6 +73,10 @@ let cells_wire =
         cells;
       (Array.length cells, List.rev !nonzero))
     (fun (len, nonzero) ->
+      if len > Codec.max_dense_length then
+        raise (Codec.Decode_error "One_sparse.cells_wire: length exceeds cap");
+      if List.exists (fun (idx, _) -> idx >= len) nonzero then
+        raise (Codec.Decode_error "One_sparse.cells_wire: index beyond length");
       let cells = Array.init len (fun _ -> fresh ()) in
       List.iter (fun (idx, c) -> cells.(idx) <- c) nonzero;
       cells)

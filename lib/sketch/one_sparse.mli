@@ -33,4 +33,7 @@ val decode : spec -> cell -> verdict
 (** [One (i, v)] means the summarised vector is x = v·e_i (whp). *)
 
 val cells_wire : cell array Matprod_comm.Codec.t
-(** Codec for shipping an array of cells. *)
+(** Codec for shipping an array of cells: (length, nonzero cells with their
+    positions). Decoding is total up to {!Matprod_comm.Codec.Decode_error}:
+    lengths above {!Matprod_comm.Codec.max_dense_length} and positions
+    outside the length are rejected. *)

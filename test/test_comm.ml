@@ -4,6 +4,9 @@ module Codec = Matprod_comm.Codec
 module Transcript = Matprod_comm.Transcript
 module Channel = Matprod_comm.Channel
 module Ctx = Matprod_comm.Ctx
+module Prng = Matprod_util.Prng
+module One_sparse = Matprod_sketch.One_sparse
+module L0_sampler = Matprod_sketch.L0_sampler
 
 let check = Alcotest.check
 
@@ -118,6 +121,22 @@ let test_codec_adversarial_lengths () =
           Buffer.add_string b (Codec.encode Codec.uint (1 lsl 40));
           Buffer.add_string b (Codec.encode Codec.uint 0);
           ignore (Codec.decode Codec.counter_array (Buffer.contents b)) );
+      (* One_sparse.cells_wire: (length, [(position, cell)]) *)
+      ( "cells dense cap",
+        fun () ->
+          let c = Codec.pair Codec.uint (Codec.list Codec.unit) in
+          ignore
+            (Codec.decode One_sparse.cells_wire (Codec.encode c (1 lsl 40, [])))
+      );
+      ( "cells index beyond length",
+        fun () ->
+          let cell =
+            Codec.pair (Codec.pair Codec.int Codec.int)
+              (Codec.pair Codec.uint Codec.uint)
+          in
+          let c = Codec.pair Codec.uint (Codec.list (Codec.pair Codec.uint cell)) in
+          let bytes = Codec.encode c (3, [ (3, ((1, 3), (7, 9))) ]) in
+          ignore (Codec.decode One_sparse.cells_wire bytes) );
     ]
 
 let test_codec_map () =
@@ -429,6 +448,27 @@ let test_netmodel_zero_loss_unchanged () =
    fuzzers below can also mutate real encodings. *)
 type packed = P : string * 'a QCheck.arbitrary * 'a Codec.t -> packed
 
+(* Recovery cells as the sketches leave them: mostly zero, field
+   fingerprints in [0, 2^31 - 1). *)
+let cells_arb =
+  let open QCheck in
+  let fp = int_bound ((1 lsl 31) - 2) in
+  let cell =
+    map
+      (fun (live, (sum, isum), (fp1, fp2)) ->
+        if live then { One_sparse.sum; isum; fp1; fp2 } else One_sparse.fresh ())
+      (triple bool (pair int int) (pair fp fp))
+  in
+  array_of_size Gen.(0 -- 20) cell
+
+let l0_sampler = L0_sampler.create (Prng.create 7) ~dim:64 ()
+
+let l0_sampler_arb =
+  let open QCheck in
+  map
+    (fun l -> L0_sampler.sketch l0_sampler (Array.of_list l))
+    (list_of_size Gen.(0 -- 12) (pair (int_bound 63) (int_range (-5) 5)))
+
 let packed_codecs =
   let open QCheck in
   let nonneg = map (fun n -> n land max_int) int in
@@ -475,6 +515,8 @@ let packed_codecs =
       ( "counter_array",
         array_of_size Gen.(0 -- 60) (int_bound 1_000_000),
         Codec.counter_array );
+    P ("one_sparse.cells_wire", cells_arb, One_sparse.cells_wire);
+    P ("l0_sampler.wire", l0_sampler_arb, L0_sampler.wire l0_sampler);
   ]
 
 (* decode must be total up to Decode_error: any other exception fails the
@@ -625,9 +667,59 @@ let journal_qcheck_tests =
             && r.Ctx.replayed_bits = base.Ctx.bits);
   ]
 
+(* Codec.uint_array against its specification, the generic
+   [array uint]: same bytes out, and the same value or the same
+   Decode_error back on every input, valid or damaged. Arrays are mostly
+   zero, like dense sketch states, with values at the one/two-byte
+   boundary, the field's largest residue and max_int. *)
+let uint_array_oracle = Codec.array Codec.uint
+
+let decode_outcome c s =
+  match Codec.decode c s with
+  | v -> Ok v
+  | exception Codec.Decode_error e -> Error e
+
+let uint_array_tests =
+  let open QCheck in
+  let cell =
+    Gen.frequency
+      [
+        (20, Gen.return 0);
+        (3, Gen.oneofl [ 0x7f; 0x80; (1 lsl 31) - 2; max_int ]);
+        (2, Gen.int_bound 1_000_000);
+      ]
+  in
+  let arr = make ~print:Print.(array int) Gen.(array_size (0 -- 200) cell) in
+  [
+    Test.make ~name:"uint_array: bytes equal array uint" ~count:500 arr
+      (fun a -> Codec.encode Codec.uint_array a = Codec.encode uint_array_oracle a);
+    Test.make ~name:"uint_array: decodes equal array uint" ~count:500 arr
+      (fun a ->
+        let e = Codec.encode uint_array_oracle a in
+        Codec.decode Codec.uint_array e = a
+        && decode_outcome Codec.uint_array e = decode_outcome uint_array_oracle e);
+    Test.make ~name:"uint_array: damaged input fails like array uint"
+      ~count:500
+      (triple arr small_nat small_nat)
+      (fun (a, cut, bit) ->
+        let e = Codec.encode uint_array_oracle a in
+        let n = String.length e in
+        let truncated = String.sub e 0 (cut mod n) in
+        let b = Bytes.of_string e in
+        let pos = bit mod (8 * n) in
+        Bytes.set b (pos / 8)
+          (Char.chr (Char.code (Bytes.get b (pos / 8)) lxor (1 lsl (pos mod 8))));
+        let flipped = Bytes.to_string b in
+        let same s =
+          decode_outcome Codec.uint_array s = decode_outcome uint_array_oracle s
+        in
+        Result.is_error (decode_outcome Codec.uint_array truncated)
+        && same truncated && same flipped);
+  ]
+
 let qcheck_tests =
   let open QCheck in
-  fuzz_tests @ journal_qcheck_tests
+  fuzz_tests @ journal_qcheck_tests @ uint_array_tests
   @ [
     Test.make ~name:"codec: int roundtrip" ~count:1000 int (fun n ->
         roundtrip Codec.int n = n);

@@ -272,6 +272,41 @@ let test_journal_resume_mid_batch () =
       check Alcotest.int "fresh + replayed = fault-free bits" base.Ctx.bits
         (resumed.Ctx.bits + resumed.Ctx.replayed_bits))
 
+(* The wire bytes of a served batch, pinned: the benchmark's pair (96x96,
+   density 0.05, seed 1) and its six specs at batch seed 1001. The
+   journal stores every message's payload, so its length and CRC-32 move
+   if any codec, sketch or combine kernel changes a single byte. *)
+let test_golden_journal_bytes () =
+  let root = Prng.create 1 in
+  let rng_a = Prng.split root in
+  let rng_b = Prng.split root in
+  let a =
+    Imat.of_bmat (Workload.uniform_bool rng_a ~rows:96 ~cols:96 ~density:0.05)
+  in
+  let b =
+    Imat.of_bmat (Workload.uniform_bool rng_b ~rows:96 ~cols:96 ~density:0.05)
+  in
+  let queries =
+    List.map
+      (fun s ->
+        match Engine.query_of_string s with
+        | Ok q -> q
+        | Error e -> Alcotest.failf "spec %S: %s" s e)
+      [ "norm:eps=0.25"; "norm:p=1,eps=0.25"; "top:k=3"; "rows:beta=0.5";
+        "l0:count=1"; "hh:phi=0.05" ]
+  in
+  let path = Filename.temp_file "matprod_golden" ".journal" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      ignore
+        (Ctx.run_journaled ~seed:1001 ~journal:path ~protocol:"serve"
+           (fun ctx -> Engine.run (Engine.create ()) ctx ~a ~b queries));
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      check Alcotest.int "journal length" 721_974 (String.length bytes);
+      check Alcotest.string "journal crc32" "0x3cf2d2ab"
+        (Printf.sprintf "0x%08x" (Reliable.crc32 bytes)))
+
 (* run_safe: typed errors on a dead wire, clean passthrough otherwise. *)
 let test_run_safe () =
   let seed = 19 in
@@ -374,5 +409,10 @@ let () =
         [
           Alcotest.test_case "degenerate batches" `Quick test_edge_cases;
           Alcotest.test_case "query specs" `Quick test_query_specs;
+        ] );
+      ( "wire",
+        [
+          Alcotest.test_case "golden journal bytes" `Quick
+            test_golden_journal_bytes;
         ] );
     ]

@@ -402,6 +402,47 @@ let test_serve_batch_matches_direct_engine () =
     (Array.of_list got.g_answers = direct.Ctx.output.Engine.answers);
   check Alcotest.int "bits match" direct.Ctx.bits got.g_bits
 
+(* A Gen pair is keyed by its name, but the name must not hide a
+   different workload: reusing it with the same parameters shares the
+   pair, with any other parameters (or over an uploaded pair) it is an
+   error, and the stored pair is left as it was. *)
+let test_serve_gen_name_collision () =
+  with_server () @@ fun srv ->
+  let cl = Client.connect ~port:(Server.port srv) ~session_seed:5 () in
+  Fun.protect ~finally:(fun () -> Client.quit cl) @@ fun () ->
+  let gen ?(name = "g") ?(n = 24) ?(density = 0.2) ?(seed = 4) ?(zipf = false)
+      () =
+    Client.gen cl ~name ~n ~density ~seed ~zipf
+  in
+  let specs = [ "norm:eps=0.25"; "top:k=3" ] in
+  let answers id =
+    (batch_answers (Client.batch cl ~id ~pair:"g" ~specs)).g_answers
+  in
+  check Alcotest.bool "first gen" true (gen () = Ok (24, 24));
+  let before = answers 1 in
+  check Alcotest.bool "same parameters share the pair" true
+    (gen () = Ok (24, 24));
+  List.iter
+    (fun (what, r) ->
+      match r with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "gen with another %s was accepted" what)
+    [
+      ("n", gen ~n:32 ());
+      ("density", gen ~density:0.3 ());
+      ("seed", gen ~seed:5 ());
+      ("zipf", gen ~zipf:true ());
+    ];
+  check Alcotest.bool "stored pair unchanged" true (answers 1 = before);
+  let id3 = Imat.of_dense [| [| 1; 0; 0 |]; [| 0; 1; 0 |]; [| 0; 0; 1 |] |] in
+  Client.send cl (Proto.Register { name = "up"; a = id3; b = id3 });
+  (match Client.response cl with
+  | Proto.Ready _ -> ()
+  | _ -> Alcotest.fail "register refused");
+  match gen ~name:"up" ~n:3 () with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "gen over an uploaded pair was accepted"
+
 let test_serve_concurrent_sessions () =
   with_server () @@ fun srv ->
   let port = Server.port srv in
@@ -548,6 +589,8 @@ let () =
         [
           Alcotest.test_case "batch matches direct engine" `Quick
             test_serve_batch_matches_direct_engine;
+          Alcotest.test_case "gen name collision" `Quick
+            test_serve_gen_name_collision;
           Alcotest.test_case "concurrent sessions" `Quick
             test_serve_concurrent_sessions;
           Alcotest.test_case "kill and resume" `Quick

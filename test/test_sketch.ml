@@ -3,6 +3,7 @@
 
 module Prng = Matprod_util.Prng
 module Stats = Matprod_util.Stats
+module Field31 = Matprod_util.Field31
 module Ams = Matprod_sketch.Ams
 module Stable_sketch = Matprod_sketch.Stable_sketch
 module L0_sketch = Matprod_sketch.L0_sketch
@@ -684,6 +685,37 @@ let qcheck_tests =
         let before = Array.copy st in
         L0_sketch.add_scaled t ~dst:st ~coeff:0 (L0_sketch.sketch t [| (1, 1) |]);
         st = before);
+    (* The kernel skips zero source cells; the cell-by-cell field formula
+       is its specification for any coefficient. *)
+    (let t =
+       L0_sketch.create_explicit (Prng.create 9) ~buckets:8 ~groups:2 ~dim:40
+     in
+     let n = L0_sketch.size t in
+     let residue =
+       Gen.frequency
+         [ (12, Gen.return 0); (1, Gen.int_bound (Field31.p - 1)) ]
+     in
+     let coeff =
+       Gen.oneof
+         [
+           Gen.int_range (-1000) 1000;
+           Gen.return 0;
+           Gen.oneofl [ min_int; max_int; Field31.p; -Field31.p; 1 lsl 40 ];
+           Gen.int;
+         ]
+     in
+     Test.make ~name:"l0 sketch: add_scaled equals the cell-by-cell formula"
+       ~count:300
+       (make
+          Gen.(triple (array_repeat n residue) (array_repeat n residue) coeff))
+       (fun (dst, src, coeff) ->
+         let want =
+           Array.map2
+             (fun d s -> Field31.add d (Field31.mul (Field31.of_int coeff) s))
+             dst src
+         in
+         L0_sketch.add_scaled t ~dst ~coeff src;
+         dst = want));
   ]
 
 let () =
