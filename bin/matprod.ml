@@ -34,6 +34,7 @@ module Obs = Matprod_obs
    command re-declaring (and re-threading) seven arguments. *)
 
 type trace_format = Jsonl | Chrome
+type backend = Sim | Tcp
 
 type common = {
   n : int;
@@ -44,7 +45,7 @@ type common = {
   json : bool;
   trace : string option;
   trace_format : trace_format;
-  transport : string;
+  transport : backend;
 }
 
 let common_term =
@@ -105,7 +106,7 @@ let common_term =
   let transport_arg =
     Arg.(
       value
-      & opt string "sim"
+      & opt (enum [ ("sim", Sim); ("tcp", Tcp) ]) Sim
       & info [ "transport" ] ~docv:"WIRE"
           ~doc:
             "Carry the protocol's logical messages over $(b,sim) (the \
@@ -131,27 +132,35 @@ let zipf_arg =
     & info [ "zipf" ] ~doc:"Use a Zipf-skewed workload instead of uniform.")
 
 (* The wire behind every two-party run in this invocation. [None] keeps
-   the default simulator; "tcp" dials a fresh loopback connection per
+   the default simulator; [Tcp] dials a fresh loopback connection per
    protocol run (the factory form is what multi-attempt drivers need). *)
 let transport_factory c : Matprod_comm.Transport.factory option =
   match c.transport with
-  | "sim" -> None
-  | spec -> (
-      match Matprod_comm.Transport.of_string spec with
-      | Ok f -> Some f
-      | Error e -> failwith e)
+  | Sim -> None
+  | Tcp -> Some (fun () -> Matprod_comm.Transport.tcp_loopback ())
 
-let transport_conn c =
-  Option.map (fun f -> f ()) (transport_factory c)
+let transport_conn c = Option.map (fun f -> f ()) (transport_factory c)
 
-(* One grammar for every fault knob (lib/comm/chaos.mli). The legacy
-   per-fault flags survive as hidden aliases, lowered through the same
-   parser so both spellings hit identical fault models. *)
+(* A choice whose value keeps its spelling, for banners and summaries. *)
+let named_enum choices = Arg.enum (List.map (fun (s, v) -> (s, (s, v))) choices)
+
+(* Cross-field checks a per-flag converter cannot express: the first one
+   that fails is a usage error (exit 124), like a malformed flag. *)
+let validated checks run =
+  match List.find_opt fst checks with
+  | Some (_, msg) -> `Error (true, msg)
+  | None -> `Ok (run ())
+
+(* One grammar for every fault knob (lib/comm/chaos.mli). *)
 let chaos_arg =
+  let chaos =
+    Arg.conv' ~docv:"SPEC"
+      (Chaos.parse, fun ppf t -> Format.pp_print_string ppf (Chaos.to_string t))
+  in
   Arg.(
     value
-    & opt (some string) None
-    & info [ "chaos" ] ~docv:"SPEC"
+    & opt chaos []
+    & info [ "chaos" ] ~docv:"SPEC" ~absent:"no faults"
         ~doc:
           "Fault-injection spec: clauses separated by ';', each a \
            comma-separated list of key=value pairs naming its $(b,kind) \
@@ -162,54 +171,63 @@ let chaos_arg =
            fleet runs and crash takes $(b,permanent) \
            (docs/ROBUSTNESS.md).")
 
-let parse_chaos = function
-  | None -> []
-  | Some spec -> (
-      match Chaos.parse spec with
-      | Ok t -> t
-      | Error e -> failwith (Printf.sprintf "bad --chaos spec: %s" e))
+(* Arm a two-party run's wire with the spec's byte-level rules and
+   crashes, if it has any. *)
+let install_chaos ~seed spec ctx =
+  match Chaos.to_fault ~seed:(seed + 77) spec with
+  | Some fault -> Ctx.install_wire ctx ~fault ()
+  | None -> ()
 
-(* Legacy flags re-expressed in the grammar, so merging them with a
-   --chaos spec is plain list append. *)
-let legacy_chaos clauses =
-  let spec = String.concat ";" (List.filter (fun s -> s <> "") clauses) in
-  match Chaos.parse spec with
-  | Ok t -> t
-  | Error e -> failwith e
+(* Per-link fault installation for fleet runs ([None] without a spec):
+   crashes rearm on every attempt only when marked permanent; straggles
+   and byzantine rules fire on the first attempt (byzantine on replica 0,
+   where the replica vote can catch it); byte-level noise applies to
+   every attempt. *)
+let chaos_wire ~seed spec =
+  if spec = [] then None
+  else
+    Some
+      (fun ~rank ~replica ~attempt ctx ->
+        (match Chaos.crashes ~scope_worker:rank spec with
+        | [] -> ()
+        | crashes
+          when Chaos.permanent_crash ~scope_worker:rank spec || attempt = 1 ->
+            Ctx.install_wire ctx ~fault:(Fault.create ~crashes ~seed:1 []) ()
+        | _ -> ());
+        (match Chaos.straggles ~scope_worker:rank spec with
+        | [] -> ()
+        | straggles when attempt = 1 ->
+            Ctx.install_wire ctx ~fault:(Fault.create ~straggles ~seed:1 []) ()
+        | _ -> ());
+        (match Chaos.byzantines ~scope_worker:rank spec with
+        | [] -> ()
+        | byzantines when replica = 0 && attempt = 1 ->
+            Ctx.install_wire ctx
+              ~fault:
+                (Fault.create ~byzantines ~seed:(seed + (7919 * (rank + 1))) [])
+              ()
+        | _ -> ());
+        match Chaos.byte_rules spec with
+        | [] -> ()
+        | rules ->
+            Ctx.install_wire ctx
+              ~fault:(Fault.create ~seed:(seed + 77 + rank) rules)
+              ())
 
-(* Per-link fault installation for fleet runs, mirroring the legacy
-   one-flag-per-fault wiring: crashes rearm on every attempt only when
-   marked permanent; straggles and byzantine rules fire on the first
-   attempt (byzantine on replica 0, where the replica vote can catch
-   it); byte-level noise applies to every attempt. *)
-let chaos_wire spec ~seed ~rank ~replica ~attempt ctx =
-  (match Chaos.crashes ~scope_worker:rank spec with
-  | [] -> ()
-  | crashes when Chaos.permanent_crash ~scope_worker:rank spec || attempt = 1
-    ->
-      Ctx.install_wire ctx ~fault:(Fault.create ~crashes ~seed:1 []) ()
-  | _ -> ());
-  (match Chaos.straggles ~scope_worker:rank spec with
-  | [] -> ()
-  | straggles when attempt = 1 ->
-      Ctx.install_wire ctx ~fault:(Fault.create ~straggles ~seed:1 []) ()
-  | _ -> ());
-  (match Chaos.byzantines ~scope_worker:rank spec with
-  | [] -> ()
-  | byzantines when replica = 0 && attempt = 1 ->
-      Ctx.install_wire ctx
-        ~fault:
-          (Fault.create ~byzantines ~seed:(seed + (7919 * (rank + 1))) [])
-        ()
-  | _ -> ());
-  match Chaos.byte_rules spec with
-  | [] -> ()
-  | rules ->
-      Ctx.install_wire ctx ~fault:(Fault.create ~seed:(seed + 77 + rank) rules) ()
+(* One two-party run over the chosen wire. *)
+let run_ctx c ~seed body = Ctx.run ?transport:(transport_conn c) ~seed body
+
+(* The same, journaled to [journal] when given. *)
+let run_logged c ~seed ~journal ~protocol body =
+  match journal with
+  | Some path ->
+      Ctx.run_journaled ?transport:(transport_conn c) ~seed ~journal:path
+        ~protocol body
+  | None -> run_ctx c ~seed body
 
 (* Apply the domains/metrics/trace switches before any protocol work. *)
 let start c =
-  if c.transport <> "sim" then
+  if c.transport <> Sim then
     (* Handler threads/pumps may write into sockets the peer already
        closed; surface that as EPIPE, not process death. *)
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -285,12 +303,15 @@ let gen_pair ~zipf ~seed ~n ~density =
     ( Workload.uniform_bool rng_a ~rows:n ~cols:n ~density,
       Workload.uniform_bool rng_b ~rows:n ~cols:n ~density )
 
-let report ~verbose ~actual ~estimate (run : _ Ctx.run) =
+let print_estimate ?(note = "") ~actual estimate =
   Printf.printf "exact answer      : %.6g\n" actual;
-  Printf.printf "protocol estimate : %.6g\n" estimate;
+  Printf.printf "protocol estimate : %.6g%s\n" estimate note;
   if actual > 0.0 then
     Printf.printf "relative error    : %.4f\n"
-      (Stats.relative_error ~actual ~estimate);
+      (Stats.relative_error ~actual ~estimate)
+
+let report ~verbose ~actual ~estimate (run : _ Ctx.run) =
+  print_estimate ~actual estimate;
   Printf.printf "communication     : %d bits (%d bytes)\n" run.Ctx.bits
     (run.Ctx.bits / 8);
   Printf.printf "rounds            : %d\n" run.Ctx.rounds;
@@ -300,24 +321,26 @@ let report ~verbose ~actual ~estimate (run : _ Ctx.run) =
 (* ------------------------------------------------------------------ *)
 (* join-size: lp norms, p in [0,2] *)
 
-let join_size c eps zipf p algo load_a load_b journal resume max_attempts
-    fallback crash_party crash_after drop chaos =
+type algo = Alg1 | Oneround | Cohen | Exact
+type fallback = No_fallback | Trivial_fallback | L1_exact_fallback
+
+let join_size c eps zipf p (algo_name, algo) load_a load_b journal resume
+    max_attempts fallback chaos_spec =
+  validated
+    [
+      ( Option.is_some load_a <> Option.is_some load_b,
+        "--load-a and --load-b must be given together" );
+      (max_attempts < 1, "--max-attempts must be >= 1");
+      ( fallback = L1_exact_fallback && p <> 1.0,
+        "--fallback l1-exact covers p = 1 only" );
+    ]
+  @@ fun () ->
   start c;
   let { n; density; verbose; _ } = c in
-  if max_attempts < 1 then failwith "--max-attempts must be >= 1";
-  let resumed =
-    match resume with
-    | None -> None
-    | Some path -> (
-        match Journal.load path with
-        | Ok j -> Some (path, j)
-        | Error e ->
-            failwith (Printf.sprintf "cannot resume from %s: %s" path e))
-  in
   (* Replay is sound only at the journal's own seed (it determines both the
      workload and every protocol coin), so a stored seed wins. *)
   let seed =
-    match resumed with
+    match resume with
     | Some (_, j) when j.Journal.seed <> c.seed ->
         Printf.eprintf
           "matprod: resuming at journal seed %d (overriding --seed %d)\n%!"
@@ -329,69 +352,45 @@ let join_size c eps zipf p algo load_a load_b journal resume max_attempts
     match (load_a, load_b) with
     | Some pa, Some pb ->
         (Matprod_matrix.Matio.read_bmat pa, Matprod_matrix.Matio.read_bmat pb)
-    | None, None -> gen_pair ~zipf ~seed ~n ~density
-    | _ -> failwith "--load-a and --load-b must be given together"
+    | _ -> gen_pair ~zipf ~seed ~n ~density
   in
   let c_mat = Product.bool_product a b in
   let actual = Product.lp_pow c_mat ~p in
   let ai = Imat.of_bmat a and bi = Imat.of_bmat b in
+  let l1_exact ctx = float_of_int (Matprod_core.L1_exact.run_bool ctx ~a ~b) in
   let driver ctx =
     match algo with
-    | "alg1" ->
+    | Alg1 ->
         Matprod_core.Lp_protocol.run ctx
           (Matprod_core.Lp_protocol.default_params ~p ~eps ())
           ~a:ai ~b:bi
-    | "oneround" ->
+    | Oneround ->
         Matprod_core.Lp_oneround.run ctx
           (Matprod_core.Lp_oneround.default_params ~p ~eps ())
           ~a:ai ~b:bi
-    | "cohen" ->
+    | Cohen ->
         if p <> 0.0 then failwith "cohen estimates p = 0 only";
         Matprod_core.Cohen_baseline.run ctx
           (Matprod_core.Cohen_baseline.params_for_eps ~eps)
           ~a ~b
-    | "exact" ->
+    | Exact ->
         if p <> 1.0 then failwith "exact protocol covers p = 1 only (Remark 2)";
-        float_of_int (Matprod_core.L1_exact.run_bool ctx ~a ~b)
-    | other -> failwith (Printf.sprintf "unknown algorithm %S" other)
+        l1_exact ctx
   in
-  let chaos_spec =
-    legacy_chaos
-      [
-        (match crash_party with
-        | None -> ""
-        | Some who -> Printf.sprintf "kind=crash,party=%s,after=%d" who crash_after);
-        (if drop > 0.0 then Printf.sprintf "kind=drop,rate=%g" drop else "");
-      ]
-    @ parse_chaos chaos
-  in
-  let install_faults ctx =
-    match Chaos.to_fault ~seed:(seed + 77) chaos_spec with
-    | None -> ()
-    | Some fault -> Ctx.install_wire ctx ~fault ()
-  in
+  let install_faults = install_chaos ~seed chaos_spec in
   let fallbacks =
     match fallback with
-    | "none" -> []
-    | "trivial" ->
+    | No_fallback -> []
+    | Trivial_fallback ->
         [
           ( "trivial",
             fun ctx ->
               Matprod_core.Trivial.run_bool ctx ~a ~b (fun c ->
                   Product.lp_pow c ~p) );
         ]
-    | "l1-exact" ->
-        if p <> 1.0 then failwith "--fallback l1-exact covers p = 1 only";
-        [
-          ( "l1-exact",
-            fun ctx -> float_of_int (Matprod_core.L1_exact.run_bool ctx ~a ~b)
-          );
-        ]
-    | other ->
-        failwith
-          (Printf.sprintf "unknown --fallback %S (trivial|l1-exact|none)" other)
+    | L1_exact_fallback -> [ ("l1-exact", l1_exact) ]
   in
-  let supervised = max_attempts > 1 || fallback <> "none" in
+  let supervised = max_attempts > 1 || fallback <> No_fallback in
   let workload =
     match load_a with
     | Some f -> "file " ^ f
@@ -406,7 +405,7 @@ let join_size c eps zipf p algo load_a load_b journal resume max_attempts
     @ [
         ("eps", Obs.Json.Float eps);
         ("p", Obs.Json.Float p);
-        ("algo", Obs.Json.String algo);
+        ("algo", Obs.Json.String algo_name);
         ("workload", Obs.Json.String workload);
       ]
   in
@@ -421,34 +420,7 @@ let join_size c eps zipf p algo load_a load_b journal resume max_attempts
     | None -> ());
     exit 1
   in
-  match resumed with
-  | Some (path, j) -> (
-      (* Continue a crashed run: replay the journal, then touch the wire.
-         Passing [path] keeps appending, so another crash resumes further. *)
-      match
-        Outcome.guard (fun () ->
-            Ctx.resume ?transport:(transport_conn c) ~seed ~path ~journal:j (fun ctx ->
-                install_faults ctx;
-                driver ctx))
-      with
-      | Error e -> fail_run e
-      | Ok run ->
-          if not c.json then begin
-            Printf.printf
-              "resumed from %s: %d messages (%d bits) replayed for free\n" path
-              run.Ctx.replayed_messages run.Ctx.replayed_bits;
-            banner ();
-            report ~verbose ~actual ~estimate:run.Ctx.output run
-          end;
-          finish c
-            (common_fields
-            @ [
-                ("resumed_from", Obs.Json.String path);
-                ("replayed_messages", Obs.Json.Int run.Ctx.replayed_messages);
-                ("replayed_bits", Obs.Json.Int run.Ctx.replayed_bits);
-              ]
-            @ estimate_fields ~actual ~estimate:run.Ctx.output
-            @ transcript_fields run.Ctx.transcript))
+  match resume with
   | None when supervised -> (
       let policy =
         Supervisor.policy ~max_resumes:(max_attempts - 1) ~max_reseeds:1 ()
@@ -456,18 +428,14 @@ let join_size c eps zipf p algo load_a load_b journal resume max_attempts
       match
         Supervisor.run ~policy ?journal ?transport:(transport_factory c)
           ~wire:(fun ~attempt:_ ctx -> install_faults ctx)
-          ~fallbacks ~seed ~protocol:algo driver
+          ~fallbacks ~seed ~protocol:algo_name driver
       with
       | Error e -> fail_run e
       | Ok r ->
           if not c.json then begin
             banner ();
-            Printf.printf "exact answer      : %.6g\n" actual;
-            Printf.printf "protocol estimate : %.6g%s\n" r.Supervisor.output
-              (if r.Supervisor.degraded then "  (degraded)" else "");
-            if actual > 0.0 then
-              Printf.printf "relative error    : %.4f\n"
-                (Stats.relative_error ~actual ~estimate:r.Supervisor.output);
+            print_estimate ~actual r.Supervisor.output
+              ~note:(if r.Supervisor.degraded then "  (degraded)" else "");
             Printf.printf
               "communication     : %d fresh bits over %d attempts (%d bits \
                replayed)\n"
@@ -489,28 +457,47 @@ let join_size c eps zipf p algo load_a load_b journal resume max_attempts
                 ("resume_bits_saved", Obs.Json.Int r.Supervisor.resume_bits_saved);
               ]
             @ estimate_fields ~actual ~estimate:r.Supervisor.output))
-  | None -> (
+  | _ -> (
       let body ctx =
         install_faults ctx;
         driver ctx
       in
       match
         Outcome.guard (fun () ->
-            match journal with
-            | Some path -> Ctx.run_journaled ?transport:(transport_conn c) ~seed ~journal:path ~protocol:algo body
-            | None -> Ctx.run ?transport:(transport_conn c) ~seed body)
+            match resume with
+            | Some (path, j) ->
+                (* Continue a crashed run: replay the journal, then touch
+                   the wire. Passing [path] keeps appending, so another
+                   crash resumes further. *)
+                Ctx.resume ?transport:(transport_conn c) ~seed ~path
+                  ~journal:j body
+            | None -> run_logged c ~seed ~journal ~protocol:algo_name body)
       with
       | Error e -> fail_run e
       | Ok run ->
+          let run_fields =
+            match (resume, journal) with
+            | Some (path, _), _ ->
+                [
+                  ("resumed_from", Obs.Json.String path);
+                  ("replayed_messages", Obs.Json.Int run.Ctx.replayed_messages);
+                  ("replayed_bits", Obs.Json.Int run.Ctx.replayed_bits);
+                ]
+            | None, Some path -> [ ("journal", Obs.Json.String path) ]
+            | None, None -> []
+          in
           if not c.json then begin
+            (match resume with
+            | Some (path, _) ->
+                Printf.printf
+                  "resumed from %s: %d messages (%d bits) replayed for free\n"
+                  path run.Ctx.replayed_messages run.Ctx.replayed_bits
+            | None -> ());
             banner ();
             report ~verbose ~actual ~estimate:run.Ctx.output run
           end;
           finish c
-            (common_fields
-            @ (match journal with
-              | Some path -> [ ("journal", Obs.Json.String path) ]
-              | None -> [])
+            (common_fields @ run_fields
             @ estimate_fields ~actual ~estimate:run.Ctx.output
             @ transcript_fields run.Ctx.transcript))
 
@@ -539,9 +526,18 @@ let journal_arg =
            bits (docs/ROBUSTNESS.md).")
 
 let resume_arg =
+  let journal_file =
+    Arg.conv' ~docv:"FILE"
+      ( (fun path ->
+          match Journal.load path with
+          | Ok j -> Ok (path, j)
+          | Error e ->
+              Error (Printf.sprintf "cannot resume from %s: %s" path e)),
+        fun ppf (path, _) -> Format.pp_print_string ppf path )
+  in
   Arg.(
     value
-    & opt (some string) None
+    & opt (some journal_file) None
     & info [ "resume" ] ~docv:"FILE"
         ~doc:
           "Resume a crashed run from its journal: replay $(docv) \
@@ -558,32 +554,16 @@ let max_attempts_arg =
 
 let fallback_arg =
   Arg.(
-    value & opt string "none"
+    value
+    & opt
+        (enum
+           [ ("none", No_fallback); ("trivial", Trivial_fallback);
+             ("l1-exact", L1_exact_fallback) ])
+        No_fallback
     & info [ "fallback" ] ~docv:"PROTO"
         ~doc:
           "Degrade to $(docv) (trivial | l1-exact) when every retry \
            fails; the report marks the answer as degraded.")
-
-(* Legacy spellings of --chaos clauses: still accepted, no longer in the
-   manpage ([~docs:Manpage.s_none]); --chaos is the documented surface. *)
-let crash_party_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "crash-party" ] ~docv:"WHO" ~docs:Manpage.s_none
-        ~doc:"Alias for --chaos kind=crash,party=$(docv).")
-
-let crash_after_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "crash-after" ] ~docv:"K" ~docs:Manpage.s_none
-        ~doc:"Alias for the after=$(docv) key of --chaos kind=crash.")
-
-let drop_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "drop" ] ~docv:"RATE" ~docs:Manpage.s_none
-        ~doc:"Alias for --chaos kind=drop,rate=$(docv).")
 
 let join_size_cmd =
   let p_arg =
@@ -594,7 +574,11 @@ let join_size_cmd =
   let algo_arg =
     Arg.(
       value
-      & opt string "alg1"
+      & opt
+          (named_enum
+             [ ("alg1", Alg1); ("oneround", Oneround); ("cohen", Cohen);
+               ("exact", Exact) ])
+          ("alg1", Alg1)
       & info [ "algo" ] ~docv:"ALGO"
           ~doc:"One of alg1 (Algorithm 1), oneround ([16]), cohen ([12]), exact (Remark 2, p=1).")
   in
@@ -602,9 +586,10 @@ let join_size_cmd =
     (Cmd.info "join-size"
        ~doc:"Estimate ||AB||_p^p (set-intersection / natural join size).")
     Term.(
-      const join_size $ common_term $ eps_arg $ zipf_arg $ p_arg $ algo_arg
-      $ load_a_arg $ load_b_arg $ journal_arg $ resume_arg $ max_attempts_arg
-      $ fallback_arg $ crash_party_arg $ crash_after_arg $ drop_arg $ chaos_arg)
+      ret
+        (const join_size $ common_term $ eps_arg $ zipf_arg $ p_arg $ algo_arg
+       $ load_a_arg $ load_b_arg $ journal_arg $ resume_arg $ max_attempts_arg
+       $ fallback_arg $ chaos_arg))
 
 (* ------------------------------------------------------------------ *)
 (* linf *)
@@ -613,75 +598,49 @@ let linf c overlap eps kappa general =
   start c;
   let { n; density; seed; verbose; _ } = c in
   let rng = Prng.create seed in
-  let banner, algo, actual, estimate, run_bits, run_rounds, tr =
-    if general then begin
+  let banner, algo, actual, run =
+    if general then
       let a = Workload.uniform_int rng ~rows:n ~cols:n ~density ~max_value:8 in
       let b = Workload.uniform_int rng ~rows:n ~cols:n ~density ~max_value:8 in
-      let actual = float_of_int (Product.linf (Product.int_product a b)) in
       let kappa = Option.value ~default:4.0 kappa in
-      let run =
-        Ctx.run ?transport:(transport_conn c) ~seed (fun ctx ->
-            Matprod_core.Linf_general.run ctx
-              { Matprod_core.Linf_general.kappa }
-              ~a ~b)
-      in
       ( Printf.sprintf "integer matrices, kappa = %.1f (Theorem 4.8)" kappa,
         "general",
-        actual,
-        run.Ctx.output,
-        run.Ctx.bits,
-        run.Ctx.rounds,
-        run.Ctx.transcript )
-    end
-    else begin
+        Product.linf (Product.int_product a b),
+        run_ctx c ~seed (fun ctx ->
+            Matprod_core.Linf_general.run ctx
+              { Matprod_core.Linf_general.kappa }
+              ~a ~b) )
+    else
       let a, b, (i, j) = Workload.planted_pair rng ~n ~density ~overlap in
-      let actual = float_of_int (Product.linf (Product.bool_product a b)) in
+      let actual = Product.linf (Product.bool_product a b) in
       match kappa with
       | Some kappa ->
-          let run =
-            Ctx.run ?transport:(transport_conn c) ~seed (fun ctx ->
-                Matprod_core.Linf_kappa.run ctx
-                  (Matprod_core.Linf_kappa.default_params ~kappa)
-                  ~a ~b)
-          in
           ( Printf.sprintf
               "binary planted pair at (%d,%d), kappa = %.1f (Algorithm 3)" i j
               kappa,
             "kappa",
             actual,
-            run.Ctx.output.Matprod_core.Linf_kappa.estimate,
-            run.Ctx.bits,
-            run.Ctx.rounds,
-            run.Ctx.transcript )
+            run_ctx c ~seed (fun ctx ->
+                (Matprod_core.Linf_kappa.run ctx
+                   (Matprod_core.Linf_kappa.default_params ~kappa)
+                   ~a ~b)
+                  .Matprod_core.Linf_kappa.estimate) )
       | None ->
-          let run =
-            Ctx.run ?transport:(transport_conn c) ~seed (fun ctx ->
-                Matprod_core.Linf_binary.run ctx
-                  (Matprod_core.Linf_binary.default_params ~eps)
-                  ~a ~b)
-          in
           ( Printf.sprintf
               "binary planted pair at (%d,%d), (2+%.2f)-approx (Algorithm 2)" i
               j eps,
             "binary",
             actual,
-            run.Ctx.output.Matprod_core.Linf_binary.estimate,
-            run.Ctx.bits,
-            run.Ctx.rounds,
-            run.Ctx.transcript )
-    end
+            run_ctx c ~seed (fun ctx ->
+                (Matprod_core.Linf_binary.run ctx
+                   (Matprod_core.Linf_binary.default_params ~eps)
+                   ~a ~b)
+                  .Matprod_core.Linf_binary.estimate) )
   in
+  let actual = float_of_int actual and estimate = run.Ctx.output in
   if not c.json then begin
     Printf.printf "%s\n" banner;
-    Printf.printf "exact answer      : %.6g\n" actual;
-    Printf.printf "protocol estimate : %.6g\n" estimate;
-    if actual > 0.0 then
-      Printf.printf "relative error    : %.4f\n"
-        (Stats.relative_error ~actual ~estimate);
-    Printf.printf "communication     : %d bits (%d bytes)\n" run_bits
-      (run_bits / 8);
-    Printf.printf "rounds            : %d\n" run_rounds;
-    if verbose then Format.printf "transcript:@.%a@." Transcript.pp_summary tr
+    report ~verbose ~actual ~estimate run
   end;
   finish c
     (base_fields ~subcommand:"linf" c
@@ -694,7 +653,7 @@ let linf c overlap eps kappa general =
           | None -> Obs.Json.Null );
       ]
     @ estimate_fields ~actual ~estimate
-    @ transcript_fields tr)
+    @ transcript_fields run.Ctx.transcript)
 
 let linf_cmd =
   let overlap_arg =
@@ -724,13 +683,13 @@ let linf_cmd =
 (* heavy-hitters *)
 
 let heavy_hitters c phi eps binary =
+  validated [ (phi <= 0.0 || eps <= 0.0 || eps > phi, "need 0 < eps <= phi") ]
+  @@ fun () ->
   start c;
   let { n; density; seed; verbose; _ } = c in
   let rng = Prng.create seed in
-  if phi <= 0.0 || eps <= 0.0 || eps > phi then
-    failwith "need 0 < eps <= phi";
   let banner, c_mat, run =
-    if binary then begin
+    if binary then
       let overlap = max 40 (n / 3) in
       let a, b =
         Workload.planted_heavy_hitters rng ~n ~density ~heavy:[ (2, overlap) ]
@@ -738,23 +697,21 @@ let heavy_hitters c phi eps binary =
       ( Printf.sprintf "binary matrices, planted overlaps %d (Theorem 5.3)"
           overlap,
         Product.bool_product a b,
-        Ctx.run ?transport:(transport_conn c) ~seed (fun ctx ->
+        run_ctx c ~seed (fun ctx ->
             Matprod_core.Hh_binary.run ctx
               (Matprod_core.Hh_binary.default_params ~phi ~eps ())
               ~a ~b) )
-    end
-    else begin
+    else
       let a, b, _ =
         Workload.planted_heavy_int rng ~n ~density ~max_value:8
           ~heavy:[ (2, 50, 25) ]
       in
       ( "integer matrices, planted heavy entries (Algorithm 4)",
         Product.int_product a b,
-        Ctx.run ?transport:(transport_conn c) ~seed (fun ctx ->
+        run_ctx c ~seed (fun ctx ->
             Matprod_core.Hh_general.run ctx
               (Matprod_core.Hh_general.default_params ~phi ~eps ())
               ~a ~b) )
-    end
   in
   let set = run.Ctx.output in
   let must = Product.heavy_hitters c_mat ~p:1.0 ~phi in
@@ -815,12 +772,14 @@ let heavy_hitters_cmd =
     (Cmd.info "heavy-hitters"
        ~doc:"Find the lp-(phi,eps)-heavy-hitters of AB.")
     Term.(
-      const heavy_hitters $ common_term $ phi_arg $ hh_eps_arg $ binary_arg)
+      ret (const heavy_hitters $ common_term $ phi_arg $ hh_eps_arg $ binary_arg))
 
 (* ------------------------------------------------------------------ *)
 (* sample *)
 
-let sample c kind count =
+type sample_kind = L0 | L1
+
+let sample c (kind_name, kind) count =
   start c;
   let { n; density; seed; _ } = c in
   let rng = Prng.create seed in
@@ -831,57 +790,47 @@ let sample c kind count =
   if not c.json then
     Printf.printf
       "sampling %d %s-samples from a product with ||C||_0 = %d, ||C||_1 = %d\n"
-      count kind (Product.nnz c_mat) (Product.l1 c_mat);
-  let total_bits = ref 0 in
-  let drawn = ref [] in
-  for t = 1 to count do
+      count kind_name (Product.nnz c_mat) (Product.l1 c_mat);
+  (* One draw: its bits, and the sampled (row, col, detail) or why none. *)
+  let draw seed =
     match kind with
-    | "l1" ->
-        let run =
-          Ctx.run ?transport:(transport_conn c) ~seed:(seed + t) (fun ctx ->
+    | L1 -> (
+        let r =
+          run_ctx c ~seed (fun ctx ->
               Matprod_core.L1_sampling.run ctx ~a:ai ~b:bi)
         in
-        total_bits := !total_bits + run.Ctx.bits;
-        (match run.Ctx.output with
-        | Some s ->
-            drawn :=
-              Obs.Json.List
-                [
-                  Obs.Json.Int s.Matprod_core.L1_sampling.row;
-                  Obs.Json.Int s.Matprod_core.L1_sampling.col;
-                ]
-              :: !drawn;
-            if not c.json then
-              Printf.printf "  (%d, %d) via witness %d   [C entry = %d]\n"
-                s.Matprod_core.L1_sampling.row s.Matprod_core.L1_sampling.col
-                s.Matprod_core.L1_sampling.witness
-                (Product.get c_mat s.Matprod_core.L1_sampling.row
-                   s.Matprod_core.L1_sampling.col)
-        | None -> if not c.json then Printf.printf "  (product empty)\n")
-    | "l0" ->
-        let run =
-          Ctx.run ?transport:(transport_conn c) ~seed:(seed + t) (fun ctx ->
+        ( r.Ctx.bits,
+          match r.Ctx.output with
+          | Some { Matprod_core.L1_sampling.row; col; witness } ->
+              Ok
+                ( row,
+                  col,
+                  Printf.sprintf "via witness %d   [C entry = %d]" witness
+                    (Product.get c_mat row col) )
+          | None -> Error "(product empty)" ))
+    | L0 -> (
+        let r =
+          run_ctx c ~seed (fun ctx ->
               Matprod_core.L0_sampling.run ctx
                 (Matprod_core.L0_sampling.default_params ~eps:0.25)
                 ~a:ai ~b:bi)
         in
-        total_bits := !total_bits + run.Ctx.bits;
-        (match run.Ctx.output with
-        | Some s ->
-            drawn :=
-              Obs.Json.List
-                [
-                  Obs.Json.Int s.Matprod_core.L0_sampling.row;
-                  Obs.Json.Int s.Matprod_core.L0_sampling.col;
-                ]
-              :: !drawn;
-            if not c.json then
-              Printf.printf "  (%d, %d) with value %d\n"
-                s.Matprod_core.L0_sampling.row s.Matprod_core.L0_sampling.col
-                s.Matprod_core.L0_sampling.value
-        | None ->
-            if not c.json then Printf.printf "  (sampler failed this run)\n")
-    | other -> failwith (Printf.sprintf "unknown sample kind %S (l0|l1)" other)
+        ( r.Ctx.bits,
+          match r.Ctx.output with
+          | Some { Matprod_core.L0_sampling.row; col; value } ->
+              Ok (row, col, Printf.sprintf "with value %d" value)
+          | None -> Error "(sampler failed this run)" ))
+  in
+  let total_bits = ref 0 in
+  let drawn = ref [] in
+  for t = 1 to count do
+    let bits, sample = draw (seed + t) in
+    total_bits := !total_bits + bits;
+    match sample with
+    | Ok (row, col, detail) ->
+        drawn := Obs.Json.List [ Obs.Json.Int row; Obs.Json.Int col ] :: !drawn;
+        if not c.json then Printf.printf "  (%d, %d) %s\n" row col detail
+    | Error why -> if not c.json then Printf.printf "  %s\n" why
   done;
   if not c.json then
     Printf.printf "total communication: %d bits (%d per sample)\n" !total_bits
@@ -889,7 +838,7 @@ let sample c kind count =
   finish c
     (base_fields ~subcommand:"sample" c
     @ [
-        ("kind", Obs.Json.String kind);
+        ("kind", Obs.Json.String kind_name);
         ("count", Obs.Json.Int count);
         ("samples", Obs.Json.List (List.rev !drawn));
         ("bits", Obs.Json.Int !total_bits);
@@ -898,7 +847,10 @@ let sample c kind count =
 
 let sample_cmd =
   let kind_arg =
-    Arg.(value & opt string "l0" & info [ "kind" ] ~docv:"KIND" ~doc:"l0 or l1.")
+    Arg.(
+      value
+      & opt (named_enum [ ("l0", L0); ("l1", L1) ]) ("l0", L0)
+      & info [ "kind" ] ~docv:"KIND" ~doc:"l0 or l1.")
   in
   let count_arg =
     Arg.(value & opt int 5 & info [ "count" ] ~docv:"COUNT" ~doc:"Number of samples.")
@@ -910,64 +862,94 @@ let sample_cmd =
 (* ------------------------------------------------------------------ *)
 (* lowerbound *)
 
-let lowerbound c kind =
+type lowerbound_kind = Disj | Gap | Sum
+
+let lowerbound c (kind_name, kind) =
   start c;
   let { n; seed; _ } = c in
   let rng = Prng.create seed in
-  match kind with
-  | "disj" ->
-      let half = n / 2 in
-      let a0, b0 =
-        Matprod_lowerbounds.Disj_reduction.instance rng ~half ~intersecting:false
-          ~density:0.3
-      in
-      let a1, b1 =
-        Matprod_lowerbounds.Disj_reduction.instance rng ~half ~intersecting:true
-          ~density:0.3
-      in
-      Printf.printf "Theorem 4.4 DISJ embedding (n = %d):\n" (2 * half);
-      Printf.printf "  disjoint strings     -> ||AB||_inf = %d\n"
-        (Product.linf (Product.bool_product a0 b0));
-      Printf.printf "  intersecting strings -> ||AB||_inf = %d\n"
-        (Product.linf (Product.bool_product a1 b1))
-  | "gap" ->
-      let half = n / 2 and kappa = 16 in
-      let a0, b0 =
-        Matprod_lowerbounds.Gap_linf_reduction.instance rng ~half ~kappa ~gap:false
-      in
-      let a1, b1 =
-        Matprod_lowerbounds.Gap_linf_reduction.instance rng ~half ~kappa ~gap:true
-      in
-      Printf.printf "Theorem 4.8 Gap-linf embedding (n = %d, kappa = %d):\n"
-        (2 * half) kappa;
-      Printf.printf "  no gap -> ||AB||_inf = %d\n"
-        (Product.linf (Product.int_product a0 b0));
-      Printf.printf "  gap    -> ||AB||_inf = %d\n"
-        (Product.linf (Product.int_product a1 b1))
-  | "sum" ->
-      let inst =
-        Matprod_lowerbounds.Sum_hard.sample ~beta_const:2.0 rng ~n ~kappa:2.0
-      in
-      let c_mat =
-        Product.bool_product inst.Matprod_lowerbounds.Sum_hard.a
-          inst.Matprod_lowerbounds.Sum_hard.b
-      in
-      let diag = ref 0 in
-      for i = 0 to n - 1 do
-        diag := max !diag (Product.get c_mat i i)
-      done;
-      Printf.printf
-        "Theorem 4.5 SUM instance (n = %d, k = %d, replicas = %d): SUM = %d\n" n
-        inst.Matprod_lowerbounds.Sum_hard.k
-        inst.Matprod_lowerbounds.Sum_hard.replicas
-        inst.Matprod_lowerbounds.Sum_hard.sum_value;
-      Printf.printf "  ||AB||_inf = %d, diagonal max = %d\n"
-        (Product.linf c_mat) !diag
-  | other -> failwith (Printf.sprintf "unknown kind %S (disj|gap|sum)" other)
+  let say fmt =
+    Printf.ksprintf (fun s -> if not c.json then print_string s) fmt
+  in
+  let fields =
+    match kind with
+    | Disj ->
+        let half = n / 2 in
+        let a0, b0 =
+          Matprod_lowerbounds.Disj_reduction.instance rng ~half
+            ~intersecting:false ~density:0.3
+        in
+        let a1, b1 =
+          Matprod_lowerbounds.Disj_reduction.instance rng ~half
+            ~intersecting:true ~density:0.3
+        in
+        let disjoint = Product.linf (Product.bool_product a0 b0) in
+        let intersecting = Product.linf (Product.bool_product a1 b1) in
+        say "Theorem 4.4 DISJ embedding (n = %d):\n" (2 * half);
+        say "  disjoint strings     -> ||AB||_inf = %d\n" disjoint;
+        say "  intersecting strings -> ||AB||_inf = %d\n" intersecting;
+        [
+          ("linf_disjoint", Obs.Json.Int disjoint);
+          ("linf_intersecting", Obs.Json.Int intersecting);
+        ]
+    | Gap ->
+        let half = n / 2 and kappa = 16 in
+        let a0, b0 =
+          Matprod_lowerbounds.Gap_linf_reduction.instance rng ~half ~kappa
+            ~gap:false
+        in
+        let a1, b1 =
+          Matprod_lowerbounds.Gap_linf_reduction.instance rng ~half ~kappa
+            ~gap:true
+        in
+        let no_gap = Product.linf (Product.int_product a0 b0) in
+        let gap = Product.linf (Product.int_product a1 b1) in
+        say "Theorem 4.8 Gap-linf embedding (n = %d, kappa = %d):\n" (2 * half)
+          kappa;
+        say "  no gap -> ||AB||_inf = %d\n" no_gap;
+        say "  gap    -> ||AB||_inf = %d\n" gap;
+        [
+          ("kappa", Obs.Json.Int kappa);
+          ("linf_no_gap", Obs.Json.Int no_gap);
+          ("linf_gap", Obs.Json.Int gap);
+        ]
+    | Sum ->
+        let inst =
+          Matprod_lowerbounds.Sum_hard.sample ~beta_const:2.0 rng ~n ~kappa:2.0
+        in
+        let c_mat =
+          Product.bool_product inst.Matprod_lowerbounds.Sum_hard.a
+            inst.Matprod_lowerbounds.Sum_hard.b
+        in
+        let diag = ref 0 in
+        for i = 0 to n - 1 do
+          diag := max !diag (Product.get c_mat i i)
+        done;
+        let linf = Product.linf c_mat in
+        say
+          "Theorem 4.5 SUM instance (n = %d, k = %d, replicas = %d): SUM = %d\n"
+          n inst.Matprod_lowerbounds.Sum_hard.k
+          inst.Matprod_lowerbounds.Sum_hard.replicas
+          inst.Matprod_lowerbounds.Sum_hard.sum_value;
+        say "  ||AB||_inf = %d, diagonal max = %d\n" linf !diag;
+        [
+          ("sum", Obs.Json.Int inst.Matprod_lowerbounds.Sum_hard.sum_value);
+          ("linf", Obs.Json.Int linf);
+          ("diagonal_max", Obs.Json.Int !diag);
+        ]
+  in
+  finish c
+    (base_fields ~subcommand:"lowerbound" c
+    @ (("kind", Obs.Json.String kind_name) :: fields))
 
 let lowerbound_cmd =
   let kind_arg =
-    Arg.(value & opt string "disj" & info [ "kind" ] ~docv:"KIND" ~doc:"disj, gap or sum.")
+    Arg.(
+      value
+      & opt
+          (named_enum [ ("disj", Disj); ("gap", Gap); ("sum", Sum) ])
+          ("disj", Disj)
+      & info [ "kind" ] ~docv:"KIND" ~doc:"disj, gap or sum.")
   in
   Cmd.v
     (Cmd.info "lowerbound"
@@ -977,7 +959,9 @@ let lowerbound_cmd =
 (* ------------------------------------------------------------------ *)
 (* joins ([16] family) *)
 
-let joins c kind t =
+type join_kind = Equality | Disjointness | Atleast
+
+let joins c (kind_name, kind) t =
   start c;
   let { n; density; seed; _ } = c in
   let rng = Prng.create seed in
@@ -986,7 +970,7 @@ let joins c kind t =
   let c_mat = Product.bool_product a b in
   let actual, estimate, tr =
     match kind with
-    | "equality" ->
+    | Equality ->
         let bt = Bmat.transpose b in
         let exact = ref 0 in
         for i = 0 to n - 1 do
@@ -995,17 +979,17 @@ let joins c kind t =
           done
         done;
         let r =
-          Ctx.run ?transport:(transport_conn c) ~seed (fun ctx -> Matprod_core.Joins.equality_join ctx ~a ~b)
+          run_ctx c ~seed (fun ctx -> Matprod_core.Joins.equality_join ctx ~a ~b)
         in
         if not c.json then
           Printf.printf
             "set-equality join: %d pairs (exact %d), %d bits, %d round\n"
             r.Ctx.output !exact r.Ctx.bits r.Ctx.rounds;
         (float_of_int !exact, float_of_int r.Ctx.output, r.Ctx.transcript)
-    | "disjointness" ->
+    | Disjointness ->
         let actual = (n * n) - Product.nnz c_mat in
         let r =
-          Ctx.run ?transport:(transport_conn c) ~seed (fun ctx ->
+          run_ctx c ~seed (fun ctx ->
               Matprod_core.Joins.disjointness_join ctx ~eps:0.25 ~a ~b)
         in
         if not c.json then
@@ -1013,14 +997,14 @@ let joins c kind t =
             "set-disjointness join: ~%.0f pairs (exact %d), %d bits, %d rounds\n"
             r.Ctx.output actual r.Ctx.bits r.Ctx.rounds;
         (float_of_int actual, r.Ctx.output, r.Ctx.transcript)
-    | "atleast" ->
+    | Atleast ->
         let actual =
           Array.fold_left
             (fun acc (_, _, v) -> if v >= t then acc + 1 else acc)
             0 (Product.entries c_mat)
         in
         let r =
-          Ctx.run ?transport:(transport_conn c) ~seed (fun ctx ->
+          run_ctx c ~seed (fun ctx ->
               Matprod_core.Joins.at_least_t_join ctx
                 (Matprod_core.Joins.default_threshold_params ~eps:0.25)
                 ~t ~a ~b)
@@ -1030,12 +1014,11 @@ let joins c kind t =
             "at-least-%d join: ~%.0f pairs (exact %d), %d bits, %d rounds\n" t
             r.Ctx.output actual r.Ctx.bits r.Ctx.rounds;
         (float_of_int actual, r.Ctx.output, r.Ctx.transcript)
-    | other -> failwith (Printf.sprintf "unknown join kind %S" other)
   in
   finish c
     (base_fields ~subcommand:"joins" c
     @ [
-        ("kind", Obs.Json.String kind);
+        ("kind", Obs.Json.String kind_name);
         ("threshold", Obs.Json.Int t);
       ]
     @ estimate_fields ~actual ~estimate
@@ -1044,7 +1027,12 @@ let joins c kind t =
 let joins_cmd =
   let kind_arg =
     Arg.(
-      value & opt string "equality"
+      value
+      & opt
+          (named_enum
+             [ ("equality", Equality); ("disjointness", Disjointness);
+               ("atleast", Atleast) ])
+          ("equality", Equality)
       & info [ "kind" ] ~docv:"KIND" ~doc:"equality, disjointness or atleast.")
   in
   let t_arg =
@@ -1124,36 +1112,98 @@ let session_cmd =
     Term.(const session $ common_term $ beta_arg)
 
 (* ------------------------------------------------------------------ *)
-(* estimate: any registered estimator by name *)
+(* Fleet plumbing shared by estimate and batch *)
 
-(* The legacy estimate/batch fleet flags as --chaos clauses. A worker
-   crash kills both endpoints of the victim link (two clauses) so the
-   link dies no matter which side speaks first; [--permanent] reinstalls
-   it on every supervisor attempt (the ladder cannot save the link, only
-   the quorum can save the query). *)
-let legacy_fleet_chaos ~worker_crash ~crash_after ~permanent ~straggle_rank
-    ~straggle_delay ~byzantine_rank ~byzantine_mode =
-  let perm = if permanent then ",permanent" else "" in
-  legacy_chaos
-    [
-      (if worker_crash >= 0 then
-         Printf.sprintf
-           "kind=crash,worker=%d,after=%d%s;kind=crash,worker=%d,party=b,after=%d%s"
-           worker_crash crash_after perm worker_crash crash_after perm
-       else "");
-      (if straggle_rank >= 0 then
-         Printf.sprintf "kind=straggle,worker=%d,delay=%g,after=1,burst=2"
-           straggle_rank straggle_delay
-       else "");
-      (if byzantine_rank >= 0 then
-         Printf.sprintf "kind=byzantine,worker=%d,mode=%s" byzantine_rank
-           byzantine_mode
-       else "");
-    ]
+type fleet = {
+  workers : int;
+  quorum : int option;
+  replicas : int;
+  verify : bool;
+}
 
-let link_label (l : Fleet.link_report) =
-  if l.Fleet.replica = 0 then Printf.sprintf "worker %d" l.Fleet.rank
-  else Printf.sprintf "worker %d.r%d" l.Fleet.rank l.Fleet.replica
+let fleet_term =
+  let workers_arg =
+    Arg.(
+      value & opt int 1
+      & info [ "workers" ] ~docv:"K"
+          ~doc:"Shard the rows of A across $(docv) workers, each running \
+                the protocol (or the whole batch) with a coordinator over \
+                its own link, and merge the shard answers. 1 (the default) \
+                keeps the plain two-party run.")
+  in
+  let quorum_arg =
+    Arg.(
+      value & opt (some int) None
+      & info [ "quorum" ] ~docv:"Q"
+          ~doc:"Minimum surviving links for an answer; fewer survivors \
+                fail the query, between $(docv) and the fleet size the \
+                answer is flagged degraded. Defaults to all workers.")
+  in
+  let replicas_arg =
+    Arg.(
+      value & opt int 1
+      & info [ "replicas" ] ~docv:"R"
+          ~doc:"Run every shard on $(docv) replica links and reconcile by \
+                voting (family-aware across derived seeds for an estimator, \
+                exact agreement at the fleet seed for a batch): a replica \
+                that disagrees with the majority is quarantined and the \
+                shard answer is re-merged from the survivors.")
+  in
+  let verify_arg =
+    Arg.(
+      value & flag
+      & info [ "verify" ]
+          ~doc:"Run the coordinator-side answer validators on every \
+                decoded shard answer (exact mass identity, range checks, \
+                per-coordinate adjudication, Freivalds) and quarantine \
+                violators.")
+  in
+  let make workers quorum replicas verify =
+    { workers; quorum; replicas; verify }
+  in
+  Term.(const make $ workers_arg $ quorum_arg $ replicas_arg $ verify_arg)
+
+let fleet_config c f ?link_policy ?journal () =
+  Fleet.config ?quorum:f.quorum ~replicas:f.replicas ~verify:f.verify
+    ?link_policy ?journal ?transport:(transport_factory c) ~workers:f.workers
+    ~seed:c.seed ()
+
+let fleet_failed ~what (cfg : Fleet.config) e =
+  Printf.eprintf "matprod: %s failed (quorum %d/%d unmet): %s\n" what
+    cfg.Fleet.quorum cfg.Fleet.workers (Outcome.error_to_string e);
+  exit 1
+
+let fleet_config_fields (cfg : Fleet.config) =
+  [
+    ("workers", Obs.Json.Int cfg.Fleet.workers);
+    ("quorum", Obs.Json.Int cfg.Fleet.quorum);
+    ("replicas", Obs.Json.Int cfg.Fleet.replicas);
+    ("verify", Obs.Json.Bool cfg.Fleet.verify);
+  ]
+
+(* How a fleet link ended: "ok", the invariant a quarantined replica
+   violated, or "lost". *)
+let link_verdict = function
+  | Ok _ -> "ok"
+  | Error (Outcome.Byzantine_detected { check; _ }) -> check
+  | Error _ -> "lost"
+
+(* One fleet link's line in the human report; [ok] renders an answer. *)
+let print_link ~rank ~replica range answer ok =
+  let label =
+    if replica = 0 then Printf.sprintf "worker %d" rank
+    else Printf.sprintf "worker %d.r%d" rank replica
+  in
+  match answer with
+  | Ok v ->
+      Format.printf "  %s %a: %t@." label Shard.pp_range range (fun ppf ->
+          ok ppf v)
+  | Error (Outcome.Byzantine_detected { check; _ }) ->
+      Format.printf "  %s %a: QUARANTINED — violated %s@." label
+        Shard.pp_range range check
+  | Error e ->
+      Format.printf "  %s %a: LOST — %s@." label Shard.pp_range range
+        (Outcome.error_to_string e)
 
 let suspect_fields (s : Fleet.suspect) =
   Obs.Json.Obj
@@ -1174,32 +1224,21 @@ let print_suspects suspects =
       suspects
   end
 
-let estimate_fleet c packed ~a ~b ~workers ~quorum ~replicas ~verify
-    ~chaos_spec ~deadline ~fleet_journal =
-  let { seed; _ } = c in
+(* ------------------------------------------------------------------ *)
+(* estimate: any registered estimator by name *)
+
+let estimate_fleet c packed ~a ~b fleet ~chaos_spec ~deadline ~fleet_journal =
   let link_policy =
     { Fleet.default_link_policy with Fleet.deadline_s = deadline }
   in
-  let cfg =
-    Fleet.config ?quorum ~replicas ~verify ~link_policy ?journal:fleet_journal
-      ?transport:(transport_factory c) ~workers ~seed ()
-  in
-  let wire =
-    if chaos_spec <> [] then
-      Some
-        (fun ~rank ~replica ~attempt ctx ->
-          chaos_wire chaos_spec ~seed ~rank ~replica ~attempt ctx)
-    else None
-  in
+  let cfg = fleet_config c fleet ~link_policy ?journal:fleet_journal () in
+  let wire = chaos_wire ~seed:c.seed chaos_spec in
   match Fleet.run ?wire cfg packed ~a ~b with
-  | Error e ->
-      Printf.eprintf "matprod: fleet failed (quorum %d/%d unmet): %s\n"
-        cfg.Fleet.quorum workers (Outcome.error_to_string e);
-      exit 1
+  | Error e -> fleet_failed ~what:"fleet" cfg e
   | Ok rep ->
       if not c.json then begin
         Printf.printf "%s over %d workers (quorum %d) — %s\n"
-          (Estimator.name packed) workers cfg.Fleet.quorum
+          (Estimator.name packed) cfg.Fleet.workers cfg.Fleet.quorum
           (Estimator.describe packed);
         List.iter
           (fun (l : Fleet.link_report) ->
@@ -1210,19 +1249,12 @@ let estimate_fleet c packed ~a ~b ~workers ~quorum ~replicas ~verify
                      Supervisor.rung_to_string at.Supervisor.rung)
                    l.Fleet.attempts)
             in
-            match l.Fleet.answer with
-            | Ok v ->
-                Format.printf "  %s %a: %a  (%d bits%s%s)@." (link_label l)
-                  Shard.pp_range l.Fleet.range
-                  Estimator.pp_comparable v l.Fleet.fresh_bits
+            print_link ~rank:l.Fleet.rank ~replica:l.Fleet.replica
+              l.Fleet.range l.Fleet.answer (fun ppf v ->
+                Format.fprintf ppf "%a  (%d bits%s%s)" Estimator.pp_comparable
+                  v l.Fleet.fresh_bits
                   (if rungs = "" then "" else ", " ^ rungs)
-                  (if l.Fleet.straggled then ", straggled" else "")
-            | Error (Outcome.Byzantine_detected { check; _ }) ->
-                Format.printf "  %s %a: QUARANTINED — violated %s@."
-                  (link_label l) Shard.pp_range l.Fleet.range check
-            | Error e ->
-                Format.printf "  %s %a: LOST — %s@." (link_label l)
-                  Shard.pp_range l.Fleet.range (Outcome.error_to_string e))
+                  (if l.Fleet.straggled then ", straggled" else "")))
           rep.Fleet.links;
         print_suspects rep.Fleet.suspects;
         Format.printf "merged answer     : %a@."
@@ -1242,10 +1274,9 @@ let estimate_fleet c packed ~a ~b ~workers ~quorum ~replicas ~verify
               Obs.Json.String
                 (Format.asprintf "%a" Estimator.pp_comparable
                    (Outcome.graded_value rep.Fleet.answer)) );
-            ("workers", Obs.Json.Int workers);
-            ("quorum", Obs.Json.Int cfg.Fleet.quorum);
-            ("replicas", Obs.Json.Int cfg.Fleet.replicas);
-            ("verify", Obs.Json.Bool cfg.Fleet.verify);
+          ]
+        @ fleet_config_fields cfg
+        @ [
             ("survivors", Obs.Json.Int rep.Fleet.survivors);
             ("coverage", Obs.Json.Float rep.Fleet.coverage);
             ("degraded", Obs.Json.Bool (Outcome.is_degraded rep.Fleet.answer));
@@ -1270,26 +1301,13 @@ let estimate_fleet c packed ~a ~b ~workers ~quorum ~replicas ~verify
                          ( "answered",
                            Obs.Json.Bool (Result.is_ok l.Fleet.answer) );
                          ( "verdict",
-                           Obs.Json.String
-                             (match l.Fleet.answer with
-                             | Ok _ -> "ok"
-                             | Error (Outcome.Byzantine_detected { check; _ })
-                               ->
-                                 check
-                             | Error _ -> "lost") );
+                           Obs.Json.String (link_verdict l.Fleet.answer) );
                        ])
                    rep.Fleet.links) );
           ])
 
-let estimate c name list_all workers quorum replicas verify worker_crash
-    crash_after permanent straggle_rank straggle_delay byzantine_rank
-    byzantine_mode deadline fleet_journal chaos =
+let estimate c packed list_all fleet deadline fleet_journal chaos_spec =
   start c;
-  let chaos_spec =
-    legacy_fleet_chaos ~worker_crash ~crash_after ~permanent ~straggle_rank
-      ~straggle_delay ~byzantine_rank ~byzantine_mode
-    @ parse_chaos chaos
-  in
   let { n; density; seed; verbose; _ } = c in
   if list_all then
     List.iter
@@ -1300,61 +1318,63 @@ let estimate c name list_all workers quorum replicas verify worker_crash
           (Estimator.describe packed))
       (Registry.all ())
   else
-    match Registry.find name with
-    | None ->
-        failwith
-          (Printf.sprintf "unknown estimator %S — try --list for the registry"
-             name)
-    | Some packed when workers > 1 ->
-        let a, b = gen_pair ~zipf:false ~seed ~n ~density in
-        estimate_fleet c packed ~a ~b ~workers ~quorum ~replicas ~verify
-          ~chaos_spec ~deadline ~fleet_journal
-    | Some packed -> (
-        let a, b = gen_pair ~zipf:false ~seed ~n ~density in
-        let predicted = Estimator.default_cost packed ~n in
-        let run =
-          Ctx.run ?transport:(transport_conn c) ~seed (fun ctx ->
-              (match Chaos.to_fault ~seed:(seed + 77) chaos_spec with
-              | Some fault -> Ctx.install_wire ctx ~fault ()
-              | None -> ());
-              Estimator.run_default_safe packed ctx ~a ~b)
-        in
-        match run.Ctx.output with
-        | Error e ->
-            Printf.eprintf "matprod: estimator failed: %s\n"
-              (Outcome.error_to_string e);
-            exit 1
-        | Ok (answer, _diag) ->
-            if not c.json then begin
-              Printf.printf "%s — %s\n" (Estimator.name packed)
-                (Estimator.describe packed);
-              Format.printf "answer            : %a@." Estimator.pp_comparable
-                answer;
-              Printf.printf "communication     : %d bits (predicted ~%.0f)\n"
-                run.Ctx.bits predicted.Estimator.bits;
-              Printf.printf "rounds            : %d (predicted %d)\n"
-                run.Ctx.rounds predicted.Estimator.rounds;
-              if verbose then
-                Format.printf "transcript:@.%a@." Transcript.pp_summary
-                  run.Ctx.transcript
-            end;
-            finish c
-              (base_fields ~subcommand:"estimate" c
-              @ [
-                  ("estimator", Obs.Json.String (Estimator.name packed));
-                  ( "answer",
-                    Obs.Json.String
-                      (Format.asprintf "%a" Estimator.pp_comparable answer) );
-                  ("predicted_bits", Obs.Json.Float predicted.Estimator.bits);
-                  ("predicted_rounds", Obs.Json.Int predicted.Estimator.rounds);
-                ]
-              @ transcript_fields run.Ctx.transcript))
+    let a, b = gen_pair ~zipf:false ~seed ~n ~density in
+    if fleet.workers > 1 then
+      estimate_fleet c packed ~a ~b fleet ~chaos_spec ~deadline ~fleet_journal
+    else
+      let predicted = Estimator.default_cost packed ~n in
+      let run =
+        run_ctx c ~seed (fun ctx ->
+            install_chaos ~seed chaos_spec ctx;
+            Estimator.run_default_safe packed ctx ~a ~b)
+      in
+      match run.Ctx.output with
+      | Error e ->
+          Printf.eprintf "matprod: estimator failed: %s\n"
+            (Outcome.error_to_string e);
+          exit 1
+      | Ok (answer, _diag) ->
+          if not c.json then begin
+            Printf.printf "%s — %s\n" (Estimator.name packed)
+              (Estimator.describe packed);
+            Format.printf "answer            : %a@." Estimator.pp_comparable
+              answer;
+            Printf.printf "communication     : %d bits (predicted ~%.0f)\n"
+              run.Ctx.bits predicted.Estimator.bits;
+            Printf.printf "rounds            : %d (predicted %d)\n"
+              run.Ctx.rounds predicted.Estimator.rounds;
+            if verbose then
+              Format.printf "transcript:@.%a@." Transcript.pp_summary
+                run.Ctx.transcript
+          end;
+          finish c
+            (base_fields ~subcommand:"estimate" c
+            @ [
+                ("estimator", Obs.Json.String (Estimator.name packed));
+                ( "answer",
+                  Obs.Json.String
+                    (Format.asprintf "%a" Estimator.pp_comparable answer) );
+                ("predicted_bits", Obs.Json.Float predicted.Estimator.bits);
+                ("predicted_rounds", Obs.Json.Int predicted.Estimator.rounds);
+              ]
+            @ transcript_fields run.Ctx.transcript)
 
 let estimate_cmd =
+  let estimator =
+    Arg.conv' ~docv:"ESTIMATOR"
+      ( (fun name ->
+          match Registry.find name with
+          | Some packed -> Ok packed
+          | None ->
+              Error
+                (Printf.sprintf
+                   "unknown estimator %S — try --list for the registry" name)),
+        fun ppf packed -> Format.pp_print_string ppf (Estimator.name packed) )
+  in
   let name_arg =
     Arg.(
       value
-      & pos 0 string "lp p=0"
+      & pos 0 estimator (Option.get (Registry.find "lp p=0"))
       & info [] ~docv:"ESTIMATOR"
           ~doc:"Registry name of the estimator to run (see --list).")
   in
@@ -1364,83 +1384,6 @@ let estimate_cmd =
       & info [ "list" ]
           ~doc:"List every registered estimator with its predicted cost at \
                 the given -n, then exit.")
-  in
-  let workers_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "workers" ] ~docv:"K"
-          ~doc:"Shard the rows of A across $(docv) workers, each running \
-                the protocol with a coordinator over its own link, and \
-                merge the shard answers. 1 (the default) keeps the plain \
-                two-party run.")
-  in
-  let quorum_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "quorum" ] ~docv:"Q"
-          ~doc:"Minimum surviving links for an answer; fewer survivors \
-                fail the query, between $(docv) and the fleet size the \
-                answer is flagged degraded. Defaults to all workers.")
-  in
-  let worker_crash_arg =
-    Arg.(
-      value & opt int (-1)
-      & info [ "worker-crash" ] ~docv:"RANK" ~docs:Manpage.s_none
-          ~doc:"Alias for --chaos kind=crash,worker=$(docv).")
-  in
-  let replicas_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "replicas" ] ~docv:"R"
-          ~doc:"Run every shard on $(docv) independent links at derived \
-                seeds and reconcile by family-aware replica voting: a \
-                replica that disagrees with the majority is quarantined \
-                and the shard answer is re-merged from the survivors.")
-  in
-  let verify_arg =
-    Arg.(
-      value & flag
-      & info [ "verify" ]
-          ~doc:"Run the coordinator-side answer validators on every \
-                decoded shard answer (exact mass identity, range checks, \
-                per-coordinate adjudication, Freivalds) and quarantine \
-                violators.")
-  in
-  let byzantine_arg =
-    Arg.(
-      value & opt int (-1)
-      & info [ "byzantine" ] ~docv:"RANK" ~docs:Manpage.s_none
-          ~doc:"Alias for --chaos kind=byzantine,worker=$(docv).")
-  in
-  let byzantine_mode_arg =
-    Arg.(
-      value & opt string "scale"
-      & info [ "byzantine-mode" ] ~docv:"MODE" ~docs:Manpage.s_none
-          ~doc:"Alias for the mode=$(docv) key of --chaos kind=byzantine.")
-  in
-  let crash_after_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "crash-after" ] ~docv:"MSGS" ~docs:Manpage.s_none
-          ~doc:"Alias for the after=$(docv) key of --chaos kind=crash.")
-  in
-  let permanent_arg =
-    Arg.(
-      value & flag
-      & info [ "permanent" ] ~docs:Manpage.s_none
-          ~doc:"Alias for the permanent flag of --chaos kind=crash.")
-  in
-  let straggle_arg =
-    Arg.(
-      value & opt int (-1)
-      & info [ "straggle" ] ~docv:"RANK" ~docs:Manpage.s_none
-          ~doc:"Alias for --chaos kind=straggle,worker=$(docv).")
-  in
-  let straggle_delay_arg =
-    Arg.(
-      value & opt float 5.0
-      & info [ "straggle-delay" ] ~docv:"SECONDS" ~docs:Manpage.s_none
-          ~doc:"Alias for the delay=$(docv) key of --chaos kind=straggle.")
   in
   let deadline_arg =
     Arg.(
@@ -1465,11 +1408,8 @@ let estimate_cmd =
              $(b,--workers) fleet with per-link chaos, straggler \
              deadlines, and quorum-degraded answers.")
     Term.(
-      const estimate $ common_term $ name_arg $ list_arg $ workers_arg
-      $ quorum_arg $ replicas_arg $ verify_arg $ worker_crash_arg
-      $ crash_after_arg $ permanent_arg $ straggle_arg $ straggle_delay_arg
-      $ byzantine_arg $ byzantine_mode_arg $ deadline_arg $ fleet_journal_arg
-      $ chaos_arg)
+      const estimate $ common_term $ name_arg $ list_arg $ fleet_term
+      $ deadline_arg $ fleet_journal_arg $ chaos_arg)
 
 (* ------------------------------------------------------------------ *)
 (* batch: the plan-cached query engine *)
@@ -1478,6 +1418,10 @@ let plan_status_string = function
   | Engine.Plan_hit -> "plan hit"
   | Engine.Plan_miss -> "plan miss"
   | Engine.Not_planned -> "unplanned"
+
+let samples_summary kind samples =
+  Printf.sprintf "%d %s-samples (%d drawn)" (Array.length samples) kind
+    (Array.fold_left (fun acc s -> if s = None then acc else acc + 1) 0 samples)
 
 let answer_summary = function
   | Engine.Scalar v -> Printf.sprintf "%.6g" v
@@ -1488,62 +1432,29 @@ let answer_summary = function
       String.concat ", "
         (List.map (fun (i, est) -> Printf.sprintf "row %d ~%.0f" i est) rows)
   | Engine.Entry_set coords -> Printf.sprintf "%d entries" (List.length coords)
-  | Engine.L0_samples samples ->
-      Printf.sprintf "%d l0-samples (%d drawn)" (Array.length samples)
-        (Array.fold_left
-           (fun acc s -> if s = None then acc else acc + 1)
-           0 samples)
-  | Engine.L1_samples samples ->
-      Printf.sprintf "%d l1-samples (%d drawn)" (Array.length samples)
-        (Array.fold_left
-           (fun acc s -> if s = None then acc else acc + 1)
-           0 samples)
+  | Engine.L0_samples samples -> samples_summary "l0" samples
+  | Engine.L1_samples samples -> samples_summary "l1" samples
   | Engine.Shares (alice, bob) ->
       Printf.sprintf "additive shares (%d + %d entries)" (List.length alice)
         (List.length bob)
 
-let batch_fleet c queries ~a ~b ~workers ~quorum ~replicas ~verify ~chaos_spec
-    =
-  let { seed; _ } = c in
-  let cfg =
-    Fleet.config ?quorum ~replicas ~verify ?transport:(transport_factory c)
-      ~workers ~seed ()
-  in
-  let wire =
-    if chaos_spec <> [] then
-      Some
-        (fun ~rank ~replica ~attempt ctx ->
-          chaos_wire chaos_spec ~seed ~rank ~replica ~attempt ctx)
-    else None
-  in
+let batch_fleet c queries ~a ~b fleet ~chaos_spec =
+  let cfg = fleet_config c fleet () in
   let engine = Engine.create () in
+  let wire = chaos_wire ~seed:c.seed chaos_spec in
   match Fleet.run_batch ?wire cfg engine queries ~a ~b with
-  | Error e ->
-      Printf.eprintf "matprod: batch fleet failed (quorum %d/%d unmet): %s\n"
-        cfg.Fleet.quorum workers (Outcome.error_to_string e);
-      exit 1
+  | Error e -> fleet_failed ~what:"batch fleet" cfg e
   | Ok rep ->
       let answers = Outcome.graded_value rep.Fleet.batch_answers in
-      let batch_label (l : Fleet.batch_link) =
-        if l.Fleet.b_replica = 0 then Printf.sprintf "worker %d" l.Fleet.b_rank
-        else Printf.sprintf "worker %d.r%d" l.Fleet.b_rank l.Fleet.b_replica
-      in
       if not c.json then begin
         Printf.printf "batch of %d queries over %d workers (quorum %d)\n"
-          (List.length queries) workers cfg.Fleet.quorum;
+          (List.length queries) cfg.Fleet.workers cfg.Fleet.quorum;
         List.iter
           (fun (l : Fleet.batch_link) ->
-            match l.Fleet.b_answers with
-            | Ok _ ->
-                Format.printf "  %s %a: ok (%d attempts)@." (batch_label l)
-                  Shard.pp_range l.Fleet.b_range
-                  (List.length l.Fleet.b_attempts)
-            | Error (Outcome.Byzantine_detected { check; _ }) ->
-                Format.printf "  %s %a: QUARANTINED — violated %s@."
-                  (batch_label l) Shard.pp_range l.Fleet.b_range check
-            | Error e ->
-                Format.printf "  %s %a: LOST — %s@." (batch_label l)
-                  Shard.pp_range l.Fleet.b_range (Outcome.error_to_string e))
+            print_link ~rank:l.Fleet.b_rank ~replica:l.Fleet.b_replica
+              l.Fleet.b_range l.Fleet.b_answers (fun ppf _ ->
+                Format.fprintf ppf "ok (%d attempts)"
+                  (List.length l.Fleet.b_attempts)))
           rep.Fleet.batch_links;
         print_suspects rep.Fleet.batch_suspects;
         Printf.printf "answers%s:\n"
@@ -1571,10 +1482,9 @@ let batch_fleet c queries ~a ~b ~workers ~quorum ~replicas ~verify ~chaos_spec
                    (Array.map
                       (fun ans -> Obs.Json.String (answer_summary ans))
                       answers)) );
-            ("workers", Obs.Json.Int workers);
-            ("quorum", Obs.Json.Int cfg.Fleet.quorum);
-            ("replicas", Obs.Json.Int cfg.Fleet.replicas);
-            ("verify", Obs.Json.Bool cfg.Fleet.verify);
+          ]
+        @ fleet_config_fields cfg
+        @ [
             ("survivors", Obs.Json.Int rep.Fleet.batch_survivors);
             ("coverage", Obs.Json.Float rep.Fleet.batch_coverage);
             ( "degraded",
@@ -1595,57 +1505,27 @@ let batch_fleet c queries ~a ~b ~workers ~quorum ~replicas ~verify ~chaos_spec
                          ( "attempts",
                            Obs.Json.Int (List.length l.Fleet.b_attempts) );
                          ( "verdict",
-                           Obs.Json.String
-                             (match l.Fleet.b_answers with
-                             | Ok _ -> "ok"
-                             | Error (Outcome.Byzantine_detected { check; _ })
-                               ->
-                                 check
-                             | Error _ -> "lost") );
+                           Obs.Json.String (link_verdict l.Fleet.b_answers) );
                        ])
                    rep.Fleet.batch_links) );
           ])
 
-let batch c specs journal compare workers quorum replicas verify byzantine_rank
-    byzantine_mode chaos =
+let batch c queries journal compare fleet chaos_spec =
   start c;
-  let chaos_spec =
-    legacy_fleet_chaos ~worker_crash:(-1) ~crash_after:0 ~permanent:false
-      ~straggle_rank:(-1) ~straggle_delay:5.0 ~byzantine_rank ~byzantine_mode
-    @ parse_chaos chaos
-  in
   let { n; density; seed; verbose; _ } = c in
-  let specs =
-    if specs = [] then [ "norm:eps=0.25"; "rows:beta=0.5"; "top:k=5" ]
-    else specs
-  in
-  let queries =
-    List.map
-      (fun s ->
-        match Engine.query_of_string s with
-        | Ok q -> q
-        | Error e -> failwith e)
-      specs
-  in
   let a, b = gen_pair ~zipf:false ~seed ~n ~density in
-  if workers > 1 then
-    batch_fleet c queries ~a ~b ~workers ~quorum ~replicas ~verify ~chaos_spec
+  if fleet.workers > 1 then batch_fleet c queries ~a ~b fleet ~chaos_spec
   else begin
   let ai = Imat.of_bmat a and bi = Imat.of_bmat b in
   let engine = Engine.create () in
   let body ctx =
-    (match Chaos.to_fault ~seed:(seed + 77) chaos_spec with
-    | Some fault -> Ctx.install_wire ctx ~fault ()
-    | None -> ());
+    install_chaos ~seed chaos_spec ctx;
     Engine.run engine ctx ~a:ai ~b:bi queries
   in
   let run =
     match
       Outcome.guard (fun () ->
-          match journal with
-          | Some path ->
-              Ctx.run_journaled ?transport:(transport_conn c) ~seed ~journal:path ~protocol:"batch" body
-          | None -> Ctx.run ?transport:(transport_conn c) ~seed body)
+          run_logged c ~seed ~journal ~protocol:"batch" body)
     with
     | Ok run -> run
     | Error e ->
@@ -1663,7 +1543,7 @@ let batch c specs journal compare workers quorum replicas verify byzantine_rank
            (fun acc q ->
              let solo = Engine.create ~plan_cache_capacity:0 () in
              acc
-             + (Ctx.run ?transport:(transport_conn c) ~seed (fun ctx -> Engine.run solo ctx ~a:ai ~b:bi [ q ]))
+             + (run_ctx c ~seed (fun ctx -> Engine.run solo ctx ~a:ai ~b:bi [ q ]))
                  .Ctx.bits)
            0 queries)
   in
@@ -1753,10 +1633,20 @@ let batch c specs journal compare workers quorum replicas verify byzantine_rank
   end
 
 let batch_cmd =
+  let query =
+    Arg.conv' ~docv:"SPEC"
+      ( Engine.query_of_string,
+        fun ppf q -> Format.pp_print_string ppf (Engine.query_to_string q) )
+  in
+  let default_batch =
+    List.map
+      (fun s -> Result.get_ok (Engine.query_of_string s))
+      [ "norm:eps=0.25"; "rows:beta=0.5"; "top:k=5" ]
+  in
   let query_arg =
     Arg.(
       value
-      & opt_all string []
+      & opt_all query default_batch
       & info [ "q"; "query" ] ~docv:"SPEC"
           ~doc:
             "A query spec, repeatable: name:key=val,... with names \
@@ -1772,50 +1662,6 @@ let batch_cmd =
             "Also run every query standalone and report the transcript bits \
              the batch saved (two-party path only).")
   in
-  let workers_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "workers" ] ~docv:"K"
-          ~doc:"Shard the rows of A across $(docv) workers, run the whole \
-                batch on every link, and merge per-query answers. 1 (the \
-                default) keeps the plain two-party engine.")
-  in
-  let quorum_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "quorum" ] ~docv:"Q"
-          ~doc:"Minimum surviving links for an answer; between $(docv) and \
-                the fleet size the answers are flagged degraded. Defaults \
-                to all workers.")
-  in
-  let replicas_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "replicas" ] ~docv:"R"
-          ~doc:"Run every shard's batch on $(docv) replica links at the \
-                fleet seed and vote by exact agreement (TMR); a replica \
-                whose answer array disagrees with the majority is \
-                quarantined.")
-  in
-  let verify_arg =
-    Arg.(
-      value & flag
-      & info [ "verify" ]
-          ~doc:"Run the per-answer validators on every link's decoded batch \
-                and quarantine violators.")
-  in
-  let byzantine_arg =
-    Arg.(
-      value & opt int (-1)
-      & info [ "byzantine" ] ~docv:"RANK" ~docs:Manpage.s_none
-          ~doc:"Alias for --chaos kind=byzantine,worker=$(docv).")
-  in
-  let byzantine_mode_arg =
-    Arg.(
-      value & opt string "scale"
-      & info [ "byzantine-mode" ] ~docv:"MODE" ~docs:Manpage.s_none
-          ~doc:"Alias for the mode=$(docv) key of --chaos kind=byzantine.")
-  in
   Cmd.v
     (Cmd.info "batch"
        ~doc:
@@ -1825,8 +1671,7 @@ let batch_cmd =
           $(b,--workers) fleet with replica voting and answer verification.")
     Term.(
       const batch $ common_term $ query_arg $ journal_arg $ compare_arg
-      $ workers_arg $ quorum_arg $ replicas_arg $ verify_arg $ byzantine_arg
-      $ byzantine_mode_arg $ chaos_arg)
+      $ fleet_term $ chaos_arg)
 
 (* ------------------------------------------------------------------ *)
 (* report: offline aggregation of trace files and bench sidecars. *)

@@ -26,13 +26,6 @@ type t = {
 
 let transcript t = t.transcript
 
-let arm_journal t w = t.journal <- Some w
-
-let arm_replay t entries =
-  if Transcript.message_count t.transcript > 0 then
-    invalid_arg "Channel.arm_replay: messages already sent";
-  t.replay <- entries
-
 let close_journal t =
   match t.journal with
   | None -> ()
@@ -53,49 +46,47 @@ let replay_stats (t : t) =
 
 let replay_pending t = List.length t.replay
 
-let install t ~fault ?(reliable = Reliable.default_config) () =
-  t.wire <-
-    Some
-      {
-        fault;
-        cfg = reliable;
-        seq = 0;
-        data_frames = 0;
-        acks = 0;
-        retries = 0;
-        crc_rejects = 0;
-        giveups = 0;
-        waited = 0.0;
-      }
-
 let configure t ?fault ?reliable ?journal ?replay () =
   (match (fault, reliable) with
-  | Some fault, _ -> install t ~fault ?reliable ()
+  | Some fault, _ ->
+      t.wire <-
+        Some
+          {
+            fault;
+            cfg = Option.value reliable ~default:Reliable.default_config;
+            seq = 0;
+            data_frames = 0;
+            acks = 0;
+            retries = 0;
+            crc_rejects = 0;
+            giveups = 0;
+            waited = 0.0;
+          }
   | None, Some _ ->
       invalid_arg "Channel.configure: ?reliable requires ?fault"
   | None, None -> ());
-  (match replay with Some entries -> arm_replay t entries | None -> ());
-  match journal with Some w -> arm_journal t w | None -> ()
+  (match replay with
+  | Some entries ->
+      if Transcript.message_count t.transcript > 0 then
+        invalid_arg "Channel.configure: ?replay after messages were sent";
+      t.replay <- entries
+  | None -> ());
+  match journal with Some w -> t.journal <- Some w | None -> ()
 
-let create ?(names = Transcript.party_name) ?transport ?fault ?reliable
-    ?journal ?replay () =
+let create ?(names = Transcript.party_name) ?transport () =
   let transport =
     match transport with Some tr -> tr | None -> Transport.sim ()
   in
-  let t =
-    {
-      transcript = Transcript.create ();
-      names;
-      transport;
-      wire = None;
-      journal = None;
-      replay = [];
-      replayed_messages = 0;
-      replayed_bytes = 0;
-    }
-  in
-  configure t ?fault ?reliable ?journal ?replay ();
-  t
+  {
+    transcript = Transcript.create ();
+    names;
+    transport;
+    wire = None;
+    journal = None;
+    replay = [];
+    replayed_messages = 0;
+    replayed_bytes = 0;
+  }
 
 let installed_fault t = Option.map (fun w -> w.fault) t.wire
 

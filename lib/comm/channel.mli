@@ -22,30 +22,15 @@
 type t
 
 val create :
-  ?names:(Transcript.party -> string) ->
-  ?transport:Transport.t ->
-  ?fault:Fault.t ->
-  ?reliable:Reliable.config ->
-  ?journal:Journal.writer ->
-  ?replay:Journal.entry list ->
-  unit ->
-  t
-(** One constructor, one configuration:
-
-    - [?names] maps the two wire roles to display names used for the
-      per-party metrics scope and trace attributes (default
-      {!Transcript.party_name}, i.e. ["Alice"]/["Bob"]). A fleet link
-      passes e.g. [Alice ↦ "worker3", Bob ↦ "coordinator"] so per-link
-      tables aggregate under the right actor. Purely observational:
-      transcripts, journals, and codecs never see these names.
-    - [?transport] picks the physical backend (default {!Transport.sim};
-      the channel owns it and {!close} releases it).
-    - [?fault] arms the wire with a fault model; [?reliable] tunes the
-      ARQ layer that activates with it (passing [?reliable] without
-      [?fault] raises [Invalid_argument]).
-    - [?journal] appends every delivered logical message to the writer.
-    - [?replay] queues journaled entries to satisfy upcoming [send]s
-      before any fresh communication (see {e Crash recovery} below). *)
+  ?names:(Transcript.party -> string) -> ?transport:Transport.t -> unit -> t
+(** A perfect channel over [?transport] (default {!Transport.sim}; the
+    channel owns it and {!close} releases it). [?names] maps the two wire
+    roles to display names used for the per-party metrics scope and trace
+    attributes (default {!Transcript.party_name}, i.e. ["Alice"]/["Bob"]).
+    A fleet link passes e.g. [Alice ↦ "worker3", Bob ↦ "coordinator"] so
+    per-link tables aggregate under the right actor. Purely observational:
+    transcripts, journals, and codecs never see these names. Faults and
+    journals are armed with {!configure}. *)
 
 val configure :
   t ->
@@ -55,12 +40,17 @@ val configure :
   ?replay:Journal.entry list ->
   unit ->
   unit
-(** Late arming with the same keywords as {!create}, for callers that
-    learn their fault/journal configuration after the channel exists
-    (e.g. {!Ctx.run}'s prepare step). Configuring a new fault model
-    resets sequence numbers and reliability stats; [?replay] must be
-    armed before the first message (raises [Invalid_argument]
-    otherwise). *)
+(** The one arming path:
+
+    - [?fault] arms the wire with a fault model and resets sequence
+      numbers and reliability stats; [?reliable] tunes the ARQ layer that
+      activates with it (passing [?reliable] without [?fault] raises
+      [Invalid_argument]).
+    - [?journal] appends every delivered logical message to the writer.
+    - [?replay] queues journaled entries to satisfy upcoming [send]s
+      before any fresh communication (see {e Crash recovery} below). It
+      must be armed before the first message (raises [Invalid_argument]
+      otherwise). *)
 
 val transcript : t -> Transcript.t
 
@@ -70,10 +60,6 @@ val transport : t -> Transport.t
 val close : t -> unit
 (** Flush and close the journal writer (if any) and release the
     transport's OS resources. Idempotent. *)
-
-val install : t -> fault:Fault.t -> ?reliable:Reliable.config -> unit -> unit
-[@@deprecated "use Channel.create ?fault ?reliable or Channel.configure"]
-(** @deprecated Arm the wire. Alias for [configure ~fault ?reliable]. *)
 
 val installed_fault : t -> Fault.t option
 (** The armed fault model, if any — the topology layer reads it back to
@@ -91,14 +77,6 @@ val installed_fault : t -> Fault.t option
     record (the determinism invariant: all randomness derives from the
     seed) and hands the journaled payload to the decoder. See
     docs/ROBUSTNESS.md. *)
-
-val arm_journal : t -> Journal.writer -> unit
-[@@deprecated "use Channel.create ?journal or Channel.configure"]
-(** @deprecated Alias for [configure ~journal]. *)
-
-val arm_replay : t -> Journal.entry list -> unit
-[@@deprecated "use Channel.create ?replay or Channel.configure"]
-(** @deprecated Alias for [configure ~replay]. *)
 
 val close_journal : t -> unit
 (** Flush and close the armed writer, if any (the transport stays open).

@@ -1,8 +1,5 @@
-(** One grammar for every chaos knob.
-
-    The CLI grew one flag per fault kind ([--drop], [--crash-party],
-    [--straggle], [--byzantine], ...); this module replaces the sprawl
-    with a single spec string:
+(** One grammar for every chaos knob: a single spec string, the CLI's
+    [--chaos] argument:
 
     {v kind=crash,party=b,after=3;kind=drop,rate=0.1,from=a v}
 

@@ -244,8 +244,3 @@ let tcp_loopback () =
   Conn ((module Tcp), { Tcp.a; b; closed = false; delivered = 0 })
 
 type factory = unit -> t
-
-let of_string = function
-  | "sim" -> Ok (fun () -> sim ())
-  | "tcp" -> Ok (fun () -> tcp_loopback ())
-  | s -> Error (Printf.sprintf "unknown transport %S (expected sim|tcp)" s)

@@ -59,9 +59,6 @@ type factory = unit -> t
 (** Transports hold OS state, so multi-attempt drivers ({!Supervisor},
     fleet links) take a factory and open a fresh connection per attempt. *)
 
-val of_string : string -> (factory, string) result
-(** ["sim"] or ["tcp"] — the CLI [--transport] grammar. *)
-
 (** {1 Frame grammar}
 
     Shared by the [Tcp] backend and the serve daemon. *)

@@ -184,57 +184,38 @@ let test_tcp_journal_resume_no_wire () =
 (* Channel configuration surface *)
 
 let test_channel_create_config () =
-  (* All wire config through one constructor call. *)
+  (* All wire config through [Channel.configure]. *)
   let path = Filename.temp_file "matprod_serve_" ".mpj" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
   let w = Journal.create ~path ~protocol:"t" ~seed:3 in
-  let ch = Channel.create ~journal:w () in
+  let ch = Channel.create () in
+  Channel.configure ch ~fault:(Fault.create ~seed:1 []) ~journal:w ();
   let v = [| 1; 4; 9 |] in
   let got =
     Channel.send ch ~from:Transcript.Alice ~label:"xs" Codec.sorted_int_array v
   in
   check Alcotest.bool "payload intact" true (v = got);
+  check Alcotest.bool "fault armed" true (Channel.installed_fault ch <> None);
   Channel.close ch;
   let j =
     match Journal.load path with Ok j -> j | Error e -> Alcotest.fail e
   in
   check Alcotest.int "journaled" 1 (List.length j.Journal.entries);
-  (* Replay through create: same message comes back off the log, and the
-     replay path needs no live wire. *)
-  let ch2 = Channel.create ~replay:j.Journal.entries () in
+  (* Replay: the same message comes back off the log, and the replay
+     path needs no live wire. *)
+  let ch2 = Channel.create () in
+  Channel.configure ch2 ~replay:j.Journal.entries ();
   let got2 =
     Channel.send ch2 ~from:Transcript.Alice ~label:"xs" Codec.sorted_int_array v
   in
   check Alcotest.bool "replayed payload intact" true (v = got2);
   check Alcotest.int "one replayed message" 1
-    (Channel.replay_stats ch2).Channel.replayed_messages
-
-module Deprecated_aliases = struct
-  [@@@alert "-deprecated"]
-
-  (* The pre-refactor entry points must still work for out-of-tree
-     callers (they only warn). *)
-  let test () =
-    let ch = Channel.create () in
-    Channel.install ch ~fault:(Fault.create ~seed:1 []) ();
-    let got =
-      Channel.send ch ~from:Transcript.Bob ~label:"f" Codec.float32 1.5
-    in
-    check Alcotest.bool "send through installed wire" true (got = 1.5);
-    let path = Filename.temp_file "matprod_serve_" ".mpj" in
-    Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    @@ fun () ->
-    let ch2 = Channel.create () in
-    Channel.arm_journal ch2 (Journal.create ~path ~protocol:"t" ~seed:1);
-    ignore
-      (Channel.send ch2 ~from:Transcript.Alice ~label:"g" Codec.float32 2.5
-        : float);
-    Channel.close ch2;
-    match Journal.load path with
-    | Ok j -> check Alcotest.int "alias journaled" 1 (List.length j.Journal.entries)
-    | Error e -> Alcotest.fail e
-end
+    (Channel.replay_stats ch2).Channel.replayed_messages;
+  check Alcotest.bool "replay after a message is rejected" true
+    (match Channel.configure ch ~replay:[] () with
+    | () -> false
+    | exception Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Chaos grammar *)
@@ -569,8 +550,6 @@ let () =
       ( "channel",
         [
           Alcotest.test_case "create config" `Quick test_channel_create_config;
-          Alcotest.test_case "deprecated aliases" `Quick
-            Deprecated_aliases.test;
         ] );
       ( "chaos",
         [
