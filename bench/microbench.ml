@@ -172,6 +172,66 @@ let bench_obs_overhead =
            Matprod_obs.Metrics.set_enabled false));
   ]
 
+(* The wire path on the perfbench pair (96x96 boolean, density 0.05,
+   seed 1): the word-at-a-time codecs against the generic [array]
+   compositions they replaced (same bytes), and the sparse combine
+   against the dense combine-then-estimate, both over one whole message. *)
+let bench_wire_path =
+  let module Codec = Matprod_comm.Codec in
+  let module Imat = Matprod_matrix.Imat in
+  let module Lp = Matprod_sketch.Lp in
+  let module Workload = Matprod_workload.Workload in
+  let n = 96 in
+  let root = Prng.create 1 in
+  let rng_a = Prng.split root in
+  let rng_b = Prng.split root in
+  let a = Imat.of_bmat (Workload.uniform_bool rng_a ~rows:n ~cols:n ~density:0.05) in
+  let b = Imat.of_bmat (Workload.uniform_bool rng_b ~rows:n ~cols:n ~density:0.05) in
+  (* Theorem 3.2's first message: an l0 sketch (4032 cells) per column of A. *)
+  let l0 = L0_sketch.create (Prng.create 2) ~eps:0.25 ~groups:3 ~dim:n in
+  let at = Imat.transpose a in
+  let l0_msg = Array.init n (fun k -> L0_sketch.sketch l0 (Imat.row at k)) in
+  (* The p=1 lp group's message: a stable sketch per row of B. *)
+  let stable = Lp.create (Prng.create 3) ~p:1.0 ~eps:0.5 ~groups:5 ~dim:n in
+  let f32_msg =
+    Array.init n (fun k ->
+        match Lp.sketch stable (Imat.row b k) with
+        | Lp.F f -> f
+        | Lp.Z _ -> assert false)
+  in
+  let roundtrip codec v = Codec.decode codec (Codec.encode codec v) in
+  let uint_fast = Codec.array Codec.uint_array in
+  let uint_generic = Codec.array (Codec.array Codec.uint) in
+  let f32_fast = Codec.array Codec.float32_array in
+  let f32_generic = Codec.array (Codec.array Codec.float32) in
+  (* The p=0 lp group: Alice estimates every row of A·B from B's sketches. *)
+  let lp0 = Lp.create (Prng.create 4) ~p:0.0 ~eps:0.5 ~groups:5 ~dim:n in
+  let lp0_msg = Array.init n (fun k -> Lp.sketch lp0 (Imat.row b k)) in
+  let dense_row i =
+    let acc = Lp.empty lp0 in
+    Array.iter
+      (fun (k, c) -> Lp.add_scaled lp0 ~dst:acc ~coeff:c lp0_msg.(k))
+      (Imat.row a i);
+    Lp.estimate_pow lp0 acc
+  in
+  [
+    Test.make ~name:"codec: l0 message 96x4032, uint_array"
+      (Staged.stage (fun () -> ignore (roundtrip uint_fast l0_msg)));
+    Test.make ~name:"codec: l0 message 96x4032, array uint"
+      (Staged.stage (fun () -> ignore (roundtrip uint_generic l0_msg)));
+    Test.make ~name:"codec: stable message, float32_array"
+      (Staged.stage (fun () -> ignore (roundtrip f32_fast f32_msg)));
+    Test.make ~name:"codec: stable message, array float32"
+      (Staged.stage (fun () -> ignore (roundtrip f32_generic f32_msg)));
+    Test.make ~name:"lp p=0: 96 rows, estimate_combination"
+      (Staged.stage (fun () ->
+           let comb = Lp.combiner lp0 lp0_msg in
+           ignore
+             (Array.init n (fun i -> Lp.estimate_combination comb (Imat.row a i)))));
+    Test.make ~name:"lp p=0: 96 rows, combine + estimate_pow"
+      (Staged.stage (fun () -> ignore (Array.init n dense_row)));
+  ]
+
 let all_tests =
   Test.make_grouped ~name:"sketches"
     ([
@@ -180,7 +240,7 @@ let all_tests =
        bench_s_sparse_decode;
      ]
     @ bench_planned @ bench_cohen @ bench_compressed_matmul
-    @ bench_product_backends @ bench_obs_overhead)
+    @ bench_product_backends @ bench_obs_overhead @ bench_wire_path)
 
 let run () =
   Printf.printf "\n%s\n" Report.hrule;

@@ -209,32 +209,65 @@ let list c =
 
 let int_array = array int
 
+(* Runs of zero counters are written from, and skipped against, this
+   block: a zero is its own one-byte varint, so a run of k zeros is k
+   zero bytes. *)
+let zero_block = String.make 4096 '\000'
+
+let rec add_zeros b k =
+  if k > 0 then begin
+    let m = min k (String.length zero_block) in
+    Buffer.add_substring b zero_block 0 m;
+    add_zeros b (k - m)
+  end
+
 (* The same bytes as [array uint], written as one loop: dense sketch
-   states are mostly zero counters, and a value below 0x80 is its own
-   one-byte varint, so it skips the varint machinery on both sides. Any
-   other byte falls back to [dec_unonneg], which keeps every error. *)
+   states are mostly zero counters. Encode writes each run of zeros with
+   one [add_zeros]; decode skips eight zero bytes at a time into the
+   already-zeroed array, and reads any other value below 0x80 (its own
+   one-byte varint) inline. Every other byte falls back to
+   [dec_unonneg], which keeps every error. *)
 let uint_array =
   {
     enc =
       (fun b a ->
-        enc_uvarint b (Array.length a);
-        Array.iter
-          (fun v ->
-            if v >= 0 && v < 0x80 then Buffer.add_char b (Char.unsafe_chr v)
-            else enc_uvarint b v)
-          a);
+        let n = Array.length a in
+        enc_uvarint b n;
+        let i = ref 0 in
+        while !i < n do
+          let v = Array.unsafe_get a !i in
+          if v = 0 then begin
+            let j = ref (!i + 1) in
+            while !j < n && Array.unsafe_get a !j = 0 do incr j done;
+            add_zeros b (!j - !i);
+            i := !j
+          end
+          else begin
+            if v > 0 && v < 0x80 then Buffer.add_char b (Char.unsafe_chr v)
+            else enc_uvarint b v;
+            incr i
+          end
+        done);
     dec =
       (fun s pos ->
         let n = dec_count s pos "Codec.array" in
         let a = Array.make n 0 in
         let len = String.length s in
-        for i = 0 to n - 1 do
+        let i = ref 0 in
+        while !i < n do
           let p = !pos in
-          if p < len && String.unsafe_get s p < '\x80' then begin
-            Array.unsafe_set a i (Char.code (String.unsafe_get s p));
-            pos := p + 1
+          if !i + 8 <= n && p + 8 <= len && String.get_int64_le s p = 0L then begin
+            i := !i + 8;
+            pos := p + 8
           end
-          else Array.unsafe_set a i (dec_unonneg s pos)
+          else begin
+            if p < len && String.unsafe_get s p < '\x80' then begin
+              Array.unsafe_set a !i (Char.code (String.unsafe_get s p));
+              pos := p + 1
+            end
+            else Array.unsafe_set a !i (dec_unonneg s pos);
+            incr i
+          end
         done;
         a);
   }
@@ -289,8 +322,56 @@ let sparse_int_vec =
             (!prev, v)));
   }
 
-let float_array = array float64
-let float32_array = array float32
+(* Fixed-width float arrays: [array float64]/[array float32] as one loop.
+   Once the length prefix passes [dec_count], the only error the generic
+   decoder can still raise is truncation, so one up-front check raises it
+   before anything is allocated. *)
+let dec_fixed_count s pos ~width =
+  let n = dec_count s pos "Codec.array" in
+  if n > (String.length s - !pos) / width then dec_fail "Codec: truncated input";
+  n
+
+let float_array =
+  {
+    enc =
+      (fun b a ->
+        enc_uvarint b (Array.length a);
+        for i = 0 to Array.length a - 1 do
+          Buffer.add_int64_le b (Int64.bits_of_float (Array.unsafe_get a i))
+        done);
+    dec =
+      (fun s pos ->
+        let n = dec_fixed_count s pos ~width:8 in
+        let p = !pos in
+        let a = Array.create_float n in
+        for i = 0 to n - 1 do
+          Array.unsafe_set a i
+            (Int64.float_of_bits (String.get_int64_le s (p + (8 * i))))
+        done;
+        pos := p + (8 * n);
+        a);
+  }
+
+let float32_array =
+  {
+    enc =
+      (fun b a ->
+        enc_uvarint b (Array.length a);
+        for i = 0 to Array.length a - 1 do
+          Buffer.add_int32_le b (Int32.bits_of_float (Array.unsafe_get a i))
+        done);
+    dec =
+      (fun s pos ->
+        let n = dec_fixed_count s pos ~width:4 in
+        let p = !pos in
+        let a = Array.create_float n in
+        for i = 0 to n - 1 do
+          Array.unsafe_set a i
+            (Int32.float_of_bits (String.get_int32_le s (p + (4 * i))))
+        done;
+        pos := p + (4 * n);
+        a);
+  }
 
 let bytes =
   {
@@ -306,49 +387,54 @@ let bytes =
         r);
   }
 
+(* Encode writes the (delta, value) pairs to a side buffer in one pass
+   over the dense array, then the header and the pairs; decode collects
+   the pairs into two arrays sized by the checked count and allocates the
+   dense array only once every pair has been checked, so a bad stream
+   never allocates more than its own length. *)
 let counter_array =
-  let to_sparse a =
-    let out = ref [] in
-    for i = Array.length a - 1 downto 0 do
-      if a.(i) <> 0 then out := (i, a.(i)) :: !out
-    done;
-    (Array.length a, !out)
-  in
-  let of_sparse (len, pairs) =
-    let a = Array.make len 0 in
-    List.iter (fun (i, v) -> a.(i) <- v) pairs;
-    a
-  in
   {
     enc =
       (fun b a ->
-        let len, pairs = to_sparse a in
-        enc_uvarint b len;
-        enc_uvarint b (List.length pairs);
-        let prev = ref (-1) in
-        List.iter
-          (fun (i, v) ->
-            enc_uvarint b (i - !prev - 1);
-            enc_uvarint b v;
-            prev := i)
-          pairs);
+        let n = Array.length a in
+        let pairs = Buffer.create 64 in
+        let nnz = ref 0 and prev = ref (-1) in
+        let i = ref 0 in
+        while !i < n do
+          while !i < n && Array.unsafe_get a !i = 0 do incr i done;
+          if !i < n then begin
+            enc_uvarint pairs (!i - !prev - 1);
+            enc_uvarint pairs (Array.unsafe_get a !i);
+            prev := !i;
+            incr nnz;
+            incr i
+          end
+        done;
+        enc_uvarint b n;
+        enc_uvarint b !nnz;
+        Buffer.add_buffer b pairs);
     dec =
       (fun s pos ->
         let len = dec_unonneg s pos in
         if len > max_dense_length then
           dec_fail "Codec.counter_array: dense length exceeds cap";
         let n = dec_count s pos "Codec.counter_array" in
+        let idx = Array.make n 0 and vals = Array.make n 0 in
         let prev = ref (-1) in
-        let pairs =
-          List.init n (fun _ ->
-              let d = dec_unonneg s pos in
-              let v = dec_unonneg s pos in
-              prev := !prev + 1 + d;
-              if !prev < 0 || !prev >= len then
-                dec_fail "Codec.counter_array: index beyond dense length";
-              (!prev, v))
-        in
-        of_sparse (len, pairs));
+        for k = 0 to n - 1 do
+          let d = dec_unonneg s pos in
+          let v = dec_unonneg s pos in
+          prev := !prev + 1 + d;
+          if !prev < 0 || !prev >= len then
+            dec_fail "Codec.counter_array: index beyond dense length";
+          idx.(k) <- !prev;
+          vals.(k) <- v
+        done;
+        let a = Array.make len 0 in
+        for k = 0 to n - 1 do
+          a.(idx.(k)) <- vals.(k)
+        done;
+        a);
   }
 
 let map to_wire of_wire c =

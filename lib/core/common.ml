@@ -1,4 +1,3 @@
-module Lp = Matprod_sketch.Lp
 module Imat = Matprod_matrix.Imat
 module Codec = Matprod_comm.Codec
 
@@ -35,13 +34,6 @@ module Entry_map = struct
   let wire_entries =
     Codec.list (Codec.triple Codec.uint Codec.uint Codec.int)
 end
-
-let combine_sketches lp sks coeffs =
-  let acc = Lp.empty lp in
-  Array.iter
-    (fun (k, c) -> Lp.add_scaled lp ~dst:acc ~coeff:c sks.(k))
-    coeffs;
-  acc
 
 let row_times_matrix a_row b =
   let out = Array.make (Imat.cols b) 0 in

@@ -30,14 +30,6 @@ module Entry_map : sig
   (** Codec for shipping entry lists. *)
 end
 
-val combine_sketches :
-  Matprod_sketch.Lp.t ->
-  Matprod_sketch.Lp.value array ->
-  (int * int) array ->
-  Matprod_sketch.Lp.value
-(** [combine_sketches lp sks coeffs] = Σ_(k,c)∈coeffs c·sks.(k) — the sketch
-    of a row of A·B from the sketches of the rows of B and a row of A. *)
-
 val row_times_matrix : (int * int) array -> Matprod_matrix.Imat.t -> int array
 (** [row_times_matrix a_row b] = (dense) a_row · B, the exact row of the
     product, computed from B's rows. *)

@@ -58,13 +58,9 @@ let run_many ctx prm ~count ~a ~b =
   let bt = Imat.transpose b in
   let col_est =
     Trace.with_span ~name:"l0_sampling.column_estimation" (fun () ->
+        let comb = L0_sketch.combiner sk sketches in
         Pool.init (Imat.cols b) (fun j ->
-            let acc = L0_sketch.empty sk in
-            Array.iter
-              (fun (k, v) ->
-                L0_sketch.add_scaled sk ~dst:acc ~coeff:v sketches.(k))
-              (Imat.row bt j);
-            Float.max 0.0 (L0_sketch.estimate sk acc)))
+            Float.max 0.0 (L0_sketch.estimate_combination comb (Imat.row bt j))))
   in
   let total = Array.fold_left ( +. ) 0.0 col_est in
   Array.init count (fun t ->

@@ -29,5 +29,6 @@ let run ctx prm ~a ~b =
     Ctx.b2a ctx ~label:"lp-sketches(B rows, eps)" (Codec.array (Lp.wire lp))
       bob_sketches
   in
+  let comb = Lp.combiner lp sketches in
   Pool.map_sum (Imat.rows a) (fun i ->
-      Lp.estimate_pow lp (Common.combine_sketches lp sketches (Imat.row a i)))
+      Lp.estimate_combination comb (Imat.row a i))

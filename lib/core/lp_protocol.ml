@@ -46,8 +46,8 @@ let round1 ctx prm ~beta ~a ~b =
     Ctx.b2a ctx ~label:"lp-sketches(B rows)" (Codec.array (Lp.wire lp))
       bob_sketches
   in
-  Pool.init (Imat.rows a) (fun i ->
-      Lp.estimate_pow lp (Common.combine_sketches lp sketches (Imat.row a i)))
+  let comb = Lp.combiner lp sketches in
+  Pool.init (Imat.rows a) (fun i -> Lp.estimate_combination comb (Imat.row a i))
 
 let estimate_row_norms ctx prm ~a ~b =
   validate prm ~a ~b;

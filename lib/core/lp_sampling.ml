@@ -42,11 +42,10 @@ let run ctx prm ~a ~b =
     Ctx.b2a ctx ~label:"lp-sketches for row sampling"
       (Codec.array (Lp.wire lp)) bob_sketches
   in
+  let comb = Lp.combiner lp sketches in
   let est =
     Array.init (Imat.rows a) (fun i ->
-        Float.max 0.0
-          (Lp.estimate_pow lp
-             (Common.combine_sketches lp sketches (Imat.row a i))))
+        Float.max 0.0 (Lp.estimate_combination comb (Imat.row a i)))
   in
   let total = Array.fold_left ( +. ) 0.0 est in
   if total <= 0.0 then None

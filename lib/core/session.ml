@@ -28,10 +28,10 @@ let establish ?(p = 0.0) ?(groups = 5) ctx ~beta ~a ~b =
     Ctx.b2a ctx ~label:"session: lp sketches of B rows"
       (Codec.array (Lp.wire lp)) bob_sketches
   in
+  let comb = Lp.combiner lp sketches in
   let est =
     Pool.init (Imat.rows a) (fun i ->
-        Float.max 0.0
-          (Lp.estimate_pow lp (Common.combine_sketches lp sketches (Imat.row a i))))
+        Float.max 0.0 (Lp.estimate_combination comb (Imat.row a i)))
   in
   { p; beta; a; b; est }
 

@@ -218,10 +218,10 @@ let exec_lp t ctx ~a ~b ~p ~members ~queries set =
       (Codec.array (Lp.wire lp))
       bob_sketches
   in
+  let comb = Lp.combiner lp sketches in
   let est =
     Pool.init (Imat.rows a) (fun i ->
-        Float.max 0.0
-          (Lp.estimate_pow lp (Common.combine_sketches lp sketches (Imat.row a i))))
+        Float.max 0.0 (Lp.estimate_combination comb (Imat.row a i)))
   in
   (* One sampling round upgrades every norm query in the group to (1+beta²)
      ≤ (1+eps_i); row/top queries answer from the cached estimates free. *)

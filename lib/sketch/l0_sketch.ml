@@ -237,35 +237,139 @@ let level_estimate ~buckets occupied =
     let k = float_of_int buckets in
     log (1.0 -. (float_of_int occupied /. k)) /. log (1.0 -. (1.0 /. k))
 
-let rep_estimate t arr ~rep_idx =
-  let occ level =
-    let base = cell_index t ~rep_idx ~level ~bucket:0 in
-    let c = ref 0 in
-    for b = 0 to t.buckets - 1 do
-      if arr.(base + b) <> 0 then incr c
-    done;
-    !c
-  in
-  let occs = Array.init t.levels occ in
+(* [occ.((rep_idx * levels) + level)] is the number of nonzero buckets of
+   that (rep, level) — the only thing the estimator reads of a state. *)
+let rep_estimate t occ ~rep_idx =
+  let occs l = occ.((rep_idx * t.levels) + l) in
   (* Prefer the shallowest level whose load is comfortably sub-saturated:
      deeper levels multiply the subsampling variance by 2^level. *)
   let target = int_of_float (0.7 *. float_of_int t.buckets) in
   let rec pick l =
     if l >= t.levels then t.levels - 1
-    else if occs.(l) <= target then l
+    else if occs l <= target then l
     else pick (l + 1)
   in
   let l = pick 0 in
-  let est = level_estimate ~buckets:t.buckets occs.(l) in
+  let est = level_estimate ~buckets:t.buckets (occs l) in
   if Float.is_finite est then est *. Float.of_int (1 lsl l)
   else
     (* Every level saturated: report the coarsest level's capacity bound. *)
     float_of_int t.buckets *. Float.of_int (1 lsl (t.levels - 1))
 
-let estimate t arr =
-  if Array.length arr <> size t then invalid_arg "L0_sketch.estimate: size";
+let estimate_of_occupancy t occ =
   Metrics.timed h_query (fun () ->
       let per_rep =
-        Array.init (Array.length t.reps) (fun g -> rep_estimate t arr ~rep_idx:g)
+        Array.init (Array.length t.reps) (fun g -> rep_estimate t occ ~rep_idx:g)
       in
       Stats.median per_rep)
+
+let estimate t arr =
+  if Array.length arr <> size t then invalid_arg "L0_sketch.estimate: size";
+  let occ = Array.make (Array.length t.reps * t.levels) 0 in
+  for s = 0 to Array.length occ - 1 do
+    let base = s * t.buckets in
+    for b = 0 to t.buckets - 1 do
+      if Array.unsafe_get arr (base + b) <> 0 then occ.(s) <- occ.(s) + 1
+    done
+  done;
+  estimate_of_occupancy t occ
+
+(* --- sparse combine -----------------------------------------------------
+
+   [estimate_combination] is [estimate (Σ c·src)] with the sum kept only
+   on the sources' nonzero cells: each source's support is listed once per
+   message, each combination updates only those cells, and the occupancy
+   per (rep, level) follows every cell that leaves or returns to 0 — a
+   cell can cancel back to 0 in the field. The updates are add_scaled's,
+   in the same order, so every cell and every occupancy count is the
+   dense path's. *)
+
+type combiner = {
+  csk : t;
+  sources : int array array;
+  support : int array array; (* nonzero cells of each source, ascending *)
+}
+
+let support_of src =
+  let n = Array.length src in
+  let nnz = ref 0 in
+  for i = 0 to n - 1 do
+    if Array.unsafe_get src i <> 0 then incr nnz
+  done;
+  let sup = Array.make !nnz 0 in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if Array.unsafe_get src i <> 0 then begin
+      Array.unsafe_set sup !k i;
+      incr k
+    end
+  done;
+  sup
+
+let combiner t sources =
+  let n = size t in
+  {
+    csk = t;
+    sources;
+    (* A wrongly sized source fails only when a combination uses it, as
+       with add_scaled. *)
+    support =
+      Array.map (fun src -> if Array.length src = n then support_of src else [||])
+        sources;
+  }
+
+(* One all-zero accumulator per domain, checked out for the duration of a
+   call — a second thread of the same domain that arrives meanwhile
+   allocates its own — and handed back zeroed. *)
+let scratch_key = Domain.DLS.new_key (fun () -> ref [||])
+
+let take_scratch n =
+  let slot = Domain.DLS.get scratch_key in
+  let s = !slot in
+  slot := [||];
+  if Array.length s >= n then s else Array.make n 0
+
+let estimate_combination cb coeffs =
+  let t = cb.csk in
+  let n = size t in
+  let acc = take_scratch n in
+  let occ = Array.make (Array.length t.reps * t.levels) 0 in
+  let buckets = t.buckets in
+  (* On an exception the scratch is dropped, not handed back dirty. *)
+  Array.iter
+    (fun (k, coeff) ->
+      let src = cb.sources.(k) in
+      if Array.length src <> n then
+        invalid_arg "L0_sketch.estimate_combination: size mismatch";
+      let c = Field31.of_int coeff in
+      if c <> 0 then begin
+        let sup = cb.support.(k) in
+        for x = 0 to Array.length sup - 1 do
+          let i = Array.unsafe_get sup x in
+          let old = Array.unsafe_get acc i in
+          let v =
+            Field31.add old (Field31.mul c (Array.unsafe_get src i))
+          in
+          Array.unsafe_set acc i v;
+          if old = 0 then begin
+            if v <> 0 then
+              let s = i / buckets in
+              occ.(s) <- occ.(s) + 1
+          end
+          else if v = 0 then
+            let s = i / buckets in
+            occ.(s) <- occ.(s) - 1
+        done
+      end)
+    coeffs;
+  Array.iter
+    (fun (k, coeff) ->
+      if Field31.of_int coeff <> 0 then begin
+        let sup = cb.support.(k) in
+        for x = 0 to Array.length sup - 1 do
+          Array.unsafe_set acc (Array.unsafe_get sup x) 0
+        done
+      end)
+    coeffs;
+  (Domain.DLS.get scratch_key) := acc;
+  estimate_of_occupancy t occ

@@ -58,3 +58,21 @@ val sketch_into : t -> plan -> dst:int array -> (int * int) array -> unit
 
 val estimate : t -> int array -> float
 (** Estimated number of nonzero coordinates; exact 0 for the zero vector. *)
+
+(** {1 Sparse combine} — the estimate of a linear combination of received
+    states, paying per nonzero cell (docs/PERFORMANCE.md). *)
+
+type combiner
+
+val combiner : t -> int array array -> combiner
+(** [combiner t sources] lists each source's nonzero cells once. The
+    sources are read, never written, and must not change while the
+    combiner is in use. Safe to share across pool domains. *)
+
+val estimate_combination : combiner -> (int * int) array -> float
+(** [estimate_combination (combiner t srcs) coeffs] is exactly
+    [estimate t acc] where [acc] starts at [empty t] and takes
+    [add_scaled t ~dst:acc ~coeff:c srcs.(k)] for each [(k, c)] of
+    [coeffs] in order. Cost is linear in the nonzero cells of the sources
+    used, not in {!size}. Raises [Invalid_argument] when a used source
+    does not have {!size} cells. *)

@@ -97,6 +97,27 @@ let estimate t v =
       | Ams_l2 s, F a -> sqrt (Ams.estimate_sq s a)
       | _ -> type_error ())
 
+(* The ℓ0 family combines sparsely; the float families' states are dense,
+   so they keep the add_scaled loop. *)
+type combiner = C_l0 of L0_sketch.combiner | C_dense of t * value array
+
+let combiner t sources =
+  match t.impl with
+  | L0 s ->
+      C_l0
+        (L0_sketch.combiner s
+           (Array.map (function Z a -> a | F _ -> type_error ()) sources))
+  | Stable _ | Ams_l2 _ -> C_dense (t, sources)
+
+let estimate_combination cb coeffs =
+  match cb with
+  | C_l0 c ->
+      Metrics.timed h_query (fun () -> L0_sketch.estimate_combination c coeffs)
+  | C_dense (t, sources) ->
+      let acc = empty t in
+      Array.iter (fun (k, c) -> add_scaled t ~dst:acc ~coeff:c sources.(k)) coeffs;
+      estimate_pow t acc
+
 let wire t =
   match t.impl with
   (* Norm sketches ship dense: their Θ(1/ε²) word count is exactly the

@@ -30,6 +30,23 @@ val estimate_pow : t -> value -> float
 val estimate : t -> value -> float
 (** Estimate of ‖x‖_p (for p = 0 this equals [estimate_pow]). *)
 
+(** {1 Combine and estimate} — the receiving side of every linear-sketch
+    protocol: one sketch per inner index arrives, and each output row or
+    column is estimated from a combination of them. *)
+
+type combiner
+
+val combiner : t -> value array -> combiner
+(** Prepares received sketches for {!estimate_combination}, once per
+    message; for p = 0 it lists each sketch's nonzero cells
+    ({!L0_sketch.combiner}). Safe to share across pool domains. *)
+
+val estimate_combination : combiner -> (int * int) array -> float
+(** [estimate_combination (combiner t srcs) coeffs] is exactly
+    [estimate_pow t (Σ_(k,c)∈coeffs c·srcs.(k))], the sum built by
+    {!add_scaled} from {!empty}. For p = 0 it costs the nonzero cells of
+    the sketches used rather than {!size} per sketch. *)
+
 (** {1 Plan/apply} — dispatches to the underlying sketch's plan; results
     are bit-identical to {!sketch} (docs/PERFORMANCE.md). *)
 

@@ -469,6 +469,64 @@ let l0_sampler_arb =
     (fun l -> L0_sampler.sketch l0_sampler (Array.of_list l))
     (list_of_size Gen.(0 -- 12) (pair (int_bound 63) (int_range (-5) 5)))
 
+(* Sparse-heavy arrays, the shape of a dense sketch state on the wire:
+   length 0–10 000, at most 1% of the cells drawn from [cell] (the rest
+   [zero]), all of them inside a random prefix so that many arrays end in
+   a long zero run. Values of different encoded widths put the zero runs
+   at every offset against 8-byte words. *)
+let sparse_gen ~zero cell =
+  let open QCheck.Gen in
+  int_bound 10_000 >>= fun n ->
+  int_bound (n / 100) >>= fun k ->
+  int_bound n >>= fun prefix ->
+  list_repeat k (pair (int_bound (max 0 (prefix - 1))) cell) >|= fun cells ->
+  let a = Array.make n zero in
+  List.iter (fun (i, v) -> a.(i) <- v) cells;
+  a
+
+let sparse_uint_arb =
+  QCheck.make
+    ~print:(fun a -> Printf.sprintf "<%d uints>" (Array.length a))
+    (sparse_gen ~zero:0
+       QCheck.Gen.(
+         frequency
+           [
+             (3, oneofl [ 1; 0x7f; 0x80; 0x3fff; 0x4000; (1 lsl 31) - 2; max_int ]);
+             (2, int_bound 1_000_000);
+           ]))
+
+(* Bit patterns a float codec must carry through unchanged: NaNs with
+   payloads and signs, both zeros, both infinities, float64 and float32
+   subnormals, the extremes. *)
+let special_float =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          oneofl
+            [
+              Int64.float_of_bits 0x7ff0000000000001L;
+              Int64.float_of_bits 0x7ff8000000000123L;
+              Int64.float_of_bits 0xfff8000000000000L;
+              Int64.float_of_bits 0x7ff4000000000000L;
+              -0.0;
+              Float.infinity;
+              Float.neg_infinity;
+              Int64.float_of_bits 1L;
+              Float.min_float /. 8.0;
+              1e-40;
+              Float.min_float;
+              Float.max_float;
+              Float.epsilon;
+            ] );
+        (2, float);
+      ])
+
+let sparse_float_arb =
+  QCheck.make
+    ~print:(fun a -> Printf.sprintf "<%d floats>" (Array.length a))
+    (sparse_gen ~zero:0.0 special_float)
+
 let packed_codecs =
   let open QCheck in
   let nonneg = map (fun n -> n land max_int) int in
@@ -515,6 +573,10 @@ let packed_codecs =
       ( "counter_array",
         array_of_size Gen.(0 -- 60) (int_bound 1_000_000),
         Codec.counter_array );
+    P ("uint_array (sparse)", sparse_uint_arb, Codec.uint_array);
+    P ("float_array (sparse)", sparse_float_arb, Codec.float_array);
+    P ("float32_array (sparse)", sparse_float_arb, Codec.float32_array);
+    P ("counter_array (sparse)", sparse_uint_arb, Codec.counter_array);
     P ("one_sparse.cells_wire", cells_arb, One_sparse.cells_wire);
     P ("l0_sampler.wire", l0_sampler_arb, L0_sampler.wire l0_sampler);
   ]
@@ -566,7 +628,7 @@ let fuzz_tests =
   in
   let lossless =
     List.filter
-      (fun (P (n, _, _)) -> n <> "float32" && n <> "float32_array")
+      (fun (P (n, _, _)) -> not (String.starts_with ~prefix:"float32" n))
       packed_codecs
   in
   List.map raw packed_codecs
@@ -717,9 +779,139 @@ let uint_array_tests =
         && same truncated && same flipped);
   ]
 
+(* counter_array's specification: the list-based codec it replaced,
+   restated over raw bytes, so that the bytes, the decoded array and the
+   text and order of every error can be compared. *)
+module Counter_ref = struct
+  exception Fail of string
+
+  let rec put_uvarint b n =
+    if n < 0x80 then Buffer.add_char b (Char.chr n)
+    else begin
+      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
+      put_uvarint b (n lsr 7)
+    end
+
+  let encode a =
+    let pairs = ref [] in
+    for i = Array.length a - 1 downto 0 do
+      if a.(i) <> 0 then pairs := (i, a.(i)) :: !pairs
+    done;
+    let b = Buffer.create 64 in
+    put_uvarint b (Array.length a);
+    put_uvarint b (List.length !pairs);
+    let prev = ref (-1) in
+    List.iter
+      (fun (i, v) ->
+        put_uvarint b (i - !prev - 1);
+        put_uvarint b v;
+        prev := i)
+      !pairs;
+    Buffer.contents b
+
+  let decode s =
+    let pos = ref 0 in
+    let fail m = raise (Fail m) in
+    let byte () =
+      if !pos >= String.length s then fail "Codec: truncated input";
+      let c = Char.code s.[!pos] in
+      incr pos;
+      c
+    in
+    let uvarint () =
+      let rec go shift acc =
+        let b = byte () in
+        let acc = acc lor ((b land 0x7f) lsl shift) in
+        if b land 0x80 = 0 then acc
+        else if shift >= 63 then fail "Codec: varint too long"
+        else go (shift + 7) acc
+      in
+      let n = go 0 0 in
+      if n < 0 then fail "Codec: negative unsigned varint";
+      n
+    in
+    match
+      let len = uvarint () in
+      if len > Codec.max_dense_length then
+        fail "Codec.counter_array: dense length exceeds cap";
+      let n = uvarint () in
+      if n > String.length s - !pos then
+        fail "Codec.counter_array: length prefix exceeds remaining input";
+      let prev = ref (-1) in
+      let pairs =
+        List.init n (fun _ ->
+            let d = uvarint () in
+            let v = uvarint () in
+            prev := !prev + 1 + d;
+            if !prev < 0 || !prev >= len then
+              fail "Codec.counter_array: index beyond dense length";
+            (!prev, v))
+      in
+      if !pos <> String.length s then fail "Codec.decode: trailing bytes";
+      let a = Array.make len 0 in
+      List.iter (fun (i, v) -> a.(i) <- v) pairs;
+      a
+    with
+    | a -> Ok a
+    | exception Fail m -> Error m
+end
+
+let truncate_and_flip e (cut, bit) =
+  let n = String.length e in
+  let truncated = String.sub e 0 (cut mod n) in
+  let b = Bytes.of_string e in
+  let pos = bit mod (8 * n) in
+  Bytes.set b (pos / 8)
+    (Char.chr (Char.code (Bytes.get b (pos / 8)) lxor (1 lsl (pos mod 8))));
+  (truncated, Bytes.to_string b)
+
+let float_bits a = Array.map Int64.bits_of_float a
+
+(* The word-at-a-time codecs against their oracles on sparse-heavy input:
+   equal bytes, equal decoded bit patterns, and the same Decode_error text
+   on a truncation and on a bit flip anywhere in the encoding. *)
+let sparse_oracle_tests =
+  let open QCheck in
+  let damage = pair (int_bound max_int) (int_bound max_int) in
+  let agrees ~name arb ~enc ~oracle_enc ~dec ~oracle_dec =
+    Test.make ~name ~count:200 (pair arb damage) (fun (a, d) ->
+        let e = oracle_enc a in
+        let truncated, flipped = truncate_and_flip e d in
+        String.equal (enc a) e
+        && dec e = oracle_dec e
+        && Result.is_error (dec truncated)
+        && dec truncated = oracle_dec truncated
+        && dec flipped = oracle_dec flipped)
+  in
+  let via codec s = decode_outcome codec s in
+  let float_via codec s = Result.map float_bits (decode_outcome codec s) in
+  let float32_oracle = Codec.array Codec.float32 in
+  let float64_oracle = Codec.array Codec.float64 in
+  [
+    agrees ~name:"uint_array: sparse input agrees with array uint" sparse_uint_arb
+      ~enc:(Codec.encode Codec.uint_array)
+      ~oracle_enc:(Codec.encode uint_array_oracle)
+      ~dec:(via Codec.uint_array) ~oracle_dec:(via uint_array_oracle);
+    agrees ~name:"float32_array: sparse input agrees with array float32"
+      sparse_float_arb
+      ~enc:(Codec.encode Codec.float32_array)
+      ~oracle_enc:(Codec.encode float32_oracle)
+      ~dec:(float_via Codec.float32_array) ~oracle_dec:(float_via float32_oracle);
+    agrees ~name:"float_array: sparse input agrees with array float64"
+      sparse_float_arb
+      ~enc:(Codec.encode Codec.float_array)
+      ~oracle_enc:(Codec.encode float64_oracle)
+      ~dec:(float_via Codec.float_array) ~oracle_dec:(float_via float64_oracle);
+    agrees ~name:"counter_array: sparse input agrees with the list codec"
+      sparse_uint_arb
+      ~enc:(Codec.encode Codec.counter_array)
+      ~oracle_enc:Counter_ref.encode ~dec:(via Codec.counter_array)
+      ~oracle_dec:Counter_ref.decode;
+  ]
+
 let qcheck_tests =
   let open QCheck in
-  fuzz_tests @ journal_qcheck_tests @ uint_array_tests
+  fuzz_tests @ journal_qcheck_tests @ uint_array_tests @ sparse_oracle_tests
   @ [
     Test.make ~name:"codec: int roundtrip" ~count:1000 int (fun n ->
         roundtrip Codec.int n = n);

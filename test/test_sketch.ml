@@ -15,6 +15,7 @@ module Countsketch = Matprod_sketch.Countsketch
 module Countmin = Matprod_sketch.Countmin
 module Cohen = Matprod_sketch.Cohen
 module Blocked_ams = Matprod_sketch.Blocked_ams
+module Pool = Matprod_util.Pool
 
 let check = Alcotest.check
 
@@ -641,6 +642,39 @@ let test_cm_linearity_of_halves () =
 (* ------------------------------------------------------------------ *)
 (* qcheck properties *)
 
+let float_bits_equal x y =
+  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* A combination as generated: (source draw, coefficients) pairs, the
+   draw reduced modulo the number of sources once they are known. A pair
+   [c; p − c] cancels that source's contribution in the field. *)
+let combination_gen =
+  QCheck.Gen.(
+    list_size (0 -- 10)
+      (pair (int_bound 1_000)
+         (oneof
+            [
+              map (fun c -> [ c ]) (int_range (-5) 5);
+              return [ 0 ];
+              map (fun c -> [ c; Field31.p - c ]) (int_range 1 1_000_000);
+              map (fun c -> [ c ])
+                (oneofl [ max_int; min_int; Field31.p; -Field31.p; 1 lsl 40 ]);
+            ])))
+
+let resolve_combination srcs raw =
+  let n = Array.length srcs in
+  Array.of_list
+    (List.concat_map (fun (k, cs) -> List.map (fun c -> (k mod n, c)) cs) raw)
+
+(* Sketches of the vectors, then a repeat of the first and an empty one. *)
+let lp_sources t vecs =
+  Array.of_list (List.map (Lp.sketch t) (vecs @ [ List.hd vecs; [||] ]))
+
+let dense_combination t srcs coeffs =
+  let acc = Lp.empty t in
+  Array.iter (fun (k, c) -> Lp.add_scaled t ~dst:acc ~coeff:c srcs.(k)) coeffs;
+  Lp.estimate_pow t acc
+
 let qcheck_tests =
   let open QCheck in
   let sparse_vec_gen =
@@ -716,6 +750,58 @@ let qcheck_tests =
          in
          L0_sketch.add_scaled t ~dst ~coeff src;
          dst = want));
+
+    (* The sparse combine against its specification, estimate_pow of the
+       sum built by add_scaled, bit for bit on every Lp branch. The
+       sources repeat one sketch and add an empty one; the coefficients
+       repeat indices, include zeros and huge values, and pair c with
+       p − c on one source, which takes its field cells back to 0. *)
+    Test.make
+      ~name:"lp: estimate_combination = estimate_pow of the combination"
+      ~count:100
+      (make
+         Gen.(
+           triple (int_bound 10_000)
+             (list_size (1 -- 4) sparse_vec_gen)
+             (list_size (0 -- 4) combination_gen)))
+      (fun (seed, vecs, combos) ->
+        List.for_all
+          (fun p ->
+            let t = Lp.create (Prng.create seed) ~p ~eps:0.5 ~groups:3 ~dim:500 in
+            let srcs = lp_sources t vecs in
+            let comb = Lp.combiner t srcs in
+            List.for_all
+              (fun raw ->
+                let coeffs = resolve_combination srcs raw in
+                float_bits_equal
+                  (Lp.estimate_combination comb coeffs)
+                  (dense_combination t srcs coeffs))
+              ([] :: combos))
+          [ 0.0; 1.0; 2.0 ]);
+    Test.make ~name:"lp: estimate_combination equal at 1 and 4 domains"
+      ~count:10
+      (make
+         Gen.(
+           triple (int_bound 10_000)
+             (list_size (1 -- 4) sparse_vec_gen)
+             (array_size (return 200) combination_gen)))
+      (fun (seed, vecs, combos) ->
+        List.for_all
+          (fun p ->
+            let t = Lp.create (Prng.create seed) ~p ~eps:0.5 ~groups:3 ~dim:500 in
+            let srcs = lp_sources t vecs in
+            let comb = Lp.combiner t srcs in
+            let coeffs = Array.map (resolve_combination srcs) combos in
+            let at d =
+              Pool.set_size d;
+              Fun.protect
+                ~finally:(fun () -> Pool.set_size 1)
+                (fun () ->
+                  Pool.init (Array.length coeffs) (fun i ->
+                      Lp.estimate_combination comb coeffs.(i)))
+            in
+            Array.for_all2 float_bits_equal (at 1) (at 4))
+          [ 0.0; 1.0; 2.0 ]);
   ]
 
 let () =
