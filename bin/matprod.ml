@@ -244,8 +244,8 @@ let finish c fields =
   | Some path -> (
       let write =
         match c.trace_format with
-        | Jsonl -> Obs.Export.write_trace
-        | Chrome -> Obs.Export.write_chrome
+        | Jsonl -> Obs.Trace.write_jsonl
+        | Chrome -> Obs.Trace.write_chrome
       in
       try write path
       with Sys_error msg ->

@@ -502,140 +502,3 @@ let query_of_string spec =
       Error
         (Printf.sprintf
            "unknown query %S (norm|frob|rows|top|l0|l1|hh|linf|exact)" other)
-
-(* Fleet merge: combine per-shard answers to one query into the answer over
-   the full row space. Shard products occupy disjoint row blocks of C, so
-   every merge is exact on the covered rows; sample slots are re-drawn by a
-   seeded weighted pick so the merged answer is a deterministic function of
-   (seed, surviving shards). *)
-let merge_answers ~seed ~rows query parts =
-  if parts = [] then invalid_arg "Engine.merge_answers: no parts";
-  let parts =
-    List.sort (fun (o, _, _) (o', _, _) -> compare o o') parts
-  in
-  let shape_error () = invalid_arg "Engine.merge_answers: mixed shapes" in
-  let scalars f init =
-    Scalar
-      (List.fold_left
-         (fun acc (_, _, ans) ->
-           match ans with Scalar x -> f acc x | _ -> shape_error ())
-         init parts)
-  in
-  (* One PRNG draw per present sample, weighted by shard row count: the
-     quorum merge consumes the same stream as the full merge restricted to
-     the same survivors (see Matprod_topology.Merge). *)
-  let pick_slots rng slots extract translate =
-    Array.init slots (fun j ->
-        let chosen = ref None and total = ref 0 in
-        List.iter
-          (fun (offset, length, ans) ->
-            match extract ans j with
-            | None -> ()
-            | Some s ->
-                total := !total + length;
-                let u = Prng.float rng in
-                if u *. float_of_int !total < float_of_int length then
-                  chosen := Some (translate offset s))
-          parts;
-        !chosen)
-  in
-  match query with
-  (* ‖AB‖_F² over disjoint row blocks is the sum of the blocks' norms,
-     like every other norm power. *)
-  | Norm_pow _ | Frob_norm _ -> scalars ( +. ) 0.0
-  | Linf _ -> scalars Float.max 0.0
-  | Row_norms _ ->
-      let out = Array.make rows Float.nan in
-      List.iter
-        (fun (offset, length, ans) ->
-          match ans with
-          | Vector v ->
-              if Array.length v <> length then shape_error ();
-              Array.blit v 0 out offset length
-          | _ -> shape_error ())
-        parts;
-      Vector out
-  | Top_rows { k; _ } ->
-      let all =
-        List.concat_map
-          (fun (offset, _, ans) ->
-            match ans with
-            | Ranked rs -> List.map (fun (i, est) -> (i + offset, est)) rs
-            | _ -> shape_error ())
-          parts
-      in
-      let sorted =
-        List.sort
-          (fun (i, x) (j, y) ->
-            match compare y x with 0 -> compare i j | c -> c)
-          all
-      in
-      Ranked (List.filteri (fun i _ -> i < k) sorted)
-  | L0_sample _ ->
-      let rng = Prng.create (seed lxor 0x6d657267) in
-      let slots =
-        List.fold_left
-          (fun acc (_, _, ans) ->
-            match ans with
-            | L0_samples ss -> max acc (Array.length ss)
-            | _ -> shape_error ())
-          0 parts
-      in
-      L0_samples
-        (pick_slots rng slots
-           (fun ans j ->
-             match ans with
-             | L0_samples ss when j < Array.length ss -> ss.(j)
-             | _ -> None)
-           (fun offset (s : L0_sampling.sample) ->
-             { s with L0_sampling.row = s.L0_sampling.row + offset }))
-  | L1_sample _ ->
-      let rng = Prng.create (seed lxor 0x6d657267) in
-      let slots =
-        List.fold_left
-          (fun acc (_, _, ans) ->
-            match ans with
-            | L1_samples ss -> max acc (Array.length ss)
-            | _ -> shape_error ())
-          0 parts
-      in
-      (* [witness] indexes the inner dimension, shared by all shards — only
-         the row translates. *)
-      L1_samples
-        (pick_slots rng slots
-           (fun ans j ->
-             match ans with
-             | L1_samples ss when j < Array.length ss -> ss.(j)
-             | _ -> None)
-           (fun offset (s : L1_sampling.sample) ->
-             { s with L1_sampling.row = s.L1_sampling.row + offset }))
-  | Heavy_hitters _ ->
-      let all =
-        List.concat_map
-          (fun (offset, _, ans) ->
-            match ans with
-            | Entry_set es -> List.map (fun (r, c) -> (r + offset, c)) es
-            | _ -> shape_error ())
-          parts
-      in
-      Entry_set (List.sort_uniq compare all)
-  | Exact_product ->
-      let tbl = Hashtbl.create 64 in
-      List.iter
-        (fun (offset, _, ans) ->
-          match ans with
-          | Shares (alice, bob) ->
-              List.iter
-                (fun (r, c, v) ->
-                  let key = (r + offset, c) in
-                  let cur = try Hashtbl.find tbl key with Not_found -> 0 in
-                  Hashtbl.replace tbl key (cur + v))
-                (alice @ bob)
-          | _ -> shape_error ())
-        parts;
-      let entries =
-        Hashtbl.fold
-          (fun (r, c) v acc -> if v = 0 then acc else (r, c, v) :: acc)
-          tbl []
-      in
-      Shares (List.sort compare entries, [])

@@ -44,8 +44,7 @@ type query =
   | Norm_pow of { p : float; eps : float }
       (** (1+eps)-estimate of ‖C‖_p^p, p ∈ [0, 2]. *)
   | Frob_norm of { eps : float }
-      (** (1+eps)-estimate of ‖C‖_F² on the SRHT family, one round;
-          shard answers merge by sum. *)
+      (** (1+eps)-estimate of ‖C‖_F² on the SRHT family, one round. *)
   | Row_norms of { p : float; beta : float }
       (** (1+beta)-estimates of every ‖C_{i,*}‖_p^p. *)
   | Top_rows of { p : float; beta : float; k : int }
@@ -142,23 +141,3 @@ val plan_cache_stats : t -> int * int
 val query_of_string : string -> (query, string) result
 val query_to_string : query -> string
 (** Canonical spec; [query_of_string (query_to_string q) = Ok q]. *)
-
-(** {1 Fleet answer merge}
-
-    Used by [Matprod_topology.Fleet.run_batch]: worker [i] answers the
-    batch on its compact row shard A⟨i⟩ (offset [o_i], [n_i] rows), and
-    the per-query shard answers combine into the full-row answer. *)
-
-val merge_answers :
-  seed:int -> rows:int -> query -> (int * int * answer) list -> answer
-(** [merge_answers ~seed ~rows q parts] with [parts] a list of
-    [(offset, length, answer)] shard answers to [q] (any order; merged in
-    offset order). Exact merges: [Norm_pow] sums, [Linf] maxes, [Top_rows]
-    re-ranks the translated union, [Heavy_hitters] unions, [Exact_product]
-    reconstructs and re-shares the product entries as
-    [Shares (entries, [])]. [Row_norms] returns a full [rows]-length
-    vector with [nan] at rows no surviving shard covers. Sample queries
-    re-draw each slot by a seeded weighted pick (weight = shard row
-    count), deterministic in [(seed, parts)] — so a quorum merge equals
-    the full merge restricted to the same survivors. Raises
-    [Invalid_argument] on an empty part list or mixed shapes. *)

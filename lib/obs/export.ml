@@ -10,9 +10,6 @@ let run_summary ?(extra = []) () =
 let print_run_summary ?extra () =
   print_endline (Json.to_string (run_summary ?extra ()))
 
-let write_trace = Trace.write_jsonl
-let write_chrome = Trace.write_chrome
-
 let pp_metrics ppf () =
   match Metrics.snapshot () with
   | Json.Obj sections ->

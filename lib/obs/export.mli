@@ -1,8 +1,8 @@
 (** Exporters over the tracer and the metrics registry.
 
-    Three output shapes (docs/OBSERVABILITY.md):
+    Two output shapes (docs/OBSERVABILITY.md; trace files come from
+    {!Trace.write_jsonl} and {!Trace.write_chrome}):
     - a human pretty-printer for metrics and the span tree;
-    - JSON-lines trace files ({!Trace.write_jsonl}, re-exported here);
     - a single-object JSON run summary combining caller-supplied fields
       with the metrics snapshot and span statistics. *)
 
@@ -12,12 +12,6 @@ val run_summary : ?extra:(string * Json.t) list -> unit -> Json.t
 
 val print_run_summary : ?extra:(string * Json.t) list -> unit -> unit
 (** {!run_summary} on one line to stdout. *)
-
-val write_trace : string -> unit
-(** Alias for {!Trace.write_jsonl}. *)
-
-val write_chrome : string -> unit
-(** Alias for {!Trace.write_chrome} (Perfetto-loadable trace-event JSON). *)
 
 val pp_metrics : Format.formatter -> unit -> unit
 (** Pretty table of all non-zero metrics, sorted by name. *)

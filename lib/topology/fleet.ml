@@ -179,17 +179,21 @@ let run_link ~cfg ~wire ~protocol ~rank ~replica ~seed ~(range : Shard.range)
     | Ok _ -> ());
   (result, !straggled)
 
+let last_error results =
+  List.fold_left
+    (fun acc res -> match res with Error e -> Some e | Ok _ -> acc)
+    None results
+
 (* Quorum decision shared by the estimator and engine fleets: [merge]
-   sees only the surviving (rank, range, output) parts, so a degraded
-   answer is by construction the full-fleet merge restricted to the
-   surviving links. *)
+   sees only the surviving parts, so a degraded answer is by construction
+   the full-fleet merge restricted to the surviving links. *)
 let decide ~cfg ~rows ~merge links_out =
   let answered =
     List.filter_map
       (fun (rank, range, res) ->
         match res with
         | Ok (rep : _ Supervisor.report) ->
-            Some (rank, range, rep.Supervisor.output)
+            Some { Merge.rank; range; value = rep.Supervisor.output }
         | Error _ -> None)
       links_out
   in
@@ -199,7 +203,7 @@ let decide ~cfg ~rows ~merge links_out =
     if survivors = cfg.workers then Ok (Outcome.Full merged, survivors, 1.0)
     else begin
       let coverage =
-        Shard.coverage ~rows (List.map (fun (_, range, _) -> range) answered)
+        Shard.coverage ~rows (List.map (fun p -> p.Merge.range) answered)
       in
       if Metrics.enabled () then Metrics.incr c_degraded;
       if Trace.enabled () then
@@ -225,45 +229,42 @@ let decide ~cfg ~rows ~merge links_out =
             ("quorum", Json.Int cfg.quorum);
           ]
         ();
-    let last_err =
-      List.fold_left
-        (fun acc (_, _, res) ->
-          match res with Error e -> Some e | Ok _ -> acc)
-        None links_out
-    in
-    match last_err with
+    match last_error (List.map (fun (_, _, res) -> res) links_out) with
     | Some e -> Error e
     | None -> Error (Outcome.Protocol_failure "fleet: quorum unsatisfiable")
   end
 
-let fleet_span ~cfg ~protocol f =
-  Trace.with_span ~name:"fleet.run"
-    ~attrs:
-      [
-        ("workers", Json.Int cfg.workers);
-        ("quorum", Json.Int cfg.quorum);
-        ("replicas", Json.Int cfg.replicas);
-        ("protocol", Json.String protocol);
-      ]
-    f
-
 (* One replica run of one shard, after link-level success/failure has been
    settled but before verification and voting. *)
-type replica_out = {
+type 'a replica_out = {
   ro_replica : int;
   ro_seed : int;
-  ro_result : (Estimator.comparable Supervisor.report, Outcome.error) result;
+  ro_result : ('a Supervisor.report, Outcome.error) result;
   ro_straggled : bool;
   (* (check, detail) when the coordinator quarantined this replica *)
   mutable ro_quarantine : (string * string) option;
 }
 
+(* What [drive] asks of one shard: the link body, the validator
+   run on each decoded answer, and the replica vote — the representative
+   replica and the outvoted ones with their detail, or [None] when no
+   strict majority agrees. *)
+type 'a shard = {
+  body : Ctx.t -> 'a;
+  check : seed:int -> 'a -> Verify.verdict;
+  vote : (int * 'a) list -> (int * (int * string) list) option;
+}
+
 (* Verification + voting for one shard's replica group. Returns the
-   shard's surviving representative (feeding the quorum ladder) and the
-   per-replica quarantine annotations made along the way. A quarantined
-   replica keeps its supervisor attempts in the link report but its
-   answer is replaced by the typed {!Outcome.Byzantine_detected}. *)
-let reconcile ~cfg ~summary ~rank (replicas : replica_out list) =
+   shard's surviving representative (feeding the quorum ladder); the
+   quarantines made along the way are recorded on the replicas. A
+   quarantined replica keeps its supervisor attempts in the link report
+   but its answer is replaced by the typed {!Outcome.Byzantine_detected}. *)
+let reconcile ~cfg ~rank shard replicas =
+  let quarantine ro check detail =
+    ro.ro_quarantine <- Some (check, detail);
+    quarantine_event ~rank ~replica:ro.ro_replica ~check ~detail
+  in
   (* 1. per-answer validation (the semantic firewall) *)
   if cfg.verify then
     List.iter
@@ -271,149 +272,114 @@ let reconcile ~cfg ~summary ~rank (replicas : replica_out list) =
         match ro.ro_result with
         | Error _ -> ()
         | Ok rep -> (
-            match
-              Verify.check summary ~seed:ro.ro_seed rep.Supervisor.output
-            with
+            match shard.check ~seed:ro.ro_seed rep.Supervisor.output with
             | Verify.Pass -> ()
             | Verify.Fail { invariant; detail } ->
-                ro.ro_quarantine <- Some (invariant, detail);
-                quarantine_event ~rank ~replica:ro.ro_replica ~check:invariant
-                  ~detail))
+                quarantine ro invariant detail))
       replicas;
-  (* 2. replica vote among the validator-passing survivors *)
+  (* 2. replica vote among the validator-passing survivors; a lone passer
+     wins its own vote under either rule, without asking it *)
   let passers =
-    List.filter
-      (fun ro -> ro.ro_quarantine = None && Result.is_ok ro.ro_result)
+    List.filter_map
+      (fun ro ->
+        match (ro.ro_result, ro.ro_quarantine) with
+        | Ok rep, None -> Some (ro, rep)
+        | _ -> None)
       replicas
   in
   let voted =
-    Verify.vote summary
-      (List.map
-         (fun ro ->
-           match ro.ro_result with
-           | Ok rep -> (ro.ro_replica, rep.Supervisor.output)
-           | Error _ -> assert false)
-         passers)
+    match passers with
+    | [] -> None
+    | [ (ro, _) ] -> Some (ro.ro_replica, [])
+    | _ ->
+        shard.vote
+          (List.map
+             (fun (ro, rep) -> (ro.ro_replica, rep.Supervisor.output))
+             passers)
   in
   match voted with
-  | Some vr ->
+  | Some (chosen, outvoted) ->
       List.iter
         (fun (replica, detail) ->
-          match
-            List.find_opt (fun ro -> ro.ro_replica = replica) replicas
-          with
-          | Some ro ->
-              ro.ro_quarantine <- Some ("replica_vote", detail);
-              quarantine_event ~rank ~replica ~check:"replica_vote" ~detail
-          | None -> ())
-        vr.Verify.outvoted;
-      let chosen =
-        List.find (fun ro -> ro.ro_replica = vr.Verify.chosen) passers
-      in
-      (match chosen.ro_result with Ok rep -> Ok rep | Error e -> Error e)
+          quarantine
+            (List.find (fun ro -> ro.ro_replica = replica) replicas)
+            "replica_vote" detail)
+        outvoted;
+      Ok (snd (List.find (fun (ro, _) -> ro.ro_replica = chosen) passers))
   | None -> (
       (* No strict majority (or no passer at all): the whole replica
-         group is lost and the quorum/Degraded ladder takes over. *)
-      (match passers with
-      | [] -> ()
-      | _ ->
-          List.iter
-            (fun ro ->
-              let detail = "no strict-majority agreement among replicas" in
-              ro.ro_quarantine <- Some ("ambiguous_vote", detail);
-              quarantine_event ~rank ~replica:ro.ro_replica
-                ~check:"ambiguous_vote" ~detail)
-            passers);
-      let first_quarantined =
-        List.find_opt (fun ro -> ro.ro_quarantine <> None) replicas
-      in
-      match first_quarantined with
-      | Some ro ->
-          let check, _ = Option.get ro.ro_quarantine in
+         group is lost and the quorum/Degraded ladder takes over, blaming
+         the first quarantined replica. *)
+      List.iter
+        (fun (ro, _) ->
+          quarantine ro "ambiguous_vote"
+            "no strict-majority agreement among replicas")
+        passers;
+      match List.find_opt (fun ro -> ro.ro_quarantine <> None) replicas with
+      | Some { ro_replica; ro_quarantine = Some (check, _); _ } ->
           Error
-            (Outcome.Byzantine_detected
-               { rank; replica = ro.ro_replica; check })
-      | None -> (
-          match
-            List.fold_left
-              (fun acc ro ->
-                match ro.ro_result with Error e -> Some e | Ok _ -> acc)
-              None replicas
-          with
+            (Outcome.Byzantine_detected { rank; replica = ro_replica; check })
+      | _ -> (
+          match last_error (List.map (fun ro -> ro.ro_result) replicas) with
           | Some e -> Error e
           | None -> Error (Outcome.Protocol_failure "fleet: empty replica group")
           ))
 
-let link_report_of ~rank ~range ro =
+(* The per-link answer a report shows: a quarantined replica's is the
+   typed byzantine verdict even though its link-level run succeeded. *)
+let link_answer ~rank ro =
   match (ro.ro_quarantine, ro.ro_result) with
-  | Some (check, _), Ok rep ->
-      {
-        rank;
-        replica = ro.ro_replica;
-        range;
-        attempts = rep.Supervisor.attempts;
-        answer =
-          Error
-            (Outcome.Byzantine_detected { rank; replica = ro.ro_replica; check });
-        fresh_bits = rep.Supervisor.fresh_bits;
-        fresh_rounds = rep.Supervisor.fresh_rounds;
-        resume_bits_saved = rep.Supervisor.resume_bits_saved;
-        straggled = ro.ro_straggled;
-      }
-  | _, Ok rep ->
-      {
-        rank;
-        replica = ro.ro_replica;
-        range;
-        attempts = rep.Supervisor.attempts;
-        answer = Ok rep.Supervisor.output;
-        fresh_bits = rep.Supervisor.fresh_bits;
-        fresh_rounds = rep.Supervisor.fresh_rounds;
-        resume_bits_saved = rep.Supervisor.resume_bits_saved;
-        straggled = ro.ro_straggled;
-      }
-  | _, Error e ->
-      {
-        rank;
-        replica = ro.ro_replica;
-        range;
-        attempts = [];
-        answer = Error e;
-        fresh_bits = 0;
-        fresh_rounds = 0;
-        resume_bits_saved = 0;
-        straggled = ro.ro_straggled;
-      }
+  | Some (check, _), Ok _ ->
+      Error (Outcome.Byzantine_detected { rank; replica = ro.ro_replica; check })
+  | None, Ok rep -> Ok rep.Supervisor.output
+  | _, Error e -> Error e
 
-let run ?wire cfg packed ~a ~b =
+let link_stat f ro =
+  match ro.ro_result with Ok rep -> f rep | Error _ -> 0
+
+let link_attempts ro =
+  match ro.ro_result with Ok rep -> rep.Supervisor.attempts | Error _ -> []
+
+(* The one fleet pipeline: per shard, [cfg.replicas] supervised links at
+   [seed_of]'s seeds, then verify → vote ({!reconcile}), then the quorum
+   ladder ({!decide}) over the shard representatives. The byzantine
+   boundary sits in the link body: a fault rule armed on a link's wire
+   may perturb the decoded answer after correct framing — CRC and ARQ
+   pass by construction, only the coordinator's semantic checks can catch
+   it. Returns the graded answer with every (rank, range, replica) in
+   rank-major, replica-minor order. *)
+let drive ?wire cfg ~protocol ~a ~seed_of ~corrupt ~shard ~merge =
   match
     Outcome.guard (fun () ->
         (Bmat.rows a, Shard.ranges ~rows:(Bmat.rows a) ~workers:cfg.workers))
   with
   | Error e -> Error e
   | Ok (rows, ranges) -> (
-      let protocol = sanitize (Estimator.name packed) in
-      fleet_span ~cfg ~protocol @@ fun () ->
+      Trace.with_span ~name:"fleet.run"
+        ~attrs:
+          [
+            ("workers", Json.Int cfg.workers);
+            ("quorum", Json.Int cfg.quorum);
+            ("replicas", Json.Int cfg.replicas);
+            ("protocol", Json.String protocol);
+          ]
+      @@ fun () ->
       let shards =
         Array.to_list
           (Array.mapi
              (fun rank range ->
-               let shard_a = Shard.slice a range in
-               (* The byzantine boundary: a fault rule armed on this
-                  link's wire may perturb the decoded answer after
-                  correct framing — CRC and ARQ pass by construction,
-                  only the coordinator's semantic checks can catch it. *)
+               let shard = shard range in
                let body ctx =
-                 let ans = Estimator.run_default packed ctx ~a:shard_a ~b in
+                 let v = shard.body ctx in
                  match
                    Option.bind (Ctx.installed_fault ctx) Fault.check_byzantine
                  with
-                 | None -> ans
-                 | Some (mode, g) -> Verify.corrupt mode g ans
+                 | None -> v
+                 | Some (mode, g) -> corrupt mode g v
                in
                let replicas =
                  List.init cfg.replicas (fun replica ->
-                     let seed = replica_seed cfg ~rank ~replica in
+                     let seed = seed_of ~rank ~replica in
                      let result, straggled =
                        run_link ~cfg ~wire ~protocol ~rank ~replica ~seed
                          ~range ~body
@@ -426,24 +392,25 @@ let run ?wire cfg packed ~a ~b =
                        ro_quarantine = None;
                      })
                in
-               let summary =
-                 Verify.summarize ~name:(Estimator.name packed) ~a:shard_a ~b
-               in
-               let shard_res = reconcile ~cfg ~summary ~rank replicas in
-               (rank, range, replicas, shard_res))
+               (rank, range, replicas, reconcile ~cfg ~rank shard replicas))
              ranges)
       in
-      let links =
-        List.concat_map
-          (fun (rank, range, replicas, _) ->
-            List.map (link_report_of ~rank ~range) replicas)
-          shards
-      in
-      let suspects =
-        List.concat_map
-          (fun (rank, _, replicas, _) ->
+      match
+        Outcome.guard (fun () ->
+            decide ~cfg ~rows ~merge
+              (List.map (fun (rank, range, _, res) -> (rank, range, res)) shards))
+      with
+      | Error e | Ok (Error e) -> Error e
+      | Ok (Ok graded) ->
+          let links =
+            List.concat_map
+              (fun (rank, range, replicas, _) ->
+                List.map (fun ro -> (rank, range, ro)) replicas)
+              shards
+          in
+          let suspects =
             List.filter_map
-              (fun ro ->
+              (fun (rank, _, ro) ->
                 Option.map
                   (fun (check, detail) ->
                     {
@@ -453,42 +420,61 @@ let run ?wire cfg packed ~a ~b =
                       s_detail = detail;
                     })
                   ro.ro_quarantine)
-              replicas)
-          shards
-      in
-      let merge parts =
-        Merge.merge ~name:(Estimator.name packed) ~seed:cfg.seed
-          (List.map
-             (fun (rank, range, value) -> { Merge.rank; range; value })
-             parts)
-      in
-      match
-        Outcome.guard (fun () ->
-            decide ~cfg ~rows ~merge
-              (List.map (fun (rank, range, _, res) -> (rank, range, res)) shards))
-      with
-      | Error e | Ok (Error e) -> Error e
-      | Ok (Ok (answer, survivors, coverage)) ->
-          Ok
-            {
-              answer;
-              links;
-              suspects;
-              survivors;
-              coverage;
-              fresh_bits =
-                List.fold_left
-                  (fun acc (l : link_report) -> acc + l.fresh_bits)
-                  0 links;
-              fresh_rounds =
-                List.fold_left
-                  (fun acc (l : link_report) -> max acc l.fresh_rounds)
-                  0 links;
-              resume_bits_saved =
-                List.fold_left
-                  (fun acc (l : link_report) -> acc + l.resume_bits_saved)
-                  0 links;
-            })
+              links
+          in
+          Ok (graded, links, suspects))
+
+let run ?wire cfg packed ~a ~b =
+  let name = Estimator.name packed in
+  let shard range =
+    let shard_a = Shard.slice a range in
+    let summary = lazy (Verify.summarize ~name ~a:shard_a ~b) in
+    {
+      body = (fun ctx -> Estimator.run_default packed ctx ~a:shard_a ~b);
+      check = (fun ~seed v -> Verify.check (Lazy.force summary) ~seed v);
+      vote =
+        (fun answers ->
+          Option.map
+            (fun vr -> (vr.Verify.chosen, vr.Verify.outvoted))
+            (Verify.vote (Lazy.force summary) answers));
+    }
+  in
+  drive ?wire cfg ~protocol:(sanitize name) ~a
+    ~seed_of:(replica_seed cfg) ~corrupt:Verify.corrupt ~shard
+    ~merge:(Merge.merge ~name ~seed:cfg.seed)
+  |> Result.map (fun ((answer, survivors, coverage), links, suspects) ->
+         let links =
+           List.map
+             (fun (rank, range, ro) ->
+               {
+                 rank;
+                 replica = ro.ro_replica;
+                 range;
+                 attempts = link_attempts ro;
+                 answer = link_answer ~rank ro;
+                 fresh_bits = link_stat (fun r -> r.Supervisor.fresh_bits) ro;
+                 fresh_rounds = link_stat (fun r -> r.Supervisor.fresh_rounds) ro;
+                 resume_bits_saved =
+                   link_stat (fun r -> r.Supervisor.resume_bits_saved) ro;
+                 straggled = ro.ro_straggled;
+               })
+             links
+         in
+         let total f = List.fold_left (fun acc l -> acc + f l) 0 links in
+         {
+           answer;
+           links;
+           suspects;
+           survivors;
+           coverage;
+           fresh_bits = total (fun (l : link_report) -> l.fresh_bits);
+           fresh_rounds =
+             List.fold_left
+               (fun acc (l : link_report) -> max acc l.fresh_rounds)
+               0 links;
+           resume_bits_saved =
+             total (fun (l : link_report) -> l.resume_bits_saved);
+         })
 
 type batch_link = {
   b_rank : int;
@@ -507,263 +493,81 @@ type batch_report = {
   batch_fresh_bits : int;
 }
 
-(* Batch replicas all run at the fleet seed (the engine's determinism
-   contract makes honest replicas byte-identical), so the vote is exact
+(* Batch replicas all run at the fleet seed: the engine's determinism
+   contract makes honest replicas byte-identical, so the vote is exact
    agreement on the whole answer array — classic TMR. [compare] rather
    than [=]: it treats equal nans as equal. *)
-let batch_answers_equal (xs : Engine.answer array) ys = compare xs ys = 0
-
-let reconcile_batch ~cfg ~rank ~queries ~summaries
-    (replicas :
-      ((Engine.answer array Supervisor.report, Outcome.error) result * int) list)
-    =
-  let annotated =
-    List.map
-      (fun (res, replica) ->
-        let quarantine = ref None in
-        (match res with
-        | Ok rep when cfg.verify ->
-            List.iteri
-              (fun qi q ->
-                if !quarantine = None then
-                  let s = List.nth summaries qi in
-                  match
-                    Verify.check_answer s ~seed:cfg.seed q
-                      rep.Supervisor.output.(qi)
-                  with
-                  | Verify.Pass -> ()
-                  | Verify.Fail { invariant; detail } ->
-                      quarantine := Some (invariant, detail);
-                      quarantine_event ~rank ~replica ~check:invariant ~detail)
-              queries
-        | _ -> ());
-        (res, replica, quarantine))
-      replicas
-  in
-  let passers =
-    List.filter_map
-      (fun (res, replica, q) ->
-        match (res, !q) with
-        | Ok rep, None -> Some (rep, replica, q)
-        | _ -> None)
-      annotated
-  in
-  (* majority by exact agreement *)
-  let shard_res =
-    match passers with
-    | [] -> (
-        match
-          List.find_opt (fun (_, _, q) -> !q <> None) annotated
-        with
-        | Some (_, replica, q) ->
-            let check, _ = Option.get !q in
-            Error (Outcome.Byzantine_detected { rank; replica; check })
-        | None -> (
-            match
-              List.fold_left
-                (fun acc (res, _, _) ->
-                  match res with Error e -> Some e | Ok _ -> acc)
-                None annotated
-            with
-            | Some e -> Error e
-            | None ->
-                Error (Outcome.Protocol_failure "fleet: empty replica group")))
-    | (first, _, _) :: _ ->
-        let n = List.length passers in
-        let count rep =
-          List.length
-            (List.filter
-               (fun (r, _, _) ->
-                 batch_answers_equal r.Supervisor.output rep.Supervisor.output)
-               passers)
+let batch_vote answers =
+  List.find_map
+    (fun (replica, xs) ->
+      let agree, disagree =
+        List.partition (fun (_, ys) -> compare xs ys = 0) answers
+      in
+      let n = List.length agree in
+      if 2 * n <= List.length answers then None
+      else
+        let detail =
+          Printf.sprintf "replica output disagrees with the %d-replica majority"
+            n
         in
-        let winner =
-          List.find_opt (fun (rep, _, _) -> 2 * count rep > n) passers
-        in
-        (match winner with
-        | Some (rep, _, _) ->
-            List.iter
-              (fun (r, replica, q) ->
-                if
-                  not
-                    (batch_answers_equal r.Supervisor.output
-                       rep.Supervisor.output)
-                then begin
-                  let detail =
-                    Printf.sprintf
-                      "replica output disagrees with the %d-replica majority"
-                      (count rep)
-                  in
-                  q := Some ("replica_vote", detail);
-                  quarantine_event ~rank ~replica ~check:"replica_vote" ~detail
-                end)
-              passers;
-            Ok rep
-        | None ->
-            List.iter
-              (fun (_, replica, q) ->
-                let detail = "no strict-majority agreement among replicas" in
-                q := Some ("ambiguous_vote", detail);
-                quarantine_event ~rank ~replica ~check:"ambiguous_vote" ~detail)
-              passers;
-            ignore first;
-            let _, replica, q = List.hd (List.rev annotated) in
-            let check =
-              match !q with Some (c, _) -> c | None -> "ambiguous_vote"
-            in
-            Error (Outcome.Byzantine_detected { rank; replica; check }))
-  in
-  (annotated, shard_res)
+        Some (replica, List.map (fun (r, _) -> (r, detail)) disagree))
+    answers
 
 let run_batch ?wire cfg engine queries ~a ~b =
-  match
-    Outcome.guard (fun () ->
-        if queries = [] then invalid_arg "Fleet.run_batch: empty batch";
-        (Bmat.rows a, Shard.ranges ~rows:(Bmat.rows a) ~workers:cfg.workers))
-  with
-  | Error e -> Error e
-  | Ok (rows, ranges) -> (
-      let protocol = "engine-batch" in
-      fleet_span ~cfg ~protocol @@ fun () ->
-      let bi = Imat.of_bmat b in
-      let shards =
-        Array.to_list
-          (Array.mapi
-             (fun rank range ->
-               let shard_a_b = Shard.slice a range in
-               let ai = Imat.of_bmat shard_a_b in
-               let body ctx =
-                 let answers =
-                   (Engine.run engine ctx ~a:ai ~b:bi queries).Engine.answers
-                 in
-                 match
-                   Option.bind (Ctx.installed_fault ctx) Fault.check_byzantine
-                 with
-                 | None -> answers
-                 | Some (mode, g) ->
-                     Array.map (Verify.corrupt_answer mode g) answers
-               in
-               let replicas =
-                 (* All batch replicas run at the fleet seed: the engine's
-                    determinism contract makes honest replicas byte-identical,
-                    which is what the exact-agreement (TMR) vote needs. *)
-                 List.init cfg.replicas (fun replica ->
-                     let result, _ =
-                       run_link ~cfg ~wire ~protocol ~rank ~replica
-                         ~seed:cfg.seed ~range ~body
-                     in
-                     (result, replica))
-               in
-               let summaries =
-                 if cfg.verify then begin
-                   let s = Verify.summarize ~name:"engine" ~a:shard_a_b ~b in
-                   List.map (fun _ -> s) queries
-                 end
-                 else []
-               in
-               let annotated, shard_res =
-                 if cfg.verify || cfg.replicas > 1 then
-                   reconcile_batch ~cfg ~rank ~queries ~summaries replicas
-                 else
-                   ( List.map (fun (res, replica) -> (res, replica, ref None)) replicas,
-                     match replicas with
-                     | [ (Ok rep, _) ] -> Ok rep
-                     | [ (Error e, _) ] -> Error e
-                     | _ -> assert false )
-               in
-               (rank, range, annotated, shard_res))
-             ranges)
-      in
-      let nq = List.length queries in
-      let merge parts =
-        Array.of_list
-          (List.mapi
-             (fun qi q ->
-               Engine.merge_answers ~seed:cfg.seed ~rows q
-                 (List.map
-                    (fun (_, (range : Shard.range), answers) ->
-                      if Array.length answers <> nq then
-                        invalid_arg "Fleet.run_batch: ragged link answers";
-                      (range.Shard.offset, range.Shard.length, answers.(qi)))
-                    parts))
-             queries)
-      in
-      match
-        Outcome.guard (fun () ->
-            decide ~cfg ~rows ~merge
-              (List.map (fun (rank, range, _, res) -> (rank, range, res)) shards))
-      with
-      | Error e | Ok (Error e) -> Error e
-      | Ok (Ok (batch_answers, batch_survivors, batch_coverage)) ->
-          let batch_links =
-            List.concat_map
-              (fun (rank, range, annotated, _) ->
-                List.map
-                  (fun (res, replica, q) ->
-                    match (res, !q) with
-                    | Ok (rep : _ Supervisor.report), Some (check, _) ->
-                        {
-                          b_rank = rank;
-                          b_replica = replica;
-                          b_range = range;
-                          b_attempts = rep.Supervisor.attempts;
-                          b_answers =
-                            Error
-                              (Outcome.Byzantine_detected
-                                 { rank; replica; check });
-                        }
-                    | Ok rep, None ->
-                        {
-                          b_rank = rank;
-                          b_replica = replica;
-                          b_range = range;
-                          b_attempts = rep.Supervisor.attempts;
-                          b_answers = Ok rep.Supervisor.output;
-                        }
-                    | Error e, _ ->
-                        {
-                          b_rank = rank;
-                          b_replica = replica;
-                          b_range = range;
-                          b_attempts = [];
-                          b_answers = Error e;
-                        })
-                  annotated)
-              shards
-          in
-          let batch_suspects =
-            List.concat_map
-              (fun (rank, _, annotated, _) ->
-                List.filter_map
-                  (fun (_, replica, q) ->
-                    Option.map
-                      (fun (check, detail) ->
-                        {
-                          s_rank = rank;
-                          s_replica = replica;
-                          s_check = check;
-                          s_detail = detail;
-                        })
-                      !q)
-                  annotated)
-              shards
-          in
-          Ok
-            {
-              batch_answers;
-              batch_links;
-              batch_suspects;
-              batch_survivors;
-              batch_coverage;
-              batch_fresh_bits =
-                List.fold_left
-                  (fun acc (_, _, annotated, _) ->
-                    List.fold_left
-                      (fun acc (res, _, _) ->
-                        match res with
-                        | Ok (rep : _ Supervisor.report) ->
-                            acc + rep.Supervisor.fresh_bits
-                        | Error _ -> acc)
-                      acc annotated)
-                  0 shards;
-            })
+  if queries = [] then
+    Error (Outcome.Precondition "Fleet.run_batch: empty batch")
+  else
+    let bi = Imat.of_bmat b in
+    let shard range =
+      let shard_a = Shard.slice a range in
+      let ai = Imat.of_bmat shard_a in
+      let summary = lazy (Verify.summarize ~name:"engine" ~a:shard_a ~b) in
+      {
+        body =
+          (fun ctx -> (Engine.run engine ctx ~a:ai ~b:bi queries).Engine.answers);
+        (* the first failing query's verdict quarantines the replica *)
+        check =
+          (fun ~seed answers ->
+            let rec go qi = function
+              | [] -> Verify.Pass
+              | q :: qs -> (
+                  match
+                    Verify.check_answer (Lazy.force summary) ~seed q answers.(qi)
+                  with
+                  | Verify.Pass -> go (qi + 1) qs
+                  | fail -> fail)
+            in
+            go 0 queries);
+        vote = batch_vote;
+      }
+    in
+    drive ?wire cfg ~protocol:"engine-batch" ~a
+      ~seed_of:(fun ~rank:_ ~replica:_ -> cfg.seed)
+      ~corrupt:(fun mode g -> Array.map (Verify.corrupt_answer mode g))
+      ~shard
+      ~merge:(Merge.merge_batch ~seed:cfg.seed ~rows:(Bmat.rows a) queries)
+    |> Result.map
+         (fun
+           ((batch_answers, batch_survivors, batch_coverage), links, suspects) ->
+           {
+             batch_answers;
+             batch_links =
+               List.map
+                 (fun (rank, range, ro) ->
+                   {
+                     b_rank = rank;
+                     b_replica = ro.ro_replica;
+                     b_range = range;
+                     b_attempts = link_attempts ro;
+                     b_answers = link_answer ~rank ro;
+                   })
+                 links;
+             batch_suspects = suspects;
+             batch_survivors;
+             batch_coverage;
+             batch_fresh_bits =
+               List.fold_left
+                 (fun acc (_, _, ro) ->
+                   acc + link_stat (fun r -> r.Supervisor.fresh_bits) ro)
+                 0 links;
+           })

@@ -48,7 +48,9 @@
     answer is re-merged from the surviving replicas. Only when a whole
     replica group is lost (every replica failed, or no strict majority
     exists) does the shard count as lost and the quorum/[Degraded] ladder
-    above take over. Replica 0 runs at the fleet seed, so a
+    above take over; the shard's error then blames its first quarantined
+    replica (every passer of an ambiguous vote is quarantined as
+    [ambiguous_vote]). Replica 0 runs at the fleet seed, so a
     [replicas = 1] fleet is bit-identical to the pre-replica fleet.
 
     Observability: metrics scope [link<i>] (replica 0) / [link<i>.r<j>]
@@ -162,12 +164,7 @@ val run :
     The same topology under the {!Matprod_engine.Engine}: each link runs
     the full batch against its shard (sharing the engine's plan cache
     across links — same seed, same family, one tabulation), and per-query
-    answers merge by {!Matprod_engine.Engine.merge_answers}. Batch
-    replicas all run at the {e fleet} seed — the engine's determinism
-    contract makes honest replicas byte-identical, so the replica vote is
-    exact agreement on the whole answer array (classic TMR) and [verify]
-    adjudicates each query's answer shape per
-    {!Matprod_verify.Verify.check_answer}. *)
+    answers merge by {!Merge.merge_batch}. *)
 
 type batch_link = {
   b_rank : int;
@@ -195,3 +192,12 @@ val run_batch :
   a:Matprod_matrix.Bmat.t ->
   b:Matprod_matrix.Bmat.t ->
   (batch_report, Matprod_core.Outcome.error) result
+(** Answer a query batch over the fleet through the same shard pipeline,
+    verify → vote → quorum ladder and [?wire] hook as {!run}. Two things
+    differ. Replicas all run at the {e fleet} seed: the engine's determinism
+    contract makes honest replicas byte-identical, so the vote is exact
+    agreement on the whole answer array (classic TMR; an outvoted replica
+    is a [replica_vote] suspect). [verify] checks each query's answer with
+    {!Matprod_verify.Verify.check_answer} and quarantines a replica at its
+    first failing query. An empty batch is a
+    {!Matprod_core.Outcome.Precondition} error. *)

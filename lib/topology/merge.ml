@@ -1,10 +1,13 @@
 module Prng = Matprod_util.Prng
 module Estimator = Matprod_core.Estimator
+module L0_sampling = Matprod_core.L0_sampling
+module L1_sampling = Matprod_core.L1_sampling
+module Engine = Matprod_engine.Engine
 
-type part = {
+type 'a part = {
   rank : int;
   range : Shard.range;
-  value : Estimator.comparable;
+  value : 'a;
 }
 
 (* Number answers merge by sum (norm powers, counts, join sizes) except
@@ -12,129 +15,198 @@ type part = {
    gets the safe constructor default unless it opts in here. *)
 let max_type_numbers = [ "linf_general" ]
 
+let shape_error () = invalid_arg "Merge: mixed answer shapes"
+
+let by_rank parts =
+  if parts = [] then invalid_arg "Merge: no parts";
+  List.sort (fun a b -> compare a.rank b.rank) parts
+
+(* The stream every seeded sample draw consumes, fresh per merged answer. *)
+let merge_rng seed = Prng.create (seed lxor 0x6d657267 (* "merg" *))
+
+let fold_numbers f init number parts =
+  List.fold_left (fun acc p -> f acc (number p.value)) init parts
+
 let translate_row offset (r, c, v) = (r + offset, c, v)
 
-let sum_numbers parts =
-  List.fold_left
-    (fun acc p ->
-      match p.value with
-      | Estimator.Number x -> acc +. x
-      | _ -> invalid_arg "Merge: mixed answer shapes")
-    0.0 parts
-
-let max_numbers parts =
-  List.fold_left
-    (fun acc p ->
-      match p.value with
-      | Estimator.Number x -> Float.max acc x
-      | _ -> invalid_arg "Merge: mixed answer shapes")
-    neg_infinity parts
-
 let max_leveled parts =
-  let best =
+  let leveled p =
+    match p.value with Estimator.Leveled (e, l) -> (e, l) | _ -> shape_error ()
+  in
+  let e, l =
     List.fold_left
-      (fun acc p ->
-        match (p.value, acc) with
-        | Estimator.Leveled (e, l), None -> Some (e, l)
-        | Estimator.Leveled (e, l), Some (e', _) when e > e' -> Some (e, l)
-        | Estimator.Leveled _, some -> some
-        | _ -> invalid_arg "Merge: mixed answer shapes")
-      None parts
+      (fun (e', l') p ->
+        let e, l = leveled p in
+        if e > e' then (e, l) else (e', l'))
+      (leveled (List.hd parts))
+      (List.tl parts)
   in
-  match best with
-  | Some (e, l) -> Estimator.Leveled (e, l)
-  | None -> invalid_arg "Merge: no parts"
+  Estimator.Leveled (e, l)
 
-let union_coords parts =
-  let all =
-    List.concat_map
-      (fun p ->
-        match p.value with
-        | Estimator.Coords cs ->
-            List.map (fun (r, c) -> (r + p.range.Shard.offset, c)) cs
-        | _ -> invalid_arg "Merge: mixed answer shapes")
-      parts
-  in
-  Estimator.Coords (List.sort_uniq compare all)
+let union_coords coords parts =
+  List.sort_uniq compare
+    (List.concat_map
+       (fun p ->
+         List.map (fun (r, c) -> (r + p.range.Shard.offset, c)) (coords p.value))
+       parts)
 
 (* Weighted reservoir over the shards that drew a sample: shard i keeps
    the slot with probability row_i / (rows seen so far). One PRNG draw
    per present sample, so the choice is a deterministic function of
    (seed, surviving parts) — a quorum merge consumes exactly the same
    stream as the full merge restricted to the same survivors. *)
-let pick_sample rng parts extract =
+let pick_sample rng ~shift extract parts =
   let chosen = ref None and total = ref 0 in
   List.iter
     (fun p ->
-      match extract p with
+      match extract p.value with
       | None -> ()
       | Some s ->
           let w = p.range.Shard.length in
           total := !total + w;
           let u = Prng.float rng in
           if u *. float_of_int !total < float_of_int w then
-            chosen := Some (translate_row p.range.Shard.offset s))
+            chosen := Some (shift p.range.Shard.offset s))
     parts;
   !chosen
 
-let pick_one rng parts =
-  pick_sample rng parts (fun p ->
-      match p.value with
-      | Estimator.Sample s -> s
-      | _ -> invalid_arg "Merge: mixed answer shapes")
-
-let pick_slots rng parts =
+(* Slot j of the merged batch draws from the shards that filled slot j. *)
+let pick_slots rng ~shift samples parts =
+  let parts = List.map (fun p -> { p with value = samples p.value }) parts in
   let slots =
-    List.fold_left
-      (fun acc p ->
-        match p.value with
-        | Estimator.Samples ss -> max acc (List.length ss)
-        | _ -> invalid_arg "Merge: mixed answer shapes")
-      0 parts
+    List.fold_left (fun acc p -> max acc (Array.length p.value)) 0 parts
   in
-  Estimator.Samples
-    (List.init slots (fun j ->
-         pick_sample rng parts (fun p ->
-             match p.value with
-             | Estimator.Samples ss -> Option.join (List.nth_opt ss j)
-             | _ -> None)))
+  Array.init slots (fun j ->
+      pick_sample rng ~shift
+        (fun ss -> if j < Array.length ss then ss.(j) else None)
+        parts)
 
 (* The coordinator holds B and is the client the fleet answers to, so for
    share answers it reconstructs each shard's exact product C⟨i⟩ =
    C_A + C_B and returns the merged entries of C. Zero shards cancel to
    nothing, so the merge is a pure function of the product. *)
-let product_entries parts =
+let product_entries shares parts =
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun p ->
-      match p.value with
-      | Estimator.Shares (alice, bob) ->
-          List.iter
-            (fun (r, c, v) ->
-              let key = (r + p.range.Shard.offset, c) in
-              let cur = try Hashtbl.find tbl key with Not_found -> 0 in
-              Hashtbl.replace tbl key (cur + v))
-            (alice @ bob)
-      | _ -> invalid_arg "Merge: mixed answer shapes")
+      let alice, bob = shares p.value in
+      List.iter
+        (fun (r, c, v) ->
+          let key = (r + p.range.Shard.offset, c) in
+          let cur = try Hashtbl.find tbl key with Not_found -> 0 in
+          Hashtbl.replace tbl key (cur + v))
+        (alice @ bob))
     parts;
-  let entries =
-    Hashtbl.fold
-      (fun (r, c) v acc -> if v = 0 then acc else (r, c, v) :: acc)
-      tbl []
-  in
-  Estimator.Shares (List.sort compare entries, [])
+  List.sort compare
+    (Hashtbl.fold
+       (fun (r, c) v acc -> if v = 0 then acc else (r, c, v) :: acc)
+       tbl [])
 
 let merge ~name ~seed parts =
-  if parts = [] then invalid_arg "Merge: no parts";
-  let parts = List.sort (fun a b -> compare a.rank b.rank) parts in
-  let rng = Prng.create (seed lxor 0x6d657267 (* "merg" *)) in
+  let parts = by_rank parts in
+  let number = function Estimator.Number x -> x | _ -> shape_error () in
   match (List.hd parts).value with
   | Estimator.Number _ ->
       if List.mem name max_type_numbers then
-        Estimator.Number (max_numbers parts)
-      else Estimator.Number (sum_numbers parts)
+        Estimator.Number (fold_numbers Float.max neg_infinity number parts)
+      else Estimator.Number (fold_numbers ( +. ) 0.0 number parts)
   | Estimator.Leveled _ -> max_leveled parts
-  | Estimator.Coords _ -> union_coords parts
-  | Estimator.Sample _ -> Estimator.Sample (pick_one rng parts)
-  | Estimator.Samples _ -> pick_slots rng parts
-  | Estimator.Shares _ -> product_entries parts
+  | Estimator.Coords _ ->
+      Estimator.Coords
+        (union_coords
+           (function Estimator.Coords cs -> cs | _ -> shape_error ())
+           parts)
+  | Estimator.Sample _ ->
+      Estimator.Sample
+        (pick_sample (merge_rng seed) ~shift:translate_row
+           (function Estimator.Sample s -> s | _ -> shape_error ())
+           parts)
+  | Estimator.Samples _ ->
+      Estimator.Samples
+        (Array.to_list
+           (pick_slots (merge_rng seed) ~shift:translate_row
+              (function
+                | Estimator.Samples ss -> Array.of_list ss | _ -> shape_error ())
+              parts))
+  | Estimator.Shares _ ->
+      Estimator.Shares
+        ( product_entries
+            (function Estimator.Shares (a, b) -> (a, b) | _ -> shape_error ())
+            parts,
+          [] )
+
+let merge_query ~seed ~rows (query : Engine.query) parts =
+  let scalar = function Engine.Scalar x -> x | _ -> shape_error () in
+  match query with
+  (* ‖AB‖_F² over disjoint row blocks is the sum of the blocks' norms,
+     like every other norm power. *)
+  | Norm_pow _ | Frob_norm _ ->
+      Engine.Scalar (fold_numbers ( +. ) 0.0 scalar parts)
+  | Linf _ -> Engine.Scalar (fold_numbers Float.max 0.0 scalar parts)
+  | Row_norms _ ->
+      let out = Array.make rows Float.nan in
+      List.iter
+        (fun p ->
+          let { Shard.offset; length } = p.range in
+          match p.value with
+          | Engine.Vector v when Array.length v = length ->
+              Array.blit v 0 out offset length
+          | _ -> shape_error ())
+        parts;
+      Engine.Vector out
+  | Top_rows { k; _ } ->
+      let all =
+        List.concat_map
+          (fun p ->
+            match p.value with
+            | Engine.Ranked rs ->
+                List.map (fun (i, est) -> (i + p.range.Shard.offset, est)) rs
+            | _ -> shape_error ())
+          parts
+      in
+      let sorted =
+        List.sort
+          (fun (i, x) (j, y) ->
+            match compare y x with 0 -> compare i j | c -> c)
+          all
+      in
+      Engine.Ranked (List.filteri (fun i _ -> i < k) sorted)
+  | L0_sample _ ->
+      Engine.L0_samples
+        (pick_slots (merge_rng seed)
+           ~shift:(fun offset (s : L0_sampling.sample) ->
+             { s with L0_sampling.row = s.L0_sampling.row + offset })
+           (function Engine.L0_samples ss -> ss | _ -> shape_error ())
+           parts)
+  | L1_sample _ ->
+      (* [witness] indexes the inner dimension, shared by all shards — only
+         the row translates. *)
+      Engine.L1_samples
+        (pick_slots (merge_rng seed)
+           ~shift:(fun offset (s : L1_sampling.sample) ->
+             { s with L1_sampling.row = s.L1_sampling.row + offset })
+           (function Engine.L1_samples ss -> ss | _ -> shape_error ())
+           parts)
+  | Heavy_hitters _ ->
+      Engine.Entry_set
+        (union_coords
+           (function Engine.Entry_set es -> es | _ -> shape_error ())
+           parts)
+  | Exact_product ->
+      Engine.Shares
+        ( product_entries
+            (function Engine.Shares (a, b) -> (a, b) | _ -> shape_error ())
+            parts,
+          [] )
+
+let merge_batch ~seed ~rows queries parts =
+  let parts = by_rank parts in
+  let nq = List.length queries in
+  if List.exists (fun p -> Array.length p.value <> nq) parts then
+    invalid_arg "Merge: ragged batch answers";
+  Array.of_list
+    (List.mapi
+       (fun qi q ->
+         merge_query ~seed ~rows q
+           (List.map (fun p -> { p with value = p.value.(qi) }) parts))
+       queries)

@@ -1,8 +1,9 @@
-(** Typed merge of per-shard estimator answers into a fleet answer.
+(** Typed merge of per-shard answers into a fleet answer, for estimator
+    answers ({!merge}) and engine batch answers ({!merge_batch}).
 
-    Worker [i] answers the estimator on (A⟨i⟩, B), where A⟨i⟩ is its
-    compact row shard; since the shard products C⟨i⟩ = A⟨i⟩·B stack on
-    disjoint row blocks of C, the merge is exact per answer shape:
+    Worker [i] answers on (A⟨i⟩, B), where A⟨i⟩ is its compact row shard;
+    since the shard products C⟨i⟩ = A⟨i⟩·B stack on disjoint row blocks of
+    C, the merge is exact per answer shape:
 
     - {b Number}: sum — ‖C‖_p^p, join sizes and entry counts are sums over
       row blocks. Exception: max-type statistics (‖C‖_∞, registry name
@@ -22,22 +23,39 @@
       [Shares (entries, [])].
 
     Merging is a pure function of the surviving parts (plus [seed] for
-    sample draws): a (k−1)-quorum answer equals the full-fleet merge
-    restricted to the surviving links — the property the topology tests
-    assert for every registered estimator. *)
+    sample draws, each merged answer drawing from a fresh stream of
+    [seed]): a (k−1)-quorum answer equals the full-fleet merge restricted
+    to the surviving links — the property the topology tests assert for
+    every registered estimator and for engine batches. *)
 
-type part = {
+type 'a part = {
   rank : int;
   range : Shard.range;
-  value : Matprod_core.Estimator.comparable;
+  value : 'a;
 }
 
 val merge :
   name:string ->
   seed:int ->
-  part list ->
+  Matprod_core.Estimator.comparable part list ->
   Matprod_core.Estimator.comparable
 (** [name] is the registry name of the estimator (selects sum-vs-max for
     [Number] answers). Parts may arrive in any order; they are merged in
     rank order. Raises [Invalid_argument] on an empty part list or on
     parts with mismatched answer shapes. *)
+
+val merge_batch :
+  seed:int ->
+  rows:int ->
+  Matprod_engine.Engine.query list ->
+  Matprod_engine.Engine.answer array part list ->
+  Matprod_engine.Engine.answer array
+(** One merged answer per query of the batch, from each part's answer
+    array (one answer per query, in batch order). The engine shapes follow
+    the rules above: [Norm_pow]/[Frob_norm] sum, [Linf] maxes, [Top_rows]
+    re-ranks the translated union, [Heavy_hitters] unions, [Exact_product]
+    returns [Shares (entries, [])], sample queries re-draw each slot by
+    the weighted pick. [Row_norms] returns a full [rows]-length vector
+    with [nan] at rows no part covers. Raises [Invalid_argument] on an
+    empty part list, an answer array of the wrong length, or mismatched
+    shapes. *)

@@ -738,6 +738,205 @@ let test_batch_fleet_degraded () =
             (Array.exists Float.is_nan (Array.sub v 0 r.Shard.offset))
       | _ -> Alcotest.fail "row norms shape")
 
+let batch_value label = function
+  | Ok (rep : Fleet.batch_report) -> rep
+  | Error e -> Alcotest.failf "%s: %s" label (Outcome.error_to_string e)
+
+(* [compare] rather than [=]: degraded row-norm vectors carry nan gaps. *)
+let batch_answers_equal (xs : Engine.answer array) ys = compare xs ys = 0
+
+let byzantine_wire ~victim ~replica:r ~mode ~rank ~replica ~attempt ctx =
+  if rank = victim && replica = r && attempt = 1 then
+    Ctx.install_wire ctx
+      ~fault:(Fault.byzantine_only ~seed:(91 * (victim + 1)) ~mode ())
+      ()
+
+(* TMR for batches: one replica of each victim rank lies with a valid
+   frame; the two honest replicas outvote it, the merged answer is the
+   honest replicas = 1 answer, and the liar is the only suspect. *)
+let test_batch_replica_vote () =
+  let a, b = bool_pair 81 ~n:17 ~density:0.35 in
+  let workers = 3 in
+  let honest =
+    Outcome.graded_value
+      (batch_value "honest"
+         (Fleet.run_batch
+            (Fleet.config ~workers ~seed:7 ())
+            (Engine.create ()) batch_queries ~a ~b))
+        .Fleet.batch_answers
+  in
+  let cfg = Fleet.config ~workers ~replicas:3 ~seed:7 () in
+  List.iter
+    (fun victim ->
+      let label = Printf.sprintf "victim %d" victim in
+      let wire = byzantine_wire ~victim ~replica:0 ~mode:Fault.Sign_flip in
+      let rep =
+        batch_value label
+          (Fleet.run_batch ~wire cfg (Engine.create ()) batch_queries ~a ~b)
+      in
+      (match rep.Fleet.batch_answers with
+      | Outcome.Full answers ->
+          check Alcotest.bool (label ^ ": honest answers") true
+            (batch_answers_equal answers honest)
+      | Outcome.Degraded _ -> Alcotest.failf "%s: outvoted liar degraded" label);
+      check Alcotest.int (label ^ ": survivors") workers
+        rep.Fleet.batch_survivors;
+      (match rep.Fleet.batch_suspects with
+      | [ s ] ->
+          check Alcotest.int (label ^ ": suspect rank") victim s.Fleet.s_rank;
+          check Alcotest.int (label ^ ": suspect replica") 0 s.Fleet.s_replica;
+          check Alcotest.string (label ^ ": check") "replica_vote"
+            s.Fleet.s_check;
+          check Alcotest.string (label ^ ": detail")
+            "replica output disagrees with the 2-replica majority"
+            s.Fleet.s_detail
+      | ss -> Alcotest.failf "%s: %d suspects" label (List.length ss));
+      List.iter
+        (fun (l : Fleet.batch_link) ->
+          let liar = l.Fleet.b_rank = victim && l.Fleet.b_replica = 0 in
+          match l.Fleet.b_answers with
+          | Error
+              (Outcome.Byzantine_detected { rank; replica; check = "replica_vote" })
+            when liar ->
+              check Alcotest.int (label ^ ": blamed rank") victim rank;
+              check Alcotest.int (label ^ ": blamed replica") 0 replica
+          | Ok _ when not liar -> ()
+          | _ ->
+              Alcotest.failf "%s: link %d.%d reported wrongly" label
+                l.Fleet.b_rank l.Fleet.b_replica)
+        rep.Fleet.batch_links)
+    (chaos_ranks ~workers)
+
+(* The validators alone, no replicas: a garbage liar is quarantined by the
+   first failing [Verify.check_answer], its shard is lost, and the
+   (k-1)-quorum answers Degraded. *)
+let test_batch_verify_quarantine () =
+  let a, b = bool_pair 91 ~n:16 ~density:0.35 in
+  let workers = 4 in
+  let cfg = Fleet.config ~workers ~quorum:(workers - 1) ~verify:true ~seed:7 () in
+  let clean =
+    batch_value "clean" (Fleet.run_batch cfg (Engine.create ()) batch_queries ~a ~b)
+  in
+  check Alcotest.int "clean suspects" 0 (List.length clean.Fleet.batch_suspects);
+  List.iter
+    (fun victim ->
+      let label = Printf.sprintf "victim %d" victim in
+      let honest_link = List.nth clean.Fleet.batch_links victim in
+      let range = honest_link.Fleet.b_range in
+      (* The liar's answer, rebuilt from the honest shard answer and the
+         same byzantine rule, and the first check it fails. *)
+      let expected =
+        let honest = Result.get_ok honest_link.Fleet.b_answers in
+        let mode, g =
+          Option.get
+            (Fault.check_byzantine
+               (Fault.byzantine_only ~seed:(91 * (victim + 1))
+                  ~mode:Fault.Garbage ()))
+        in
+        let lie = Array.map (Verify.corrupt_answer mode g) honest in
+        let summary =
+          Verify.summarize ~name:"engine" ~a:(Shard.slice a range) ~b
+        in
+        List.find_map
+          (fun (qi, q) ->
+            match Verify.check_answer summary ~seed:7 q lie.(qi) with
+            | Verify.Pass -> None
+            | Verify.Fail { invariant; detail } -> Some (invariant, detail))
+          (List.mapi (fun qi q -> (qi, q)) batch_queries)
+      in
+      let invariant, detail =
+        match expected with
+        | Some f -> f
+        | None -> Alcotest.failf "%s: garbage passes every check" label
+      in
+      let wire = byzantine_wire ~victim ~replica:0 ~mode:Fault.Garbage in
+      let rep =
+        batch_value label
+          (Fleet.run_batch ~wire cfg (Engine.create ()) batch_queries ~a ~b)
+      in
+      check Alcotest.bool (label ^ ": degraded") true
+        (Outcome.is_degraded rep.Fleet.batch_answers);
+      check Alcotest.int (label ^ ": survivors") (workers - 1)
+        rep.Fleet.batch_survivors;
+      (match rep.Fleet.batch_suspects with
+      | [ s ] ->
+          check Alcotest.int (label ^ ": suspect rank") victim s.Fleet.s_rank;
+          check Alcotest.string (label ^ ": check") invariant s.Fleet.s_check;
+          check Alcotest.string (label ^ ": detail") detail s.Fleet.s_detail
+      | ss -> Alcotest.failf "%s: %d suspects" label (List.length ss));
+      match (List.nth rep.Fleet.batch_links victim).Fleet.b_answers with
+      | Error (Outcome.Byzantine_detected { rank; replica = 0; check = c }) ->
+          check Alcotest.int (label ^ ": blamed rank") victim rank;
+          check Alcotest.string (label ^ ": blamed check") invariant c
+      | _ -> Alcotest.failf "%s: liar link not quarantined" label)
+    (chaos_ranks ~workers)
+
+(* (k-1)-quorum for batches: a permanently crashed worker leaves a
+   Degraded answer equal to the merge of the full run's surviving link
+   answers. *)
+let test_batch_quorum_equivalence () =
+  let a, b = bool_pair 41 ~n:17 ~density:0.35 in
+  let workers = 4 in
+  let cfg = Fleet.config ~workers ~quorum:(workers - 1) ~seed:7 () in
+  let full =
+    batch_value "full" (Fleet.run_batch cfg (Engine.create ()) batch_queries ~a ~b)
+  in
+  List.iter
+    (fun victim ->
+      let label = Printf.sprintf "victim %d" victim in
+      let expected =
+        Merge.merge_batch ~seed:7 ~rows:17 batch_queries
+          (List.filter_map
+             (fun (l : Fleet.batch_link) ->
+               match l.Fleet.b_answers with
+               | Ok value when l.Fleet.b_rank <> victim ->
+                   Some
+                     { Merge.rank = l.Fleet.b_rank; range = l.Fleet.b_range; value }
+               | _ -> None)
+             full.Fleet.batch_links)
+      in
+      let wire ~rank ~replica:_ ~attempt ctx =
+        permanent_crash ~victim ~rank ~attempt ctx
+      in
+      let rep =
+        batch_value label
+          (Fleet.run_batch ~wire cfg (Engine.create ()) batch_queries ~a ~b)
+      in
+      check Alcotest.int (label ^ ": survivors") (workers - 1)
+        rep.Fleet.batch_survivors;
+      match rep.Fleet.batch_answers with
+      | Outcome.Full _ -> Alcotest.failf "%s: lost link must degrade" label
+      | Outcome.Degraded (answers, _) ->
+          check Alcotest.bool (label ^ ": survivors' merge") true
+            (batch_answers_equal answers expected))
+    (chaos_ranks ~workers)
+
+(* No strict majority: replica 1 lies, replica 2 never answers, so the
+   vote is 1 against 1. The shard is lost and the fleet error must blame
+   a replica that took part in the vote, not the crashed one. *)
+let test_batch_ambiguous_blame () =
+  let a, b = bool_pair 81 ~n:17 ~density:0.35 in
+  let workers = 3 in
+  let cfg = Fleet.config ~workers ~replicas:3 ~seed:7 () in
+  List.iter
+    (fun victim ->
+      let label = Printf.sprintf "victim %d" victim in
+      let wire ~rank ~replica ~attempt ctx =
+        byzantine_wire ~victim ~replica:1 ~mode:Fault.Sign_flip ~rank ~replica
+          ~attempt ctx;
+        if replica = 2 then permanent_crash ~victim ~rank ~attempt ctx
+      in
+      match Fleet.run_batch ~wire cfg (Engine.create ()) batch_queries ~a ~b with
+      | Ok _ -> Alcotest.failf "%s: an ambiguous shard must fail the quorum" label
+      | Error (Outcome.Byzantine_detected { rank; replica; check = c }) ->
+          check Alcotest.int (label ^ ": blamed rank") victim rank;
+          check Alcotest.bool (label ^ ": blamed replica voted") true
+            (replica = 0 || replica = 1);
+          check Alcotest.string (label ^ ": check") "ambiguous_vote" c
+      | Error e ->
+          Alcotest.failf "%s: %s" label (Outcome.error_to_string e))
+    (chaos_ranks ~workers)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -773,5 +972,12 @@ let () =
         [
           Alcotest.test_case "full fleet" `Quick test_batch_fleet;
           Alcotest.test_case "degraded fleet" `Quick test_batch_fleet_degraded;
+          Alcotest.test_case "replica vote" `Quick test_batch_replica_vote;
+          Alcotest.test_case "verify quarantine" `Quick
+            test_batch_verify_quarantine;
+          Alcotest.test_case "quorum equivalence" `Quick
+            test_batch_quorum_equivalence;
+          Alcotest.test_case "ambiguous vote blame" `Quick
+            test_batch_ambiguous_blame;
         ] );
     ]
