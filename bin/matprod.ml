@@ -15,7 +15,6 @@ module Imat = Matprod_matrix.Imat
 module Product = Matprod_matrix.Product
 module Ctx = Matprod_comm.Ctx
 module Transcript = Matprod_comm.Transcript
-module Fault = Matprod_comm.Fault
 module Chaos = Matprod_comm.Chaos
 module Journal = Matprod_comm.Journal
 module Outcome = Matprod_core.Outcome
@@ -178,41 +177,16 @@ let install_chaos ~seed spec ctx =
   | Some fault -> Ctx.install_wire ctx ~fault ()
   | None -> ()
 
-(* Per-link fault installation for fleet runs ([None] without a spec):
-   crashes rearm on every attempt only when marked permanent; straggles
-   and byzantine rules fire on the first attempt (byzantine on replica 0,
-   where the replica vote can catch it); byte-level noise applies to
-   every attempt. *)
+(* Per-link fault installation for fleet runs ([None] without a spec);
+   the per-attempt policy lives in [Chaos.link_fault]. *)
 let chaos_wire ~seed spec =
   if spec = [] then None
   else
     Some
       (fun ~rank ~replica ~attempt ctx ->
-        (match Chaos.crashes ~scope_worker:rank spec with
-        | [] -> ()
-        | crashes
-          when Chaos.permanent_crash ~scope_worker:rank spec || attempt = 1 ->
-            Ctx.install_wire ctx ~fault:(Fault.create ~crashes ~seed:1 []) ()
-        | _ -> ());
-        (match Chaos.straggles ~scope_worker:rank spec with
-        | [] -> ()
-        | straggles when attempt = 1 ->
-            Ctx.install_wire ctx ~fault:(Fault.create ~straggles ~seed:1 []) ()
-        | _ -> ());
-        (match Chaos.byzantines ~scope_worker:rank spec with
-        | [] -> ()
-        | byzantines when replica = 0 && attempt = 1 ->
-            Ctx.install_wire ctx
-              ~fault:
-                (Fault.create ~byzantines ~seed:(seed + (7919 * (rank + 1))) [])
-              ()
-        | _ -> ());
-        match Chaos.byte_rules spec with
-        | [] -> ()
-        | rules ->
-            Ctx.install_wire ctx
-              ~fault:(Fault.create ~seed:(seed + 77 + rank) rules)
-              ())
+        Option.iter
+          (fun fault -> Ctx.install_wire ctx ~fault ())
+          (Chaos.link_fault ~seed spec ~rank ~replica ~attempt))
 
 (* One two-party run over the chosen wire. *)
 let run_ctx c ~seed body = Ctx.run ?transport:(transport_conn c) ~seed body
@@ -288,21 +262,6 @@ let estimate_fields ~actual ~estimate =
       else Obs.Json.Null );
   ]
 
-let gen_pair ~zipf ~seed ~n ~density =
-  (* Split the seed into two independent streams (as Ctx.create does for
-     the parties): drawing both matrices from one sequential stream would
-     correlate Alice's and Bob's inputs across seeds in zipf mode. *)
-  let root = Prng.create seed in
-  let rng_a = Prng.split root in
-  let rng_b = Prng.split root in
-  if zipf then
-    let deg = max 1 (int_of_float (density *. float_of_int n)) in
-    ( Workload.zipf_bool rng_a ~rows:n ~cols:n ~row_degree:deg ~skew:1.1,
-      Bmat.transpose (Workload.zipf_bool rng_b ~rows:n ~cols:n ~row_degree:deg ~skew:1.1) )
-  else
-    ( Workload.uniform_bool rng_a ~rows:n ~cols:n ~density,
-      Workload.uniform_bool rng_b ~rows:n ~cols:n ~density )
-
 let print_estimate ?(note = "") ~actual estimate =
   Printf.printf "exact answer      : %.6g\n" actual;
   Printf.printf "protocol estimate : %.6g%s\n" estimate note;
@@ -352,7 +311,7 @@ let join_size c eps zipf p (algo_name, algo) load_a load_b journal resume
     match (load_a, load_b) with
     | Some pa, Some pb ->
         (Matprod_matrix.Matio.read_bmat pa, Matprod_matrix.Matio.read_bmat pb)
-    | _ -> gen_pair ~zipf ~seed ~n ~density
+    | _ -> Workload.gen_pair ~zipf ~seed ~n ~density
   in
   let c_mat = Product.bool_product a b in
   let actual = Product.lp_pow c_mat ~p in
@@ -1318,7 +1277,7 @@ let estimate c packed list_all fleet deadline fleet_journal chaos_spec =
           (Estimator.describe packed))
       (Registry.all ())
   else
-    let a, b = gen_pair ~zipf:false ~seed ~n ~density in
+    let a, b = Workload.gen_pair ~zipf:false ~seed ~n ~density in
     if fleet.workers > 1 then
       estimate_fleet c packed ~a ~b fleet ~chaos_spec ~deadline ~fleet_journal
     else
@@ -1513,7 +1472,7 @@ let batch_fleet c queries ~a ~b fleet ~chaos_spec =
 let batch c queries journal compare fleet chaos_spec =
   start c;
   let { n; density; seed; verbose; _ } = c in
-  let a, b = gen_pair ~zipf:false ~seed ~n ~density in
+  let a, b = Workload.gen_pair ~zipf:false ~seed ~n ~density in
   if fleet.workers > 1 then batch_fleet c queries ~a ~b fleet ~chaos_spec
   else begin
   let ai = Imat.of_bmat a and bi = Imat.of_bmat b in

@@ -317,15 +317,32 @@ let byzantines ?scope_worker spec =
       else None)
     spec
 
-let permanent_crash ?scope_worker spec =
-  List.exists
-    (fun c -> c.kind = Crash && c.permanent && in_scope scope_worker c)
-    spec
-
-let to_fault ?scope_worker ~seed spec =
-  let rules = byte_rules spec in
-  let crashes = crashes ?scope_worker spec in
-  let straggles = straggles ?scope_worker spec in
-  let byzantines = byzantines ?scope_worker spec in
+let model ~seed ~crashes ~straggles ~byzantines rules =
   if rules = [] && crashes = [] && straggles = [] && byzantines = [] then None
   else Some (Fault.create ~crashes ~straggles ~byzantines ~seed rules)
+
+let to_fault ?scope_worker ~seed spec =
+  model ~seed (byte_rules spec)
+    ~crashes:(crashes ?scope_worker spec)
+    ~straggles:(straggles ?scope_worker spec)
+    ~byzantines:(byzantines ?scope_worker spec)
+
+let link_fault ~seed spec ~rank ~replica ~attempt =
+  let scope_worker = rank and first = attempt = 1 in
+  let only cond events = if cond then events else [] in
+  let permanent =
+    List.exists
+      (fun c -> c.kind = Crash && c.permanent && in_scope (Some rank) c)
+      spec
+  in
+  (* Only byte rules and the byzantine junk draw read the seed: the byte
+     rules' draws are seeded [seed + 77 + rank]; a link without byte rules
+     seeds its byzantine draw [seed + 7919·(rank + 1)]. *)
+  let rules = byte_rules spec in
+  let seed =
+    if rules = [] then seed + (7919 * (rank + 1)) else seed + 77 + rank
+  in
+  model ~seed rules
+    ~crashes:(only (first || permanent) (crashes ~scope_worker spec))
+    ~straggles:(only first (straggles ~scope_worker spec))
+    ~byzantines:(only (first && replica = 0) (byzantines ~scope_worker spec))

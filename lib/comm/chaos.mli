@@ -75,10 +75,18 @@ val straggles : ?scope_worker:int -> t -> Fault.straggle list
 
 val byzantines : ?scope_worker:int -> t -> Fault.byzantine list
 
-val permanent_crash : ?scope_worker:int -> t -> bool
-(** Whether a scoped crash clause carries the [permanent] flag. *)
-
 val to_fault : ?scope_worker:int -> seed:int -> t -> Fault.t option
 (** The whole spec as one fault model ([None] when nothing in the spec
     applies to the scope) — byte rules, crashes, straggles, and byzantine
     corruption together, seeded like {!Fault.create}. *)
+
+val link_fault :
+  seed:int -> t -> rank:int -> replica:int -> attempt:int -> Fault.t option
+(** The one fault model for a fleet link attempt ([None] when nothing
+    applies). Every clause scoped to [rank] lowers into the same model, so
+    no kind disarms another. Crashes fire on [attempt] 1 and rearm on
+    every later attempt when a scoped crash clause is [permanent];
+    straggles fire on attempt 1; byzantine rules fire on attempt 1 of
+    [replica] 0, where the replica vote can catch them; byte rules apply
+    to every attempt. The model is seeded [seed + 77 + rank] when byte
+    rules apply, else [seed + 7919·(rank + 1)]. *)

@@ -143,7 +143,6 @@ let create ?(crashes = []) ?(straggles = []) ?(byzantines = []) ~seed rules =
   }
 
 let uniform ~seed rates = create ~seed [ rule rates ]
-let none ~seed = create ~seed []
 
 let crash_only ~party ~at =
   create ~crashes:[ { victim = party; site = at } ] ~seed:0 []

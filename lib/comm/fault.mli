@@ -141,9 +141,6 @@ val create :
 val uniform : seed:int -> rates -> t
 (** One rule covering every message in both directions. *)
 
-val none : seed:int -> t
-(** No rules: a perfectly transparent wire. *)
-
 val crash_only : party:Transcript.party -> at:crash_site -> t
 (** A model with no byte faults and one crash rule — the wire stays
     byte-for-byte transparent until the victim dies. *)

@@ -17,8 +17,8 @@
 
 exception Link_failure of { label : string; attempts : int }
 (** Raised by {!Channel.send} when a message is still unacknowledged after
-    [max_attempts] transmissions. The fail-safe protocol wrappers
-    ([run_safe]) convert it into a typed error. *)
+    [max_attempts] transmissions. [Matprod_core.Outcome.capture] converts
+    it into a typed error. *)
 
 type config = {
   max_attempts : int;  (** transmissions per message before giving up *)

@@ -63,4 +63,9 @@ let group_of ~beta est =
   if est <= 1.0 then 0
   else int_of_float (Float.floor (log est /. log (1.0 +. beta)))
 
+let top_rows est ~k =
+  let idx = Array.init (Array.length est) (fun i -> (i, est.(i))) in
+  Array.sort (fun (_, x) (_, y) -> Float.compare y x) idx;
+  Array.to_list (Array.sub idx 0 (min k (Array.length idx)))
+
 let log_factor n = log (float_of_int (max n 2))

@@ -43,5 +43,9 @@ val group_of : beta:float -> float -> int
 (** Index ℓ of the (1+β)-geometric group that a positive estimate falls in
     (Algorithm 1's partition); estimates below 1 map to group 0. *)
 
+val top_rows : float array -> k:int -> (int * float) list
+(** The [k] largest entries of a per-row estimate vector, as
+    (row, estimate) pairs in descending order. *)
+
 val log_factor : int -> float
 (** ln(max(n, 2)) — the log n factor in the paper's parameter settings. *)

@@ -9,7 +9,7 @@
     generic machinery (the {!Registry}, the chaos gallery, the CLI, the
     batched engine's fallback paths) can treat "a protocol" as a value.
 
-    The original per-driver [run]/[run_safe] functions remain the real
+    The original per-driver [run] functions remain the real
     implementations and the documented direct entry points; an estimator
     is a thin adapter over them (docs/API.md). *)
 
@@ -91,7 +91,7 @@ val make :
   'r) ->
   packed
 (** Package a driver: [run_safe] is derived as [Outcome.capture] of [run],
-    exactly the shape every hand-written driver [run_safe] has. *)
+    the one fail-safe wrapper every driver call goes through. *)
 
 val name : packed -> string
 val describe : packed -> string

@@ -52,5 +52,3 @@ let run ctx prm ~a ~b =
   in
   let plan = Srht.plan sk ~dim in
   run_planned ctx ~sk ~plan ~a ~b
-
-let run_safe ctx prm ~a ~b = Outcome.capture ctx (fun () -> run ctx prm ~a ~b)

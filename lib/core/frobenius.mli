@@ -30,11 +30,4 @@ val run_planned :
     [dim = max 1 (cols b)] at the run's public coins for the transcript
     to match {!run}. *)
 
-val run_safe :
-  Matprod_comm.Ctx.t ->
-  params ->
-  a:Matprod_matrix.Imat.t ->
-  b:Matprod_matrix.Imat.t ->
-  (float * Outcome.diagnostics, Outcome.error) result
-
 val wire : float array array Matprod_comm.Codec.t

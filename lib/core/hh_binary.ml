@@ -133,5 +133,3 @@ let run ctx prm ~a ~b =
     in
     List.sort compare out
   end
-
-let run_safe ctx prm ~a ~b = Outcome.capture ctx (fun () -> run ctx prm ~a ~b)

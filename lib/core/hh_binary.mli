@@ -30,11 +30,3 @@ val run :
   b:Matprod_matrix.Bmat.t ->
   (int * int) list
 (** The output set S, sorted. *)
-
-val run_safe :
-  Matprod_comm.Ctx.t ->
-  params ->
-  a:Matprod_matrix.Bmat.t ->
-  b:Matprod_matrix.Bmat.t ->
-  ((int * int) list * Outcome.diagnostics, Outcome.error) result
-(** Fail-safe [run] (see {!Outcome}). *)

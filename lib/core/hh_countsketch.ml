@@ -46,5 +46,3 @@ let run ctx prm ~a ~b =
     done;
     !out
   end
-
-let run_safe ctx prm ~a ~b = Outcome.capture ctx (fun () -> run ctx prm ~a ~b)

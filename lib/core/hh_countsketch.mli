@@ -29,11 +29,3 @@ val run :
 (** Output set S (sorted): all entries whose point-query estimate is at
     least (ϕ − ε/2)·‖C‖₁. Requires non-negative matrices (for the exact
     Remark 2 ℓ1). The band guarantee holds when b = Ω((‖C‖₂/ε‖C‖₁)²). *)
-
-val run_safe :
-  Matprod_comm.Ctx.t ->
-  params ->
-  a:Matprod_matrix.Imat.t ->
-  b:Matprod_matrix.Imat.t ->
-  ((int * int) list * Outcome.diagnostics, Outcome.error) result
-(** Fail-safe [run] (see {!Outcome}). *)

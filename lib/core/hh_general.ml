@@ -93,5 +93,3 @@ let run_full ctx prm ~a ~b =
   end
 
 let run ctx prm ~a ~b = (run_full ctx prm ~a ~b).set
-
-let run_safe ctx prm ~a ~b = Outcome.capture ctx (fun () -> run ctx prm ~a ~b)

@@ -47,11 +47,3 @@ val run :
   b:Matprod_matrix.Imat.t ->
   (int * int) list
 (** [run ctx p ~a ~b = (run_full ctx p ~a ~b).set]. *)
-
-val run_safe :
-  Matprod_comm.Ctx.t ->
-  params ->
-  a:Matprod_matrix.Imat.t ->
-  b:Matprod_matrix.Imat.t ->
-  ((int * int) list * Outcome.diagnostics, Outcome.error) result
-(** Fail-safe [run] (see {!Outcome}). *)

@@ -87,8 +87,3 @@ let run_many ctx prm ~count ~a ~b =
       end)
 
 let run ctx prm ~a ~b = (run_many ctx prm ~count:1 ~a ~b).(0)
-
-let run_many_safe ctx prm ~count ~a ~b =
-  Outcome.capture ctx (fun () -> run_many ctx prm ~count ~a ~b)
-
-let run_safe ctx prm ~a ~b = Outcome.capture ctx (fun () -> run ctx prm ~a ~b)

@@ -37,20 +37,3 @@ val run_many :
     are shipped once and amortised over [count] independent sampler
     structures — still 1 round, Õ(n/ε² + count·n) bits instead of
     count times the full cost. *)
-
-val run_safe :
-  Matprod_comm.Ctx.t ->
-  params ->
-  a:Matprod_matrix.Imat.t ->
-  b:Matprod_matrix.Imat.t ->
-  (sample option * Outcome.diagnostics, Outcome.error) result
-(** Fail-safe [run] (see {!Outcome}). *)
-
-val run_many_safe :
-  Matprod_comm.Ctx.t ->
-  params ->
-  count:int ->
-  a:Matprod_matrix.Imat.t ->
-  b:Matprod_matrix.Imat.t ->
-  (sample option array * Outcome.diagnostics, Outcome.error) result
-(** Fail-safe [run_many] (see {!Outcome}). *)

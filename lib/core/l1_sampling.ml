@@ -100,8 +100,3 @@ let run_many ctx ~count ~a ~b =
         let row_total = Array.fold_left (fun acc (_, v) -> acc + v) 0 row_k in
         let j = weighted_pick ctx.Ctx.bob (Array.to_list row_k) row_total in
         Some { row = rows.(t); col = j; witness = k })
-
-let run_safe ctx ~a ~b = Outcome.capture ctx (fun () -> run ctx ~a ~b)
-
-let run_many_safe ctx ~count ~a ~b =
-  Outcome.capture ctx (fun () -> run_many ctx ~count ~a ~b)

@@ -27,18 +27,3 @@ val run_many :
     phases). Each sample has exactly {!run}'s distribution. All [None]
     iff ‖A·B‖₁ = 0. Used by the batched engine to merge ℓ1-sample
     queries into one exchange. *)
-
-val run_safe :
-  Matprod_comm.Ctx.t ->
-  a:Matprod_matrix.Imat.t ->
-  b:Matprod_matrix.Imat.t ->
-  (sample option * Outcome.diagnostics, Outcome.error) result
-(** Fail-safe {!run} (see {!Outcome}). *)
-
-val run_many_safe :
-  Matprod_comm.Ctx.t ->
-  count:int ->
-  a:Matprod_matrix.Imat.t ->
-  b:Matprod_matrix.Imat.t ->
-  (sample option array * Outcome.diagnostics, Outcome.error) result
-(** Fail-safe {!run_many} (see {!Outcome}). *)

@@ -159,5 +159,3 @@ let run ctx prm ~a ~b =
     gamma *. float_of_int (Bmat.rows a) *. float_of_int (Bmat.cols b)
   in
   run_with ctx ~base:(1.0 +. prm.eps) ~threshold ~a ~b
-
-let run_safe ctx prm ~a ~b = Outcome.capture ctx (fun () -> run ctx prm ~a ~b)

@@ -43,11 +43,3 @@ val run_with :
 (** The engine with explicit knobs: per-level survival rate 1/[base] and
     absolute ‖C^ℓ‖₁ stopping [threshold]. Algorithm 3 reuses this with
     base = 2 and threshold = α·n·m/κ. *)
-
-val run_safe :
-  Matprod_comm.Ctx.t ->
-  params ->
-  a:Matprod_matrix.Bmat.t ->
-  b:Matprod_matrix.Bmat.t ->
-  (result * Outcome.diagnostics, Outcome.error) Stdlib.result
-(** Fail-safe [run] (see {!Outcome}). *)

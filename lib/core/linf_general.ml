@@ -33,5 +33,3 @@ let run ctx prm ~a ~b =
         Blocked_ams.estimate_linf sk acc)
   in
   Array.fold_left (fun best est -> if est > best then est else best) 0.0 ests
-
-let run_safe ctx prm ~a ~b = Outcome.capture ctx (fun () -> run ctx prm ~a ~b)

@@ -16,11 +16,3 @@ val run :
   b:Matprod_matrix.Imat.t ->
   float
 (** κ-approximation of ‖A·B‖∞ = max |C_{i,j}|. *)
-
-val run_safe :
-  Matprod_comm.Ctx.t ->
-  params ->
-  a:Matprod_matrix.Imat.t ->
-  b:Matprod_matrix.Imat.t ->
-  (float * Outcome.diagnostics, Outcome.error) result
-(** Fail-safe [run] (see {!Outcome}). *)

@@ -34,5 +34,3 @@ let run ctx prm ~a ~b =
     let r = Linf_binary.run_with ctx ~base:2.0 ~threshold ~a:a' ~b in
     { estimate = r.Linf_binary.estimate /. q; level = r.Linf_binary.level; q }
   end
-
-let run_safe ctx prm ~a ~b = Outcome.capture ctx (fun () -> run ctx prm ~a ~b)

@@ -28,11 +28,3 @@ val run :
   a:Matprod_matrix.Bmat.t ->
   b:Matprod_matrix.Bmat.t ->
   result
-
-val run_safe :
-  Matprod_comm.Ctx.t ->
-  params ->
-  a:Matprod_matrix.Bmat.t ->
-  b:Matprod_matrix.Bmat.t ->
-  (result * Outcome.diagnostics, Outcome.error) Stdlib.result
-(** Fail-safe [run] (see {!Outcome}). *)

@@ -23,8 +23,18 @@ let validate prm ~a ~b =
     invalid_arg "Lp_protocol: eps must be in (0,1]";
   if Imat.cols a <> Imat.rows b then invalid_arg "Lp_protocol: dims"
 
-(* Round 1: Bob ships sketches of his rows; Alice combines them into
-   estimates of every row norm of C = A·B. [beta] is the sketch accuracy. *)
+(* Round 1 of every ℓp driver: Bob ships sketches of his rows under the
+   caller's family [lp] and its [plan]; Alice combines them into raw
+   estimates of every row norm of C = A·B. *)
+let exchange_row_sketches ctx lp plan ~label ~a ~b =
+  let bob_sketches =
+    Pool.init (Imat.rows b) (fun k -> Lp.sketch_with_plan lp plan (Imat.row b k))
+  in
+  let sketches = Ctx.b2a ctx ~label (Codec.array (Lp.wire lp)) bob_sketches in
+  let comb = Lp.combiner lp sketches in
+  Pool.init (Imat.rows a) (fun i -> Lp.estimate_combination comb (Imat.row a i))
+
+(* Algorithm 1's round 1 at sketch accuracy [beta]. *)
 let round1 ctx prm ~beta ~a ~b =
   Trace.with_span ~name:"lp_protocol.round1_sketch_exchange"
     ~attrs:
@@ -33,21 +43,12 @@ let round1 ctx prm ~beta ~a ~b =
         ("beta", Matprod_obs.Json.Float beta);
       ]
   @@ fun () ->
-  let out_cols = Imat.cols b in
+  let dim = max 1 (Imat.cols b) in
   let lp =
-    Lp.create ctx.Ctx.public ~p:prm.p ~eps:beta ~groups:prm.sketch_groups
-      ~dim:(max 1 out_cols)
+    Lp.create ctx.Ctx.public ~p:prm.p ~eps:beta ~groups:prm.sketch_groups ~dim
   in
-  let plan = Lp.plan lp ~dim:(max 1 out_cols) in
-  let bob_sketches =
-    Pool.init (Imat.rows b) (fun k -> Lp.sketch_with_plan lp plan (Imat.row b k))
-  in
-  let sketches =
-    Ctx.b2a ctx ~label:"lp-sketches(B rows)" (Codec.array (Lp.wire lp))
-      bob_sketches
-  in
-  let comb = Lp.combiner lp sketches in
-  Pool.init (Imat.rows a) (fun i -> Lp.estimate_combination comb (Imat.row a i))
+  exchange_row_sketches ctx lp (Lp.plan lp ~dim) ~label:"lp-sketches(B rows)"
+    ~a ~b
 
 let estimate_row_norms ctx prm ~a ~b =
   validate prm ~a ~b;
@@ -103,5 +104,3 @@ let run ctx prm ~a ~b =
   let beta = sqrt prm.eps in
   let est = round1 ctx prm ~beta ~a ~b in
   round2 ctx ~p:prm.p ~beta ~rho_const:prm.rho_const ~est ~a ~b
-
-let run_safe ctx prm ~a ~b = Outcome.capture ctx (fun () -> run ctx prm ~a ~b)

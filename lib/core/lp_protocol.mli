@@ -35,6 +35,20 @@ val run :
   float
 (** Estimate of ‖A·B‖_p^p. Requires cols a = rows b. *)
 
+val exchange_row_sketches :
+  Matprod_comm.Ctx.t ->
+  Matprod_sketch.Lp.t ->
+  Matprod_sketch.Lp.plan ->
+  label:string ->
+  a:Matprod_matrix.Imat.t ->
+  b:Matprod_matrix.Imat.t ->
+  float array
+(** The round-1 exchange every ℓp driver shares: Bob sketches each row of B
+    under [lp] and its [plan] and ships them in one message labelled
+    [label]; Alice combines them into the raw (unclamped) estimate of every
+    ‖C_{i,*}‖_p^p. The caller's choice of family (its coins and accuracy)
+    and label fixes the transcript bytes. *)
+
 val estimate_row_norms :
   Matprod_comm.Ctx.t ->
   params ->
@@ -56,13 +70,3 @@ val round2 :
 (** The sampling round on its own, given round-1 row estimates [est] at
     accuracy β: group, sample ≈ rho_const/β² rows, ship, Horvitz–Thompson.
     Used by [run] (with β = √ε) and by {!Session.refine}. *)
-
-val run_safe :
-  Matprod_comm.Ctx.t ->
-  params ->
-  a:Matprod_matrix.Imat.t ->
-  b:Matprod_matrix.Imat.t ->
-  (float * Outcome.diagnostics, Outcome.error) result
-(** Fail-safe [run]: wire failures, decode failures, and precondition
-    breaches come back as typed errors instead of exceptions (see
-    {!Outcome}). *)

@@ -29,23 +29,15 @@ let run ctx prm ~a ~b =
   if not (prm.p >= 0.0 && prm.p <= 2.0) then invalid_arg "Lp_sampling: p range";
   if not (prm.eps > 0.0 && prm.eps <= 1.0) then invalid_arg "Lp_sampling: eps";
   if Imat.cols a <> Imat.rows b then invalid_arg "Lp_sampling: dims";
-  let out_cols = Imat.cols b in
   (* Round 1 (Bob -> Alice): lp sketches of B's rows at full accuracy. *)
+  let dim = max 1 (Imat.cols b) in
   let lp =
-    Lp.create ctx.Ctx.public ~p:prm.p ~eps:prm.eps ~groups:prm.sketch_groups
-      ~dim:(max 1 out_cols)
+    Lp.create ctx.Ctx.public ~p:prm.p ~eps:prm.eps ~groups:prm.sketch_groups ~dim
   in
-  let bob_sketches =
-    Array.init (Imat.rows b) (fun k -> Lp.sketch lp (Imat.row b k))
-  in
-  let sketches =
-    Ctx.b2a ctx ~label:"lp-sketches for row sampling"
-      (Codec.array (Lp.wire lp)) bob_sketches
-  in
-  let comb = Lp.combiner lp sketches in
   let est =
-    Array.init (Imat.rows a) (fun i ->
-        Float.max 0.0 (Lp.estimate_combination comb (Imat.row a i)))
+    Lp_protocol.exchange_row_sketches ctx lp (Lp.plan lp ~dim)
+      ~label:"lp-sketches for row sampling" ~a ~b
+    |> Array.map (Float.max 0.0)
   in
   let total = Array.fold_left ( +. ) 0.0 est in
   if total <= 0.0 then None

@@ -49,5 +49,3 @@ let run ctx ~a ~b =
     (fun (k, a_col) -> Entry_map.add_outer bob_share a_col (Imat.row b k))
     alice_cols';
   { alice = alice_share; bob = bob_share }
-
-let run_safe ctx ~a ~b = Outcome.capture ctx (fun () -> run ctx ~a ~b)

@@ -17,10 +17,3 @@ val run :
   b:Matprod_matrix.Imat.t ->
   shares
 (** Requires cols a = rows b. [shares.alice] + [shares.bob] = A·B. *)
-
-val run_safe :
-  Matprod_comm.Ctx.t ->
-  a:Matprod_matrix.Imat.t ->
-  b:Matprod_matrix.Imat.t ->
-  (shares * Outcome.diagnostics, Outcome.error) result
-(** Fail-safe [run] (see {!Outcome}). *)

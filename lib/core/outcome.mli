@@ -1,5 +1,5 @@
-(** Fail-safe protocol results: the typed errors and run diagnostics shared
-    by every driver's [run_safe] entry point.
+(** Fail-safe protocol results: the typed errors and run diagnostics that
+    {!capture} gives any driver call.
 
     The contract (docs/ROBUSTNESS.md): a protocol run over a hostile wire
     ends in exactly one of
@@ -93,5 +93,6 @@ val guard : (unit -> 'a) -> ('a, error) result
 
 val capture :
   Matprod_comm.Ctx.t -> (unit -> 'a) -> ('a * diagnostics, error) result
-(** {!guard} plus {!diagnostics_of_ctx} on success — the shape every
-    driver's [run_safe] returns. *)
+(** {!guard} plus {!diagnostics_of_ctx} on success — the one fail-safe
+    wrapper: callers write [capture ctx (fun () -> Driver.run ctx ...)],
+    and {!Estimator.make} derives every estimator's [run_safe] from it. *)

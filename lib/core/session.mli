@@ -44,23 +44,3 @@ val refine : Matprod_comm.Ctx.t -> ?rho_const:float -> t -> float
     Horvitz–Thompson estimate of ‖C‖_p^p — a (1+O(β²))-approximation for
     Õ(n·rho_const/β²) extra bits. Must be called with the same context
     the session was established in (the transcript continues). *)
-
-val establish_safe :
-  ?p:float ->
-  ?groups:int ->
-  Matprod_comm.Ctx.t ->
-  beta:float ->
-  a:Matprod_matrix.Imat.t ->
-  b:Matprod_matrix.Imat.t ->
-  (t * Outcome.diagnostics, Outcome.error) result
-(** {!establish} under the {!Outcome} trichotomy: over a faulty or crashy
-    wire the session either comes up (fault-free-equivalent) or the caller
-    gets a typed error — never an escaped exception. *)
-
-val refine_safe :
-  Matprod_comm.Ctx.t ->
-  ?rho_const:float ->
-  t ->
-  (float * Outcome.diagnostics, Outcome.error) result
-(** {!refine} under the {!Outcome} trichotomy. Diagnostics cover the whole
-    context transcript (establish + refine), not just the refine round. *)

@@ -1,7 +1,7 @@
 (** Degradation supervisor: a typed, costed escalation ladder over any
     protocol driver.
 
-    A single [run_safe] gives the trichotomy for one attempt; the
+    A single {!Outcome.capture} gives the trichotomy for one attempt; the
     supervisor decides what to do when that attempt fails, spending a
     bounded budget along a fixed ladder:
 

@@ -1,8 +1,6 @@
 module Prng = Matprod_util.Prng
-module Pool = Matprod_util.Pool
 module Imat = Matprod_matrix.Imat
 module Ctx = Matprod_comm.Ctx
-module Codec = Matprod_comm.Codec
 module Transcript = Matprod_comm.Transcript
 module Lp = Matprod_sketch.Lp
 module Srht = Matprod_sketch.Srht
@@ -16,7 +14,6 @@ module Hh_general = Matprod_core.Hh_general
 module Linf_general = Matprod_core.Linf_general
 module Matprod_protocol = Matprod_core.Matprod_protocol
 module Entry_map = Matprod_core.Common.Entry_map
-module Outcome = Matprod_core.Outcome
 
 type query =
   | Norm_pow of { p : float; eps : float }
@@ -174,11 +171,6 @@ let family_label = function
 let lp_groups = 5 (* median-boosting groups, as Session/Lp_protocol *)
 let rho_const = 200.0 (* round-2 sampling budget, as Lp_protocol defaults *)
 
-let top_rows est k =
-  let idx = Array.init (Array.length est) (fun i -> (i, est.(i))) in
-  Array.sort (fun (_, x) (_, y) -> Float.compare y x) idx;
-  Array.to_list (Array.sub idx 0 (min k (Array.length idx)))
-
 (* Slice one merged multi-sample run back into per-member arrays. *)
 let slice_counts samples counts =
   let off = ref 0 in
@@ -209,19 +201,11 @@ let exec_lp t ctx ~a ~b ~p ~members ~queries set =
     | Lp_entry e -> (e.lp, e.plan)
     | Srht_entry _ -> assert false (* tags distinguish the families *)
   in
-  let bob_sketches =
-    Pool.init (Imat.rows b) (fun k -> Lp.sketch_with_plan lp plan (Imat.row b k))
-  in
-  let sketches =
-    Ctx.b2a gctx
-      ~label:(Printf.sprintf "engine: lp sketches of B rows %s" tag)
-      (Codec.array (Lp.wire lp))
-      bob_sketches
-  in
-  let comb = Lp.combiner lp sketches in
   let est =
-    Pool.init (Imat.rows a) (fun i ->
-        Float.max 0.0 (Lp.estimate_combination comb (Imat.row a i)))
+    Lp_protocol.exchange_row_sketches gctx lp plan
+      ~label:(Printf.sprintf "engine: lp sketches of B rows %s" tag)
+      ~a ~b
+    |> Array.map (Float.max 0.0)
   in
   (* One sampling round upgrades every norm query in the group to (1+beta²)
      ≤ (1+eps_i); row/top queries answer from the cached estimates free. *)
@@ -236,7 +220,7 @@ let exec_lp t ctx ~a ~b ~p ~members ~queries set =
         (match queries.(i) with
         | Norm_pow _ -> Scalar (Option.get refined)
         | Row_norms _ -> Vector (Array.copy est)
-        | Top_rows { k; _ } -> Ranked (top_rows est k)
+        | Top_rows { k; _ } -> Ranked (Common.top_rows est ~k)
         | _ -> assert false))
     members;
   (tag, status)
@@ -392,9 +376,6 @@ let run t ctx ~a ~b queries =
     plan_hits = t.cache.hits - hits0;
     plan_misses = t.cache.misses - misses0;
   }
-
-let run_safe t ctx ~a ~b queries =
-  Outcome.capture ctx (fun () -> run t ctx ~a ~b queries)
 
 (* ------------------------------------------------------------------ *)
 (* Query specs: "name:key=val,key=val". *)

@@ -114,19 +114,6 @@ val run :
     [Invalid_argument] otherwise). The transcript simply continues on
     [ctx]; run several batches in one context to amortise nothing twice. *)
 
-val run_safe :
-  t ->
-  Matprod_comm.Ctx.t ->
-  a:Matprod_matrix.Imat.t ->
-  b:Matprod_matrix.Imat.t ->
-  query list ->
-  (report * Matprod_core.Outcome.diagnostics, Matprod_core.Outcome.error)
-  result
-(** {!run} under the {!Matprod_core.Outcome} trichotomy: over a faulty or
-    crashy wire the batch either completes (fault-free-equivalent) or
-    comes back as a typed error; a journaled prefix remains valid for
-    {!Matprod_comm.Ctx.resume}. *)
-
 val plan_cache_stats : t -> int * int
 (** Lifetime [(hits, misses)] of the engine's plan cache. *)
 

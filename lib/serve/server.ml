@@ -4,9 +4,7 @@ module Ctx = Matprod_comm.Ctx
 module Journal = Matprod_comm.Journal
 module Engine = Matprod_engine.Engine
 module Imat = Matprod_matrix.Imat
-module Bmat = Matprod_matrix.Bmat
 module Workload = Matprod_workload.Workload
-module Prng = Matprod_util.Prng
 module Metrics = Matprod_obs.Metrics
 
 type config = {
@@ -123,25 +121,6 @@ let locked m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* The CLI generator's pair, replicated so `Gen` answers match a local
-   `gen_pair` run at the same parameters bit for bit. *)
-let gen_pair ~zipf ~seed ~n ~density =
-  let root = Prng.create seed in
-  let rng_a = Prng.split root in
-  let rng_b = Prng.split root in
-  let a, b =
-    if zipf then
-      let deg = max 1 (int_of_float (density *. float_of_int n)) in
-      ( Workload.zipf_bool rng_a ~rows:n ~cols:n ~row_degree:deg ~skew:1.1,
-        Bmat.transpose
-          (Workload.zipf_bool rng_b ~rows:n ~cols:n ~row_degree:deg ~skew:1.1)
-      )
-    else
-      ( Workload.uniform_bool rng_a ~rows:n ~cols:n ~density,
-        Workload.uniform_bool rng_b ~rows:n ~cols:n ~density )
-  in
-  (Imat.of_bmat a, Imat.of_bmat b)
-
 let respond fd resp = Transport.write_frame fd (Proto.encode_response resp)
 
 let find_entry t name = locked t.m (fun () -> Hashtbl.find_opt t.pairs name)
@@ -180,7 +159,13 @@ let do_gen t ~name ~n ~density ~seed ~zipf =
     match find_entry t name with
     | Some entry -> answer entry
     | None ->
-        let pair = locked t.exec (fun () -> gen_pair ~zipf ~seed ~n ~density) in
+        (* The CLI's generator: `Gen` answers match a local run at the
+           same parameters bit for bit. *)
+        let pair =
+          locked t.exec (fun () ->
+              let a, b = Workload.gen_pair ~zipf ~seed ~n ~density in
+              (Imat.of_bmat a, Imat.of_bmat b))
+        in
         answer (claim t name (params, pair))
   end
 

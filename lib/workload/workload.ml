@@ -48,6 +48,22 @@ let zipf_bool rng ~rows ~cols ~row_degree ~skew =
   in
   Bmat.create ~rows ~cols sets
 
+let gen_pair ~zipf ~seed ~n ~density =
+  (* Split the seed into two independent streams (as Ctx.create does for
+     the parties): drawing both matrices from one sequential stream would
+     correlate Alice's and Bob's inputs across seeds in zipf mode. *)
+  let root = Prng.create seed in
+  let rng_a = Prng.split root in
+  let rng_b = Prng.split root in
+  if zipf then
+    let deg = max 1 (int_of_float (density *. float_of_int n)) in
+    ( zipf_bool rng_a ~rows:n ~cols:n ~row_degree:deg ~skew:1.1,
+      Bmat.transpose (zipf_bool rng_b ~rows:n ~cols:n ~row_degree:deg ~skew:1.1)
+    )
+  else
+    ( uniform_bool rng_a ~rows:n ~cols:n ~density,
+      uniform_bool rng_b ~rows:n ~cols:n ~density )
+
 let uniform_int rng ~rows ~cols ~density ~max_value =
   if max_value < 1 then invalid_arg "Workload.uniform_int: max_value";
   let data =

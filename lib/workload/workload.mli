@@ -19,6 +19,14 @@ val zipf_bool :
     popularity distribution over the columns — skewed join keys, the
     classic hard case for join-size estimators. *)
 
+val gen_pair :
+  zipf:bool -> seed:int -> n:int -> density:float ->
+  Matprod_matrix.Bmat.t * Matprod_matrix.Bmat.t
+(** The CLI's and the serve daemon's n×n input pair (A, B) from one seed:
+    {!uniform_bool} at [density], or with [zipf] a {!zipf_bool} A of row
+    degree ≈ density·n at skew 1.1 and the transpose of another as B. A
+    and B draw from two streams split off [seed]. *)
+
 val uniform_int :
   Matprod_util.Prng.t ->
   rows:int -> cols:int -> density:float -> max_value:int ->

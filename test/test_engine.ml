@@ -307,7 +307,8 @@ let test_golden_journal_bytes () =
       check Alcotest.string "journal crc32" "0x3cf2d2ab"
         (Printf.sprintf "0x%08x" (Reliable.crc32 bytes)))
 
-(* run_safe: typed errors on a dead wire, clean passthrough otherwise. *)
+(* Engine.run under Outcome.capture: typed errors on a dead wire, clean
+   passthrough otherwise. *)
 let test_run_safe () =
   let seed = 19 in
   let a, b = gen_pair ~seed ~n:16 in
@@ -318,7 +319,8 @@ let test_run_safe () =
             (Fault.crash_only ~party:Transcript.Bob ~at:(Fault.After_messages 0))
           ~reliable:(Reliable.config ~max_attempts:3 ())
           ();
-        Engine.run_safe (Engine.create ()) ctx ~a ~b lp_batch)
+        Outcome.capture ctx (fun () ->
+            Engine.run (Engine.create ()) ctx ~a ~b lp_batch))
   in
   (match crashed.Ctx.output with
   | Error (Outcome.Crashed _) -> ()
@@ -326,7 +328,8 @@ let test_run_safe () =
   | Ok _ -> Alcotest.fail "batch over a dead wire cannot succeed");
   let clean =
     Ctx.run ~seed (fun ctx ->
-        Engine.run_safe (Engine.create ()) ctx ~a ~b lp_batch)
+        Outcome.capture ctx (fun () ->
+            Engine.run (Engine.create ()) ctx ~a ~b lp_batch))
   in
   match clean.Ctx.output with
   | Ok (rep, diag) ->
@@ -334,8 +337,8 @@ let test_run_safe () =
         diag.Outcome.bits;
       let base = (run_batch ~seed ~a ~b lp_batch).Ctx.output in
       if rep.Engine.answers <> base.Engine.answers then
-        Alcotest.fail "run_safe answers differ from run"
-  | Error e -> Alcotest.failf "clean run_safe failed: %s" (Outcome.error_to_string e)
+        Alcotest.fail "captured answers differ from run"
+  | Error e -> Alcotest.failf "clean captured run failed: %s" (Outcome.error_to_string e)
 
 (* Degenerate batches. *)
 let test_edge_cases () =

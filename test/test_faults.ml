@@ -557,7 +557,7 @@ let test_supervisor_budget () =
   | Ok _ -> Alcotest.fail "budget cannot allow a second attempt"
   | Error e -> Alcotest.failf "wrong error: %s" (Outcome.error_to_string e)
 
-(* Session's safe entry points give the same trichotomy: a crash mid
+(* Session under Outcome.capture gives the same trichotomy: a crash mid
    establish is typed, and the session then comes up clean on a quiet
    wire with the same answers. *)
 let test_session_safe () =
@@ -571,7 +571,7 @@ let test_session_safe () =
             (Fault.crash_only ~party:Transcript.Bob
                ~at:(Fault.After_messages 0))
           ~reliable ();
-        Session.establish_safe ctx ~beta:0.5 ~a ~b)
+        Outcome.capture ctx (fun () -> Session.establish ctx ~beta:0.5 ~a ~b))
   in
   (match crashed.Ctx.output with
   | Error (Outcome.Crashed { party = Transcript.Bob; _ }) -> ()
@@ -579,14 +579,16 @@ let test_session_safe () =
   | Ok _ -> Alcotest.fail "establish over a dead wire cannot succeed");
   let clean =
     Ctx.run ~seed:61 (fun ctx ->
-        match Session.establish_safe ctx ~beta:0.5 ~a ~b with
+        match
+          Outcome.capture ctx (fun () -> Session.establish ctx ~beta:0.5 ~a ~b)
+        with
         | Error e ->
             Alcotest.failf "clean establish failed: %s"
               (Outcome.error_to_string e)
         | Ok (s, d) -> (
             check Alcotest.bool "establish billed" true (d.Outcome.bits > 0);
             let direct = Session.norm_pow s in
-            match Session.refine_safe ctx s with
+            match Outcome.capture ctx (fun () -> Session.refine ctx s) with
             | Ok (refined, d2) ->
                 check Alcotest.bool "refine billed on top" true
                   (d2.Outcome.bits > d.Outcome.bits);

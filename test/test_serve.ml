@@ -302,6 +302,50 @@ let test_chaos_lowering_scope () =
   check Alcotest.bool "rank 1 still straggles" true
     (Chaos.to_fault ~scope_worker:1 ~seed:1 spec <> None)
 
+(* Every clause scoped to a link lowers into one model: a byte rule next
+   to a crash keeps the crash armed, and the per-attempt policy holds. *)
+let test_chaos_link_fault () =
+  let parse s = match Chaos.parse s with Ok t -> t | Error e -> Alcotest.fail e in
+  let crashes fault =
+    match Fault.check_crash fault ~from:Transcript.Alice ~label:"x" with
+    | () -> false
+    | exception Fault.Party_crash _ -> true
+  in
+  let link spec ~rank ~replica ~attempt =
+    Chaos.link_fault ~seed:5 spec ~rank ~replica ~attempt
+  in
+  let mixed =
+    parse
+      "kind=crash,worker=1,permanent;kind=drop,rate=0.01;kind=byzantine,worker=1"
+  in
+  (match link mixed ~rank:1 ~replica:0 ~attempt:1 with
+  | None -> Alcotest.fail "rank 1 has faults"
+  | Some f ->
+      check Alcotest.bool "drop rule active" true (Fault.is_active f);
+      check Alcotest.bool "byzantine armed on replica 0" true
+        (Fault.check_byzantine f <> None);
+      check Alcotest.bool "crash survives the drop rule" true (crashes f));
+  (match link mixed ~rank:1 ~replica:1 ~attempt:2 with
+  | None -> Alcotest.fail "rank 1 retry has faults"
+  | Some f ->
+      check Alcotest.bool "permanent crash rearms" true (crashes f);
+      check Alcotest.bool "byzantine only on attempt 1 of replica 0" true
+        (Fault.check_byzantine f = None));
+  (match link mixed ~rank:0 ~replica:0 ~attempt:1 with
+  | None -> Alcotest.fail "byte rules apply to every rank"
+  | Some f -> check Alcotest.bool "no crash off its rank" false (crashes f));
+  let one_shot = parse "kind=crash,worker=1;kind=straggle,worker=2,delay=3" in
+  check Alcotest.bool "one-shot crash fires on attempt 1" true
+    (Option.fold ~none:false ~some:crashes
+       (link one_shot ~rank:1 ~replica:0 ~attempt:1));
+  check Alcotest.bool "one-shot crash not rearmed" true
+    (link one_shot ~rank:1 ~replica:0 ~attempt:2 = None);
+  check Alcotest.bool "straggle on attempt 1" true
+    (Option.fold ~none:false ~some:Fault.is_active
+       (link one_shot ~rank:2 ~replica:0 ~attempt:1));
+  check Alcotest.bool "straggle not on attempt 2" true
+    (link one_shot ~rank:2 ~replica:0 ~attempt:2 = None)
+
 (* ------------------------------------------------------------------ *)
 (* Pool shutdown *)
 
@@ -558,6 +602,7 @@ let () =
             test_chaos_canonical_idempotent;
           Alcotest.test_case "rejects" `Quick test_chaos_rejects;
           Alcotest.test_case "lowering scope" `Quick test_chaos_lowering_scope;
+          Alcotest.test_case "link fault" `Quick test_chaos_link_fault;
         ] );
       ( "pool",
         [
