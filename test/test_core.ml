@@ -25,6 +25,9 @@ module Hh_general = Matprod_core.Hh_general
 module Hh_binary = Matprod_core.Hh_binary
 module Cohen_baseline = Matprod_core.Cohen_baseline
 module Trivial = Matprod_core.Trivial
+module Estimator = Matprod_core.Estimator
+module Registry = Matprod_core.Registry
+module Verify = Matprod_verify.Verify
 
 let check = Alcotest.check
 
@@ -1110,10 +1113,37 @@ let qcheck_protocol_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Registry-wide invariants *)
+
+let test_registry_names_unique () =
+  let names = List.map Estimator.name (Registry.all ()) in
+  check Alcotest.int "20 entries" 20 (List.length names);
+  check Alcotest.int "names unique" (List.length names)
+    (List.length (List.sort_uniq compare names))
+
+(* An estimator missing from [Verify.family_of] falls through to an
+   infinite ratio, so no replica could ever outvote it. *)
+let test_registry_verify_families () =
+  List.iter
+    (fun e ->
+      let name = Estimator.name e in
+      match Verify.family_of name with
+      | Verify.Numeric { ratio } when not (Float.is_finite ratio) ->
+          Alcotest.failf "%S has no voting family" name
+      | _ -> ())
+    (Registry.all ())
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "core"
     [
+      ( "registry",
+        [
+          Alcotest.test_case "names unique" `Quick test_registry_names_unique;
+          Alcotest.test_case "verify family per name" `Quick
+            test_registry_verify_families;
+        ] );
       ( "common",
         [
           Alcotest.test_case "entry map" `Quick test_entry_map;
