@@ -73,7 +73,7 @@ let c4 ~quick =
   let clean_answers = Hashtbl.create 16 in
   List.iter
     (fun name ->
-      let packed = Option.get (Registry.find name) in
+      let est = Option.get (Registry.find name) in
       let a, b = inputs ~n name in
       let base_bits = ref 0 in
       List.iter
@@ -82,7 +82,7 @@ let c4 ~quick =
             let cfg = Fleet.config ~quorum:(workers - 1) ~replicas:r ~verify
                 ~workers ~seed ()
             in
-            match Fleet.run cfg packed ~a ~b with
+            match Fleet.run cfg est ~a ~b with
             | Ok rep -> rep
             | Error e ->
                 failwith
@@ -141,7 +141,7 @@ let c4 ~quick =
   let detected_at = Hashtbl.create 64 in
   List.iter
     (fun name ->
-      let packed = Option.get (Registry.find name) in
+      let est = Option.get (Registry.find name) in
       let a, b = inputs ~n name in
       let summary = Verify.summarize ~name ~a ~b in
       List.iter
@@ -154,7 +154,7 @@ let c4 ~quick =
               in
               let wire = byzantine_wire ~mode in
               let failures0 = Metrics.total "verify_failures" in
-              let result = Fleet.run ~wire cfg packed ~a ~b in
+              let result = Fleet.run ~wire cfg est ~a ~b in
               let vfailures = Metrics.total "verify_failures" - failures0 in
               let clean = Hashtbl.find clean_answers (name, r) in
               let detected, verdict =

@@ -76,11 +76,11 @@ let c3 ~quick =
   let all_full = ref true in
   List.iter
     (fun name ->
-      let packed = Option.get (Registry.find name) in
+      let est = Option.get (Registry.find name) in
       List.iter
         (fun k ->
           let cfg = Fleet.config ~workers:k ~seed () in
-          match Fleet.run cfg packed ~a ~b with
+          match Fleet.run cfg est ~a ~b with
           | Error _ -> all_full := false
           | Ok rep ->
               if Outcome.is_degraded rep.Fleet.answer then all_full := false;
@@ -109,7 +109,7 @@ let c3 ~quick =
     "every estimator answers Full over every fleet size";
 
   (* --- recovery: resume vs rerun for a crashed worker ----------------- *)
-  let packed = Option.get (Registry.find "lp p=0") in
+  let est = Option.get (Registry.find "lp p=0") in
   let workers = 4 and victim = 1 in
   (* one journaled message before the crash, so the Resume rung has a
      prefix to replay *)
@@ -128,7 +128,7 @@ let c3 ~quick =
   let victim_link (rep : Fleet.report) = List.nth rep.Fleet.links victim in
   let run ?journal ?(policy = Fleet.default_link_policy) wire =
     let cfg = Fleet.config ~workers ~link_policy:policy ?journal ~seed () in
-    match Fleet.run ~wire cfg packed ~a ~b with
+    match Fleet.run ~wire cfg est ~a ~b with
     | Ok rep -> rep
     | Error e -> failwith (Outcome.error_to_string e)
   in
@@ -244,7 +244,7 @@ let c3 ~quick =
       let wire = kill_ranks dead in
       let survivors = workers - List.length dead in
       let outcome, coverage, bound =
-        match Fleet.run ~wire cfg packed ~a ~b with
+        match Fleet.run ~wire cfg est ~a ~b with
         | Ok rep -> (
             match rep.Fleet.answer with
             | Outcome.Full _ ->

@@ -1186,19 +1186,18 @@ let print_suspects suspects =
 (* ------------------------------------------------------------------ *)
 (* estimate: any registered estimator by name *)
 
-let estimate_fleet c packed ~a ~b fleet ~chaos_spec ~deadline ~fleet_journal =
+let estimate_fleet c (e : Estimator.t) ~a ~b fleet ~chaos_spec ~deadline ~fleet_journal =
   let link_policy =
     { Fleet.default_link_policy with Fleet.deadline_s = deadline }
   in
   let cfg = fleet_config c fleet ~link_policy ?journal:fleet_journal () in
   let wire = chaos_wire ~seed:c.seed chaos_spec in
-  match Fleet.run ?wire cfg packed ~a ~b with
+  match Fleet.run ?wire cfg e ~a ~b with
   | Error e -> fleet_failed ~what:"fleet" cfg e
   | Ok rep ->
       if not c.json then begin
-        Printf.printf "%s over %d workers (quorum %d) — %s\n"
-          (Estimator.name packed) cfg.Fleet.workers cfg.Fleet.quorum
-          (Estimator.describe packed);
+        Printf.printf "%s over %d workers (quorum %d) — %s\n" e.name
+          cfg.Fleet.workers cfg.Fleet.quorum e.describe;
         List.iter
           (fun (l : Fleet.link_report) ->
             let rungs =
@@ -1228,7 +1227,7 @@ let estimate_fleet c packed ~a ~b fleet ~chaos_spec ~deadline ~fleet_journal =
       finish c
         (base_fields ~subcommand:"estimate" c
         @ [
-            ("estimator", Obs.Json.String (Estimator.name packed));
+            ("estimator", Obs.Json.String e.name);
             ( "answer",
               Obs.Json.String
                 (Format.asprintf "%a" Estimator.pp_comparable
@@ -1265,27 +1264,26 @@ let estimate_fleet c packed ~a ~b fleet ~chaos_spec ~deadline ~fleet_journal =
                    rep.Fleet.links) );
           ])
 
-let estimate c packed list_all fleet deadline fleet_journal chaos_spec =
+let estimate c (e : Estimator.t) list_all fleet deadline fleet_journal chaos_spec =
   start c;
   let { n; density; seed; verbose; _ } = c in
   if list_all then
     List.iter
-      (fun packed ->
-        let cost = Estimator.default_cost packed ~n in
-        Printf.printf "%-22s ~%-10.0f bits  %d rounds   %s\n"
-          (Estimator.name packed) cost.Estimator.bits cost.Estimator.rounds
-          (Estimator.describe packed))
-      (Registry.all ())
+      (fun (e : Estimator.t) ->
+        let cost = e.cost ~n in
+        Printf.printf "%-22s ~%-10.0f bits  %d rounds   %s\n" e.name
+          cost.Estimator.bits cost.Estimator.rounds e.describe)
+      Registry.all
   else
     let a, b = Workload.gen_pair ~zipf:false ~seed ~n ~density in
     if fleet.workers > 1 then
-      estimate_fleet c packed ~a ~b fleet ~chaos_spec ~deadline ~fleet_journal
+      estimate_fleet c e ~a ~b fleet ~chaos_spec ~deadline ~fleet_journal
     else
-      let predicted = Estimator.default_cost packed ~n in
+      let predicted = e.cost ~n in
       let run =
         run_ctx c ~seed (fun ctx ->
             install_chaos ~seed chaos_spec ctx;
-            Estimator.run_default_safe packed ctx ~a ~b)
+            Outcome.capture ctx (fun () -> e.run ctx ~a ~b))
       in
       match run.Ctx.output with
       | Error e ->
@@ -1294,8 +1292,7 @@ let estimate c packed list_all fleet deadline fleet_journal chaos_spec =
           exit 1
       | Ok (answer, _diag) ->
           if not c.json then begin
-            Printf.printf "%s — %s\n" (Estimator.name packed)
-              (Estimator.describe packed);
+            Printf.printf "%s — %s\n" e.name e.describe;
             Format.printf "answer            : %a@." Estimator.pp_comparable
               answer;
             Printf.printf "communication     : %d bits (predicted ~%.0f)\n"
@@ -1309,7 +1306,7 @@ let estimate c packed list_all fleet deadline fleet_journal chaos_spec =
           finish c
             (base_fields ~subcommand:"estimate" c
             @ [
-                ("estimator", Obs.Json.String (Estimator.name packed));
+                ("estimator", Obs.Json.String e.name);
                 ( "answer",
                   Obs.Json.String
                     (Format.asprintf "%a" Estimator.pp_comparable answer) );
@@ -1323,12 +1320,12 @@ let estimate_cmd =
     Arg.conv' ~docv:"ESTIMATOR"
       ( (fun name ->
           match Registry.find name with
-          | Some packed -> Ok packed
+          | Some e -> Ok e
           | None ->
               Error
                 (Printf.sprintf
                    "unknown estimator %S — try --list for the registry" name)),
-        fun ppf packed -> Format.pp_print_string ppf (Estimator.name packed) )
+        fun ppf (e : Estimator.t) -> Format.pp_print_string ppf e.name )
   in
   let name_arg =
     Arg.(

@@ -35,7 +35,7 @@ let close_journal t =
 
 let close t =
   close_journal t;
-  Transport.close t.transport
+  t.transport.close ()
 
 let transport t = t.transport
 
@@ -338,7 +338,7 @@ let send t ~from ~label codec v =
          transcript is already charged, so Sim and a faithful Tcp produce
          byte-identical transcripts. Replayed messages never get here —
          resume must not touch the wire. *)
-      let payload = Transport.deliver t.transport ~from ~label payload in
+      let payload = t.transport.deliver ~from ~label payload in
       (match t.journal with
       | Some jw -> Journal.append jw ~sender:from ~label ~payload
       | None -> ());

@@ -104,108 +104,66 @@ let read_frame fd = fst (read_frame_ctx fd)
 
 (* Backends *)
 
-module type S = sig
-  type conn
+type t = {
+  name : string;
+  deliver : from:Transcript.party -> label:string -> string -> string;
+  close : unit -> unit;
+}
 
-  val name : string
-
-  val deliver :
-    conn -> from:Transcript.party -> label:string -> string -> string
-
-  val close : conn -> unit
-end
-
-type t = Conn : (module S with type conn = 'a) * 'a -> t
-
-let name (Conn ((module B), _)) = B.name
-let deliver (Conn ((module B), c)) ~from ~label payload =
-  B.deliver c ~from ~label payload
-let close (Conn ((module B), c)) = B.close c
-
-module Sim = struct
-  type conn = unit
-
-  let name = "sim"
-  let deliver () ~from:_ ~label:_ payload = payload
-  let close () = ()
-end
-
-let sim () = Conn ((module Sim), ())
-
-module Tcp = struct
-  (* Both ends live in this process: Alice holds [a], Bob holds [b].
-     [deliver] writes on the sender's end and reads the frame back on the
-     receiver's end, interleaved under [select] so a payload larger than
-     the kernel socket buffers cannot deadlock the single thread driving
-     both ends. *)
-  type conn = {
-    a : Unix.file_descr;
-    b : Unix.file_descr;
-    mutable closed : bool;
-    mutable delivered : int;
+let sim () =
+  {
+    name = "sim";
+    deliver = (fun ~from:_ ~label:_ payload -> payload);
+    close = ignore;
   }
 
-  let name = "tcp"
+let chunk = 65536
 
-  let close c =
-    if not c.closed then begin
-      c.closed <- true;
-      (try Unix.close c.a with Unix.Unix_error _ -> ());
-      try Unix.close c.b with Unix.Unix_error _ -> ()
+(* Write [payload]'s frame on [wfd] and read it back on [rfd], interleaved
+   under [select] so a payload larger than the kernel socket buffers
+   cannot deadlock the single thread driving both ends. *)
+let pump ~wfd ~rfd ~label payload =
+  let out = frame payload in
+  let out_b = Bytes.unsafe_of_string out in
+  let total = Bytes.length out_b in
+  let sent = ref 0 in
+  let acc = Buffer.create (total + 16) in
+  let inbuf = Bytes.create chunk in
+  (* The frame is complete once we hold the 4-byte prefix plus the
+     declared body length. *)
+  let missing () =
+    let have = Buffer.length acc in
+    if have < 4 then 4 - have
+    else begin
+      let len = get_u32 (Buffer.sub acc 0 4) 0 in
+      if len > max_frame_bytes then
+        fail "frame: declared length %d too large" len;
+      4 + len - have
     end
-
-  let chunk = 65536
-
-  let deliver c ~from ~label payload =
-    if c.closed then fail "tcp: deliver on closed transport (label %s)" label;
-    let wfd, rfd =
-      match from with
-      | Transcript.Alice -> (c.a, c.b)
-      | Transcript.Bob -> (c.b, c.a)
-    in
-    let out = frame payload in
-    let out_b = Bytes.unsafe_of_string out in
-    let total = Bytes.length out_b in
-    let sent = ref 0 in
-    let acc = Buffer.create (total + 16) in
-    let inbuf = Bytes.create chunk in
-    (* The frame is complete once we hold the 4-byte prefix plus the
-       declared body length. *)
-    let missing () =
-      let have = Buffer.length acc in
-      if have < 4 then 4 - have
-      else begin
-        let len = get_u32 (Buffer.sub acc 0 4) 0 in
-        if len > max_frame_bytes then
-          fail "frame: declared length %d too large" len;
-        4 + len - have
-      end
-    in
-    let rec pump () =
-      let need = missing () in
-      let writing = !sent < total in
-      if need > 0 || writing then begin
-        let rl = if need > 0 then [ rfd ] else [] in
-        let wl = if writing then [ wfd ] else [] in
-        let r, w, _ = Unix.select rl wl [] 10.0 in
-        if r = [] && w = [] then
-          fail "tcp: delivery stalled for 10s (label %s)" label;
-        if w <> [] then begin
-          let n = Unix.write wfd out_b !sent (min chunk (total - !sent)) in
-          sent := !sent + n
-        end;
-        if r <> [] then begin
-          let n = Unix.read rfd inbuf 0 chunk in
-          if n = 0 then fail "tcp: peer closed mid-frame (label %s)" label;
-          Buffer.add_subbytes acc inbuf 0 n
-        end;
-        pump ()
-      end
-    in
-    pump ();
-    c.delivered <- c.delivered + 1;
-    fst (unframe (Buffer.contents acc))
-end
+  in
+  let rec go () =
+    let need = missing () in
+    let writing = !sent < total in
+    if need > 0 || writing then begin
+      let rl = if need > 0 then [ rfd ] else [] in
+      let wl = if writing then [ wfd ] else [] in
+      let r, w, _ = Unix.select rl wl [] 10.0 in
+      if r = [] && w = [] then
+        fail "tcp: delivery stalled for 10s (label %s)" label;
+      if w <> [] then begin
+        let n = Unix.write wfd out_b !sent (min chunk (total - !sent)) in
+        sent := !sent + n
+      end;
+      if r <> [] then begin
+        let n = Unix.read rfd inbuf 0 chunk in
+        if n = 0 then fail "tcp: peer closed mid-frame (label %s)" label;
+        Buffer.add_subbytes acc inbuf 0 n
+      end;
+      go ()
+    end
+  in
+  go ();
+  fst (unframe (Buffer.contents acc))
 
 let tcp_loopback () =
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -241,6 +199,21 @@ let tcp_loopback () =
   Unix.clear_nonblock a;
   Unix.setsockopt a Unix.TCP_NODELAY true;
   Unix.setsockopt b Unix.TCP_NODELAY true;
-  Conn ((module Tcp), { Tcp.a; b; closed = false; delivered = 0 })
+  (* Both ends live in this process: Alice holds [a], Bob holds [b]. *)
+  let closed = ref false in
+  let close () =
+    if not !closed then begin
+      closed := true;
+      (try Unix.close a with Unix.Unix_error _ -> ());
+      try Unix.close b with Unix.Unix_error _ -> ()
+    end
+  in
+  let deliver ~from ~label payload =
+    if !closed then fail "tcp: deliver on closed transport (label %s)" label;
+    match from with
+    | Transcript.Alice -> pump ~wfd:a ~rfd:b ~label payload
+    | Transcript.Bob -> pump ~wfd:b ~rfd:a ~label payload
+  in
+  { name = "tcp"; deliver; close }
 
 type factory = unit -> t

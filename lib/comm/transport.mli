@@ -1,24 +1,25 @@
-(** Pluggable physical transports under the logical {!Channel}.
+(** Physical transports under the logical {!Channel}.
 
-    A transport carries one already-encoded logical message ("the payload
+    A transport is a plain record of closures over one connection's state.
+    It carries one already-encoded logical message ("the payload
     the receiver accepted" — after the fault model and the {!Reliable}
     ARQ, if armed, have done their work) from one party to the other and
     hands back the bytes the receiver observed. The {!Channel} charges
     the transcript {e before} delivery, so two backends that deliver
     faithfully produce byte-identical transcripts at the same seed:
 
-    - {b Sim} — the historical in-process wire: delivery is the identity
+    - {!sim} — the historical in-process wire: delivery is the identity
       on the payload. Zero overhead, and the default everywhere, so every
       pre-existing gallery keeps passing bit-for-bit.
-    - {b Tcp} — a real loopback socket pair: the payload crosses a Unix
+    - {!tcp_loopback} — a real loopback socket pair: the payload crosses a Unix
       TCP connection framed as [len(4B BE) ++ flags(1B) ++ [ctx(18B)] ++
       payload ++ CRC32(4B)], where [ctx] is the out-of-band 18-byte
       telemetry context frame ({!Matprod_obs.Trace.context_frame}),
       present when tracing is on (flags bit 0). Frame overhead is
       physical, not logical: the transcript still prices exactly the
-      payload bytes, as with [Sim].
+      payload bytes, as with {!sim}.
 
-    Both ends of the [Tcp] pair live in this process, so [deliver]
+    Both ends of the loopback pair live in this process, so [deliver]
     interleaves writing and reading via [select] — a message larger than
     the socket buffers cannot deadlock the caller.
 
@@ -26,25 +27,13 @@
     protocol; the blocking {!write_frame}/{!read_frame} helpers are the
     daemon's I/O layer. *)
 
-(** Backend signature. [deliver] must return the exact bytes the receiving
-    party observes; [close] releases OS resources and is idempotent. *)
-module type S = sig
-  type conn
-
-  val name : string
-
-  val deliver :
-    conn -> from:Transcript.party -> label:string -> string -> string
-
-  val close : conn -> unit
-end
-
-type t = Conn : (module S with type conn = 'a) * 'a -> t
-(** A backend packed with its live connection state. *)
-
-val name : t -> string
-val deliver : t -> from:Transcript.party -> label:string -> string -> string
-val close : t -> unit
+type t = {
+  name : string;
+  deliver : from:Transcript.party -> label:string -> string -> string;
+      (** the exact bytes the receiving party observes *)
+  close : unit -> unit;  (** release OS resources; idempotent *)
+}
+(** A backend: closures over its live connection state. *)
 
 val sim : unit -> t
 (** The in-process simulator: delivery is the identity. *)

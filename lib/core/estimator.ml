@@ -11,55 +11,20 @@ type comparable =
 
 type cost = { bits : float; rounds : int }
 
-module type S = sig
-  type query
-  type answer
+type t = {
+  name : string;
+  describe : string;
+  cost : n:int -> cost;
+  run : Ctx.t -> a:Bmat.t -> b:Bmat.t -> comparable;
+}
 
-  val name : string
-  val describe : string
-  val default_query : query
-  val cost_model : query -> n:int -> cost
-  val run : Ctx.t -> query -> a:Bmat.t -> b:Bmat.t -> answer
-
-  val run_safe :
-    Ctx.t ->
-    query ->
-    a:Bmat.t ->
-    b:Bmat.t ->
-    (answer * Outcome.diagnostics, Outcome.error) result
-
-  val comparable : answer -> comparable
-end
-
-type packed = (module S)
-
-let make (type q r) ~name ~describe ~(default : q) ~cost
-    ~(comparable : r -> comparable)
-    (run : Ctx.t -> q -> a:Bmat.t -> b:Bmat.t -> r) : packed =
-  (module struct
-    type query = q
-    type answer = r
-
-    let name = name
-    let describe = describe
-    let default_query = default
-    let cost_model = cost
-    let run = run
-    let run_safe ctx query ~a ~b = Outcome.capture ctx (fun () -> run ctx query ~a ~b)
-    let comparable = comparable
-  end)
-
-let name (module E : S) = E.name
-let describe (module E : S) = E.describe
-let default_cost (module E : S) ~n = E.cost_model E.default_query ~n
-
-let run_default (module E : S) ctx ~a ~b =
-  E.comparable (E.run ctx E.default_query ~a ~b)
-
-let run_default_safe (module E : S) ctx ~a ~b =
-  Result.map
-    (fun (ans, d) -> (E.comparable ans, d))
-    (E.run_safe ctx E.default_query ~a ~b)
+let make ~name ~describe ~default ~cost ~comparable run =
+  {
+    name;
+    describe;
+    cost = cost default;
+    run = (fun ctx ~a ~b -> comparable (run ctx default ~a ~b));
+  }
 
 let pp_entry ppf (i, j, v) = Format.fprintf ppf "(%d, %d) = %d" i j v
 

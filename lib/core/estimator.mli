@@ -1,13 +1,12 @@
-(** The uniform estimator interface every protocol driver is packaged
-    behind.
+(** The uniform estimator value every protocol driver is packaged as.
 
-    Historically each statistic was its own one-shot driver with an ad-hoc
-    signature ([Lp_protocol.run] returns [float], [Matprod_protocol.run]
-    returns shares, the heavy-hitter drivers return coordinate lists).
-    {!S} gives them one shape — a query type, an answer type, a predicted
-    {!cost}, and [run]/[run_safe] entry points over a binary workload — so
+    Each statistic is its own driver with its own signature
+    ([Lp_protocol.run] returns [float], [Matprod_protocol.run] returns
+    shares, the heavy-hitter drivers return coordinate lists). {!t} gives
+    them one shape — a name, a description, a predicted {!cost} and a
+    [run] over a binary workload, all at the driver's default query — so
     generic machinery (the {!Registry}, the chaos gallery, the CLI, the
-    batched engine's fallback paths) can treat "a protocol" as a value.
+    fleet) can treat "a protocol" as a plain value.
 
     The original per-driver [run] functions remain the real
     implementations and the documented direct entry points; an estimator
@@ -33,50 +32,24 @@ type cost = { bits : float; rounds : int }
     its log factors made concrete) and speaking phases. Advisory — the
     transcript is the ground truth. *)
 
-(** The interface. [query] carries the accuracy/shape parameters (each
-    driver's existing [params] type, typically); [answer] is the driver's
-    native result, projected into {!comparable} by [comparable]. *)
-module type S = sig
-  type query
-  type answer
-
-  val name : string
-  (** Registry key, unique. *)
-
-  val describe : string
-  (** One-line human description (paper reference included). *)
-
-  val default_query : query
-  (** The canonical small-instance query used by the chaos gallery, the
-      journal byte-identity suite, and [matprod estimate]. *)
-
-  val cost_model : query -> n:int -> cost
-  (** Predicted cost on an n×n workload. *)
-
-  val run :
+type t = {
+  name : string;  (** registry key, unique *)
+  describe : string;  (** one line, paper reference included *)
+  cost : n:int -> cost;  (** predicted cost of the default query, n×n *)
+  run :
     Matprod_comm.Ctx.t ->
-    query ->
     a:Matprod_matrix.Bmat.t ->
     b:Matprod_matrix.Bmat.t ->
-    answer
-  (** Run over a binary workload (integer drivers lift via
-      [Imat.of_bmat]). All randomness comes from the context, so equal
-      seeds give equal answers — the property the chaos and journal
-      galleries assert. *)
-
-  val run_safe :
-    Matprod_comm.Ctx.t ->
-    query ->
-    a:Matprod_matrix.Bmat.t ->
-    b:Matprod_matrix.Bmat.t ->
-    (answer * Outcome.diagnostics, Outcome.error) result
-  (** [run] under the {!Outcome} trichotomy. *)
-
-  val comparable : answer -> comparable
-end
-
-type packed = (module S)
-(** An estimator as a first-class value — what the {!Registry} stores. *)
+    comparable;
+      (** run the default query over a binary workload (integer drivers
+          lift via [Imat.of_bmat]). All randomness comes from the
+          context, so equal seeds give equal answers — the property the
+          chaos and journal galleries assert. Wrap in {!Outcome.capture}
+          for the fail-safe trichotomy. *)
+}
+(** An estimator at its default query: the canonical small-instance query
+    the chaos gallery, the journal byte-identity suite, the fleet and
+    [matprod estimate] all run. *)
 
 val make :
   name:string ->
@@ -89,31 +62,8 @@ val make :
   a:Matprod_matrix.Bmat.t ->
   b:Matprod_matrix.Bmat.t ->
   'r) ->
-  packed
-(** Package a driver: [run_safe] is derived as [Outcome.capture] of [run],
-    the one fail-safe wrapper every driver call goes through. *)
-
-val name : packed -> string
-val describe : packed -> string
-
-val default_cost : packed -> n:int -> cost
-(** {!S.cost_model} at the default query. *)
-
-val run_default :
-  packed ->
-  Matprod_comm.Ctx.t ->
-  a:Matprod_matrix.Bmat.t ->
-  b:Matprod_matrix.Bmat.t ->
-  comparable
-(** Run the default query and project the answer — the gallery entry
-    point. *)
-
-val run_default_safe :
-  packed ->
-  Matprod_comm.Ctx.t ->
-  a:Matprod_matrix.Bmat.t ->
-  b:Matprod_matrix.Bmat.t ->
-  (comparable * Outcome.diagnostics, Outcome.error) result
-(** Fail-safe {!run_default}. *)
+  t
+(** Package a driver: [cost] and [run] close over [default], and [run]
+    projects the driver's native answer through [comparable]. *)
 
 val pp_comparable : Format.formatter -> comparable -> unit

@@ -95,4 +95,4 @@ val capture :
   Matprod_comm.Ctx.t -> (unit -> 'a) -> ('a * diagnostics, error) result
 (** {!guard} plus {!diagnostics_of_ctx} on success — the one fail-safe
     wrapper: callers write [capture ctx (fun () -> Driver.run ctx ...)],
-    and {!Estimator.make} derives every estimator's [run_safe] from it. *)
+    an estimator's [capture ctx (fun () -> e.run ctx ~a ~b)] included. *)

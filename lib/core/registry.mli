@@ -1,21 +1,17 @@
-(** Central estimator registry: name → packed {!Estimator}, enumerable.
+(** The estimator registry: every core driver as an {!Estimator.t}, in
+    presentation order.
 
-    Every core driver is installed at load time (from
-    {!Estimator_impls.all}); extensions may {!register} more. The chaos
-    gallery ([test/test_faults.ml]), the journal byte-identity suite
-    ([test/test_plan.ml]), and the CLI's [estimate] subcommand all
-    enumerate {!all}, so an estimator registered here automatically gains
-    fault, crash-recovery, and domain-determinism coverage — and one that
-    is {e not} registered fails the registry-coverage test. *)
+    Each entry lifts the binary workload into its driver's native matrix
+    type and calls the driver's documented entry point at a default query
+    that reproduces the chaos-gallery parameters (small instances, coarse
+    accuracy). The chaos gallery ([test/test_faults.ml]), the journal
+    byte-identity suite ([test/test_plan.ml]), the fleet galleries and the
+    CLI's [estimate] subcommand all enumerate {!all}, so an entry added
+    here automatically gains fault, crash-recovery and domain-determinism
+    coverage. *)
 
-val register : Estimator.packed -> unit
-(** Install an estimator. Raises [Invalid_argument] on a duplicate name. *)
+val all : Estimator.t list
+(** Every entry, in presentation order. Names are unique. *)
 
-val find : string -> Estimator.packed option
-
-val all : unit -> Estimator.packed list
-(** Built-ins first (in {!Estimator_impls.all} order), then extensions in
-    registration order. *)
-
-val names : unit -> string list
-(** The names of {!all}, same order. *)
+val find : string -> Estimator.t option
+(** The entry of that name. *)

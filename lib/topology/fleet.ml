@@ -424,13 +424,13 @@ let drive ?wire cfg ~protocol ~a ~seed_of ~corrupt ~shard ~merge =
           in
           Ok (graded, links, suspects))
 
-let run ?wire cfg packed ~a ~b =
-  let name = Estimator.name packed in
+let run ?wire cfg (e : Estimator.t) ~a ~b =
+  let name = e.name in
   let shard range =
     let shard_a = Shard.slice a range in
     let summary = lazy (Verify.summarize ~name ~a:shard_a ~b) in
     {
-      body = (fun ctx -> Estimator.run_default packed ctx ~a:shard_a ~b);
+      body = (fun ctx -> e.run ctx ~a:shard_a ~b);
       check = (fun ~seed v -> Verify.check (Lazy.force summary) ~seed v);
       vote =
         (fun answers ->

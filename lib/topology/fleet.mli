@@ -147,7 +147,7 @@ type report = {
 val run :
   ?wire:(rank:int -> replica:int -> attempt:int -> Matprod_comm.Ctx.t -> unit) ->
   config ->
-  Matprod_core.Estimator.packed ->
+  Matprod_core.Estimator.t ->
   a:Matprod_matrix.Bmat.t ->
   b:Matprod_matrix.Bmat.t ->
   (report, Matprod_core.Outcome.error) result

@@ -1116,7 +1116,7 @@ let qcheck_protocol_tests =
 (* Registry-wide invariants *)
 
 let test_registry_names_unique () =
-  let names = List.map Estimator.name (Registry.all ()) in
+  let names = List.map (fun (e : Estimator.t) -> e.name) Registry.all in
   check Alcotest.int "20 entries" 20 (List.length names);
   check Alcotest.int "names unique" (List.length names)
     (List.length (List.sort_uniq compare names))
@@ -1125,13 +1125,12 @@ let test_registry_names_unique () =
    infinite ratio, so no replica could ever outvote it. *)
 let test_registry_verify_families () =
   List.iter
-    (fun e ->
-      let name = Estimator.name e in
-      match Verify.family_of name with
+    (fun (e : Estimator.t) ->
+      match Verify.family_of e.name with
       | Verify.Numeric { ratio } when not (Float.is_finite ratio) ->
-          Alcotest.failf "%S has no voting family" name
+          Alcotest.failf "%S has no voting family" e.name
       | _ -> ())
-    (Registry.all ())
+    Registry.all
 
 (* ------------------------------------------------------------------ *)
 

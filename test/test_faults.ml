@@ -74,9 +74,8 @@ let protocols ~seed =
   let a = Workload.uniform_bool rng ~rows:n ~cols:n ~density:0.25 in
   let b = Workload.uniform_bool rng ~rows:n ~cols:n ~density:0.25 in
   List.map
-    (fun packed ->
-      (Estimator.name packed, fun ctx -> Estimator.run_default packed ctx ~a ~b))
-    (Registry.all ())
+    (fun (e : Estimator.t) -> (e.name, fun ctx -> e.run ctx ~a ~b))
+    Registry.all
 
 let protocol_exn name ~seed =
   match List.assoc_opt name (protocols ~seed) with
@@ -844,13 +843,10 @@ let test_byzantine_corruption_gallery () =
       let a = Workload.uniform_bool rng ~rows:n ~cols:n ~density:0.25 in
       let b = Workload.uniform_bool rng ~rows:n ~cols:n ~density:0.25 in
       List.iter
-        (fun packed ->
-          let name = Estimator.name packed in
+        (fun (e : Estimator.t) ->
+          let name = e.name in
           let summary = Verify.summarize ~name ~a ~b in
-          let honest =
-            (Ctx.run ~seed (fun ctx -> Estimator.run_default packed ctx ~a ~b))
-              .Ctx.output
-          in
+          let honest = (Ctx.run ~seed (fun ctx -> e.run ctx ~a ~b)).Ctx.output in
           (match Verify.check summary ~seed honest with
           | Verify.Pass -> ()
           | Verify.Fail { invariant; detail } ->
@@ -876,7 +872,7 @@ let test_byzantine_corruption_gallery () =
                         (* a 2-replica vote against an honest twin flags it *)
                         incr vote_detected))
             Fault.all_byzantine_modes)
-        (Registry.all ()))
+        Registry.all)
     seeds;
   check Alcotest.bool "validators caught something" true (!check_detected > 0);
   if !check_detected + !vote_detected + !within = 0 then

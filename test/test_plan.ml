@@ -289,9 +289,8 @@ let protocols ~seed =
   let a = Workload.uniform_bool rng ~rows:n ~cols:n ~density:0.25 in
   let b = Workload.uniform_bool rng ~rows:n ~cols:n ~density:0.25 in
   List.map
-    (fun packed ->
-      (Estimator.name packed, fun ctx -> Estimator.run_default packed ctx ~a ~b))
-    (Registry.all ())
+    (fun (e : Estimator.t) -> (e.name, fun ctx -> e.run ctx ~a ~b))
+    Registry.all
 
 let read_all path =
   let ic = open_in_bin path in

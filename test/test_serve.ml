@@ -107,16 +107,16 @@ let test_frame_io_over_socketpair () =
 
 let test_tcp_loopback_deliver () =
   let t = Transport.tcp_loopback () in
-  Fun.protect ~finally:(fun () -> Transport.close t) @@ fun () ->
+  Fun.protect ~finally:t.Transport.close @@ fun () ->
   check Alcotest.string "small" "ping"
-    (Transport.deliver t ~from:Transcript.Alice ~label:"l" "ping");
+    (t.Transport.deliver ~from:Transcript.Alice ~label:"l" "ping");
   (* Big enough to overflow any socket buffer: the deliver pump must
      interleave writes and reads since both ends live in this process. *)
   let big = String.init 3_000_000 (fun i -> Char.chr (i land 0xff)) in
   check Alcotest.bool "3MB payload" true
-    (Transport.deliver t ~from:Transcript.Bob ~label:"big" big = big);
+    (t.Transport.deliver ~from:Transcript.Bob ~label:"big" big = big);
   check Alcotest.string "alternating" "after"
-    (Transport.deliver t ~from:Transcript.Alice ~label:"l" "after")
+    (t.Transport.deliver ~from:Transcript.Alice ~label:"l" "after")
 
 (* ------------------------------------------------------------------ *)
 (* Sim/Tcp byte-identity over the whole registry *)
@@ -127,9 +127,8 @@ let gallery ~seed =
   let a = Workload.uniform_bool rng ~rows:n ~cols:n ~density:0.25 in
   let b = Workload.uniform_bool rng ~rows:n ~cols:n ~density:0.25 in
   List.map
-    (fun packed ->
-      (Estimator.name packed, fun ctx -> Estimator.run_default packed ctx ~a ~b))
-    (Registry.all ())
+    (fun (e : Estimator.t) -> (e.name, fun ctx -> e.run ctx ~a ~b))
+    Registry.all
 
 let msg_to_string (m : Transcript.message) =
   Printf.sprintf "%s r%d %s %dB"

@@ -300,9 +300,9 @@ let test_straggle_validation () =
    reruns at the same seed. *)
 let test_straggle_reproducible () =
   let a, b = bool_pair 11 ~n:24 ~density:0.2 in
-  let packed = Option.get (Registry.find "lp p=1") in
+  let est = Option.get (Registry.find "lp p=1") in
   let clean =
-    (Ctx.run ~seed:5 (fun ctx -> Estimator.run_default packed ctx ~a ~b))
+    (Ctx.run ~seed:5 (fun ctx -> est.run ctx ~a ~b))
       .Ctx.output
   in
   let run () =
@@ -310,7 +310,7 @@ let test_straggle_reproducible () =
         Ctx.install_wire ctx
           ~fault:(Fault.straggle_only ~after:1 ~burst:2 ~delay_s:5.0 ())
           ();
-        let out = Estimator.run_default packed ctx ~a ~b in
+        let out = est.run ctx ~a ~b in
         (out, Ctx.wire_stats ctx, Outcome.diagnostics_of_ctx ctx))
   in
   let (out1, stats1, diag1) = (run ()).Ctx.output in
@@ -383,9 +383,9 @@ let test_fleet_gallery () =
   let a, b = bool_pair 31 ~n:17 ~density:0.35 in
   let cfg = Fleet.config ~workers:4 ~seed:7 () in
   List.iter
-    (fun packed ->
-      let name = Estimator.name packed in
-      match (Fleet.run cfg packed ~a ~b, Fleet.run cfg packed ~a ~b) with
+    (fun (est : Estimator.t) ->
+      let name = est.name in
+      match (Fleet.run cfg est ~a ~b, Fleet.run cfg est ~a ~b) with
       | Ok r1, Ok r2 ->
           check Alcotest.bool (name ^ ": full") false
             (Outcome.is_degraded r1.Fleet.answer);
@@ -394,7 +394,7 @@ let test_fleet_gallery () =
             (r1.Fleet.answer = r2.Fleet.answer)
       | Error e, _ | _, Error e ->
           Alcotest.failf "%s: %s" name (Outcome.error_to_string e))
-    (Registry.all ())
+    Registry.all
 
 (* (k-1)-quorum: for EVERY estimator, permanently crash one worker at
    quorum k-1 and require a Degraded answer equal to the full-fleet merge
@@ -404,10 +404,10 @@ let test_quorum_equivalence () =
   let workers = 4 in
   let cfg = Fleet.config ~workers ~quorum:(workers - 1) ~seed:7 () in
   List.iter
-    (fun packed ->
-      let name = Estimator.name packed in
+    (fun (est : Estimator.t) ->
+      let name = est.name in
       let full =
-        match Fleet.run cfg packed ~a ~b with
+        match Fleet.run cfg est ~a ~b with
         | Ok r -> r
         | Error e -> Alcotest.failf "%s full: %s" name (Outcome.error_to_string e)
       in
@@ -429,7 +429,7 @@ let test_quorum_equivalence () =
           let wire ~rank ~replica:_ ~attempt ctx =
             permanent_crash ~victim ~rank ~attempt ctx
           in
-          match Fleet.run ~wire cfg packed ~a ~b with
+          match Fleet.run ~wire cfg est ~a ~b with
           | Error e ->
               Alcotest.failf "%s victim %d: %s" name victim
                 (Outcome.error_to_string e)
@@ -453,7 +453,7 @@ let test_quorum_equivalence () =
                     Alcotest.failf "%s victim %d: got %s want %s" name victim
                       (str v) (str expected)))
         (chaos_ranks ~workers))
-    (Registry.all ())
+    Registry.all
 
 (* Chaos gallery: every estimator, one worker hit by a transient crash or
    a straggle spike, with per-link journals armed. The ladder must bring
@@ -472,10 +472,10 @@ let test_chaos_gallery () =
     [ ("transient-crash", transient_crash); ("straggle", transient_straggle) ]
   in
   List.iter
-    (fun packed ->
-      let name = Estimator.name packed in
+    (fun (est : Estimator.t) ->
+      let name = est.name in
       let clean =
-        match Fleet.run cfg packed ~a ~b with
+        match Fleet.run cfg est ~a ~b with
         | Ok r -> Outcome.graded_value r.Fleet.answer
         | Error e -> Alcotest.failf "%s clean: %s" name (Outcome.error_to_string e)
       in
@@ -486,7 +486,7 @@ let test_chaos_gallery () =
               let wire ~rank ~replica:_ ~attempt ctx =
                 inject ~victim ~rank ~attempt ctx
               in
-              match Fleet.run ~wire cfg packed ~a ~b with
+              match Fleet.run ~wire cfg est ~a ~b with
               | Error e ->
                   Alcotest.failf "%s %s victim %d: %s" name kind victim
                     (Outcome.error_to_string e)
@@ -514,7 +514,7 @@ let test_chaos_gallery () =
                   end)
             chaos)
         (chaos_ranks ~workers))
-    (Registry.all ())
+    Registry.all
 
 (* Straggler economics: the resumed attempt replays the journaled prefix
    for free, so recovery costs strictly less than a fresh rerun. *)
@@ -541,11 +541,11 @@ let test_byzantine_gallery () =
     | None -> false
   in
   List.iter
-    (fun packed ->
-      let name = Estimator.name packed in
+    (fun (est : Estimator.t) ->
+      let name = est.name in
       let summary = Verify.summarize ~name ~a ~b in
       let clean =
-        match Fleet.run cfg packed ~a ~b with
+        match Fleet.run cfg est ~a ~b with
         | Error e ->
             Alcotest.failf "%s clean: %s" name (Outcome.error_to_string e)
         | Ok rep ->
@@ -559,7 +559,7 @@ let test_byzantine_gallery () =
       | Verify.Exact -> (
           (* replica 0 runs at the fleet seed, so replication must not
              move a deterministic answer *)
-          match Fleet.run (Fleet.config ~workers ~seed:7 ()) packed ~a ~b with
+          match Fleet.run (Fleet.config ~workers ~seed:7 ()) est ~a ~b with
           | Ok rep ->
               if Outcome.graded_value rep.Fleet.answer <> clean then
                 Alcotest.failf "%s: replicas changed a deterministic answer"
@@ -583,7 +583,7 @@ let test_byzantine_gallery () =
                       (Fault.byzantine_only ~seed:(91 * (victim + 1)) ~mode ())
                     ()
               in
-              match Fleet.run ~wire cfg packed ~a ~b with
+              match Fleet.run ~wire cfg est ~a ~b with
               | Error (Outcome.Byzantine_detected _) ->
                   (* whole replica group indicted: typed, never silent *)
                   ()
@@ -606,18 +606,18 @@ let test_byzantine_gallery () =
                           label (str v) (str clean)))
             byzantine_modes)
         (chaos_ranks ~workers))
-    (Registry.all ())
+    Registry.all
 
 let test_straggler_resume_saves_bits () =
   let a, b = bool_pair 61 ~n:24 ~density:0.3 in
-  let packed = Option.get (Registry.find "lp p=1") in
+  let est = Option.get (Registry.find "lp p=1") in
   with_tmp_journal "straggler" @@ fun base ->
   let lp = { Fleet.default_link_policy with Fleet.deadline_s = Some 0.5 } in
   let cfg = Fleet.config ~workers:4 ~link_policy:lp ~journal:base ~seed:7 () in
   let wire ~rank ~replica:_ ~attempt ctx =
     transient_straggle ~victim:1 ~rank ~attempt ctx
   in
-  match Fleet.run ~wire cfg packed ~a ~b with
+  match Fleet.run ~wire cfg est ~a ~b with
   | Error e -> Alcotest.failf "straggler fleet: %s" (Outcome.error_to_string e)
   | Ok rep ->
       let l = List.nth rep.Fleet.links 1 in
@@ -633,7 +633,7 @@ let test_straggler_resume_saves_bits () =
 
 let test_quorum_sweep () =
   let a, b = bool_pair 71 ~n:16 ~density:0.3 in
-  let packed = Option.get (Registry.find "lp p=0") in
+  let est = Option.get (Registry.find "lp p=0") in
   let workers = 4 in
   let wire ~rank ~replica:_ ~attempt ctx =
     permanent_crash ~victim:1 ~rank ~attempt ctx;
@@ -642,7 +642,7 @@ let test_quorum_sweep () =
   List.iter
     (fun (quorum, expect_ok) ->
       let cfg = Fleet.config ~workers ~quorum ~seed:7 () in
-      match Fleet.run ~wire cfg packed ~a ~b with
+      match Fleet.run ~wire cfg est ~a ~b with
       | Ok rep ->
           if not expect_ok then
             Alcotest.failf "quorum %d should fail with 2 dead links" quorum;
