@@ -12,7 +12,7 @@ let lp ~name ~p ~describe =
   Estimator.make ~name ~describe
     ~default:(Lp_protocol.default_params ~p ~eps:0.5 ())
     ~cost:(fun (prm : Lp_protocol.params) ~n ->
-      { Estimator.bits = 64.0 *. fn n *. ln n /. prm.Lp_protocol.eps; rounds = 3 })
+      { Estimator.bits = 64.0 *. fn n *. ln n /. prm.Lp_protocol.eps; rounds = 2 })
     ~comparable:(fun x -> Estimator.Number x)
     (on_imat Lp_protocol.run)
 
@@ -101,7 +101,7 @@ let linf_kappa =
     ~default:(Linf_kappa.default_params ~kappa:4.0)
     ~cost:(fun (prm : Linf_kappa.params) ~n ->
       { Estimator.bits = 64.0 *. (fn n ** 1.5) *. ln n /. prm.Linf_kappa.kappa;
-        rounds = 5 })
+        rounds = 3 })
     ~comparable:(fun (r : Linf_kappa.result) ->
       Estimator.Leveled (r.Linf_kappa.estimate, r.Linf_kappa.level))
     (fun ctx prm ~a ~b -> Linf_kappa.run ctx prm ~a ~b)
@@ -144,7 +144,7 @@ let hh_general =
     ~default:(Hh_general.default_params ~phi:0.2 ~eps:0.1 ())
     ~cost:(fun (prm : Hh_general.params) ~n ->
       let e = prm.Hh_general.eps and phi = prm.Hh_general.phi in
-      { Estimator.bits = 64.0 *. sqrt phi /. e *. fn n *. ln n; rounds = 5 })
+      { Estimator.bits = 64.0 *. sqrt phi /. e *. fn n *. ln n; rounds = 3 })
     ~comparable:(fun cs -> Estimator.Coords cs)
     (on_imat Hh_general.run)
 
@@ -164,7 +164,7 @@ let session =
     ~describe:"amortised query session: establish at beta, then refine"
     ~default:0.5
     ~cost:(fun beta ~n ->
-      { Estimator.bits = 64.0 *. fn n *. ln n /. (beta *. beta); rounds = 3 })
+      { Estimator.bits = 64.0 *. fn n *. ln n /. (beta *. beta); rounds = 2 })
     ~comparable:(fun x -> Estimator.Number x)
     (on_imat (fun ctx beta ~a ~b ->
          let s = Session.establish ctx ~beta ~a ~b in
@@ -190,7 +190,7 @@ let joins_disjointness =
   Estimator.make ~name:"joins disjointness"
     ~describe:"set-disjointness join: n*m - ||AB||_0 via Algorithm 1"
     ~default:0.25
-    ~cost:(fun eps ~n -> { Estimator.bits = 64.0 *. fn n *. ln n /. eps; rounds = 3 })
+    ~cost:(fun eps ~n -> { Estimator.bits = 64.0 *. fn n *. ln n /. eps; rounds = 2 })
     ~comparable:(fun x -> Estimator.Number x)
     (fun ctx eps ~a ~b -> Joins.disjointness_join ctx ~eps ~a ~b)
 
@@ -203,7 +203,7 @@ let joins_atleast =
           64.0 *. fn n *. ln n
           *. float_of_int (max 1 prm.Joins.samples)
           /. fn (max 1 n);
-        rounds = 3 })
+        rounds = 2 })
     ~comparable:(fun x -> Estimator.Number x)
     (fun ctx (prm, t) ~a ~b -> Joins.at_least_t_join ctx prm ~t ~a ~b)
 

@@ -1132,6 +1132,21 @@ let test_registry_verify_families () =
       | _ -> ())
     Registry.all
 
+(* Each entry's cost model names the rounds its default query takes on
+   [matprod estimate]'s workload (density 0.05, seed 1). *)
+let test_registry_predicted_rounds () =
+  List.iter
+    (fun n ->
+      let a, b = Workload.gen_pair ~zipf:false ~seed:1 ~n ~density:0.05 in
+      List.iter
+        (fun (e : Estimator.t) ->
+          let run = Ctx.run ~seed:1 (fun ctx -> e.run ctx ~a ~b) in
+          check Alcotest.int
+            (Printf.sprintf "%s rounds at n = %d" e.name n)
+            (e.cost ~n).Estimator.rounds run.Ctx.rounds)
+        Registry.all)
+    [ 32; 64; 128 ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1142,6 +1157,8 @@ let () =
           Alcotest.test_case "names unique" `Quick test_registry_names_unique;
           Alcotest.test_case "verify family per name" `Quick
             test_registry_verify_families;
+          Alcotest.test_case "predicted rounds" `Quick
+            test_registry_predicted_rounds;
         ] );
       ( "common",
         [
