@@ -47,6 +47,13 @@ type common = {
   transport : backend;
 }
 
+(* Cross-field checks a per-flag converter cannot express: the first one
+   that fails is a usage error (exit 124), like a malformed flag. *)
+let validated checks run =
+  match List.find_opt fst checks with
+  | Some (_, msg) -> `Error (true, msg)
+  | None -> `Ok (run ())
+
 let common_term =
   let n_arg =
     Arg.(
@@ -115,11 +122,18 @@ let common_term =
              (docs/SERVING.md).")
   in
   let make n density seed verbose domains json trace trace_format transport =
+    validated
+      [
+        ( Option.fold ~none:false ~some:(fun d -> d < 1) domains,
+          "--domains must be >= 1" );
+      ]
+    @@ fun () ->
     { n; density; seed; verbose; domains; json; trace; trace_format; transport }
   in
   Term.(
-    const make $ n_arg $ density_arg $ seed_arg $ verbose_arg $ domains_arg
-    $ json_arg $ trace_arg $ trace_format_arg $ transport_arg)
+    ret
+      (const make $ n_arg $ density_arg $ seed_arg $ verbose_arg $ domains_arg
+     $ json_arg $ trace_arg $ trace_format_arg $ transport_arg))
 
 let eps_arg =
   Arg.(
@@ -142,13 +156,6 @@ let transport_conn c = Option.map (fun f -> f ()) (transport_factory c)
 
 (* A choice whose value keeps its spelling, for banners and summaries. *)
 let named_enum choices = Arg.enum (List.map (fun (s, v) -> (s, (s, v))) choices)
-
-(* Cross-field checks a per-flag converter cannot express: the first one
-   that fails is a usage error (exit 124), like a malformed flag. *)
-let validated checks run =
-  match List.find_opt fst checks with
-  | Some (_, msg) -> `Error (true, msg)
-  | None -> `Ok (run ())
 
 (* One grammar for every fault knob (lib/comm/chaos.mli). *)
 let chaos_arg =
@@ -1118,9 +1125,16 @@ let fleet_term =
                 violators.")
   in
   let make workers quorum replicas verify =
-    { workers; quorum; replicas; verify }
+    validated
+      [
+        (workers < 1, "--workers must be >= 1");
+        (replicas < 1 || replicas > 16, "--replicas must be in [1, 16]");
+        ( Option.fold ~none:false ~some:(fun q -> q < 1 || q > workers) quorum,
+          "--quorum must be in [1, --workers]" );
+      ]
+    @@ fun () -> { workers; quorum; replicas; verify }
   in
-  Term.(const make $ workers_arg $ quorum_arg $ replicas_arg $ verify_arg)
+  Term.(ret (const make $ workers_arg $ quorum_arg $ replicas_arg $ verify_arg))
 
 let fleet_config c f ?link_policy ?journal () =
   Fleet.config ?quorum:f.quorum ~replicas:f.replicas ~verify:f.verify
