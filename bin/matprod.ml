@@ -79,10 +79,9 @@ let common_term =
       & opt (some int) None
       & info [ "domains" ] ~docv:"D"
           ~doc:
-            "Fan per-row sketch loops out over $(docv) domains (default \
-             $(b,MATPROD_DOMAINS), else 1 = sequential). Estimates and \
-             transcripts are byte-identical at any value \
-             (docs/PERFORMANCE.md).")
+            "Fan per-row sketch loops out over $(docv) domains (default 1 \
+             = sequential). Estimates and transcripts are byte-identical at \
+             any value (docs/PERFORMANCE.md).")
   in
   let json_arg =
     Arg.(

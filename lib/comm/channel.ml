@@ -44,8 +44,6 @@ type replay_stats = { replayed_messages : int; replayed_bytes : int }
 let replay_stats (t : t) =
   { replayed_messages = t.replayed_messages; replayed_bytes = t.replayed_bytes }
 
-let replay_pending t = List.length t.replay
-
 let configure t ?fault ?reliable ?journal ?replay () =
   (match (fault, reliable) with
   | Some fault, _ ->

@@ -88,10 +88,6 @@ type replay_stats = { replayed_messages : int; replayed_bytes : int }
 
 val replay_stats : t -> replay_stats
 
-val replay_pending : t -> int
-(** Journal entries queued but not yet consumed (0 once fast-forward is
-    complete). *)
-
 (** Cumulative reliability-layer accounting for one channel. *)
 type stats = {
   data_frames : int;  (** data transmissions, retransmissions included *)

@@ -52,13 +52,6 @@ let lp_pow_dense ~p row =
     row;
   !acc
 
-let lp_pow_entries ~p entries =
-  List.fold_left
-    (fun acc (_, _, v) ->
-      if v = 0 then acc
-      else acc +. if p = 0.0 then 1.0 else Float.abs (float_of_int v) ** p)
-    0.0 entries
-
 let group_of ~beta est =
   if est <= 1.0 then 0
   else int_of_float (Float.floor (log est /. log (1.0 +. beta)))

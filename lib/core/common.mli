@@ -37,8 +37,6 @@ val row_times_matrix : (int * int) array -> Matprod_matrix.Imat.t -> int array
 val lp_pow_dense : p:float -> int array -> float
 (** Σ |v|^p with 0^0 = 0. *)
 
-val lp_pow_entries : p:float -> (int * int * int) list -> float
-
 val group_of : beta:float -> float -> int
 (** Index ℓ of the (1+β)-geometric group that a positive estimate falls in
     (Algorithm 1's partition); estimates below 1 map to group 0. *)

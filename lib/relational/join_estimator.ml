@@ -77,12 +77,3 @@ let sample_output_pair ?(eps = 0.25) ~seed ~r ~s () =
     bits = run.Ctx.bits;
     rounds = run.Ctx.rounds;
   }
-
-let heavy_pairs ~phi ~eps ~seed ~r ~s =
-  check_domains r s;
-  let a, b = matrices r s in
-  wrap
-    (Ctx.run ~seed (fun ctx ->
-         Matprod_core.Hh_binary.run ctx
-           (Matprod_core.Hh_binary.default_params ~phi ~eps ())
-           ~a ~b))

@@ -42,13 +42,3 @@ val sample_output_pair :
   unit ->
   (int * int) option answer
 (** A (near-)uniform pair of R ∘ S, via Theorem 3.2's ℓ0-sampling. *)
-
-val heavy_pairs :
-  phi:float ->
-  eps:float ->
-  seed:int ->
-  r:Relation.t ->
-  s:Relation.t ->
-  (int * int) list answer
-(** The output pairs holding ≥ ϕ of all witnesses
-    (ℓ1-(ϕ,ε)-heavy-hitters of AB), via the §5.2 binary protocol. *)

@@ -32,10 +32,6 @@ let create rng ~dim ?(s = 12) ?(reps = 3) () =
 
 let dim t = t.dim
 
-let scalars t =
-  (4 * Array.fold_left (fun acc r -> acc + S_sparse.cells r) 0 t.recover)
-  + L0_sketch.size t.l0
-
 let fresh t =
   {
     rec_states = Array.map S_sparse.fresh t.recover;

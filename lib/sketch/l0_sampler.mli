@@ -19,8 +19,6 @@ val create : Matprod_util.Prng.t -> dim:int -> ?s:int -> ?reps:int -> unit -> t
     repetitions inside each recovery sketch (default 3). *)
 
 val dim : t -> int
-val scalars : t -> int
-(** Rough size: total number of machine words in a state. *)
 
 val fresh : t -> state
 val update : t -> state -> int -> int -> unit

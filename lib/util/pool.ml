@@ -12,20 +12,13 @@
    - lazy spawning: worker domains are spawned on the first parallel call,
      never at module load, and persist for the process lifetime. *)
 
-let env_size () =
-  match Sys.getenv_opt "MATPROD_DOMAINS" with
-  | None -> 1
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | _ -> 1)
-
-let requested : int option ref = ref None
+let requested = ref 1
 
 let set_size n =
   if n < 1 then invalid_arg "Pool.set_size: need >= 1";
-  requested := Some n
+  requested := n
 
-let size () = match !requested with Some n -> n | None -> env_size ()
+let size () = !requested
 
 (* One job at a time: the pool is driven from the main domain only. Chunks
    of the index space are handed out through an atomic cursor, so load

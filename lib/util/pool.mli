@@ -7,9 +7,8 @@
     index order, so the schedule never shows in transcripts, journals, or
     golden outputs (docs/PERFORMANCE.md).
 
-    The pool size defaults to [MATPROD_DOMAINS] (1 when unset or invalid
-    — today's sequential path); {!set_size} (the CLI's [--domains])
-    overrides it. Worker domains are spawned lazily on the first parallel
+    The pool size defaults to 1 — the sequential path; {!set_size} (the
+    CLI's [--domains]) changes it. Worker domains are spawned lazily on the first parallel
     call and persist for the process lifetime. At size 1 every entry point
     is exactly the plain sequential loop.
 
@@ -21,11 +20,10 @@
     accounting. *)
 
 val size : unit -> int
-(** Current pool size: the {!set_size} override, else [MATPROD_DOMAINS],
-    else 1. *)
+(** Current pool size: the last {!set_size}, else 1. *)
 
 val set_size : int -> unit
-(** Fix the pool size ([>= 1]); overrides the environment. Shrinking does
+(** Fix the pool size ([>= 1]). Shrinking does
     not stop already-spawned workers — they idle (until {!shutdown}). *)
 
 val shutdown : unit -> unit
