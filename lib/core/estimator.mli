@@ -29,8 +29,9 @@ type comparable =
 
 type cost = { bits : float; rounds : int }
 (** Predicted transcript cost: order-of-magnitude bits (the Õ bound with
-    its log factors made concrete) and speaking phases. Advisory — the
-    transcript is the ground truth. *)
+    its log factors made concrete; advisory — the transcript is the
+    ground truth) and the speaking phases the default query takes (the
+    test suite checks these against measured rounds). *)
 
 type t = {
   name : string;  (** registry key, unique *)
