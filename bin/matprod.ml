@@ -131,8 +131,8 @@ let common_term =
   in
   Term.(
     ret
-      (const make $ n_arg $ density_arg $ seed_arg $ verbose_arg $ domains_arg
-     $ json_arg $ trace_arg $ trace_format_arg $ transport_arg))
+      (const make $ n_arg $ density_arg $ seed_arg $ verbose_arg
+      $ domains_arg $ json_arg $ trace_arg $ trace_format_arg $ transport_arg))
 
 let eps_arg =
   Arg.(
@@ -1199,7 +1199,8 @@ let print_suspects suspects =
 (* ------------------------------------------------------------------ *)
 (* estimate: any registered estimator by name *)
 
-let estimate_fleet c (e : Estimator.t) ~a ~b fleet ~chaos_spec ~deadline ~fleet_journal =
+let estimate_fleet c (e : Estimator.t) ~a ~b fleet ~chaos_spec ~deadline
+    ~fleet_journal =
   let link_policy =
     { Fleet.default_link_policy with Fleet.deadline_s = deadline }
   in
@@ -1277,7 +1278,8 @@ let estimate_fleet c (e : Estimator.t) ~a ~b fleet ~chaos_spec ~deadline ~fleet_
                    rep.Fleet.links) );
           ])
 
-let estimate c (e : Estimator.t) list_all fleet deadline fleet_journal chaos_spec =
+let estimate c (e : Estimator.t) list_all fleet deadline fleet_journal
+    chaos_spec =
   start c;
   let { n; density; seed; verbose; _ } = c in
   if list_all then
