@@ -183,7 +183,7 @@ let option c =
         | _ -> dec_fail "Codec.option: bad tag");
   }
 
-let array c =
+let array ?(max_length = max_int) c =
   {
     enc =
       (fun b a ->
@@ -192,6 +192,7 @@ let array c =
     dec =
       (fun s pos ->
         let n = dec_count s pos "Codec.array" in
+        if n > max_length then dec_fail "Codec.array: length exceeds bound";
         Array.init n (fun _ -> c.dec s pos));
   }
 
@@ -392,7 +393,7 @@ let bytes =
    the pairs into two arrays sized by the checked count and allocates the
    dense array only once every pair has been checked, so a bad stream
    never allocates more than its own length. *)
-let counter_array =
+let bounded_counter_array ~max_length =
   {
     enc =
       (fun b a ->
@@ -416,7 +417,7 @@ let counter_array =
     dec =
       (fun s pos ->
         let len = dec_unonneg s pos in
-        if len > max_dense_length then
+        if len > max_length then
           dec_fail "Codec.counter_array: dense length exceeds cap";
         let n = dec_count s pos "Codec.counter_array" in
         let idx = Array.make n 0 and vals = Array.make n 0 in
@@ -436,6 +437,8 @@ let counter_array =
         done;
         a);
   }
+
+let counter_array = bounded_counter_array ~max_length:max_dense_length
 
 let map to_wire of_wire c =
   {

@@ -51,7 +51,9 @@ val pair : 'a t -> 'b t -> ('a * 'b) t
 val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
 val option : 'a t -> 'a option t
 val list : 'a t -> 'a list t
-val array : 'a t -> 'a array t
+val array : ?max_length:int -> 'a t -> 'a array t
+(** Decoding rejects a length above [max_length] (default unbounded)
+    before decoding any element. *)
 
 val int_array : int array t
 (** Zigzag varints, length-prefixed. *)
@@ -82,6 +84,11 @@ val counter_array : int array t
     encoded as (length, nonzero (index, value) pairs). ~2 bytes per
     nonzero entry plus a small header — a large win for sparse states, a
     modest constant overhead for dense ones. *)
+
+val bounded_counter_array : max_length:int -> int array t
+(** {!counter_array}'s bytes, but decoding rejects dense lengths above
+    [max_length] ({!counter_array} uses {!max_dense_length}) before
+    allocating. *)
 
 val map : ('a -> 'b) -> ('b -> 'a) -> 'b t -> 'a t
 (** [map to_wire of_wire codec] transports a codec across an isomorphism. *)

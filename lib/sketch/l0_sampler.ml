@@ -90,12 +90,7 @@ let sample t st =
       | S_sparse.Ok ((_ :: _ as pairs)) -> Some pairs
       | S_sparse.Ok [] | S_sparse.Fail -> None
     in
-    let rec first = function
-      | [] -> None
-      | l :: rest -> (
-          match decode_at l with Some pairs -> Some pairs | None -> first rest)
-    in
-    match first candidates with
+    match List.find_map decode_at candidates with
     | None -> None
     | Some pairs ->
         (* Survivor with the minimum subsampling hash = global minimum over
@@ -111,9 +106,16 @@ let sample t st =
         in
         Option.map (fun (i, v, _) -> (i, v)) best
 
-let wire _t =
-  let rec_codec = Codec.array One_sparse.cells_wire in
+(* Every level has level 0's s and reps. Counts and sizes are bounded before
+   allocating, so a decode never allocates more than the receiver's state. *)
+let wire t =
+  let l0_size = L0_sketch.size t.l0 in
   Codec.map
     (fun st -> (st.rec_states, st.l0_state))
-    (fun (rec_states, l0_state) -> { rec_states; l0_state })
-    (Codec.pair rec_codec Codec.counter_array)
+    (fun (rec_states, l0_state) ->
+      if Array.length rec_states <> t.levels || Array.length l0_state <> l0_size
+      then raise (Codec.Decode_error "L0_sampler.wire: shape mismatch");
+      { rec_states; l0_state })
+    (Codec.pair
+       (Codec.array ~max_length:t.levels (S_sparse.wire t.recover.(0)))
+       (Codec.bounded_counter_array ~max_length:l0_size))

@@ -1,83 +1,83 @@
-module Prng = Matprod_util.Prng
 module Hashing = Matprod_util.Hashing
 module Field31 = Matprod_util.Field31
 module Codec = Matprod_comm.Codec
 
 type spec = { c1 : Hashing.t; c2 : Hashing.t }
 
-type cell = {
-  mutable sum : int;
-  mutable isum : int;
-  mutable fp1 : int;
-  mutable fp2 : int;
-}
-
 let spec rng = { c1 = Hashing.create rng ~k:2; c2 = Hashing.create rng ~k:2 }
-let fresh () = { sum = 0; isum = 0; fp1 = 0; fp2 = 0 }
-let is_zero c = c.sum = 0 && c.isum = 0 && c.fp1 = 0 && c.fp2 = 0
+let words = 4
+
+let is_zero a k =
+  let o = words * k in
+  a.(o) = 0 && a.(o + 1) = 0 && a.(o + 2) = 0 && a.(o + 3) = 0
 
 (* Innermost kernel of every recovery structure: deliberately carries no
    Metrics calls — hash/cell accounting is hoisted into the callers
    (S_sparse, L0_sampler) so the enabled() branch never sits inside a
    per-coordinate loop. *)
-let update spec cell i v =
+let update spec a k i v =
   if i < 0 then invalid_arg "One_sparse.update: negative index";
   if v <> 0 then begin
+    let o = words * k in
     let w = Field31.of_int v in
-    cell.sum <- cell.sum + v;
-    cell.isum <- cell.isum + (i * v);
-    cell.fp1 <- Field31.add cell.fp1 (Field31.mul w (Hashing.field_coeff spec.c1 i));
-    cell.fp2 <- Field31.add cell.fp2 (Field31.mul w (Hashing.field_coeff spec.c2 i))
+    a.(o) <- a.(o) + v;
+    a.(o + 1) <- a.(o + 1) + (i * v);
+    a.(o + 2) <- Field31.add a.(o + 2) (Field31.mul w (Hashing.field_coeff spec.c1 i));
+    a.(o + 3) <- Field31.add a.(o + 3) (Field31.mul w (Hashing.field_coeff spec.c2 i))
   end
 
-let add_scaled dst ~coeff src =
+let add_scaled dst ~coeff src k =
   if coeff <> 0 then begin
+    let o = words * k in
     let c = Field31.of_int coeff in
-    dst.sum <- dst.sum + (coeff * src.sum);
-    dst.isum <- dst.isum + (coeff * src.isum);
-    dst.fp1 <- Field31.add dst.fp1 (Field31.mul c src.fp1);
-    dst.fp2 <- Field31.add dst.fp2 (Field31.mul c src.fp2)
+    dst.(o) <- dst.(o) + (coeff * src.(o));
+    dst.(o + 1) <- dst.(o + 1) + (coeff * src.(o + 1));
+    dst.(o + 2) <- Field31.add dst.(o + 2) (Field31.mul c src.(o + 2));
+    dst.(o + 3) <- Field31.add dst.(o + 3) (Field31.mul c src.(o + 3))
   end
 
 type verdict = Zero | One of int * int | Many
 
-let decode spec cell =
-  if is_zero cell then Zero
-  else if cell.sum = 0 then Many
+let decode spec a k =
+  let o = words * k in
+  let sum = a.(o) and isum = a.(o + 1) and fp1 = a.(o + 2) and fp2 = a.(o + 3) in
+  if sum = 0 && isum = 0 && fp1 = 0 && fp2 = 0 then Zero
+  else if sum = 0 then Many
   else
-    let i = cell.isum / cell.sum in
-    if i < 0 || i * cell.sum <> cell.isum then Many
+    let i = isum / sum in
+    if i < 0 || i >= Field31.p || i * sum <> isum then Many
     else
-      let w = Field31.of_int cell.sum in
+      let w = Field31.of_int sum in
       let want1 = Field31.mul w (Hashing.field_coeff spec.c1 i) in
       let want2 = Field31.mul w (Hashing.field_coeff spec.c2 i) in
-      if cell.fp1 = want1 && cell.fp2 = want2 then One (i, cell.sum) else Many
+      if fp1 = want1 && fp2 = want2 then One (i, sum) else Many
 
 let cell_codec =
   Codec.map
-    (fun c -> ((c.sum, c.isum), (c.fp1, c.fp2)))
-    (fun ((sum, isum), (fp1, fp2)) -> { sum; isum; fp1; fp2 })
+    (fun c -> ((c.(0), c.(1)), (c.(2), c.(3))))
+    (fun ((sum, isum), (fp1, fp2)) -> [| sum; isum; fp1; fp2 |])
     (Codec.pair (Codec.pair Codec.int Codec.int) (Codec.pair Codec.uint Codec.uint))
 
 (* Recovery structures over subsampling levels are mostly zero cells, so
-   the wire format carries (length, nonzero cells with their positions)
-   rather than every cell. The declared length drives an allocation the
-   wire bytes do not pay for, so decoding caps it like
-   [Codec.counter_array] does, and positions must fall inside it. *)
-let cells_wire =
+   the wire format carries (cell count, nonzero cells with their
+   positions) rather than every cell. The declared count drives an
+   allocation the wire bytes do not pay for, so decoding checks it
+   against the receiver's bound before allocating, and positions must
+   fall inside it. *)
+let cells_wire ~max_cells =
   Codec.map
-    (fun cells ->
-      let nonzero = ref [] in
-      Array.iteri
-        (fun idx c -> if not (is_zero c) then nonzero := (idx, c) :: !nonzero)
-        cells;
-      (Array.length cells, List.rev !nonzero))
-    (fun (len, nonzero) ->
-      if len > Codec.max_dense_length then
-        raise (Codec.Decode_error "One_sparse.cells_wire: length exceeds cap");
-      if List.exists (fun (idx, _) -> idx >= len) nonzero then
+    (fun a ->
+      let n = Array.length a / words and nonzero = ref [] in
+      for k = n - 1 downto 0 do
+        if not (is_zero a k) then nonzero := (k, Array.sub a (words * k) words) :: !nonzero
+      done;
+      (n, !nonzero))
+    (fun (n, nonzero) ->
+      if n > max_cells then
+        raise (Codec.Decode_error "One_sparse.cells_wire: cell count exceeds bound");
+      if List.exists (fun (k, _) -> k >= n) nonzero then
         raise (Codec.Decode_error "One_sparse.cells_wire: index beyond length");
-      let cells = Array.init len (fun _ -> fresh ()) in
-      List.iter (fun (idx, c) -> cells.(idx) <- c) nonzero;
-      cells)
+      let a = Array.make (words * n) 0 in
+      List.iter (fun (k, cell) -> Array.blit cell 0 a (words * k) words) nonzero;
+      a)
     (Codec.pair Codec.uint (Codec.list (Codec.pair Codec.uint cell_codec)))

@@ -1,39 +1,41 @@
-(** 1-sparse recovery cell.
+(** 1-sparse recovery cells.
 
-    A linear summary of a vector that can tell, with high probability,
-    whether the vector is zero, exactly 1-sparse (and then recover the
-    single (index, value)), or has ≥ 2 nonzeros. It stores the count
-    Σ x_i, the index-weighted sum Σ i·x_i, and two independent random
+    A cell is a linear summary of a vector that can tell, with high
+    probability, whether the vector is zero, exactly 1-sparse (and then
+    recover the single (index, value)), or has ≥ 2 nonzeros. It stores the
+    count Σ x_i, the index-weighted sum Σ i·x_i, and two independent random
     fingerprints Σ x_i·c(i) over GF(2^31−1); a spurious [One] answer
     requires both fingerprints to collide (probability ≈ 2^{-62}·poly).
     Building block of {!S_sparse} and hence of the ℓ0-sampler
-    (Lemma 2.6). *)
+    (Lemma 2.6).
+
+    Cells live in flat [int array] storage owned by the sketch: cell [k]
+    is words [4k .. 4k+3], holding Σ x_i, Σ i·x_i and the two
+    fingerprints; [n] zero cells are [Array.make (4 * n) 0]. *)
 
 type spec
 (** The random fingerprint coefficients, shared by compatible cells. *)
 
-type cell = { mutable sum : int; mutable isum : int; mutable fp1 : int; mutable fp2 : int }
-
 val spec : Matprod_util.Prng.t -> spec
 
-val fresh : unit -> cell
-(** A zero cell (allocate one per use; cells are mutable). *)
+val words : int
 
-val is_zero : cell -> bool
+val is_zero : int array -> int -> bool
 
-val update : spec -> cell -> int -> int -> unit
-(** [update spec cell i v] adds v·e_i. *)
+val update : spec -> int array -> int -> int -> int -> unit
+(** [update spec cells k i v] adds v·e_i to cell [k]. *)
 
-val add_scaled : cell -> coeff:int -> cell -> unit
-(** dst ← dst + coeff·src (fingerprints combine over the field). *)
+val add_scaled : int array -> coeff:int -> int array -> int -> unit
+(** [add_scaled dst ~coeff src k]: cell [k] of [dst] ← cell [k] of [dst]
+    + coeff·(cell [k] of [src]) (fingerprints combine over the field). *)
 
 type verdict = Zero | One of int * int | Many
 
-val decode : spec -> cell -> verdict
-(** [One (i, v)] means the summarised vector is x = v·e_i (whp). *)
+val decode : spec -> int array -> int -> verdict
+(** [One (i, v)] means cell [k] summarises x = v·e_i (whp). *)
 
-val cells_wire : cell array Matprod_comm.Codec.t
-(** Codec for shipping an array of cells: (length, nonzero cells with their
-    positions). Decoding is total up to {!Matprod_comm.Codec.Decode_error}:
-    lengths above {!Matprod_comm.Codec.max_dense_length} and positions
-    outside the length are rejected. *)
+val cells_wire : max_cells:int -> int array Matprod_comm.Codec.t
+(** Codec for shipping cells: (count, nonzero cells with their positions).
+    Decoding is total up to {!Matprod_comm.Codec.Decode_error}: counts
+    above [max_cells] and positions outside the count are rejected before
+    allocating. *)

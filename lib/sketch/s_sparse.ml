@@ -15,28 +15,24 @@ type t = {
   hashes : Hashing.t array;
 }
 
-type state = One_sparse.cell array
+type state = int array
 
 let create rng ~s ~reps =
   if s < 1 || reps < 1 then invalid_arg "S_sparse.create: parameters";
-  {
-    s;
-    reps;
-    buckets = 2 * s;
-    spec = One_sparse.spec rng;
-    hashes = Array.init reps (fun _ -> Hashing.create rng ~k:2);
-  }
+  (* Bucket hashes draw before the fingerprints; the order fixes the coins. *)
+  let hashes = Array.init reps (fun _ -> Hashing.create rng ~k:2) in
+  { s; reps; buckets = 2 * s; spec = One_sparse.spec rng; hashes }
 
 let sparsity t = t.s
 let cells t = t.reps * t.buckets
-let fresh t = Array.init (cells t) (fun _ -> One_sparse.fresh ())
+let fresh t = Array.make (One_sparse.words * cells t) 0
 
 let bucket_of t ~rep i = (rep * t.buckets) + Hashing.bucket t.hashes.(rep) ~buckets:t.buckets i
 
 let update_quiet t state i v =
   if v <> 0 then
     for r = 0 to t.reps - 1 do
-      One_sparse.update t.spec state.(bucket_of t ~rep:r i) i v
+      One_sparse.update t.spec state (bucket_of t ~rep:r i) i v
     done
 
 (* Per rep: one bucket hash plus the cell's two fingerprint coefficients.
@@ -66,26 +62,21 @@ let sketch t vec =
       st)
 
 let add_scaled t ~dst ~coeff src =
-  if Array.length dst <> cells t || Array.length src <> cells t then
+  let n = One_sparse.words * cells t in
+  if Array.length dst <> n || Array.length src <> n then
     invalid_arg "S_sparse.add_scaled: size mismatch";
-  for c = 0 to cells t - 1 do
-    One_sparse.add_scaled dst.(c) ~coeff src.(c)
+  for k = 0 to cells t - 1 do
+    One_sparse.add_scaled dst ~coeff src k
   done
 
 type result = Ok of (int * int) list | Fail
 
-let copy_state st =
-  Array.map
-    (fun (c : One_sparse.cell) ->
-      { One_sparse.sum = c.sum; isum = c.isum; fp1 = c.fp1; fp2 = c.fp2 })
-    st
-
 let decode t state =
-  let work = copy_state state in
+  let work = Array.copy state in
   let recovered : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let subtract i v =
     for r = 0 to t.reps - 1 do
-      One_sparse.update t.spec work.(bucket_of t ~rep:r i) i (-v)
+      One_sparse.update t.spec work (bucket_of t ~rep:r i) i (-v)
     done
   in
   let progress = ref true in
@@ -94,18 +85,17 @@ let decode t state =
   while !progress && !passes <= cells t + 1 do
     progress := false;
     incr passes;
-    Array.iter
-      (fun cell ->
-        match One_sparse.decode t.spec cell with
-        | One_sparse.One (i, v) ->
-            let prev = Option.value ~default:0 (Hashtbl.find_opt recovered i) in
-            Hashtbl.replace recovered i (prev + v);
-            subtract i v;
-            progress := true
-        | One_sparse.Zero | One_sparse.Many -> ())
-      work
+    for k = 0 to cells t - 1 do
+      match One_sparse.decode t.spec work k with
+      | One_sparse.One (i, v) ->
+          let prev = Option.value ~default:0 (Hashtbl.find_opt recovered i) in
+          Hashtbl.replace recovered i (prev + v);
+          subtract i v;
+          progress := true
+      | One_sparse.Zero | One_sparse.Many -> ()
+    done
   done;
-  if Array.for_all One_sparse.is_zero work then
+  if Array.for_all (fun w -> w = 0) work then
     let pairs =
       Hashtbl.fold
         (fun i v acc -> if v = 0 then acc else (i, v) :: acc)
@@ -115,4 +105,9 @@ let decode t state =
     Ok pairs
   else Fail
 
-let wire _t = One_sparse.cells_wire
+let wire t =
+  let check st =
+    if Array.length st = One_sparse.words * cells t then st
+    else raise (Codec.Decode_error "S_sparse.wire: cell count")
+  in
+  Codec.map Fun.id check (One_sparse.cells_wire ~max_cells:(cells t))

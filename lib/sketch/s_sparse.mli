@@ -17,8 +17,8 @@
 type t
 (** Immutable specification (hash functions, dimensions). *)
 
-type state = One_sparse.cell array
-(** Mutable sketch contents (one cell per (repetition, bucket)). *)
+type state = int array
+(** Mutable contents: one flat {!One_sparse} cell per (repetition, bucket). *)
 
 val create : Matprod_util.Prng.t -> s:int -> reps:int -> t
 (** [s ≥ 1] sparsity budget; [reps] repetitions (3–4 typical). *)
@@ -41,3 +41,4 @@ type result = Ok of (int * int) list | Fail
 val decode : t -> state -> result
 
 val wire : t -> state Matprod_comm.Codec.t
+(** Decoding rejects any state but one of exactly {!cells} cells. *)

@@ -121,12 +121,24 @@ let test_codec_adversarial_lengths () =
           Buffer.add_string b (Codec.encode Codec.uint (1 lsl 40));
           Buffer.add_string b (Codec.encode Codec.uint 0);
           ignore (Codec.decode Codec.counter_array (Buffer.contents b)) );
+      ( "array above its bound",
+        fun () ->
+          ignore
+            (Codec.decode (Codec.array ~max_length:2 Codec.uint)
+               (Codec.encode Codec.int_array [| 1; 2; 3 |])) );
+      ( "counter above its bound",
+        fun () ->
+          ignore
+            (Codec.decode (Codec.bounded_counter_array ~max_length:2)
+               (Codec.encode Codec.counter_array [| 0; 0; 0 |])) );
       (* One_sparse.cells_wire: (length, [(position, cell)]) *)
       ( "cells dense cap",
         fun () ->
           let c = Codec.pair Codec.uint (Codec.list Codec.unit) in
           ignore
-            (Codec.decode One_sparse.cells_wire (Codec.encode c (1 lsl 40, [])))
+            (Codec.decode
+               (One_sparse.cells_wire ~max_cells:Codec.max_dense_length)
+               (Codec.encode c (1 lsl 40, [])))
       );
       ( "cells index beyond length",
         fun () ->
@@ -136,7 +148,10 @@ let test_codec_adversarial_lengths () =
           in
           let c = Codec.pair Codec.uint (Codec.list (Codec.pair Codec.uint cell)) in
           let bytes = Codec.encode c (3, [ (3, ((1, 3), (7, 9))) ]) in
-          ignore (Codec.decode One_sparse.cells_wire bytes) );
+          ignore
+            (Codec.decode
+               (One_sparse.cells_wire ~max_cells:Codec.max_dense_length)
+               bytes) );
     ]
 
 let test_codec_map () =
@@ -449,17 +464,22 @@ let test_netmodel_zero_loss_unchanged () =
 type packed = P : string * 'a QCheck.arbitrary * 'a Codec.t -> packed
 
 (* Recovery cells as the sketches leave them: mostly zero, field
-   fingerprints in [0, 2^31 - 1). *)
+   fingerprints in [0, 2^31 - 1), stored flat (sum, isum, fp1, fp2 per
+   cell). *)
 let cells_arb =
   let open QCheck in
   let fp = int_bound ((1 lsl 31) - 2) in
   let cell =
     map
       (fun (live, (sum, isum), (fp1, fp2)) ->
-        if live then { One_sparse.sum; isum; fp1; fp2 } else One_sparse.fresh ())
+        if live then [| sum; isum; fp1; fp2 |] else Array.make One_sparse.words 0)
       (triple bool (pair int int) (pair fp fp))
   in
-  array_of_size Gen.(0 -- 20) cell
+  map Array.concat (list_of_size Gen.(0 -- 20) cell)
+
+(* A bound well above [cells_arb]'s 20 cells, so mutated counts still
+   decode, and small enough that no count allocates much. *)
+let cells_wire = One_sparse.cells_wire ~max_cells:1024
 
 let l0_sampler = L0_sampler.create (Prng.create 7) ~dim:64 ()
 
@@ -577,7 +597,15 @@ let packed_codecs =
     P ("float_array (sparse)", sparse_float_arb, Codec.float_array);
     P ("float32_array (sparse)", sparse_float_arb, Codec.float32_array);
     P ("counter_array (sparse)", sparse_uint_arb, Codec.counter_array);
-    P ("one_sparse.cells_wire", cells_arb, One_sparse.cells_wire);
+    P
+      ( "array (bounded)",
+        array_of_size Gen.(0 -- 40) nonneg,
+        Codec.array ~max_length:40 Codec.uint );
+    P
+      ( "bounded_counter_array",
+        array_of_size Gen.(0 -- 60) (int_bound 1_000_000),
+        Codec.bounded_counter_array ~max_length:60 );
+    P ("one_sparse.cells_wire", cells_arb, cells_wire);
     P ("l0_sampler.wire", l0_sampler_arb, L0_sampler.wire l0_sampler);
   ]
 

@@ -265,37 +265,40 @@ let test_lp_rejects_bad_p () =
 (* ------------------------------------------------------------------ *)
 (* One-sparse recovery *)
 
+(* One cell in flat storage. *)
+let fresh_cell () = Array.make One_sparse.words 0
+
 let test_one_sparse_zero () =
   let rng = Prng.create 18 in
   let spec = One_sparse.spec rng in
-  let c = One_sparse.fresh () in
-  (match One_sparse.decode spec c with
+  let c = fresh_cell () in
+  (match One_sparse.decode spec c 0 with
   | One_sparse.Zero -> ()
   | _ -> Alcotest.fail "fresh cell should decode Zero");
-  check Alcotest.bool "is_zero" true (One_sparse.is_zero c)
+  check Alcotest.bool "is_zero" true (One_sparse.is_zero c 0)
 
 let test_one_sparse_singleton () =
   let rng = Prng.create 19 in
   let spec = One_sparse.spec rng in
-  let c = One_sparse.fresh () in
-  One_sparse.update spec c 42 7;
-  (match One_sparse.decode spec c with
+  let c = fresh_cell () in
+  One_sparse.update spec c 0 42 7;
+  (match One_sparse.decode spec c 0 with
   | One_sparse.One (42, 7) -> ()
   | _ -> Alcotest.fail "should recover (42,7)");
   (* negative values too *)
-  let c2 = One_sparse.fresh () in
-  One_sparse.update spec c2 13 (-5);
-  match One_sparse.decode spec c2 with
+  let c2 = fresh_cell () in
+  One_sparse.update spec c2 0 13 (-5);
+  match One_sparse.decode spec c2 0 with
   | One_sparse.One (13, -5) -> ()
   | _ -> Alcotest.fail "should recover (13,-5)"
 
 let test_one_sparse_cancellation_back_to_zero () =
   let rng = Prng.create 20 in
   let spec = One_sparse.spec rng in
-  let c = One_sparse.fresh () in
-  One_sparse.update spec c 42 7;
-  One_sparse.update spec c 42 (-7);
-  match One_sparse.decode spec c with
+  let c = fresh_cell () in
+  One_sparse.update spec c 0 42 7;
+  One_sparse.update spec c 0 42 (-7);
+  match One_sparse.decode spec c 0 with
   | One_sparse.Zero -> ()
   | _ -> Alcotest.fail "cancel to zero"
 
@@ -304,10 +307,10 @@ let test_one_sparse_many () =
   let spec = One_sparse.spec rng in
   let misdecodes = ref 0 in
   for trial = 1 to 500 do
-    let c = One_sparse.fresh () in
-    One_sparse.update spec c (trial mod 97) 3;
-    One_sparse.update spec c ((trial mod 89) + 100) 5;
-    match One_sparse.decode spec c with
+    let c = fresh_cell () in
+    One_sparse.update spec c 0 (trial mod 97) 3;
+    One_sparse.update spec c 0 ((trial mod 89) + 100) 5;
+    match One_sparse.decode spec c 0 with
     | One_sparse.Many -> ()
     | _ -> incr misdecodes
   done;
@@ -324,36 +327,48 @@ let test_one_sparse_symmetric_patterns () =
     let spec = One_sparse.spec rng in
     let gap = 2 * (1 + (trial mod 50)) in
     let i = trial mod 1000 in
-    let c = One_sparse.fresh () in
-    One_sparse.update spec c i 1;
-    One_sparse.update spec c (i + gap) 1;
-    (match One_sparse.decode spec c with
+    let c = fresh_cell () in
+    One_sparse.update spec c 0 i 1;
+    One_sparse.update spec c 0 (i + gap) 1;
+    (match One_sparse.decode spec c 0 with
     | One_sparse.Many -> ()
     | _ -> incr misdecodes);
     (* Equal-size, equal-sum supports must not share a fingerprint-sum:
        a {i, i+3} vs {i+1, i+2} pair through a fresh cell pair. *)
-    let c1 = One_sparse.fresh () and c2 = One_sparse.fresh () in
-    One_sparse.update spec c1 i 1;
-    One_sparse.update spec c1 (i + 3) 1;
-    One_sparse.update spec c2 (i + 1) 1;
-    One_sparse.update spec c2 (i + 2) 1;
-    One_sparse.add_scaled c1 ~coeff:(-1) c2;
+    let c1 = fresh_cell () and c2 = fresh_cell () in
+    One_sparse.update spec c1 0 i 1;
+    One_sparse.update spec c1 0 (i + 3) 1;
+    One_sparse.update spec c2 0 (i + 1) 1;
+    One_sparse.update spec c2 0 (i + 2) 1;
+    One_sparse.add_scaled c1 ~coeff:(-1) c2 0;
     (* c1 - c2 is 4-sparse and nonzero; it must not decode Zero or One. *)
-    match One_sparse.decode spec c1 with
+    match One_sparse.decode spec c1 0 with
     | One_sparse.Many -> ()
     | _ -> incr misdecodes
   done;
   check Alcotest.int "symmetric patterns rejected" 0 !misdecodes
 
+(* A cell off the sketch's arithmetic, as a message can carry it: the
+   implied index Σi·x_i / Σx_i lies outside the field, where no update
+   can have put a coordinate. It is Many, not an exception. *)
+let test_one_sparse_out_of_field_index () =
+  let spec = One_sparse.spec (Prng.create 52) in
+  List.iter
+    (fun cell ->
+      match One_sparse.decode spec cell 0 with
+      | One_sparse.Many -> ()
+      | _ -> Alcotest.fail "out-of-field index must decode Many")
+    [ [| 1; 1 lsl 40; 5; 7 |]; [| 3; 3 * Field31.p; 0; 0 |]; [| -1; min_int; 1; 1 |] ]
+
 let test_one_sparse_add_scaled () =
   let rng = Prng.create 22 in
   let spec = One_sparse.spec rng in
-  let a = One_sparse.fresh () and b = One_sparse.fresh () in
-  One_sparse.update spec a 10 2;
-  One_sparse.update spec b 10 3;
+  let a = fresh_cell () and b = fresh_cell () in
+  One_sparse.update spec a 0 10 2;
+  One_sparse.update spec b 0 10 3;
   (* a - ... combine: a + (-2)*b + 4e10... check linear combo decodes *)
-  One_sparse.add_scaled a ~coeff:2 b;
-  match One_sparse.decode spec a with
+  One_sparse.add_scaled a ~coeff:2 b 0;
+  match One_sparse.decode spec a 0 with
   | One_sparse.One (10, 8) -> ()
   | _ -> Alcotest.fail "2+2*3=8 at index 10"
 
@@ -474,6 +489,73 @@ let test_l0_sampler_wire () =
   let st' = Matprod_comm.Codec.decode codec (Matprod_comm.Codec.encode codec st) in
   check Alcotest.bool "sample survives transport" true
     (L0_sampler.sample t st = L0_sampler.sample t st')
+
+(* The sampler message as its parts: (cell count, nonzero cells) per
+   level, then the l0 sketch as (dense length, (delta, value) pairs) —
+   the bytes of L0_sampler.wire, with no shape to check. *)
+let raw_sampler_wire =
+  let module Codec = Matprod_comm.Codec in
+  let cell = Codec.pair (Codec.pair Codec.int Codec.int) (Codec.pair Codec.uint Codec.uint) in
+  Codec.pair
+    (Codec.array (Codec.pair Codec.uint (Codec.list (Codec.pair Codec.uint cell))))
+    (Codec.pair Codec.uint (Codec.list (Codec.pair Codec.uint Codec.uint)))
+
+let decode_error codec bytes =
+  match Matprod_comm.Codec.decode codec bytes with
+  | _ -> false
+  | exception Matprod_comm.Codec.Decode_error _ -> true
+
+(* A message decodes only through a sampler of its own shape: level
+   count, cells per level and l0 sketch size are each checked. *)
+let test_l0_sampler_wire_shape () =
+  let module Codec = Matprod_comm.Codec in
+  let small = L0_sampler.create (Prng.create 32) ~dim:24 () in
+  let large = L0_sampler.create (Prng.create 32) ~dim:96 () in
+  let more_reps = L0_sampler.create (Prng.create 32) ~dim:24 ~reps:4 () in
+  let msg = Codec.encode (L0_sampler.wire small) (L0_sampler.sketch small [| (3, 1); (20, -2) |]) in
+  check Alcotest.bool "own shape decodes" false (decode_error (L0_sampler.wire small) msg);
+  check Alcotest.bool "level count" true (decode_error (L0_sampler.wire large) msg);
+  check Alcotest.bool "cells per level" true (decode_error (L0_sampler.wire more_reps) msg);
+  let levels, (l0_len, l0_pairs) = Codec.decode raw_sampler_wire msg in
+  let tamper v = Codec.encode raw_sampler_wire v in
+  List.iter
+    (fun (name, bytes) ->
+      check Alcotest.bool name true (decode_error (L0_sampler.wire small) bytes))
+    [
+      ("l0 sketch longer", tamper (levels, (l0_len + 1, l0_pairs)));
+      ("l0 sketch shorter", tamper (levels, (l0_len - 1, [])));
+      ("one level fewer", tamper (Array.sub levels 1 (Array.length levels - 1), (l0_len, l0_pairs)));
+      ("one level more", tamper (Array.append levels [| levels.(0) |], (l0_len, l0_pairs)));
+      ( "one level short a cell",
+        tamper
+          ( Array.mapi (fun l (n, cells) -> if l = 0 then (n - 1, []) else (n, cells)) levels,
+            (l0_len, l0_pairs) ) );
+    ]
+
+(* Declared lengths the message does not pay for are checked against the
+   receiver's shape before anything is allocated: a cell count of
+   max_dense_length (the 5-byte level (2^24, [])), a level count far
+   above the sampler's, and an l0 sketch of max_dense_length cells. *)
+let test_l0_sampler_wire_allocation () =
+  let module Codec = Matprod_comm.Codec in
+  let t = L0_sampler.create (Prng.create 33) ~dim:24 () in
+  let wire = L0_sampler.wire t in
+  let levels, l0 = Codec.decode raw_sampler_wire (Codec.encode wire (L0_sampler.fresh t)) in
+  let big = Codec.max_dense_length in
+  List.iter
+    (fun (name, msg) ->
+      let bytes = Codec.encode raw_sampler_wire msg in
+      let before = Gc.allocated_bytes () in
+      let rejected = decode_error wire bytes in
+      let allocated = Gc.allocated_bytes () -. before in
+      check Alcotest.bool (name ^ ": Decode_error") true rejected;
+      if allocated >= 1e6 then Alcotest.failf "%s: decode allocated %.0f bytes" name allocated)
+    [
+      ("level of 2^24 cells", (Array.map (fun _ -> (big, [])) levels, l0));
+      ("first level of 2^24 cells", ([| (big, []) |], l0));
+      ("2^20 levels", (Array.make (1 lsl 20) levels.(0), l0));
+      ("l0 sketch of 2^24 cells", (levels, (big, [])));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* CountSketch / CountMin *)
@@ -675,6 +757,170 @@ let dense_combination t srcs coeffs =
   Array.iter (fun (k, c) -> Lp.add_scaled t ~dst:acc ~coeff:c srcs.(k)) coeffs;
   Lp.estimate_pow t acc
 
+(* ------------------------------------------------------------------ *)
+(* The record kernel: One_sparse as it was before cells moved into flat
+   int storage (one mutable record per cell), kept as the specification
+   of the flat kernel, with S_sparse's peel and the cells codec over it.
+   [spec] and [s_sparse] draw from the rng in the order One_sparse.spec
+   and S_sparse.create do, so the same seed gives the same hashes. *)
+module Record = struct
+  module Hashing = Matprod_util.Hashing
+  module Codec = Matprod_comm.Codec
+
+  type spec = { c1 : Hashing.t; c2 : Hashing.t }
+
+  type cell = {
+    mutable sum : int;
+    mutable isum : int;
+    mutable fp1 : int;
+    mutable fp2 : int;
+  }
+
+  let spec rng = { c1 = Hashing.create rng ~k:2; c2 = Hashing.create rng ~k:2 }
+  let fresh () = { sum = 0; isum = 0; fp1 = 0; fp2 = 0 }
+  let is_zero c = c.sum = 0 && c.isum = 0 && c.fp1 = 0 && c.fp2 = 0
+
+  let update spec cell i v =
+    if i < 0 then invalid_arg "One_sparse.update: negative index";
+    if v <> 0 then begin
+      let w = Field31.of_int v in
+      cell.sum <- cell.sum + v;
+      cell.isum <- cell.isum + (i * v);
+      cell.fp1 <- Field31.add cell.fp1 (Field31.mul w (Hashing.field_coeff spec.c1 i));
+      cell.fp2 <- Field31.add cell.fp2 (Field31.mul w (Hashing.field_coeff spec.c2 i))
+    end
+
+  let add_scaled dst ~coeff src =
+    if coeff <> 0 then begin
+      let c = Field31.of_int coeff in
+      dst.sum <- dst.sum + (coeff * src.sum);
+      dst.isum <- dst.isum + (coeff * src.isum);
+      dst.fp1 <- Field31.add dst.fp1 (Field31.mul c src.fp1);
+      dst.fp2 <- Field31.add dst.fp2 (Field31.mul c src.fp2)
+    end
+
+  let decode spec cell =
+    if is_zero cell then One_sparse.Zero
+    else if cell.sum = 0 then One_sparse.Many
+    else
+      let i = cell.isum / cell.sum in
+      if i < 0 || i >= Field31.p || i * cell.sum <> cell.isum then One_sparse.Many
+      else
+        let w = Field31.of_int cell.sum in
+        let want1 = Field31.mul w (Hashing.field_coeff spec.c1 i) in
+        let want2 = Field31.mul w (Hashing.field_coeff spec.c2 i) in
+        if cell.fp1 = want1 && cell.fp2 = want2 then One_sparse.One (i, cell.sum)
+        else One_sparse.Many
+
+  let cell_codec =
+    Codec.map
+      (fun c -> ((c.sum, c.isum), (c.fp1, c.fp2)))
+      (fun ((sum, isum), (fp1, fp2)) -> { sum; isum; fp1; fp2 })
+      (Codec.pair (Codec.pair Codec.int Codec.int) (Codec.pair Codec.uint Codec.uint))
+
+  let cells_wire =
+    Codec.map
+      (fun cells ->
+        let nonzero = ref [] in
+        Array.iteri
+          (fun idx c -> if not (is_zero c) then nonzero := (idx, c) :: !nonzero)
+          cells;
+        (Array.length cells, List.rev !nonzero))
+      (fun (len, nonzero) ->
+        if len > Codec.max_dense_length then
+          raise (Codec.Decode_error "One_sparse.cells_wire: length exceeds cap");
+        if List.exists (fun (idx, _) -> idx >= len) nonzero then
+          raise (Codec.Decode_error "One_sparse.cells_wire: index beyond length");
+        let cells = Array.init len (fun _ -> fresh ()) in
+        List.iter (fun (idx, c) -> cells.(idx) <- c) nonzero;
+        cells)
+      (Codec.pair Codec.uint (Codec.list (Codec.pair Codec.uint cell_codec)))
+
+  (* S_sparse over records: [reps] repetitions of [2s] buckets. *)
+  type s_sparse = { spec : spec; buckets : int; hashes : Hashing.t array }
+
+  let s_sparse rng ~s ~reps =
+    let hashes = Array.init reps (fun _ -> Hashing.create rng ~k:2) in
+    { spec = spec rng; buckets = 2 * s; hashes }
+
+  let bucket_of t ~rep i = (rep * t.buckets) + Hashing.bucket t.hashes.(rep) ~buckets:t.buckets i
+
+  let s_update t state i v =
+    if v <> 0 then
+      Array.iteri (fun r _ -> update t.spec state.(bucket_of t ~rep:r i) i v) t.hashes
+
+  let s_sketch t vec =
+    let st = Array.init (Array.length t.hashes * t.buckets) (fun _ -> fresh ()) in
+    Array.iter (fun (i, v) -> s_update t st i v) vec;
+    st
+
+  let s_decode t state =
+    let work =
+      Array.map (fun c -> { sum = c.sum; isum = c.isum; fp1 = c.fp1; fp2 = c.fp2 }) state
+    in
+    let recovered : (int, int) Hashtbl.t = Hashtbl.create 16 in
+    let progress = ref true and passes = ref 0 in
+    while !progress && !passes <= Array.length work + 1 do
+      progress := false;
+      incr passes;
+      Array.iter
+        (fun cell ->
+          match decode t.spec cell with
+          | One_sparse.One (i, v) ->
+              let prev = Option.value ~default:0 (Hashtbl.find_opt recovered i) in
+              Hashtbl.replace recovered i (prev + v);
+              s_update t work i (-v);
+              progress := true
+          | One_sparse.Zero | One_sparse.Many -> ())
+        work
+    done;
+    if Array.for_all is_zero work then
+      S_sparse.Ok
+        (Hashtbl.fold (fun i v acc -> if v = 0 then acc else (i, v) :: acc) recovered []
+        |> List.sort compare)
+    else S_sparse.Fail
+
+  (* Records laid out as the flat kernel stores them. *)
+  let flatten cells =
+    Array.concat
+      (Array.to_list (Array.map (fun c -> [| c.sum; c.isum; c.fp1; c.fp2 |]) cells))
+end
+
+(* Coefficients and values a cell must carry exactly: small of either
+   sign, zero, and huge ones whose products wrap. *)
+let kernel_int_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, int_range (-1000) 1000);
+        (1, return 0);
+        ( 2,
+          oneofl
+            [ max_int; min_int; Field31.p; -Field31.p; Field31.p - 1; 1 lsl 40; -(1 lsl 40) ]
+        );
+        (1, int);
+      ])
+
+(* One step on two runs of [cells] cells, x and y: an update, a cancelling
+   update pair, or a scaled add between the runs or onto itself (which
+   with coefficient −1 clears the cell). *)
+type kernel_op =
+  | Upd of bool * int * int * int
+  | Upd_cancel of bool * int * int * int
+  | Add of bool * int * int
+  | Self of bool * int * int
+
+let kernel_op_gen ~cells =
+  let open QCheck.Gen in
+  let k = int_bound (cells - 1) and i = oneof [ int_bound 1000; int_bound 1_000_000_000 ] in
+  frequency
+    [
+      (5, map (fun (x, k, (i, v)) -> Upd (x, k, i, v)) (triple bool k (pair i kernel_int_gen)));
+      (1, map (fun (x, k, (i, v)) -> Upd_cancel (x, k, i, v)) (triple bool k (pair i kernel_int_gen)));
+      (3, map (fun (x, k, c) -> Add (x, k, c)) (triple bool k kernel_int_gen));
+      (1, map (fun (x, k, c) -> Self (x, k, c)) (triple bool k (oneof [ return (-1); kernel_int_gen ])));
+    ]
+
 let qcheck_tests =
   let open QCheck in
   let sparse_vec_gen =
@@ -696,9 +942,98 @@ let qcheck_tests =
         QCheck.assume (v <> 0);
         let rng = Prng.create (i + v) in
         let spec = One_sparse.spec rng in
-        let c = One_sparse.fresh () in
-        One_sparse.update spec c i v;
-        One_sparse.decode spec c = One_sparse.One (i, v));
+        let c = fresh_cell () in
+        One_sparse.update spec c 0 i v;
+        One_sparse.decode spec c 0 = One_sparse.One (i, v));
+    (let cells = 6 in
+     Test.make ~name:"one-sparse: flat kernel equals the record kernel" ~count:500
+       (make Gen.(pair nat (list_size (0 -- 40) (kernel_op_gen ~cells))))
+       (fun (seed, ops) ->
+         let spec = One_sparse.spec (Prng.create seed) in
+         let rspec = Record.spec (Prng.create seed) in
+         let flat = Array.init 2 (fun _ -> Array.make (One_sparse.words * cells) 0) in
+         let recs = Array.init 2 (fun _ -> Array.init cells (fun _ -> Record.fresh ())) in
+         let side x = if x then 0 else 1 in
+         List.iter
+           (function
+             | Upd (x, k, i, v) ->
+                 One_sparse.update spec flat.(side x) k i v;
+                 Record.update rspec recs.(side x).(k) i v
+             | Upd_cancel (x, k, i, v) ->
+                 List.iter
+                   (fun v ->
+                     One_sparse.update spec flat.(side x) k i v;
+                     Record.update rspec recs.(side x).(k) i v)
+                   [ v; -v ]
+             | Add (x, k, coeff) ->
+                 let d = side x and s = 1 - side x in
+                 One_sparse.add_scaled flat.(d) ~coeff flat.(s) k;
+                 Record.add_scaled recs.(d).(k) ~coeff recs.(s).(k)
+             | Self (x, k, coeff) ->
+                 let d = side x in
+                 One_sparse.add_scaled flat.(d) ~coeff flat.(d) k;
+                 Record.add_scaled recs.(d).(k) ~coeff recs.(d).(k))
+           ops;
+         Array.for_all2
+           (fun f r ->
+             f = Record.flatten r
+             && List.for_all
+                  (fun k ->
+                    One_sparse.is_zero f k = Record.is_zero r.(k)
+                    && One_sparse.decode spec f k = Record.decode rspec r.(k))
+                  (List.init cells Fun.id))
+           flat recs));
+    (* Sketches past the budget too, so both Ok and Fail verdicts occur;
+       one linear combination per case. *)
+    Test.make ~name:"s-sparse: decode equals the record kernel's peel" ~count:200
+      (make Gen.(triple nat (pair sparse_vec_gen sparse_vec_gen) kernel_int_gen))
+      (fun (seed, (v1, v2), coeff) ->
+        let t = S_sparse.create (Prng.create seed) ~s:4 ~reps:3 in
+        let r = Record.s_sparse (Prng.create seed) ~s:4 ~reps:3 in
+        let st = S_sparse.sketch t v1 and rst = Record.s_sketch r v1 in
+        let same () = st = Record.flatten rst && S_sparse.decode t st = Record.s_decode r rst in
+        let first = same () in
+        S_sparse.add_scaled t ~dst:st ~coeff (S_sparse.sketch t v2);
+        Array.iter2
+          (fun d s -> Record.add_scaled d ~coeff s)
+          rst (Record.s_sketch r v2);
+        first && same ());
+    (let cell =
+       Gen.(
+         frequency
+           [
+             (3, return (Record.fresh ()));
+             ( 1,
+               map
+                 (fun ((sum, isum), (fp1, fp2)) -> { Record.sum; isum; fp1; fp2 })
+                 (pair (pair kernel_int_gen kernel_int_gen)
+                    (pair (int_bound (Field31.p - 1)) (int_bound (Field31.p - 1)))) );
+           ])
+     in
+     let flat = One_sparse.cells_wire ~max_cells:Matprod_comm.Codec.max_dense_length in
+     let decode c b =
+       match Matprod_comm.Codec.decode c b with
+       | v -> Some v
+       | exception Matprod_comm.Codec.Decode_error _ -> None
+     in
+     Test.make ~name:"one-sparse: cells_wire bytes equal the record codec's" ~count:300
+       (make Gen.(pair (array_size (0 -- 40) cell) (pair nat (int_bound 7))))
+       (fun (recs, (at, bit)) ->
+         let bytes = Matprod_comm.Codec.encode Record.cells_wire recs in
+         (* One bit flipped: both decoders accept it or both reject it. *)
+         let flipped =
+           if bytes = "" then bytes
+           else
+             let b = Bytes.of_string bytes in
+             let at = at mod Bytes.length b in
+             Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 lsl bit)));
+             Bytes.to_string b
+         in
+         Matprod_comm.Codec.encode flat (Record.flatten recs) = bytes
+         && List.for_all
+              (fun b ->
+                decode flat b = Option.map Record.flatten (decode Record.cells_wire b))
+              [ bytes; flipped ]));
     Test.make ~name:"s-sparse: decode inverts sketch (within budget)" ~count:100
       (make sparse_vec_gen) (fun vec ->
         let rng = Prng.create (Array.length vec + 17) in
@@ -845,6 +1180,7 @@ let () =
           Alcotest.test_case "many" `Quick test_one_sparse_many;
           Alcotest.test_case "symmetric patterns" `Quick test_one_sparse_symmetric_patterns;
           Alcotest.test_case "add_scaled" `Quick test_one_sparse_add_scaled;
+          Alcotest.test_case "out-of-field index" `Quick test_one_sparse_out_of_field_index;
         ] );
       ( "s-sparse",
         [
@@ -860,6 +1196,8 @@ let () =
           Alcotest.test_case "uniformity" `Slow test_l0_sampler_uniformity;
           Alcotest.test_case "linear composition" `Quick test_l0_sampler_linear_composition;
           Alcotest.test_case "wire" `Quick test_l0_sampler_wire;
+          Alcotest.test_case "wire checks shape" `Quick test_l0_sampler_wire_shape;
+          Alcotest.test_case "wire bounds allocation" `Quick test_l0_sampler_wire_allocation;
         ] );
       ( "countsketch",
         [
