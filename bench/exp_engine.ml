@@ -6,7 +6,60 @@ module Prng = Matprod_util.Prng
 module Imat = Matprod_matrix.Imat
 module Ctx = Matprod_comm.Ctx
 module Workload = Matprod_workload.Workload
+module Transcript = Matprod_comm.Transcript
 module Engine = Matprod_engine.Engine
+
+(* Mixed families share speaking rounds: perfbench's six specs over its
+   pair, fused, against the same groups run one after another — the
+   runs of their singleton transcripts' senders, concatenated. *)
+let mixed () =
+  let n = 96 and seed = 1001 in
+  let a, b = Workload.gen_pair ~zipf:false ~seed:1 ~n ~density:0.05 in
+  let a = Imat.of_bmat a and b = Imat.of_bmat b in
+  let queries =
+    List.map
+      (fun s ->
+        match Engine.query_of_string s with Ok q -> q | Error e -> failwith e)
+      [ "norm:eps=0.25"; "norm:p=1,eps=0.25"; "top:k=3"; "rows:beta=0.5";
+        "l0:count=1"; "hh:phi=0.05" ]
+  in
+  let run queries =
+    Ctx.run ~seed (fun ctx -> Engine.run (Engine.create ()) ctx ~a ~b queries)
+  in
+  let fused = run queries in
+  let qs = Array.of_list queries in
+  let senders =
+    List.concat_map
+      (fun g ->
+        let solo = run (List.map (fun i -> qs.(i)) g.Engine.members) in
+        List.map
+          (fun m -> m.Transcript.sender)
+          (Transcript.messages solo.Ctx.transcript))
+      fused.Ctx.output.Engine.groups
+  in
+  let sequential =
+    fst
+      (List.fold_left
+         (fun (runs, last) s -> ((if Some s = last then runs else runs + 1), Some s))
+         (0, None) senders)
+  in
+  let groups = List.length fused.Ctx.output.Engine.groups in
+  Report.note "mixed batch at n=%d: %d groups, %s, %d fused rounds vs %d sequential"
+    n groups (Report.fbits fused.Ctx.bits) fused.Ctx.rounds sequential;
+  Report.bench_row
+    [
+      ("n", Matprod_obs.Json.Int n);
+      ("protocol", Matprod_obs.Json.String "engine mixed");
+      ("queries", Matprod_obs.Json.Int (List.length queries));
+      ("groups", Matprod_obs.Json.Int groups);
+      ("bits", Matprod_obs.Json.Int fused.Ctx.bits);
+      ("rounds", Matprod_obs.Json.Int fused.Ctx.rounds);
+      ("sequential_rounds", Matprod_obs.Json.Int sequential);
+    ];
+  Report.record_verdict
+    (fused.Ctx.rounds < sequential)
+    "mixed-family batch fuses its groups' rounds (%d < %d sequential)"
+    fused.Ctx.rounds sequential
 
 let e1 ~quick =
   Report.section ~id:"E1  batched query engine (round-1 reuse + plan cache)"
@@ -103,4 +156,5 @@ let e1 ~quick =
     ];
   Report.record_verdict
     (warm.Ctx.output.Engine.plan_hits = 1 && warm.Ctx.bits = batched.Ctx.bits)
-    "warm plan-cache hit leaves the transcript bit-identical"
+    "warm plan-cache hit leaves the transcript bit-identical";
+  mixed ()

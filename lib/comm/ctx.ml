@@ -7,6 +7,7 @@ type t = {
   public : Prng.t;
   alice : Prng.t;
   bob : Prng.t;
+  turn : Transcript.party -> unit;
 }
 
 let make ?names ?transport ~seed () =
@@ -14,7 +15,14 @@ let make ?names ?transport ~seed () =
   let public = Prng.split root in
   let alice = Prng.split root in
   let bob = Prng.split root in
-  { chan = Channel.create ?names ?transport (); seed; public; alice; bob }
+  {
+    chan = Channel.create ?names ?transport ();
+    seed;
+    public;
+    alice;
+    bob;
+    turn = ignore;
+  }
 
 let create ?transport ~seed () = make ?transport ~seed ()
 let create_named ?transport ~names ~seed () = make ~names ?transport ~seed ()
@@ -23,7 +31,10 @@ let install_wire t ~fault ?reliable () =
   Channel.configure t.chan ~fault ?reliable ()
 
 let wire_stats t = Channel.stats t.chan
-let send t ~from ~label codec v = Channel.send t.chan ~from ~label codec v
+let send t ~from ~label codec v =
+  t.turn from;
+  Channel.send t.chan ~from ~label codec v
+
 let a2b t ~label codec v = send t ~from:Transcript.Alice ~label codec v
 let b2a t ~label codec v = send t ~from:Transcript.Bob ~label codec v
 let transcript t = Channel.transcript t.chan

@@ -19,6 +19,11 @@ type t = {
   public : Matprod_util.Prng.t;
   alice : Matprod_util.Prng.t;
   bob : Matprod_util.Prng.t;
+  turn : Transcript.party -> unit;
+      (** Called by {!send} with the sending party just before the message
+          goes on the channel. {!create} sets it to a no-op; the batched
+          engine sets it on each exchange group's context to yield the
+          speaking turn to its scheduler. *)
 }
 
 val create : ?transport:Transport.t -> seed:int -> unit -> t
@@ -53,7 +58,7 @@ val installed_fault : t -> Fault.t option
 
 val send :
   t -> from:Transcript.party -> label:string -> 'a Codec.t -> 'a -> 'a
-(** Shorthand for {!Channel.send} on [t.chan]. *)
+(** [t.turn from], then {!Channel.send} on [t.chan]. *)
 
 val a2b : t -> label:string -> 'a Codec.t -> 'a -> 'a
 (** Alice speaks. *)

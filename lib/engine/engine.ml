@@ -147,6 +147,11 @@ let compile queries =
     queries;
   List.map (fun (key, members) -> (key, List.rev !members)) !groups
 
+(* The speaking-turn effect: a group's context performs it before each
+   send, so the group's fiber suspends there until the scheduler hands
+   that party the turn. *)
+type _ Effect.t += Turn : Transcript.party -> unit Effect.t
+
 (* Every exchange group draws from streams derived purely from the context
    seed and the group's identity — never from the shared ctx streams — so
    messages are independent of batch composition and execution order. *)
@@ -157,7 +162,20 @@ let group_ctx ctx ~tag =
     Ctx.public = Prng.derive ctx.Ctx.seed h 1;
     alice = Prng.derive ctx.Ctx.seed h 2;
     bob = Prng.derive ctx.Ctx.seed h 3;
+    turn = (fun party -> Effect.perform (Turn party));
   }
+
+(* Who opens a query's group, and the speaking phases the group spends
+   on its own. A group declares its family's opener and the largest of
+   its members' phases: lp pays the sampling round only for a [Norm_pow]
+   member, and a sample group with nothing to draw sends nothing. *)
+let own_turns = function
+  | Norm_pow _ -> (Transcript.Bob, 2)
+  | Row_norms _ | Top_rows _ | Frob_norm _ -> (Bob, 1)
+  | L0_sample { count; _ } -> (Alice, if count > 0 then 1 else 0)
+  | L1_sample { count } -> (Alice, if count > 0 then 3 else 0)
+  | Linf _ -> (Alice, 1)
+  | Heavy_hitters _ | Exact_product -> (Alice, 3)
 
 let family_label = function
   | KLp _ -> "lp"
@@ -318,6 +336,166 @@ let exec_group t ctx ~a ~b ~key ~members ~queries set =
       List.iter (fun i -> set i answer) members;
       (tag, Not_planned)
 
+(* ------------------------------------------------------------------ *)
+(* The fused schedule. Each group runs as a fiber that suspends at every
+   send ([Turn]). The opening speaker X minimises the fused round count
+   R = max_i (k_i + [opener_i <> X]) over the groups' declared own turns
+   (opener_i, k_i), ties to the first group's opener. The parties then
+   take alternate turns 1..R; in a turn, every fiber due to that speaker
+   runs, in group order, until it waits for the other party or finishes.
+   A fiber is due once it waits for the speaker. Before it starts, it is
+   due in its opener's turns from the latest one that still lets it end
+   by turn R: a group starts as late as it can, so it holds its state
+   for the fewest turns and builds each message right before sending it.
+   The schedule decides only the interleaving: each group's own
+   messages, and hence every answer and bit, are those of its singleton
+   run. *)
+
+type 'r step =
+  | Ready of (unit -> 'r)
+  | Wants of Transcript.party * (unit, 'r step) Effect.Deep.continuation
+  | Finished of 'r
+  | Raised of exn * Printexc.raw_backtrace
+
+type 'r fiber = {
+  opener : Transcript.party;
+  declared : int; (* k_i *)
+  mutable step : 'r step;
+  (* What the fiber has open while it is suspended. *)
+  mutable scope : Obs.Metrics.scope;
+  mutable frames : Obs.Trace.frames;
+  (* Its own share: running time, fresh bits, and the transcript index
+     ranges [lo, hi) of the messages it sent, latest first. *)
+  mutable run_ns : int;
+  mutable bits : int;
+  mutable sent : (int * int) list;
+}
+
+exception Cancelled
+
+let handler =
+  {
+    Effect.Deep.retc = (fun r -> Finished r);
+    exnc = (fun e -> Raised (e, Printexc.get_raw_backtrace ()));
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Turn party ->
+            Some (fun (k : (a, _) Effect.Deep.continuation) -> Wants (party, k))
+        | _ -> None);
+  }
+
+(* Run [f] up to its next send (or its end) with its metrics scope and
+   open spans in place, charging it the slice's time, bits and messages. *)
+let advance tr ~base f resume =
+  let outer = Obs.Metrics.current_scope () in
+  Obs.Metrics.set_scope f.scope;
+  Obs.Trace.attach f.frames;
+  let m0 = Transcript.message_count tr and b0 = Transcript.total_bits tr in
+  let t0 = Obs.Clock.now_ns () in
+  let step = resume () in
+  f.run_ns <- f.run_ns + Obs.Clock.elapsed_ns t0;
+  f.bits <- f.bits + Transcript.total_bits tr - b0;
+  let m1 = Transcript.message_count tr in
+  if m1 > m0 then f.sent <- (m0, m1) :: f.sent;
+  f.frames <- Obs.Trace.detach ~base;
+  f.scope <- Obs.Metrics.current_scope ();
+  Obs.Metrics.set_scope outer;
+  f.step <- step
+
+(* X and R; a batch that declares no message opens with Alice. *)
+let opening fibers =
+  match List.filter (fun f -> f.declared > 0) fibers with
+  | [] -> (Transcript.Alice, 0)
+  | first :: _ as speaking ->
+      let rounds x =
+        List.fold_left
+          (fun acc f ->
+            max acc (if f.opener = x then f.declared else f.declared + 1))
+          0 speaking
+      in
+      let other = Transcript.other first.opener in
+      if rounds other < rounds first.opener then (other, rounds other)
+      else (first.opener, rounds first.opener)
+
+(* Runs [((opener_i, k_i), body_i)] in group order to completion and
+   returns the finished fibers. The first exception in schedule order
+   wins: every other suspended fiber is discontinued in group order, so
+   its finalisers run, and the exception is re-raised. *)
+let schedule tr groups =
+  let base = Obs.Trace.depth () in
+  let scope = Obs.Metrics.current_scope () in
+  let fibers =
+    List.map
+      (fun ((opener, declared), body) ->
+        {
+          opener;
+          declared;
+          step = Ready body;
+          scope;
+          frames = Obs.Trace.no_frames;
+          run_ns = 0;
+          bits = 0;
+          sent = [];
+        })
+      groups
+  in
+  let rec cancel f =
+    match f.step with
+    | Wants (_, k) ->
+        advance tr ~base f (fun () -> Effect.Deep.discontinue k Cancelled);
+        cancel f
+    | _ -> ()
+  in
+  let resume f =
+    (match f.step with
+    | Ready body ->
+        advance tr ~base f (fun () -> Effect.Deep.match_with body () handler)
+    | Wants (_, k) -> advance tr ~base f (fun () -> Effect.Deep.continue k ())
+    | Finished _ | Raised _ -> ());
+    match f.step with
+    | Raised (e, bt) ->
+        List.iter cancel fibers;
+        Printexc.raise_with_backtrace e bt
+    | _ -> ()
+  in
+  let x, rounds = opening fibers in
+  let speaker t = if t mod 2 = 1 then x else Transcript.other x in
+  let start f =
+    let t = rounds - f.declared + 1 in
+    if speaker t = f.opener then t else t - 1
+  in
+  let due t f =
+    match f.step with
+    | Ready _ -> speaker t = f.opener && t >= start f
+    | Wants (p, _) -> speaker t = p
+    | Finished _ | Raised _ -> false
+  in
+  let live f = match f.step with Ready _ | Wants _ -> true | _ -> false in
+  let rec turn t =
+    if List.exists live fibers then begin
+      List.iter (fun f -> while due t f do resume f done) fibers;
+      turn (t + 1)
+    end
+  in
+  turn 1;
+  fibers
+
+(* Speaking phases of a fiber's own message subsequence. *)
+let own_phases messages f =
+  let phases = ref 0 and last = ref None in
+  List.iter
+    (fun (lo, hi) ->
+      for i = lo to hi - 1 do
+        let s = Some (Lazy.force messages).(i).Transcript.sender in
+        if s <> !last then begin
+          incr phases;
+          last := s
+        end
+      done)
+    (List.rev f.sent);
+  !phases
+
 let run t ctx ~a ~b queries =
   if queries = [] then invalid_arg "Engine.run: empty batch";
   if Imat.cols a <> Imat.rows b then invalid_arg "Engine.run: dims";
@@ -328,42 +506,60 @@ let run t ctx ~a ~b queries =
   let tr = Ctx.transcript ctx in
   let bits0 = Transcript.total_bits tr and rounds0 = Transcript.rounds tr in
   Obs.Metrics.incr (Obs.Metrics.counter "engine_batches");
+  let compiled = compile queries in
   let groups =
     Obs.Trace.with_span ~name:"engine.batch"
       ~attrs:[ ("queries", Obs.Json.Int (Array.length queries)) ]
       (fun () ->
-        List.map
-          (fun (key, members) ->
-            let fam = family_label key in
-            (* Each query group records into its own metrics scope, so a
-               batch's sketch/channel counters attribute per family. *)
-            Obs.Metrics.in_scope ("group-" ^ fam) @@ fun () ->
-            let gb0 = Transcript.total_bits tr
-            and gr0 = Transcript.rounds tr in
-            let t0 = Obs.Clock.now_ns () in
+        let fibers =
+          schedule tr
+            (List.map
+               (fun (key, members) ->
+                 let fam = family_label key in
+                 let opener = fst (own_turns queries.(List.hd members)) in
+                 let declared =
+                   List.fold_left
+                     (fun k i -> max k (snd (own_turns queries.(i))))
+                     0 members
+                 in
+                 ( (opener, declared),
+                   fun () ->
+                     (* Each query group records into its own metrics
+                        scope, so a batch's sketch/channel counters
+                        attribute per family. *)
+                     Obs.Metrics.in_scope ("group-" ^ fam) @@ fun () ->
+                     Obs.Trace.with_span ~name:"engine.group"
+                       ~attrs:[ ("family", Obs.Json.String fam) ]
+                       (fun () ->
+                         exec_group t ctx ~a ~b ~key ~members ~queries set) ))
+               compiled)
+        in
+        let messages = lazy (Array.of_list (Transcript.messages tr)) in
+        List.map2
+          (fun (key, members) f ->
             let tag, plan =
-              Obs.Trace.with_span ~name:"engine.group"
-                ~attrs:[ ("family", Obs.Json.String fam) ]
-                (fun () -> exec_group t ctx ~a ~b ~key ~members ~queries set)
+              match f.step with Finished r -> r | _ -> assert false
             in
-            let elapsed_ns = Obs.Clock.elapsed_ns t0 in
-            let bits = Transcript.total_bits tr - gb0 in
-            Obs.Metrics.incr_by (Obs.Metrics.counter ~label:fam "engine_bits") bits;
-            Obs.Metrics.incr_by
-              (Obs.Metrics.counter ~label:fam "engine_queries")
-              (List.length members);
-            Obs.Metrics.observe_ns
-              (Obs.Metrics.histogram ~label:fam "engine_group_ns")
-              elapsed_ns;
+            let fam = family_label key in
+            Obs.Metrics.in_scope ("group-" ^ fam) (fun () ->
+                Obs.Metrics.incr_by
+                  (Obs.Metrics.counter ~label:fam "engine_bits")
+                  f.bits;
+                Obs.Metrics.incr_by
+                  (Obs.Metrics.counter ~label:fam "engine_queries")
+                  (List.length members);
+                Obs.Metrics.observe_ns
+                  (Obs.Metrics.histogram ~label:fam "engine_group_ns")
+                  f.run_ns);
             {
               family = tag;
               members;
-              bits;
-              rounds = Transcript.rounds tr - gr0;
-              elapsed_ns;
+              bits = f.bits;
+              rounds = own_phases messages f;
+              elapsed_ns = f.run_ns;
               plan;
             })
-          (compile queries))
+          compiled fibers)
   in
   {
     answers =

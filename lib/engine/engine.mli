@@ -25,16 +25,33 @@
     one refinement: sample queries merged into a shared exchange draw
     consecutive slices of the group's stream, so the group's slices
     concatenate to exactly what one query with the merged total count
-    draws — the first member still matches its singleton run.) The
-    message schedule itself is sequential in first-occurrence group order
-    (byte-identical at any [--domains] value); the per-row sketch and
+    draws — the first member still matches its singleton run.)
+
+    Fused rounds: the groups share speaking rounds. Each group runs as an
+    effect-handler fiber that suspends before every send. Each group
+    declares its own turns (opener_i, k_i) ({!own_turns}); the opening
+    speaker X minimises the fused round count R = max_i (k_i + [opener_i
+    ≠ X]), ties going to the first group's opener. The parties then take
+    alternate turns; in a turn, every group due to that speaker runs, in
+    group (first-occurrence) order, until it waits for the other party or
+    finishes. A started group is due when it waits for the speaker; a
+    group not yet started is due in its opener's turns from the latest
+    one that still lets it end by turn R, so it holds its state for as
+    few turns as it can. A batch therefore takes at most one round more
+    than its longest group, and the schedule only interleaves: each
+    group's own (sender, label, bytes) messages, every answer, and every
+    bit are those of its singleton run. The schedule is
+    byte-identical at any [--domains] value; the per-row sketch and
     combine work inside a group fans out across the
     {!Matprod_util.Pool} domains.
 
     Per-group cost attribution flows through {!Matprod_obs}: spans
     [engine.batch] / [engine.group], counters [engine_bits{family}],
     [engine_queries{family}], [engine_plan_hits], [engine_plan_misses],
-    and histogram [engine_group_ns{family}] (docs/OBSERVABILITY.md). *)
+    and histogram [engine_group_ns{family}] (docs/OBSERVABILITY.md). A
+    suspended group keeps its metrics scope and open spans: they are
+    swapped out while it waits and back in when it resumes, and its span
+    durations exclude the wait. *)
 
 (** One statistic request over C = A·B. Accuracies: [Norm_pow] follows
     Algorithm 1 ([eps] is the target relative error, paid with a sampling
@@ -79,8 +96,10 @@ type group_report = {
   family : string;  (** e.g. ["lp(p=0,beta=0.5)"], ["l0-sample(eps=0.25)"] *)
   members : int list;  (** indices into the batch, ascending *)
   bits : int;  (** fresh transcript bits this group cost *)
-  rounds : int;  (** speaking phases this group added *)
-  elapsed_ns : int;
+  rounds : int;
+      (** speaking phases of the group's own fresh messages, as if it ran
+          alone *)
+  elapsed_ns : int;  (** the group's own running time, waits excluded *)
   plan : plan_status;
 }
 
@@ -113,6 +132,16 @@ val run :
     for [L1_sample] and [Heavy_hitters] — non-negative matrices (raises
     [Invalid_argument] otherwise). The transcript simply continues on
     [ctx]; run several batches in one context to amortise nothing twice. *)
+
+val own_turns : query -> Matprod_comm.Transcript.party * int
+(** The party that opens the query's group and the speaking phases the
+    group spends alone: Bob opens the lp and Frobenius families, Alice
+    every other; [Norm_pow] takes 2 phases (sketches, then the sampling
+    round), [L1_sample], [Heavy_hitters] and [Exact_product] 3, a sample
+    query with [count = 0] none, and every other 1. A group declares its
+    family's opener and the largest of its members' phases. The
+    declaration steers only when the group starts and which party opens
+    the batch, never an answer or a byte. *)
 
 val plan_cache_stats : t -> int * int
 (** Lifetime [(hits, misses)] of the engine's plan cache. *)

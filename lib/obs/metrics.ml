@@ -255,6 +255,9 @@ let in_scope name f =
     Fun.protect ~finally:(fun () -> cur := parent) f
   end
 
+let current_scope () = !cur
+let set_scope s = cur := s
+
 let reset () =
   generation := !generation + 1;
   root.children <- [];

@@ -30,6 +30,15 @@ val in_scope : string -> (unit -> 'a) -> 'a
     current scope (created on first use; re-entering a name reuses its
     scope). Nestable and exception-safe. A no-op when disabled. *)
 
+type scope
+
+val current_scope : unit -> scope
+val set_scope : scope -> unit
+(** Save and restore the current scope by hand, for code that leaves a
+    dynamic extent without unwinding it: the engine's scheduler swaps a
+    suspended exchange group's scope out and back in, so its counters
+    still land in [group-<family>]. *)
+
 val counter : ?label:string -> string -> counter
 (** A handle on metric [name] or ["name{label}"]; the underlying cell is
     per-scope, found-or-created on first use in each scope. *)

@@ -49,8 +49,20 @@ let with_trace ~seed f =
   end
 
 let next_id = ref 0
-let stack : (int * int64 * int) list ref = ref []
-(* (id, sid, depth) of open spans *)
+
+(* An open span. The paused fields add up the time and allocation spent
+   while the span was detached (its fiber suspended), which its recorded
+   duration and allocation deltas exclude. *)
+type frame = {
+  fid : int;
+  fsid : int64;
+  fdepth : int;
+  mutable paused_ns : int;
+  mutable paused_minor : float;
+  mutable paused_major : float;
+}
+
+let stack : frame list ref = ref []
 
 let completed : span list ref = ref []
 
@@ -59,12 +71,12 @@ let fresh_id () =
   !next_id
 
 let current_parent () =
-  match !stack with [] -> (None, 0) | (id, _, d) :: _ -> (Some id, d + 1)
+  match !stack with [] -> (None, 0) | f :: _ -> (Some f.fid, f.fdepth + 1)
 
 let current_context () =
   match !stack with
   | [] -> { trace_id = !cur_trace; span_id = 0L }
-  | (_, sid, _) :: _ -> { trace_id = !cur_trace; span_id = sid }
+  | f :: _ -> { trace_id = !cur_trace; span_id = f.fsid }
 
 (* --- out-of-band context frames -------------------------------------- *)
 
@@ -118,16 +130,27 @@ let with_span ?(attrs = []) ~name f =
         (minor, major)
       else (0.0, 0.0)
     in
-    stack := (id, sid, depth) :: !stack;
+    let frame =
+      {
+        fid = id;
+        fsid = sid;
+        fdepth = depth;
+        paused_ns = 0;
+        paused_minor = 0.0;
+        paused_major = 0.0;
+      }
+    in
+    stack := frame :: !stack;
     Fun.protect
       ~finally:(fun () ->
         (match !stack with
-        | (id', _, _) :: rest when id' = id -> stack := rest
+        | f :: rest when f == frame -> stack := rest
         | _ -> ());
         let alloc_minor_w, alloc_major_w =
           if prof then
             let minor, _, major = Gc.counters () in
-            (int_of_float (minor -. minor0), int_of_float (major -. major0))
+            ( int_of_float (minor -. minor0 -. frame.paused_minor),
+              int_of_float (major -. major0 -. frame.paused_major) )
           else (0, 0)
         in
         record
@@ -141,11 +164,61 @@ let with_span ?(attrs = []) ~name f =
             instant = false;
             attrs;
             start_ns;
-            dur_ns = Clock.elapsed_ns start_ns;
+            dur_ns = Clock.elapsed_ns start_ns - frame.paused_ns;
             alloc_minor_w;
             alloc_major_w;
           })
       f
+  end
+
+(* --- suspended frames --------------------------------------------- *)
+
+type frames = {
+  detached : frame list; (* innermost first *)
+  at_ns : int64;
+  at_minor : float;
+  at_major : float;
+}
+
+let no_frames = { detached = []; at_ns = 0L; at_minor = 0.0; at_major = 0.0 }
+let depth () = List.length !stack
+
+let detach ~base =
+  let rec split n l =
+    match l with
+    | f :: rest when n > 0 ->
+        let mine, below = split (n - 1) rest in
+        (f :: mine, below)
+    | _ -> ([], l)
+  in
+  match split (depth () - base) !stack with
+  | [], _ -> no_frames
+  | detached, below ->
+      stack := below;
+      let at_minor, at_major =
+        if profile () then
+          let minor, _, major = Gc.counters () in
+          (minor, major)
+        else (0.0, 0.0)
+      in
+      { detached; at_ns = Clock.now_ns (); at_minor; at_major }
+
+let attach fs =
+  if fs.detached <> [] then begin
+    let paused = Clock.elapsed_ns fs.at_ns in
+    let minor, major =
+      if profile () then
+        let minor, _, major = Gc.counters () in
+        (minor -. fs.at_minor, major -. fs.at_major)
+      else (0.0, 0.0)
+    in
+    List.iter
+      (fun f ->
+        f.paused_ns <- f.paused_ns + paused;
+        f.paused_minor <- f.paused_minor +. minor;
+        f.paused_major <- f.paused_major +. major)
+      fs.detached;
+    stack := fs.detached @ !stack
   end
 
 let event ?(attrs = []) ~name () =

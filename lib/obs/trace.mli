@@ -75,6 +75,30 @@ val with_span : ?attrs:(string * Json.t) list -> name:string -> (unit -> 'a) -> 
     (and records its duration and allocation deltas) even if the thunk
     raises. *)
 
+(** {1 Suspending open spans}
+
+    A fiber that suspends inside open spans (the engine's exchange
+    groups, at each speaking turn) takes its frames off the stack and
+    puts them back when it resumes. Spans opened meanwhile by others nest
+    under whatever is open then, and the detached spans' durations and
+    allocation deltas exclude the time they spent detached. *)
+
+type frames
+
+val no_frames : frames
+(** Nothing detached. *)
+
+val depth : unit -> int
+(** Number of open spans on the stack. *)
+
+val detach : base:int -> frames
+(** Take off every open span above the bottom [base] ones (innermost
+    first) and start their pause clock. *)
+
+val attach : frames -> unit
+(** Push detached spans back on top of the stack and stop their pause
+    clock. *)
+
 val event : ?attrs:(string * Json.t) list -> name:string -> unit -> unit
 (** An instant (zero-duration) span at the current nesting level. *)
 

@@ -3,6 +3,7 @@ module Codec = Matprod_comm.Codec
 module Ctx = Matprod_comm.Ctx
 module Journal = Matprod_comm.Journal
 module Engine = Matprod_engine.Engine
+module Outcome = Matprod_core.Outcome
 module Imat = Matprod_matrix.Imat
 module Workload = Matprod_workload.Workload
 module Metrics = Matprod_obs.Metrics
@@ -229,8 +230,11 @@ let do_batch t ~session ~session_seed ~id ~pair ~specs =
                     Ctx.run_journaled ~seed ~journal:path ~protocol:"serve"
                       body)
           in
-          match exec () with
-          | run ->
+          (* Every failure Outcome types (a journal that no longer
+             matches the batch included) is this batch's error, never the
+             session's end. *)
+          match Outcome.guard exec with
+          | Ok run ->
               Proto.Answers
                 {
                   id;
@@ -239,10 +243,11 @@ let do_batch t ~session ~session_seed ~id ~pair ~specs =
                   replayed_bits = run.Ctx.replayed_bits;
                   answers = Array.to_list run.Ctx.output.Engine.answers;
                 }
-          | exception Invalid_argument e ->
+          | Error (Outcome.Precondition e | Outcome.Protocol_failure e) ->
               Proto.Err (Printf.sprintf "batch %d: %s" id e)
-          | exception Failure e -> Proto.Err (Printf.sprintf "batch %d: %s" id e)
-          ))
+          | Error e ->
+              Proto.Err
+                (Printf.sprintf "batch %d: %s" id (Outcome.error_to_string e))))
 
 let handle t fd =
   let cleanup () =

@@ -300,12 +300,12 @@ let test_journal_bad_headers () =
       ("short magic", "MP");
       ("wrong magic", "NOPE\001\000\000");
       ("magic only", "MPJ1");
-      ("truncated protocol", "MPJ1\001\005ab");
+      ("truncated protocol", "MPJ1\002\005ab");
     ];
   (* An unknown version must be refused, not misparsed. *)
   let good = Journal.to_bytes ~protocol:"p" ~seed:1 [] in
   let b = Bytes.of_string good in
-  Bytes.set b 4 '\002';
+  Bytes.set b 4 '\003';
   match Journal.of_bytes (Bytes.to_string b) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "future version accepted"

@@ -10,7 +10,11 @@
       in the report and the Metrics counters, never in answers or bits.
    4. A mid-batch crash leaves a journal whose resume completes with the
       fault-free answers, and fresh + replayed bits account for exactly
-      the fault-free transcript. *)
+      the fault-free transcript.
+   5. The groups share speaking rounds: the fused transcript interleaves
+      the groups' singleton transcripts message for message, and takes
+      no more rounds than running them one after another, nor more than
+      one round above the longest group. *)
 
 module Prng = Matprod_util.Prng
 module Imat = Matprod_matrix.Imat
@@ -21,6 +25,7 @@ module Fault = Matprod_comm.Fault
 module Reliable = Matprod_comm.Reliable
 module Journal = Matprod_comm.Journal
 module Metrics = Matprod_obs.Metrics
+module Trace = Matprod_obs.Trace
 module Outcome = Matprod_core.Outcome
 module Engine = Matprod_engine.Engine
 
@@ -272,40 +277,434 @@ let test_journal_resume_mid_batch () =
       check Alcotest.int "fresh + replayed = fault-free bits" base.Ctx.bits
         (resumed.Ctx.bits + resumed.Ctx.replayed_bits))
 
+(* The benchmark batch: the perfbench pair (96x96, density 0.05, seed 1)
+   and its six specs, run at batch seed 1001. *)
+let bench_pair () =
+  let a, b = Workload.gen_pair ~zipf:false ~seed:1 ~n:96 ~density:0.05 in
+  (Imat.of_bmat a, Imat.of_bmat b)
+
+let bench_queries () =
+  List.map
+    (fun s ->
+      match Engine.query_of_string s with
+      | Ok q -> q
+      | Error e -> Alcotest.failf "spec %S: %s" s e)
+    [ "norm:eps=0.25"; "norm:p=1,eps=0.25"; "top:k=3"; "rows:beta=0.5";
+      "l0:count=1"; "hh:phi=0.05" ]
+
+let bench_seed = 1001
+
 (* The wire bytes of a served batch, pinned: the benchmark's pair (96x96,
    density 0.05, seed 1) and its six specs at batch seed 1001. The
    journal stores every message's payload, so its length and CRC-32 move
-   if any codec, sketch or combine kernel changes a single byte. *)
+   if any codec, sketch or combine kernel changes a single byte; the CRC
+   also moves if the fused schedule reorders the messages. *)
 let test_golden_journal_bytes () =
-  let root = Prng.create 1 in
-  let rng_a = Prng.split root in
-  let rng_b = Prng.split root in
-  let a =
-    Imat.of_bmat (Workload.uniform_bool rng_a ~rows:96 ~cols:96 ~density:0.05)
-  in
-  let b =
-    Imat.of_bmat (Workload.uniform_bool rng_b ~rows:96 ~cols:96 ~density:0.05)
-  in
-  let queries =
-    List.map
-      (fun s ->
-        match Engine.query_of_string s with
-        | Ok q -> q
-        | Error e -> Alcotest.failf "spec %S: %s" s e)
-      [ "norm:eps=0.25"; "norm:p=1,eps=0.25"; "top:k=3"; "rows:beta=0.5";
-        "l0:count=1"; "hh:phi=0.05" ]
-  in
+  let a, b = bench_pair () in
+  let queries = bench_queries () in
   let path = Filename.temp_file "matprod_golden" ".journal" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       ignore
-        (Ctx.run_journaled ~seed:1001 ~journal:path ~protocol:"serve"
+        (Ctx.run_journaled ~seed:bench_seed ~journal:path ~protocol:"serve"
            (fun ctx -> Engine.run (Engine.create ()) ctx ~a ~b queries));
       let bytes = In_channel.with_open_bin path In_channel.input_all in
       check Alcotest.int "journal length" 721_974 (String.length bytes);
-      check Alcotest.string "journal crc32" "0x3cf2d2ab"
+      check Alcotest.string "journal crc32" "0x9cb1ed5d"
         (Printf.sprintf "0x%08x" (Reliable.crc32 bytes)))
+
+
+(* ------------------------------------------------------------------ *)
+(* Property 5: fused rounds against a singleton oracle. Every group of a
+   fused batch is re-run alone, as a batch of just its members, at the
+   same seed. *)
+
+let wire_view tr =
+  List.map
+    (fun m -> (m.Transcript.sender, m.Transcript.label, m.Transcript.bytes))
+    (Transcript.messages tr)
+
+let speaker_runs senders =
+  fst
+    (List.fold_left
+       (fun (runs, last) s -> ((if Some s = last then runs else runs + 1), Some s))
+       (0, None) senders)
+
+(* Is [fused] an interleaving of [queues], each kept in order? *)
+let rec interleaves fused queues =
+  match fused with
+  | [] -> List.for_all (( = ) []) queues
+  | m :: rest ->
+      List.exists
+        (fun i ->
+          match List.nth queues i with
+          | m' :: tail when m' = m ->
+              interleaves rest
+                (List.mapi (fun j q -> if j = i then tail else q) queues)
+          | _ -> false)
+        (List.init (List.length queues) Fun.id)
+
+let fused_oracle ~seed ~n queries =
+  let a, b = gen_pair ~seed ~n in
+  let fused = run_batch ~seed ~a ~b queries in
+  let rep = fused.Ctx.output in
+  let qs = Array.of_list queries in
+  let solos =
+    List.map
+      (fun g ->
+        (g, run_batch ~seed ~a ~b (List.map (fun i -> qs.(i)) g.Engine.members)))
+      rep.Engine.groups
+  in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  List.iter
+    (fun (g, solo) ->
+      List.iteri
+        (fun j i ->
+          if compare rep.Engine.answers.(i) solo.Ctx.output.Engine.answers.(j) <> 0
+          then fail "query %d (%s): fused answer differs from its group run" i
+              (Engine.query_to_string qs.(i)))
+        g.Engine.members;
+      if g.Engine.bits <> solo.Ctx.bits || g.Engine.rounds <> solo.Ctx.rounds
+      then
+        fail "%s: reports %d bits, %d rounds; alone it takes %d bits, %d rounds"
+          g.Engine.family g.Engine.bits g.Engine.rounds solo.Ctx.bits
+          solo.Ctx.rounds)
+    solos;
+  if not
+       (interleaves (wire_view fused.Ctx.transcript)
+          (List.map (fun (_, solo) -> wire_view solo.Ctx.transcript) solos))
+  then fail "the fused transcript does not interleave the group transcripts";
+  let solo_bits = List.fold_left (fun acc (_, solo) -> acc + solo.Ctx.bits) 0 solos in
+  if fused.Ctx.bits <> solo_bits then
+    fail "fused %d bits <> %d summed over the groups" fused.Ctx.bits solo_bits;
+  let sequential =
+    speaker_runs
+      (List.concat_map
+         (fun (_, solo) ->
+           List.map (fun (s, _, _) -> s) (wire_view solo.Ctx.transcript))
+         solos)
+  in
+  let longest = List.fold_left (fun acc (_, solo) -> max acc solo.Ctx.rounds) 0 solos in
+  if fused.Ctx.rounds > sequential then
+    fail "fused %d rounds > %d run one after another" fused.Ctx.rounds sequential;
+  if fused.Ctx.rounds > longest + 1 then
+    fail "fused %d rounds > longest group %d + 1" fused.Ctx.rounds longest;
+  (* With every group's opener and rounds measured alone, the best
+     opening speaker X gives max_i (rounds_i + [opener_i <> X]). *)
+  let optimum x =
+    List.fold_left
+      (fun acc (_, solo) ->
+        match wire_view solo.Ctx.transcript with
+        | (opener, _, _) :: _ ->
+            max acc (solo.Ctx.rounds + if opener = x then 0 else 1)
+        | [] -> acc)
+      0 solos
+  in
+  let optimum = min (optimum Transcript.Alice) (optimum Transcript.Bob) in
+  if fused.Ctx.rounds <> optimum then
+    fail "fused %d rounds, the best opening speaker gives %d" fused.Ctx.rounds
+      optimum;
+  true
+
+let query_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      map (fun p -> Engine.Norm_pow { p; eps = 0.25 }) (oneofl [ 0.0; 1.0 ]);
+      return (Engine.Frob_norm { eps = 0.5 });
+      map (fun p -> Engine.Row_norms { p; beta = 0.5 }) (oneofl [ 0.0; 1.0 ]);
+      map (fun p -> Engine.Top_rows { p; beta = 0.5; k = 3 }) (oneofl [ 0.0; 1.0 ]);
+      map (fun count -> Engine.L0_sample { eps = 0.5; count }) (1 -- 2);
+      map (fun count -> Engine.L1_sample { count }) (1 -- 2);
+      return (Engine.Heavy_hitters { phi = 0.2; eps = 0.1 });
+      return (Engine.Linf { kappa = 2.0 });
+      return Engine.Exact_product;
+    ]
+
+let batch_gen =
+  let open QCheck.Gen in
+  let* n = oneofl [ 16; 32 ] in
+  let* seed = int_bound 100_000 in
+  let* queries = list_size (1 -- 7) query_gen in
+  (* duplicates, in random positions *)
+  let* dups = list_size (0 -- 2) (int_bound 6) in
+  let queries =
+    queries @ List.map (fun i -> List.nth queries (i mod List.length queries)) dups
+  in
+  let* queries = shuffle_l queries in
+  return (n, seed, queries)
+
+let print_batch (n, seed, queries) =
+  Printf.sprintf "n=%d seed=%d [%s]" n seed
+    (String.concat "; " (List.map Engine.query_to_string queries))
+
+let qcheck_fused_oracle =
+  QCheck.Test.make ~name:"fused batch = its group runs, interleaved" ~count:25
+    (QCheck.make ~print:print_batch batch_gen)
+    (fun (n, seed, queries) -> fused_oracle ~seed ~n queries)
+
+(* Each query kind's declared own turns equal what its group measures
+   alone — its opener and its rounds — the engine's twin of the
+   registry's predicted = measured. *)
+let test_declared_turns () =
+  let seed = 3 in
+  let a, b = gen_pair ~seed ~n:20 in
+  List.iter
+    (fun q ->
+      let run = run_batch ~seed ~a ~b [ q ] in
+      let what = Engine.query_to_string q in
+      let opener, rounds = Engine.own_turns q in
+      check Alcotest.int (what ^ ": declared = measured rounds") rounds
+        run.Ctx.rounds;
+      (match Transcript.messages run.Ctx.transcript with
+      | m :: _ ->
+          check Alcotest.string (what ^ ": declared = measured opener")
+            (Transcript.party_name opener)
+            (Transcript.party_name m.Transcript.sender)
+      | [] -> ());
+      match run.Ctx.output.Engine.groups with
+      | [ g ] -> check Alcotest.int (what ^ ": group report") run.Ctx.rounds g.Engine.rounds
+      | _ -> Alcotest.failf "%s: expected one group" what)
+    [
+      Engine.Norm_pow { p = 0.0; eps = 0.25 };
+      Engine.Frob_norm { eps = 0.5 };
+      Engine.Row_norms { p = 1.0; beta = 0.5 };
+      Engine.Top_rows { p = 0.0; beta = 0.5; k = 3 };
+      Engine.L0_sample { eps = 0.5; count = 2 };
+      Engine.L0_sample { eps = 0.5; count = 0 };
+      Engine.L1_sample { count = 2 };
+      Engine.L1_sample { count = 0 };
+      Engine.Heavy_hitters { phi = 0.2; eps = 0.1 };
+      Engine.Linf { kappa = 2.0 };
+      Engine.Exact_product;
+    ]
+
+(* The benchmark batch fuses 6 sequential rounds into 3, with Alice
+   opening: hh's first two messages; then Bob: both lp sketches and hh's
+   rows; then Alice: both lp samples, hh's last two messages and, started
+   as late as it can, l0's two. An lp group (B, A) beside an l0 group (A)
+   opens with Bob and keeps 2 rounds, where Alice opening would take 3. *)
+let test_bench_batch_rounds () =
+  (let a, b = gen_pair ~seed:2 ~n:20 in
+   let run =
+     run_batch ~seed:2 ~a ~b
+       (lp_batch @ [ Engine.L0_sample { eps = 0.5; count = 1 } ])
+   in
+   check Alcotest.int "lp + l0 rounds" 2 run.Ctx.rounds;
+   match Transcript.messages run.Ctx.transcript with
+   | m :: _ -> check Alcotest.bool "Bob opens" true (m.Transcript.sender = Transcript.Bob)
+   | [] -> Alcotest.fail "no messages");
+  let a, b = bench_pair () in
+  let run = run_batch ~seed:bench_seed ~a ~b (bench_queries ()) in
+  check Alcotest.int "fused rounds" 3 run.Ctx.rounds;
+  check
+    (Alcotest.list Alcotest.int)
+    "per-group own rounds" [ 2; 2; 1; 3 ]
+    (List.map (fun g -> g.Engine.rounds) run.Ctx.output.Engine.groups);
+  check Alcotest.string "speakers" "AABBBAAAAAA"
+    (String.concat ""
+       (List.map
+          (fun m ->
+            match m.Transcript.sender with Transcript.Alice -> "A" | Bob -> "B")
+          (Transcript.messages run.Ctx.transcript)))
+
+(* Suspended groups keep their observability: counters land in their
+   group-<family> scope, every span a group opens has that group's
+   engine.group span as ancestor, and group spans exclude their waits, so
+   they never sum past the batch span. *)
+let test_fused_observability () =
+  let a, b = bench_pair () in
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  Trace.enable ();
+  Trace.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ();
+      Trace.disable ();
+      Trace.reset ())
+  @@ fun () ->
+  ignore (run_batch ~seed:bench_seed ~a ~b (bench_queries ()));
+  let messages = Metrics.counter "messages_sent" in
+  List.iter
+    (fun (fam, expected) ->
+      check Alcotest.int ("messages in group-" ^ fam) expected
+        (Metrics.in_scope ("group-" ^ fam) (fun () -> Metrics.value messages)))
+    [ ("lp", 4); ("l0-sample", 2); ("heavy-hitters", 5) ];
+  let spans = Trace.spans () in
+  let by_id = Hashtbl.create 64 in
+  List.iter (fun sp -> Hashtbl.replace by_id sp.Trace.id sp) spans;
+  let rec group_of sp =
+    if sp.Trace.name = "engine.group" then
+      match List.assoc_opt "family" sp.Trace.attrs with
+      | Some (Matprod_obs.Json.String f) -> Some f
+      | _ -> None
+    else Option.bind sp.Trace.parent (fun p -> group_of (Hashtbl.find by_id p))
+  in
+  let owner = [ ("lp_protocol.", "lp"); ("l0_sampling.", "l0-sample");
+                ("hh_general.", "heavy-hitters") ] in
+  let checked = ref 0 in
+  List.iter
+    (fun sp ->
+      List.iter
+        (fun (prefix, fam) ->
+          if String.starts_with ~prefix sp.Trace.name then begin
+            incr checked;
+            check (Alcotest.option Alcotest.string)
+              (sp.Trace.name ^ " under its group") (Some fam) (group_of sp)
+          end)
+        owner)
+    spans;
+  check Alcotest.bool "group spans seen" true (!checked >= 4);
+  let dur name =
+    List.fold_left
+      (fun acc sp -> if sp.Trace.name = name then acc + sp.Trace.dur_ns else acc)
+      0 spans
+  in
+  check Alcotest.bool "group spans sum within the batch span" true
+    (dur "engine.group" <= dur "engine.batch")
+
+(* ------------------------------------------------------------------ *)
+(* Failure and resume inside a fused batch: a crash of either party at
+   any message closes every span the run opened (the suspended groups
+   are discontinued) and leaves no foreign metrics scope behind,
+   ends in a typed error whenever the rule fires (and in the fault-free
+   answers when the party never speaks again), and its journal prefix
+   resumes to the full answers with exactly the prefix's bits replayed. *)
+let test_fused_crash_resume () =
+  let a, b = bench_pair () in
+  let queries = bench_queries () in
+  let body ctx = Engine.run (Engine.create ()) ctx ~a ~b queries in
+  let seed = bench_seed in
+  let base = Ctx.run ~seed body in
+  let msgs = Array.of_list (Transcript.messages base.Ctx.transcript) in
+  let count = Array.length msgs in
+  let prefix_bits k =
+    let acc = ref 0 in
+    for i = 0 to k - 1 do
+      acc := !acc + (8 * msgs.(i).Transcript.bytes)
+    done;
+    !acc
+  in
+  let speaks_from party k =
+    Array.exists (fun m -> m.Transcript.sender = party) (Array.sub msgs k (count - k))
+  in
+  Metrics.set_enabled true;
+  Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ();
+      Trace.disable ();
+      Trace.reset ())
+  @@ fun () ->
+  let path = Filename.temp_file "matprod_fused" ".journal" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  Trace.with_span ~name:"test.outer" @@ fun () ->
+  Metrics.in_scope "test-outer" @@ fun () ->
+  let depth0 = Trace.depth () and scope0 = Metrics.current_scope () in
+  List.iter
+    (fun party ->
+      for k = 0 to count - 1 do
+        let what =
+          Printf.sprintf "%s crashes at %d" (Transcript.party_name party) k
+        in
+        Trace.reset ();
+        let crashed =
+          Ctx.run_journaled ~seed ~journal:path ~protocol:"serve" (fun ctx ->
+              Ctx.install_wire ctx
+                ~fault:(Fault.crash_only ~party ~at:(Fault.After_messages k))
+                ();
+              Outcome.capture ctx (fun () -> body ctx))
+        in
+        check Alcotest.int (what ^ ": trace depth") depth0 (Trace.depth ());
+        check Alcotest.bool (what ^ ": metrics scope") true
+          (Metrics.current_scope () == scope0);
+        (* Span ids are handed out in start order and spans are
+           recorded when they close: a gap is a span left open. *)
+        let ids = List.map (fun sp -> sp.Trace.id) (Trace.spans ()) in
+        List.iteri
+          (fun i id ->
+            if id <> List.hd ids + i then
+              Alcotest.failf "%s: span %d never closed" what (List.hd ids + i))
+          ids;
+        match crashed.Ctx.output with
+        | Ok (rep, _) ->
+            if speaks_from party k then Alcotest.failf "%s: answered" what;
+            if rep.Engine.answers <> base.Ctx.output.Engine.answers then
+              Alcotest.failf "%s: a run the rule never hit answered wrong" what
+        | Error (Outcome.Crashed { after_messages; _ }) ->
+            let journal =
+              match Journal.load path with
+              | Ok j -> j
+              | Error e -> Alcotest.failf "%s: journal unreadable: %s" what e
+            in
+            check Alcotest.int (what ^ ": journaled prefix") after_messages
+              (List.length journal.Journal.entries);
+            let resumed = Ctx.resume ~seed ~journal body in
+            if resumed.Ctx.output.Engine.answers <> base.Ctx.output.Engine.answers
+            then Alcotest.failf "%s: resumed answers differ" what;
+            check Alcotest.int (what ^ ": replayed = prefix bits")
+              (prefix_bits after_messages) resumed.Ctx.replayed_bits;
+            check Alcotest.int (what ^ ": fresh + replayed = fault-free")
+              base.Ctx.bits
+              (resumed.Ctx.bits + resumed.Ctx.replayed_bits)
+        | Error e ->
+            Alcotest.failf "%s: wrong error: %s" what (Outcome.error_to_string e)
+      done)
+    [ Transcript.Alice; Transcript.Bob ]
+
+(* A version-1 journal of the benchmark batch — the groups' singleton
+   journals one after another, as the sequential engine wrote them — is
+   refused. Under a version-2 header the same log would diverge at the
+   first reordered message. *)
+let test_v1_journal_refused () =
+  let a, b = bench_pair () in
+  let queries = Array.of_list (bench_queries ()) in
+  let fused = run_batch ~seed:bench_seed ~a ~b (Array.to_list queries) in
+  let path = Filename.temp_file "matprod_v1" ".journal" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let entries =
+    List.concat_map
+      (fun g ->
+        ignore
+          (Ctx.run_journaled ~seed:bench_seed ~journal:path ~protocol:"serve"
+             (fun ctx ->
+               Engine.run (Engine.create ()) ctx ~a ~b
+                 (List.map (fun i -> queries.(i)) g.Engine.members)));
+        match Journal.load path with
+        | Ok j -> j.Journal.entries
+        | Error e -> Alcotest.failf "group journal unreadable: %s" e)
+      fused.Ctx.output.Engine.groups
+  in
+  let v2 = Journal.to_bytes ~protocol:"serve" ~seed:bench_seed entries in
+  let v1 = Bytes.of_string v2 in
+  Bytes.set v1 4 '\001';
+  let v1 = Bytes.to_string v1 in
+  (* the golden journal as pinned before the fused schedule *)
+  check Alcotest.int "version-1 length" 721_974 (String.length v1);
+  check Alcotest.string "version-1 crc32" "0x3cf2d2ab"
+    (Printf.sprintf "0x%08x" (Reliable.crc32 v1));
+  (match Journal.of_bytes v1 with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a version-1 journal was accepted");
+  match Journal.of_bytes v2 with
+  | Error e -> Alcotest.failf "version-2 header refused: %s" e
+  | Ok journal -> (
+      match
+        Outcome.guard (fun () ->
+            Ctx.resume ~seed:bench_seed ~journal (fun ctx ->
+                Engine.run (Engine.create ()) ctx ~a ~b (Array.to_list queries)))
+      with
+      | Error (Outcome.Protocol_failure m)
+        when String.starts_with ~prefix:"journal replay mismatch" m ->
+          ()
+      | Error e -> Alcotest.failf "wrong error: %s" (Outcome.error_to_string e)
+      | Ok _ -> Alcotest.fail "the sequential order replayed under fusion")
 
 (* Engine.run under Outcome.capture: typed errors on a dead wire, clean
    passthrough otherwise. *)
@@ -413,9 +812,23 @@ let () =
           Alcotest.test_case "degenerate batches" `Quick test_edge_cases;
           Alcotest.test_case "query specs" `Quick test_query_specs;
         ] );
+      ( "fused rounds",
+        [
+          QCheck_alcotest.to_alcotest qcheck_fused_oracle;
+          Alcotest.test_case "declared = measured turns" `Quick
+            test_declared_turns;
+          Alcotest.test_case "benchmark batch 6 -> 3 rounds" `Quick
+            test_bench_batch_rounds;
+          Alcotest.test_case "per-group observability" `Quick
+            test_fused_observability;
+          Alcotest.test_case "crash and resume at every message" `Quick
+            test_fused_crash_resume;
+        ] );
       ( "wire",
         [
           Alcotest.test_case "golden journal bytes" `Quick
             test_golden_journal_bytes;
+          Alcotest.test_case "version-1 journal refused" `Quick
+            test_v1_journal_refused;
         ] );
     ]

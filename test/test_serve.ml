@@ -554,6 +554,66 @@ let test_serve_kill_and_resume_from_journal () =
   check Alcotest.int "all bits replayed" first.g_bits second.g_replayed;
   check Alcotest.int "zero fresh bits on resume" 0 second.g_bits
 
+(* A stale journal never ends the session: re-asking an id with other
+   specs finds that id's journal, whose replay diverges at the first
+   message. The batch gets a typed error and the connection lives on. *)
+let test_serve_replay_mismatch_keeps_session () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "matprod_serve_m_%d" (Unix.getpid ()))
+  in
+  Fun.protect ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ())
+  @@ fun () ->
+  with_server ~journal_dir:dir () @@ fun srv ->
+  let cl = Client.connect ~port:(Server.port srv) ~session_seed:77 () in
+  Fun.protect ~finally:(fun () -> Client.quit cl) @@ fun () ->
+  (match Client.gen cl ~name:"g" ~n:20 ~density:0.25 ~seed:6 ~zipf:false with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  ignore (batch_answers (Client.batch cl ~id:3 ~pair:"g" ~specs:[ "norm:eps=0.25" ]));
+  (match Client.batch cl ~id:3 ~pair:"g" ~specs:[ "l0:count=2" ] with
+  | Error e ->
+      check Alcotest.bool "error names the batch" true
+        (String.starts_with ~prefix:"batch 3: " e)
+  | Ok _ -> Alcotest.fail "a diverging journal was answered");
+  let next = batch_answers (Client.batch cl ~id:4 ~pair:"g" ~specs:[ "l0:count=2" ]) in
+  check Alcotest.int "next batch answered" 1 (List.length next.g_answers);
+  check Alcotest.int "batch errors counted" 1 (Server.stats srv).Server.batch_errors
+
+(* A journal of another format version is not replayed: the daemon runs
+   the batch fresh, paying every bit again. *)
+let test_serve_old_journal_runs_fresh () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "matprod_serve_v_%d" (Unix.getpid ()))
+  in
+  Fun.protect ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ())
+  @@ fun () ->
+  let session_seed = 55 in
+  let specs = [ "norm:eps=0.25"; "l0:count=2"; "hh:phi=0.05" ] in
+  let ask () =
+    with_server ~journal_dir:dir () @@ fun srv ->
+    let cl = Client.connect ~port:(Server.port srv) ~session_seed () in
+    Fun.protect ~finally:(fun () -> Client.quit cl) @@ fun () ->
+    (match Client.gen cl ~name:"g" ~n:20 ~density:0.25 ~seed:6 ~zipf:false with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e);
+    batch_answers (Client.batch cl ~id:1 ~pair:"g" ~specs)
+  in
+  let first = ask () in
+  let path =
+    Filename.concat dir (Proto.journal_name ~session_seed ~batch_id:1)
+  in
+  let bytes = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  Bytes.set bytes 4 '\001';
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc bytes);
+  let again = ask () in
+  check Alcotest.bool "same answers" true (first.g_answers = again.g_answers);
+  check Alcotest.int "nothing replayed" 0 again.g_replayed;
+  check Alcotest.int "every bit paid fresh" first.g_bits again.g_bits
+
 let test_loadgen_deterministic_digest () =
   with_server () @@ fun srv ->
   let run () =
@@ -618,6 +678,10 @@ let () =
             test_serve_concurrent_sessions;
           Alcotest.test_case "kill and resume" `Quick
             test_serve_kill_and_resume_from_journal;
+          Alcotest.test_case "replay mismatch keeps the session" `Quick
+            test_serve_replay_mismatch_keeps_session;
+          Alcotest.test_case "old journal version runs fresh" `Quick
+            test_serve_old_journal_runs_fresh;
           Alcotest.test_case "loadgen digest" `Quick
             test_loadgen_deterministic_digest;
         ] );
