@@ -143,7 +143,7 @@ let c4 ~quick =
     (fun name ->
       let est = Option.get (Registry.find name) in
       let a, b = inputs ~n name in
-      let summary = Verify.summarize ~name ~a ~b in
+      let summary = Verify.summarize ~a ~b in
       List.iter
         (fun mode ->
           List.iter
@@ -177,7 +177,7 @@ let c4 ~quick =
                   match rep.Fleet.answer with
                   | Outcome.Full v
                     when v <> clean
-                         && (match Verify.vote summary [ (0, clean); (1, v) ]
+                         && (match Verify.vote est summary [ (0, clean); (1, v) ]
                              with
                             | Some vr -> vr.Verify.outvoted <> []
                             | None -> true) ->

@@ -8,20 +8,21 @@ let fn n = float_of_int n
 let on_imat run ctx query ~a ~b =
   run ctx query ~a:(Imat.of_bmat a) ~b:(Imat.of_bmat b)
 
-let lp ~name ~p ~describe =
+let lp ~name ~p ~stat ~describe =
   Estimator.make ~name ~describe
     ~default:(Lp_protocol.default_params ~p ~eps:0.5 ())
     ~cost:(fun (prm : Lp_protocol.params) ~n ->
       { Estimator.bits = 64.0 *. fn n *. ln n /. prm.Lp_protocol.eps; rounds = 2 })
+    ~contract:(fun _ -> Estimator.Approx { stat; slack = 3.0; ratio = 6.0 })
     ~comparable:(fun x -> Estimator.Number x)
     (on_imat Lp_protocol.run)
 
 let lp_p0 =
-  lp ~name:"lp p=0" ~p:0.0
+  lp ~name:"lp p=0" ~p:0.0 ~stat:(Estimator.Norm0 { times = 1.0 })
     ~describe:"Algorithm 1: (1+eps)||AB||_0, 2 rounds, O~(n/eps) bits"
 
 let lp_p1 =
-  lp ~name:"lp p=1" ~p:1.0
+  lp ~name:"lp p=1" ~p:1.0 ~stat:Estimator.Norm1
     ~describe:"Algorithm 1 at p = 1: (1+eps)||AB||_1"
 
 let lp_oneround =
@@ -31,6 +32,8 @@ let lp_oneround =
     ~cost:(fun (prm : Lp_oneround.params) ~n ->
       let e = prm.Lp_oneround.eps in
       { Estimator.bits = 64.0 *. fn n *. ln n /. (e *. e); rounds = 1 })
+    ~contract:(fun _ ->
+      Estimator.Approx { stat = Estimator.Frob; slack = 4.0; ratio = 8.0 })
     ~comparable:(fun x -> Estimator.Number x)
     (on_imat Lp_oneround.run)
 
@@ -41,6 +44,8 @@ let srht =
     ~cost:(fun (prm : Frobenius.params) ~n ->
       let e = prm.Frobenius.eps in
       { Estimator.bits = 64.0 *. fn n *. ln n /. (e *. e); rounds = 1 })
+    ~contract:(fun _ ->
+      Estimator.Approx { stat = Estimator.Frob; slack = 4.0; ratio = 8.0 })
     ~comparable:(fun x -> Estimator.Number x)
     (on_imat Frobenius.run)
 
@@ -51,6 +56,9 @@ let cohen_baseline =
     ~cost:(fun (prm : Cohen_baseline.params) ~n ->
       { Estimator.bits = 32.0 *. fn n *. float_of_int prm.Cohen_baseline.reps;
         rounds = 1 })
+    ~contract:(fun _ ->
+      Estimator.Approx
+        { stat = Estimator.Norm0 { times = 1.0 }; slack = 3.0; ratio = 6.0 })
     ~comparable:(fun x -> Estimator.Number x)
     (fun ctx prm ~a ~b -> Cohen_baseline.run ctx prm ~a ~b)
 
@@ -59,6 +67,7 @@ let l1_exact =
     ~describe:"Remark 2: exact ||AB||_1 from column/row sums, 1 round"
     ~default:()
     ~cost:(fun () ~n -> { Estimator.bits = 32.0 *. fn n; rounds = 1 })
+    ~contract:(fun () -> Estimator.Exact_count Estimator.Norm1)
     ~comparable:(fun x -> Estimator.Number (float_of_int x))
     (on_imat (fun ctx () ~a ~b -> L1_exact.run ctx ~a ~b))
 
@@ -69,6 +78,7 @@ let l0_sampling =
     ~cost:(fun (prm : L0_sampling.params) ~n ->
       let e = prm.L0_sampling.eps in
       { Estimator.bits = 64.0 *. fn n *. ln n /. (e *. e); rounds = 1 })
+    ~contract:(fun _ -> Estimator.L0_draw)
     ~comparable:(fun s ->
       Estimator.Sample
         (Option.map (fun s -> L0_sampling.(s.row, s.col, s.value)) s))
@@ -79,6 +89,7 @@ let l1_sampling =
     ~describe:"Remark 3: one entry of AB drawn proportional to its value"
     ~default:()
     ~cost:(fun () ~n -> { Estimator.bits = 64.0 *. fn n; rounds = 1 })
+    ~contract:(fun () -> Estimator.L1_draw)
     ~comparable:(fun s ->
       Estimator.Sample
         (Option.map (fun s -> L1_sampling.(s.row, s.col, s.witness)) s))
@@ -91,6 +102,8 @@ let linf_binary =
     ~cost:(fun (prm : Linf_binary.params) ~n ->
       { Estimator.bits = 64.0 *. (fn n ** 1.5) *. ln n /. prm.Linf_binary.eps;
         rounds = 3 })
+    ~contract:(fun prm ->
+      Estimator.Level_approx { kappa = 2.0 +. prm.Linf_binary.eps; ratio = 6.0 })
     ~comparable:(fun (r : Linf_binary.result) ->
       Estimator.Leveled (r.Linf_binary.estimate, r.Linf_binary.level))
     (fun ctx prm ~a ~b -> Linf_binary.run ctx prm ~a ~b)
@@ -102,6 +115,8 @@ let linf_kappa =
     ~cost:(fun (prm : Linf_kappa.params) ~n ->
       { Estimator.bits = 64.0 *. (fn n ** 1.5) *. ln n /. prm.Linf_kappa.kappa;
         rounds = 3 })
+    ~contract:(fun prm ->
+      Estimator.Level_approx { kappa = prm.Linf_kappa.kappa; ratio = 10.0 })
     ~comparable:(fun (r : Linf_kappa.result) ->
       Estimator.Leveled (r.Linf_kappa.estimate, r.Linf_kappa.level))
     (fun ctx prm ~a ~b -> Linf_kappa.run ctx prm ~a ~b)
@@ -113,6 +128,11 @@ let linf_general =
     ~cost:(fun (prm : Linf_general.params) ~n ->
       let k = prm.Linf_general.kappa in
       { Estimator.bits = 32.0 *. fn n *. fn n /. (k *. k); rounds = 1 })
+    ~contract:(fun prm ->
+      Estimator.Approx
+        { stat = Estimator.Norm_inf { kappa = prm.Linf_general.kappa };
+          slack = 2.0;
+          ratio = 8.0 })
     ~comparable:(fun x -> Estimator.Number x)
     (on_imat Linf_general.run)
 
@@ -123,6 +143,8 @@ let hh_binary =
     ~cost:(fun (prm : Hh_binary.params) ~n ->
       let e = prm.Hh_binary.eps and phi = prm.Hh_binary.phi in
       { Estimator.bits = 64.0 *. (fn n +. (phi /. (e *. e))) *. ln n; rounds = 5 })
+    ~contract:(fun prm ->
+      Estimator.Heavy_hitters { phi = prm.Hh_binary.phi; eps = prm.Hh_binary.eps })
     ~comparable:(fun cs -> Estimator.Coords cs)
     (fun ctx prm ~a ~b -> Hh_binary.run ctx prm ~a ~b)
 
@@ -135,6 +157,9 @@ let hh_countsketch =
           32.0 *. fn n
           *. float_of_int (prm.Hh_countsketch.buckets * prm.Hh_countsketch.reps);
         rounds = 1 })
+    ~contract:(fun prm ->
+      Estimator.Heavy_hitters
+        { phi = prm.Hh_countsketch.phi; eps = prm.Hh_countsketch.eps })
     ~comparable:(fun cs -> Estimator.Coords cs)
     (on_imat Hh_countsketch.run)
 
@@ -145,6 +170,9 @@ let hh_general =
     ~cost:(fun (prm : Hh_general.params) ~n ->
       let e = prm.Hh_general.eps and phi = prm.Hh_general.phi in
       { Estimator.bits = 64.0 *. sqrt phi /. e *. fn n *. ln n; rounds = 3 })
+    ~contract:(fun prm ->
+      Estimator.Heavy_hitters
+        { phi = prm.Hh_general.phi; eps = prm.Hh_general.eps })
     ~comparable:(fun cs -> Estimator.Coords cs)
     (on_imat Hh_general.run)
 
@@ -153,6 +181,7 @@ let matprod =
     ~describe:"Lemma 2.5 role: additively shared exact product C_A + C_B = AB"
     ~default:()
     ~cost:(fun () ~n -> { Estimator.bits = 64.0 *. fn n *. sqrt (fn n); rounds = 3 })
+    ~contract:(fun () -> Estimator.Product_shares)
     ~comparable:(fun (s : Matprod_protocol.shares) ->
       Estimator.Shares
         ( Common.Entry_map.entries s.Matprod_protocol.alice,
@@ -165,6 +194,10 @@ let session =
     ~default:0.5
     ~cost:(fun beta ~n ->
       { Estimator.bits = 64.0 *. fn n *. ln n /. (beta *. beta); rounds = 2 })
+    (* the established norm plus the refined one: two estimates of ||C||_0 *)
+    ~contract:(fun _ ->
+      Estimator.Approx
+        { stat = Estimator.Norm0 { times = 2.0 }; slack = 4.0; ratio = 8.0 })
     ~comparable:(fun x -> Estimator.Number x)
     (on_imat (fun ctx beta ~a ~b ->
          let s = Session.establish ctx ~beta ~a ~b in
@@ -175,6 +208,7 @@ let trivial =
     ~describe:"ship-A baseline: n*m bits, Bob answers exactly (||C||_0 here)"
     ~default:0.0
     ~cost:(fun _p ~n -> { Estimator.bits = fn n *. fn n; rounds = 1 })
+    ~contract:(fun _p -> Estimator.Exact_count (Estimator.Norm0 { times = 1.0 }))
     ~comparable:(fun x -> Estimator.Number x)
     (fun ctx p ~a ~b -> Trivial.run_bool ctx ~a ~b (fun c -> Product.lp_pow c ~p))
 
@@ -183,6 +217,7 @@ let joins_equality =
     ~describe:"set-equality join of [16] via O(log n)-bit fingerprints"
     ~default:()
     ~cost:(fun () ~n -> { Estimator.bits = 64.0 *. fn n; rounds = 1 })
+    ~contract:(fun () -> Estimator.Exact_count Estimator.Pairs_upto)
     ~comparable:(fun x -> Estimator.Number (float_of_int x))
     (fun ctx () ~a ~b -> Joins.equality_join ctx ~a ~b)
 
@@ -191,6 +226,9 @@ let joins_disjointness =
     ~describe:"set-disjointness join: n*m - ||AB||_0 via Algorithm 1"
     ~default:0.25
     ~cost:(fun eps ~n -> { Estimator.bits = 64.0 *. fn n *. ln n /. eps; rounds = 2 })
+    ~contract:(fun _ ->
+      Estimator.Approx
+        { stat = Estimator.Disjoint_pairs { spread = 3.0 }; slack = 1.0; ratio = 8.0 })
     ~comparable:(fun x -> Estimator.Number x)
     (fun ctx eps ~a ~b -> Joins.disjointness_join ctx ~eps ~a ~b)
 
@@ -204,6 +242,9 @@ let joins_atleast =
           *. float_of_int (max 1 prm.Joins.samples)
           /. fn (max 1 n);
         rounds = 2 })
+    ~contract:(fun _ ->
+      Estimator.Approx
+        { stat = Estimator.Pairs_from_l0 { spread = 3.0 }; slack = 1.0; ratio = 8.0 })
     ~comparable:(fun x -> Estimator.Number x)
     (fun ctx (prm, t) ~a ~b -> Joins.at_least_t_join ctx prm ~t ~a ~b)
 

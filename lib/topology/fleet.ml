@@ -425,23 +425,22 @@ let drive ?wire cfg ~protocol ~a ~seed_of ~corrupt ~shard ~merge =
           Ok (graded, links, suspects))
 
 let run ?wire cfg (e : Estimator.t) ~a ~b =
-  let name = e.name in
   let shard range =
     let shard_a = Shard.slice a range in
-    let summary = lazy (Verify.summarize ~name ~a:shard_a ~b) in
+    let summary = lazy (Verify.summarize ~a:shard_a ~b) in
     {
       body = (fun ctx -> e.run ctx ~a:shard_a ~b);
-      check = (fun ~seed v -> Verify.check (Lazy.force summary) ~seed v);
+      check = (fun ~seed v -> Verify.check e (Lazy.force summary) ~seed v);
       vote =
         (fun answers ->
           Option.map
             (fun vr -> (vr.Verify.chosen, vr.Verify.outvoted))
-            (Verify.vote (Lazy.force summary) answers));
+            (Verify.vote e (Lazy.force summary) answers));
     }
   in
-  drive ?wire cfg ~protocol:(sanitize name) ~a
+  drive ?wire cfg ~protocol:(sanitize e.name) ~a
     ~seed_of:(replica_seed cfg) ~corrupt:Verify.corrupt ~shard
-    ~merge:(Merge.merge ~name ~seed:cfg.seed)
+    ~merge:(Merge.merge e ~seed:cfg.seed)
   |> Result.map (fun ((answer, survivors, coverage), links, suspects) ->
          let links =
            List.map
@@ -521,7 +520,7 @@ let run_batch ?wire cfg engine queries ~a ~b =
     let shard range =
       let shard_a = Shard.slice a range in
       let ai = Imat.of_bmat shard_a in
-      let summary = lazy (Verify.summarize ~name:"engine" ~a:shard_a ~b) in
+      let summary = lazy (Verify.summarize ~a:shard_a ~b) in
       {
         body =
           (fun ctx -> (Engine.run engine ctx ~a:ai ~b:bi queries).Engine.answers);

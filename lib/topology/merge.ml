@@ -10,11 +10,6 @@ type 'a part = {
   value : 'a;
 }
 
-(* Number answers merge by sum (norm powers, counts, join sizes) except
-   for max-type statistics. Keyed by registry name so a new estimator
-   gets the safe constructor default unless it opts in here. *)
-let max_type_numbers = [ "linf_general" ]
-
 let shape_error () = invalid_arg "Merge: mixed answer shapes"
 
 let by_rank parts =
@@ -102,33 +97,31 @@ let product_entries shares parts =
        (fun (r, c) v acc -> if v = 0 then acc else (r, c, v) :: acc)
        tbl [])
 
-let merge ~name ~seed parts =
-  let parts = by_rank parts in
+(* Over disjoint row blocks ||C||_inf is the largest block's; every other
+   statistic (norm powers, counts, join sizes) is the blocks' sum. *)
+let merge_stat parts : Estimator.stat -> Estimator.comparable =
   let number = function Estimator.Number x -> x | _ -> shape_error () in
-  match (List.hd parts).value with
-  | Estimator.Number _ ->
-      if List.mem name max_type_numbers then
-        Estimator.Number (fold_numbers Float.max neg_infinity number parts)
-      else Estimator.Number (fold_numbers ( +. ) 0.0 number parts)
-  | Estimator.Leveled _ -> max_leveled parts
-  | Estimator.Coords _ ->
+  function
+  | Norm_inf _ -> Estimator.Number (fold_numbers Float.max neg_infinity number parts)
+  | Norm0 _ | Norm1 | Frob | Pairs_upto | Disjoint_pairs _ | Pairs_from_l0 _ ->
+      Estimator.Number (fold_numbers ( +. ) 0.0 number parts)
+
+let merge (e : Estimator.t) ~seed parts =
+  let parts = by_rank parts in
+  match e.contract with
+  | Exact_count stat | Approx { stat; _ } -> merge_stat parts stat
+  | Level_approx _ -> max_leveled parts
+  | Heavy_hitters _ ->
       Estimator.Coords
         (union_coords
            (function Estimator.Coords cs -> cs | _ -> shape_error ())
            parts)
-  | Estimator.Sample _ ->
+  | L0_draw | L1_draw ->
       Estimator.Sample
         (pick_sample (merge_rng seed) ~shift:translate_row
            (function Estimator.Sample s -> s | _ -> shape_error ())
            parts)
-  | Estimator.Samples _ ->
-      Estimator.Samples
-        (Array.to_list
-           (pick_slots (merge_rng seed) ~shift:translate_row
-              (function
-                | Estimator.Samples ss -> Array.of_list ss | _ -> shape_error ())
-              parts))
-  | Estimator.Shares _ ->
+  | Product_shares ->
       Estimator.Shares
         ( product_entries
             (function Estimator.Shares (a, b) -> (a, b) | _ -> shape_error ())

@@ -1,20 +1,21 @@
 (** Typed merge of per-shard answers into a fleet answer, for estimator
-    answers ({!merge}) and engine batch answers ({!merge_batch}).
+    answers ({!merge}, by the entry's answer contract) and engine batch
+    answers ({!merge_batch}, by the query).
 
     Worker [i] answers on (A⟨i⟩, B), where A⟨i⟩ is its compact row shard;
     since the shard products C⟨i⟩ = A⟨i⟩·B stack on disjoint row blocks of
     C, the merge is exact per answer shape:
 
     - {b Number}: sum — ‖C‖_p^p, join sizes and entry counts are sums over
-      row blocks. Exception: max-type statistics (‖C‖_∞, registry name
-      ["linf_general"]) take the max instead.
+      row blocks. Exception: ‖C‖_∞ (a contract whose statistic is
+      [Norm_inf]) takes the max instead.
     - {b Leveled} (ℓ∞ family): the part with the largest estimate wins,
       keeping its subsampling level.
     - {b Coords} (heavy hitters): union, with shard-local row indices
       translated by the shard offset. Per-shard φ-thresholds are relative
       to the shard's mass ≤ the global mass, so recall is preserved;
       precision degrades gracefully (docs/ROBUSTNESS.md).
-    - {b Sample}/{b Samples}: one surviving sample chosen per slot by a
+    - {b Sample}: one surviving sample chosen per slot by a
       seeded weighted draw (weight = shard row count) over the shards that
       produced one — deterministic in (seed, surviving parts).
     - {b Shares}: the coordinator is the answering client, so it
@@ -35,14 +36,14 @@ type 'a part = {
 }
 
 val merge :
-  name:string ->
+  Matprod_core.Estimator.t ->
   seed:int ->
   Matprod_core.Estimator.comparable part list ->
   Matprod_core.Estimator.comparable
-(** [name] is the registry name of the estimator (selects sum-vs-max for
-    [Number] answers). Parts may arrive in any order; they are merged in
-    rank order. Raises [Invalid_argument] on an empty part list or on
-    parts with mismatched answer shapes. *)
+(** Merge by the estimator's {!Matprod_core.Estimator.contract}. Parts may
+    arrive in any order; they are merged in rank order. Raises
+    [Invalid_argument] on an empty part list or on a part whose shape
+    breaks the contract. *)
 
 val merge_batch :
   seed:int ->

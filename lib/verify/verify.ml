@@ -12,14 +12,9 @@ module Json = Matprod_obs.Json
 
 type verdict = Pass | Fail of { invariant : string; detail : string }
 
-let verdict_to_string = function
-  | Pass -> "pass"
-  | Fail { invariant; detail } -> Printf.sprintf "%s (%s)" invariant detail
-
 let fail invariant fmt = Printf.ksprintf (fun detail -> Fail { invariant; detail }) fmt
 
 type summary = {
-  sname : string;
   out_rows : int;
   out_cols : int;
   inner : int;
@@ -30,7 +25,7 @@ type summary = {
   bt : Bmat.t Lazy.t;
 }
 
-let summarize ~name ~a ~b =
+let summarize ~a ~b =
   if Bmat.cols a <> Bmat.rows b then
     invalid_arg "Verify.summarize: inner dimensions disagree";
   let inner = Bmat.cols a in
@@ -47,7 +42,6 @@ let summarize ~name ~a ~b =
   done;
   let bmax = Array.fold_left max 0 (Bmat.col_weights b) in
   {
-    sname = name;
     out_rows = Bmat.rows a;
     out_cols = Bmat.cols b;
     inner;
@@ -91,33 +85,26 @@ type num_spec = {
   hi : float;
   slack : float;  (** multiplicative widening covering estimator error *)
   integral : bool;  (** exact counting family: must be a whole number *)
-  exact : float option;  (** known exact value (l1_exact) *)
+  exact : float option;  (** known exact value (an exact ‖C‖₁) *)
 }
 
-let spec ?(slack = 1.0) ?(integral = false) ?exact lo hi =
-  Some { lo; hi; slack; integral; exact }
+(* The interval of the TRUE statistic, from the shard facts alone. *)
+let bounds s : Estimator.stat -> float * float = function
+  | Norm0 { times } -> (times *. l0_lo s, times *. l0_hi s)
+  | Norm1 -> (s.l1, s.l1)
+  | Frob -> (l2_lo s, l2_hi s)
+  | Norm_inf { kappa } -> (linf_lo s /. kappa, s.cap)
+  | Pairs_upto -> (0.0, pairs s)
+  | Disjoint_pairs { spread } ->
+      (Float.max 0.0 (pairs s -. (spread *. l0_hi s)), pairs s)
+  | Pairs_from_l0 { spread } -> (0.0, spread *. l0_hi s)
 
-(* Accepted range per registry name, at the registry default query.
-   Unknown names return None: vouched for by replica voting only. *)
-let num_spec s =
-  match s.sname with
-  | "lp p=0" -> spec ~slack:3.0 (l0_lo s) (l0_hi s)
-  | "lp p=1" -> spec ~slack:3.0 s.l1 s.l1
-  | "lp oneround p=2" -> spec ~slack:4.0 (l2_lo s) (l2_hi s)
-  (* srht estimates the same statistic, Σ C_rc² = ‖AB‖_F². *)
-  | "srht" -> spec ~slack:4.0 (l2_lo s) (l2_hi s)
-  | "cohen_baseline" -> spec ~slack:3.0 (l0_lo s) (l0_hi s)
-  | "l1_exact" -> spec ~integral:true ~exact:s.l1 s.l1 s.l1
-  | "linf_general" ->
-      (* kappa = 2 default: the estimate may undershoot by the factor. *)
-      spec ~slack:2.0 (linf_lo s /. 2.0) s.cap
-  | "session" -> spec ~slack:4.0 (2.0 *. l0_lo s) (2.0 *. l0_hi s)
-  | "trivial" -> spec ~integral:true (l0_lo s) (l0_hi s)
-  | "joins equality" -> spec ~integral:true 0.0 (pairs s)
-  | "joins disjointness" ->
-      spec (Float.max 0.0 (pairs s -. (3.0 *. l0_hi s))) (pairs s)
-  | "joins atleast" -> spec 0.0 (3.0 *. l0_hi s)
-  | _ -> None
+(* The one statistic the coordinator knows exactly: Remark 2's ‖C‖₁. *)
+let known s : Estimator.stat -> float option = function
+  | Norm1 -> Some s.l1
+  | Norm0 _ | Frob | Norm_inf _ | Pairs_upto | Disjoint_pairs _
+  | Pairs_from_l0 _ ->
+      None
 
 let check_number_spec { lo; hi; slack; integral; exact } x =
   let fuzz = 1e-6 *. (1.0 +. Float.abs hi) in
@@ -136,15 +123,9 @@ let check_number_spec { lo; hi; slack; integral; exact } x =
           fail "range_high" "%g above slacked upper bound %g" x (hi *. slack)
         else Pass
 
-let check_number s x =
-  match num_spec s with None -> Pass | Some sp -> check_number_spec sp x
-
 (* Leveled estimates: kappa-approximation range on the estimate, sanity
    on the subsampling level. *)
-let check_leveled s est level =
-  let kappa =
-    match s.sname with "linf_binary" -> 2.5 | "linf_kappa" -> 4.0 | _ -> 4.0
-  in
+let check_leveled s ~kappa est level =
   if level < 0 || level > 64 then
     fail "level_range" "subsampling level %d outside [0, 64]" level
   else if not (Float.is_finite est) then fail "finite" "estimate %h not finite" est
@@ -161,9 +142,8 @@ let check_leveled s est level =
 let in_bounds s r c = r >= 0 && r < s.out_rows && c >= 0 && c < s.out_cols
 
 (* Heavy-hitter reports: every coordinate must really be (phi - eps)-heavy
-   — adjudicated exactly, one intersection per reported coordinate. The
-   registry defaults are phi = 0.2, eps = 0.1 for all three hh families. *)
-let check_coords ?(phi = 0.2) ?(eps = 0.1) s cs =
+   — adjudicated exactly, one intersection per reported coordinate. *)
+let check_coords ~phi ~eps s cs =
   let thresh = ((phi -. eps) *. s.l1) -. 1e-9 in
   let seen = Hashtbl.create 16 in
   let rec go = function
@@ -214,11 +194,6 @@ let check_l1_sample s = function
         fail "sample_witness" "witness %d is not a common index of A_%d and B^%d"
           w r c
       else Pass
-
-let check_sample s v =
-  match s.sname with
-  | "l1_sampling" -> check_l1_sample s v
-  | _ -> check_l0_sample s v
 
 (* Additive product shares: total mass must equal the exact l1 (scale,
    sign and garbage all move it), and Freivalds' identity C.x = A.(B.x)
@@ -285,44 +260,53 @@ let shape_name : Estimator.comparable -> string = function
   | Estimator.Number _ -> "number"
   | Estimator.Coords _ -> "coords"
   | Estimator.Sample _ -> "sample"
-  | Estimator.Samples _ -> "samples"
   | Estimator.Shares _ -> "shares"
   | Estimator.Leveled _ -> "leveled"
 
-let accounted s ~shape f =
-  if Metrics.enabled () then Metrics.incr c_checks;
+let accounted ~estimator ~shape f =
+  Metrics.incr c_checks;
   let v =
     Trace.with_span ~name:"verify.check"
-      ~attrs:[ ("estimator", Json.String s.sname); ("shape", Json.String shape) ]
+      ~attrs:[ ("estimator", Json.String estimator); ("shape", Json.String shape) ]
       (fun () -> Metrics.timed h_verify f)
   in
   (match v with
   | Pass -> ()
   | Fail { invariant; detail } ->
-      if Metrics.enabled () then Metrics.incr c_failures;
+      Metrics.incr c_failures;
       if Trace.enabled () then
         Trace.event ~name:"verify.violation"
           ~attrs:
             [
-              ("estimator", Json.String s.sname);
+              ("estimator", Json.String estimator);
               ("invariant", Json.String invariant);
               ("detail", Json.String detail);
             ]
           ());
   v
 
-let check s ~seed (answer : Estimator.comparable) =
-  accounted s ~shape:(shape_name answer) @@ fun () ->
-  match answer with
-  | Estimator.Number x -> check_number s x
-  | Estimator.Leveled (est, level) -> check_leveled s est level
-  | Estimator.Coords cs -> check_coords s cs
-  | Estimator.Sample v -> check_sample s v
-  | Estimator.Samples vs ->
-      List.fold_left
-        (fun acc v -> match acc with Pass -> check_sample s v | f -> f)
-        Pass vs
-  | Estimator.Shares (ea, eb) -> check_shares s ~seed (ea, eb)
+let check (e : Estimator.t) s ~seed (answer : Estimator.comparable) =
+  let shape = shape_name answer in
+  accounted ~estimator:e.name ~shape @@ fun () ->
+  match (e.contract, answer) with
+  | Exact_count stat, Number x ->
+      let lo, hi = bounds s stat in
+      check_number_spec
+        { lo; hi; slack = 1.0; integral = true; exact = known s stat }
+        x
+  | Approx { stat; slack; _ }, Number x ->
+      let lo, hi = bounds s stat in
+      check_number_spec { lo; hi; slack; integral = false; exact = None } x
+  | Level_approx { kappa; _ }, Leveled (est, level) ->
+      check_leveled s ~kappa est level
+  | Heavy_hitters { phi; eps }, Coords cs -> check_coords ~phi ~eps s cs
+  | L0_draw, Sample v -> check_l0_sample s v
+  | L1_draw, Sample v -> check_l1_sample s v
+  | Product_shares, Shares (ea, eb) -> check_shares s ~seed (ea, eb)
+  | ( ( Exact_count _ | Approx _ | Level_approx _ | Heavy_hitters _ | L0_draw
+      | L1_draw | Product_shares ),
+      _ ) ->
+      fail "answer_shape" "a %s answer breaks %s's contract" shape e.name
 
 let check_answer s ~seed (q : Engine.query) (answer : Engine.answer) =
   let shape =
@@ -335,7 +319,7 @@ let check_answer s ~seed (q : Engine.query) (answer : Engine.answer) =
     | Engine.L1_samples _ -> "l1_samples"
     | Engine.Shares _ -> "shares"
   in
-  accounted s ~shape @@ fun () ->
+  accounted ~estimator:"engine" ~shape @@ fun () ->
   match (q, answer) with
   | Engine.Norm_pow { p; eps }, Engine.Scalar x ->
       let slack = 2.0 +. (4.0 *. eps) in
@@ -459,8 +443,6 @@ let corrupt mode g (answer : Estimator.comparable) : Estimator.comparable =
   | Estimator.Coords cs -> Estimator.Coords (List.map (corrupt_coord mode g) cs)
   | Estimator.Sample v ->
       Estimator.Sample (Option.map (corrupt_entry mode g) v)
-  | Estimator.Samples vs ->
-      Estimator.Samples (List.map (Option.map (corrupt_entry mode g)) vs)
   | Estimator.Shares (ea, eb) -> (
       match ea with
       | [] -> Estimator.Shares (ea, List.map (corrupt_entry mode g) eb)
@@ -502,32 +484,13 @@ let corrupt_answer mode g (answer : Engine.answer) : Engine.answer =
 
 (* --- replica voting ------------------------------------------------------ *)
 
-type family =
-  | Exact
-  | Numeric of { ratio : float }
-  | Level of { ratio : float }
-  | Subset
-  | Sampled
-
-let family_of = function
-  | "l1_exact" | "trivial" | "joins equality" | "matprod" -> Exact
-  | "lp p=0" | "lp p=1" | "cohen_baseline" -> Numeric { ratio = 6.0 }
-  | "lp oneround p=2" | "srht" | "session" | "linf_general" ->
-      Numeric { ratio = 8.0 }
-  | "joins disjointness" | "joins atleast" -> Numeric { ratio = 8.0 }
-  | "linf_binary" -> Level { ratio = 6.0 }
-  | "linf_kappa" -> Level { ratio = 10.0 }
-  | "hh_binary" | "hh_countsketch" | "hh_general" -> Subset
-  | "l0_sampling" | "l1_sampling" -> Sampled
-  | _ -> Numeric { ratio = infinity }
-
-(* Additive tolerance for families whose honest spread is absolute, not
+(* Additive tolerance for statistics whose honest spread is absolute, not
    multiplicative (disjointness counts cluster near n*m; threshold-join
-   counts near 0). *)
-let numeric_atol s =
-  match s.sname with
-  | "joins disjointness" | "joins atleast" -> (3.0 *. l0_hi s) +. 1.0
-  | _ -> 0.0
+   counts near 0): the spread of the ||C||_0 estimate they rest on. *)
+let numeric_atol s : Estimator.stat -> float = function
+  | Disjoint_pairs { spread } | Pairs_from_l0 { spread } ->
+      (spread *. l0_hi s) +. 1.0
+  | Norm0 _ | Norm1 | Frob | Norm_inf _ | Pairs_upto -> 0.0
 
 (* Shares at different seeds split differently but reconstruct the same
    product: canonicalise to the merged entry list before equality. *)
@@ -541,29 +504,29 @@ let reconstruct_shares (ea, eb) =
   Hashtbl.fold (fun (r, c) v acc -> if v = 0 then acc else (r, c, v) :: acc) tbl []
   |> List.sort compare
 
-let canonical s (c : Estimator.comparable) =
-  match (s.sname, c) with
-  | "matprod", Estimator.Shares (ea, eb) ->
-      Estimator.Shares (reconstruct_shares (ea, eb), [])
-  | _ -> c
-
 let ratio_consistent ~ratio ~atol v1 v2 =
   Float.is_finite v1 && Float.is_finite v2 && v1 >= -1e-9 && v2 >= -1e-9
   && (Float.abs (v1 -. v2) <= atol +. (1e-9 *. (1.0 +. Float.abs v1 +. Float.abs v2))
      || (v1 > 0.0 && v2 > 0.0 && Float.max v1 v2 /. Float.min v1 v2 <= ratio))
 
-let consistent s c1 c2 =
-  match (family_of s.sname, c1, c2) with
-  | Exact, _, _ -> canonical s c1 = canonical s c2
-  | Numeric { ratio }, Estimator.Number v1, Estimator.Number v2 ->
-      ratio_consistent ~ratio ~atol:(numeric_atol s) v1 v2
-  | Level { ratio }, Estimator.Leveled (e1, _), Estimator.Leveled (e2, _) ->
+let consistent (contract : Estimator.contract) s (c1 : Estimator.comparable)
+    (c2 : Estimator.comparable) =
+  match (contract, c1, c2) with
+  | Exact_count _, _, _ -> c1 = c2
+  | Product_shares, Shares (a1, b1), Shares (a2, b2) ->
+      reconstruct_shares (a1, b1) = reconstruct_shares (a2, b2)
+  | Approx { stat; ratio; _ }, Number v1, Number v2 ->
+      ratio_consistent ~ratio ~atol:(numeric_atol s stat) v1 v2
+  | Level_approx { ratio; _ }, Leveled (e1, _), Leveled (e2, _) ->
       ratio_consistent ~ratio ~atol:0.0 e1 e2
-  | (Subset | Sampled), Estimator.Coords _, Estimator.Coords _
-  | (Subset | Sampled), Estimator.Sample _, Estimator.Sample _
-  | (Subset | Sampled), Estimator.Samples _, Estimator.Samples _ ->
+  | Heavy_hitters _, Coords _, Coords _ | (L0_draw | L1_draw), Sample _, Sample _
+    ->
       true (* individually adjudicated by [check]; replicas never clash *)
-  | _, _, _ -> false (* mismatched shapes are never consistent *)
+  | ( ( Product_shares | Approx _ | Level_approx _ | Heavy_hitters _ | L0_draw
+      | L1_draw ),
+      _,
+      _ ) ->
+      false (* mismatched shapes are never consistent *)
 
 type vote_result = {
   chosen : int;
@@ -576,7 +539,7 @@ let popcount m =
   let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
   go m 0
 
-let vote s (replicas : (int * Estimator.comparable) list) =
+let vote (e : Estimator.t) s (replicas : (int * Estimator.comparable) list) =
   let arr = Array.of_list replicas in
   let n = Array.length arr in
   if n = 0 then None
@@ -585,7 +548,7 @@ let vote s (replicas : (int * Estimator.comparable) list) =
     let ok = Array.make_matrix n n true in
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
-        let c = consistent s (snd arr.(i)) (snd arr.(j)) in
+        let c = consistent e.contract s (snd arr.(i)) (snd arr.(j)) in
         ok.(i).(j) <- c;
         ok.(j).(i) <- c
       done
@@ -613,8 +576,8 @@ let vote s (replicas : (int * Estimator.comparable) list) =
         else losers := i :: !losers
       done;
       let rep_slot =
-        match (family_of s.sname, !winners) with
-        | Numeric _, (_ :: _ :: _ as ws) -> (
+        match (e.contract, !winners) with
+        | Approx _, (_ :: _ :: _ as ws) -> (
             (* The Boosting tie-break: the winner nearest the median of
                the winning values keeps a real replica's answer as the
                representative. *)

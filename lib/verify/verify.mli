@@ -19,14 +19,17 @@
       hitters (one sorted-array intersection each);
     - Freivalds' probabilistic identity test for exact-product shares.
 
-    Every check is a pure function of (summary, seed, answer): all
+    What to check is the estimator's own
+    {!Matprod_core.Estimator.contract}, set once in its registry entry
+    from its default query: this module never looks at a name. Every
+    check is a pure function of (contract, summary, seed, answer): all
     verification randomness derives from the seed, so a verifying fleet
     is as reproducible as a trusting one. Checks are {e sound} for the
-    registry's default queries — an honest default-query answer passes —
-    and are deliberately generous (slack factors cover estimator error):
-    a [Fail] verdict certifies a violated invariant, a [Pass] only says
-    the answer is within the family's documented bound. Tight detection
-    of in-bound lies is the replica {!vote}'s job.
+    contract — an honest default-query answer passes — and are
+    deliberately generous (slack factors cover estimator error): a [Fail]
+    verdict certifies a violated invariant, a [Pass] only says the answer
+    is within the contract's bound. Tight detection of in-bound lies is
+    the replica {!vote}'s job.
 
     Cost is charged to counters [verify_checks] / [verify_failures] and
     histogram [verify_ns], inside span [verify.check]. *)
@@ -36,14 +39,11 @@
     human-readable detail. *)
 type verdict = Pass | Fail of { invariant : string; detail : string }
 
-val verdict_to_string : verdict -> string
-
 (** What the coordinator precomputes about one shard workload [(a, b)]
     before asking anyone anything. [l1] is exact; everything else is a
     bound. Building one is O(nnz(a) + nnz(b)); the lazy transpose of [b]
     is forced only by coordinate-level checks. *)
 type summary = {
-  sname : string;  (** estimator registry name the checks specialise to *)
   out_rows : int;  (** rows of C = a·b *)
   out_cols : int;
   inner : int;  (** shared dimension *)
@@ -55,30 +55,35 @@ type summary = {
 }
 
 val summarize :
-  name:string ->
   a:Matprod_matrix.Bmat.t ->
   b:Matprod_matrix.Bmat.t ->
   summary
 
 val check :
-  summary -> seed:int -> Matprod_core.Estimator.comparable -> verdict
-(** Validate a decoded shard answer against the summary's invariants.
-    Dispatches on the answer shape and [sname]:
+  Matprod_core.Estimator.t ->
+  summary ->
+  seed:int ->
+  Matprod_core.Estimator.comparable ->
+  verdict
+(** Validate a decoded shard answer against the summary's invariants, as
+    the estimator's contract directs (the name only labels telemetry):
 
-    - [Number]: finite, non-negative, integral for exact counting
-      families, inside the family's slacked range (exact equality for
-      [l1_exact]);
-    - [Leveled]: estimate within the κ-approximation range, level sane;
-    - [Coords]: indices in bounds, no duplicates, every reported
+    - [Exact_count]: finite, non-negative, a whole number inside the
+      statistic's range (for ‖C‖₁, exactly [l1]);
+    - [Approx]: finite, non-negative, inside the statistic's range
+      widened by the contract's slack;
+    - [Level_approx]: estimate within the κ-approximation range, level
+      sane;
+    - [Heavy_hitters]: indices in bounds, no duplicates, every reported
       coordinate exactly (φ−ε)-heavy (one intersection per coordinate);
-    - [Sample]/[Samples]: indices in bounds, the carried payload exactly
+    - [L0_draw]/[L1_draw]: indices in bounds, the carried payload exactly
       right — the ℓ0 value equals |A_r ∩ B^c|, the ℓ1 witness is a real
       common index;
-    - [Shares]: indices in bounds, total mass exactly [l1], and
+    - [Product_shares]: indices in bounds, total mass exactly [l1], and
       Freivalds' test C·x = A·(B·x) over seeded 0/1 vectors.
 
-    Estimators this module does not know pass vacuously (they are
-    vouched for by replica voting only). *)
+    An answer whose shape the contract does not name fails
+    [answer_shape]. *)
 
 val check_answer :
   summary -> seed:int -> Matprod_engine.Engine.query ->
@@ -114,25 +119,13 @@ val corrupt_answer :
 (** {1 Replica voting}
 
     How [r] independently-seeded answers to the same shard are reconciled.
-    Families differ in what "agreement" can mean: exact families must
-    match bit-for-bit (after canonicalisation — additive shares at
-    different seeds split differently but reconstruct the same product),
-    numeric families agree up to their approximation ratio, sampling and
-    subset families are adjudicated per-answer by {!check} (each sample
-    is individually provable, so replicas never vote each other out). *)
-
-type family =
-  | Exact  (** value determined by the input: vote by structural equality *)
-  | Numeric of { ratio : float }
-      (** scalar estimate: replicas consistent within [ratio] (∞ = any) *)
-  | Level of { ratio : float }  (** leveled estimate: ratio on estimates *)
-  | Subset  (** coordinate report: adjudicated by {!check}, never outvoted *)
-  | Sampled  (** drawn entries: adjudicated by {!check}, never outvoted *)
-
-val family_of : string -> family
-(** Registry name → voting family. Unknown names get
-    [Numeric {ratio = infinity}]: replica answers are collected but never
-    quarantine each other. *)
+    The contract says what "agreement" means: an [Exact_count] must match
+    bit for bit, [Product_shares] must reconstruct the same product
+    (shares at different seeds split differently), [Approx] and
+    [Level_approx] answers agree up to the contract's ratio (the join
+    counts also within an additive spread), and heavy hitters and samples
+    are adjudicated per answer by {!check} — each is individually
+    provable, so replicas never vote each other out. *)
 
 type vote_result = {
   chosen : int;  (** replica index of the representative answer *)
@@ -144,6 +137,7 @@ type vote_result = {
 }
 
 val vote :
+  Matprod_core.Estimator.t ->
   summary ->
   (int * Matprod_core.Estimator.comparable) list ->
   vote_result option
@@ -151,8 +145,8 @@ val vote :
     pairwise (never against a pooled center — the median of {v, 16v} at
     r = 2 would indict the honest replica); the winners are the largest
     pairwise-consistent subset holding a strict majority, and the
-    representative is the lowest-index winner (numeric families: the
-    winner closest to the {!Matprod_util.Stats.median} of the winning
+    representative is the lowest-index winner ([Approx]: the winner
+    closest to the {!Matprod_util.Stats.median} of the winning
     values, the Boosting tie-break). [None] means no strict majority
     exists — the shard is ambiguous and the whole replica group must be
     treated as lost. A singleton input always wins its own vote. Raises

@@ -27,7 +27,6 @@ module Cohen_baseline = Matprod_core.Cohen_baseline
 module Trivial = Matprod_core.Trivial
 module Estimator = Matprod_core.Estimator
 module Registry = Matprod_core.Registry
-module Verify = Matprod_verify.Verify
 
 let check = Alcotest.check
 
@@ -1121,15 +1120,28 @@ let test_registry_names_unique () =
   check Alcotest.int "names unique" (List.length names)
     (List.length (List.sort_uniq compare names))
 
-(* An estimator missing from [Verify.family_of] falls through to an
-   infinite ratio, so no replica could ever outvote it. *)
+(* Each entry's contract is what Verify and Merge act on. Its voting
+   ratio must be finite, or no replica could ever be outvoted, and it
+   must name the answer shape the entry really returns. *)
 let test_registry_verify_families () =
+  let a, b = Workload.gen_pair ~zipf:false ~seed:1 ~n:32 ~density:0.05 in
   List.iter
     (fun (e : Estimator.t) ->
-      match Verify.family_of e.name with
-      | Verify.Numeric { ratio } when not (Float.is_finite ratio) ->
-          Alcotest.failf "%S has no voting family" e.name
-      | _ -> ())
+      (match e.contract with
+      | Estimator.Approx { ratio; _ } | Estimator.Level_approx { ratio; _ } ->
+          if not (Float.is_finite ratio && ratio >= 1.0) then
+            Alcotest.failf "%S votes with ratio %g" e.name ratio
+      | Estimator.Exact_count _ | Estimator.Heavy_hitters _
+      | Estimator.L0_draw | Estimator.L1_draw | Estimator.Product_shares ->
+          ());
+      match (e.contract, (Ctx.run ~seed:1 (fun ctx -> e.run ctx ~a ~b)).Ctx.output) with
+      | (Estimator.Exact_count _ | Estimator.Approx _), Estimator.Number _
+      | Estimator.Level_approx _, Estimator.Leveled _
+      | Estimator.Heavy_hitters _, Estimator.Coords _
+      | (Estimator.L0_draw | Estimator.L1_draw), Estimator.Sample _
+      | Estimator.Product_shares, Estimator.Shares _ ->
+          ()
+      | _ -> Alcotest.failf "%S answers a shape its contract does not name" e.name)
     Registry.all
 
 (* Each entry's cost model names the rounds its default query takes on

@@ -845,9 +845,9 @@ let test_byzantine_corruption_gallery () =
       List.iter
         (fun (e : Estimator.t) ->
           let name = e.name in
-          let summary = Verify.summarize ~name ~a ~b in
+          let summary = Verify.summarize ~a ~b in
           let honest = (Ctx.run ~seed (fun ctx -> e.run ctx ~a ~b)).Ctx.output in
-          (match Verify.check summary ~seed honest with
+          (match Verify.check e summary ~seed honest with
           | Verify.Pass -> ()
           | Verify.Fail { invariant; detail } ->
               Alcotest.failf "%s seed %d: honest answer failed %s (%s)" name
@@ -857,13 +857,13 @@ let test_byzantine_corruption_gallery () =
               let g = Prng.create (1000 + (17 * i) + seed) in
               let corrupted = Verify.corrupt mode g honest in
               if corrupted <> honest then
-                match Verify.check summary ~seed corrupted with
+                match Verify.check e summary ~seed corrupted with
                 | Verify.Fail _ -> incr check_detected
                 | Verify.Pass -> (
                     if mode = Fault.Garbage then
                       Alcotest.failf
                         "%s seed %d: garbage passed the validators" name seed;
-                    match Verify.vote summary [ (0, honest); (1, corrupted) ] with
+                    match Verify.vote e summary [ (0, honest); (1, corrupted) ] with
                     | Some v when v.Verify.outvoted = [] ->
                         (* within the family's own bound: not silent, just
                            an acceptable answer *)

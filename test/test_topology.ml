@@ -414,7 +414,7 @@ let test_quorum_equivalence () =
       List.iter
         (fun victim ->
           let expected =
-            Merge.merge ~name ~seed:7
+            Merge.merge est ~seed:7
               (List.filter_map
                  (fun (l : Fleet.link_report) ->
                    if l.Fleet.rank = victim then None
@@ -535,15 +535,15 @@ let test_byzantine_gallery () =
     Fleet.config ~workers ~quorum:(workers - 1) ~replicas:2 ~verify:true
       ~seed:7 ()
   in
-  let consistent summary x y =
-    match Verify.vote summary [ (0, x); (1, y) ] with
+  let consistent est summary x y =
+    match Verify.vote est summary [ (0, x); (1, y) ] with
     | Some v -> v.Verify.outvoted = []
     | None -> false
   in
   List.iter
     (fun (est : Estimator.t) ->
       let name = est.name in
-      let summary = Verify.summarize ~name ~a ~b in
+      let summary = Verify.summarize ~a ~b in
       let clean =
         match Fleet.run cfg est ~a ~b with
         | Error e ->
@@ -555,8 +555,8 @@ let test_byzantine_gallery () =
               (List.length rep.Fleet.suspects);
             Outcome.graded_value rep.Fleet.answer
       in
-      (match Verify.family_of name with
-      | Verify.Exact -> (
+      (match est.contract with
+      | Estimator.Exact_count _ | Estimator.Product_shares -> (
           (* replica 0 runs at the fleet seed, so replication must not
              move a deterministic answer *)
           match Fleet.run (Fleet.config ~workers ~seed:7 ()) est ~a ~b with
@@ -600,7 +600,7 @@ let test_byzantine_gallery () =
                   | Outcome.Full v ->
                       (* flagged or not, a Full answer must stay within the
                          family's own bound of the clean fleet's answer *)
-                      if not (v = clean || consistent summary clean v) then
+                      if not (v = clean || consistent est summary clean v) then
                         Alcotest.failf
                           "%s: unflagged answer %s outside bound (clean %s)"
                           label (str v) (str clean)))
@@ -835,7 +835,7 @@ let test_batch_verify_quarantine () =
         in
         let lie = Array.map (Verify.corrupt_answer mode g) honest in
         let summary =
-          Verify.summarize ~name:"engine" ~a:(Shard.slice a range) ~b
+          Verify.summarize ~a:(Shard.slice a range) ~b
         in
         List.find_map
           (fun (qi, q) ->
