@@ -496,9 +496,25 @@ let own_phases messages f =
     (List.rev f.sent);
   !phases
 
+let max_batch_samples = 256
+
 let run t ctx ~a ~b queries =
   if queries = [] then invalid_arg "Engine.run: empty batch";
   if Imat.cols a <> Imat.rows b then invalid_arg "Engine.run: dims";
+  let samples =
+    List.fold_left
+      (fun total q ->
+        match q with
+        | L0_sample { count; _ } | L1_sample { count } ->
+            if count < 0 then invalid_arg "Engine.run: negative sample count";
+            total + count
+        | _ -> total)
+      0 queries
+  in
+  if samples > max_batch_samples then
+    invalid_arg
+      (Printf.sprintf "Engine.run: %d samples in one batch, at most %d" samples
+         max_batch_samples);
   let queries = Array.of_list queries in
   let answers = Array.make (Array.length queries) None in
   let set i ans = answers.(i) <- Some ans in
@@ -633,6 +649,10 @@ let query_of_string spec =
         | Some i -> Ok i
         | None -> Error (Printf.sprintf "bad int %S for %s in %S" v key spec))
   in
+  let non_negative key i =
+    if i < 0 then Error (Printf.sprintf "negative %s %d in %S" key i spec)
+    else Ok ()
+  in
   match String.trim (String.lowercase_ascii name) with
   | "norm" ->
       let* () = known [ "p"; "eps" ] in
@@ -653,15 +673,18 @@ let query_of_string spec =
       let* p = fget "p" 0.0 in
       let* beta = fget "beta" 0.5 in
       let* k = iget "k" 5 in
+      let* () = non_negative "k" k in
       Ok (Top_rows { p; beta; k })
   | "l0" ->
       let* () = known [ "eps"; "count" ] in
       let* eps = fget "eps" 0.25 in
       let* count = iget "count" 1 in
+      let* () = non_negative "count" count in
       Ok (L0_sample { eps; count })
   | "l1" ->
       let* () = known [ "count" ] in
       let* count = iget "count" 1 in
+      let* () = non_negative "count" count in
       Ok (L1_sample { count })
   | "hh" ->
       let* () = known [ "phi"; "eps" ] in

@@ -121,6 +121,11 @@ val create : ?plan_cache_capacity:int -> unit -> t
 (** Capacity is the number of [(family, dim, seed, params)] plan slots
     (default 16, LRU eviction; 0 disables caching). *)
 
+val max_batch_samples : int
+(** The most samples one batch may ask for, summed over its [L0_sample]
+    and [L1_sample] counts (256). A served batch runs under the daemon's
+    compute lock, so its size is bounded. *)
+
 val run :
   t ->
   Matprod_comm.Ctx.t ->
@@ -128,9 +133,11 @@ val run :
   b:Matprod_matrix.Imat.t ->
   query list ->
   report
-(** Execute a batch. Requires [cols a = rows b], a non-empty batch, and —
-    for [L1_sample] and [Heavy_hitters] — non-negative matrices (raises
-    [Invalid_argument] otherwise). The transcript simply continues on
+(** Execute a batch. Requires [cols a = rows b], a non-empty batch, sample
+    counts that are non-negative and total at most {!max_batch_samples},
+    and — for [L1_sample] and [Heavy_hitters] — non-negative matrices
+    (raises [Invalid_argument] otherwise, which {!Matprod_core.Outcome}
+    types as [Precondition]). The transcript simply continues on
     [ctx]; run several batches in one context to amortise nothing twice. *)
 
 val own_turns : query -> Matprod_comm.Transcript.party * int
@@ -152,7 +159,7 @@ val plan_cache_stats : t -> int * int
     [batch] subcommand, the bench harness, and the docs. Names: [norm],
     [rows], [top], [l0], [l1], [hh], [linf], [exact]. Keys: [p], [eps],
     [beta], [k], [count], [phi], [kappa]. Unset keys take the defaults
-    documented in docs/API.md. *)
+    documented in docs/API.md; a negative [k] or [count] is an error. *)
 
 val query_of_string : string -> (query, string) result
 val query_to_string : query -> string

@@ -775,10 +775,32 @@ let test_query_specs () =
       match Engine.query_of_string spec with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%S should not parse" spec)
-    [ "norms"; "norm:q=1"; "top:k=three"; "l0:eps"; "exact:p=1" ];
+    [ "norms"; "norm:q=1"; "top:k=three"; "l0:eps"; "exact:p=1";
+      "l0:count=-4"; "l1:count=-1"; "top:k=-3" ];
   match Engine.query_of_string "top:k=7" with
   | Ok (Engine.Top_rows { k = 7; _ }) -> ()
   | _ -> Alcotest.fail "defaults should fill unset keys"
+
+(* A batch asking for more than [max_batch_samples] samples in total is a
+   typed precondition before any message is sent; at the bound it runs. *)
+let test_sample_budget () =
+  let a, b = gen_pair ~seed:3 ~n:12 in
+  let run queries = Outcome.guard (fun () -> run_batch ~seed:3 ~a ~b queries) in
+  let m = Engine.max_batch_samples in
+  (match
+     run
+       [ Engine.L0_sample { eps = 0.5; count = m }; Engine.L1_sample { count = 1 } ]
+   with
+  | Error (Outcome.Precondition _) -> ()
+  | Ok _ -> Alcotest.fail "an oversized batch was run"
+  | Error e -> Alcotest.failf "wrong error: %s" (Outcome.error_to_string e));
+  (match run [ Engine.L1_sample { count = -1 } ] with
+  | Error (Outcome.Precondition _) -> ()
+  | _ -> Alcotest.fail "a negative count was not a precondition");
+  match run [ Engine.L0_sample { eps = 0.5; count = 1 } ] with
+  | Ok r ->
+      check Alcotest.int "one answer" 1 (Array.length r.Ctx.output.Engine.answers)
+  | Error e -> Alcotest.failf "in-budget batch: %s" (Outcome.error_to_string e)
 
 let () =
   Alcotest.run "engine"
@@ -811,6 +833,7 @@ let () =
         [
           Alcotest.test_case "degenerate batches" `Quick test_edge_cases;
           Alcotest.test_case "query specs" `Quick test_query_specs;
+          Alcotest.test_case "sample budget" `Quick test_sample_budget;
         ] );
       ( "fused rounds",
         [

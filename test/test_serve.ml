@@ -581,6 +581,27 @@ let test_serve_replay_mismatch_keeps_session () =
   check Alcotest.int "next batch answered" 1 (List.length next.g_answers);
   check Alcotest.int "batch errors counted" 1 (Server.stats srv).Server.batch_errors
 
+(* One frame cannot hold the compute lock for long: a batch asking for
+   more than [Engine.max_batch_samples] samples is refused before any
+   work (unbounded, 20 000 samples ran for minutes), and the session
+   answers its next batch. *)
+let test_serve_oversized_batch_refused () =
+  with_server () @@ fun srv ->
+  let cl = Client.connect ~port:(Server.port srv) ~session_seed:78 () in
+  Fun.protect ~finally:(fun () -> Client.quit cl) @@ fun () ->
+  (match Client.gen cl ~name:"g" ~n:32 ~density:0.25 ~seed:6 ~zipf:false with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let t0 = Unix.gettimeofday () in
+  (match Client.batch cl ~id:1 ~pair:"g" ~specs:[ "l0:count=20000" ] with
+  | Error e ->
+      check Alcotest.bool "error names the batch" true
+        (String.starts_with ~prefix:"batch 1: " e)
+  | Ok _ -> Alcotest.fail "an oversized batch was answered");
+  check Alcotest.bool "refused quickly" true (Unix.gettimeofday () -. t0 < 10.0);
+  let next = batch_answers (Client.batch cl ~id:2 ~pair:"g" ~specs:[ "l0:count=2" ]) in
+  check Alcotest.int "next batch answered" 1 (List.length next.g_answers)
+
 (* A journal of another format version is not replayed: the daemon runs
    the batch fresh, paying every bit again. *)
 let test_serve_old_journal_runs_fresh () =
@@ -680,6 +701,8 @@ let () =
             test_serve_kill_and_resume_from_journal;
           Alcotest.test_case "replay mismatch keeps the session" `Quick
             test_serve_replay_mismatch_keeps_session;
+          Alcotest.test_case "oversized batch refused" `Quick
+            test_serve_oversized_batch_refused;
           Alcotest.test_case "old journal version runs fresh" `Quick
             test_serve_old_journal_runs_fresh;
           Alcotest.test_case "loadgen digest" `Quick
