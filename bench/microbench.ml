@@ -10,7 +10,6 @@ module Ams = Matprod_sketch.Ams
 module L0_sketch = Matprod_sketch.L0_sketch
 module L0_sampler = Matprod_sketch.L0_sampler
 module Countsketch = Matprod_sketch.Countsketch
-module Countmin = Matprod_sketch.Countmin
 module Stable_sketch = Matprod_sketch.Stable_sketch
 module S_sparse = Matprod_sketch.S_sparse
 module Cohen = Matprod_sketch.Cohen
@@ -63,13 +62,6 @@ let bench_countsketch =
   let vec = mk_vec 12 64 in
   Test.make ~name:"countsketch: sketch 64-sparse vector"
     (Staged.stage (fun () -> ignore (Countsketch.sketch t vec)))
-
-let bench_countmin =
-  let rng = Prng.create 21 in
-  let t = Countmin.create rng ~buckets:512 ~reps:5 in
-  let vec = mk_vec 22 64 in
-  Test.make ~name:"countmin: sketch 64-sparse vector"
-    (Staged.stage (fun () -> ignore (Countmin.sketch t vec)))
 
 let bench_cohen =
   let rng = Prng.create 23 in
@@ -252,7 +244,7 @@ let all_tests =
   Test.make_grouped ~name:"sketches"
     ([
        bench_ams; bench_stable; bench_l0_sketch; bench_l0_estimate;
-       bench_l0_sampler; bench_countsketch; bench_countmin;
+       bench_l0_sampler; bench_countsketch;
        bench_s_sparse_decode;
      ]
     @ bench_planned @ bench_cohen @ bench_compressed_matmul

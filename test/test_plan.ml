@@ -13,7 +13,6 @@
 module Prng = Matprod_util.Prng
 module Pool = Matprod_util.Pool
 module Countsketch = Matprod_sketch.Countsketch
-module Countmin = Matprod_sketch.Countmin
 module Ams = Matprod_sketch.Ams
 module Stable_sketch = Matprod_sketch.Stable_sketch
 module L0_sketch = Matprod_sketch.L0_sketch
@@ -203,22 +202,6 @@ let qcheck_tests =
         let dst = Array.make (Srht.size t) Float.nan in
         Srht.sketch_into t p ~dst vec;
         dst = Srht.sketch t vec);
-    Test.make ~name:"countmin: hoisted counters keep totals" ~count:40
-      seeded_vec (fun (seed, vec) ->
-        let t = Countmin.create (Prng.create seed) ~buckets:16 ~reps:4 in
-        let was = Metrics.enabled () in
-        Metrics.set_enabled true;
-        let c_hash = Metrics.counter "hash_evals" in
-        Fun.protect ~finally:(fun () -> Metrics.set_enabled was) @@ fun () ->
-        (* Batched accounting in [sketch] must equal per-update accounting. *)
-        let before = Metrics.value c_hash in
-        let via_sketch = Countmin.sketch t vec in
-        let after_sketch = Metrics.value c_hash in
-        let via_updates = Countmin.empty t in
-        Array.iter (fun (i, v) -> Countmin.update t via_updates i v) vec;
-        let after_updates = Metrics.value c_hash in
-        via_sketch = via_updates
-        && after_sketch - before = after_updates - after_sketch);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -12,7 +12,6 @@ module One_sparse = Matprod_sketch.One_sparse
 module S_sparse = Matprod_sketch.S_sparse
 module L0_sampler = Matprod_sketch.L0_sampler
 module Countsketch = Matprod_sketch.Countsketch
-module Countmin = Matprod_sketch.Countmin
 module Cohen = Matprod_sketch.Cohen
 module Blocked_ams = Matprod_sketch.Blocked_ams
 module Pool = Matprod_util.Pool
@@ -558,7 +557,7 @@ let test_l0_sampler_wire_allocation () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* CountSketch / CountMin *)
+(* CountSketch *)
 
 let test_countsketch_point_queries () =
   let rng = Prng.create 32 in
@@ -577,17 +576,6 @@ let test_countsketch_heavy_candidates () =
   let heavy = Countsketch.heavy_candidates t arr ~dim:1000 ~threshold:500.0 in
   check Alcotest.bool "finds planted heavy" true (List.mem_assoc 42 heavy);
   check Alcotest.bool "few false positives" true (List.length heavy <= 3)
-
-let test_countmin_overestimates () =
-  let rng = Prng.create 34 in
-  let t = Countmin.create rng ~buckets:128 ~reps:4 in
-  let vec = Array.init 200 (fun i -> (i, 1 + (i mod 5))) in
-  let arr = Countmin.sketch t vec in
-  Array.iter
-    (fun (i, v) ->
-      let q = Countmin.query t arr i in
-      check Alcotest.bool "never underestimates" true (q >= float_of_int v -. 1e-9))
-    vec
 
 (* ------------------------------------------------------------------ *)
 (* Cohen *)
@@ -1203,7 +1191,6 @@ let () =
         [
           Alcotest.test_case "point queries" `Quick test_countsketch_point_queries;
           Alcotest.test_case "heavy candidates" `Quick test_countsketch_heavy_candidates;
-          Alcotest.test_case "countmin overestimates" `Quick test_countmin_overestimates;
         ] );
       ( "cohen",
         [
