@@ -198,7 +198,7 @@ let send_reliable t w ~from ~label payload =
   let rec attempt n timeout =
     if n > w.cfg.max_attempts then begin
       w.giveups <- w.giveups + 1;
-      if Metrics.enabled () then Metrics.incr c_rel_giveups;
+      Metrics.incr c_rel_giveups;
       if Trace.enabled () then
         Trace.event ~name:"reliable.giveup"
           ~attrs:
@@ -211,7 +211,7 @@ let send_reliable t w ~from ~label payload =
     end;
     if n > 1 then begin
       w.retries <- w.retries + 1;
-      if Metrics.enabled () then Metrics.incr c_rel_retries;
+      Metrics.incr c_rel_retries;
       if Trace.enabled () then
         Trace.event ~name:"reliable.retry"
           ~attrs:
@@ -224,7 +224,7 @@ let send_reliable t w ~from ~label payload =
     (* Data frame: sender -> receiver. *)
     let frame = Reliable.data_frame ~seq payload in
     w.data_frames <- w.data_frames + 1;
-    if Metrics.enabled () then Metrics.incr c_rel_frames;
+    Metrics.incr c_rel_frames;
     record_msg t ~from ~label ~bytes:(String.length frame);
     let deliveries = Fault.apply w.fault ~from ~label frame in
     let arrived = ref false in
@@ -238,7 +238,7 @@ let send_reliable t w ~from ~label payload =
           | Ok _ -> () (* stale or duplicate sequence number *)
           | Error _ ->
               w.crc_rejects <- w.crc_rejects + 1;
-              if Metrics.enabled () then Metrics.incr c_rel_crc)
+              Metrics.incr c_rel_crc)
       deliveries;
     if not !arrived then begin
       (* Silence: wait out the timeout, back off, retransmit. *)
@@ -250,7 +250,7 @@ let send_reliable t w ~from ~label payload =
          the same faulty wire. *)
       let ack = Reliable.ack_frame ~seq in
       w.acks <- w.acks + 1;
-      if Metrics.enabled () then Metrics.incr c_rel_acks;
+      Metrics.incr c_rel_acks;
       record_msg t ~from:to_party ~label:ack_label ~bytes:(String.length ack);
       let ack_deliveries =
         Fault.apply w.fault ~from:to_party ~label:ack_label ack
@@ -265,7 +265,7 @@ let send_reliable t w ~from ~label payload =
             | Ok _ -> false
             | Error _ ->
                 w.crc_rejects <- w.crc_rejects + 1;
-                if Metrics.enabled () then Metrics.incr c_rel_crc;
+                Metrics.incr c_rel_crc;
                 false)
           ack_deliveries
       in

@@ -78,10 +78,6 @@ val installed_fault : t -> Fault.t option
     seed) and hands the journaled payload to the decoder. See
     docs/ROBUSTNESS.md. *)
 
-val close_journal : t -> unit
-(** Flush and close the armed writer, if any (the transport stays open).
-    Idempotent. *)
-
 (** What replay saved: messages and payload bytes served from the journal
     instead of the wire. *)
 type replay_stats = { replayed_messages : int; replayed_bytes : int }

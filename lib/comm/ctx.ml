@@ -69,7 +69,6 @@ let resume_from t ?path journal =
   | Some path ->
       Channel.configure t.chan ~journal:(Journal.reopen ~path journal) ()
 
-let close_journal t = Channel.close_journal t.chan
 let close t = Channel.close t.chan
 let transport t = Channel.transport t.chan
 let replay_stats t = Channel.replay_stats t.chan

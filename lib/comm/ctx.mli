@@ -90,14 +90,10 @@ val resume_from : t -> ?path:string -> Journal.t -> unit
     fresh messages are appended to it, so a later crash resumes even
     further. *)
 
-val close_journal : t -> unit
-(** Flush and close the journal writer, if any. Idempotent; {!run} paths
-    that arm a journal close it on exit, exceptions included. *)
-
 val close : t -> unit
-(** {!close_journal} plus release of the transport's OS resources
-    ({!Channel.close}). Idempotent; every [run] path calls it on exit,
-    exceptions included. *)
+(** Flush and close the journal writer, if any, and release the
+    transport's OS resources ({!Channel.close}). Idempotent; every [run]
+    path calls it on exit, exceptions included. *)
 
 val transport : t -> Transport.t
 (** The physical backend this context's channel delivers over. *)

@@ -229,7 +229,7 @@ let c_telemetry = Metrics.counter "telemetry_bytes"
 let put_trace_record oc tid =
   let record = trace_record tid in
   output_string oc record;
-  if Metrics.enabled () then Metrics.incr_by c_telemetry (String.length record)
+  Metrics.incr_by c_telemetry (String.length record)
 
 let create ~path ~protocol ~seed =
   let oc = open_out_bin path in

@@ -119,7 +119,3 @@ let parse s =
       | _ -> Error "malformed frame"
     end
   end
-
-let overhead ~seq ~payload_bytes =
-  String.length (data_frame ~seq (String.make payload_bytes '\000'))
-  - payload_bytes

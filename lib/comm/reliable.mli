@@ -50,7 +50,3 @@ val parse : string -> (kind * int * string, string) result
 
 val crc32 : string -> int
 (** IEEE CRC32 (the zlib/PNG polynomial), exposed for tests. *)
-
-val overhead : seq:int -> payload_bytes:int -> int
-(** Framing bytes added to a payload of the given size at the given
-    sequence number — what reliability costs per transmission. *)

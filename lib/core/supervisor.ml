@@ -148,7 +148,7 @@ let run ?(policy = default_policy) ?journal ?wire ?names ?transport
     fresh_bits := !fresh_bits + bits;
     fresh_rounds := !fresh_rounds + rounds;
     saved := !saved + replayed_bits;
-    if Metrics.enabled () then Metrics.incr_by c_saved replayed_bits;
+    Metrics.incr_by c_saved replayed_bits;
     let failure = match result with Ok _ -> None | Error e -> Some e in
     attempts :=
       { rung; seed; fresh_bits = bits; fresh_rounds = rounds; replayed_bits;
@@ -169,7 +169,7 @@ let run ?(policy = default_policy) ?journal ?wire ?names ?transport
       }
   in
   let give_up err =
-    if Metrics.enabled () then Metrics.incr c_giveups;
+    Metrics.incr c_giveups;
     if Trace.enabled () then
       Trace.event ~name:"supervisor.give_up"
         ~attrs:

@@ -97,14 +97,3 @@ let to_dense t =
 let equal a b =
   a.rows = b.rows && a.cols = b.cols
   && Array.for_all2 (fun r1 r2 -> r1 = r2) a.sets b.sets
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to min (t.rows - 1) 31 do
-    for k = 0 to min (t.cols - 1) 63 do
-      Format.pp_print_char ppf (if mem_sorted t.sets.(i) k then '1' else '.')
-    done;
-    Format.pp_print_cut ppf ()
-  done;
-  if t.rows > 32 || t.cols > 64 then Format.fprintf ppf "(%dx%d, truncated)" t.rows t.cols;
-  Format.fprintf ppf "@]"

@@ -49,5 +49,3 @@ val filter_entries : t -> (int -> int -> bool) -> t
 val to_dense : t -> int array array
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

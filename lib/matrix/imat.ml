@@ -131,12 +131,3 @@ let to_dense t =
 let equal a b =
   a.rows = b.rows && a.cols = b.cols
   && Array.for_all2 (fun r1 r2 -> r1 = r2) a.data b.data
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>Imat %dx%d nnz=%d" t.rows t.cols (nnz t);
-  for i = 0 to min (t.rows - 1) 15 do
-    Format.pp_print_cut ppf ();
-    Format.fprintf ppf "row %d:" i;
-    Array.iter (fun (k, v) -> Format.fprintf ppf " (%d,%d)" k v) t.data.(i)
-  done;
-  Format.fprintf ppf "@]"

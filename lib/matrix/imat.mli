@@ -46,4 +46,3 @@ val nonneg : t -> bool
 
 val to_dense : t -> int array array
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

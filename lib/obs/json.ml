@@ -68,8 +68,6 @@ let to_string v =
   write buf v;
   Buffer.contents buf
 
-let pp ppf v = Format.pp_print_string ppf (to_string v)
-
 (* ------------------------------------------------------------------ *)
 (* Parser *)
 

@@ -18,9 +18,6 @@ val to_string : t -> string
 (** Single-line rendering. Non-finite floats serialize as [null] so the
     output is always standard JSON. *)
 
-val pp : Format.formatter -> t -> unit
-(** Same rendering as {!to_string}, on a formatter. *)
-
 val of_string : string -> t
 (** Strict parser for the subset {!to_string} emits (standard JSON without
     unicode escapes beyond [\uXXXX] pass-through). Raises [Failure] on

@@ -270,7 +270,7 @@ let handle t fd =
           t.sessions <- t.sessions + 1;
           t.sessions)
     in
-    if Metrics.enabled () then Metrics.incr c_sessions;
+    Metrics.incr c_sessions;
     respond fd (Proto.Welcome { session });
     let rec loop () =
       match Proto.decode_request (Transport.read_frame fd) with

@@ -59,7 +59,6 @@ let plan t ~dim =
   done;
   { pdim = dim; psize = sz; sgn }
 
-let plan_dim p = p.pdim
 
 let apply_plan t p dst vec =
   let sz = t.rows_per_group * t.groups in

@@ -36,10 +36,8 @@ type plan
 val plan : t -> dim:int -> plan
 (** O(size·dim) sign evaluations, once per hash family. *)
 
-val plan_dim : plan -> int
-
 val sketch_with_plan : t -> plan -> (int * int) array -> float array
-(** Same result as {!sketch}; keys must lie in [0, plan_dim). *)
+(** Same result as {!sketch}; keys must lie in the plan's [0, dim). *)
 
 val sketch_into : t -> plan -> dst:float array -> (int * int) array -> unit
 (** Zeroes [dst] (length {!size}) then sketches into it — no per-row

@@ -83,7 +83,6 @@ let plan t ~dim =
   done;
   { pdim = dim; cell; sgn }
 
-let plan_dim p = p.pdim
 
 let apply_plan t p dst vec =
   (* Metrics hoisted to one enabled() check + one batched increment per
@@ -132,7 +131,7 @@ let add_scaled t ~dst ~coeff src =
 
 let query t arr i =
   Metrics.timed h_query (fun () ->
-      if Metrics.enabled () then Metrics.incr_by c_hash (2 * t.reps);
+      Metrics.incr_by c_hash (2 * t.reps);
       let ests =
         Array.init t.reps (fun r ->
             let b = Hashing.bucket t.bucket_hash.(r) ~buckets:t.buckets i in

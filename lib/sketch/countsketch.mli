@@ -27,11 +27,10 @@ val add_scaled : t -> dst:float array -> coeff:int -> float array -> unit
 type plan
 
 val plan : t -> dim:int -> plan
-val plan_dim : plan -> int
 
 val sketch_with_plan : t -> plan -> (int * int) array -> float array
 (** Same result as {!sketch}, via the plan's tables. Keys must lie in
-    [0, plan_dim). *)
+    the plan's [0, dim). *)
 
 val sketch_into : t -> plan -> dst:float array -> (int * int) array -> unit
 (** [sketch_into t p ~dst vec] zeroes [dst] (length {!size}) and fills it

@@ -155,7 +155,6 @@ let plan t ~dim:d =
   done;
   { pdim = d; pgroups = groups; plevels = t.levels; hdr; buckets }
 
-let plan_dim p = p.pdim
 
 let apply_plan t p dst vec =
   if p.plevels <> t.levels || p.pgroups <> Array.length t.reps then

@@ -50,7 +50,6 @@ type plan
 val plan : t -> dim:int -> plan
 (** [dim] may be at most the sketch's own domain. O(groups·dim·levels). *)
 
-val plan_dim : plan -> int
 val sketch_with_plan : t -> plan -> (int * int) array -> int array
 
 val sketch_into : t -> plan -> dst:int array -> (int * int) array -> unit

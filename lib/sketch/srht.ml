@@ -50,7 +50,6 @@ let create rng ~eps ~groups ~dim =
 
 let size t = t.rows_per_group * t.groups
 let dim t = t.dim
-let padded_dim t = t.dpad
 let empty t = Array.make (size t) 0.0
 
 (* D's diagonal: ±1 per key, derived purely from (seed, 0, key). *)
@@ -146,8 +145,6 @@ let plan ?dense_nnz t ~dim =
     scratch = Domain.DLS.new_key (fun () -> Fwht.scratch dpad);
   }
 
-let plan_dim p = p.pdim
-let plan_dense_nnz p = p.dense_nnz
 
 let apply_dense p dst vec =
   let scr = Domain.DLS.get p.scratch in
@@ -201,4 +198,3 @@ let estimate_sq t y =
   let sq = Array.map (fun v -> v *. v) y in
   Float.max 0.0 (Stats.median_of_means sq ~groups:t.groups)
 
-let estimate t y = sqrt (estimate_sq t y)

@@ -31,9 +31,6 @@ val create_rows :
 val size : t -> int
 val dim : t -> int
 
-val padded_dim : t -> int
-(** The Hadamard order: [next_pow2 (dim t)]. *)
-
 val empty : t -> float array
 val sketch : t -> (int * int) array -> float array
 val add_scaled : t -> dst:float array -> coeff:int -> float array -> unit
@@ -50,11 +47,6 @@ val plan : ?dense_nnz:int -> t -> dim:int -> plan
     the densify+FWHT route (0 forces it, [max_int] forces the sparse
     route — the tests and the P1 crossover sweep use both). *)
 
-val plan_dim : plan -> int
-
-val plan_dense_nnz : plan -> int
-(** The threshold in effect, for reporting. *)
-
 val sketch_with_plan : t -> plan -> (int * int) array -> float array
 
 val sketch_into : t -> plan -> dst:float array -> (int * int) array -> unit
@@ -62,8 +54,6 @@ val sketch_into : t -> plan -> dst:float array -> (int * int) array -> unit
 
 val estimate_sq : t -> float array -> float
 (** Median-of-means estimate of ‖x‖₂². *)
-
-val estimate : t -> float array -> float
 
 val entry : t -> row:int -> int -> float
 (** Entry of the implicit S·H·D matrix; deterministic per (row, key). *)

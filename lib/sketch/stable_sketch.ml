@@ -85,7 +85,6 @@ let plan t ~dim =
   done;
   { pdim = dim; prows = t.rows; cols }
 
-let plan_dim p = p.pdim
 
 let apply_plan t p dst vec =
   if p.prows <> t.rows then

@@ -30,7 +30,6 @@ val add_scaled : t -> dst:float array -> coeff:int -> float array -> unit
 type plan
 
 val plan : t -> dim:int -> plan
-val plan_dim : plan -> int
 val sketch_with_plan : t -> plan -> (int * int) array -> float array
 
 val sketch_into : t -> plan -> dst:float array -> (int * int) array -> unit

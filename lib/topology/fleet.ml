@@ -97,7 +97,7 @@ let sanitize name =
   String.map (fun c -> if c = ' ' || c = '=' || c = '/' then '-' else c) name
 
 let quarantine_event ~rank ~replica ~check ~detail =
-  if Metrics.enabled () then Metrics.incr c_quarantined;
+  Metrics.incr c_quarantined;
   if Trace.enabled () then
     Trace.event ~name:"fleet.quarantine"
       ~attrs:
@@ -125,7 +125,7 @@ let run_link ~cfg ~wire ~protocol ~rank ~replica ~seed ~(range : Shard.range)
         let diag = Outcome.diagnostics_of_ctx ctx in
         if diag.Outcome.waited > d then begin
           straggled := true;
-          if Metrics.enabled () then Metrics.incr c_stragglers;
+          Metrics.incr c_stragglers;
           if Trace.enabled () then
             Trace.event ~name:"fleet.straggler"
               ~attrs:
@@ -156,7 +156,7 @@ let run_link ~cfg ~wire ~protocol ~rank ~replica ~seed ~(range : Shard.range)
   let wire =
     Option.map (fun f ~attempt ctx -> f ~rank ~replica ~attempt ctx) wire
   in
-  if Metrics.enabled () then Metrics.incr c_links;
+  Metrics.incr c_links;
   let result =
     Metrics.in_scope (Printf.sprintf "link%d%s" rank suffix) @@ fun () ->
     Trace.with_span ~name:"fleet.link"
@@ -205,7 +205,7 @@ let decide ~cfg ~rows ~merge links_out =
       let coverage =
         Shard.coverage ~rows (List.map (fun p -> p.Merge.range) answered)
       in
-      if Metrics.enabled () then Metrics.incr c_degraded;
+      Metrics.incr c_degraded;
       if Trace.enabled () then
         Trace.event ~name:"fleet.degraded"
           ~attrs:
@@ -220,7 +220,7 @@ let decide ~cfg ~rows ~merge links_out =
     end
   end
   else begin
-    if Metrics.enabled () then Metrics.incr c_giveups;
+    Metrics.incr c_giveups;
     if Trace.enabled () then
       Trace.event ~name:"fleet.give_up"
         ~attrs:

@@ -9,7 +9,6 @@ let mix64 z =
   logxor z (shift_right_logical z 31)
 
 let create seed = { state = mix64 (Int64.of_int seed) }
-let copy t = { state = t.state }
 
 let int64 t =
   t.state <- Int64.add t.state golden_gamma;

@@ -12,9 +12,6 @@ val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed. Equal seeds
     give equal streams. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state; the copy evolves independently. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a child generator whose stream is
     independent of the remainder of [t]'s stream. *)

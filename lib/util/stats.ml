@@ -95,7 +95,3 @@ let approx_factor ~actual ~estimate =
   else Float.max (actual /. estimate) (estimate /. actual)
 
 let log2 x = log x /. log 2.0
-
-let ceil_div a b =
-  if b <= 0 then invalid_arg "Stats.ceil_div: nonpositive divisor";
-  (a + b - 1) / b

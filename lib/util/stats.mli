@@ -37,7 +37,6 @@ val approx_factor : actual:float -> estimate:float -> float
     for positive inputs; ∞ if exactly one of them is 0; 1 if both are. *)
 
 val log2 : float -> float
-val ceil_div : int -> int -> int
 
 val float_sum : float array -> float
 (** Kahan-compensated sum. *)
