@@ -602,7 +602,10 @@ let vote (e : Estimator.t) s (replicas : (int * Estimator.comparable) list) =
                        if d < bd then (i, d) else (bi, bd))
                      (fst (List.hd vals), infinity)
                      vals))
-        | _, ws -> List.hd ws
+        | ( ( Exact_count _ | Approx _ | Level_approx _ | Heavy_hitters _
+            | L0_draw | L1_draw | Product_shares ),
+            ws ) ->
+            List.hd ws
       in
       let replica_of i = fst arr.(i) in
       Some
