@@ -102,7 +102,8 @@ let product_entries shares parts =
 let merge_stat parts : Estimator.stat -> Estimator.comparable =
   let number = function Estimator.Number x -> x | _ -> shape_error () in
   function
-  | Norm_inf _ -> Estimator.Number (fold_numbers Float.max neg_infinity number parts)
+  | Norm_inf _ ->
+      Estimator.Number (fold_numbers Float.max neg_infinity number parts)
   | Norm0 _ | Norm1 | Frob | Pairs_upto | Disjoint_pairs _ | Pairs_from_l0 _ ->
       Estimator.Number (fold_numbers ( +. ) 0.0 number parts)
 
