@@ -1021,31 +1021,35 @@ let session c beta =
   let a = Workload.uniform_bool rng ~rows:n ~cols:n ~density in
   let b = Workload.uniform_bool rng ~rows:n ~cols:n ~density in
   let c_mat = Product.bool_product a b in
-  let ctx = Ctx.create ?transport:(transport_conn c) ~seed () in
-  let s =
-    Matprod_core.Session.establish ctx ~beta ~a:(Imat.of_bmat a)
-      ~b:(Imat.of_bmat b)
+  (* Establish, the free queries and refine share one context. *)
+  let run =
+    run_ctx c ~seed (fun ctx ->
+        let s =
+          Matprod_core.Session.establish ctx ~beta ~a:(Imat.of_bmat a)
+            ~b:(Imat.of_bmat b)
+        in
+        let establish_bits = Transcript.total_bits (Ctx.transcript ctx) in
+        let coarse = Matprod_core.Session.norm_pow s in
+        let top = Matprod_core.Session.top_rows s ~k:5 in
+        if not c.json then begin
+          Printf.printf "session established: beta = %.2f, %d bits\n" beta
+            establish_bits;
+          Printf.printf "||C||_0 (coarse)   : %.0f (exact %d) — free\n" coarse
+            (Product.nnz c_mat);
+          Printf.printf "top rows by support — free:\n";
+          List.iter
+            (fun (i, est) ->
+              let exact = (Product.row_lp_pow c_mat ~p:0.0).(i) in
+              Printf.printf "  row %3d: ~%.0f (exact %.0f)\n" i est exact)
+            top
+        end;
+        let refined = Matprod_core.Session.refine ctx s in
+        if not c.json then
+          Printf.printf "||C||_0 (refined)  : %.0f — %d extra bits\n" refined
+            (Transcript.total_bits (Ctx.transcript ctx) - establish_bits);
+        (establish_bits, coarse, top, refined))
   in
-  let establish_bits = Transcript.total_bits (Ctx.transcript ctx) in
-  let coarse = Matprod_core.Session.norm_pow s in
-  let top = Matprod_core.Session.top_rows s ~k:5 in
-  if not c.json then begin
-    Printf.printf "session established: beta = %.2f, %d bits\n" beta
-      establish_bits;
-    Printf.printf "||C||_0 (coarse)   : %.0f (exact %d) — free\n" coarse
-      (Product.nnz c_mat);
-    Printf.printf "top rows by support — free:\n";
-    List.iter
-      (fun (i, est) ->
-        let exact = (Product.row_lp_pow c_mat ~p:0.0).(i) in
-        Printf.printf "  row %3d: ~%.0f (exact %.0f)\n" i est exact)
-      top
-  end;
-  let refined = Matprod_core.Session.refine ctx s in
-  let total_bits = Transcript.total_bits (Ctx.transcript ctx) in
-  if not c.json then
-    Printf.printf "||C||_0 (refined)  : %.0f — %d extra bits\n" refined
-      (total_bits - establish_bits);
+  let establish_bits, coarse, top, refined = run.Ctx.output in
   finish c
     (base_fields ~subcommand:"session" c
     @ [
@@ -1061,8 +1065,7 @@ let session c beta =
                  Obs.Json.List [ Obs.Json.Int i; Obs.Json.Float est ])
                top) );
       ]
-    @ transcript_fields (Ctx.transcript ctx));
-  Ctx.close ctx
+    @ transcript_fields run.Ctx.transcript)
 
 let session_cmd =
   let beta_arg =

@@ -243,7 +243,7 @@ let send_reliable t w ~from ~label payload =
     if not !arrived then begin
       (* Silence: wait out the timeout, back off, retransmit. *)
       w.waited <- w.waited +. timeout;
-      attempt (n + 1) (Reliable.next_timeout w.cfg timeout)
+      attempt (n + 1) (Reliable.next_timeout timeout)
     end
     else begin
       (* Receiver acks (first arrival or duplicate alike); the ack crosses
@@ -273,7 +273,7 @@ let send_reliable t w ~from ~label payload =
         match !received with Some p -> p | None -> assert false
       else begin
         w.waited <- w.waited +. timeout;
-        attempt (n + 1) (Reliable.next_timeout w.cfg timeout)
+        attempt (n + 1) (Reliable.next_timeout timeout)
       end
     end
   in

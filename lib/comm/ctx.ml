@@ -25,7 +25,6 @@ let make ?names ?transport ~seed () =
   }
 
 let create ?transport ~seed () = make ?transport ~seed ()
-let create_named ?transport ~names ~seed () = make ~names ?transport ~seed ()
 
 let install_wire t ~fault ?reliable () =
   Channel.configure t.chan ~fault ?reliable ()
@@ -39,13 +38,6 @@ let a2b t ~label codec v = send t ~from:Transcript.Alice ~label codec v
 let b2a t ~label codec v = send t ~from:Transcript.Bob ~label codec v
 let transcript t = Channel.transcript t.chan
 let installed_fault t = Channel.installed_fault t.chan
-
-let record t ~journal ~protocol =
-  if Transcript.message_count (transcript t) > 0 then
-    invalid_arg "Ctx.record: messages already sent";
-  Channel.configure t.chan
-    ~journal:(Journal.create ~path:journal ~protocol ~seed:t.seed)
-    ()
 
 let resume_from t ?path journal =
   if journal.Journal.seed <> t.seed then
@@ -87,8 +79,8 @@ let c_bits = Obs.Metrics.counter "bits_sent_total"
 let c_rounds = Obs.Metrics.counter "rounds_total"
 let h_run = Obs.Metrics.histogram "ctx_run_ns"
 
-let run_prepared ?transport ~seed ~prepare f =
-  let t = create ?transport ~seed () in
+let run_prepared ?names ?transport ~seed ~prepare f =
+  let t = make ?names ?transport ~seed () in
   Fun.protect
     ~finally:(fun () -> close t)
     (fun () ->
@@ -118,14 +110,18 @@ let run_prepared ?transport ~seed ~prepare f =
         replayed_bits = 8 * rs.Channel.replayed_bytes;
       })
 
-let run ?transport ~seed f = run_prepared ?transport ~seed ~prepare:(fun _ -> ()) f
+let run ?names ?transport ~seed f =
+  run_prepared ?names ?transport ~seed ~prepare:ignore f
 
-let run_journaled ?transport ~seed ~journal ~protocol f =
-  run_prepared ?transport ~seed
-    ~prepare:(fun t -> record t ~journal ~protocol)
+let run_journaled ?names ?transport ~seed ~journal ~protocol f =
+  run_prepared ?names ?transport ~seed
+    ~prepare:(fun t ->
+      Channel.configure t.chan
+        ~journal:(Journal.create ~path:journal ~protocol ~seed)
+        ())
     f
 
-let resume ?transport ~seed ?path ~journal f =
-  run_prepared ?transport ~seed
+let resume ?names ?transport ~seed ?path ~journal f =
+  run_prepared ?names ?transport ~seed
     ~prepare:(fun t -> resume_from t ?path journal)
     f

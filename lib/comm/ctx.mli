@@ -29,18 +29,10 @@ type t = {
 val create : ?transport:Transport.t -> seed:int -> unit -> t
 (** [?transport] picks the physical backend under the channel (default
     {!Transport.sim} — the historical in-process wire). The context owns
-    the transport; {!close} (and every [run] path) releases it. *)
-
-val create_named :
-  ?transport:Transport.t ->
-  names:(Transcript.party -> string) ->
-  seed:int ->
-  unit ->
-  t
-(** {!create} with the two wire roles renamed for observability (metrics
-    scopes, trace attributes) — see {!Channel.create}. A fleet link names
-    its parties ["worker<i>"]/["coordinator"]; {!create} keeps
-    ["Alice"]/["Bob"]. *)
+    the transport; {!close} releases it. A protocol run goes through
+    {!run}, {!run_journaled} or {!resume}, which create, arm, cost and
+    close the context; [create] is for code that drives a context by
+    hand. *)
 
 val install_wire :
   t -> fault:Fault.t -> ?reliable:Reliable.config -> unit -> unit
@@ -75,20 +67,8 @@ val transcript : t -> Transcript.t
     the journaled prefix byte-for-byte — zero fresh bits, each message
     checked against the log — and only then touches the wire. Works
     because {e all} protocol randomness derives from the context seed, so
-    a restarted run re-derives the same messages. *)
-
-val record : t -> journal:string -> protocol:string -> unit
-(** Start journaling this run to file [journal] (truncated). Must be
-    called before the first message (raises [Invalid_argument]
-    otherwise). *)
-
-val resume_from : t -> ?path:string -> Journal.t -> unit
-(** Arm the channel to replay the journal's entries before any fresh
-    communication. Raises [Invalid_argument] if the journal's seed
-    differs from the context's, or if messages were already sent. With
-    [?path], the journal file is rewritten (dropping any torn tail) and
-    fresh messages are appended to it, so a later crash resumes even
-    further. *)
+    a restarted run re-derives the same messages. {!run_journaled} and
+    {!resume} arm it. *)
 
 val close : t -> unit
 (** Flush and close the journal writer, if any, and release the
@@ -112,26 +92,46 @@ type 'r run = {
   replayed_bits : int;
 }
 
-val run : ?transport:Transport.t -> seed:int -> (t -> 'r) -> 'r run
+val run :
+  ?names:(Transcript.party -> string) ->
+  ?transport:Transport.t ->
+  seed:int ->
+  (t -> 'r) ->
+  'r run
+(** Create a context at [seed], run the body in it and close it, even when
+    the body raises. [?names] renames the two wire roles for
+    observability (metrics scopes, trace attributes; see
+    {!Channel.create}): a fleet link names its parties
+    ["worker<i>"]/["coordinator"], the default keeps ["Alice"]/["Bob"].
+    Each run is a [ctx.run] span and ticks [ctx_runs], [bits_sent_total],
+    [rounds_total] and [ctx_run_ns]. A body that must be charged for a
+    failed protocol catches the failure itself (as [Outcome.guard] does)
+    and returns it, so the record still carries the bits sent. *)
 
 val run_journaled :
+  ?names:(Transcript.party -> string) ->
   ?transport:Transport.t ->
   seed:int ->
   journal:string ->
   protocol:string ->
   (t -> 'r) ->
   'r run
-(** {!run} with {!record} armed first; the writer is closed on exit even
-    when the body raises (the journal then holds the completed prefix —
-    exactly what {!resume} needs). *)
+(** {!run} that journals every delivered message to file [journal]
+    (truncated first). The writer is closed on exit even when the body
+    raises (the journal then holds the completed prefix — exactly what
+    {!resume} needs). *)
 
 val resume :
+  ?names:(Transcript.party -> string) ->
   ?transport:Transport.t ->
   seed:int ->
   ?path:string ->
   journal:Journal.t ->
   (t -> 'r) ->
   'r run
-(** {!run} with {!resume_from} armed first: fast-forwards through the
-    journal, then continues on the wire. A run resumed from a complete
-    journal costs 0 fresh bits. *)
+(** {!run} that first replays the journal's entries, then continues on
+    the wire. A run resumed from a complete journal costs 0 fresh bits.
+    Raises [Invalid_argument] if the journal's seed differs from [seed].
+    With [?path], the journal file is rewritten (dropping any torn tail)
+    and fresh messages are appended to it, so a later crash resumes even
+    further. *)

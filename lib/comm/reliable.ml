@@ -6,24 +6,19 @@
 
 exception Link_failure of { label : string; attempts : int }
 
-type config = {
-  max_attempts : int;
-  base_timeout : float;
-  max_timeout : float;
-}
+type config = { max_attempts : int; base_timeout : float }
 
-let default_config =
-  { max_attempts = 16; base_timeout = 0.05; max_timeout = 1.6 }
+let default_config = { max_attempts = 16; base_timeout = 0.05 }
+let max_timeout = 1.6
 
 let config ?(max_attempts = default_config.max_attempts)
-    ?(base_timeout = default_config.base_timeout)
-    ?(max_timeout = default_config.max_timeout) () =
+    ?(base_timeout = default_config.base_timeout) () =
   if max_attempts < 1 then invalid_arg "Reliable.config: max_attempts >= 1";
   if not (base_timeout > 0.0 && max_timeout >= base_timeout) then
     invalid_arg "Reliable.config: need 0 < base_timeout <= max_timeout";
-  { max_attempts; base_timeout; max_timeout }
+  { max_attempts; base_timeout }
 
-let next_timeout cfg t = Float.min cfg.max_timeout (2.0 *. t)
+let next_timeout t = Float.min max_timeout (2.0 *. t)
 
 (* --- CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) ------------------- *)
 

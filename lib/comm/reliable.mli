@@ -23,16 +23,19 @@ exception Link_failure of { label : string; attempts : int }
 type config = {
   max_attempts : int;  (** transmissions per message before giving up *)
   base_timeout : float;  (** initial retransmission timeout, seconds *)
-  max_timeout : float;  (** backoff cap, seconds *)
 }
 
 val default_config : config
-(** 16 attempts, 50 ms initial timeout, 1.6 s cap. *)
+(** 16 attempts, 50 ms initial timeout. *)
 
-val config :
-  ?max_attempts:int -> ?base_timeout:float -> ?max_timeout:float -> unit -> config
+val max_timeout : float
+(** The backoff cap, 1.6 s. *)
 
-val next_timeout : config -> float -> float
+val config : ?max_attempts:int -> ?base_timeout:float -> unit -> config
+(** Raises [Invalid_argument] unless [max_attempts >= 1] and
+    [0 < base_timeout <= max_timeout]. *)
+
+val next_timeout : float -> float
 (** One backoff step: [min max_timeout (2 * t)]. *)
 
 (** {1 Frames} *)

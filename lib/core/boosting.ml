@@ -1,32 +1,6 @@
 module Prng = Matprod_util.Prng
 module Stats = Matprod_util.Stats
 module Ctx = Matprod_comm.Ctx
-module Transcript = Matprod_comm.Transcript
-
-type result = {
-  estimate : float;
-  runs : float array;
-  total_bits : int;
-  rounds : int;
-}
-
-let run_median ~seed ~repetitions f =
-  if repetitions <= 0 then invalid_arg "Boosting.run_median: repetitions";
-  let root = Prng.create seed in
-  let outputs = Array.make repetitions 0.0 in
-  let bits = ref 0 and rounds = ref 0 in
-  for r = 0 to repetitions - 1 do
-    let run = Ctx.run ~seed:(Prng.fresh_seed root) f in
-    outputs.(r) <- run.Ctx.output;
-    bits := !bits + run.Ctx.bits;
-    rounds := run.Ctx.rounds
-  done;
-  {
-    estimate = Stats.median outputs;
-    runs = outputs;
-    total_bits = !bits;
-    rounds = !rounds;
-  }
 
 type verdict = Full_quorum | Degraded of { survived : int; total : int }
 
@@ -51,16 +25,18 @@ let run_median_safe ~seed ~repetitions ?(min_survivors = 1) f =
     let survivors = ref [] and failures = ref [] in
     let bits = ref 0 and rounds = ref 0 in
     for r = 0 to repetitions - 1 do
-      (* Same seed schedule as [run_median], so a fault-free safe run
-         reproduces it exactly. The context is built by hand because a
-         failed repetition's communication must still be charged. *)
-      let ctx = Ctx.create ~seed:(Prng.fresh_seed root) () in
-      (match Outcome.guard (fun () -> f ctx) with
+      (* The guard sits inside the run, so a failed repetition's
+         communication is still charged. *)
+      let run =
+        Ctx.run ~seed:(Prng.fresh_seed root) (fun ctx ->
+            Outcome.guard (fun () -> f ctx))
+      in
+      (match run.Ctx.output with
       | Ok output ->
           survivors := output :: !survivors;
-          rounds := max !rounds (Transcript.rounds (Ctx.transcript ctx))
+          rounds := max !rounds run.Ctx.rounds
       | Error e -> failures := (r, e) :: !failures);
-      bits := !bits + Transcript.total_bits (Ctx.transcript ctx)
+      bits := !bits + run.Ctx.bits
     done;
     let failures = List.rev !failures in
     let runs = Array.of_list (List.rev !survivors) in

@@ -3,21 +3,6 @@
     median, boosting the success probability to 1 − δ at an O(log 1/δ)
     communication factor — the factor the paper's Õ(·) absorbs. *)
 
-type result = {
-  estimate : float;  (** median of the per-run outputs *)
-  runs : float array;  (** the individual outputs *)
-  total_bits : int;  (** communication summed over all runs *)
-  rounds : int;  (** rounds of a single run (runs are independent) *)
-}
-
-val run_median :
-  seed:int -> repetitions:int -> (Matprod_comm.Ctx.t -> float) -> result
-(** [run_median ~seed ~repetitions f] executes [f] in [repetitions] fresh
-    contexts with seeds derived from [seed]. Raises whatever [f] raises;
-    on a hostile wire use {!run_median_safe}. *)
-
-(** {1 Fail-safe boosting} *)
-
 type verdict =
   | Full_quorum  (** every repetition survived *)
   | Degraded of { survived : int; total : int }
@@ -40,17 +25,17 @@ val run_median_safe :
   repetitions:int ->
   ?min_survivors:int ->
   (Matprod_comm.Ctx.t -> float) ->
-  (safe_result, Outcome.error) Stdlib.result
-(** Like {!run_median}, but each repetition runs under {!Outcome.guard}: a
-    repetition that dies of a wire/decode/precondition failure is recorded
-    as a casualty instead of aborting the whole estimate, and the median
-    is taken over the survivors with a quorum {!verdict}. Returns [Error]
+  (safe_result, Outcome.error) result
+(** [run_median_safe ~seed ~repetitions f] runs [f] in [repetitions]
+    {!Matprod_comm.Ctx.run}s with seeds derived from [seed], each under
+    {!Outcome.guard}: a repetition that dies of a wire/decode/precondition
+    failure is recorded as a casualty instead of aborting the whole
+    estimate, and the median is taken over the survivors with a quorum
+    {!verdict}. Returns [Error]
     when [repetitions < 1], when [min_survivors] (default 1) is not met —
     all-runs-failed always lands here — or when [min_survivors] itself is
     out of range. With an even number of survivors the median averages the
-    two middle outputs (exactly {!Matprod_util.Stats.median}). The seed
-    schedule matches [run_median], so with no faults the estimate is
-    identical. *)
+    two middle outputs (exactly {!Matprod_util.Stats.median}). *)
 
 val repetitions_for : delta:float -> int
 (** ⌈12·ln(1/δ)⌉, forced odd and at least 1 — enough repetitions to push a

@@ -13,7 +13,6 @@ type error =
   | Precondition of string
   | Protocol_failure of string
   | Crashed of { party : Transcript.party; after_messages : int }
-  | Budget_exhausted of { resource : string; spent : int; limit : int }
   | Byzantine_detected of { rank : int; replica : int; check : string }
 
 let error_to_string = function
@@ -27,9 +26,6 @@ let error_to_string = function
       Printf.sprintf "%s crashed after %d messages"
         (Transcript.party_name party)
         after_messages
-  | Budget_exhausted { resource; spent; limit } ->
-      Printf.sprintf "budget exhausted: %d %s spent of %d allowed" spent
-        resource limit
   | Byzantine_detected { rank; replica; check } ->
       Printf.sprintf
         "byzantine answer detected: worker %d replica %d violated %s" rank

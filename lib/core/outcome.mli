@@ -23,9 +23,6 @@ type error =
     }
       (** a {!Matprod_comm.Fault} crash rule killed a party mid-protocol;
           the journaled prefix (if any) remains valid for resume *)
-  | Budget_exhausted of { resource : string; spent : int; limit : int }
-      (** the {!Supervisor} cumulative budget ([resource] is ["bits"] or
-          ["rounds"]) ran out before any ladder rung succeeded *)
   | Byzantine_detected of { rank : int; replica : int; check : string }
       (** a fleet link's decoded shard answer was quarantined: it failed
           answer verification or lost the replica vote ([check] names the

@@ -1,24 +1,17 @@
 module Ctx = Matprod_comm.Ctx
 module Journal = Matprod_comm.Journal
-module Transcript = Matprod_comm.Transcript
 module Metrics = Matprod_obs.Metrics
 module Trace = Matprod_obs.Trace
 module Json = Matprod_obs.Json
 
-type policy = {
-  max_resumes : int;
-  max_reseeds : int;
-  max_bits : int option;
-  max_rounds : int option;
-}
+type policy = { max_resumes : int; max_reseeds : int }
 
-let default_policy =
-  { max_resumes = 2; max_reseeds = 1; max_bits = None; max_rounds = None }
+let default_policy = { max_resumes = 2; max_reseeds = 1 }
 
-let policy ?(max_resumes = 2) ?(max_reseeds = 1) ?max_bits ?max_rounds () =
+let policy ?(max_resumes = 2) ?(max_reseeds = 1) () =
   if max_resumes < 0 then invalid_arg "Supervisor: max_resumes < 0";
   if max_reseeds < 0 then invalid_arg "Supervisor: max_reseeds < 0";
-  { max_resumes; max_reseeds; max_bits; max_rounds }
+  { max_resumes; max_reseeds }
 
 type rung = Initial | Resume | Reseed of int | Fallback of string
 
@@ -83,11 +76,7 @@ type mode = Plain | Record of string | Resume_journal of string * Journal.t
 let run ?(policy = default_policy) ?journal ?wire ?names ?transport
     ?(fallbacks = []) ~seed ~protocol f =
   let attempts = ref [] in
-  let fresh_bits = ref 0 and fresh_rounds = ref 0 in
-  let saved = ref 0 in
   let attempt_no = ref 0 in
-  (* One guarded run of [driver] at [seed] under [mode]; cost is counted
-     even when the driver dies. *)
   let scope_name ~rung n =
     Printf.sprintf "attempt%d-%s" n
       (match rung with
@@ -96,11 +85,12 @@ let run ?(policy = default_policy) ?journal ?wire ?names ?transport
       | Reseed _ -> "reseed"
       | Fallback name -> "fallback-" ^ name)
   in
+  (* One guarded run of [driver] at [seed] under [mode]; cost is counted
+     even when the driver dies. *)
   let exec ~rung ~seed ~mode driver =
     incr attempt_no;
-    (* Each attempt gets its own metrics scope (and, since the supervisor
-       builds its Ctx by hand rather than via Ctx.run, its own trace id),
-       so retries no longer conflate into one blob of counters. *)
+    (* Each attempt gets its own metrics scope and trace id, so retries do
+       not conflate into one blob of counters. *)
     Metrics.in_scope (scope_name ~rung !attempt_no) @@ fun () ->
     Trace.with_trace ~seed @@ fun () ->
     if Metrics.enabled () then begin
@@ -121,51 +111,47 @@ let run ?(policy = default_policy) ?journal ?wire ?names ?transport
         ]
     @@ fun () ->
     (* Transports hold OS state, so each attempt opens a fresh connection
-       via the factory and [Ctx.close] releases it win or lose. *)
-    let tr_conn = Option.map (fun factory -> factory ()) transport in
-    let ctx =
-      match names with
-      | None -> Ctx.create ?transport:tr_conn ~seed ()
-      | Some names -> Ctx.create_named ?transport:tr_conn ~names ~seed ()
-    in
-    let result =
+       via the factory; the runner closes it win or lose. *)
+    let transport = Option.map (fun factory -> factory ()) transport in
+    let body ctx =
       Outcome.guard (fun () ->
-          (match mode with
-          | Plain -> ()
-          | Record path -> Ctx.record ctx ~journal:path ~protocol
-          | Resume_journal (path, j) -> Ctx.resume_from ctx ~path j);
-          (match wire with
-          | Some install -> install ~attempt:!attempt_no ctx
-          | None -> ());
+          Option.iter (fun install -> install ~attempt:!attempt_no ctx) wire;
           driver ctx)
     in
-    Ctx.close ctx;
-    let tr = Ctx.transcript ctx in
-    let bits = Transcript.total_bits tr in
-    let rounds = Transcript.rounds tr in
-    let rs = Ctx.replay_stats ctx in
-    let replayed_bits = 8 * rs.Matprod_comm.Channel.replayed_bytes in
-    fresh_bits := !fresh_bits + bits;
-    fresh_rounds := !fresh_rounds + rounds;
-    saved := !saved + replayed_bits;
-    Metrics.incr_by c_saved replayed_bits;
-    let failure = match result with Ok _ -> None | Error e -> Some e in
+    let run =
+      match mode with
+      | Plain -> Ctx.run ?names ?transport ~seed body
+      | Record path ->
+          Ctx.run_journaled ?names ?transport ~seed ~journal:path ~protocol body
+      | Resume_journal (path, j) ->
+          Ctx.resume ?names ?transport ~seed ~path ~journal:j body
+    in
+    Metrics.incr_by c_saved run.Ctx.replayed_bits;
+    let failure = match run.Ctx.output with Ok _ -> None | Error e -> Some e in
     attempts :=
-      { rung; seed; fresh_bits = bits; fresh_rounds = rounds; replayed_bits;
-        failure }
+      {
+        rung;
+        seed;
+        fresh_bits = run.Ctx.bits;
+        fresh_rounds = run.Ctx.rounds;
+        replayed_bits = run.Ctx.replayed_bits;
+        failure;
+      }
       :: !attempts;
-    result
+    run.Ctx.output
   in
   let finish output rung =
+    let attempts = List.rev !attempts in
+    let total f = List.fold_left (fun acc a -> acc + f a) 0 attempts in
     Ok
       {
         output;
         rung;
         degraded = (match rung with Fallback _ -> true | _ -> false);
-        attempts = List.rev !attempts;
-        fresh_bits = !fresh_bits;
-        fresh_rounds = !fresh_rounds;
-        resume_bits_saved = !saved;
+        attempts;
+        fresh_bits = total (fun (a : attempt) -> a.fresh_bits);
+        fresh_rounds = total (fun (a : attempt) -> a.fresh_rounds);
+        resume_bits_saved = total (fun (a : attempt) -> a.replayed_bits);
       }
   in
   let give_up err =
@@ -180,23 +166,6 @@ let run ?(policy = default_policy) ?journal ?wire ?names ?transport
         ();
     Error err
   in
-  (* Budget gate between rungs: escalating costs more bits; refuse when the
-     cumulative spend already exceeds the cap. *)
-  let over_budget () =
-    match
-      ( (match policy.max_bits with
-        | Some limit when !fresh_bits >= limit -> Some ("bits", !fresh_bits, limit)
-        | _ -> None),
-        policy.max_rounds )
-    with
-    | Some b, _ -> Some b
-    | None, Some limit when !fresh_rounds >= limit ->
-        Some ("rounds", !fresh_rounds, limit)
-    | None, _ -> None
-  in
-  let budget_error (resource, spent, limit) =
-    Outcome.Budget_exhausted { resource; spent; limit }
-  in
   (* A usable journal: same seed, at least one delivered message. *)
   let journal_for_resume () =
     match journal with
@@ -206,46 +175,33 @@ let run ?(policy = default_policy) ?journal ?wire ?names ?transport
         | Ok j when j.Journal.seed = seed && j.Journal.entries <> [] -> Some (path, j)
         | Ok _ | Error _ -> None)
   in
+  (* Fresh runs journal whenever the caller gave a journal path. *)
+  let fresh_mode = match journal with None -> Plain | Some path -> Record path in
   let rec fallback_rung last_err = function
     | [] -> give_up last_err
     | (name, driver) :: rest -> (
-        match over_budget () with
-        | Some b -> give_up (budget_error b)
-        | None -> (
-            match exec ~rung:(Fallback name) ~seed ~mode:Plain driver with
-            | Ok v -> finish v (Fallback name)
-            | Error err -> fallback_rung err rest))
+        match exec ~rung:(Fallback name) ~seed ~mode:Plain driver with
+        | Ok v -> finish v (Fallback name)
+        | Error err -> fallback_rung err rest)
   in
   let rec reseed_rung last_err i =
     if i > policy.max_reseeds then fallback_rung last_err fallbacks
     else
-      match over_budget () with
-      | Some b -> give_up (budget_error b)
-      | None -> (
-          let seed' = reseed_seed ~seed i in
-          let mode =
-            match journal with None -> Plain | Some path -> Record path
-          in
-          match exec ~rung:(Reseed seed') ~seed:seed' ~mode f with
-          | Ok v -> finish v (Reseed seed')
-          | Error err -> reseed_rung err (i + 1))
+      let seed' = reseed_seed ~seed i in
+      match exec ~rung:(Reseed seed') ~seed:seed' ~mode:fresh_mode f with
+      | Ok v -> finish v (Reseed seed')
+      | Error err -> reseed_rung err (i + 1)
   in
   let rec resume_rung last_err i =
     if i > policy.max_resumes then reseed_rung last_err 1
     else
-      match over_budget () with
-      | Some b -> give_up (budget_error b)
-      | None -> (
-          match journal_for_resume () with
-          | None -> reseed_rung last_err 1
-          | Some (path, j) -> (
-              match
-                exec ~rung:Resume ~seed ~mode:(Resume_journal (path, j)) f
-              with
-              | Ok v -> finish v Resume
-              | Error err -> resume_rung err (i + 1)))
+      match journal_for_resume () with
+      | None -> reseed_rung last_err 1
+      | Some (path, j) -> (
+          match exec ~rung:Resume ~seed ~mode:(Resume_journal (path, j)) f with
+          | Ok v -> finish v Resume
+          | Error err -> resume_rung err (i + 1))
   in
-  let mode = match journal with None -> Plain | Some path -> Record path in
-  match exec ~rung:Initial ~seed ~mode f with
+  match exec ~rung:Initial ~seed ~mode:fresh_mode f with
   | Ok v -> finish v Initial
   | Error err -> resume_rung err 1

@@ -2,8 +2,8 @@
     protocol driver.
 
     A single {!Outcome.capture} gives the trichotomy for one attempt; the
-    supervisor decides what to do when that attempt fails, spending a
-    bounded budget along a fixed ladder:
+    supervisor decides what to do when that attempt fails, climbing a
+    fixed ladder:
 
     + {b Resume} — rerun at the {e same seed}, fast-forwarding through the
       write-ahead {!Matprod_comm.Journal} of the failed attempt: the bits
@@ -19,10 +19,10 @@
       degradation in the report.
     + {b Give up} — return the last typed error.
 
-    Every attempt is guarded ({!Outcome.guard}), its cost is counted even
-    when it fails, and cumulative fresh bits/rounds are checked against
-    the budget before each new rung — blowing the budget returns
-    {!Outcome.Budget_exhausted}. Decisions are observable: span
+    Every attempt runs through {!Matprod_comm.Ctx.run} (or its journaled
+    and resuming twins) with a body guarded by {!Outcome.guard}, so its
+    cost is counted even when it fails and its transport is closed even
+    when a bug escapes. Decisions are observable: span
     [supervisor.attempt] per attempt, counters [supervisor_attempts],
     [supervisor_resumes], [supervisor_reseeds], [supervisor_fallbacks],
     [supervisor_giveups], [supervisor_resume_bits_saved]
@@ -31,20 +31,12 @@
 type policy = {
   max_resumes : int;  (** journal-resume attempts after the initial run *)
   max_reseeds : int;  (** fresh-seed full reruns after resumes run out *)
-  max_bits : int option;  (** cumulative fresh-bit budget across attempts *)
-  max_rounds : int option;  (** cumulative round budget across attempts *)
 }
 
 val default_policy : policy
-(** 2 resumes, 1 reseed, no budget caps. *)
+(** 2 resumes, 1 reseed. *)
 
-val policy :
-  ?max_resumes:int ->
-  ?max_reseeds:int ->
-  ?max_bits:int ->
-  ?max_rounds:int ->
-  unit ->
-  policy
+val policy : ?max_resumes:int -> ?max_reseeds:int -> unit -> policy
 
 (** Which rung produced an attempt. *)
 type rung =
@@ -97,11 +89,10 @@ val run :
     each attempt — it receives the 1-based attempt number, so a test can
     crash only the first attempt the way a real transient crash would.
     [?names] renames the wire roles for observability on every attempt's
-    context (see {!Matprod_comm.Ctx.create}) — the fleet supervisor passes
+    context (see {!Matprod_comm.Ctx.run}) — the fleet supervisor passes
     ["worker<i>"]/["coordinator"]. [?transport] is a {e factory}: each
     attempt opens a fresh physical connection through it (transports hold
     OS state) and closes it when the attempt ends, win or lose.
     Fallbacks run at the original seed under the same wire. The error on
-    [Error] is the last rung's typed error, or {!Outcome.Budget_exhausted}
-    when the budget gated further rungs. Never raises on wire/crash/
+    [Error] is the last rung's typed error. Never raises on wire/crash/
     precondition failures; genuine bugs still escape ({!Outcome.guard}). *)

@@ -9,14 +9,14 @@ type t = {
 
 let send_fd fd req = Transport.write_frame fd (Proto.encode_request req)
 
-let connect ?(host = "127.0.0.1") ?(retries = 100) ~port ~session_seed () =
+let connect ?(host = "127.0.0.1") ~port ~session_seed () =
   let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
   let rec dial attempt =
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     match Unix.connect fd addr with
     | () -> fd
     | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENETUNREACH), _, _)
-      when attempt < retries ->
+      when attempt < 100 ->
         Unix.close fd;
         Thread.delay 0.05;
         dial (attempt + 1)

@@ -8,11 +8,10 @@
 type t
 
 val connect :
-  ?host:string -> ?retries:int -> port:int -> session_seed:int -> unit -> t
+  ?host:string -> port:int -> session_seed:int -> unit -> t
 (** Connect, send [Hello { session_seed }], and wait for [Welcome].
-    Connection refusals are retried ([retries] × 50 ms, default 100 —
-    covers a daemon still binding its socket); protocol violations raise
-    [Failure]. *)
+    Connection refusals are retried (100 × 50 ms — covers a daemon still
+    binding its socket); protocol violations raise [Failure]. *)
 
 val session : t -> int
 (** The server-side session number from [Welcome]. *)

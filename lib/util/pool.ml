@@ -119,7 +119,7 @@ let shutdown () =
     Mutex.unlock m
   end
 
-let parallel_for ?chunk n f =
+let parallel_for n f =
   if n < 0 then invalid_arg "Pool.parallel_for: negative count";
   let d = size () in
   if d <= 1 || n <= 1 then
@@ -128,18 +128,12 @@ let parallel_for ?chunk n f =
     done
   else begin
     ensure_workers (d - 1);
-    let chunk =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | Some _ -> invalid_arg "Pool.parallel_for: chunk must be >= 1"
-      | None ->
-          (* ~8 chunks per worker keeps load balancing dynamic, but a
-             floor of 32 stops short jobs from degenerating into per-item
-             handouts: at protocol fan-out sizes (hundreds of rows, a few
-             µs each) tiny chunks spend more time on the atomic cursor
-             and wake-ups than on rows (bench P1, pool fan-out). *)
-          max 32 (n / ((!spawned + 1) * 8))
-    in
+    (* ~8 chunks per worker keeps load balancing dynamic, but a floor of
+       32 stops short jobs from degenerating into per-item handouts: at
+       protocol fan-out sizes (hundreds of rows, a few µs each) tiny
+       chunks spend more time on the atomic cursor and wake-ups than on
+       rows (bench P1, pool fan-out). *)
+    let chunk = max 32 (n / ((!spawned + 1) * 8)) in
     let job = { f; n; chunk; next = Atomic.make 0; pending = 0; err = None } in
     Mutex.lock m;
     current := Some job;
@@ -157,7 +151,7 @@ let parallel_for ?chunk n f =
     match job.err with Some e -> raise e | None -> ()
   end
 
-let init ?chunk n f =
+let init n f =
   if n < 0 then invalid_arg "Pool.init: negative count"
   else if n = 0 then [||]
   else if size () <= 1 || n = 1 then Array.init n f
@@ -166,10 +160,10 @@ let init ?chunk n f =
        slots are filled in parallel, each at its own index, so the array
        is elementwise identical to [Array.init n f]. *)
     let out = Array.make n (f 0) in
-    parallel_for ?chunk (n - 1) (fun i -> out.(i + 1) <- f (i + 1));
+    parallel_for (n - 1) (fun i -> out.(i + 1) <- f (i + 1));
     out
   end
 
-let map_sum ?chunk n f =
-  let parts = init ?chunk n f in
+let map_sum n f =
+  let parts = init n f in
   Array.fold_left ( +. ) 0.0 parts

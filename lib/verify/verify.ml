@@ -402,7 +402,12 @@ let check_answer s ~seed (q : Engine.query) (answer : Engine.answer) =
           | f -> f)
         Pass arr
   | Engine.Exact_product, Engine.Shares (ea, eb) -> check_shares s ~seed (ea, eb)
-  | _ -> Pass (* shape/query mismatch is the merge layer's business *)
+  | ( ( Engine.Norm_pow _ | Engine.Frob_norm _ | Engine.Linf _
+      | Engine.Row_norms _ | Engine.Top_rows _ | Engine.Heavy_hitters _
+      | Engine.L0_sample _ | Engine.L1_sample _ | Engine.Exact_product ),
+      _ ) ->
+      fail "answer_shape" "a %s answer does not answer %s" shape
+        (Engine.query_to_string q)
 
 (* --- corruption: the attack half ---------------------------------------- *)
 

@@ -89,7 +89,8 @@ val check_answer :
   summary -> seed:int -> Matprod_engine.Engine.query ->
   Matprod_engine.Engine.answer -> verdict
 (** {!check} for the engine's batch answers, specialised by the query
-    (the query carries the accuracy, so slacks adapt to it). *)
+    (the query carries the accuracy, so slacks adapt to it). An answer
+    of the wrong shape for its query fails [answer_shape]. *)
 
 (** {1 Corruption (the attack half)}
 

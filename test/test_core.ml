@@ -719,6 +719,7 @@ let test_hh_countsketch_empty () =
 (* Boosting (median trick) *)
 
 module Boosting = Matprod_core.Boosting
+module Outcome = Matprod_core.Outcome
 
 let test_boosting_improves_reliability () =
   (* A deliberately under-sized Algorithm 1 has noticeable failure odds;
@@ -735,7 +736,11 @@ let test_boosting_improves_reliability () =
     }
   in
   let f ctx = Lp_protocol.run ctx prm ~a:(Imat.of_bmat a) ~b:(Imat.of_bmat b) in
-  let boosted = Boosting.run_median ~seed:9 ~repetitions:9 f in
+  let boosted =
+    match Boosting.run_median_safe ~seed:9 ~repetitions:9 f with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "boosting failed: %s" (Outcome.error_to_string e)
+  in
   let single_errs =
     Array.map
       (fun est -> Stats.relative_error ~actual ~estimate:est)

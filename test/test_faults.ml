@@ -118,8 +118,7 @@ let test_trichotomy (kind, rates) () =
           | Error (Outcome.Link_failure _)
           | Error (Outcome.Decode_failure _)
           | Error (Outcome.Protocol_failure _)
-          | Error (Outcome.Crashed _)
-          | Error (Outcome.Budget_exhausted _) ->
+          | Error (Outcome.Crashed _) ->
               incr failures
           | Error (Outcome.Precondition m) ->
               (* Valid inputs: a precondition error here is a harness bug. *)
@@ -531,30 +530,24 @@ let test_supervisor_fallback () =
         Alcotest.fail "fallback output differs from its fault-free run"
   | Error e -> Alcotest.failf "ladder gave up: %s" (Outcome.error_to_string e)
 
-(* A one-bit budget is spent by the doomed first attempt; escalation must
-   stop with the typed budget error, not loop. *)
-let test_supervisor_budget () =
-  let name, f = List.hd (protocols ~seed:1) in
-  (* Either party dies after one delivered message, every attempt. *)
-  let crashes =
-    [
-      { Fault.victim = Transcript.Alice; site = Fault.After_messages 1 };
-      { Fault.victim = Transcript.Bob; site = Fault.After_messages 1 };
-    ]
+(* A bug (an exception outside the typed families) escapes the ladder, but
+   the attempt's transport is still closed: one close per connection the
+   factory opened. *)
+let test_supervisor_closes_transport () =
+  let opened = ref 0 and closed = ref 0 in
+  let factory () =
+    incr opened;
+    { (Matprod_comm.Transport.sim ()) with close = (fun () -> incr closed) }
   in
-  match
-    Supervisor.run
-      ~policy:(Supervisor.policy ~max_bits:1 ())
-      ~wire:(fun ~attempt:_ ctx ->
-        Ctx.install_wire ctx
-          ~fault:(Fault.create ~crashes ~seed:0 [])
-          ~reliable ())
-      ~seed:53 ~protocol:name f
-  with
-  | Error (Outcome.Budget_exhausted { resource = "bits"; spent; limit = 1 }) ->
-      check Alcotest.bool "spent counted" true (spent >= 1)
-  | Ok _ -> Alcotest.fail "budget cannot allow a second attempt"
-  | Error e -> Alcotest.failf "wrong error: %s" (Outcome.error_to_string e)
+  (match
+     Supervisor.run ~transport:factory ~seed:54 ~protocol:"bug" (fun ctx ->
+         ignore (Ctx.a2b ctx ~label:"x" Matprod_comm.Codec.uint 1);
+         raise Not_found)
+   with
+  | exception Not_found -> ()
+  | _ -> Alcotest.fail "a bug must escape the supervisor");
+  check Alcotest.int "one attempt opened" 1 !opened;
+  check Alcotest.int "closes match opens" !opened !closed
 
 (* Session under Outcome.capture gives the same trichotomy: a crash mid
    establish is typed, and the session then comes up clean on a quiet
@@ -673,20 +666,6 @@ let test_boosting_edge_repetitions () =
       check Alcotest.bool "full quorum" true (r.Boosting.verdict = Boosting.Full_quorum)
   | Error e -> Alcotest.failf "unexpected: %s" (Outcome.error_to_string e)
 
-let test_boosting_matches_unsafe_without_faults () =
-  let f ctx =
-    float_of_int (Ctx.a2b ctx ~label:"x" Matprod_comm.Codec.uint
-                    (Prng.int ctx.Ctx.alice 1000))
-  in
-  let unsafe = Boosting.run_median ~seed:77 ~repetitions:5 f in
-  match Boosting.run_median_safe ~seed:77 ~repetitions:5 f with
-  | Ok safe ->
-      check (Alcotest.float 0.0) "same estimate" unsafe.Boosting.estimate
-        safe.Boosting.estimate;
-      check Alcotest.int "same bits" unsafe.Boosting.total_bits
-        safe.Boosting.total_bits
-  | Error e -> Alcotest.failf "unexpected: %s" (Outcome.error_to_string e)
-
 (* ------------------------------------------------------------------ *)
 (* Reliable-layer unit checks. *)
 
@@ -768,7 +747,6 @@ let all_errors =
     Outcome.Precondition "rows mismatch";
     Outcome.Protocol_failure "sketch width";
     Outcome.Crashed { party = Transcript.Bob; after_messages = 4 };
-    Outcome.Budget_exhausted { resource = "bits"; spent = 9; limit = 8 };
     Outcome.Byzantine_detected { rank = 2; replica = 1; check = "freivalds" };
   ]
 
@@ -778,7 +756,6 @@ let constructor_name : Outcome.error -> string = function
   | Outcome.Precondition _ -> "Precondition"
   | Outcome.Protocol_failure _ -> "Protocol_failure"
   | Outcome.Crashed _ -> "Crashed"
-  | Outcome.Budget_exhausted _ -> "Budget_exhausted"
   | Outcome.Byzantine_detected _ -> "Byzantine_detected"
 
 let contains hay needle =
@@ -800,7 +777,6 @@ let test_error_rendering_exhaustive () =
       [ "rows mismatch" ];
       [ "sketch width" ];
       [ "4" ];
-      [ "bits"; "9"; "8" ];
       [ "2"; "1"; "freivalds" ];
     ]
   in
@@ -958,7 +934,8 @@ let () =
             test_supervisor_resume_rung;
           Alcotest.test_case "supervisor fallback" `Quick
             test_supervisor_fallback;
-          Alcotest.test_case "supervisor budget" `Quick test_supervisor_budget;
+          Alcotest.test_case "supervisor closes transport" `Quick
+            test_supervisor_closes_transport;
           Alcotest.test_case "session safe entry points" `Quick
             test_session_safe;
         ] );
@@ -968,8 +945,6 @@ let () =
           Alcotest.test_case "all runs failed" `Quick test_boosting_all_failed;
           Alcotest.test_case "edge repetitions" `Quick
             test_boosting_edge_repetitions;
-          Alcotest.test_case "matches unsafe without faults" `Quick
-            test_boosting_matches_unsafe_without_faults;
         ] );
       ( "one-shot rules",
         [

@@ -871,6 +871,19 @@ let test_batch_verify_quarantine () =
       | _ -> Alcotest.failf "%s: liar link not quarantined" label)
     (chaos_ranks ~workers)
 
+(* An answer of the wrong shape for its query fails verification, so the
+   replica is quarantined instead of breaking the merge. *)
+let test_check_answer_shape () =
+  let a, b = bool_pair 92 ~n:8 ~density:0.35 in
+  match
+    Verify.check_answer (Verify.summarize ~a ~b) ~seed:7
+      (Engine.Norm_pow { p = 1.0; eps = 0.25 })
+      (Engine.Vector [| 1.0 |])
+  with
+  | Verify.Fail { invariant; _ } ->
+      check Alcotest.string "invariant" "answer_shape" invariant
+  | Verify.Pass -> Alcotest.fail "a vector answer to a scalar query passed"
+
 (* (k-1)-quorum for batches: a permanently crashed worker leaves a
    Degraded answer equal to the merge of the full run's surviving link
    answers. *)
@@ -975,6 +988,8 @@ let () =
           Alcotest.test_case "replica vote" `Quick test_batch_replica_vote;
           Alcotest.test_case "verify quarantine" `Quick
             test_batch_verify_quarantine;
+          Alcotest.test_case "check_answer rejects a wrong shape" `Quick
+            test_check_answer_shape;
           Alcotest.test_case "quorum equivalence" `Quick
             test_batch_quorum_equivalence;
           Alcotest.test_case "ambiguous vote blame" `Quick
