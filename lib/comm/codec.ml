@@ -7,11 +7,11 @@ exception Decode_error of string
 
 let dec_fail msg = raise (Decode_error msg)
 
-(* Dense-array decoders (counter_array) must allocate the logical length,
-   which a sparse encoding legitimately makes much larger than the wire
-   bytes. This cap bounds what a corrupted or adversarial length prefix can
-   make us allocate: 2^24 words ≈ 128 MB, far above any sketch state the
-   library ships. *)
+(* A sparse encoding legitimately declares a dense length much larger
+   than its wire bytes, and its decoder must allocate that length. This
+   cap, for callers with no tighter bound, limits what a corrupted or
+   adversarial length prefix can make us allocate: 2^24 words ≈ 128 MB,
+   far above any sketch state the library ships. *)
 let max_dense_length = 1 lsl 24
 
 let encode c v =
@@ -228,49 +228,51 @@ let rec add_zeros b k =
    already-zeroed array, and reads any other value below 0x80 (its own
    one-byte varint) inline. Every other byte falls back to
    [dec_unonneg], which keeps every error. *)
+let enc_uint_array b a =
+  let n = Array.length a in
+  enc_uvarint b n;
+  let i = ref 0 in
+  while !i < n do
+    let v = Array.unsafe_get a !i in
+    if v = 0 then begin
+      let j = ref (!i + 1) in
+      while !j < n && Array.unsafe_get a !j = 0 do incr j done;
+      add_zeros b (!j - !i);
+      i := !j
+    end
+    else begin
+      if v > 0 && v < 0x80 then Buffer.add_char b (Char.unsafe_chr v)
+      else enc_uvarint b v;
+      incr i
+    end
+  done
+
+(* The [n] cells after [uint_array]'s length prefix. *)
+let dec_uint_cells s pos n =
+  let a = Array.make n 0 in
+  let len = String.length s in
+  let i = ref 0 in
+  while !i < n do
+    let p = !pos in
+    if !i + 8 <= n && p + 8 <= len && String.get_int64_le s p = 0L then begin
+      i := !i + 8;
+      pos := p + 8
+    end
+    else begin
+      if p < len && String.unsafe_get s p < '\x80' then begin
+        Array.unsafe_set a !i (Char.code (String.unsafe_get s p));
+        pos := p + 1
+      end
+      else Array.unsafe_set a !i (dec_unonneg s pos);
+      incr i
+    end
+  done;
+  a
+
 let uint_array =
   {
-    enc =
-      (fun b a ->
-        let n = Array.length a in
-        enc_uvarint b n;
-        let i = ref 0 in
-        while !i < n do
-          let v = Array.unsafe_get a !i in
-          if v = 0 then begin
-            let j = ref (!i + 1) in
-            while !j < n && Array.unsafe_get a !j = 0 do incr j done;
-            add_zeros b (!j - !i);
-            i := !j
-          end
-          else begin
-            if v > 0 && v < 0x80 then Buffer.add_char b (Char.unsafe_chr v)
-            else enc_uvarint b v;
-            incr i
-          end
-        done);
-    dec =
-      (fun s pos ->
-        let n = dec_count s pos "Codec.array" in
-        let a = Array.make n 0 in
-        let len = String.length s in
-        let i = ref 0 in
-        while !i < n do
-          let p = !pos in
-          if !i + 8 <= n && p + 8 <= len && String.get_int64_le s p = 0L then begin
-            i := !i + 8;
-            pos := p + 8
-          end
-          else begin
-            if p < len && String.unsafe_get s p < '\x80' then begin
-              Array.unsafe_set a !i (Char.code (String.unsafe_get s p));
-              pos := p + 1
-            end
-            else Array.unsafe_set a !i (dec_unonneg s pos);
-            incr i
-          end
-        done;
-        a);
+    enc = enc_uint_array;
+    dec = (fun s pos -> dec_uint_cells s pos (dec_count s pos "Codec.array"));
   }
 
 let sorted_int_array =
@@ -388,57 +390,109 @@ let bytes =
         r);
   }
 
-(* Encode writes the (delta, value) pairs to a side buffer in one pass
-   over the dense array, then the header and the pairs; decode collects
-   the pairs into two arrays sized by the checked count and allocates the
-   dense array only once every pair has been checked, so a bad stream
-   never allocates more than its own length. *)
+(* Counter arrays as (length, nnz, (gap, value) pairs). Encode writes the
+   pairs to a side buffer in one pass over the dense array, then the
+   header and the pairs; decode collects the pairs into two arrays sized
+   by the checked count and allocates the dense array only once every
+   pair has been checked, so a bad stream never allocates more than its
+   own length plus the dense length its caller accepted. *)
+
+(* Writes the nonzero cells of [a] to [pairs] and returns their count and
+   the bytes their values take beyond one each — what [uint_array] spends
+   on [a] above one byte per cell. *)
+let scan_pairs pairs a =
+  let n = Array.length a in
+  let nnz = ref 0 and wide = ref 0 and prev = ref (-1) in
+  let i = ref 0 in
+  while !i < n do
+    while !i < n && Array.unsafe_get a !i = 0 do incr i done;
+    if !i < n then begin
+      enc_uvarint pairs (!i - !prev - 1);
+      let before = Buffer.length pairs in
+      enc_uvarint pairs (Array.unsafe_get a !i);
+      wide := !wide + Buffer.length pairs - before - 1;
+      prev := !i;
+      incr nnz;
+      incr i
+    end
+  done;
+  (!nnz, !wide)
+
+let enc_pairs b ~len ~nnz pairs =
+  enc_uvarint b len;
+  enc_uvarint b nnz;
+  Buffer.add_buffer b pairs
+
+(* The (nnz, pairs) after a dense length [len] the caller has accepted. *)
+let dec_pairs what s pos len =
+  let n = dec_count s pos what in
+  let idx = Array.make n 0 and vals = Array.make n 0 in
+  let prev = ref (-1) in
+  for k = 0 to n - 1 do
+    let d = dec_unonneg s pos in
+    let v = dec_unonneg s pos in
+    prev := !prev + 1 + d;
+    if !prev < 0 || !prev >= len then
+      dec_fail (what ^ ": index beyond dense length");
+    idx.(k) <- !prev;
+    vals.(k) <- v
+  done;
+  let a = Array.make len 0 in
+  for k = 0 to n - 1 do
+    a.(idx.(k)) <- vals.(k)
+  done;
+  a
+
 let bounded_counter_array ~max_length =
+  let what = "Codec.bounded_counter_array" in
   {
     enc =
       (fun b a ->
-        let n = Array.length a in
         let pairs = Buffer.create 64 in
-        let nnz = ref 0 and prev = ref (-1) in
-        let i = ref 0 in
-        while !i < n do
-          while !i < n && Array.unsafe_get a !i = 0 do incr i done;
-          if !i < n then begin
-            enc_uvarint pairs (!i - !prev - 1);
-            enc_uvarint pairs (Array.unsafe_get a !i);
-            prev := !i;
-            incr nnz;
-            incr i
-          end
-        done;
-        enc_uvarint b n;
-        enc_uvarint b !nnz;
-        Buffer.add_buffer b pairs);
+        let nnz, _ = scan_pairs pairs a in
+        enc_pairs b ~len:(Array.length a) ~nnz pairs);
     dec =
       (fun s pos ->
         let len = dec_unonneg s pos in
-        if len > max_length then
-          dec_fail "Codec.counter_array: dense length exceeds cap";
-        let n = dec_count s pos "Codec.counter_array" in
-        let idx = Array.make n 0 and vals = Array.make n 0 in
-        let prev = ref (-1) in
-        for k = 0 to n - 1 do
-          let d = dec_unonneg s pos in
-          let v = dec_unonneg s pos in
-          prev := !prev + 1 + d;
-          if !prev < 0 || !prev >= len then
-            dec_fail "Codec.counter_array: index beyond dense length";
-          idx.(k) <- !prev;
-          vals.(k) <- v
-        done;
-        let a = Array.make len 0 in
-        for k = 0 to n - 1 do
-          a.(idx.(k)) <- vals.(k)
-        done;
-        a);
+        if len > max_length then dec_fail (what ^ ": dense length exceeds cap");
+        dec_pairs what s pos len);
   }
 
-let counter_array = bounded_counter_array ~max_length:max_dense_length
+let rec varint_len n = if n < 0x80 then 1 else 1 + varint_len (n lsr 7)
+
+(* Both arms open with the same length varint. After it, [uint_array]
+   spends one byte per cell plus [wide]; the sparse arm spends the nonzero
+   count and the pairs, so one scan prices both. *)
+let shorter_uint_array ~length =
+  let what = "Codec.shorter_uint_array" in
+  let check n = if n <> length then dec_fail (what ^ ": length mismatch") in
+  {
+    enc =
+      (fun b a ->
+        if Array.length a <> length then invalid_arg (what ^ ": length");
+        let pairs = Buffer.create 64 in
+        let nnz, wide = scan_pairs pairs a in
+        if varint_len nnz + Buffer.length pairs < length + wide then begin
+          Buffer.add_char b '\001';
+          enc_pairs b ~len:length ~nnz pairs
+        end
+        else begin
+          Buffer.add_char b '\000';
+          enc_uint_array b a
+        end);
+    dec =
+      (fun s pos ->
+        match read_byte s pos with
+        | 0 ->
+            let n = dec_count s pos what in
+            check n;
+            dec_uint_cells s pos n
+        | 1 ->
+            let n = dec_unonneg s pos in
+            check n;
+            dec_pairs what s pos n
+        | _ -> dec_fail (what ^ ": bad tag"));
+  }
 
 let map to_wire of_wire c =
   {

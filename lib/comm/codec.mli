@@ -15,14 +15,14 @@ exception Decode_error of string
     length prefixes exceeding the remaining input, and index overflow in
     delta-coded sequences. Decoders never raise anything else on corrupt
     bytes, and allocation before the check is bounded by the input length
-    (dense logical lengths are additionally capped at
-    {!max_dense_length}), so feeding adversarial bytes to [decode] is
-    safe. *)
+    (a sparse encoding's dense length is additionally bounded by the
+    receiver: [max_length] or [length]), so feeding adversarial bytes to
+    [decode] is safe. *)
 
 val max_dense_length : int
-(** Upper bound (2^24) on the dense logical length a sparse encoding
-    ({!counter_array}) may declare — the one place a length prefix drives
-    an allocation larger than the wire bytes. *)
+(** A bound (2^24) on the dense logical length a sparse encoding may
+    declare, for receivers with no tighter one: a length prefix drives an
+    allocation larger than the wire bytes only in such encodings. *)
 
 val encode : 'a t -> 'a -> string
 val decode : 'a t -> string -> 'a
@@ -79,16 +79,21 @@ val float32_array : float array t
 val bytes : string t
 (** Length-prefixed raw bytes — for bit-packed payloads. *)
 
-val counter_array : int array t
-(** Non-negative counter arrays that are often mostly zero (sketch states):
-    encoded as (length, nonzero (index, value) pairs). ~2 bytes per
-    nonzero entry plus a small header — a large win for sparse states, a
-    modest constant overhead for dense ones. *)
-
 val bounded_counter_array : max_length:int -> int array t
-(** {!counter_array}'s bytes, but decoding rejects dense lengths above
-    [max_length] ({!counter_array} uses {!max_dense_length}) before
-    allocating. *)
+(** Non-negative counter arrays that are often mostly zero (sketch
+    states), encoded as (length, nonzero count, (gap, value) pairs): ~2
+    bytes per nonzero entry plus a small header. Decoding rejects dense
+    lengths above [max_length] before allocating. *)
+
+val shorter_uint_array : length:int -> int array t
+(** Arrays of exactly [length] non-negative values, each in the shorter
+    of two forms behind a one-byte tag: 0 then the {!uint_array} bytes,
+    or 1 then the {!bounded_counter_array} bytes when those are strictly
+    shorter. So an encoding is never longer than {!uint_array}'s plus one
+    byte. Encoding raises [Invalid_argument] on an array of another
+    length; decoding raises {!Decode_error} on a declared length other
+    than [length] (before allocating), an unknown tag, or any error of
+    the chosen form, and allocates at most [length] cells. *)
 
 val map : ('a -> 'b) -> ('b -> 'a) -> 'b t -> 'a t
 (** [map to_wire of_wire codec] transports a codec across an isomorphism. *)

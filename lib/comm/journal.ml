@@ -20,7 +20,7 @@ type t = {
 exception Replay_mismatch of { label : string; reason : string }
 
 let magic = "MPJ1"
-let version = '\x02'
+let version = '\x03'
 let entry_tag = 'M'
 let trace_tag = 'T'
 

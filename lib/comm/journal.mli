@@ -16,11 +16,13 @@
     independently CRC32-guarded, so a torn tail — the expected debris of a
     crash mid-append — is detected and dropped rather than trusted:
 
-    Version 2 marks the engine's fused message order; {!of_bytes} refuses
-    any other version, so a version-1 log is never replayed.
+    Version 3 marks the engine's fused message order (since version 2)
+    with ℓ0 column sketches in their shorter form (since version 3);
+    {!of_bytes} refuses any other version, so an older log is never
+    replayed.
 
     {v
-    header: "MPJ1" ++ version(1B = 0x02) ++ |protocol| ++ protocol ++ zigzag(seed)
+    header: "MPJ1" ++ version(1B = 0x03) ++ |protocol| ++ protocol ++ zigzag(seed)
     entry : 'M'(1B) ++ body ++ CRC32(body)(4B LE)
     body  : sender(1B: 0 = Alice, 1 = Bob) ++ |label| ++ label ++ |payload| ++ payload
     trace : 'T'(1B) ++ trace_id(8B LE) ++ CRC32(trace_id)(4B LE)

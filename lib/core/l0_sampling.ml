@@ -40,9 +40,10 @@ let run_many ctx prm ~count ~a ~b =
             samplers ))
   in
   (* One speaking phase: the column-norm sketches plus [count] independent
-     sampler structures per column. *)
+     sampler structures per column. Each column sketch ships in the
+     shorter of its dense and sparse forms. *)
   let sketches =
-    Ctx.a2b ctx ~label:"l0 sketches of A cols" (Codec.array Codec.uint_array)
+    Ctx.a2b ctx ~label:"l0 sketches of A cols" (Codec.array (L0_sketch.wire sk))
       msg_sketches
   in
   let sampler_states =

@@ -273,6 +273,8 @@ let estimate t arr =
   done;
   estimate_of_occupancy t occ
 
+let wire t = Matprod_comm.Codec.shorter_uint_array ~length:(size t)
+
 (* --- sparse combine -----------------------------------------------------
 
    [estimate_combination] is [estimate (Σ c·src)] with the sum kept only

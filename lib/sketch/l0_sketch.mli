@@ -58,6 +58,11 @@ val sketch_into : t -> plan -> dst:int array -> (int * int) array -> unit
 val estimate : t -> int array -> float
 (** Estimated number of nonzero coordinates; exact 0 for the zero vector. *)
 
+val wire : t -> int array Matprod_comm.Codec.t
+(** A state of exactly {!size} cells in the shorter of its dense and
+    sparse forms ({!Matprod_comm.Codec.shorter_uint_array}): a state of
+    any other size is a {!Matprod_comm.Codec.Decode_error} at receipt. *)
+
 (** {1 Sparse combine} — the estimate of a linear combination of received
     states, paying per nonzero cell (docs/PERFORMANCE.md). *)
 

@@ -121,11 +121,13 @@ let estimate_combination cb coeffs =
 let wire t =
   match t.impl with
   (* Norm sketches ship dense: their Θ(1/ε²) word count is exactly the
-     quantity the paper's bounds speak about, so compressing zero counters
-     away would hide the ε-scaling being measured. Recovery structures
-     (samplers), whose content is genuinely sparse, do ship sparsely.
-     The zeros cost wire bytes but not CPU: docs/PERFORMANCE.md, "Dense
-     on the wire, sparse on the CPU". *)
+     quantity the paper's bounds speak about and the SC1/SC2 scaling fits
+     measure. Shipping them in the shorter form, as L0_sketch.wire ships
+     the ℓ0-sampler's column sketches, flattens SC2's fitted ε-exponents
+     and fails SC1/SC2 verdicts. Recovery structures (samplers), whose
+     content is genuinely sparse, do ship sparsely. The zeros cost wire
+     bytes but not CPU: docs/PERFORMANCE.md, "Dense on the wire, sparse
+     on the CPU". *)
   | L0 _ ->
       Codec.map
         (function Z a -> a | F _ -> type_error ())

@@ -75,15 +75,70 @@ let test_codec_sorted_array_compression () =
   let bytes = Codec.encoded_bytes Codec.sorted_int_array v in
   check Alcotest.bool "delta coding compresses" true (bytes < 1100)
 
-let test_codec_counter_array () =
+let counter_array = Codec.bounded_counter_array ~max_length:Codec.max_dense_length
+
+let test_codec_bounded_counter_array () =
   let v = [| 0; 5; 0; 0; 7; 0 |] in
-  check Alcotest.bool "roundtrip" true (roundtrip Codec.counter_array v = v);
-  check Alcotest.bool "empty" true (roundtrip Codec.counter_array [||] = [||]);
+  check Alcotest.bool "roundtrip" true (roundtrip counter_array v = v);
+  check Alcotest.bool "empty" true (roundtrip counter_array [||] = [||]);
   check Alcotest.bool "all zero" true
-    (roundtrip Codec.counter_array (Array.make 1000 0) = Array.make 1000 0);
+    (roundtrip counter_array (Array.make 1000 0) = Array.make 1000 0);
   (* Sparse states are cheap; the all-zero array costs a few bytes. *)
   check Alcotest.bool "zeros compress" true
-    (Codec.encoded_bytes Codec.counter_array (Array.make 10_000 0) < 8)
+    (Codec.encoded_bytes counter_array (Array.make 10_000 0) < 8)
+
+let test_codec_shorter_uint_array () =
+  let length = 1000 in
+  let c = Codec.shorter_uint_array ~length in
+  let sparse = Array.make length 0 in
+  sparse.(3) <- 9;
+  sparse.(700) <- 1 lsl 30;
+  let dense = Array.init length (fun i -> i land 0x7f) in
+  List.iter
+    (fun (name, a, tag) ->
+      let e = Codec.encode c a in
+      check Alcotest.bool (name ^ ": roundtrip") true (Codec.decode c e = a);
+      check Alcotest.char (name ^ ": tag") tag e.[0])
+    [ ("sparse", sparse, '\001'); ("dense", dense, '\000');
+      ("all zero", Array.make length 0, '\001') ];
+  check Alcotest.int "sparse bytes" 1
+    (Codec.encoded_bytes c sparse - Codec.encoded_bytes counter_array sparse);
+  check Alcotest.int "dense bytes" 1
+    (Codec.encoded_bytes c dense - Codec.encoded_bytes Codec.uint_array dense);
+  Alcotest.check_raises "wrong length at encode"
+    (Invalid_argument "Codec.shorter_uint_array: length")
+    (fun () -> ignore (Codec.encode c [| 1 |]))
+
+(* Every way a shorter_uint_array row can lie about its shape is a
+   Decode_error, and the declared lengths that drive allocation are
+   rejected before anything near them is allocated. *)
+let test_codec_shorter_uint_array_adversarial () =
+  let length = 40 in
+  let c = Codec.shorter_uint_array ~length in
+  let uint n = Codec.encode Codec.uint n in
+  let arm tag codec n = String.make 1 tag ^ Codec.encode codec (Array.make n 0) in
+  List.iter
+    (fun (name, bytes) ->
+      let before = Gc.allocated_bytes () in
+      (match Codec.decode c bytes with
+      | exception Codec.Decode_error _ -> ()
+      | _ -> Alcotest.failf "%s accepted" name);
+      let allocated = Gc.allocated_bytes () -. before in
+      if allocated >= 1e5 then Alcotest.failf "%s: decode allocated %.0f bytes" name allocated)
+    [
+      ("tag 2", "\002" ^ Codec.encode Codec.uint_array (Array.make length 0));
+      ("dense length - 1", arm '\000' Codec.uint_array (length - 1));
+      ("dense length + 1", arm '\000' Codec.uint_array (length + 1));
+      ("sparse length - 1", arm '\001' counter_array (length - 1));
+      ("sparse length + 1", arm '\001' counter_array (length + 1));
+      ("gap past length", "\001" ^ uint length ^ uint 1 ^ uint length ^ uint 5);
+      ( "second gap past length",
+        "\001" ^ uint length ^ uint 2 ^ uint 3 ^ uint 5 ^ uint (length - 4) ^ uint 5 );
+      ("nnz beyond input", "\001" ^ uint length ^ uint 3 ^ uint 0 ^ uint 5);
+      ("dense length 2^40", "\000" ^ uint (1 lsl 40));
+      ("sparse length 2^40", "\001" ^ uint (1 lsl 40) ^ uint 0);
+      ("empty", "");
+    ]
 
 let test_codec_sparse_vec () =
   let v = [| (0, -5); (3, 7); (900, 1) |] in
@@ -120,7 +175,7 @@ let test_codec_adversarial_lengths () =
           let b = Buffer.create 16 in
           Buffer.add_string b (Codec.encode Codec.uint (1 lsl 40));
           Buffer.add_string b (Codec.encode Codec.uint 0);
-          ignore (Codec.decode Codec.counter_array (Buffer.contents b)) );
+          ignore (Codec.decode counter_array (Buffer.contents b)) );
       ( "array above its bound",
         fun () ->
           ignore
@@ -130,7 +185,7 @@ let test_codec_adversarial_lengths () =
         fun () ->
           ignore
             (Codec.decode (Codec.bounded_counter_array ~max_length:2)
-               (Codec.encode Codec.counter_array [| 0; 0; 0 |])) );
+               (Codec.encode counter_array [| 0; 0; 0 |])) );
       (* One_sparse.cells_wire: (length, [(position, cell)]) *)
       ( "cells dense cap",
         fun () ->
@@ -305,7 +360,7 @@ let test_journal_bad_headers () =
   (* An unknown version must be refused, not misparsed. *)
   let good = Journal.to_bytes ~protocol:"p" ~seed:1 [] in
   let b = Bytes.of_string good in
-  Bytes.set b 4 '\003';
+  Bytes.set b 4 '\004';
   match Journal.of_bytes (Bytes.to_string b) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "future version accepted"
@@ -547,6 +602,22 @@ let sparse_float_arb =
     ~print:(fun a -> Printf.sprintf "<%d floats>" (Array.length a))
     (sparse_gen ~zero:0.0 special_float)
 
+(* Arrays of one length at every density, so that both of
+   shorter_uint_array's forms win: each cell is nonzero with a probability
+   drawn per array, and nonzero values straddle the one-byte boundary. *)
+let shorter_gen ~length =
+  let open QCheck.Gen in
+  float_bound_inclusive 1.0 >>= fun density ->
+  array_repeat length
+    (float_bound_inclusive 1.0 >>= fun u ->
+     if u >= density then return 0
+     else oneof [ int_range 1 0x7f; int_range 0x80 1_000_000; return ((1 lsl 31) - 2) ])
+
+let shorter_arb ~length =
+  QCheck.make ~print:QCheck.Print.(array int) (shorter_gen ~length)
+
+let shorter_length = 60
+
 let packed_codecs =
   let open QCheck in
   let nonneg = map (fun n -> n land max_int) int in
@@ -589,14 +660,10 @@ let packed_codecs =
         array_of_size Gen.(0 -- 40) float,
         Codec.float32_array );
     P ("bytes", string, Codec.bytes);
-    P
-      ( "counter_array",
-        array_of_size Gen.(0 -- 60) (int_bound 1_000_000),
-        Codec.counter_array );
     P ("uint_array (sparse)", sparse_uint_arb, Codec.uint_array);
     P ("float_array (sparse)", sparse_float_arb, Codec.float_array);
     P ("float32_array (sparse)", sparse_float_arb, Codec.float32_array);
-    P ("counter_array (sparse)", sparse_uint_arb, Codec.counter_array);
+    P ("bounded_counter_array (sparse)", sparse_uint_arb, counter_array);
     P
       ( "array (bounded)",
         array_of_size Gen.(0 -- 40) nonneg,
@@ -605,6 +672,10 @@ let packed_codecs =
       ( "bounded_counter_array",
         array_of_size Gen.(0 -- 60) (int_bound 1_000_000),
         Codec.bounded_counter_array ~max_length:60 );
+    P
+      ( "shorter_uint_array",
+        shorter_arb ~length:shorter_length,
+        Codec.shorter_uint_array ~length:shorter_length );
     P ("one_sparse.cells_wire", cells_arb, cells_wire);
     P ("l0_sampler.wire", l0_sampler_arb, L0_sampler.wire l0_sampler);
   ]
@@ -807,7 +878,7 @@ let uint_array_tests =
         && same truncated && same flipped);
   ]
 
-(* counter_array's specification: the list-based codec it replaced,
+(* bounded_counter_array's specification: the list-based codec it replaced,
    restated over raw bytes, so that the bytes, the decoded array and the
    text and order of every error can be compared. *)
 module Counter_ref = struct
@@ -861,10 +932,10 @@ module Counter_ref = struct
     match
       let len = uvarint () in
       if len > Codec.max_dense_length then
-        fail "Codec.counter_array: dense length exceeds cap";
+        fail "Codec.bounded_counter_array: dense length exceeds cap";
       let n = uvarint () in
       if n > String.length s - !pos then
-        fail "Codec.counter_array: length prefix exceeds remaining input";
+        fail "Codec.bounded_counter_array: length prefix exceeds remaining input";
       let prev = ref (-1) in
       let pairs =
         List.init n (fun _ ->
@@ -872,7 +943,7 @@ module Counter_ref = struct
             let v = uvarint () in
             prev := !prev + 1 + d;
             if !prev < 0 || !prev >= len then
-              fail "Codec.counter_array: index beyond dense length";
+              fail "Codec.bounded_counter_array: index beyond dense length";
             (!prev, v))
       in
       if !pos <> String.length s then fail "Codec.decode: trailing bytes";
@@ -930,16 +1001,42 @@ let sparse_oracle_tests =
       ~enc:(Codec.encode Codec.float_array)
       ~oracle_enc:(Codec.encode float64_oracle)
       ~dec:(float_via Codec.float_array) ~oracle_dec:(float_via float64_oracle);
-    agrees ~name:"counter_array: sparse input agrees with the list codec"
+    agrees ~name:"bounded_counter_array: sparse input agrees with the list codec"
       sparse_uint_arb
-      ~enc:(Codec.encode Codec.counter_array)
-      ~oracle_enc:Counter_ref.encode ~dec:(via Codec.counter_array)
+      ~enc:(Codec.encode counter_array)
+      ~oracle_enc:Counter_ref.encode ~dec:(via counter_array)
       ~oracle_dec:Counter_ref.decode;
+  ]
+
+(* shorter_uint_array against its two forms: it decodes back to its input,
+   costs exactly one tag byte more than the shorter form, and so never
+   more than uint_array plus one byte. *)
+let shorter_uint_array_tests =
+  let open QCheck in
+  let arr =
+    make ~print:Print.(array int)
+      Gen.(int_bound 300 >>= fun length -> shorter_gen ~length)
+  in
+  let shorter a = Codec.shorter_uint_array ~length:(Array.length a) in
+  [
+    Test.make ~name:"shorter_uint_array: roundtrip within uint_array + 1 byte"
+      ~count:500 arr (fun a ->
+        Codec.decode (shorter a) (Codec.encode (shorter a) a) = a
+        && Codec.encoded_bytes (shorter a) a
+           <= Codec.encoded_bytes Codec.uint_array a + 1);
+    Test.make ~name:"shorter_uint_array: length is the shorter form + 1"
+      ~count:500 arr (fun a ->
+        Codec.encoded_bytes (shorter a) a
+        = 1
+          + min
+              (Codec.encoded_bytes Codec.uint_array a)
+              (Codec.encoded_bytes counter_array a));
   ]
 
 let qcheck_tests =
   let open QCheck in
   fuzz_tests @ journal_qcheck_tests @ uint_array_tests @ sparse_oracle_tests
+  @ shorter_uint_array_tests
   @ [
     Test.make ~name:"codec: int roundtrip" ~count:1000 int (fun n ->
         roundtrip Codec.int n = n);
@@ -956,9 +1053,9 @@ let qcheck_tests =
       (fun a ->
         let sorted = List.sort_uniq compare (Array.to_list a) |> Array.of_list in
         roundtrip Codec.sorted_int_array sorted = sorted);
-    Test.make ~name:"codec: counter array roundtrip" ~count:200
+    Test.make ~name:"codec: bounded counter array roundtrip" ~count:200
       (array_of_size Gen.(0 -- 200) (int_bound 1_000_000))
-      (fun a -> roundtrip Codec.counter_array a = a);
+      (fun a -> roundtrip counter_array a = a);
     Test.make ~name:"codec: sparse vec roundtrip" ~count:200
       (list_of_size Gen.(0 -- 50) (pair (int_bound 10_000) (int_range (-1000) 1000)))
       (fun l ->
@@ -982,7 +1079,10 @@ let () =
           Alcotest.test_case "containers" `Quick test_codec_containers;
           Alcotest.test_case "sorted array" `Quick test_codec_sorted_array;
           Alcotest.test_case "delta compression" `Quick test_codec_sorted_array_compression;
-          Alcotest.test_case "counter array" `Quick test_codec_counter_array;
+          Alcotest.test_case "bounded counter array" `Quick test_codec_bounded_counter_array;
+          Alcotest.test_case "shorter uint array" `Quick test_codec_shorter_uint_array;
+          Alcotest.test_case "shorter uint array: adversarial" `Quick
+            test_codec_shorter_uint_array_adversarial;
           Alcotest.test_case "sparse vec" `Quick test_codec_sparse_vec;
           Alcotest.test_case "truncated input" `Quick test_codec_truncated_input;
           Alcotest.test_case "trailing garbage" `Quick test_codec_trailing_garbage;

@@ -310,8 +310,8 @@ let test_golden_journal_bytes () =
         (Ctx.run_journaled ~seed:bench_seed ~journal:path ~protocol:"serve"
            (fun ctx -> Engine.run (Engine.create ()) ctx ~a ~b queries));
       let bytes = In_channel.with_open_bin path In_channel.input_all in
-      check Alcotest.int "journal length" 721_974 (String.length bytes);
-      check Alcotest.string "journal crc32" "0x9cb1ed5d"
+      check Alcotest.int "journal length" 340_837 (String.length bytes);
+      check Alcotest.string "journal crc32" "0xa313773a"
         (Printf.sprintf "0x%08x" (Reliable.crc32 bytes)))
 
 
@@ -657,54 +657,61 @@ let test_fused_crash_resume () =
       done)
     [ Transcript.Alice; Transcript.Bob ]
 
-(* A version-1 journal of the benchmark batch — the groups' singleton
-   journals one after another, as the sequential engine wrote them — is
-   refused. Under a version-2 header the same log would diverge at the
-   first reordered message. *)
-let test_v1_journal_refused () =
+(* A version-2 journal of the benchmark batch — the same messages, with
+   every ℓ0 column sketch dense, as version 2 shipped them — is refused.
+   Rebuilt from this batch's journal, it is byte for byte the golden
+   journal pinned before the sketches shipped in their shorter form, so
+   that message's encoding is the only byte the format moved. Under a
+   version-3 header the same log would diverge at that message. *)
+let test_v2_journal_refused () =
+  let module Codec = Matprod_comm.Codec in
   let a, b = bench_pair () in
-  let queries = Array.of_list (bench_queries ()) in
-  let fused = run_batch ~seed:bench_seed ~a ~b (Array.to_list queries) in
-  let path = Filename.temp_file "matprod_v1" ".journal" in
+  let queries = bench_queries () in
+  let path = Filename.temp_file "matprod_v2" ".journal" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
+  ignore
+    (Ctx.run_journaled ~seed:bench_seed ~journal:path ~protocol:"serve"
+       (fun ctx -> Engine.run (Engine.create ()) ctx ~a ~b queries));
   let entries =
-    List.concat_map
-      (fun g ->
-        ignore
-          (Ctx.run_journaled ~seed:bench_seed ~journal:path ~protocol:"serve"
-             (fun ctx ->
-               Engine.run (Engine.create ()) ctx ~a ~b
-                 (List.map (fun i -> queries.(i)) g.Engine.members)));
-        match Journal.load path with
-        | Ok j -> j.Journal.entries
-        | Error e -> Alcotest.failf "group journal unreadable: %s" e)
-      fused.Ctx.output.Engine.groups
+    match Journal.load path with
+    | Ok j -> j.Journal.entries
+    | Error e -> Alcotest.failf "journal unreadable: %s" e
   in
-  let v2 = Journal.to_bytes ~protocol:"serve" ~seed:bench_seed entries in
-  let v1 = Bytes.of_string v2 in
-  Bytes.set v1 4 '\001';
-  let v1 = Bytes.to_string v1 in
-  (* the golden journal as pinned before the fused schedule *)
-  check Alcotest.int "version-1 length" 721_974 (String.length v1);
-  check Alcotest.string "version-1 crc32" "0x3cf2d2ab"
-    (Printf.sprintf "0x%08x" (Reliable.crc32 v1));
-  (match Journal.of_bytes v1 with
+  (* the benchmark pair's ℓ0 sketch has 4032 cells *)
+  let shorter = Codec.array (Codec.shorter_uint_array ~length:4032) in
+  let dense = Codec.array Codec.uint_array in
+  let entries =
+    List.map
+      (fun (e : Journal.entry) ->
+        if e.label <> "l0 sketches of A cols" then e
+        else
+          { e with payload = Codec.encode dense (Codec.decode shorter e.payload) })
+      entries
+  in
+  let v3 = Journal.to_bytes ~protocol:"serve" ~seed:bench_seed entries in
+  let v2 = Bytes.of_string v3 in
+  Bytes.set v2 4 '\002';
+  let v2 = Bytes.to_string v2 in
+  check Alcotest.int "version-2 length" 721_974 (String.length v2);
+  check Alcotest.string "version-2 crc32" "0x9cb1ed5d"
+    (Printf.sprintf "0x%08x" (Reliable.crc32 v2));
+  (match Journal.of_bytes v2 with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "a version-1 journal was accepted");
-  match Journal.of_bytes v2 with
-  | Error e -> Alcotest.failf "version-2 header refused: %s" e
+  | Ok _ -> Alcotest.fail "a version-2 journal was accepted");
+  match Journal.of_bytes v3 with
+  | Error e -> Alcotest.failf "version-3 header refused: %s" e
   | Ok journal -> (
       match
         Outcome.guard (fun () ->
             Ctx.resume ~seed:bench_seed ~journal (fun ctx ->
-                Engine.run (Engine.create ()) ctx ~a ~b (Array.to_list queries)))
+                Engine.run (Engine.create ()) ctx ~a ~b queries))
       with
       | Error (Outcome.Protocol_failure m)
         when String.starts_with ~prefix:"journal replay mismatch" m ->
           ()
       | Error e -> Alcotest.failf "wrong error: %s" (Outcome.error_to_string e)
-      | Ok _ -> Alcotest.fail "the sequential order replayed under fusion")
+      | Ok _ -> Alcotest.fail "dense ℓ0 sketches replayed under version 3")
 
 (* Engine.run under Outcome.capture: typed errors on a dead wire, clean
    passthrough otherwise. *)
@@ -851,7 +858,7 @@ let () =
         [
           Alcotest.test_case "golden journal bytes" `Quick
             test_golden_journal_bytes;
-          Alcotest.test_case "version-1 journal refused" `Quick
-            test_v1_journal_refused;
+          Alcotest.test_case "version-2 journal refused" `Quick
+            test_v2_journal_refused;
         ] );
     ]

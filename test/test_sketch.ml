@@ -184,6 +184,38 @@ let test_l0_ignores_values () =
     (L0_sketch.estimate t (L0_sketch.sketch t v1))
     (L0_sketch.estimate t (L0_sketch.sketch t v2))
 
+(* The column-sketch message (an array of L0_sketch.wire rows) decodes
+   only with every row of the receiver's size: a row one cell short, in
+   either of its forms, is a Decode_error at receipt rather than a row
+   the combiner would later refuse. *)
+let test_l0_wire_checks_size () =
+  let module Codec = Matprod_comm.Codec in
+  let t = L0_sketch.create (Prng.create 14) ~eps:0.3 ~groups:3 ~dim:200 in
+  let n = L0_sketch.size t in
+  let message = Codec.array (L0_sketch.wire t) in
+  let rows = [| L0_sketch.sketch t [| (3, 1) |]; L0_sketch.sketch t [| (9, 2); (40, -1) |] |] in
+  (* each row in the shorter form of its own length, under one count *)
+  let raw rows =
+    Codec.encode Codec.uint (Array.length rows)
+    ^ String.concat ""
+        (Array.to_list
+           (Array.map
+              (fun r -> Codec.encode (Codec.shorter_uint_array ~length:(Array.length r)) r)
+              rows))
+  in
+  check Alcotest.bool "own size decodes" true
+    (Codec.decode message (raw rows) = rows);
+  List.iter
+    (fun (name, short) ->
+      let bytes = raw [| rows.(0); short; rows.(1) |] in
+      match Codec.decode message bytes with
+      | exception Codec.Decode_error _ -> ()
+      | _ -> Alcotest.failf "%s: a row of %d cells decoded" name (n - 1))
+    [
+      ("sparse row", Array.sub rows.(1) 0 (n - 1));
+      ("dense row", Array.make (n - 1) 1);
+    ]
+
 let test_l0_linearity () =
   let rng = Prng.create 13 in
   let t = L0_sketch.create rng ~eps:0.3 ~groups:3 ~dim:200 in
@@ -1152,6 +1184,7 @@ let () =
           Alcotest.test_case "accuracy" `Slow test_l0_accuracy;
           Alcotest.test_case "value independence" `Quick test_l0_ignores_values;
           Alcotest.test_case "linearity" `Quick test_l0_linearity;
+          Alcotest.test_case "wire checks size" `Quick test_l0_wire_checks_size;
         ] );
       ( "lp",
         [
