@@ -177,7 +177,9 @@ let c4 ~quick =
                   match rep.Fleet.answer with
                   | Outcome.Full v
                     when v <> clean
-                         && (match Verify.vote est summary [ (0, clean); (1, v) ]
+                         && (match
+                               Verify.vote est.contract summary
+                                 [ (0, clean); (1, v) ]
                              with
                             | Some vr -> vr.Verify.outvoted <> []
                             | None -> true) ->

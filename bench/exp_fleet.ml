@@ -90,7 +90,7 @@ let c3 ~quick =
                   string_of_int k;
                   Report.fbits rep.Fleet.fresh_bits;
                   string_of_int rep.Fleet.fresh_rounds;
-                  Format.asprintf "%a" Estimator.pp_comparable
+                  Format.asprintf "%a" Estimator.pp_answer
                     (Outcome.graded_value rep.Fleet.answer);
                 ];
               Report.bench_row

@@ -1226,14 +1226,14 @@ let estimate_fleet c (e : Estimator.t) ~a ~b fleet ~chaos_spec ~deadline
             in
             print_link ~rank:l.Fleet.rank ~replica:l.Fleet.replica
               l.Fleet.range l.Fleet.answer (fun ppf v ->
-                Format.fprintf ppf "%a  (%d bits%s%s)" Estimator.pp_comparable
+                Format.fprintf ppf "%a  (%d bits%s%s)" Estimator.pp_answer
                   v l.Fleet.fresh_bits
                   (if rungs = "" then "" else ", " ^ rungs)
                   (if l.Fleet.straggled then ", straggled" else "")))
           rep.Fleet.links;
         print_suspects rep.Fleet.suspects;
         Format.printf "merged answer     : %a@."
-          (Outcome.pp_graded Estimator.pp_comparable)
+          (Outcome.pp_graded Estimator.pp_answer)
           rep.Fleet.answer;
         Printf.printf "communication     : %d fresh bits across links\n"
           rep.Fleet.fresh_bits;
@@ -1247,7 +1247,7 @@ let estimate_fleet c (e : Estimator.t) ~a ~b fleet ~chaos_spec ~deadline
             ("estimator", Obs.Json.String e.name);
             ( "answer",
               Obs.Json.String
-                (Format.asprintf "%a" Estimator.pp_comparable
+                (Format.asprintf "%a" Estimator.pp_answer
                    (Outcome.graded_value rep.Fleet.answer)) );
           ]
         @ fleet_config_fields cfg
@@ -1311,7 +1311,7 @@ let estimate c (e : Estimator.t) list_all fleet deadline fleet_journal
       | Ok (answer, _diag) ->
           if not c.json then begin
             Printf.printf "%s — %s\n" e.name e.describe;
-            Format.printf "answer            : %a@." Estimator.pp_comparable
+            Format.printf "answer            : %a@." Estimator.pp_answer
               answer;
             Printf.printf "communication     : %d bits (predicted ~%.0f)\n"
               run.Ctx.bits predicted.Estimator.bits;
@@ -1327,7 +1327,7 @@ let estimate c (e : Estimator.t) list_all fleet deadline fleet_journal
                 ("estimator", Obs.Json.String e.name);
                 ( "answer",
                   Obs.Json.String
-                    (Format.asprintf "%a" Estimator.pp_comparable answer) );
+                    (Format.asprintf "%a" Estimator.pp_answer answer) );
                 ("predicted_bits", Obs.Json.Float predicted.Estimator.bits);
                 ("predicted_rounds", Obs.Json.Int predicted.Estimator.rounds);
               ]
@@ -1411,6 +1411,7 @@ let answer_summary = function
   | Engine.Shares (alice, bob) ->
       Printf.sprintf "additive shares (%d + %d entries)" (List.length alice)
         (List.length bob)
+  | Engine.Leveled _ as answer -> Format.asprintf "%a" Estimator.pp_answer answer
 
 let batch_fleet c queries ~a ~b fleet ~chaos_spec =
   let cfg = fleet_config c fleet () in

@@ -13,19 +13,25 @@
     implementations and the documented direct entry points; an estimator
     is a thin adapter over them (docs/API.md). *)
 
-type comparable =
-  | Number of float  (** scalar statistics: norms, join sizes *)
-  | Coords of (int * int) list  (** coordinate sets: heavy hitters *)
-  | Sample of (int * int * int) option
-      (** one drawn entry, [(row, col, payload)]; the payload is the entry
-          value (ℓ0) or the witness index (ℓ1) *)
+type answer =
+  | Scalar of float  (** scalar statistics: norms, join sizes *)
+  | Vector of float array
+      (** one estimate per row of C; [nan] at rows no shard covered *)
+  | Ranked of (int * float) list  (** (row, estimate), largest first *)
+  | Entry_set of (int * int) list  (** coordinate sets: heavy hitters *)
+  | L0_samples of L0_sampling.sample option array
+      (** drawn nonzero entries, each carrying its value *)
+  | L1_samples of L1_sampling.sample option array
+      (** entries drawn ∝ value, each carrying a witness index *)
   | Shares of (int * int * int) list * (int * int * int) list
       (** additively shared product: Alice's and Bob's sorted entries *)
   | Leveled of float * int
       (** an estimate together with the subsampling level that produced it *)
-(** One structurally comparable answer type shared by every estimator, so
-    a chaotic run can be checked [=] against its fault-free twin and a
-    golden test can print any driver's output the same way. *)
+(** The one answer type of every estimator and every engine query, so a
+    chaotic run can be checked [=] against its fault-free twin, a golden
+    test can print any driver's output the same way, and the fleet
+    verifies, corrupts and merges every answer by one {!contract}. A
+    registry entry's one draw is a one-slot sample array. *)
 
 type cost = { bits : float; rounds : int }
 (** Predicted transcript cost: order-of-magnitude bits (the Õ bound with
@@ -50,33 +56,43 @@ type stat =
   | Pairs_from_l0 of { spread : float }
       (** a share of a [spread]-approximate ‖C‖₀ *)
 
-(** An entry's answer contract: the paper's guarantee for its default
-    query, as the data the fleet verifies, votes and merges by. It fixes
-    the answer shape, the verification range, the voting rule and
-    tolerance, and (through the {!stat}) the shard-merge rule. *)
+(** An answer contract: the paper's guarantee for one query, as the data
+    the fleet verifies, votes and merges by. A registry entry states the
+    contract of its default query; an engine query states its own
+    ([Engine.contract]). It fixes the answer shape, the verification
+    range, the voting rule and tolerance, and (through the {!stat}) the
+    shard-merge rule. *)
 type contract =
   | Exact_count of stat
-      (** a [Number] the input determines (integral; ‖C‖₁ exactly):
+      (** a [Scalar] the input determines (integral; ‖C‖₁ exactly):
           replicas must agree bit for bit *)
   | Approx of { stat : stat; slack : float; ratio : float }
-      (** a [Number] estimate: within [slack]× of the statistic's range;
+      (** a [Scalar] estimate: within [slack]× of the statistic's range;
           replicas agree within [ratio] (and, for the join counts, the
           additive [spread]·max‖C‖₀ + 1) *)
   | Level_approx of { kappa : float; ratio : float }
       (** a [Leveled] κ-approximation of ‖C‖∞; replicas agree within
           [ratio] on the estimate *)
   | Heavy_hitters of { phi : float; eps : float }
-      (** [Coords]: every reported coordinate is (φ−ε)-heavy in ‖C‖₁;
-          each is proved on its own, so replicas never outvote *)
+      (** an [Entry_set]: every reported coordinate is (φ−ε)-heavy in
+          ‖C‖₁; each is proved on its own, so replicas never outvote *)
   | L0_draw
-      (** [Sample] of a nonzero entry carrying its value; proved on its
-          own *)
+      (** [L0_samples], each a nonzero entry carrying its value; proved on
+          its own *)
   | L1_draw
-      (** [Sample] of an entry carrying a witness index; proved on its
-          own *)
+      (** [L1_samples], each an entry carrying a witness index; proved on
+          its own *)
   | Product_shares
       (** [Shares] of the exact product: replicas agree on the
           reconstructed C *)
+  | Per_row of { stat : stat; slack : float }
+      (** a [Vector] of per-row estimates, each at most [slack]× the
+          statistic's upper bound; shards fill their own rows; replicas
+          agree exactly *)
+  | Top_k of { stat : stat; slack : float; k : int }
+      (** [Ranked] rows in range, each score at most [slack]× the
+          statistic's upper bound; shards merge by re-ranking to the top
+          [k]; replicas agree exactly *)
 
 type t = {
   name : string;  (** registry key, unique *)
@@ -87,7 +103,7 @@ type t = {
     Matprod_comm.Ctx.t ->
     a:Matprod_matrix.Bmat.t ->
     b:Matprod_matrix.Bmat.t ->
-    comparable;
+    answer;
       (** run the default query over a binary workload (integer drivers
           lift via [Imat.of_bmat]). All randomness comes from the
           context, so equal seeds give equal answers — the property the
@@ -104,7 +120,7 @@ val make :
   default:'q ->
   cost:('q -> n:int -> cost) ->
   contract:('q -> contract) ->
-  comparable:('r -> comparable) ->
+  answer:('r -> answer) ->
   (Matprod_comm.Ctx.t ->
   'q ->
   a:Matprod_matrix.Bmat.t ->
@@ -112,6 +128,8 @@ val make :
   'r) ->
   t
 (** Package a driver: [cost], [contract] and [run] close over [default],
-    and [run] projects the driver's native answer through [comparable]. *)
+    and [run] projects the driver's native answer through [answer]. *)
 
-val pp_comparable : Format.formatter -> comparable -> unit
+val pp_answer : Format.formatter -> answer -> unit
+(** One line per answer. A one-slot sample array prints as its one draw,
+    [(row, col) = payload] or [(none)]. *)

@@ -14,7 +14,7 @@ let lp ~name ~p ~stat ~describe =
     ~cost:(fun (prm : Lp_protocol.params) ~n ->
       { Estimator.bits = 64.0 *. fn n *. ln n /. prm.Lp_protocol.eps; rounds = 2 })
     ~contract:(fun _ -> Estimator.Approx { stat; slack = 3.0; ratio = 6.0 })
-    ~comparable:(fun x -> Estimator.Number x)
+    ~answer:(fun x -> Estimator.Scalar x)
     (on_imat Lp_protocol.run)
 
 let lp_p0 =
@@ -34,7 +34,7 @@ let lp_oneround =
       { Estimator.bits = 64.0 *. fn n *. ln n /. (e *. e); rounds = 1 })
     ~contract:(fun _ ->
       Estimator.Approx { stat = Estimator.Frob; slack = 4.0; ratio = 8.0 })
-    ~comparable:(fun x -> Estimator.Number x)
+    ~answer:(fun x -> Estimator.Scalar x)
     (on_imat Lp_oneround.run)
 
 let srht =
@@ -46,7 +46,7 @@ let srht =
       { Estimator.bits = 64.0 *. fn n *. ln n /. (e *. e); rounds = 1 })
     ~contract:(fun _ ->
       Estimator.Approx { stat = Estimator.Frob; slack = 4.0; ratio = 8.0 })
-    ~comparable:(fun x -> Estimator.Number x)
+    ~answer:(fun x -> Estimator.Scalar x)
     (on_imat Frobenius.run)
 
 let cohen_baseline =
@@ -59,7 +59,7 @@ let cohen_baseline =
     ~contract:(fun _ ->
       Estimator.Approx
         { stat = Estimator.Norm0 { times = 1.0 }; slack = 3.0; ratio = 6.0 })
-    ~comparable:(fun x -> Estimator.Number x)
+    ~answer:(fun x -> Estimator.Scalar x)
     (fun ctx prm ~a ~b -> Cohen_baseline.run ctx prm ~a ~b)
 
 let l1_exact =
@@ -68,7 +68,7 @@ let l1_exact =
     ~default:()
     ~cost:(fun () ~n -> { Estimator.bits = 32.0 *. fn n; rounds = 1 })
     ~contract:(fun () -> Estimator.Exact_count Estimator.Norm1)
-    ~comparable:(fun x -> Estimator.Number (float_of_int x))
+    ~answer:(fun x -> Estimator.Scalar (float_of_int x))
     (on_imat (fun ctx () ~a ~b -> L1_exact.run ctx ~a ~b))
 
 let l0_sampling =
@@ -79,9 +79,7 @@ let l0_sampling =
       let e = prm.L0_sampling.eps in
       { Estimator.bits = 64.0 *. fn n *. ln n /. (e *. e); rounds = 1 })
     ~contract:(fun _ -> Estimator.L0_draw)
-    ~comparable:(fun s ->
-      Estimator.Sample
-        (Option.map (fun s -> L0_sampling.(s.row, s.col, s.value)) s))
+    ~answer:(fun s -> Estimator.L0_samples [| s |])
     (on_imat L0_sampling.run)
 
 let l1_sampling =
@@ -90,9 +88,7 @@ let l1_sampling =
     ~default:()
     ~cost:(fun () ~n -> { Estimator.bits = 64.0 *. fn n; rounds = 1 })
     ~contract:(fun () -> Estimator.L1_draw)
-    ~comparable:(fun s ->
-      Estimator.Sample
-        (Option.map (fun s -> L1_sampling.(s.row, s.col, s.witness)) s))
+    ~answer:(fun s -> Estimator.L1_samples [| s |])
     (on_imat (fun ctx () ~a ~b -> L1_sampling.run ctx ~a ~b))
 
 let linf_binary =
@@ -104,7 +100,7 @@ let linf_binary =
         rounds = 3 })
     ~contract:(fun prm ->
       Estimator.Level_approx { kappa = 2.0 +. prm.Linf_binary.eps; ratio = 6.0 })
-    ~comparable:(fun (r : Linf_binary.result) ->
+    ~answer:(fun (r : Linf_binary.result) ->
       Estimator.Leveled (r.Linf_binary.estimate, r.Linf_binary.level))
     (fun ctx prm ~a ~b -> Linf_binary.run ctx prm ~a ~b)
 
@@ -117,7 +113,7 @@ let linf_kappa =
         rounds = 3 })
     ~contract:(fun prm ->
       Estimator.Level_approx { kappa = prm.Linf_kappa.kappa; ratio = 10.0 })
-    ~comparable:(fun (r : Linf_kappa.result) ->
+    ~answer:(fun (r : Linf_kappa.result) ->
       Estimator.Leveled (r.Linf_kappa.estimate, r.Linf_kappa.level))
     (fun ctx prm ~a ~b -> Linf_kappa.run ctx prm ~a ~b)
 
@@ -133,7 +129,7 @@ let linf_general =
         { stat = Estimator.Norm_inf { kappa = prm.Linf_general.kappa };
           slack = 2.0;
           ratio = 8.0 })
-    ~comparable:(fun x -> Estimator.Number x)
+    ~answer:(fun x -> Estimator.Scalar x)
     (on_imat Linf_general.run)
 
 let hh_binary =
@@ -145,7 +141,7 @@ let hh_binary =
       { Estimator.bits = 64.0 *. (fn n +. (phi /. (e *. e))) *. ln n; rounds = 5 })
     ~contract:(fun prm ->
       Estimator.Heavy_hitters { phi = prm.Hh_binary.phi; eps = prm.Hh_binary.eps })
-    ~comparable:(fun cs -> Estimator.Coords cs)
+    ~answer:(fun cs -> Estimator.Entry_set cs)
     (fun ctx prm ~a ~b -> Hh_binary.run ctx prm ~a ~b)
 
 let hh_countsketch =
@@ -160,7 +156,7 @@ let hh_countsketch =
     ~contract:(fun prm ->
       Estimator.Heavy_hitters
         { phi = prm.Hh_countsketch.phi; eps = prm.Hh_countsketch.eps })
-    ~comparable:(fun cs -> Estimator.Coords cs)
+    ~answer:(fun cs -> Estimator.Entry_set cs)
     (on_imat Hh_countsketch.run)
 
 let hh_general =
@@ -173,7 +169,7 @@ let hh_general =
     ~contract:(fun prm ->
       Estimator.Heavy_hitters
         { phi = prm.Hh_general.phi; eps = prm.Hh_general.eps })
-    ~comparable:(fun cs -> Estimator.Coords cs)
+    ~answer:(fun cs -> Estimator.Entry_set cs)
     (on_imat Hh_general.run)
 
 let matprod =
@@ -182,7 +178,7 @@ let matprod =
     ~default:()
     ~cost:(fun () ~n -> { Estimator.bits = 64.0 *. fn n *. sqrt (fn n); rounds = 3 })
     ~contract:(fun () -> Estimator.Product_shares)
-    ~comparable:(fun (s : Matprod_protocol.shares) ->
+    ~answer:(fun (s : Matprod_protocol.shares) ->
       Estimator.Shares
         ( Common.Entry_map.entries s.Matprod_protocol.alice,
           Common.Entry_map.entries s.Matprod_protocol.bob ))
@@ -198,7 +194,7 @@ let session =
     ~contract:(fun _ ->
       Estimator.Approx
         { stat = Estimator.Norm0 { times = 2.0 }; slack = 4.0; ratio = 8.0 })
-    ~comparable:(fun x -> Estimator.Number x)
+    ~answer:(fun x -> Estimator.Scalar x)
     (on_imat (fun ctx beta ~a ~b ->
          let s = Session.establish ctx ~beta ~a ~b in
          Session.norm_pow s +. Session.refine ctx s))
@@ -209,7 +205,7 @@ let trivial =
     ~default:0.0
     ~cost:(fun _p ~n -> { Estimator.bits = fn n *. fn n; rounds = 1 })
     ~contract:(fun _p -> Estimator.Exact_count (Estimator.Norm0 { times = 1.0 }))
-    ~comparable:(fun x -> Estimator.Number x)
+    ~answer:(fun x -> Estimator.Scalar x)
     (fun ctx p ~a ~b -> Trivial.run_bool ctx ~a ~b (fun c -> Product.lp_pow c ~p))
 
 let joins_equality =
@@ -218,7 +214,7 @@ let joins_equality =
     ~default:()
     ~cost:(fun () ~n -> { Estimator.bits = 64.0 *. fn n; rounds = 1 })
     ~contract:(fun () -> Estimator.Exact_count Estimator.Pairs_upto)
-    ~comparable:(fun x -> Estimator.Number (float_of_int x))
+    ~answer:(fun x -> Estimator.Scalar (float_of_int x))
     (fun ctx () ~a ~b -> Joins.equality_join ctx ~a ~b)
 
 let joins_disjointness =
@@ -229,7 +225,7 @@ let joins_disjointness =
     ~contract:(fun _ ->
       Estimator.Approx
         { stat = Estimator.Disjoint_pairs { spread = 3.0 }; slack = 1.0; ratio = 8.0 })
-    ~comparable:(fun x -> Estimator.Number x)
+    ~answer:(fun x -> Estimator.Scalar x)
     (fun ctx eps ~a ~b -> Joins.disjointness_join ctx ~eps ~a ~b)
 
 let joins_atleast =
@@ -245,7 +241,7 @@ let joins_atleast =
     ~contract:(fun _ ->
       Estimator.Approx
         { stat = Estimator.Pairs_from_l0 { spread = 3.0 }; slack = 1.0; ratio = 8.0 })
-    ~comparable:(fun x -> Estimator.Number x)
+    ~answer:(fun x -> Estimator.Scalar x)
     (fun ctx (prm, t) ~a ~b -> Joins.at_least_t_join ctx prm ~t ~a ~b)
 
 let all =

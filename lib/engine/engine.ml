@@ -14,6 +14,7 @@ module Hh_general = Matprod_core.Hh_general
 module Linf_general = Matprod_core.Linf_general
 module Matprod_protocol = Matprod_core.Matprod_protocol
 module Entry_map = Matprod_core.Common.Entry_map
+module Estimator = Matprod_core.Estimator
 
 type query =
   | Norm_pow of { p : float; eps : float }
@@ -26,7 +27,7 @@ type query =
   | Linf of { kappa : float }
   | Exact_product
 
-type answer =
+type answer = Estimator.answer =
   | Scalar of float
   | Vector of float array
   | Ranked of (int * float) list
@@ -34,6 +35,26 @@ type answer =
   | L0_samples of L0_sampling.sample option array
   | L1_samples of L1_sampling.sample option array
   | Shares of (int * int * int) list * (int * int * int) list
+  | Leveled of float * int
+
+(* Batch replicas at the fleet seed agree exactly, hence ratio 1. *)
+let contract : query -> Estimator.contract = function
+  | Norm_pow { p; eps } ->
+      let slack = 2.0 +. (4.0 *. eps) in
+      if p < 0.5 then Approx { stat = Norm0 { times = 1.0 }; slack; ratio = 1.0 }
+      else if p < 1.5 then Approx { stat = Norm1; slack; ratio = 1.0 }
+      else Approx { stat = Frob; slack = slack *. 2.0; ratio = 1.0 }
+  | Frob_norm { eps } ->
+      Approx { stat = Frob; slack = (2.0 +. (4.0 *. eps)) *. 2.0; ratio = 1.0 }
+  | Linf { kappa } -> Approx { stat = Norm_inf { kappa }; slack = 2.0; ratio = 1.0 }
+  | Row_norms { p; _ } ->
+      Per_row { stat = (if p < 1.5 then Norm1 else Frob); slack = 4.0 }
+  | Top_rows { p; k; _ } ->
+      Top_k { stat = (if p < 1.5 then Norm1 else Frob); slack = 4.0; k }
+  | L0_sample _ -> L0_draw
+  | L1_sample _ -> L1_draw
+  | Heavy_hitters { phi; eps } -> Heavy_hitters { phi; eps }
+  | Exact_product -> Product_shares
 
 type plan_status = Plan_hit | Plan_miss | Not_planned
 
@@ -496,11 +517,45 @@ let own_phases messages f =
     (List.rev f.sent);
   !phases
 
+let query_to_string = function
+  | Norm_pow { p; eps } -> Printf.sprintf "norm:p=%g,eps=%g" p eps
+  | Frob_norm { eps } -> Printf.sprintf "frob:eps=%g" eps
+  | Row_norms { p; beta } -> Printf.sprintf "rows:p=%g,beta=%g" p beta
+  | Top_rows { p; beta; k } -> Printf.sprintf "top:p=%g,beta=%g,k=%d" p beta k
+  | L0_sample { eps; count } -> Printf.sprintf "l0:eps=%g,count=%d" eps count
+  | L1_sample { count } -> Printf.sprintf "l1:count=%d" count
+  | Heavy_hitters { phi; eps } -> Printf.sprintf "hh:phi=%g,eps=%g" phi eps
+  | Linf { kappa } -> Printf.sprintf "linf:kappa=%g" kappa
+  | Exact_product -> "exact"
+
 let max_batch_samples = 256
+
+let max_sketch_cells = 1 lsl 22
+
+(* Sketch counters a query's group asks for: one sketch per inner index,
+   12/acc² counters per repetition group (the families' bucket rule; AMS
+   and SRHT take 6, the l0 families that many per level). A tiny
+   accuracy would exhaust memory before the first message. *)
+let sketch_cells ~inner q =
+  let cells ~groups acc = 12.0 /. (acc *. acc) *. float_of_int (groups * inner) in
+  match q with
+  | Norm_pow { eps; _ } -> cells ~groups:lp_groups (Float.min 1.0 (sqrt eps))
+  | Row_norms { beta; _ } | Top_rows { beta; _ } -> cells ~groups:lp_groups beta
+  | Frob_norm { eps } -> cells ~groups:lp_groups eps
+  | L0_sample { eps; count } when count > 0 ->
+      cells ~groups:(L0_sampling.default_params ~eps).sketch_groups eps
+  | L0_sample _ | L1_sample _ | Heavy_hitters _ | Linf _ | Exact_product -> 0.0
 
 let run t ctx ~a ~b queries =
   if queries = [] then invalid_arg "Engine.run: empty batch";
   if Imat.cols a <> Imat.rows b then invalid_arg "Engine.run: dims";
+  List.iter
+    (fun q ->
+      if sketch_cells ~inner:(Imat.cols a) q > float_of_int max_sketch_cells then
+        invalid_arg
+          (Printf.sprintf "Engine.run: %s needs more than %d sketch cells"
+             (query_to_string q) max_sketch_cells))
+    queries;
   let samples =
     List.fold_left
       (fun total q ->
@@ -591,17 +646,6 @@ let run t ctx ~a ~b queries =
 
 (* ------------------------------------------------------------------ *)
 (* Query specs: "name:key=val,key=val". *)
-
-let query_to_string = function
-  | Norm_pow { p; eps } -> Printf.sprintf "norm:p=%g,eps=%g" p eps
-  | Frob_norm { eps } -> Printf.sprintf "frob:eps=%g" eps
-  | Row_norms { p; beta } -> Printf.sprintf "rows:p=%g,beta=%g" p beta
-  | Top_rows { p; beta; k } -> Printf.sprintf "top:p=%g,beta=%g,k=%d" p beta k
-  | L0_sample { eps; count } -> Printf.sprintf "l0:eps=%g,count=%d" eps count
-  | L1_sample { count } -> Printf.sprintf "l1:count=%d" count
-  | Heavy_hitters { phi; eps } -> Printf.sprintf "hh:phi=%g,eps=%g" phi eps
-  | Linf { kappa } -> Printf.sprintf "linf:kappa=%g" kappa
-  | Exact_product -> "exact"
 
 let query_of_string spec =
   let ( let* ) = Result.bind in

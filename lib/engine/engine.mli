@@ -76,7 +76,7 @@ type query =
       (** kappa-approximation of ‖C‖∞ (Theorem 4.8). *)
   | Exact_product  (** additive shares C_A + C_B = C (Lemma 2.5 role). *)
 
-type answer =
+type answer = Matprod_core.Estimator.answer =
   | Scalar of float
   | Vector of float array
   | Ranked of (int * float) list
@@ -84,7 +84,19 @@ type answer =
   | L0_samples of Matprod_core.L0_sampling.sample option array
   | L1_samples of Matprod_core.L1_sampling.sample option array
   | Shares of (int * int * int) list * (int * int * int) list
-      (** Alice's and Bob's sorted share entries. *)
+  | Leveled of float * int  (** never produced by the engine *)
+(** The estimators' answer type ({!Matprod_core.Estimator.answer}),
+    re-exported so batch code can name [Engine.Scalar]. *)
+
+val contract : query -> Matprod_core.Estimator.contract
+(** The query's answer contract, which the fleet verifies and merges by:
+    [Norm_pow] is [Approx] on ‖C‖₀ (p < 0.5), ‖C‖₁ (p < 1.5) or ‖C‖_F²
+    with slack 2 + 4ε (doubled for ‖C‖_F², as for [Frob_norm]); [Linf] is
+    [Approx] on ‖C‖∞ with slack 2; [Row_norms] and [Top_rows] are
+    [Per_row] and [Top_k] on ‖C‖₁ (p < 1.5) or ‖C‖_F² with slack 4; the
+    sample, heavy-hitter and exact queries are [L0_draw], [L1_draw],
+    [Heavy_hitters] and [Product_shares]. Every voting ratio is 1: batch
+    replicas at the fleet seed agree exactly. *)
 
 type plan_status =
   | Plan_hit  (** sketch family + tables served from the LRU *)
@@ -126,6 +138,13 @@ val max_batch_samples : int
     and [L1_sample] counts (256). A served batch runs under the daemon's
     compute lock, so its size is bounded. *)
 
+val max_sketch_cells : int
+(** The most sketch counters one query may ask for (2²²), counted as
+    12/acc² per repetition group and inner index at the accuracy [acc] of
+    a [Norm_pow] (√eps), [Row_norms], [Top_rows], [Frob_norm] or
+    [L0_sample] query (the ℓ0 families hold that once per level). Like
+    {!max_batch_samples}, it bounds the memory a served batch takes. *)
+
 val run :
   t ->
   Matprod_comm.Ctx.t ->
@@ -135,10 +154,11 @@ val run :
   report
 (** Execute a batch. Requires [cols a = rows b], a non-empty batch, sample
     counts that are non-negative and total at most {!max_batch_samples},
-    and — for [L1_sample] and [Heavy_hitters] — non-negative matrices
-    (raises [Invalid_argument] otherwise, which {!Matprod_core.Outcome}
-    types as [Precondition]). The transcript simply continues on
-    [ctx]; run several batches in one context to amortise nothing twice. *)
+    queries within {!max_sketch_cells}, and — for [L1_sample] and
+    [Heavy_hitters] — non-negative matrices (raises [Invalid_argument]
+    otherwise, which {!Matprod_core.Outcome} types as [Precondition]).
+    The transcript simply continues on [ctx]; run several batches in one
+    context to amortise nothing twice. *)
 
 val own_turns : query -> Matprod_comm.Transcript.party * int
 (** The party that opens the query's group and the speaking phases the

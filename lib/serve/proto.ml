@@ -68,7 +68,8 @@ let answer : Engine.answer Codec.t =
       | Engine.Entry_set l -> (3, enc entries l)
       | Engine.L0_samples s -> (4, enc l0s s)
       | Engine.L1_samples s -> (5, enc l1s s)
-      | Engine.Shares (sa, sb) -> (6, enc shares (sa, sb)))
+      | Engine.Shares (sa, sb) -> (6, enc shares (sa, sb))
+      | Engine.Leveled _ -> invalid_arg "Proto.answer: the engine never levels")
     (fun (tag, payload) ->
       match tag with
       | 0 -> Engine.Scalar (dec Codec.float64 payload)

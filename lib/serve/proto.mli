@@ -43,6 +43,8 @@ type response =
 
 val imat : Imat.t Matprod_comm.Codec.t
 val answer : Engine.answer Matprod_comm.Codec.t
+(** Encoding a [Leveled] answer, which the engine never produces, raises
+    [Invalid_argument]. *)
 
 val encode_request : request -> string
 val decode_request : string -> request

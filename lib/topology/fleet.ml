@@ -55,7 +55,7 @@ type link_report = {
   replica : int;
   range : Shard.range;
   attempts : Supervisor.attempt list;
-  answer : (Estimator.comparable, Outcome.error) result;
+  answer : (Estimator.answer, Outcome.error) result;
   fresh_bits : int;
   fresh_rounds : int;
   resume_bits_saved : int;
@@ -70,7 +70,7 @@ type suspect = {
 }
 
 type report = {
-  answer : Estimator.comparable Outcome.graded;
+  answer : Estimator.answer Outcome.graded;
   links : link_report list;
   suspects : suspect list;
   survivors : int;
@@ -430,17 +430,19 @@ let run ?wire cfg (e : Estimator.t) ~a ~b =
     let summary = lazy (Verify.summarize ~a:shard_a ~b) in
     {
       body = (fun ctx -> e.run ctx ~a:shard_a ~b);
-      check = (fun ~seed v -> Verify.check e (Lazy.force summary) ~seed v);
+      check =
+        (fun ~seed v ->
+          Verify.check ~name:e.name e.contract (Lazy.force summary) ~seed v);
       vote =
         (fun answers ->
           Option.map
             (fun vr -> (vr.Verify.chosen, vr.Verify.outvoted))
-            (Verify.vote e (Lazy.force summary) answers));
+            (Verify.vote e.contract (Lazy.force summary) answers));
     }
   in
   drive ?wire cfg ~protocol:(sanitize e.name) ~a
     ~seed_of:(replica_seed cfg) ~corrupt:Verify.corrupt ~shard
-    ~merge:(Merge.merge e ~seed:cfg.seed)
+    ~merge:(Merge.merge ~seed:cfg.seed ~rows:(Bmat.rows a) e.contract)
   |> Result.map (fun ((answer, survivors, coverage), links, suspects) ->
          let links =
            List.map
@@ -517,6 +519,7 @@ let run_batch ?wire cfg engine queries ~a ~b =
     Error (Outcome.Precondition "Fleet.run_batch: empty batch")
   else
     let bi = Imat.of_bmat b in
+    let contracts = Array.of_list (List.map Engine.contract queries) in
     let shard range =
       let shard_a = Shard.slice a range in
       let ai = Imat.of_bmat shard_a in
@@ -527,22 +530,17 @@ let run_batch ?wire cfg engine queries ~a ~b =
         (* the first failing query's verdict quarantines the replica *)
         check =
           (fun ~seed answers ->
-            let rec go qi = function
-              | [] -> Verify.Pass
-              | q :: qs -> (
-                  match
-                    Verify.check_answer (Lazy.force summary) ~seed q answers.(qi)
-                  with
-                  | Verify.Pass -> go (qi + 1) qs
-                  | fail -> fail)
-            in
-            go 0 queries);
+            Seq.zip (Array.to_seq contracts) (Array.to_seq answers)
+            |> Seq.map (fun (c, answer) ->
+                   Verify.check ~name:"engine" c (Lazy.force summary) ~seed answer)
+            |> Seq.find (fun v -> v <> Verify.Pass)
+            |> Option.value ~default:Verify.Pass);
         vote = batch_vote;
       }
     in
     drive ?wire cfg ~protocol:"engine-batch" ~a
       ~seed_of:(fun ~rank:_ ~replica:_ -> cfg.seed)
-      ~corrupt:(fun mode g -> Array.map (Verify.corrupt_answer mode g))
+      ~corrupt:(fun mode g -> Array.map (Verify.corrupt mode g))
       ~shard
       ~merge:(Merge.merge_batch ~seed:cfg.seed ~rows:(Bmat.rows a) queries)
     |> Result.map

@@ -114,7 +114,7 @@ type link_report = {
   attempts : Matprod_core.Supervisor.attempt list;
       (** the link's ladder, in execution order ([] if the supervisor gave
           up before producing a report) *)
-  answer : (Matprod_core.Estimator.comparable, Matprod_core.Outcome.error) result;
+  answer : (Matprod_core.Estimator.answer, Matprod_core.Outcome.error) result;
       (** a quarantined replica reports
           {!Matprod_core.Outcome.Byzantine_detected} here even though its
           link-level run succeeded *)
@@ -133,7 +133,7 @@ type suspect = {
 }
 
 type report = {
-  answer : Matprod_core.Estimator.comparable Matprod_core.Outcome.graded;
+  answer : Matprod_core.Estimator.answer Matprod_core.Outcome.graded;
   links : link_report list;
       (** rank-major, replica-minor order, failures included *)
   suspects : suspect list;  (** quarantined replicas, rank-major order *)
@@ -163,8 +163,9 @@ val run :
 
     The same topology under the {!Matprod_engine.Engine}: each link runs
     the full batch against its shard (sharing the engine's plan cache
-    across links — same seed, same family, one tabulation), and per-query
-    answers merge by {!Merge.merge_batch}. *)
+    across links — same seed, same family, one tabulation), and each
+    query's answers are verified and merged by its [Engine.contract]
+    ({!Merge.merge_batch}). *)
 
 type batch_link = {
   b_rank : int;
@@ -198,6 +199,6 @@ val run_batch :
     contract makes honest replicas byte-identical, so the vote is exact
     agreement on the whole answer array (classic TMR; an outvoted replica
     is a [replica_vote] suspect). [verify] checks each query's answer with
-    {!Matprod_verify.Verify.check_answer} and quarantines a replica at its
-    first failing query. An empty batch is a
+    {!Matprod_verify.Verify.check} under the query's [Engine.contract]
+    and quarantines a replica at its first failing query. An empty batch is a
     {!Matprod_core.Outcome.Precondition} error. *)

@@ -22,8 +22,6 @@ let merge_rng seed = Prng.create (seed lxor 0x6d657267 (* "merg" *))
 let fold_numbers f init number parts =
   List.fold_left (fun acc p -> f acc (number p.value)) init parts
 
-let translate_row offset (r, c, v) = (r + offset, c, v)
-
 let max_leveled parts =
   let leveled p =
     match p.value with Estimator.Leveled (e, l) -> (e, l) | _ -> shape_error ()
@@ -45,36 +43,27 @@ let union_coords coords parts =
          List.map (fun (r, c) -> (r + p.range.Shard.offset, c)) (coords p.value))
        parts)
 
-(* Weighted reservoir over the shards that drew a sample: shard i keeps
-   the slot with probability row_i / (rows seen so far). One PRNG draw
-   per present sample, so the choice is a deterministic function of
-   (seed, surviving parts) — a quorum merge consumes exactly the same
-   stream as the full merge restricted to the same survivors. *)
-let pick_sample rng ~shift extract parts =
-  let chosen = ref None and total = ref 0 in
-  List.iter
-    (fun p ->
-      match extract p.value with
-      | None -> ()
-      | Some s ->
-          let w = p.range.Shard.length in
-          total := !total + w;
-          let u = Prng.float rng in
-          if u *. float_of_int !total < float_of_int w then
-            chosen := Some (shift p.range.Shard.offset s))
-    parts;
-  !chosen
-
-(* Slot j of the merged batch draws from the shards that filled slot j. *)
+(* Slot j of the merged array is a weighted reservoir over the shards
+   that filled slot j: shard i keeps it with probability row_i / (rows
+   seen so far). One PRNG draw per present sample, so the choice is a
+   deterministic function of (seed, surviving parts) — a quorum merge
+   consumes exactly the same stream as the full merge restricted to the
+   same survivors. *)
 let pick_slots rng ~shift samples parts =
-  let parts = List.map (fun p -> { p with value = samples p.value }) parts in
-  let slots =
-    List.fold_left (fun acc p -> max acc (Array.length p.value)) 0 parts
-  in
+  let parts = List.map (fun p -> (p.range, samples p.value)) parts in
+  let slots = List.fold_left (fun acc (_, ss) -> max acc (Array.length ss)) 0 parts in
   Array.init slots (fun j ->
-      pick_sample rng ~shift
-        (fun ss -> if j < Array.length ss then ss.(j) else None)
-        parts)
+      let chosen = ref None and total = ref 0 in
+      List.iter
+        (fun ({ Shard.offset; length }, ss) ->
+          match if j < Array.length ss then ss.(j) else None with
+          | None -> ()
+          | Some s ->
+              total := !total + length;
+              if Prng.float rng *. float_of_int !total < float_of_int length then
+                chosen := Some (shift offset s))
+        parts;
+      !chosen)
 
 (* The coordinator holds B and is the client the fleet answers to, so for
    share answers it reconstructs each shard's exact product C⟨i⟩ =
@@ -99,99 +88,76 @@ let product_entries shares parts =
 
 (* Over disjoint row blocks ||C||_inf is the largest block's; every other
    statistic (norm powers, counts, join sizes) is the blocks' sum. *)
-let merge_stat parts : Estimator.stat -> Estimator.comparable =
-  let number = function Estimator.Number x -> x | _ -> shape_error () in
+let merge_stat parts : Estimator.stat -> Estimator.answer =
+  let number = function Estimator.Scalar x -> x | _ -> shape_error () in
   function
-  | Norm_inf _ ->
-      Estimator.Number (fold_numbers Float.max neg_infinity number parts)
+  | Norm_inf _ -> Scalar (fold_numbers Float.max neg_infinity number parts)
   | Norm0 _ | Norm1 | Frob | Pairs_upto | Disjoint_pairs _ | Pairs_from_l0 _ ->
-      Estimator.Number (fold_numbers ( +. ) 0.0 number parts)
+      Scalar (fold_numbers ( +. ) 0.0 number parts)
 
-let merge (e : Estimator.t) ~seed parts =
+(* Each shard's row estimates land at its own rows; rows no part covers
+   stay [nan]. *)
+let place_rows ~rows parts =
+  let out = Array.make rows Float.nan in
+  List.iter
+    (fun p ->
+      let { Shard.offset; length } = p.range in
+      match p.value with
+      | Estimator.Vector v when Array.length v = length ->
+          Array.blit v 0 out offset length
+      | _ -> shape_error ())
+    parts;
+  out
+
+(* The translated union re-ranked: largest estimate first, ties to the
+   lower row. *)
+let rerank ~k parts =
+  List.concat_map
+    (fun p ->
+      match p.value with
+      | Estimator.Ranked rs ->
+          List.map (fun (i, est) -> (i + p.range.Shard.offset, est)) rs
+      | _ -> shape_error ())
+    parts
+  |> List.sort (fun (i, x) (j, y) ->
+         match compare y x with 0 -> compare i j | c -> c)
+  |> List.filteri (fun i _ -> i < k)
+
+let merge ~seed ~rows (contract : Estimator.contract) parts :
+    Estimator.answer =
   let parts = by_rank parts in
-  match e.contract with
+  match contract with
   | Exact_count stat | Approx { stat; _ } -> merge_stat parts stat
   | Level_approx _ -> max_leveled parts
   | Heavy_hitters _ ->
-      Estimator.Coords
+      Entry_set
         (union_coords
-           (function Estimator.Coords cs -> cs | _ -> shape_error ())
+           (function Estimator.Entry_set cs -> cs | _ -> shape_error ())
            parts)
-  | L0_draw | L1_draw ->
-      Estimator.Sample
-        (pick_sample (merge_rng seed) ~shift:translate_row
-           (function Estimator.Sample s -> s | _ -> shape_error ())
+  | L0_draw ->
+      L0_samples
+        (pick_slots (merge_rng seed)
+           ~shift:(fun offset (s : L0_sampling.sample) ->
+             { s with L0_sampling.row = s.L0_sampling.row + offset })
+           (function Estimator.L0_samples ss -> ss | _ -> shape_error ())
+           parts)
+  | L1_draw ->
+      (* [witness] indexes the inner dimension, shared by all shards — only
+         the row translates. *)
+      L1_samples
+        (pick_slots (merge_rng seed)
+           ~shift:(fun offset (s : L1_sampling.sample) ->
+             { s with L1_sampling.row = s.L1_sampling.row + offset })
+           (function Estimator.L1_samples ss -> ss | _ -> shape_error ())
            parts)
   | Product_shares ->
-      Estimator.Shares
+      Shares
         ( product_entries
             (function Estimator.Shares (a, b) -> (a, b) | _ -> shape_error ())
             parts,
           [] )
-
-let merge_query ~seed ~rows (query : Engine.query) parts =
-  let scalar = function Engine.Scalar x -> x | _ -> shape_error () in
-  match query with
-  (* ‖AB‖_F² over disjoint row blocks is the sum of the blocks' norms,
-     like every other norm power. *)
-  | Norm_pow _ | Frob_norm _ ->
-      Engine.Scalar (fold_numbers ( +. ) 0.0 scalar parts)
-  | Linf _ -> Engine.Scalar (fold_numbers Float.max 0.0 scalar parts)
-  | Row_norms _ ->
-      let out = Array.make rows Float.nan in
-      List.iter
-        (fun p ->
-          let { Shard.offset; length } = p.range in
-          match p.value with
-          | Engine.Vector v when Array.length v = length ->
-              Array.blit v 0 out offset length
-          | _ -> shape_error ())
-        parts;
-      Engine.Vector out
-  | Top_rows { k; _ } ->
-      let all =
-        List.concat_map
-          (fun p ->
-            match p.value with
-            | Engine.Ranked rs ->
-                List.map (fun (i, est) -> (i + p.range.Shard.offset, est)) rs
-            | _ -> shape_error ())
-          parts
-      in
-      let sorted =
-        List.sort
-          (fun (i, x) (j, y) ->
-            match compare y x with 0 -> compare i j | c -> c)
-          all
-      in
-      Engine.Ranked (List.filteri (fun i _ -> i < k) sorted)
-  | L0_sample _ ->
-      Engine.L0_samples
-        (pick_slots (merge_rng seed)
-           ~shift:(fun offset (s : L0_sampling.sample) ->
-             { s with L0_sampling.row = s.L0_sampling.row + offset })
-           (function Engine.L0_samples ss -> ss | _ -> shape_error ())
-           parts)
-  | L1_sample _ ->
-      (* [witness] indexes the inner dimension, shared by all shards — only
-         the row translates. *)
-      Engine.L1_samples
-        (pick_slots (merge_rng seed)
-           ~shift:(fun offset (s : L1_sampling.sample) ->
-             { s with L1_sampling.row = s.L1_sampling.row + offset })
-           (function Engine.L1_samples ss -> ss | _ -> shape_error ())
-           parts)
-  | Heavy_hitters _ ->
-      Engine.Entry_set
-        (union_coords
-           (function Engine.Entry_set es -> es | _ -> shape_error ())
-           parts)
-  | Exact_product ->
-      Engine.Shares
-        ( product_entries
-            (function Engine.Shares (a, b) -> (a, b) | _ -> shape_error ())
-            parts,
-          [] )
+  | Per_row _ -> Vector (place_rows ~rows parts)
+  | Top_k { k; _ } -> Ranked (rerank ~k parts)
 
 let merge_batch ~seed ~rows queries parts =
   let parts = by_rank parts in
@@ -201,6 +167,6 @@ let merge_batch ~seed ~rows queries parts =
   Array.of_list
     (List.mapi
        (fun qi q ->
-         merge_query ~seed ~rows q
+         merge ~seed ~rows (Engine.contract q)
            (List.map (fun p -> { p with value = p.value.(qi) }) parts))
        queries)

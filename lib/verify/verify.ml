@@ -2,7 +2,6 @@ module Bmat = Matprod_matrix.Bmat
 module Estimator = Matprod_core.Estimator
 module L0_sampling = Matprod_core.L0_sampling
 module L1_sampling = Matprod_core.L1_sampling
-module Engine = Matprod_engine.Engine
 module Fault = Matprod_comm.Fault
 module Prng = Matprod_util.Prng
 module Stats = Matprod_util.Stats
@@ -80,14 +79,6 @@ let linf_lo s = if s.l1 <= 0.0 then 0.0 else max 1.0 (s.l1 /. pairs s)
 let l2_lo s = if s.l1 <= 0.0 then 0.0 else max s.l1 (s.l1 *. s.l1 /. pairs s)
 let l2_hi s = s.l1 *. s.cap
 
-type num_spec = {
-  lo : float;
-  hi : float;
-  slack : float;  (** multiplicative widening covering estimator error *)
-  integral : bool;  (** exact counting family: must be a whole number *)
-  exact : float option;  (** known exact value (an exact ‖C‖₁) *)
-}
-
 (* The interval of the TRUE statistic, from the shard facts alone. *)
 let bounds s : Estimator.stat -> float * float = function
   | Norm0 { times } -> (times *. l0_lo s, times *. l0_hi s)
@@ -106,7 +97,10 @@ let known s : Estimator.stat -> float option = function
   | Pairs_from_l0 _ ->
       None
 
-let check_number_spec { lo; hi; slack; integral; exact } x =
+(* A scalar against the statistic's range [(lo, hi)] widened by [slack]
+   (estimator error); an exact counting statistic must also be a whole
+   number, and equal [exact] when the coordinator knows it. *)
+let check_number ?exact ~integral ~slack (lo, hi) x =
   let fuzz = 1e-6 *. (1.0 +. Float.abs hi) in
   if not (Float.is_finite x) then fail "finite" "value %h is not finite" x
   else if x < -.fuzz then fail "non_negative" "value %g is negative" x
@@ -167,33 +161,50 @@ let check_coords ~phi ~eps s cs =
 
 (* Drawn entries are individually provable: the l0 sample carries the
    exact entry value, the l1 sample carries a witness index. *)
-let check_l0_sample s = function
-  | None -> Pass
-  | Some (r, c, v) ->
-      if not (in_bounds s r c) then
-        fail "index_bounds" "sample (%d, %d) outside %dx%d" r c s.out_rows
-          s.out_cols
-      else
-        let truth = entry_value s r c in
-        if v <> truth then
-          fail "sample_value" "sample claims C(%d,%d) = %d, truth is %d" r c v
-            truth
-        else if truth = 0 then
-          fail "sample_support" "sample (%d, %d) is a zero entry" r c
-        else Pass
+let check_l0_sample s (smp : L0_sampling.sample) =
+  let { L0_sampling.row = r; col = c; value = v } = smp in
+  if not (in_bounds s r c) then
+    fail "index_bounds" "sample (%d, %d) outside %dx%d" r c s.out_rows s.out_cols
+  else
+    let truth = entry_value s r c in
+    if v <> truth then
+      fail "sample_value" "sample claims C(%d,%d) = %d, truth is %d" r c v truth
+    else if truth = 0 then fail "sample_support" "sample (%d, %d) is a zero entry" r c
+    else Pass
 
-let check_l1_sample s = function
-  | None -> Pass
-  | Some (r, c, w) ->
-      if not (in_bounds s r c) then
-        fail "index_bounds" "sample (%d, %d) outside %dx%d" r c s.out_rows
-          s.out_cols
-      else if w < 0 || w >= s.inner then
-        fail "index_bounds" "witness %d outside inner dimension %d" w s.inner
-      else if not (Bmat.get s.a r w && Bmat.get s.b w c) then
-        fail "sample_witness" "witness %d is not a common index of A_%d and B^%d"
-          w r c
-      else Pass
+let check_l1_sample s (smp : L1_sampling.sample) =
+  let { L1_sampling.row = r; col = c; witness = w } = smp in
+  if not (in_bounds s r c) then
+    fail "index_bounds" "sample (%d, %d) outside %dx%d" r c s.out_rows s.out_cols
+  else if w < 0 || w >= s.inner then
+    fail "index_bounds" "witness %d outside inner dimension %d" w s.inner
+  else if not (Bmat.get s.a r w && Bmat.get s.b w c) then
+    fail "sample_witness" "witness %d is not a common index of A_%d and B^%d" w r c
+  else Pass
+
+(* The first failing draw's verdict; empty slots pass. *)
+let check_draws check s draws =
+  Array.fold_left
+    (fun acc d ->
+      match (acc, d) with Pass, Some smp -> check s smp | _ -> acc)
+    Pass draws
+
+(* Row estimates [(row, value)], called [what]: each row in bounds, each
+   value finite, non-negative and at most [hi]. *)
+let check_rows s ~what ~hi rows =
+  let rec go = function
+    | [] -> Pass
+    | (i, v) :: rest ->
+        if i < 0 || i >= s.out_rows then
+          fail "index_bounds" "ranked row %d outside %d rows" i s.out_rows
+        else if not (Float.is_finite v) then
+          fail "finite" "row %d %s %h not finite" i what v
+        else if v < -1e-9 then fail "non_negative" "row %d %s %g" i what v
+        else if v > hi +. 1e-6 then
+          fail "range_high" "row %d %s %g above %g" i what v hi
+        else go rest
+  in
+  go rows
 
 (* Additive product shares: total mass must equal the exact l1 (scale,
    sign and garbage all move it), and Freivalds' identity C.x = A.(B.x)
@@ -256,12 +267,15 @@ let c_checks = Metrics.counter "verify_checks"
 let c_failures = Metrics.counter "verify_failures"
 let h_verify = Metrics.histogram "verify_ns"
 
-let shape_name : Estimator.comparable -> string = function
-  | Estimator.Number _ -> "number"
-  | Estimator.Coords _ -> "coords"
-  | Estimator.Sample _ -> "sample"
-  | Estimator.Shares _ -> "shares"
-  | Estimator.Leveled _ -> "leveled"
+let shape_name : Estimator.answer -> string = function
+  | Scalar _ -> "scalar"
+  | Vector _ -> "vector"
+  | Ranked _ -> "ranked"
+  | Entry_set _ -> "entry_set"
+  | L0_samples _ -> "l0_samples"
+  | L1_samples _ -> "l1_samples"
+  | Shares _ -> "shares"
+  | Leveled _ -> "leveled"
 
 let accounted ~estimator ~shape f =
   Metrics.incr c_checks;
@@ -285,129 +299,33 @@ let accounted ~estimator ~shape f =
           ());
   v
 
-let check (e : Estimator.t) s ~seed (answer : Estimator.comparable) =
+let check ~name (contract : Estimator.contract) s ~seed
+    (answer : Estimator.answer) =
   let shape = shape_name answer in
-  accounted ~estimator:e.name ~shape @@ fun () ->
-  match (e.contract, answer) with
-  | Exact_count stat, Number x ->
-      let lo, hi = bounds s stat in
-      check_number_spec
-        { lo; hi; slack = 1.0; integral = true; exact = known s stat }
-        x
-  | Approx { stat; slack; _ }, Number x ->
-      let lo, hi = bounds s stat in
-      check_number_spec { lo; hi; slack; integral = false; exact = None } x
+  accounted ~estimator:name ~shape @@ fun () ->
+  match (contract, answer) with
+  | Exact_count stat, Scalar x ->
+      check_number ?exact:(known s stat) ~integral:true ~slack:1.0
+        (bounds s stat) x
+  | Approx { stat; slack; _ }, Scalar x ->
+      check_number ~integral:false ~slack (bounds s stat) x
   | Level_approx { kappa; _ }, Leveled (est, level) ->
       check_leveled s ~kappa est level
-  | Heavy_hitters { phi; eps }, Coords cs -> check_coords ~phi ~eps s cs
-  | L0_draw, Sample v -> check_l0_sample s v
-  | L1_draw, Sample v -> check_l1_sample s v
+  | Heavy_hitters { phi; eps }, Entry_set cs -> check_coords ~phi ~eps s cs
+  | L0_draw, L0_samples ds -> check_draws check_l0_sample s ds
+  | L1_draw, L1_samples ds -> check_draws check_l1_sample s ds
   | Product_shares, Shares (ea, eb) -> check_shares s ~seed (ea, eb)
+  | Per_row { stat; slack }, Vector v ->
+      (* a [nan] row is one no shard covered (a degraded merge) *)
+      List.mapi (fun i x -> (i, x)) (Array.to_list v)
+      |> List.filter (fun (_, x) -> not (Float.is_nan x))
+      |> check_rows s ~what:"norm" ~hi:(snd (bounds s stat) *. slack)
+  | Top_k { stat; slack; _ }, Ranked rs ->
+      check_rows s ~what:"score" ~hi:(snd (bounds s stat) *. slack) rs
   | ( ( Exact_count _ | Approx _ | Level_approx _ | Heavy_hitters _ | L0_draw
-      | L1_draw | Product_shares ),
+      | L1_draw | Product_shares | Per_row _ | Top_k _ ),
       _ ) ->
-      fail "answer_shape" "a %s answer breaks %s's contract" shape e.name
-
-let check_answer s ~seed (q : Engine.query) (answer : Engine.answer) =
-  let shape =
-    match answer with
-    | Engine.Scalar _ -> "scalar"
-    | Engine.Vector _ -> "vector"
-    | Engine.Ranked _ -> "ranked"
-    | Engine.Entry_set _ -> "entry_set"
-    | Engine.L0_samples _ -> "l0_samples"
-    | Engine.L1_samples _ -> "l1_samples"
-    | Engine.Shares _ -> "shares"
-  in
-  accounted ~estimator:"engine" ~shape @@ fun () ->
-  match (q, answer) with
-  | Engine.Norm_pow { p; eps }, Engine.Scalar x ->
-      let slack = 2.0 +. (4.0 *. eps) in
-      let sp =
-        if p < 0.5 then { lo = l0_lo s; hi = l0_hi s; slack; integral = false; exact = None }
-        else if p < 1.5 then { lo = s.l1; hi = s.l1; slack; integral = false; exact = None }
-        else { lo = l2_lo s; hi = l2_hi s; slack = slack *. 2.0; integral = false; exact = None }
-      in
-      check_number_spec sp x
-  | Engine.Frob_norm { eps }, Engine.Scalar x ->
-      (* The Norm_pow p = 2 range: the statistic is the same Σ C_rc². *)
-      let slack = (2.0 +. (4.0 *. eps)) *. 2.0 in
-      check_number_spec
-        { lo = l2_lo s; hi = l2_hi s; slack; integral = false; exact = None }
-        x
-  | Engine.Linf { kappa }, Engine.Scalar x ->
-      check_number_spec
-        {
-          lo = linf_lo s /. kappa;
-          hi = s.cap;
-          slack = 2.0;
-          integral = false;
-          exact = None;
-        }
-        x
-  | Engine.Row_norms { p; _ }, Engine.Vector v ->
-      let hi = if p >= 1.5 then l2_hi s else s.l1 in
-      let rec go i =
-        if i >= Array.length v then Pass
-        else if Float.is_nan v.(i) then go (i + 1) (* uncovered row (degraded) *)
-        else if not (Float.is_finite v.(i)) then
-          fail "finite" "row %d norm %h not finite" i v.(i)
-        else if v.(i) < -1e-9 then fail "non_negative" "row %d norm %g" i v.(i)
-        else if v.(i) > (hi *. 4.0) +. 1e-6 then
-          fail "range_high" "row %d norm %g above %g" i v.(i) (hi *. 4.0)
-        else go (i + 1)
-      in
-      go 0
-  | Engine.Top_rows { p; _ }, Engine.Ranked rs ->
-      let hi = (if p >= 1.5 then l2_hi s else s.l1) *. 4.0 in
-      let rec go = function
-        | [] -> Pass
-        | (i, v) :: rest ->
-            if i < 0 || i >= s.out_rows then
-              fail "index_bounds" "ranked row %d outside %d rows" i s.out_rows
-            else if not (Float.is_finite v) then
-              fail "finite" "row %d score %h not finite" i v
-            else if v < -1e-9 then fail "non_negative" "row %d score %g" i v
-            else if v > hi +. 1e-6 then
-              fail "range_high" "row %d score %g above %g" i v hi
-            else go rest
-      in
-      go rs
-  | Engine.Heavy_hitters { phi; eps }, Engine.Entry_set cs ->
-      check_coords ~phi ~eps s cs
-  | Engine.L0_sample _, Engine.L0_samples arr ->
-      Array.fold_left
-        (fun acc v ->
-          match acc with
-          | Pass ->
-              check_l0_sample s
-                (Option.map
-                   (fun (smp : L0_sampling.sample) ->
-                     (smp.L0_sampling.row, smp.L0_sampling.col, smp.L0_sampling.value))
-                   v)
-          | f -> f)
-        Pass arr
-  | Engine.L1_sample _, Engine.L1_samples arr ->
-      Array.fold_left
-        (fun acc v ->
-          match acc with
-          | Pass ->
-              check_l1_sample s
-                (Option.map
-                   (fun (smp : L1_sampling.sample) ->
-                     ( smp.L1_sampling.row,
-                       smp.L1_sampling.col,
-                       smp.L1_sampling.witness ))
-                   v)
-          | f -> f)
-        Pass arr
-  | Engine.Exact_product, Engine.Shares (ea, eb) -> check_shares s ~seed (ea, eb)
-  | ( ( Engine.Norm_pow _ | Engine.Frob_norm _ | Engine.Linf _
-      | Engine.Row_norms _ | Engine.Top_rows _ | Engine.Heavy_hitters _
-      | Engine.L0_sample _ | Engine.L1_sample _ | Engine.Exact_product ),
-      _ ) ->
-      fail "answer_shape" "a %s answer does not answer %s" shape
-        (Engine.query_to_string q)
+      fail "answer_shape" "a %s answer breaks %s's contract" shape name
 
 (* --- corruption: the attack half ---------------------------------------- *)
 
@@ -436,56 +354,34 @@ let corrupt_coord mode g (r, c) =
   | Fault.Swap -> (c, r)
   | Fault.Garbage -> (1_000_000 + Prng.int g 1_000_000, Prng.int g 1_000_000)
 
-let corrupt mode g (answer : Estimator.comparable) : Estimator.comparable =
+let corrupt mode g (answer : Estimator.answer) : Estimator.answer =
   match answer with
-  | Estimator.Number x -> Estimator.Number (corrupt_num mode g x)
-  | Estimator.Leveled (est, level) -> (
+  | Scalar x -> Scalar (corrupt_num mode g x)
+  | Vector v -> Vector (Array.map (corrupt_num mode g) v)
+  | Ranked rs -> Ranked (List.map (fun (i, v) -> (i, corrupt_num mode g v)) rs)
+  | Leveled (est, level) -> (
       match mode with
       | Fault.Swap ->
           (* swap the estimate and the level — fields trade places *)
-          Estimator.Leveled (float_of_int level, int_of_float (Float.min est 64.0))
-      | _ -> Estimator.Leveled (corrupt_num mode g est, level))
-  | Estimator.Coords cs -> Estimator.Coords (List.map (corrupt_coord mode g) cs)
-  | Estimator.Sample v ->
-      Estimator.Sample (Option.map (corrupt_entry mode g) v)
-  | Estimator.Shares (ea, eb) -> (
-      match ea with
-      | [] -> Estimator.Shares (ea, List.map (corrupt_entry mode g) eb)
-      | _ -> Estimator.Shares (List.map (corrupt_entry mode g) ea, eb))
-
-let corrupt_answer mode g (answer : Engine.answer) : Engine.answer =
-  match answer with
-  | Engine.Scalar x -> Engine.Scalar (corrupt_num mode g x)
-  | Engine.Vector v -> Engine.Vector (Array.map (corrupt_num mode g) v)
-  | Engine.Ranked rs ->
-      Engine.Ranked (List.map (fun (i, v) -> (i, corrupt_num mode g v)) rs)
-  | Engine.Entry_set cs -> Engine.Entry_set (List.map (corrupt_coord mode g) cs)
-  | Engine.L0_samples arr ->
-      Engine.L0_samples
+          Leveled (float_of_int level, int_of_float (Float.min est 64.0))
+      | _ -> Leveled (corrupt_num mode g est, level))
+  | Entry_set cs -> Entry_set (List.map (corrupt_coord mode g) cs)
+  | L0_samples ds ->
+      L0_samples
         (Array.map
-           (Option.map (fun (smp : L0_sampling.sample) ->
-                let r, c, v =
-                  corrupt_entry mode g
-                    (smp.L0_sampling.row, smp.L0_sampling.col, smp.L0_sampling.value)
-                in
-                { L0_sampling.row = r; col = c; value = v }))
-           arr)
-  | Engine.L1_samples arr ->
-      Engine.L1_samples
+           (Option.map (fun { L0_sampling.row; col; value } ->
+                let row, col, value = corrupt_entry mode g (row, col, value) in
+                { L0_sampling.row; col; value }))
+           ds)
+  | L1_samples ds ->
+      L1_samples
         (Array.map
-           (Option.map (fun (smp : L1_sampling.sample) ->
-                let r, c, w =
-                  corrupt_entry mode g
-                    ( smp.L1_sampling.row,
-                      smp.L1_sampling.col,
-                      smp.L1_sampling.witness )
-                in
-                { L1_sampling.row = r; col = c; witness = w }))
-           arr)
-  | Engine.Shares (ea, eb) -> (
-      match corrupt mode g (Estimator.Shares (ea, eb)) with
-      | Estimator.Shares (ea', eb') -> Engine.Shares (ea', eb')
-      | _ -> answer)
+           (Option.map (fun { L1_sampling.row; col; witness } ->
+                let row, col, witness = corrupt_entry mode g (row, col, witness) in
+                { L1_sampling.row; col; witness }))
+           ds)
+  | Shares ([], eb) -> Shares ([], List.map (corrupt_entry mode g) eb)
+  | Shares (ea, eb) -> Shares (List.map (corrupt_entry mode g) ea, eb)
 
 (* --- replica voting ------------------------------------------------------ *)
 
@@ -514,18 +410,19 @@ let ratio_consistent ~ratio ~atol v1 v2 =
   && (Float.abs (v1 -. v2) <= atol +. (1e-9 *. (1.0 +. Float.abs v1 +. Float.abs v2))
      || (v1 > 0.0 && v2 > 0.0 && Float.max v1 v2 /. Float.min v1 v2 <= ratio))
 
-let consistent (contract : Estimator.contract) s (c1 : Estimator.comparable)
-    (c2 : Estimator.comparable) =
+let consistent (contract : Estimator.contract) s (c1 : Estimator.answer)
+    (c2 : Estimator.answer) =
   match (contract, c1, c2) with
-  | Exact_count _, _, _ -> c1 = c2
+  | (Exact_count _ | Per_row _ | Top_k _), _, _ -> c1 = c2
   | Product_shares, Shares (a1, b1), Shares (a2, b2) ->
       reconstruct_shares (a1, b1) = reconstruct_shares (a2, b2)
-  | Approx { stat; ratio; _ }, Number v1, Number v2 ->
+  | Approx { stat; ratio; _ }, Scalar v1, Scalar v2 ->
       ratio_consistent ~ratio ~atol:(numeric_atol s stat) v1 v2
   | Level_approx { ratio; _ }, Leveled (e1, _), Leveled (e2, _) ->
       ratio_consistent ~ratio ~atol:0.0 e1 e2
-  | Heavy_hitters _, Coords _, Coords _ | (L0_draw | L1_draw), Sample _, Sample _
-    ->
+  | Heavy_hitters _, Entry_set _, Entry_set _
+  | L0_draw, L0_samples _, L0_samples _
+  | L1_draw, L1_samples _, L1_samples _ ->
       true (* individually adjudicated by [check]; replicas never clash *)
   | ( ( Product_shares | Approx _ | Level_approx _ | Heavy_hitters _ | L0_draw
       | L1_draw ),
@@ -535,7 +432,7 @@ let consistent (contract : Estimator.contract) s (c1 : Estimator.comparable)
 
 type vote_result = {
   chosen : int;
-  chosen_answer : Estimator.comparable;
+  chosen_answer : Estimator.answer;
   agreed : int list;
   outvoted : (int * string) list;
 }
@@ -544,7 +441,7 @@ let popcount m =
   let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
   go m 0
 
-let vote (e : Estimator.t) s (replicas : (int * Estimator.comparable) list) =
+let vote (contract : Estimator.contract) s (replicas : (int * Estimator.answer) list) =
   let arr = Array.of_list replicas in
   let n = Array.length arr in
   if n = 0 then None
@@ -553,7 +450,7 @@ let vote (e : Estimator.t) s (replicas : (int * Estimator.comparable) list) =
     let ok = Array.make_matrix n n true in
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
-        let c = consistent e.contract s (snd arr.(i)) (snd arr.(j)) in
+        let c = consistent contract s (snd arr.(i)) (snd arr.(j)) in
         ok.(i).(j) <- c;
         ok.(j).(i) <- c
       done
@@ -581,7 +478,7 @@ let vote (e : Estimator.t) s (replicas : (int * Estimator.comparable) list) =
         else losers := i :: !losers
       done;
       let rep_slot =
-        match (e.contract, !winners) with
+        match (contract, !winners) with
         | Approx _, (_ :: _ :: _ as ws) -> (
             (* The Boosting tie-break: the winner nearest the median of
                the winning values keeps a real replica's answer as the
@@ -590,7 +487,7 @@ let vote (e : Estimator.t) s (replicas : (int * Estimator.comparable) list) =
               List.filter_map
                 (fun i ->
                   match snd arr.(i) with
-                  | Estimator.Number v -> Some (i, v)
+                  | Estimator.Scalar v -> Some (i, v)
                   | _ -> None)
                 ws
             in
@@ -608,7 +505,7 @@ let vote (e : Estimator.t) s (replicas : (int * Estimator.comparable) list) =
                      (fst (List.hd vals), infinity)
                      vals))
         | ( ( Exact_count _ | Approx _ | Level_approx _ | Heavy_hitters _
-            | L0_draw | L1_draw | Product_shares ),
+            | L0_draw | L1_draw | Product_shares | Per_row _ | Top_k _ ),
             ws ) ->
             List.hd ws
       in

@@ -19,9 +19,10 @@
       hitters (one sorted-array intersection each);
     - Freivalds' probabilistic identity test for exact-product shares.
 
-    What to check is the estimator's own
-    {!Matprod_core.Estimator.contract}, set once in its registry entry
-    from its default query: this module never looks at a name. Every
+    What to check is the answer's {!Matprod_core.Estimator.contract}: a
+    registry entry's, set once from its default query, or an engine
+    query's ([Engine.contract]). This module never looks at a name or a
+    query. Every
     check is a pure function of (contract, summary, seed, answer): all
     verification randomness derives from the seed, so a verifying fleet
     is as reproducible as a trusting one. Checks are {e sound} for the
@@ -60,13 +61,14 @@ val summarize :
   summary
 
 val check :
-  Matprod_core.Estimator.t ->
+  name:string ->
+  Matprod_core.Estimator.contract ->
   summary ->
   seed:int ->
-  Matprod_core.Estimator.comparable ->
+  Matprod_core.Estimator.answer ->
   verdict
 (** Validate a decoded shard answer against the summary's invariants, as
-    the estimator's contract directs (the name only labels telemetry):
+    the contract directs ([name] only labels telemetry and details):
 
     - [Exact_count]: finite, non-negative, a whole number inside the
       statistic's range (for ‖C‖₁, exactly [l1]);
@@ -76,61 +78,51 @@ val check :
       sane;
     - [Heavy_hitters]: indices in bounds, no duplicates, every reported
       coordinate exactly (φ−ε)-heavy (one intersection per coordinate);
-    - [L0_draw]/[L1_draw]: indices in bounds, the carried payload exactly
-      right — the ℓ0 value equals |A_r ∩ B^c|, the ℓ1 witness is a real
-      common index;
+    - [L0_draw]/[L1_draw]: for every draw, indices in bounds and the
+      carried payload exactly right — the ℓ0 value equals |A_r ∩ B^c|,
+      the ℓ1 witness is a real common index;
     - [Product_shares]: indices in bounds, total mass exactly [l1], and
-      Freivalds' test C·x = A·(B·x) over seeded 0/1 vectors.
+      Freivalds' test C·x = A·(B·x) over seeded 0/1 vectors;
+    - [Per_row]/[Top_k]: every estimate finite, non-negative and at most
+      the slacked upper bound of the statistic (ranked rows in bounds;
+      [nan] rows, uncovered by a degraded merge, pass).
 
     An answer whose shape the contract does not name fails
     [answer_shape]. *)
-
-val check_answer :
-  summary -> seed:int -> Matprod_engine.Engine.query ->
-  Matprod_engine.Engine.answer -> verdict
-(** {!check} for the engine's batch answers, specialised by the query
-    (the query carries the accuracy, so slacks adapt to it). An answer
-    of the wrong shape for its query fails [answer_shape]. *)
 
 (** {1 Corruption (the attack half)}
 
     The transform a {!Matprod_comm.Fault.check_byzantine} firing applies
     to the victim's decoded answer. Lives here rather than in [Fault]
-    because the comm layer cannot see {!Matprod_core.Estimator.comparable};
+    because the comm layer cannot see {!Matprod_core.Estimator.answer};
     the fleet composes the two at the answer boundary. *)
 
 val corrupt :
   Matprod_comm.Fault.byzantine_mode ->
   Matprod_util.Prng.t ->
-  Matprod_core.Estimator.comparable ->
-  Matprod_core.Estimator.comparable
+  Matprod_core.Estimator.answer ->
+  Matprod_core.Estimator.answer
 (** [Scale] multiplies magnitudes by 16 (shifts coordinates); [Sign_flip]
     negates values and indices; [Swap] transposes indexed shapes and
     inverts scalar magnitudes; [Garbage] replaces the payload with seeded
     out-of-range junk. Empty answers ([None] samples, empty sets) pass
     through unchanged — there is nothing to lie about. *)
 
-val corrupt_answer :
-  Matprod_comm.Fault.byzantine_mode ->
-  Matprod_util.Prng.t ->
-  Matprod_engine.Engine.answer ->
-  Matprod_engine.Engine.answer
-(** {!corrupt} on the engine's answer shapes. *)
-
 (** {1 Replica voting}
 
     How [r] independently-seeded answers to the same shard are reconciled.
-    The contract says what "agreement" means: an [Exact_count] must match
-    bit for bit, [Product_shares] must reconstruct the same product
-    (shares at different seeds split differently), [Approx] and
-    [Level_approx] answers agree up to the contract's ratio (the join
-    counts also within an additive spread), and heavy hitters and samples
-    are adjudicated per answer by {!check} — each is individually
-    provable, so replicas never vote each other out. *)
+    The contract says what "agreement" means: [Exact_count], [Per_row]
+    and [Top_k] answers must match bit for bit, [Product_shares] must
+    reconstruct the same product (shares at different seeds split
+    differently), [Approx] and [Level_approx] answers agree up to the
+    contract's ratio (the join counts also within an additive spread),
+    and heavy hitters and samples are adjudicated per answer by {!check}
+    — each is individually provable, so replicas never vote each other
+    out. *)
 
 type vote_result = {
   chosen : int;  (** replica index of the representative answer *)
-  chosen_answer : Matprod_core.Estimator.comparable;
+  chosen_answer : Matprod_core.Estimator.answer;
       (** the representative's original (uncanonicalised) answer *)
   agreed : int list;  (** the winning pairwise-consistent majority *)
   outvoted : (int * string) list;
@@ -138,9 +130,9 @@ type vote_result = {
 }
 
 val vote :
-  Matprod_core.Estimator.t ->
+  Matprod_core.Estimator.contract ->
   summary ->
-  (int * Matprod_core.Estimator.comparable) list ->
+  (int * Matprod_core.Estimator.answer) list ->
   vote_result option
 (** Reconcile the validator-passing replicas of one shard. Consistency is
     pairwise (never against a pooled center — the median of {v, 16v} at

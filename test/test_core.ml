@@ -1137,13 +1137,15 @@ let test_registry_verify_families () =
           if not (Float.is_finite ratio && ratio >= 1.0) then
             Alcotest.failf "%S votes with ratio %g" e.name ratio
       | Estimator.Exact_count _ | Estimator.Heavy_hitters _
-      | Estimator.L0_draw | Estimator.L1_draw | Estimator.Product_shares ->
+      | Estimator.L0_draw | Estimator.L1_draw | Estimator.Product_shares
+      | Estimator.Per_row _ | Estimator.Top_k _ ->
           ());
       match (e.contract, (Ctx.run ~seed:1 (fun ctx -> e.run ctx ~a ~b)).Ctx.output) with
-      | (Estimator.Exact_count _ | Estimator.Approx _), Estimator.Number _
+      | (Estimator.Exact_count _ | Estimator.Approx _), Estimator.Scalar _
       | Estimator.Level_approx _, Estimator.Leveled _
-      | Estimator.Heavy_hitters _, Estimator.Coords _
-      | (Estimator.L0_draw | Estimator.L1_draw), Estimator.Sample _
+      | Estimator.Heavy_hitters _, Estimator.Entry_set _
+      | Estimator.L0_draw, Estimator.L0_samples [| _ |]
+      | Estimator.L1_draw, Estimator.L1_samples [| _ |]
       | Estimator.Product_shares, Estimator.Shares _ ->
           ()
       | _ -> Alcotest.failf "%S answers a shape its contract does not name" e.name)

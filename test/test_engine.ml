@@ -27,6 +27,7 @@ module Journal = Matprod_comm.Journal
 module Metrics = Matprod_obs.Metrics
 module Trace = Matprod_obs.Trace
 module Outcome = Matprod_core.Outcome
+module Estimator = Matprod_core.Estimator
 module Engine = Matprod_engine.Engine
 
 let check = Alcotest.check
@@ -809,6 +810,65 @@ let test_sample_budget () =
       check Alcotest.int "one answer" 1 (Array.length r.Ctx.output.Engine.answers)
   | Error e -> Alcotest.failf "in-budget batch: %s" (Outcome.error_to_string e)
 
+(* A tiny accuracy would size a sketch past memory: such a query is a
+   typed precondition before anything is allocated or sent, while a zero
+   count (nothing to sketch) and the default accuracies still run. *)
+let test_sketch_budget () =
+  let a, b = gen_pair ~seed:3 ~n:32 in
+  let spec s = Result.get_ok (Engine.query_of_string s) in
+  let run s = Outcome.guard (fun () -> run_batch ~seed:3 ~a ~b [ spec s ]) in
+  List.iter
+    (fun s ->
+      match run s with
+      | Error (Outcome.Precondition _) -> ()
+      | Ok _ -> Alcotest.failf "%s ran past the sketch budget" s
+      | Error e -> Alcotest.failf "%s: wrong error %s" s (Outcome.error_to_string e))
+    [ "top:beta=0.0001,k=2"; "rows:beta=0.0001"; "l0:eps=0.0001";
+      "frob:eps=0.0001"; "norm:eps=0.00001" ];
+  List.iter
+    (fun s ->
+      match run s with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s" s (Outcome.error_to_string e))
+    [ "l0:eps=0.0001,count=0"; "top:k=3"; "rows:beta=0.5"; "l0:count=1";
+      "frob:eps=0.5"; "norm:eps=0.25" ]
+
+(* Each query kind's answer contract, pinned: the fleet verifies and
+   merges batch answers by these alone. *)
+let test_contracts () =
+  let pinned =
+    [
+      ( Engine.Norm_pow { p = 0.0; eps = 0.25 },
+        Estimator.Approx
+          { stat = Estimator.Norm0 { times = 1.0 }; slack = 3.0; ratio = 1.0 } );
+      ( Engine.Frob_norm { eps = 0.5 },
+        Estimator.Approx { stat = Estimator.Frob; slack = 8.0; ratio = 1.0 } );
+      ( Engine.Row_norms { p = 2.0; beta = 0.5 },
+        Estimator.Per_row { stat = Estimator.Frob; slack = 4.0 } );
+      ( Engine.Top_rows { p = 1.0; beta = 0.5; k = 3 },
+        Estimator.Top_k { stat = Estimator.Norm1; slack = 4.0; k = 3 } );
+      (Engine.L0_sample { eps = 0.5; count = 2 }, Estimator.L0_draw);
+      (Engine.L1_sample { count = 1 }, Estimator.L1_draw);
+      ( Engine.Heavy_hitters { phi = 0.2; eps = 0.1 },
+        Estimator.Heavy_hitters { phi = 0.2; eps = 0.1 } );
+      ( Engine.Linf { kappa = 4.0 },
+        Estimator.Approx
+          { stat = Estimator.Norm_inf { kappa = 4.0 }; slack = 2.0; ratio = 1.0 } );
+      (Engine.Exact_product, Estimator.Product_shares);
+    ]
+  in
+  List.iter
+    (fun (q, c) ->
+      check Alcotest.bool (Engine.query_to_string q) true (Engine.contract q = c))
+    pinned;
+  (* the middle and upper p bands of a norm query *)
+  check Alcotest.bool "norm p=1" true
+    (Engine.contract (Engine.Norm_pow { p = 1.0; eps = 0.5 })
+    = Estimator.Approx { stat = Estimator.Norm1; slack = 4.0; ratio = 1.0 });
+  check Alcotest.bool "norm p=2" true
+    (Engine.contract (Engine.Norm_pow { p = 2.0; eps = 0.5 })
+    = Estimator.Approx { stat = Estimator.Frob; slack = 8.0; ratio = 1.0 })
+
 let () =
   Alcotest.run "engine"
     [
@@ -841,6 +901,8 @@ let () =
           Alcotest.test_case "degenerate batches" `Quick test_edge_cases;
           Alcotest.test_case "query specs" `Quick test_query_specs;
           Alcotest.test_case "sample budget" `Quick test_sample_budget;
+          Alcotest.test_case "sketch budget" `Quick test_sketch_budget;
+          Alcotest.test_case "answer contracts" `Quick test_contracts;
         ] );
       ( "fused rounds",
         [

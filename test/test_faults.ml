@@ -65,7 +65,7 @@ let fault_kinds =
 (* The protocol gallery is the estimator registry: every driver the
    registry knows about runs its default query here, so adding a driver
    to Registry automatically enrolls it in the chaos sweep. Outputs are
-   already projected into Estimator.comparable, so a chaotic Ok can be
+   already projected into Estimator.answer, so a chaotic Ok can be
    checked equal to the fault-free baseline structurally. *)
 
 let protocols ~seed =
@@ -823,7 +823,7 @@ let test_byzantine_corruption_gallery () =
           let name = e.name in
           let summary = Verify.summarize ~a ~b in
           let honest = (Ctx.run ~seed (fun ctx -> e.run ctx ~a ~b)).Ctx.output in
-          (match Verify.check e summary ~seed honest with
+          (match Verify.check ~name e.contract summary ~seed honest with
           | Verify.Pass -> ()
           | Verify.Fail { invariant; detail } ->
               Alcotest.failf "%s seed %d: honest answer failed %s (%s)" name
@@ -833,13 +833,15 @@ let test_byzantine_corruption_gallery () =
               let g = Prng.create (1000 + (17 * i) + seed) in
               let corrupted = Verify.corrupt mode g honest in
               if corrupted <> honest then
-                match Verify.check e summary ~seed corrupted with
+                match Verify.check ~name e.contract summary ~seed corrupted with
                 | Verify.Fail _ -> incr check_detected
                 | Verify.Pass -> (
                     if mode = Fault.Garbage then
                       Alcotest.failf
                         "%s seed %d: garbage passed the validators" name seed;
-                    match Verify.vote e summary [ (0, honest); (1, corrupted) ] with
+                    match
+                      Verify.vote e.contract summary [ (0, honest); (1, corrupted) ]
+                    with
                     | Some v when v.Verify.outvoted = [] ->
                         (* within the family's own bound: not silent, just
                            an acceptable answer *)

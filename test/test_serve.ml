@@ -602,6 +602,24 @@ let test_serve_oversized_batch_refused () =
   let next = batch_answers (Client.batch cl ~id:2 ~pair:"g" ~specs:[ "l0:count=2" ]) in
   check Alcotest.int "next batch answered" 1 (List.length next.g_answers)
 
+(* A tiny accuracy would size a sketch past memory: the daemon refuses
+   the batch as this batch's error, counts it, and keeps the session. *)
+let test_serve_sketch_budget_refused () =
+  with_server () @@ fun srv ->
+  let cl = Client.connect ~port:(Server.port srv) ~session_seed:79 () in
+  Fun.protect ~finally:(fun () -> Client.quit cl) @@ fun () ->
+  (match Client.gen cl ~name:"g" ~n:32 ~density:0.25 ~seed:6 ~zipf:false with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  (match Client.batch cl ~id:1 ~pair:"g" ~specs:[ "top:beta=0.0001,k=2" ] with
+  | Error e ->
+      check Alcotest.bool "error names the batch" true
+        (String.starts_with ~prefix:"batch 1: " e)
+  | Ok _ -> Alcotest.fail "a batch past the sketch budget was answered");
+  check Alcotest.int "batch errors counted" 1 (Server.stats srv).Server.batch_errors;
+  let next = batch_answers (Client.batch cl ~id:2 ~pair:"g" ~specs:[ "top:k=2" ]) in
+  check Alcotest.int "next batch answered" 1 (List.length next.g_answers)
+
 (* A journal of another format version is not replayed: the daemon runs
    the batch fresh, paying every bit again. *)
 let test_serve_old_journal_runs_fresh () =
@@ -703,6 +721,8 @@ let () =
             test_serve_replay_mismatch_keeps_session;
           Alcotest.test_case "oversized batch refused" `Quick
             test_serve_oversized_batch_refused;
+          Alcotest.test_case "sketch budget refused" `Quick
+            test_serve_sketch_budget_refused;
           Alcotest.test_case "old journal version runs fresh" `Quick
             test_serve_old_journal_runs_fresh;
           Alcotest.test_case "loadgen digest" `Quick

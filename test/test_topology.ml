@@ -62,7 +62,7 @@ let bool_pair seed ~n ~density =
   ( Workload.uniform_bool rng ~rows:n ~cols:n ~density,
     Workload.uniform_bool rng ~rows:n ~cols:n ~density )
 
-let str c = Format.asprintf "%a" Estimator.pp_comparable c
+let str c = Format.asprintf "%a" Estimator.pp_answer c
 
 let with_tmp_journal name k =
   let path = Filename.temp_file ("matprod_fleet_" ^ name ^ "_") ".journal" in
@@ -363,18 +363,18 @@ let test_fleet_exact () =
   (match Fleet.run cfg (Option.get (Registry.find "l1_exact")) ~a ~b with
   | Ok rep -> (
       match rep.Fleet.answer with
-      | Outcome.Full (Estimator.Number x) ->
+      | Outcome.Full (Estimator.Scalar x) ->
           check (Alcotest.float 1e-9) "l1 exact over fleet" (float_of_int l1) x
-      | _ -> Alcotest.fail "expected Full Number")
+      | _ -> Alcotest.fail "expected Full Scalar")
   | Error e -> Alcotest.failf "l1_exact fleet: %s" (Outcome.error_to_string e));
   match Fleet.run cfg (Option.get (Registry.find "trivial")) ~a ~b with
   | Ok rep -> (
       match rep.Fleet.answer with
-      | Outcome.Full (Estimator.Number x) ->
+      | Outcome.Full (Estimator.Scalar x) ->
           check (Alcotest.float 1e-9) "l0 exact over fleet"
             (float_of_int (Product.nnz c))
             x
-      | _ -> Alcotest.fail "expected Full Number")
+      | _ -> Alcotest.fail "expected Full Scalar")
   | Error e -> Alcotest.failf "trivial fleet: %s" (Outcome.error_to_string e)
 
 (* The full gallery: every registered estimator answers over a clean
@@ -414,7 +414,7 @@ let test_quorum_equivalence () =
       List.iter
         (fun victim ->
           let expected =
-            Merge.merge est ~seed:7
+            Merge.merge ~seed:7 ~rows:17 est.contract
               (List.filter_map
                  (fun (l : Fleet.link_report) ->
                    if l.Fleet.rank = victim then None
@@ -536,7 +536,7 @@ let test_byzantine_gallery () =
       ~seed:7 ()
   in
   let consistent est summary x y =
-    match Verify.vote est summary [ (0, x); (1, y) ] with
+    match Verify.vote est.Estimator.contract summary [ (0, x); (1, y) ] with
     | Some v -> v.Verify.outvoted = []
     | None -> false
   in
@@ -808,7 +808,7 @@ let test_batch_replica_vote () =
     (chaos_ranks ~workers)
 
 (* The validators alone, no replicas: a garbage liar is quarantined by the
-   first failing [Verify.check_answer], its shard is lost, and the
+   first failing [Verify.check], its shard is lost, and the
    (k-1)-quorum answers Degraded. *)
 let test_batch_verify_quarantine () =
   let a, b = bool_pair 91 ~n:16 ~density:0.35 in
@@ -833,13 +833,16 @@ let test_batch_verify_quarantine () =
                (Fault.byzantine_only ~seed:(91 * (victim + 1))
                   ~mode:Fault.Garbage ()))
         in
-        let lie = Array.map (Verify.corrupt_answer mode g) honest in
+        let lie = Array.map (Verify.corrupt mode g) honest in
         let summary =
           Verify.summarize ~a:(Shard.slice a range) ~b
         in
         List.find_map
           (fun (qi, q) ->
-            match Verify.check_answer summary ~seed:7 q lie.(qi) with
+            match
+              Verify.check ~name:"engine" (Engine.contract q) summary ~seed:7
+                lie.(qi)
+            with
             | Verify.Pass -> None
             | Verify.Fail { invariant; detail } -> Some (invariant, detail))
           (List.mapi (fun qi q -> (qi, q)) batch_queries)
@@ -871,18 +874,47 @@ let test_batch_verify_quarantine () =
       | _ -> Alcotest.failf "%s: liar link not quarantined" label)
     (chaos_ranks ~workers)
 
-(* An answer of the wrong shape for its query fails verification, so the
-   replica is quarantined instead of breaking the merge. *)
-let test_check_answer_shape () =
+(* An answer of the wrong shape for its query's contract fails
+   verification, so the replica is quarantined instead of breaking the
+   merge. *)
+let test_check_shape () =
   let a, b = bool_pair 92 ~n:8 ~density:0.35 in
   match
-    Verify.check_answer (Verify.summarize ~a ~b) ~seed:7
-      (Engine.Norm_pow { p = 1.0; eps = 0.25 })
-      (Engine.Vector [| 1.0 |])
+    Verify.check ~name:"engine"
+      (Engine.contract (Engine.Norm_pow { p = 1.0; eps = 0.25 }))
+      (Verify.summarize ~a ~b) ~seed:7 (Engine.Vector [| 1.0 |])
   with
   | Verify.Fail { invariant; _ } ->
       check Alcotest.string "invariant" "answer_shape" invariant
   | Verify.Pass -> Alcotest.fail "a vector answer to a scalar query passed"
+
+(* ||C||_inf merges by the max over the parts, starting from the first,
+   for the registry's linf_general and the engine's Linf alike: parts
+   that are all negative (only an unverified liar sends them) merge to
+   their largest, never to 0. *)
+let test_linf_merge_negative () =
+  let parts =
+    List.mapi
+      (fun rank x ->
+        {
+          Merge.rank;
+          range = { Shard.offset = 4 * rank; length = 4 };
+          value = Estimator.Scalar x;
+        })
+      [ -3.0; -2.0; -5.0 ]
+  in
+  let linf_general = Option.get (Registry.find "linf_general") in
+  let linf = Engine.Linf { kappa = 2.0 } in
+  let merged c = Merge.merge ~seed:7 ~rows:12 c parts in
+  check Alcotest.string "linf_general" "-2"
+    (str (merged linf_general.Estimator.contract));
+  check Alcotest.string "engine linf" "-2" (str (merged (Engine.contract linf)));
+  match
+    Merge.merge_batch ~seed:7 ~rows:12 [ linf ]
+      (List.map (fun p -> { p with Merge.value = [| p.Merge.value |] }) parts)
+  with
+  | [| answer |] -> check Alcotest.string "engine batch" "-2" (str answer)
+  | _ -> Alcotest.fail "one query, one merged answer"
 
 (* (k-1)-quorum for batches: a permanently crashed worker leaves a
    Degraded answer equal to the merge of the full run's surviving link
@@ -988,8 +1020,10 @@ let () =
           Alcotest.test_case "replica vote" `Quick test_batch_replica_vote;
           Alcotest.test_case "verify quarantine" `Quick
             test_batch_verify_quarantine;
-          Alcotest.test_case "check_answer rejects a wrong shape" `Quick
-            test_check_answer_shape;
+          Alcotest.test_case "check rejects a wrong shape" `Quick
+            test_check_shape;
+          Alcotest.test_case "linf merges negative parts by max" `Quick
+            test_linf_merge_negative;
           Alcotest.test_case "quorum equivalence" `Quick
             test_batch_quorum_equivalence;
           Alcotest.test_case "ambiguous vote blame" `Quick
