@@ -57,13 +57,7 @@ val to_string : t -> string
 (** Canonical form: keys in a fixed order, defaults omitted.
     [parse (to_string spec) = Ok spec]. *)
 
-val kind_to_string : kind -> string
-
 (** {1 Lowering to fault models} *)
-
-val byte_rules : t -> Fault.rule list
-(** The [drop]/[corrupt]/[truncate]/[duplicate]/[delay] clauses as
-    channel fault rules, in spec order (first match wins). *)
 
 val crashes : ?scope_worker:int -> t -> Fault.crash list
 (** Two-party crash events. With [?scope_worker], only clauses whose

@@ -75,6 +75,3 @@ val read_frame : Unix.file_descr -> string
 (** Blocking: read one full frame, return its payload (context frame, if
     any, is dropped). Raises [End_of_file] on a cleanly closed peer and
     {!Frame_error} on a torn or corrupt frame. *)
-
-val read_frame_ctx : Unix.file_descr -> string * string option
-(** {!read_frame}, also surfacing the raw telemetry context frame. *)

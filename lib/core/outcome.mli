@@ -64,7 +64,6 @@ val degradation :
 
 val graded_value : 'a graded -> 'a
 val is_degraded : 'a graded -> bool
-val degradation_to_string : degradation -> string
 
 val pp_graded :
   (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a graded -> unit

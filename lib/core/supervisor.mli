@@ -33,10 +33,9 @@ type policy = {
   max_reseeds : int;  (** fresh-seed full reruns after resumes run out *)
 }
 
-val default_policy : policy
-(** 2 resumes, 1 reseed. *)
-
 val policy : ?max_resumes:int -> ?max_reseeds:int -> unit -> policy
+(** Defaults: 2 resumes, 1 reseed; {!run} uses them when given no
+    [?policy]. *)
 
 (** Which rung produced an attempt. *)
 type rung =

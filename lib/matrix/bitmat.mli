@@ -23,13 +23,10 @@ val to_bmat : t -> Bmat.t
 
 val nnz : t -> int
 
-val row_intersection : t -> int -> t -> int -> int
-(** [row_intersection x i y j] = |{k : x_{i,k} = 1 ∧ y_{j,k} = 1}|.
-    Requires cols x = cols y. *)
-
 val product_entry : a:t -> bt:t -> int -> int -> int
-(** (A·B)_{i,j} given A and Bᵀ both packed row-major:
-    [product_entry ~a ~bt i j = row_intersection a i bt j]. *)
+(** (A·B)_{i,j} given A and Bᵀ both packed row-major: the size of the
+    intersection of row [i] of [a] and row [j] of [bt]. Requires
+    cols a = cols bt. *)
 
 val product_linf : a:t -> bt:t -> int
 (** max_{i,j} (A·B)_{i,j} by a full packed sweep — O(rows_a·rows_bt·cols/62)

@@ -31,9 +31,6 @@ type result = {
 
 val ok : result -> bool
 
-val classify : string -> tolerance
-(** The default tolerance for a metric key. *)
-
 val compare_docs :
   ?overrides:(string * tolerance) list ->
   baseline:Json.t ->

@@ -55,10 +55,6 @@ val with_trace : seed:int -> (unit -> 'a) -> 'a
     restores the previous trace id on exit (exception-safe). A no-op when
     tracing is disabled. *)
 
-val current_context : unit -> context
-(** Trace id plus the stable id of the innermost open span ([0L] at top
-    level). *)
-
 val context_frame_length : int
 (** Byte length of a serialized context frame (18). *)
 

@@ -29,7 +29,4 @@ val sample : t -> state -> (int * int) option
 (** [Some (i, x_i)] for a (near-)uniform nonzero coordinate; [None] if the
     vector is zero or recovery failed at every candidate level. *)
 
-val estimate_l0 : t -> state -> float
-(** The embedded ℓ0 estimate (coarse, factor ~1.25). *)
-
 val wire : t -> state Matprod_comm.Codec.t

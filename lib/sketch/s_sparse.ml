@@ -8,7 +8,6 @@ let c_cells = Metrics.counter "sketch_cells_touched"
 let h_build = Metrics.histogram ~label:"s_sparse" "sketch_build_ns"
 
 type t = {
-  s : int;
   reps : int;
   buckets : int;
   spec : One_sparse.spec;
@@ -21,9 +20,8 @@ let create rng ~s ~reps =
   if s < 1 || reps < 1 then invalid_arg "S_sparse.create: parameters";
   (* Bucket hashes draw before the fingerprints; the order fixes the coins. *)
   let hashes = Array.init reps (fun _ -> Hashing.create rng ~k:2) in
-  { s; reps; buckets = 2 * s; spec = One_sparse.spec rng; hashes }
+  { reps; buckets = 2 * s; spec = One_sparse.spec rng; hashes }
 
-let sparsity t = t.s
 let cells t = t.reps * t.buckets
 let fresh t = Array.make (One_sparse.words * cells t) 0
 

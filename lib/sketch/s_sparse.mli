@@ -23,7 +23,6 @@ type state = int array
 val create : Matprod_util.Prng.t -> s:int -> reps:int -> t
 (** [s ≥ 1] sparsity budget; [reps] repetitions (3–4 typical). *)
 
-val sparsity : t -> int
 val cells : t -> int
 (** Total number of 1-sparse cells. *)
 

@@ -32,16 +32,22 @@ type config = {
   transport : Matprod_comm.Transport.factory option;
 }
 
+let check ?quorum ?(replicas = 1) ~workers () =
+  let quorum = Option.value quorum ~default:workers in
+  if workers < 1 then Error "workers must be >= 1"
+  else if replicas < 1 || replicas > 16 then
+    Error "replicas must be in [1, 16]"
+  else if quorum < 1 || quorum > workers then
+    Error "quorum must be in [1, workers]"
+  else Ok quorum
+
 let config ?quorum ?(replicas = 1) ?(verify = false)
     ?(link_policy = default_link_policy) ?journal ?transport ~workers ~seed
     () =
-  if workers < 1 then invalid_arg "Fleet.config: workers must be >= 1";
-  if replicas < 1 || replicas > 16 then
-    invalid_arg "Fleet.config: replicas must be in [1, 16]";
-  let quorum = Option.value quorum ~default:workers in
-  if quorum < 1 || quorum > workers then
-    invalid_arg "Fleet.config: quorum must be in [1, workers]";
-  { workers; quorum; seed; replicas; verify; link_policy; journal; transport }
+  match check ?quorum ~replicas ~workers () with
+  | Error msg -> invalid_arg ("Fleet.config: " ^ msg)
+  | Ok quorum ->
+      { workers; quorum; seed; replicas; verify; link_policy; journal; transport }
 
 (* Replica 0 runs at the fleet seed — a replicas = 1 fleet is bit-identical
    to the pre-replica fleet. Higher replicas derive independent seeds from

@@ -87,6 +87,13 @@ type config = {
           its own connection through it. [None] = {!Matprod_comm.Transport.sim} *)
 }
 
+val check :
+  ?quorum:int -> ?replicas:int -> workers:int -> unit -> (int, string) result
+(** The bounds {!config} enforces: [workers >= 1], [replicas] (default 1)
+    in [1, 16] and [quorum] (default [workers]) in [1, workers]. [Ok] the
+    resolved quorum, or [Error] naming the first bound broken, e.g.
+    ["replicas must be in [1, 16]"]. *)
+
 val config :
   ?quorum:int ->
   ?replicas:int ->
@@ -99,13 +106,7 @@ val config :
   unit ->
   config
 (** [quorum] defaults to [workers] (no degraded answers), [replicas] to 1,
-    [verify] to [false]. Raises [Invalid_argument] on [workers < 1],
-    [quorum] outside [1, workers], or [replicas] outside [1, 16]. *)
-
-val replica_seed : config -> rank:int -> replica:int -> int
-(** The seed link [(rank, replica)] runs at: the fleet seed for replica 0,
-    an independent derivation of (seed, rank, replica) above — the wire
-    hook and tests use it to predict per-replica behaviour. *)
+    [verify] to [false]. Raises [Invalid_argument] when {!check} fails. *)
 
 type link_report = {
   rank : int;

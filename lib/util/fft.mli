@@ -5,8 +5,6 @@
     circular convolution of the two vector sketches, computed in
     O(b log b) with an FFT. Sizes must be powers of two. *)
 
-val is_power_of_two : int -> bool
-
 val fft : re:float array -> im:float array -> unit
 (** In-place forward transform; [re] and [im] must have equal power-of-two
     length. *)

@@ -58,10 +58,6 @@ let tabulate_buckets t ~buckets ~dim =
   if buckets <= 0 then invalid_arg "Hashing.tabulate_buckets: buckets";
   Array.init dim (fun key -> bucket t ~buckets key)
 
-let tabulate_signs t ~dim =
-  check_dim "tabulate_signs" dim;
-  Array.init dim (fun key -> sign t key)
-
 let tabulate_sign_floats t ~dim =
   check_dim "tabulate_sign_floats" dim;
   Array.init dim (fun key -> float_of_int (sign t key))
@@ -69,7 +65,3 @@ let tabulate_sign_floats t ~dim =
 let tabulate_field_coeffs t ~dim =
   check_dim "tabulate_field_coeffs" dim;
   Array.init dim (fun key -> field_coeff t key)
-
-let tabulate_float01 t ~dim =
-  check_dim "tabulate_float01" dim;
-  Array.init dim (fun key -> float01 t key)

@@ -52,15 +52,10 @@ val float01 : t -> int -> float
 val tabulate_buckets : t -> buckets:int -> dim:int -> int array
 (** [(tabulate_buckets h ~buckets ~dim).(key) = bucket h ~buckets key]. *)
 
-val tabulate_signs : t -> dim:int -> int array
-(** [(tabulate_signs h ~dim).(key) = sign h key] (±1). *)
-
 val tabulate_sign_floats : t -> dim:int -> float array
-(** Same as {!tabulate_signs} but as ±1.0 floats, ready for multiply–add
-    inner loops with no int→float conversion per entry. *)
+(** [(tabulate_sign_floats h ~dim).(key) = float_of_int (sign h key)]
+    (±1.0), ready for multiply–add inner loops with no int→float
+    conversion per entry. *)
 
 val tabulate_field_coeffs : t -> dim:int -> int array
 (** [(tabulate_field_coeffs h ~dim).(key) = field_coeff h key]. *)
-
-val tabulate_float01 : t -> dim:int -> float array
-(** [(tabulate_float01 h ~dim).(key) = float01 h key]. *)
