@@ -85,10 +85,8 @@ let families ~rows =
   let ams_dst = Ams.empty ams in
   let l0 = L0_sketch.create (Prng.create 3) ~eps:0.2 ~groups:3 ~dim in
   let l0_plan = L0_sketch.plan l0 ~dim in
-  let l0_dst = L0_sketch.empty l0 in
   let lp = Lp.create (Prng.create 4) ~p:0.0 ~eps:0.2 ~groups:3 ~dim in
   let lp_plan = Lp.plan lp ~dim in
-  let lp_dst = Lp.empty lp in
   let stable = Stable_sketch.create (Prng.create 5) ~p:1.0 ~eps:0.2 ~groups:5 in
   let stable_plan = Stable_sketch.plan stable ~dim in
   let stable_dst = Stable_sketch.empty stable in
@@ -115,14 +113,14 @@ let families ~rows =
       gate_full = Some 3.0;
       gate_quick = Some 2.0;
       seed_path = (fun r -> ignore (L0_sketch.sketch l0 vecs.(r)));
-      planned_path = (fun r -> L0_sketch.sketch_into l0 l0_plan ~dst:l0_dst vecs.(r));
+      planned_path = (fun r -> ignore (L0_sketch.sketch_with_plan l0 l0_plan vecs.(r)));
     };
     {
       name = "lp (p=0)";
       gate_full = Some 3.0;
       gate_quick = Some 2.0;
       seed_path = (fun r -> ignore (Lp.sketch lp vecs.(r)));
-      planned_path = (fun r -> Lp.sketch_into lp lp_plan ~dst:lp_dst vecs.(r));
+      planned_path = (fun r -> ignore (Lp.sketch_with_plan lp lp_plan vecs.(r)));
     };
     (* The stable seed path already amortises entry generation through a
        lazy column cache, so its planned win is the 4-key batched

@@ -104,15 +104,14 @@ let bench_planned =
   let ams_vec = mk_vec 2 64 in
   let l0 = L0_sketch.create (Prng.create 5) ~eps:0.2 ~groups:3 ~dim in
   let l0_plan = L0_sketch.plan l0 ~dim in
-  let l0_dst = L0_sketch.empty l0 in
   let l0_vec = mk_vec 6 64 in
   [
     Test.make ~name:"countsketch: sketch_into, planned"
       (Staged.stage (fun () -> Countsketch.sketch_into cs cs_plan ~dst:cs_dst cs_vec));
     Test.make ~name:"ams: sketch_into, planned (eps=0.2)"
       (Staged.stage (fun () -> Ams.sketch_into ams ams_plan ~dst:ams_dst ams_vec));
-    Test.make ~name:"l0 sketch: sketch_into, planned"
-      (Staged.stage (fun () -> L0_sketch.sketch_into l0 l0_plan ~dst:l0_dst l0_vec));
+    Test.make ~name:"l0 sketch: sketch_with_plan"
+      (Staged.stage (fun () -> ignore (L0_sketch.sketch_with_plan l0 l0_plan l0_vec)));
   ]
 
 let bench_s_sparse_decode =
@@ -166,8 +165,10 @@ let bench_obs_overhead =
 
 (* The wire path on the perfbench pair (96x96 boolean, density 0.05,
    seed 1): the word-at-a-time codecs against the generic [array]
-   compositions they replaced (same bytes), and the sparse combine
-   against the dense combine-then-estimate, both over one whole message. *)
+   compositions they replaced (same bytes), the ℓ0 message from its
+   nonzero cells against the dense arrays, the sparse combine against
+   merging states with add_scaled, and one link's whole ℓ0-sampling
+   exchange. *)
 let bench_wire_path =
   let module Codec = Matprod_comm.Codec in
   let module Imat = Matprod_matrix.Imat in
@@ -192,6 +193,16 @@ let bench_wire_path =
         | Lp.Z _ -> assert false)
   in
   let roundtrip codec v = Codec.decode codec (Codec.encode codec v) in
+  (* The same message as dense arrays, for the dense codecs. *)
+  let l0_dense =
+    Array.map
+      (fun (s : Codec.sparse) ->
+        let a = Array.make s.length 0 in
+        Array.iteri (fun k c -> a.(c) <- s.values.(k)) s.cells;
+        a)
+      l0_msg
+  in
+  let sparse_fast = Codec.array Codec.sparse_uint_array in
   let uint_fast = Codec.array Codec.uint_array in
   let uint_generic = Codec.array (Codec.array Codec.uint) in
   let f32_fast = Codec.array Codec.float32_array in
@@ -199,18 +210,31 @@ let bench_wire_path =
   (* The p=0 lp group: Alice estimates every row of A·B from B's sketches. *)
   let lp0 = Lp.create (Prng.create 4) ~p:0.0 ~eps:0.5 ~groups:5 ~dim:n in
   let lp0_msg = Array.init n (fun k -> Lp.sketch lp0 (Imat.row b k)) in
-  let dense_row i =
-    let acc = Lp.empty lp0 in
-    Array.iter
-      (fun (k, c) -> Lp.add_scaled lp0 ~dst:acc ~coeff:c lp0_msg.(k))
-      (Imat.row a i);
-    Lp.estimate_pow lp0 acc
+  let merged_row i =
+    Lp.estimate_pow lp0
+      (Array.fold_left
+         (fun acc (k, c) -> Lp.add_scaled lp0 acc ~coeff:c lp0_msg.(k))
+         (Lp.empty lp0) (Imat.row a i))
+  in
+  (* One fleet link's Theorem 3.2 exchange, end to end: the column
+     sketches and one sampler per column of a 24x96 share of A built,
+     encoded, decoded, combined over B's columns, and one pair drawn. *)
+  let link_a = Imat.of_bmat (Workload.uniform_bool (Prng.create 6) ~rows:24 ~cols:n ~density:0.05) in
+  let l0_exchange () =
+    Matprod_comm.Ctx.run ~seed:7 (fun ctx ->
+        Matprod_core.L0_sampling.run_many ctx
+          (Matprod_core.L0_sampling.default_params ~eps:0.25)
+          ~count:1 ~a:link_a ~b)
   in
   [
+    Test.make ~name:"codec: l0 message 96x4032, sparse_uint_array"
+      (Staged.stage (fun () -> ignore (roundtrip sparse_fast l0_msg)));
     Test.make ~name:"codec: l0 message 96x4032, uint_array"
-      (Staged.stage (fun () -> ignore (roundtrip uint_fast l0_msg)));
+      (Staged.stage (fun () -> ignore (roundtrip uint_fast l0_dense)));
     Test.make ~name:"codec: l0 message 96x4032, array uint"
-      (Staged.stage (fun () -> ignore (roundtrip uint_generic l0_msg)));
+      (Staged.stage (fun () -> ignore (roundtrip uint_generic l0_dense)));
+    Test.make ~name:"l0 sampling: one link's exchange, 24x96 share"
+      (Staged.stage (fun () -> ignore (l0_exchange ())));
     Test.make ~name:"codec: stable message, float32_array"
       (Staged.stage (fun () -> ignore (roundtrip f32_fast f32_msg)));
     Test.make ~name:"codec: stable message, array float32"
@@ -220,8 +244,8 @@ let bench_wire_path =
            let comb = Lp.combiner lp0 lp0_msg in
            ignore
              (Array.init n (fun i -> Lp.estimate_combination comb (Imat.row a i)))));
-    Test.make ~name:"lp p=0: 96 rows, combine + estimate_pow"
-      (Staged.stage (fun () -> ignore (Array.init n dense_row)));
+    Test.make ~name:"lp p=0: 96 rows, add_scaled + estimate_pow"
+      (Staged.stage (fun () -> ignore (Array.init n merged_row)));
   ]
 
 (* Theorem 3.2's sampler message on one fleet link, built, encoded and

@@ -5,10 +5,7 @@
    prediction score.
 
      - ||C||_1  = total number of cross-network 2-paths (Remark 2, exact);
-     - ||C||_inf = the strongest pair (Algorithm 2);
-     - lp-sampling (p = 2) = a pair drawn proportionally to score^2, a
-       useful importance sample for training link predictors (extension
-       module, beyond the paper).
+     - ||C||_inf = the strongest pair (Algorithm 2).
 
    Run with:  dune exec examples/common_neighbors.exe *)
 
@@ -53,21 +50,4 @@ let () =
   in
   Printf.printf "max common-neighb. : >= %.0f (exact %d), %d bytes\n"
     top.Ctx.output.Matprod_core.Linf_binary.estimate (Product.linf c)
-    (top.Ctx.bits / 8);
-
-  (* Importance samples for a link-prediction training set. *)
-  Printf.printf "\nl2^2-importance samples (pair, score):\n";
-  for seed = 1 to 5 do
-    match
-      (Ctx.run ~seed:(100 + seed) (fun ctx ->
-           Matprod_core.Lp_sampling.run ctx
-             (Matprod_core.Lp_sampling.default_params ~eps:0.3 ())
-             ~a:(Imat.of_bmat graph_a) ~b:(Imat.of_bmat graph_b)))
-        .Ctx.output
-    with
-    | Some s ->
-        Printf.printf "  (%3d, %3d)  %d common neighbors\n"
-          s.Matprod_core.Lp_sampling.row s.Matprod_core.Lp_sampling.col
-          s.Matprod_core.Lp_sampling.value
-    | None -> Printf.printf "  (no sample)\n"
-  done
+    (top.Ctx.bits / 8)

@@ -390,30 +390,99 @@ let bytes =
         r);
   }
 
-(* Counter arrays as (length, nnz, (gap, value) pairs). Encode writes the
-   pairs to a side buffer in one pass over the dense array, then the
-   header and the pairs; decode collects the pairs into two arrays sized
-   by the checked count and allocates the dense array only once every
-   pair has been checked, so a bad stream never allocates more than its
-   own length plus the dense length its caller accepted. *)
+(* --- sparse sources ------------------------------------------------------
 
-(* Writes the nonzero cells of [a] to [pairs] and returns their count and
-   the bytes their values take beyond one each — what [uint_array] spends
-   on [a] above one byte per cell. *)
-let scan_pairs pairs a =
-  let n = Array.length a in
-  let nnz = ref 0 and wide = ref 0 and prev = ref (-1) in
+   Mostly-zero arrays travel through the codecs below as their nonzero
+   cells only. The bytes are those the dense array would encode to, so
+   the sparse form is invisible on the wire, and a decode allocates in
+   proportion to the nonzero cells, never to the dense length. *)
+
+type sparse = { length : int; cells : int array; values : int array }
+
+(* Nonzero cells met by a decode, in ascending order; [cap] bounds them. *)
+type found = { mutable n : int; mutable idx : int array; mutable vals : int array }
+
+let found cap = { n = 0; idx = Array.make cap 0; vals = Array.make cap 0 }
+
+let push f i v =
+  if f.n = Array.length f.idx then begin
+    let grow a = Array.append a (Array.make (max 8 f.n) 0) in
+    f.idx <- grow f.idx;
+    f.vals <- grow f.vals
+  end;
+  Array.unsafe_set f.idx f.n i;
+  Array.unsafe_set f.vals f.n v;
+  f.n <- f.n + 1
+
+let to_sparse length f =
+  { length; cells = Array.sub f.idx 0 f.n; values = Array.sub f.vals 0 f.n }
+
+(* [enc_uint_array]'s bytes for the dense array [s] stands for: each gap
+   before a nonzero cell is a run of zero bytes. *)
+let enc_sparse_uint_array b s =
+  enc_uvarint b s.length;
+  let next = ref 0 in
+  for k = 0 to Array.length s.cells - 1 do
+    let c = Array.unsafe_get s.cells k and v = Array.unsafe_get s.values k in
+    add_zeros b (c - !next);
+    if v > 0 && v < 0x80 then Buffer.add_char b (Char.unsafe_chr v)
+    else enc_uvarint b v;
+    next := c + 1
+  done;
+  add_zeros b (s.length - !next)
+
+(* [dec_uint_cells] keeping only the nonzero cells: zero bytes are
+   skipped eight at a time, and nothing is allocated per zero cell. *)
+let dec_sparse_uint_cells s pos n =
+  let f = found 8 in
+  let len = String.length s in
   let i = ref 0 in
   while !i < n do
-    while !i < n && Array.unsafe_get a !i = 0 do incr i done;
-    if !i < n then begin
-      enc_uvarint pairs (!i - !prev - 1);
-      let before = Buffer.length pairs in
-      enc_uvarint pairs (Array.unsafe_get a !i);
-      wide := !wide + Buffer.length pairs - before - 1;
-      prev := !i;
-      incr nnz;
+    let p = !pos in
+    if !i + 8 <= n && p + 8 <= len && String.get_int64_le s p = 0L then begin
+      i := !i + 8;
+      pos := p + 8
+    end
+    else begin
+      let v =
+        if p < len && String.unsafe_get s p < '\x80' then begin
+          pos := p + 1;
+          Char.code (String.unsafe_get s p)
+        end
+        else dec_unonneg s pos
+      in
+      if v <> 0 then push f !i v;
       incr i
+    end
+  done;
+  to_sparse n f
+
+let sparse_uint_array =
+  {
+    enc = enc_sparse_uint_array;
+    dec =
+      (fun s pos -> dec_sparse_uint_cells s pos (dec_count s pos "Codec.array"));
+  }
+
+(* Counter arrays as (length, nnz, (gap, value) pairs). Encode writes the
+   pairs to a side buffer, then the header and the pairs; decode checks
+   every pair against the dense length its caller accepted. *)
+
+(* Writes the nonzero cells of [s] to [pairs] and returns their count and
+   the bytes their values take beyond one each — what [uint_array] spends
+   on the dense array above one byte per cell. *)
+let scan_pairs pairs s =
+  let nnz = ref 0 and wide = ref 0 and prev = ref (-1) in
+  for k = 0 to Array.length s.cells - 1 do
+    let v = Array.unsafe_get s.values k in
+    if v <> 0 then begin
+      let c = Array.unsafe_get s.cells k in
+      enc_uvarint pairs (c - !prev - 1);
+      let before = Buffer.length pairs in
+      enc_uvarint pairs v;
+      wide := !wide + Buffer.length pairs - before - 1;
+      prev := c;
+      incr nnz
     end
   done;
   (!nnz, !wide)
@@ -426,31 +495,26 @@ let enc_pairs b ~len ~nnz pairs =
 (* The (nnz, pairs) after a dense length [len] the caller has accepted. *)
 let dec_pairs what s pos len =
   let n = dec_count s pos what in
-  let idx = Array.make n 0 and vals = Array.make n 0 in
+  let f = found n in
   let prev = ref (-1) in
-  for k = 0 to n - 1 do
+  for _ = 1 to n do
     let d = dec_unonneg s pos in
     let v = dec_unonneg s pos in
     prev := !prev + 1 + d;
     if !prev < 0 || !prev >= len then
       dec_fail (what ^ ": index beyond dense length");
-    idx.(k) <- !prev;
-    vals.(k) <- v
+    if v <> 0 then push f !prev v
   done;
-  let a = Array.make len 0 in
-  for k = 0 to n - 1 do
-    a.(idx.(k)) <- vals.(k)
-  done;
-  a
+  to_sparse len f
 
 let bounded_counter_array ~max_length =
   let what = "Codec.bounded_counter_array" in
   {
     enc =
-      (fun b a ->
+      (fun b s ->
         let pairs = Buffer.create 64 in
-        let nnz, _ = scan_pairs pairs a in
-        enc_pairs b ~len:(Array.length a) ~nnz pairs);
+        let nnz, _ = scan_pairs pairs s in
+        enc_pairs b ~len:s.length ~nnz pairs);
     dec =
       (fun s pos ->
         let len = dec_unonneg s pos in
@@ -468,17 +532,17 @@ let shorter_uint_array ~length =
   let check n = if n <> length then dec_fail (what ^ ": length mismatch") in
   {
     enc =
-      (fun b a ->
-        if Array.length a <> length then invalid_arg (what ^ ": length");
+      (fun b s ->
+        if s.length <> length then invalid_arg (what ^ ": length");
         let pairs = Buffer.create 64 in
-        let nnz, wide = scan_pairs pairs a in
+        let nnz, wide = scan_pairs pairs s in
         if varint_len nnz + Buffer.length pairs < length + wide then begin
           Buffer.add_char b '\001';
           enc_pairs b ~len:length ~nnz pairs
         end
         else begin
           Buffer.add_char b '\000';
-          enc_uint_array b a
+          enc_sparse_uint_array b s
         end);
     dec =
       (fun s pos ->
@@ -486,7 +550,7 @@ let shorter_uint_array ~length =
         | 0 ->
             let n = dec_count s pos what in
             check n;
-            dec_uint_cells s pos n
+            dec_sparse_uint_cells s pos n
         | 1 ->
             let n = dec_unonneg s pos in
             check n;

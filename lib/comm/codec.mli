@@ -79,21 +79,35 @@ val float32_array : float array t
 val bytes : string t
 (** Length-prefixed raw bytes — for bit-packed payloads. *)
 
-val bounded_counter_array : max_length:int -> int array t
+(** {1 Sparse sources} — mostly-zero arrays by their nonzero cells. Each
+    codec below writes exactly the bytes its dense counterpart writes for
+    the dense array, and decodes to the nonzero cells of the array that
+    counterpart would return, with the same {!Decode_error} text; nothing
+    is allocated per zero cell. *)
+
+type sparse = { length : int; cells : int array; values : int array }
+(** The array of [length] cells that is [values.(k)] at [cells.(k)] and 0
+    elsewhere. [cells] is strictly ascending in [[0, length)] and every
+    value is nonzero: every state a codec decodes, and every state the
+    sketches build, has this form. Encoders skip a zero value. *)
+
+val sparse_uint_array : sparse t
+(** Byte for byte {!uint_array} of the dense array. *)
+
+val bounded_counter_array : max_length:int -> sparse t
 (** Non-negative counter arrays that are often mostly zero (sketch
     states), encoded as (length, nonzero count, (gap, value) pairs): ~2
     bytes per nonzero entry plus a small header. Decoding rejects dense
-    lengths above [max_length] before allocating. *)
+    lengths above [max_length]. *)
 
-val shorter_uint_array : length:int -> int array t
+val shorter_uint_array : length:int -> sparse t
 (** Arrays of exactly [length] non-negative values, each in the shorter
     of two forms behind a one-byte tag: 0 then the {!uint_array} bytes,
     or 1 then the {!bounded_counter_array} bytes when those are strictly
     shorter. So an encoding is never longer than {!uint_array}'s plus one
     byte. Encoding raises [Invalid_argument] on an array of another
     length; decoding raises {!Decode_error} on a declared length other
-    than [length] (before allocating), an unknown tag, or any error of
-    the chosen form, and allocates at most [length] cells. *)
+    than [length], an unknown tag, or any error of the chosen form. *)
 
 val map : ('a -> 'b) -> ('b -> 'a) -> 'b t -> 'a t
 (** [map to_wire of_wire codec] transports a codec across an isomorphism. *)

@@ -76,12 +76,12 @@ let run_many ctx prm ~count ~a ~b =
         done;
         let j = !j in
         let smp = samplers.(t) in
-        let combined = L0_sampler.fresh smp in
-        Array.iter
-          (fun (k, v) ->
-            L0_sampler.add_scaled smp ~dst:combined ~coeff:v
-              sampler_states.(t).(k))
-          (Imat.row bt j);
+        let combined =
+          Array.fold_left
+            (fun acc (k, v) ->
+              L0_sampler.add_scaled smp acc ~coeff:v sampler_states.(t).(k))
+            (L0_sampler.fresh smp) (Imat.row bt j)
+        in
         match L0_sampler.sample smp combined with
         | None -> None
         | Some (i, v) -> Some { row = i; col = j; value = v }

@@ -2,6 +2,9 @@ module Prng = Matprod_util.Prng
 module Hashing = Matprod_util.Hashing
 module Stats = Matprod_util.Stats
 module Codec = Matprod_comm.Codec
+module Metrics = Matprod_obs.Metrics
+
+let h_build = Metrics.histogram ~label:"l0_sampler" "sketch_build_ns"
 
 type t = {
   dim : int;
@@ -12,7 +15,7 @@ type t = {
   l0 : L0_sketch.t;
 }
 
-type state = { rec_states : S_sparse.state array; l0_state : int array }
+type state = { rec_states : S_sparse.state array; l0_state : L0_sketch.state }
 
 let levels_for dim =
   let rec go l acc = if acc >= dim then l else go (l + 1) (acc * 2) in
@@ -44,29 +47,44 @@ let coord_depth t i =
   let u = if u <= 0.0 then 1e-12 else u in
   min (t.levels - 1) (int_of_float (Float.floor (-.Stats.log2 u)))
 
-let update t st i v =
-  if i < 0 || i >= t.dim then invalid_arg "L0_sampler.update: index range";
-  if v <> 0 then begin
-    let depth = coord_depth t i in
-    for l = 0 to depth do
-      S_sparse.update t.recover.(l) st.rec_states.(l) i v
-    done;
-    L0_sketch.update t.l0 st.l0_state i v
-  end
-
+(* Level l's recovery sketch sees the coordinates that survive to l. The
+   parts are built untimed, so the sampler's build is counted once. *)
 let sketch t vec =
-  let st = fresh t in
-  Array.iter (fun (i, v) -> update t st i v) vec;
-  st
+  Metrics.timed h_build (fun () ->
+      let depth =
+        Array.map
+          (fun (i, v) ->
+            if i < 0 || i >= t.dim then invalid_arg "L0_sampler.sketch: index range";
+            if v <> 0 then coord_depth t i else -1)
+          vec
+      in
+      let at_level l =
+        let n = Array.fold_left (fun n d -> if d >= l then n + 1 else n) 0 depth in
+        let sub = Array.make n (0, 0) and k = ref 0 in
+        Array.iteri
+          (fun e d ->
+            if d >= l then begin
+              sub.(!k) <- vec.(e);
+              incr k
+            end)
+          depth;
+        sub
+      in
+      {
+        rec_states = Array.init t.levels (fun l -> S_sparse.build t.recover.(l) (at_level l));
+        l0_state = L0_sketch.build t.l0 vec;
+      })
 
-let add_scaled t ~dst ~coeff src =
-  if coeff <> 0 then begin
-    for l = 0 to t.levels - 1 do
-      S_sparse.add_scaled t.recover.(l) ~dst:dst.rec_states.(l) ~coeff
-        src.rec_states.(l)
-    done;
-    L0_sketch.add_scaled t.l0 ~dst:dst.l0_state ~coeff src.l0_state
-  end
+let add_scaled t acc ~coeff src =
+  if coeff = 0 then acc
+  else
+    {
+      rec_states =
+        Array.init t.levels (fun l ->
+            S_sparse.add_scaled t.recover.(l) acc.rec_states.(l) ~coeff
+              src.rec_states.(l));
+      l0_state = L0_sketch.add_scaled t.l0 acc.l0_state ~coeff src.l0_state;
+    }
 
 let estimate_l0 t st = L0_sketch.estimate t.l0 st.l0_state
 
@@ -113,7 +131,7 @@ let wire t =
   Codec.map
     (fun st -> (st.rec_states, st.l0_state))
     (fun (rec_states, l0_state) ->
-      if Array.length rec_states <> t.levels || Array.length l0_state <> l0_size
+      if Array.length rec_states <> t.levels || l0_state.Codec.length <> l0_size
       then raise (Codec.Decode_error "L0_sampler.wire: shape mismatch");
       { rec_states; l0_state })
     (Codec.pair

@@ -21,9 +21,16 @@ val create : Matprod_util.Prng.t -> dim:int -> ?s:int -> ?reps:int -> unit -> t
 val dim : t -> int
 
 val fresh : t -> state
-val update : t -> state -> int -> int -> unit
+(** The sketch of the zero vector. *)
+
 val sketch : t -> (int * int) array -> state
-val add_scaled : t -> dst:state -> coeff:int -> state -> unit
+(** Timed under [sketch_build_ns{l0_sampler}], which covers the recovery
+    and ℓ0 parts: neither is timed again under its own label. States keep
+    only their nonzero cells, so a build costs the cells it touches. *)
+
+val add_scaled : t -> state -> coeff:int -> state -> state
+(** [add_scaled t acc ~coeff src] is acc + coeff·src, paying per nonzero
+    cell of the two. *)
 
 val sample : t -> state -> (int * int) option
 (** [Some (i, x_i)] for a (near-)uniform nonzero coordinate; [None] if the

@@ -3,6 +3,7 @@ module Hashing = Matprod_util.Hashing
 module Field31 = Matprod_util.Field31
 module Stats = Matprod_util.Stats
 module Metrics = Matprod_obs.Metrics
+module Codec = Matprod_comm.Codec
 
 let c_hash = Metrics.counter "hash_evals"
 let c_cells = Metrics.counter "sketch_cells_touched"
@@ -27,6 +28,9 @@ let create_explicit rng ~buckets ~groups ~dim =
   if buckets <= 1 || groups <= 0 || dim <= 0 then
     invalid_arg "L0_sketch.create_explicit: parameters";
   let levels = levels_for dim in
+  (* A build packs a cell index above a 31-bit residue in one int. *)
+  if groups * levels * buckets >= 1 lsl 31 then
+    invalid_arg "L0_sketch.create_explicit: parameters";
   let rep _ =
     {
       level_hash = Hashing.create rng ~k:2;
@@ -43,7 +47,10 @@ let create rng ~eps ~groups ~dim =
 
 let size t = Array.length t.reps * t.levels * t.buckets
 let dim t = t.dim
-let empty t = Array.make (size t) 0
+
+type state = Codec.sparse
+
+let empty t = { Codec.length = size t; cells = [||]; values = [||] }
 
 (* Level of coordinate j: P(level >= l) = 2^-l, capped at levels-1. *)
 let coord_level rep ~levels j =
@@ -54,7 +61,46 @@ let coord_level rep ~levels j =
 let cell_index t ~rep_idx ~level ~bucket =
   (((rep_idx * t.levels) + level) * t.buckets) + bucket
 
-let add_coord t arr ~rep_idx ~coord ~weight =
+(* --- sparse builds ------------------------------------------------------
+
+   A build appends one (cell lsl 31) lor residue per cell a key touches,
+   sorts them, and sums each cell's run in the field, dropping the cells
+   that come out 0. Field addition of canonical residues is associative
+   and commutative, so every cell is the one adding the residues into
+   dense storage key by key would give, and no cell outside the touched
+   ones is ever written or scanned. *)
+
+type touched = { mutable keys : int array; mutable n : int }
+
+let touched cap = { keys = Array.make (max 8 cap) 0; n = 0 }
+
+let touch tc cell residue =
+  if tc.n = Array.length tc.keys then
+    tc.keys <- Array.append tc.keys (Array.make tc.n 0);
+  Array.unsafe_set tc.keys tc.n ((cell lsl 31) lor residue);
+  tc.n <- tc.n + 1
+
+let state_of_touched t tc =
+  let keys = Array.sub tc.keys 0 tc.n in
+  Array.sort Int.compare keys;
+  let cells = Array.make tc.n 0 and values = Array.make tc.n 0 in
+  let out = ref 0 and x = ref 0 in
+  while !x < tc.n do
+    let cell = keys.(!x) lsr 31 in
+    let v = ref 0 in
+    while !x < tc.n && keys.(!x) lsr 31 = cell do
+      v := Field31.add !v (keys.(!x) land 0x7FFFFFFF);
+      incr x
+    done;
+    if !v <> 0 then begin
+      cells.(!out) <- cell;
+      values.(!out) <- !v;
+      incr out
+    end
+  done;
+  { Codec.length = size t; cells = Array.sub cells 0 !out; values = Array.sub values 0 !out }
+
+let add_coord t tc ~rep_idx ~coord ~weight =
   let rep = t.reps.(rep_idx) in
   let lmax = coord_level rep ~levels:t.levels coord in
   let c = Field31.mul (Hashing.field_coeff rep.coeff_hash coord) weight in
@@ -65,23 +111,23 @@ let add_coord t arr ~rep_idx ~coord ~weight =
   end;
   for l = 0 to lmax do
     let b = Hashing.bucket rep.bucket_hashes.(l) ~buckets:t.buckets coord in
-    let idx = cell_index t ~rep_idx ~level:l ~bucket:b in
-    arr.(idx) <- Field31.add arr.(idx) c
+    touch tc (cell_index t ~rep_idx ~level:l ~bucket:b) c
   done
 
-let update t arr i v =
-  if i < 0 || i >= t.dim then invalid_arg "L0_sketch.update: index range";
-  let w = Field31.of_int v in
-  if w <> 0 then
-    for g = 0 to Array.length t.reps - 1 do
-      add_coord t arr ~rep_idx:g ~coord:i ~weight:w
-    done
+let build t vec =
+  let tc = touched (2 * Array.length t.reps * Array.length vec) in
+  Array.iter
+    (fun (i, v) ->
+      if i < 0 || i >= t.dim then invalid_arg "L0_sketch.sketch: index range";
+      let w = Field31.of_int v in
+      if w <> 0 then
+        for g = 0 to Array.length t.reps - 1 do
+          add_coord t tc ~rep_idx:g ~coord:i ~weight:w
+        done)
+    vec;
+  state_of_touched t tc
 
-let sketch t vec =
-  Metrics.timed h_build (fun () ->
-      let arr = empty t in
-      Array.iter (fun (i, v) -> update t arr i v) vec;
-      arr)
+let sketch t vec = Metrics.timed h_build (fun () -> build t vec)
 
 (* --- plan/apply -------------------------------------------------------
 
@@ -156,77 +202,79 @@ let plan t ~dim:d =
   { pdim = d; pgroups = groups; plevels = t.levels; hdr; buckets }
 
 
-let apply_plan t p dst vec =
+let sketch_with_plan t p vec =
   if p.plevels <> t.levels || p.pgroups <> Array.length t.reps then
     invalid_arg "L0_sketch: plan belongs to another sketch shape";
-  let groups = p.pgroups in
-  let lb = t.levels * t.buckets in
-  (* One enabled() check per row; logical hash/cell counts accumulate in
-     locals and post once, so the totals match the per-entry unplanned
-     path without a metrics call in the inner loop. *)
-  let mets = Metrics.enabled () in
-  let th = ref 0 and tc = ref 0 in
-  Array.iter
-    (fun (i, v) ->
-      let w = Field31.of_int v in
-      if w <> 0 then begin
-        if i < 0 || i >= p.pdim then invalid_arg "L0_sketch: key outside plan";
-        let base = i * groups in
-        let cbase = ref 0 in
-        for g = 0 to groups - 1 do
-          let h = Array.unsafe_get p.hdr (base + g) in
-          let lmax = (h lsr 31) land 0x3F in
-          let off = h lsr 37 in
-          if mets then begin
-            th := !th + lmax + 3;
-            tc := !tc + lmax + 1
-          end;
-          let c = Field31.mul (h land 0x7FFFFFFF) w in
-          let cb = !cbase in
-          for l = 0 to lmax do
-            let idx =
-              cb + (l * t.buckets) + Array.unsafe_get p.buckets (off + l)
-            in
-            Array.unsafe_set dst idx (Field31.add (Array.unsafe_get dst idx) c)
-          done;
-          cbase := cb + lb
-        done
-      end)
-    vec;
-  if mets then begin
-    Metrics.incr_by c_hash !th;
-    Metrics.incr_by c_cells !tc
-  end
-
-let sketch_into t p ~dst vec =
-  if Array.length dst <> size t then invalid_arg "L0_sketch.sketch_into: size";
   Metrics.timed h_build_planned (fun () ->
-      Array.fill dst 0 (Array.length dst) 0;
-      apply_plan t p dst vec)
+      let groups = p.pgroups in
+      let lb = t.levels * t.buckets in
+      let tc = touched (2 * groups * Array.length vec) in
+      (* One enabled() check per row; logical hash/cell counts accumulate
+         in locals and post once, so the totals match the per-entry
+         unplanned path without a metrics call in the inner loop. *)
+      let mets = Metrics.enabled () in
+      let th = ref 0 and tcells = ref 0 in
+      Array.iter
+        (fun (i, v) ->
+          let w = Field31.of_int v in
+          if w <> 0 then begin
+            if i < 0 || i >= p.pdim then invalid_arg "L0_sketch: key outside plan";
+            let base = i * groups in
+            for g = 0 to groups - 1 do
+              let h = Array.unsafe_get p.hdr (base + g) in
+              let lmax = (h lsr 31) land 0x3F in
+              let off = h lsr 37 in
+              if mets then begin
+                th := !th + lmax + 3;
+                tcells := !tcells + lmax + 1
+              end;
+              let c = Field31.mul (h land 0x7FFFFFFF) w in
+              let cb = g * lb in
+              for l = 0 to lmax do
+                touch tc (cb + (l * t.buckets) + Array.unsafe_get p.buckets (off + l)) c
+              done
+            done
+          end)
+        vec;
+      if mets then begin
+        Metrics.incr_by c_hash !th;
+        Metrics.incr_by c_cells !tcells
+      end;
+      state_of_touched t tc)
 
-let sketch_with_plan t p vec =
-  Metrics.timed h_build_planned (fun () ->
-      let arr = empty t in
-      apply_plan t p arr vec;
-      arr)
-
-(* Zero source cells are skipped: on canonical residues mul c 0 = 0 and
-   add x 0 = x, so the result is the dense loop's, cell for cell. A
-   column sketch is >99% zeros, so only its few nonzero cells pay for the
-   field arithmetic (docs/PERFORMANCE.md, "Dense on the wire, sparse on
-   the CPU"). *)
-let add_scaled t ~dst ~coeff src =
+(* The union of both supports: a cell of [src] adds coeff times its value
+   in the field, a cell of [acc] alone is kept, and cells that come out 0
+   are dropped — the cell-by-cell formula on canonical residues. *)
+let add_scaled t (acc : state) ~coeff (src : state) =
   let n = size t in
-  if Array.length dst <> n || Array.length src <> n then
+  if acc.length <> n || src.length <> n then
     invalid_arg "L0_sketch.add_scaled: size mismatch";
   let c = Field31.of_int coeff in
-  if c <> 0 then
-    for i = 0 to n - 1 do
-      let s = Array.unsafe_get src i in
-      if s <> 0 then
-        Array.unsafe_set dst i
-          (Field31.add (Array.unsafe_get dst i) (Field31.mul c s))
-    done
+  if c = 0 then acc
+  else begin
+    let na = Array.length acc.cells and nb = Array.length src.cells in
+    let cells = Array.make (na + nb) 0 and values = Array.make (na + nb) 0 in
+    let out = ref 0 and a = ref 0 and b = ref 0 in
+    while !a < na || !b < nb do
+      let ka = if !a < na then acc.cells.(!a) else max_int in
+      let kb = if !b < nb then src.cells.(!b) else max_int in
+      let k = min ka kb in
+      let v = if ka = k then (incr a; acc.values.(!a - 1)) else 0 in
+      let v =
+        if kb = k then begin
+          incr b;
+          Field31.add v (Field31.mul c src.values.(!b - 1))
+        end
+        else v
+      in
+      if v <> 0 then begin
+        cells.(!out) <- k;
+        values.(!out) <- v;
+        incr out
+      end
+    done;
+    { Codec.length = n; cells = Array.sub cells 0 !out; values = Array.sub values 0 !out }
+  end
 
 (* Linear-counting estimate at one level: m ≈ ln(empty/K) / ln(1 - 1/K). *)
 let level_estimate ~buckets occupied =
@@ -262,62 +310,28 @@ let estimate_of_occupancy t occ =
       in
       Stats.median per_rep)
 
-let estimate t arr =
-  if Array.length arr <> size t then invalid_arg "L0_sketch.estimate: size";
+let estimate t (st : state) =
+  if st.length <> size t then invalid_arg "L0_sketch.estimate: size";
   let occ = Array.make (Array.length t.reps * t.levels) 0 in
-  for s = 0 to Array.length occ - 1 do
-    let base = s * t.buckets in
-    for b = 0 to t.buckets - 1 do
-      if Array.unsafe_get arr (base + b) <> 0 then occ.(s) <- occ.(s) + 1
-    done
-  done;
+  Array.iter (fun i -> occ.(i / t.buckets) <- occ.(i / t.buckets) + 1) st.cells;
   estimate_of_occupancy t occ
 
-let wire t = Matprod_comm.Codec.shorter_uint_array ~length:(size t)
+let wire t = Codec.shorter_uint_array ~length:(size t)
 
 (* --- sparse combine -----------------------------------------------------
 
    [estimate_combination] is [estimate (Σ c·src)] with the sum kept only
-   on the sources' nonzero cells: each source's support is listed once per
-   message, each combination updates only those cells, and the occupancy
-   per (rep, level) follows every cell that leaves or returns to 0 — a
-   cell can cancel back to 0 in the field. The updates are add_scaled's,
-   in the same order, so every cell and every occupancy count is the
-   dense path's. *)
+   on the sources' nonzero cells, read straight from each state, and the
+   occupancy per (rep, level) follows every cell that leaves or returns
+   to 0 — a cell can cancel back to 0 in the field. The updates are
+   add_scaled's, in the same order, so every cell and every occupancy
+   count is that of the state add_scaled would build. *)
 
-type combiner = {
-  csk : t;
-  sources : int array array;
-  support : int array array; (* nonzero cells of each source, ascending *)
-}
+type combiner = { csk : t; sources : state array }
 
-let support_of src =
-  let n = Array.length src in
-  let nnz = ref 0 in
-  for i = 0 to n - 1 do
-    if Array.unsafe_get src i <> 0 then incr nnz
-  done;
-  let sup = Array.make !nnz 0 in
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    if Array.unsafe_get src i <> 0 then begin
-      Array.unsafe_set sup !k i;
-      incr k
-    end
-  done;
-  sup
-
-let combiner t sources =
-  let n = size t in
-  {
-    csk = t;
-    sources;
-    (* A wrongly sized source fails only when a combination uses it, as
-       with add_scaled. *)
-    support =
-      Array.map (fun src -> if Array.length src = n then support_of src else [||])
-        sources;
-  }
+(* A wrongly sized source fails only when a combination uses it, as with
+   add_scaled. *)
+let combiner t sources = { csk = t; sources }
 
 (* One all-zero accumulator per domain, checked out for the duration of a
    call — a second thread of the same domain that arrives meanwhile
@@ -340,17 +354,15 @@ let estimate_combination cb coeffs =
   Array.iter
     (fun (k, coeff) ->
       let src = cb.sources.(k) in
-      if Array.length src <> n then
+      if src.Codec.length <> n then
         invalid_arg "L0_sketch.estimate_combination: size mismatch";
       let c = Field31.of_int coeff in
       if c <> 0 then begin
-        let sup = cb.support.(k) in
+        let sup = src.cells and vals = src.values in
         for x = 0 to Array.length sup - 1 do
           let i = Array.unsafe_get sup x in
           let old = Array.unsafe_get acc i in
-          let v =
-            Field31.add old (Field31.mul c (Array.unsafe_get src i))
-          in
+          let v = Field31.add old (Field31.mul c (Array.unsafe_get vals x)) in
           Array.unsafe_set acc i v;
           if old = 0 then begin
             if v <> 0 then
@@ -366,7 +378,7 @@ let estimate_combination cb coeffs =
   Array.iter
     (fun (k, coeff) ->
       if Field31.of_int coeff <> 0 then begin
-        let sup = cb.support.(k) in
+        let sup = cb.sources.(k).cells in
         for x = 0 to Array.length sup - 1 do
           Array.unsafe_set acc (Array.unsafe_get sup x) 0
         done

@@ -28,37 +28,43 @@ val size : t -> int
 
 val dim : t -> int
 
-val sketch : t -> (int * int) array -> int array
+type state = Matprod_comm.Codec.sparse
+(** The field counters of a sketch by their nonzero cells: a sketch of a
+    vector with few nonzeros touches few cells, and every build, combine
+    and codec below costs those cells, not {!size}. *)
 
-val empty : t -> int array
+val empty : t -> state
+(** The sketch of the zero vector. *)
 
-val update : t -> int array -> int -> int -> unit
-(** [update t state i v] adds v·e_i in place. *)
+val sketch : t -> (int * int) array -> state
+(** Timed under [sketch_build_ns{l0_sketch}]. *)
 
-val add_scaled : t -> dst:int array -> coeff:int -> int array -> unit
-(** [add_scaled t ~dst ~coeff src] sets [dst <- dst + coeff·src] over the
-    field, cell by cell. [dst] must hold canonical residues in [[0, p)] —
-    every state this module builds or combines does. Cost is linear in
-    the cell count with field arithmetic only on nonzero cells of [src]. *)
+val build : t -> (int * int) array -> state
+(** {!sketch} without its timer, for a caller that times a larger build. *)
+
+val add_scaled : t -> state -> coeff:int -> state -> state
+(** [add_scaled t acc ~coeff src] is acc + coeff·src over the field, cell
+    by cell. [acc] must hold canonical residues in [[0, p)] — every state
+    this module builds or combines does. Cost is linear in the nonzero
+    cells of both. Raises [Invalid_argument] unless both have {!size}
+    cells. *)
 
 (** {1 Plan/apply} — per-rep level/coefficient/bucket tables for keys in
-    [0, dim); field accumulation identical to {!sketch} operation for
-    operation (docs/PERFORMANCE.md). *)
+    [0, dim); field accumulation identical to {!sketch}
+    (docs/PERFORMANCE.md). *)
 
 type plan
 
 val plan : t -> dim:int -> plan
 (** [dim] may be at most the sketch's own domain. O(groups·dim·levels). *)
 
-val sketch_with_plan : t -> plan -> (int * int) array -> int array
+val sketch_with_plan : t -> plan -> (int * int) array -> state
+(** Timed under [sketch_build_ns{l0_sketch_planned}]. *)
 
-val sketch_into : t -> plan -> dst:int array -> (int * int) array -> unit
-(** Zeroes [dst] (length {!size}) then sketches into it. *)
-
-val estimate : t -> int array -> float
+val estimate : t -> state -> float
 (** Estimated number of nonzero coordinates; exact 0 for the zero vector. *)
 
-val wire : t -> int array Matprod_comm.Codec.t
+val wire : t -> state Matprod_comm.Codec.t
 (** A state of exactly {!size} cells in the shorter of its dense and
     sparse forms ({!Matprod_comm.Codec.shorter_uint_array}): a state of
     any other size is a {!Matprod_comm.Codec.Decode_error} at receipt. *)
@@ -68,15 +74,15 @@ val wire : t -> int array Matprod_comm.Codec.t
 
 type combiner
 
-val combiner : t -> int array array -> combiner
-(** [combiner t sources] lists each source's nonzero cells once. The
-    sources are read, never written, and must not change while the
-    combiner is in use. Safe to share across pool domains. *)
+val combiner : t -> state array -> combiner
+(** [combiner t sources] reads each source's nonzero cells in place. The
+    sources must not change while the combiner is in use. Safe to share
+    across pool domains. *)
 
 val estimate_combination : combiner -> (int * int) array -> float
 (** [estimate_combination (combiner t srcs) coeffs] is exactly
-    [estimate t acc] where [acc] starts at [empty t] and takes
-    [add_scaled t ~dst:acc ~coeff:c srcs.(k)] for each [(k, c)] of
-    [coeffs] in order. Cost is linear in the nonzero cells of the sources
-    used, not in {!size}. Raises [Invalid_argument] when a used source
-    does not have {!size} cells. *)
+    [estimate t acc] where [acc] starts at [empty t] and becomes
+    [add_scaled t acc ~coeff:c srcs.(k)] for each [(k, c)] of [coeffs] in
+    order. Cost is linear in the nonzero cells of the sources used, not
+    in {!size}. Raises [Invalid_argument] when a used source does not
+    have {!size} cells. *)

@@ -7,7 +7,7 @@ let h_query = Metrics.histogram ~label:"lp" "sketch_query_ns"
 
 type impl = L0 of L0_sketch.t | Stable of Stable_sketch.t | Ams_l2 of Ams.t
 type t = { p : float; impl : impl }
-type value = F of float array | Z of int array
+type value = F of float array | Z of L0_sketch.state
 
 let create rng ~p ~eps ~groups ~dim =
   if not (p >= 0.0 && p <= 2.0) then invalid_arg "Lp.create: p range";
@@ -62,23 +62,15 @@ let sketch_with_plan t pl vec =
       | Ams_l2 s, P_ams p -> F (Ams.sketch_with_plan s p vec)
       | _ -> plan_mismatch ())
 
-let sketch_into t pl ~dst vec =
-  Metrics.timed h_build_planned (fun () ->
-      match (t.impl, pl, dst) with
-      | L0 s, P_l0 p, Z d -> L0_sketch.sketch_into s p ~dst:d vec
-      | Stable s, P_stable p, F d -> Stable_sketch.sketch_into s p ~dst:d vec
-      | Ams_l2 s, P_ams p, F d -> Ams.sketch_into s p ~dst:d vec
-      | (L0 _ | Stable _ | Ams_l2 _), (P_l0 _ | P_stable _ | P_ams _), _ ->
-          (match (t.impl, pl) with
-          | L0 _, P_l0 _ | Stable _, P_stable _ | Ams_l2 _, P_ams _ ->
-              type_error ()
-          | _ -> plan_mismatch ()))
-
-let add_scaled t ~dst ~coeff src =
-  match (t.impl, dst, src) with
-  | L0 s, Z d, Z v -> L0_sketch.add_scaled s ~dst:d ~coeff v
-  | Stable s, F d, F v -> Stable_sketch.add_scaled s ~dst:d ~coeff v
-  | Ams_l2 s, F d, F v -> Ams.add_scaled s ~dst:d ~coeff v
+let add_scaled t acc ~coeff src =
+  match (t.impl, acc, src) with
+  | L0 s, Z d, Z v -> Z (L0_sketch.add_scaled s d ~coeff v)
+  | Stable s, F d, F v ->
+      Stable_sketch.add_scaled s ~dst:d ~coeff v;
+      acc
+  | Ams_l2 s, F d, F v ->
+      Ams.add_scaled s ~dst:d ~coeff v;
+      acc
   | _ -> type_error ()
 
 let estimate_pow t v =
@@ -114,9 +106,10 @@ let estimate_combination cb coeffs =
   | C_l0 c ->
       Metrics.timed h_query (fun () -> L0_sketch.estimate_combination c coeffs)
   | C_dense (t, sources) ->
-      let acc = empty t in
-      Array.iter (fun (k, c) -> add_scaled t ~dst:acc ~coeff:c sources.(k)) coeffs;
-      estimate_pow t acc
+      estimate_pow t
+        (Array.fold_left
+           (fun acc (k, c) -> add_scaled t acc ~coeff:c sources.(k))
+           (empty t) coeffs)
 
 let wire t =
   match t.impl with
@@ -125,14 +118,16 @@ let wire t =
      measure. Shipping them in the shorter form, as L0_sketch.wire ships
      the ℓ0-sampler's column sketches, flattens SC2's fitted ε-exponents
      and fails SC1/SC2 verdicts. Recovery structures (samplers), whose
-     content is genuinely sparse, do ship sparsely. The zeros cost wire
-     bytes but not CPU: docs/PERFORMANCE.md, "Dense on the wire, sparse
-     on the CPU". *)
+     content is genuinely sparse, do ship sparsely. An ℓ0 state's zeros
+     cost wire bytes only: they are written as runs of zero bytes and
+     skipped eight at a time on receipt, and the state is built, decoded
+     and combined by its nonzero cells (docs/PERFORMANCE.md, "Dense on
+     the wire, sparse on the CPU"). *)
   | L0 _ ->
       Codec.map
         (function Z a -> a | F _ -> type_error ())
         (fun a -> Z a)
-        Codec.uint_array
+        Codec.sparse_uint_array
   | Stable _ | Ams_l2 _ ->
       Codec.map
         (function F a -> a | Z _ -> type_error ())

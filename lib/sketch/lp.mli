@@ -8,8 +8,9 @@
 
 type t
 
-type value = F of float array | Z of int array
-    (** Float counters (p > 0) or field counters (p = 0). *)
+type value = F of float array | Z of L0_sketch.state
+    (** Float counters (p > 0) or field counters (p = 0), the latter by
+        their nonzero cells. *)
 
 val create :
   Matprod_util.Prng.t -> p:float -> eps:float -> groups:int -> dim:int -> t
@@ -22,7 +23,9 @@ val size : t -> int
 
 val empty : t -> value
 val sketch : t -> (int * int) array -> value
-val add_scaled : t -> dst:value -> coeff:int -> value -> unit
+val add_scaled : t -> value -> coeff:int -> value -> value
+(** [add_scaled t acc ~coeff src] is acc + coeff·src. A float [acc] is
+    updated in place and returned; an ℓ0 state is merged into a new one. *)
 
 val estimate_pow : t -> value -> float
 (** Estimate of ‖x‖_p^p (with ‖x‖₀⁰ = ‖x‖₀ as in the paper, 0⁰ = 0). *)
@@ -58,10 +61,7 @@ val plan : t -> dim:int -> plan
 
 val sketch_with_plan : t -> plan -> (int * int) array -> value
 
-val sketch_into : t -> plan -> dst:value -> (int * int) array -> unit
-(** Zeroes the caller's scratch value (shape {!empty}) then sketches into
-    it — zero allocation per row. *)
-
 val wire : t -> value Matprod_comm.Codec.t
 (** Codec for shipping sketch values: float32 per float counter, varint per
-    field counter. *)
+    field counter ({!Matprod_comm.Codec.sparse_uint_array}: dense bytes
+    from the nonzero cells). *)

@@ -26,14 +26,14 @@ let update spec a k i v =
     a.(o + 3) <- Field31.add a.(o + 3) (Field31.mul w (Hashing.field_coeff spec.c2 i))
   end
 
-let add_scaled dst ~coeff src k =
+let add_scaled dst dk ~coeff src sk =
   if coeff <> 0 then begin
-    let o = words * k in
+    let o = words * dk and so = words * sk in
     let c = Field31.of_int coeff in
-    dst.(o) <- dst.(o) + (coeff * src.(o));
-    dst.(o + 1) <- dst.(o + 1) + (coeff * src.(o + 1));
-    dst.(o + 2) <- Field31.add dst.(o + 2) (Field31.mul c src.(o + 2));
-    dst.(o + 3) <- Field31.add dst.(o + 3) (Field31.mul c src.(o + 3))
+    dst.(o) <- dst.(o) + (coeff * src.(so));
+    dst.(o + 1) <- dst.(o + 1) + (coeff * src.(so + 1));
+    dst.(o + 2) <- Field31.add dst.(o + 2) (Field31.mul c src.(so + 2));
+    dst.(o + 3) <- Field31.add dst.(o + 3) (Field31.mul c src.(so + 3))
   end
 
 type verdict = Zero | One of int * int | Many
@@ -58,26 +58,44 @@ let cell_codec =
     (fun ((sum, isum), (fp1, fp2)) -> [| sum; isum; fp1; fp2 |])
     (Codec.pair (Codec.pair Codec.int Codec.int) (Codec.pair Codec.uint Codec.uint))
 
+type cells = { count : int; nonzero : int array; cell_words : int array }
+
+let no_cells count = { count; nonzero = [||]; cell_words = [||] }
+
+(* Cells listed in any order, possibly repeated or zero, to the form
+   above: a later listing of a position overwrites an earlier one, as
+   writing them into dense storage in order would. *)
+let of_listing count listed =
+  let sorted = List.stable_sort (fun (k, _) (k', _) -> Int.compare k k') listed in
+  let rec last_of acc = function
+    | (k, _) :: ((k', _) :: _ as rest) when k = k' -> last_of acc rest
+    | (k, c) :: rest -> last_of (if is_zero c 0 then acc else (k, c) :: acc) rest
+    | [] -> List.rev acc
+  in
+  let kept = last_of [] sorted in
+  {
+    count;
+    nonzero = Array.of_list (List.map fst kept);
+    cell_words = Array.concat (List.map snd kept);
+  }
+
 (* Recovery structures over subsampling levels are mostly zero cells, so
    the wire format carries (cell count, nonzero cells with their
-   positions) rather than every cell. The declared count drives an
-   allocation the wire bytes do not pay for, so decoding checks it
-   against the receiver's bound before allocating, and positions must
-   fall inside it. *)
+   positions) rather than every cell. The declared count is checked
+   against the receiver's bound, and positions must fall inside it. *)
 let cells_wire ~max_cells =
   Codec.map
-    (fun a ->
-      let n = Array.length a / words and nonzero = ref [] in
-      for k = n - 1 downto 0 do
-        if not (is_zero a k) then nonzero := (k, Array.sub a (words * k) words) :: !nonzero
+    (fun st ->
+      let listed = ref [] in
+      for j = Array.length st.nonzero - 1 downto 0 do
+        if not (is_zero st.cell_words j) then
+          listed := (st.nonzero.(j), Array.sub st.cell_words (words * j) words) :: !listed
       done;
-      (n, !nonzero))
-    (fun (n, nonzero) ->
+      (st.count, !listed))
+    (fun (n, listed) ->
       if n > max_cells then
         raise (Codec.Decode_error "One_sparse.cells_wire: cell count exceeds bound");
-      if List.exists (fun (k, _) -> k >= n) nonzero then
+      if List.exists (fun (k, _) -> k >= n) listed then
         raise (Codec.Decode_error "One_sparse.cells_wire: index beyond length");
-      let a = Array.make (words * n) 0 in
-      List.iter (fun (k, cell) -> Array.blit cell 0 a (words * k) words) nonzero;
-      a)
+      of_listing n listed)
     (Codec.pair Codec.uint (Codec.list (Codec.pair Codec.uint cell_codec)))

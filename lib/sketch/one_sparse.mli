@@ -25,17 +25,29 @@ val is_zero : int array -> int -> bool
 val update : spec -> int array -> int -> int -> int -> unit
 (** [update spec cells k i v] adds v·e_i to cell [k]. *)
 
-val add_scaled : int array -> coeff:int -> int array -> int -> unit
-(** [add_scaled dst ~coeff src k]: cell [k] of [dst] ← cell [k] of [dst]
-    + coeff·(cell [k] of [src]) (fingerprints combine over the field). *)
+val add_scaled : int array -> int -> coeff:int -> int array -> int -> unit
+(** [add_scaled dst dk ~coeff src sk]: cell [dk] of [dst] ← cell [dk] of
+    [dst] + coeff·(cell [sk] of [src]) (fingerprints combine over the
+    field). *)
 
 type verdict = Zero | One of int * int | Many
 
 val decode : spec -> int array -> int -> verdict
 (** [One (i, v)] means cell [k] summarises x = v·e_i (whp). *)
 
-val cells_wire : max_cells:int -> int array Matprod_comm.Codec.t
+(** {1 Sparse runs of cells} *)
+
+type cells = { count : int; nonzero : int array; cell_words : int array }
+(** [count] cells of which only those at the strictly ascending
+    positions [nonzero] are not all zero: cell [nonzero.(j)] holds
+    [cell_words.(4j .. 4j+3)], so [cell_words] is flat storage as above. *)
+
+val no_cells : int -> cells
+(** [count] zero cells. *)
+
+val cells_wire : max_cells:int -> cells Matprod_comm.Codec.t
 (** Codec for shipping cells: (count, nonzero cells with their positions).
     Decoding is total up to {!Matprod_comm.Codec.Decode_error}: counts
-    above [max_cells] and positions outside the count are rejected before
-    allocating. *)
+    above [max_cells] and positions outside the count are rejected; a
+    position listed twice keeps its last cell, and zero cells are
+    dropped. *)

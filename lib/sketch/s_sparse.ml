@@ -14,7 +14,7 @@ type t = {
   hashes : Hashing.t array;
 }
 
-type state = int array
+type state = One_sparse.cells
 
 let create rng ~s ~reps =
   if s < 1 || reps < 1 then invalid_arg "S_sparse.create: parameters";
@@ -23,54 +23,109 @@ let create rng ~s ~reps =
   { reps; buckets = 2 * s; spec = One_sparse.spec rng; hashes }
 
 let cells t = t.reps * t.buckets
-let fresh t = Array.make (One_sparse.words * cells t) 0
+let fresh t = One_sparse.no_cells (cells t)
 
 let bucket_of t ~rep i = (rep * t.buckets) + Hashing.bucket t.hashes.(rep) ~buckets:t.buckets i
 
-let update_quiet t state i v =
-  if v <> 0 then
-    for r = 0 to t.reps - 1 do
-      One_sparse.update t.spec state (bucket_of t ~rep:r i) i v
-    done
+(* Each nonzero entry touches one cell per rep. The touched cells are
+   sorted as (cell lsl 32) lor entry and each run of one cell summed into
+   the next output slot, so no zero cell is written or scanned. Cell
+   words add commutatively (wrapping ints, canonical field residues), so
+   the sums are those of updating dense storage entry by entry. Per rep:
+   one bucket hash plus the cell's two fingerprint coefficients. *)
+let build t vec =
+  let nnz = Array.fold_left (fun acc (_, v) -> if v <> 0 then acc + 1 else acc) 0 vec in
+  if Metrics.enabled () then begin
+    Metrics.incr_by c_hash (3 * t.reps * nnz);
+    Metrics.incr_by c_cells (t.reps * nnz)
+  end;
+  let keys = Array.make (t.reps * nnz) 0 in
+  let m = ref 0 in
+  Array.iteri
+    (fun e (i, v) ->
+      if v <> 0 then begin
+        if i < 0 then invalid_arg "One_sparse.update: negative index";
+        for r = 0 to t.reps - 1 do
+          keys.(!m) <- (bucket_of t ~rep:r i lsl 32) lor e;
+          incr m
+        done
+      end)
+    vec;
+  Array.sort Int.compare keys;
+  let nonzero = Array.make (Array.length keys) 0 in
+  let words = Array.make (One_sparse.words * Array.length keys) 0 in
+  let out = ref 0 and x = ref 0 in
+  while !x < Array.length keys do
+    let k = keys.(!x) lsr 32 in
+    while !x < Array.length keys && keys.(!x) lsr 32 = k do
+      let i, v = vec.(keys.(!x) land 0xFFFF_FFFF) in
+      One_sparse.update t.spec words !out i v;
+      incr x
+    done;
+    if not (One_sparse.is_zero words !out) then begin
+      nonzero.(!out) <- k;
+      incr out
+    end
+  done;
+  {
+    One_sparse.count = cells t;
+    nonzero = Array.sub nonzero 0 !out;
+    cell_words = Array.sub words 0 (One_sparse.words * !out);
+  }
 
-(* Per rep: one bucket hash plus the cell's two fingerprint coefficients.
-   Metrics hoisted above the rep loop (and above the entry loop in
-   [sketch]); One_sparse itself stays uninstrumented — it is the innermost
-   kernel, its accounting lives here. *)
-let update t state i v =
-  if v <> 0 then begin
-    if Metrics.enabled () then begin
-      Metrics.incr_by c_hash (3 * t.reps);
-      Metrics.incr_by c_cells t.reps
-    end;
-    update_quiet t state i v
-  end
+let sketch t vec = Metrics.timed h_build (fun () -> build t vec)
 
-let sketch t vec =
-  Metrics.timed h_build (fun () ->
-      let st = fresh t in
-      if Metrics.enabled () then begin
-        let nnz =
-          Array.fold_left (fun acc (_, v) -> if v <> 0 then acc + 1 else acc) 0 vec
-        in
-        Metrics.incr_by c_hash (3 * t.reps * nnz);
-        Metrics.incr_by c_cells (t.reps * nnz)
-      end;
-      Array.iter (fun (i, v) -> update_quiet t st i v) vec;
-      st)
+let zero_cell = Array.make One_sparse.words 0
 
-let add_scaled t ~dst ~coeff src =
-  let n = One_sparse.words * cells t in
-  if Array.length dst <> n || Array.length src <> n then
+(* The union of both supports, each cell by One_sparse.add_scaled — a
+   cell absent from [src] takes the zero cell, so every cell is the dense
+   formula's — dropping cells that come out zero. *)
+let add_scaled t acc ~coeff (src : state) =
+  let n = cells t in
+  if acc.One_sparse.count <> n || src.count <> n then
     invalid_arg "S_sparse.add_scaled: size mismatch";
-  for k = 0 to cells t - 1 do
-    One_sparse.add_scaled dst ~coeff src k
-  done
+  if coeff = 0 then acc
+  else begin
+    let na = Array.length acc.nonzero and nb = Array.length src.nonzero in
+    let nonzero = Array.make (na + nb) 0 in
+    let words = Array.make (One_sparse.words * (na + nb)) 0 in
+    let out = ref 0 and a = ref 0 and b = ref 0 in
+    while !a < na || !b < nb do
+      let ka = if !a < na then acc.nonzero.(!a) else max_int in
+      let kb = if !b < nb then src.nonzero.(!b) else max_int in
+      let k = min ka kb in
+      if ka = k then begin
+        Array.blit acc.cell_words (One_sparse.words * !a) words
+          (One_sparse.words * !out) One_sparse.words;
+        incr a
+      end;
+      if kb = k then begin
+        One_sparse.add_scaled words !out ~coeff src.cell_words !b;
+        incr b
+      end
+      else One_sparse.add_scaled words !out ~coeff zero_cell 0;
+      if not (One_sparse.is_zero words !out) then begin
+        nonzero.(!out) <- k;
+        incr out
+      end
+      else Array.fill words (One_sparse.words * !out) One_sparse.words 0
+    done;
+    {
+      One_sparse.count = n;
+      nonzero = Array.sub nonzero 0 !out;
+      cell_words = Array.sub words 0 (One_sparse.words * !out);
+    }
+  end
 
 type result = Ok of (int * int) list | Fail
 
-let decode t state =
-  let work = Array.copy state in
+let decode t (state : state) =
+  let work = Array.make (One_sparse.words * cells t) 0 in
+  Array.iteri
+    (fun j k ->
+      Array.blit state.cell_words (One_sparse.words * j) work (One_sparse.words * k)
+        One_sparse.words)
+    state.nonzero;
   let recovered : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let subtract i v =
     for r = 0 to t.reps - 1 do
@@ -104,8 +159,8 @@ let decode t state =
   else Fail
 
 let wire t =
-  let check st =
-    if Array.length st = One_sparse.words * cells t then st
+  let check (st : state) =
+    if st.count = cells t then st
     else raise (Codec.Decode_error "S_sparse.wire: cell count")
   in
   Codec.map Fun.id check (One_sparse.cells_wire ~max_cells:(cells t))

@@ -17,8 +17,10 @@
 type t
 (** Immutable specification (hash functions, dimensions). *)
 
-type state = int array
-(** Mutable contents: one flat {!One_sparse} cell per (repetition, bucket). *)
+type state = One_sparse.cells
+(** One {!One_sparse} cell per (repetition, bucket), of which only the
+    nonzero ones are stored: a build or a combination costs the cells it
+    touches, not {!cells}. *)
 
 val create : Matprod_util.Prng.t -> s:int -> reps:int -> t
 (** [s ≥ 1] sparsity budget; [reps] repetitions (3–4 typical). *)
@@ -27,11 +29,18 @@ val cells : t -> int
 (** Total number of 1-sparse cells. *)
 
 val fresh : t -> state
-val update : t -> state -> int -> int -> unit
-(** Add v·e_i. *)
+(** The sketch of the zero vector. *)
 
 val sketch : t -> (int * int) array -> state
-val add_scaled : t -> dst:state -> coeff:int -> state -> unit
+(** Timed under [sketch_build_ns{s_sparse}]. *)
+
+val build : t -> (int * int) array -> state
+(** {!sketch} without its timer, for a caller that times a larger build. *)
+
+val add_scaled : t -> state -> coeff:int -> state -> state
+(** [add_scaled t acc ~coeff src] is acc + coeff·src, cell by cell as
+    {!One_sparse.add_scaled}. Raises [Invalid_argument] unless both have
+    {!cells} cells. *)
 
 type result = Ok of (int * int) list | Fail
 (** [Ok pairs]: the exact nonzero (index, value) pairs, sorted by index.

@@ -75,7 +75,8 @@ let test_codec_sorted_array_compression () =
   let bytes = Codec.encoded_bytes Codec.sorted_int_array v in
   check Alcotest.bool "delta coding compresses" true (bytes < 1100)
 
-let counter_array = Codec.bounded_counter_array ~max_length:Codec.max_dense_length
+let counter_array =
+  Dense_oracle.dense_view (Codec.bounded_counter_array ~max_length:Codec.max_dense_length)
 
 let test_codec_bounded_counter_array () =
   let v = [| 0; 5; 0; 0; 7; 0 |] in
@@ -89,7 +90,7 @@ let test_codec_bounded_counter_array () =
 
 let test_codec_shorter_uint_array () =
   let length = 1000 in
-  let c = Codec.shorter_uint_array ~length in
+  let c = Dense_oracle.dense_view (Codec.shorter_uint_array ~length) in
   let sparse = Array.make length 0 in
   sparse.(3) <- 9;
   sparse.(700) <- 1 lsl 30;
@@ -114,7 +115,7 @@ let test_codec_shorter_uint_array () =
    rejected before anything near them is allocated. *)
 let test_codec_shorter_uint_array_adversarial () =
   let length = 40 in
-  let c = Codec.shorter_uint_array ~length in
+  let c = Dense_oracle.dense_view (Codec.shorter_uint_array ~length) in
   let uint n = Codec.encode Codec.uint n in
   let arm tag codec n = String.make 1 tag ^ Codec.encode codec (Array.make n 0) in
   List.iter
@@ -184,7 +185,7 @@ let test_codec_adversarial_lengths () =
       ( "counter above its bound",
         fun () ->
           ignore
-            (Codec.decode (Codec.bounded_counter_array ~max_length:2)
+            (Codec.decode (Dense_oracle.dense_view (Codec.bounded_counter_array ~max_length:2))
                (Codec.encode counter_array [| 0; 0; 0 |])) );
       (* One_sparse.cells_wire: (length, [(position, cell)]) *)
       ( "cells dense cap",
@@ -534,7 +535,7 @@ let cells_arb =
 
 (* A bound well above [cells_arb]'s 20 cells, so mutated counts still
    decode, and small enough that no count allocates much. *)
-let cells_wire = One_sparse.cells_wire ~max_cells:1024
+let cells_wire = Dense_oracle.cells_view (One_sparse.cells_wire ~max_cells:1024)
 
 let l0_sampler = L0_sampler.create (Prng.create 7) ~dim:64 ()
 
@@ -661,6 +662,10 @@ let packed_codecs =
         Codec.float32_array );
     P ("bytes", string, Codec.bytes);
     P ("uint_array (sparse)", sparse_uint_arb, Codec.uint_array);
+    P
+      ( "sparse_uint_array",
+        sparse_uint_arb,
+        Dense_oracle.dense_view Codec.sparse_uint_array );
     P ("float_array (sparse)", sparse_float_arb, Codec.float_array);
     P ("float32_array (sparse)", sparse_float_arb, Codec.float32_array);
     P ("bounded_counter_array (sparse)", sparse_uint_arb, counter_array);
@@ -671,11 +676,11 @@ let packed_codecs =
     P
       ( "bounded_counter_array",
         array_of_size Gen.(0 -- 60) (int_bound 1_000_000),
-        Codec.bounded_counter_array ~max_length:60 );
+        Dense_oracle.dense_view (Codec.bounded_counter_array ~max_length:60) );
     P
       ( "shorter_uint_array",
         shorter_arb ~length:shorter_length,
-        Codec.shorter_uint_array ~length:shorter_length );
+        Dense_oracle.dense_view (Codec.shorter_uint_array ~length:shorter_length) );
     P ("one_sparse.cells_wire", cells_arb, cells_wire);
     P ("l0_sampler.wire", l0_sampler_arb, L0_sampler.wire l0_sampler);
   ]
@@ -1017,7 +1022,7 @@ let shorter_uint_array_tests =
     make ~print:Print.(array int)
       Gen.(int_bound 300 >>= fun length -> shorter_gen ~length)
   in
-  let shorter a = Codec.shorter_uint_array ~length:(Array.length a) in
+  let shorter a = Dense_oracle.dense_view (Codec.shorter_uint_array ~length:(Array.length a)) in
   [
     Test.make ~name:"shorter_uint_array: roundtrip within uint_array + 1 byte"
       ~count:500 arr (fun a ->

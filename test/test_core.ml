@@ -607,67 +607,6 @@ let test_hh_binary_near_linear_bits () =
   check Alcotest.bool "sub-quadratic growth" true (b256 < 3 * b128)
 
 (* ------------------------------------------------------------------ *)
-(* Lp sampling (extension) *)
-
-module Lp_sampling = Matprod_core.Lp_sampling
-
-let test_lp_sampling_support_and_values () =
-  let rng = Prng.create 22 in
-  let a, b = bool_pair rng ~n:50 ~density:0.1 in
-  let c = Product.bool_product a b in
-  let ai = Imat.of_bmat a and bi = Imat.of_bmat b in
-  for seed = 1 to 20 do
-    let r =
-      Ctx.run ~seed (fun ctx ->
-          Lp_sampling.run ctx (Lp_sampling.default_params ~eps:0.3 ()) ~a:ai ~b:bi)
-    in
-    match r.Ctx.output with
-    | Some s ->
-        check Alcotest.int "value exact"
-          (Product.get c s.Lp_sampling.row s.Lp_sampling.col)
-          s.Lp_sampling.value;
-        check Alcotest.bool "nonzero" true (s.Lp_sampling.value <> 0);
-        check Alcotest.int "2 rounds" 2 r.Ctx.rounds
-    | None -> Alcotest.fail "sample expected on nonzero product"
-  done
-
-let test_lp_sampling_distribution_p2 () =
-  (* Tiny product where the p = 2 distribution is strongly skewed: the big
-     entry should dominate the samples. C = [[4,1],[1,1]]-ish. *)
-  let a = Imat.of_dense [| [| 2; 0 |]; [| 0; 1 |] |] in
-  let b = Imat.of_dense [| [| 2; 1 |]; [| 1; 1 |] |] in
-  let c = Product.int_product a b in
-  (* C = [[4,2],[1,1]]; p=2 weights 16,4,1,1 -> (0,0) has mass 16/22. *)
-  let trials = 600 in
-  let hits = ref 0 and total = ref 0 in
-  for seed = 1 to trials do
-    let r =
-      Ctx.run ~seed (fun ctx ->
-          Lp_sampling.run ctx (Lp_sampling.default_params ~eps:0.25 ()) ~a ~b)
-    in
-    match r.Ctx.output with
-    | Some s ->
-        incr total;
-        check Alcotest.bool "in support" true
-          (Product.get c s.Lp_sampling.row s.Lp_sampling.col <> 0);
-        if s.Lp_sampling.row = 0 && s.Lp_sampling.col = 0 then incr hits
-    | None -> ()
-  done;
-  let frac = float_of_int !hits /. float_of_int !total in
-  check Alcotest.bool
-    (Printf.sprintf "big entry frequency %.2f near 16/22" frac)
-    true
-    (Float.abs (frac -. (16.0 /. 22.0)) < 0.1)
-
-let test_lp_sampling_zero () =
-  let z = Imat.zero ~rows:6 ~cols:6 in
-  let r =
-    Ctx.run ~seed:1 (fun ctx ->
-        Lp_sampling.run ctx (Lp_sampling.default_params ~eps:0.5 ()) ~a:z ~b:z)
-  in
-  check Alcotest.bool "none" true (r.Ctx.output = None)
-
-(* ------------------------------------------------------------------ *)
 (* CountSketch baseline ([32] adaptation) *)
 
 module Hh_countsketch = Matprod_core.Hh_countsketch
@@ -1282,12 +1221,6 @@ let () =
           Alcotest.test_case "l0 sampling one-way" `Quick test_flow_l0_sampling_single_direction;
         ] );
       ("protocol-properties", List.map QCheck_alcotest.to_alcotest qcheck_protocol_tests);
-      ( "lp-sampling",
-        [
-          Alcotest.test_case "support & values" `Slow test_lp_sampling_support_and_values;
-          Alcotest.test_case "distribution p=2" `Slow test_lp_sampling_distribution_p2;
-          Alcotest.test_case "zero" `Quick test_lp_sampling_zero;
-        ] );
       ( "boosting",
         [
           Alcotest.test_case "improves reliability" `Slow test_boosting_improves_reliability;

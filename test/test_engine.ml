@@ -681,7 +681,7 @@ let test_v2_journal_refused () =
   in
   (* the benchmark pair's ℓ0 sketch has 4032 cells *)
   let shorter = Codec.array (Codec.shorter_uint_array ~length:4032) in
-  let dense = Codec.array Codec.uint_array in
+  let dense = Codec.array Codec.sparse_uint_array in
   let entries =
     List.map
       (fun (e : Journal.entry) ->

@@ -200,19 +200,23 @@ let test_l0_wire_checks_size () =
     ^ String.concat ""
         (Array.to_list
            (Array.map
-              (fun r -> Codec.encode (Codec.shorter_uint_array ~length:(Array.length r)) r)
+              (fun r ->
+                Codec.encode
+                  (Dense_oracle.dense_view (Codec.shorter_uint_array ~length:(Array.length r)))
+                  r)
               rows))
   in
+  let dense = Array.map Dense_oracle.to_dense rows in
   check Alcotest.bool "own size decodes" true
-    (Codec.decode message (raw rows) = rows);
+    (Codec.decode message (raw dense) = rows);
   List.iter
     (fun (name, short) ->
-      let bytes = raw [| rows.(0); short; rows.(1) |] in
+      let bytes = raw [| dense.(0); short; dense.(1) |] in
       match Codec.decode message bytes with
       | exception Codec.Decode_error _ -> ()
       | _ -> Alcotest.failf "%s: a row of %d cells decoded" name (n - 1))
     [
-      ("sparse row", Array.sub rows.(1) 0 (n - 1));
+      ("sparse row", Array.sub dense.(1) 0 (n - 1));
       ("dense row", Array.make (n - 1) 1);
     ]
 
@@ -230,9 +234,11 @@ let test_l0_linearity () =
          (List.init 200 (fun i -> i)))
   in
   let direct = L0_sketch.sketch t combined in
-  let composed = L0_sketch.empty t in
-  L0_sketch.add_scaled t ~dst:composed ~coeff:1 (L0_sketch.sketch t v1);
-  L0_sketch.add_scaled t ~dst:composed ~coeff:3 (L0_sketch.sketch t v2);
+  let composed =
+    L0_sketch.add_scaled t
+      (L0_sketch.add_scaled t (L0_sketch.empty t) ~coeff:1 (L0_sketch.sketch t v1))
+      ~coeff:3 (L0_sketch.sketch t v2)
+  in
   check Alcotest.bool "field linear" true (direct = composed)
 
 (* ------------------------------------------------------------------ *)
@@ -371,7 +377,7 @@ let test_one_sparse_symmetric_patterns () =
     One_sparse.update spec c1 0 (i + 3) 1;
     One_sparse.update spec c2 0 (i + 1) 1;
     One_sparse.update spec c2 0 (i + 2) 1;
-    One_sparse.add_scaled c1 ~coeff:(-1) c2 0;
+    One_sparse.add_scaled c1 0 ~coeff:(-1) c2 0;
     (* c1 - c2 is 4-sparse and nonzero; it must not decode Zero or One. *)
     match One_sparse.decode spec c1 0 with
     | One_sparse.Many -> ()
@@ -398,7 +404,7 @@ let test_one_sparse_add_scaled () =
   One_sparse.update spec a 0 10 2;
   One_sparse.update spec b 0 10 3;
   (* a - ... combine: a + (-2)*b + 4e10... check linear combo decodes *)
-  One_sparse.add_scaled a ~coeff:2 b 0;
+  One_sparse.add_scaled a 0 ~coeff:2 b 0;
   match One_sparse.decode spec a 0 with
   | One_sparse.One (10, 8) -> ()
   | _ -> Alcotest.fail "2+2*3=8 at index 10"
@@ -444,8 +450,7 @@ let test_s_sparse_linear_composition () =
   let rng = Prng.create 26 in
   let t = S_sparse.create rng ~s:8 ~reps:3 in
   let v1 = [| (5, 2); (100, 1) |] and v2 = [| (5, 1); (200, -3) |] in
-  let st = S_sparse.sketch t v1 in
-  S_sparse.add_scaled t ~dst:st ~coeff:3 (S_sparse.sketch t v2);
+  let st = S_sparse.add_scaled t (S_sparse.sketch t v1) ~coeff:3 (S_sparse.sketch t v2) in
   (* v1 + 3*v2 = { 5 -> 5, 100 -> 1, 200 -> -9 } *)
   match S_sparse.decode t st with
   | S_sparse.Ok [ (5, 5); (100, 1); (200, -9) ] -> ()
@@ -504,8 +509,10 @@ let test_l0_sampler_uniformity () =
 let test_l0_sampler_linear_composition () =
   let rng = Prng.create 30 in
   let t = L0_sampler.create rng ~dim:500 () in
-  let st = L0_sampler.sketch t [| (5, 2) |] in
-  L0_sampler.add_scaled t ~dst:st ~coeff:1 (L0_sampler.sketch t [| (5, -2); (9, 4) |]);
+  let st =
+    L0_sampler.add_scaled t (L0_sampler.sketch t [| (5, 2) |]) ~coeff:1
+      (L0_sampler.sketch t [| (5, -2); (9, 4) |])
+  in
   (* combined vector is {9 -> 4} *)
   match L0_sampler.sample t st with
   | Some (9, 4) -> ()
@@ -772,10 +779,29 @@ let resolve_combination srcs raw =
 let lp_sources t vecs =
   Array.of_list (List.map (Lp.sketch t) (vecs @ [ List.hd vecs; [||] ]))
 
+(* The specification: for the float families the add_scaled sum; for
+   p = 0 the sum over dense field arrays, cell by cell, read back into a
+   state. *)
 let dense_combination t srcs coeffs =
-  let acc = Lp.empty t in
-  Array.iter (fun (k, c) -> Lp.add_scaled t ~dst:acc ~coeff:c srcs.(k)) coeffs;
-  Lp.estimate_pow t acc
+  match Lp.empty t with
+  | Lp.F _ ->
+      Lp.estimate_pow t
+        (Array.fold_left
+           (fun acc (k, c) -> Lp.add_scaled t acc ~coeff:c srcs.(k))
+           (Lp.empty t) coeffs)
+  | Lp.Z zero ->
+      let acc = Array.make zero.length 0 in
+      Array.iter
+        (fun (k, c) ->
+          match srcs.(k) with
+          | Lp.Z src ->
+              let c = Field31.of_int c in
+              Array.iteri
+                (fun i x -> acc.(i) <- Field31.add acc.(i) (Field31.mul c x))
+                (Dense_oracle.to_dense src)
+          | Lp.F _ -> assert false)
+        coeffs;
+      Lp.estimate_pow t (Lp.Z (Dense_oracle.of_dense acc))
 
 (* ------------------------------------------------------------------ *)
 (* The record kernel: One_sparse as it was before cells moved into flat
@@ -987,11 +1013,11 @@ let qcheck_tests =
                    [ v; -v ]
              | Add (x, k, coeff) ->
                  let d = side x and s = 1 - side x in
-                 One_sparse.add_scaled flat.(d) ~coeff flat.(s) k;
+                 One_sparse.add_scaled flat.(d) k ~coeff flat.(s) k;
                  Record.add_scaled recs.(d).(k) ~coeff recs.(s).(k)
              | Self (x, k, coeff) ->
                  let d = side x in
-                 One_sparse.add_scaled flat.(d) ~coeff flat.(d) k;
+                 One_sparse.add_scaled flat.(d) k ~coeff flat.(d) k;
                  Record.add_scaled recs.(d).(k) ~coeff recs.(d).(k))
            ops;
          Array.for_all2
@@ -1011,13 +1037,16 @@ let qcheck_tests =
         let t = S_sparse.create (Prng.create seed) ~s:4 ~reps:3 in
         let r = Record.s_sparse (Prng.create seed) ~s:4 ~reps:3 in
         let st = S_sparse.sketch t v1 and rst = Record.s_sketch r v1 in
-        let same () = st = Record.flatten rst && S_sparse.decode t st = Record.s_decode r rst in
-        let first = same () in
-        S_sparse.add_scaled t ~dst:st ~coeff (S_sparse.sketch t v2);
+        let same st =
+          Dense_oracle.cells_to_dense st = Record.flatten rst
+          && S_sparse.decode t st = Record.s_decode r rst
+        in
+        let first = same st in
+        let st = S_sparse.add_scaled t st ~coeff (S_sparse.sketch t v2) in
         Array.iter2
           (fun d s -> Record.add_scaled d ~coeff s)
           rst (Record.s_sketch r v2);
-        first && same ());
+        first && same st);
     (let cell =
        Gen.(
          frequency
@@ -1030,7 +1059,10 @@ let qcheck_tests =
                     (pair (int_bound (Field31.p - 1)) (int_bound (Field31.p - 1)))) );
            ])
      in
-     let flat = One_sparse.cells_wire ~max_cells:Matprod_comm.Codec.max_dense_length in
+     let flat =
+       Dense_oracle.cells_view
+         (One_sparse.cells_wire ~max_cells:Matprod_comm.Codec.max_dense_length)
+     in
      let decode c b =
        match Matprod_comm.Codec.decode c b with
        | v -> Some v
@@ -1071,9 +1103,7 @@ let qcheck_tests =
         let rng = Prng.create 123 in
         let t = L0_sketch.create rng ~eps:0.5 ~groups:2 ~dim:500 in
         let st = L0_sketch.sketch t vec in
-        let before = Array.copy st in
-        L0_sketch.add_scaled t ~dst:st ~coeff:0 (L0_sketch.sketch t [| (1, 1) |]);
-        st = before);
+        L0_sketch.add_scaled t st ~coeff:0 (L0_sketch.sketch t [| (1, 1) |]) = st);
     (* The kernel skips zero source cells; the cell-by-cell field formula
        is its specification for any coefficient. *)
     (let t =
@@ -1103,8 +1133,10 @@ let qcheck_tests =
              (fun d s -> Field31.add d (Field31.mul (Field31.of_int coeff) s))
              dst src
          in
-         L0_sketch.add_scaled t ~dst ~coeff src;
-         dst = want));
+         Dense_oracle.to_dense
+           (L0_sketch.add_scaled t (Dense_oracle.of_dense dst) ~coeff
+              (Dense_oracle.of_dense src))
+         = want));
 
     (* The sparse combine against its specification, estimate_pow of the
        sum built by add_scaled, bit for bit on every Lp branch. The
