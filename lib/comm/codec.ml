@@ -399,23 +399,16 @@ let bytes =
 
 type sparse = { length : int; cells : int array; values : int array }
 
-(* Nonzero cells met by a decode, in ascending order; [cap] bounds them. *)
-type found = { mutable n : int; mutable idx : int array; mutable vals : int array }
-
-let found cap = { n = 0; idx = Array.make cap 0; vals = Array.make cap 0 }
+(* The nonzero cells a decode meets, in ascending order, kept in reverse. *)
+type found = { mutable idx : int list; mutable vals : int list }
 
 let push f i v =
-  if f.n = Array.length f.idx then begin
-    let grow a = Array.append a (Array.make (max 8 f.n) 0) in
-    f.idx <- grow f.idx;
-    f.vals <- grow f.vals
-  end;
-  Array.unsafe_set f.idx f.n i;
-  Array.unsafe_set f.vals f.n v;
-  f.n <- f.n + 1
+  f.idx <- i :: f.idx;
+  f.vals <- v :: f.vals
 
 let to_sparse length f =
-  { length; cells = Array.sub f.idx 0 f.n; values = Array.sub f.vals 0 f.n }
+  let arr l = Array.of_list (List.rev l) in
+  { length; cells = arr f.idx; values = arr f.vals }
 
 (* [enc_uint_array]'s bytes for the dense array [s] stands for: each gap
    before a nonzero cell is a run of zero bytes. *)
@@ -434,7 +427,7 @@ let enc_sparse_uint_array b s =
 (* [dec_uint_cells] keeping only the nonzero cells: zero bytes are
    skipped eight at a time, and nothing is allocated per zero cell. *)
 let dec_sparse_uint_cells s pos n =
-  let f = found 8 in
+  let f = { idx = []; vals = [] } in
   let len = String.length s in
   let i = ref 0 in
   while !i < n do
@@ -495,7 +488,7 @@ let enc_pairs b ~len ~nnz pairs =
 (* The (nnz, pairs) after a dense length [len] the caller has accepted. *)
 let dec_pairs what s pos len =
   let n = dec_count s pos what in
-  let f = found n in
+  let f = { idx = []; vals = [] } in
   let prev = ref (-1) in
   for _ = 1 to n do
     let d = dec_unonneg s pos in

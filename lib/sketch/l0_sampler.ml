@@ -51,24 +51,15 @@ let coord_depth t i =
    parts are built untimed, so the sampler's build is counted once. *)
 let sketch t vec =
   Metrics.timed h_build (fun () ->
-      let depth =
-        Array.map
+      let live =
+        List.filter_map
           (fun (i, v) ->
             if i < 0 || i >= t.dim then invalid_arg "L0_sampler.sketch: index range";
-            if v <> 0 then coord_depth t i else -1)
-          vec
+            if v <> 0 then Some (coord_depth t i, (i, v)) else None)
+          (Array.to_list vec)
       in
       let at_level l =
-        let n = Array.fold_left (fun n d -> if d >= l then n + 1 else n) 0 depth in
-        let sub = Array.make n (0, 0) and k = ref 0 in
-        Array.iteri
-          (fun e d ->
-            if d >= l then begin
-              sub.(!k) <- vec.(e);
-              incr k
-            end)
-          depth;
-        sub
+        Array.of_list (List.filter_map (fun (d, e) -> if d >= l then Some e else None) live)
       in
       {
         rec_states = Array.init t.levels (fun l -> S_sparse.build t.recover.(l) (at_level l));

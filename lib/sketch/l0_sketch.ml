@@ -242,38 +242,18 @@ let sketch_with_plan t p vec =
       end;
       state_of_touched t tc)
 
-(* The union of both supports: a cell of [src] adds coeff times its value
-   in the field, a cell of [acc] alone is kept, and cells that come out 0
-   are dropped — the cell-by-cell formula on canonical residues. *)
+(* The cells of [acc] and coeff times those of [src], summed per cell by
+   the build's sort: the cell-by-cell formula on canonical residues. *)
 let add_scaled t (acc : state) ~coeff (src : state) =
-  let n = size t in
-  if acc.length <> n || src.length <> n then
+  if acc.length <> size t || src.length <> size t then
     invalid_arg "L0_sketch.add_scaled: size mismatch";
   let c = Field31.of_int coeff in
   if c = 0 then acc
   else begin
-    let na = Array.length acc.cells and nb = Array.length src.cells in
-    let cells = Array.make (na + nb) 0 and values = Array.make (na + nb) 0 in
-    let out = ref 0 and a = ref 0 and b = ref 0 in
-    while !a < na || !b < nb do
-      let ka = if !a < na then acc.cells.(!a) else max_int in
-      let kb = if !b < nb then src.cells.(!b) else max_int in
-      let k = min ka kb in
-      let v = if ka = k then (incr a; acc.values.(!a - 1)) else 0 in
-      let v =
-        if kb = k then begin
-          incr b;
-          Field31.add v (Field31.mul c src.values.(!b - 1))
-        end
-        else v
-      in
-      if v <> 0 then begin
-        cells.(!out) <- k;
-        values.(!out) <- v;
-        incr out
-      end
-    done;
-    { Codec.length = n; cells = Array.sub cells 0 !out; values = Array.sub values 0 !out }
+    let tc = touched (Array.length acc.cells + Array.length src.cells) in
+    Array.iteri (fun k i -> touch tc i acc.values.(k)) acc.cells;
+    Array.iteri (fun k i -> touch tc i (Field31.mul c src.values.(k))) src.cells;
+    state_of_touched t tc
   end
 
 (* Linear-counting estimate at one level: m ≈ ln(empty/K) / ln(1 - 1/K). *)

@@ -118,11 +118,12 @@ let wire t =
      measure. Shipping them in the shorter form, as L0_sketch.wire ships
      the ℓ0-sampler's column sketches, flattens SC2's fitted ε-exponents
      and fails SC1/SC2 verdicts. Recovery structures (samplers), whose
-     content is genuinely sparse, do ship sparsely. An ℓ0 state's zeros
-     cost wire bytes only: they are written as runs of zero bytes and
-     skipped eight at a time on receipt, and the state is built, decoded
-     and combined by its nonzero cells (docs/PERFORMANCE.md, "Dense on
-     the wire, sparse on the CPU"). *)
+     content is genuinely sparse, do ship sparsely. The zeros of an ℓ0
+     state cost wire bytes and some CPU: encode copies each zero run
+     from a zero block and decode skips it eight bytes at a time. The
+     state itself keeps only its nonzero cells from build to combine, so
+     no zero is allocated, filled or scanned (docs/PERFORMANCE.md,
+     "Dense on the wire, sparse on the CPU"). *)
   | L0 _ ->
       Codec.map
         (function Z a -> a | F _ -> type_error ())

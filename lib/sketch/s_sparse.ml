@@ -27,39 +27,21 @@ let fresh t = One_sparse.no_cells (cells t)
 
 let bucket_of t ~rep i = (rep * t.buckets) + Hashing.bucket t.hashes.(rep) ~buckets:t.buckets i
 
-(* Each nonzero entry touches one cell per rep. The touched cells are
-   sorted as (cell lsl 32) lor entry and each run of one cell summed into
-   the next output slot, so no zero cell is written or scanned. Cell
+(* Sparse states are summed by sorting what goes into each cell: [keys]
+   are (cell lsl 32) lor j, and [add words slot j] adds contribution j
+   into output cell [slot]. Each cell's run lands in the next slot, kept
+   unless it sums to zero, so no zero cell is written or scanned. Cell
    words add commutatively (wrapping ints, canonical field residues), so
-   the sums are those of updating dense storage entry by entry. Per rep:
-   one bucket hash plus the cell's two fingerprint coefficients. *)
-let build t vec =
-  let nnz = Array.fold_left (fun acc (_, v) -> if v <> 0 then acc + 1 else acc) 0 vec in
-  if Metrics.enabled () then begin
-    Metrics.incr_by c_hash (3 * t.reps * nnz);
-    Metrics.incr_by c_cells (t.reps * nnz)
-  end;
-  let keys = Array.make (t.reps * nnz) 0 in
-  let m = ref 0 in
-  Array.iteri
-    (fun e (i, v) ->
-      if v <> 0 then begin
-        if i < 0 then invalid_arg "One_sparse.update: negative index";
-        for r = 0 to t.reps - 1 do
-          keys.(!m) <- (bucket_of t ~rep:r i lsl 32) lor e;
-          incr m
-        done
-      end)
-    vec;
+   every cell is the one adding into dense storage would give. *)
+let collect t keys add =
   Array.sort Int.compare keys;
-  let nonzero = Array.make (Array.length keys) 0 in
-  let words = Array.make (One_sparse.words * Array.length keys) 0 in
+  let m = Array.length keys in
+  let nonzero = Array.make m 0 and words = Array.make (One_sparse.words * m) 0 in
   let out = ref 0 and x = ref 0 in
-  while !x < Array.length keys do
+  while !x < m do
     let k = keys.(!x) lsr 32 in
-    while !x < Array.length keys && keys.(!x) lsr 32 = k do
-      let i, v = vec.(keys.(!x) land 0xFFFF_FFFF) in
-      One_sparse.update t.spec words !out i v;
+    while !x < m && keys.(!x) lsr 32 = k do
+      add words !out (keys.(!x) land 0xFFFF_FFFF);
       incr x
     done;
     if not (One_sparse.is_zero words !out) then begin
@@ -73,49 +55,43 @@ let build t vec =
     cell_words = Array.sub words 0 (One_sparse.words * !out);
   }
 
+(* Each nonzero entry goes into one cell per rep. Per rep: one bucket
+   hash plus the cell's two fingerprint coefficients. *)
+let build t vec =
+  let nnz = Array.fold_left (fun acc (_, v) -> if v <> 0 then acc + 1 else acc) 0 vec in
+  if Metrics.enabled () then begin
+    Metrics.incr_by c_hash (3 * t.reps * nnz);
+    Metrics.incr_by c_cells (t.reps * nnz)
+  end;
+  let keys = Array.make (t.reps * nnz) 0 and m = ref 0 in
+  Array.iteri
+    (fun e (i, v) ->
+      if v <> 0 then begin
+        if i < 0 then invalid_arg "One_sparse.update: negative index";
+        for r = 0 to t.reps - 1 do
+          keys.(!m) <- (bucket_of t ~rep:r i lsl 32) lor e;
+          incr m
+        done
+      end)
+    vec;
+  collect t keys (fun words slot e ->
+      let i, v = vec.(e) in
+      One_sparse.update t.spec words slot i v)
+
 let sketch t vec = Metrics.timed h_build (fun () -> build t vec)
 
-let zero_cell = Array.make One_sparse.words 0
-
-(* The union of both supports, each cell by One_sparse.add_scaled — a
-   cell absent from [src] takes the zero cell, so every cell is the dense
-   formula's — dropping cells that come out zero. *)
-let add_scaled t acc ~coeff (src : state) =
-  let n = cells t in
-  if acc.One_sparse.count <> n || src.count <> n then
+let add_scaled t (acc : state) ~coeff (src : state) =
+  if acc.count <> cells t || src.count <> cells t then
     invalid_arg "S_sparse.add_scaled: size mismatch";
   if coeff = 0 then acc
-  else begin
-    let na = Array.length acc.nonzero and nb = Array.length src.nonzero in
-    let nonzero = Array.make (na + nb) 0 in
-    let words = Array.make (One_sparse.words * (na + nb)) 0 in
-    let out = ref 0 and a = ref 0 and b = ref 0 in
-    while !a < na || !b < nb do
-      let ka = if !a < na then acc.nonzero.(!a) else max_int in
-      let kb = if !b < nb then src.nonzero.(!b) else max_int in
-      let k = min ka kb in
-      if ka = k then begin
-        Array.blit acc.cell_words (One_sparse.words * !a) words
-          (One_sparse.words * !out) One_sparse.words;
-        incr a
-      end;
-      if kb = k then begin
-        One_sparse.add_scaled words !out ~coeff src.cell_words !b;
-        incr b
-      end
-      else One_sparse.add_scaled words !out ~coeff zero_cell 0;
-      if not (One_sparse.is_zero words !out) then begin
-        nonzero.(!out) <- k;
-        incr out
-      end
-      else Array.fill words (One_sparse.words * !out) One_sparse.words 0
-    done;
-    {
-      One_sparse.count = n;
-      nonzero = Array.sub nonzero 0 !out;
-      cell_words = Array.sub words 0 (One_sparse.words * !out);
-    }
-  end
+  else
+    let na = Array.length acc.nonzero in
+    let key off j k = (k lsl 32) lor (off + j) in
+    collect t
+      (Array.append (Array.mapi (key 0) acc.nonzero) (Array.mapi (key na) src.nonzero))
+      (fun words slot j ->
+        if j < na then One_sparse.add_scaled words slot ~coeff:1 acc.cell_words j
+        else One_sparse.add_scaled words slot ~coeff src.cell_words (j - na))
 
 type result = Ok of (int * int) list | Fail
 

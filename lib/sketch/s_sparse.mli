@@ -39,8 +39,9 @@ val build : t -> (int * int) array -> state
 
 val add_scaled : t -> state -> coeff:int -> state -> state
 (** [add_scaled t acc ~coeff src] is acc + coeff·src, cell by cell as
-    {!One_sparse.add_scaled}. Raises [Invalid_argument] unless both have
-    {!cells} cells. *)
+    {!One_sparse.add_scaled}. [acc]'s fingerprints must be canonical
+    residues — every state this module builds or combines has them.
+    Raises [Invalid_argument] unless both have {!cells} cells. *)
 
 type result = Ok of (int * int) list | Fail
 (** [Ok pairs]: the exact nonzero (index, value) pairs, sorted by index.

@@ -19,21 +19,27 @@ let normal_q75 = 0.674489750196082
 
 let calibration_samples = 200_001
 
+(* Calibrated medians by p, filled on first use. Pool tasks reach
+   [median_abs] from several domains at once, so the table is only read
+   or written under [lock]; a domain that finds p missing computes it
+   while holding the lock, and the others wait for its value. *)
 let cache : (float, float) Hashtbl.t = Hashtbl.create 8
+let lock = Mutex.create ()
 
 let median_abs ~p =
   check_p p;
   if p = 2.0 then sqrt 2.0 *. normal_q75
   else if p = 1.0 then 1.0
   else
-    match Hashtbl.find_opt cache p with
-    | Some m -> m
-    | None ->
-        let rng = Prng.create 0x5eedab1e in
-        let xs =
-          Array.init calibration_samples (fun _ -> Float.abs (sample rng ~p))
-        in
-        Array.sort Float.compare xs;
-        let m = xs.(calibration_samples / 2) in
-        Hashtbl.replace cache p m;
-        m
+    Mutex.protect lock (fun () ->
+        match Hashtbl.find_opt cache p with
+        | Some m -> m
+        | None ->
+            let rng = Prng.create 0x5eedab1e in
+            let xs =
+              Array.init calibration_samples (fun _ -> Float.abs (sample rng ~p))
+            in
+            Array.sort Float.compare xs;
+            let m = xs.(calibration_samples / 2) in
+            Hashtbl.replace cache p m;
+            m)

@@ -1013,6 +1013,110 @@ let sparse_oracle_tests =
       ~oracle_dec:Counter_ref.decode;
   ]
 
+(* Mostly-zero arrays of length 0–10 000, the shape of an ℓ0 state: at
+   most 64 nonzero cells, each one of the values whose varints end a
+   byte-width (0x7f, 0x80, 2^31 − 2, max_int) or small, at positions
+   aligned to [offset] mod 8 (or anywhere), so the zero runs between them
+   start at every offset against 8-byte words. *)
+let mostly_zero_gen =
+  let open QCheck.Gen in
+  int_bound 10_000 >>= fun n ->
+  int_bound 7 >>= fun offset ->
+  int_bound (min 64 (n / 4)) >>= fun k ->
+  list_repeat k
+    (triple bool (int_bound (max 0 (n - 1)))
+       (oneofl [ 1; 0x7f; 0x80; (1 lsl 31) - 2; max_int; 3 ]))
+  >|= fun cells ->
+  let a = Array.make n 0 in
+  List.iter
+    (fun (aligned, i, v) ->
+      let i = if aligned then (i land lnot 7) + offset else i in
+      if i < n then a.(i) <- v)
+    cells;
+  a
+
+let mostly_zero_arb =
+  QCheck.make
+    ~print:(fun a ->
+      Printf.sprintf "<%d cells, nonzero at %s>" (Array.length a)
+        (String.concat ","
+           (List.filter_map
+              (fun i -> if a.(i) <> 0 then Some (string_of_int i) else None)
+              (List.init (Array.length a) Fun.id))))
+    mostly_zero_gen
+
+(* A decoded sparse state must be canonical: ascending cells inside its
+   length, nonzero values. *)
+let sparse_outcome c s =
+  Result.bind (decode_outcome c s) (fun (st : Codec.sparse) ->
+      let ok = ref (Array.length st.cells = Array.length st.values) in
+      Array.iteri
+        (fun k i ->
+          if i < 0 || i >= st.length || (k > 0 && st.cells.(k - 1) >= i)
+             || st.values.(k) = 0
+          then ok := false)
+        st.cells;
+      if !ok then Ok (Dense_oracle.to_dense st) else Error "not canonical")
+
+let oracle_outcome o s =
+  match Dense_oracle.decode o s with
+  | v -> Ok v
+  | exception Codec.Decode_error m -> Error m
+
+(* The sparse-source codecs against the dense codecs they replaced
+   (test/dense_oracle.ml): the same bytes for every mostly-zero array, and
+   on that encoding, a truncation of it and a bit flip anywhere in it,
+   the same cells or the same Decode_error text. *)
+let dense_oracle_tests =
+  let open QCheck in
+  let damage = pair (int_bound max_int) (int_bound max_int) in
+  let agrees ~name ~codec ~oracle =
+    Test.make ~name ~count:200 (pair mostly_zero_arb damage) (fun (a, d) ->
+        let c = codec a and o = oracle a in
+        let e = Dense_oracle.encode o a in
+        let truncated, flipped = truncate_and_flip e d in
+        String.equal (Codec.encode c (Dense_oracle.of_dense a)) e
+        && List.for_all
+             (fun s -> sparse_outcome c s = oracle_outcome o s)
+             [ e; truncated; flipped ])
+  in
+  let cells_gen =
+    let open Gen in
+    (* sums any int, fingerprints non-negative *)
+    let fp = oneofl [ 0; 0; 0; 1; 0x7f; 0x80; (1 lsl 31) - 2; max_int ] in
+    let sum = oneof [ fp; oneofl [ -1; min_int ] ] in
+    let cell = map (fun (a, b, c, d) -> [| a; b; c; d |]) (quad sum sum fp fp) in
+    int_bound 2_500 >>= fun n ->
+    int_bound (min 16 n) >>= fun k ->
+    list_repeat k (pair (int_bound (max 0 (n - 1))) cell) >|= fun cells ->
+    let a = Array.make (4 * n) 0 in
+    List.iter (fun (j, c) -> Array.blit c 0 a (4 * j) 4) cells;
+    a
+  in
+  let dense_cells = Dense_oracle.cells_wire ~max_cells:20_000 in
+  let cells = One_sparse.cells_wire ~max_cells:20_000 in
+  [
+    agrees ~name:"sparse_uint_array: the dense uint_array's bytes and cells"
+      ~codec:(fun _ -> Codec.sparse_uint_array)
+      ~oracle:(fun _ -> Dense_oracle.uint_array);
+    agrees ~name:"bounded_counter_array: the dense codec's bytes and cells"
+      ~codec:(fun _ -> Codec.bounded_counter_array ~max_length:10_000)
+      ~oracle:(fun _ -> Dense_oracle.bounded_counter_array ~max_length:10_000);
+    agrees ~name:"shorter_uint_array: the dense codec's bytes and cells"
+      ~codec:(fun a -> Codec.shorter_uint_array ~length:(Array.length a))
+      ~oracle:(fun a -> Dense_oracle.shorter_uint_array ~length:(Array.length a));
+    Test.make ~name:"cells_wire: the dense codec's bytes and cells" ~count:200
+      (pair (make cells_gen) damage) (fun (a, d) ->
+        let e = Codec.encode dense_cells a in
+        let truncated, flipped = truncate_and_flip e d in
+        String.equal (Codec.encode cells (Dense_oracle.cells_of_dense a)) e
+        && List.for_all
+             (fun s ->
+               Result.map Dense_oracle.cells_to_dense (decode_outcome cells s)
+               = decode_outcome dense_cells s)
+             [ e; truncated; flipped ]);
+  ]
+
 (* shorter_uint_array against its two forms: it decodes back to its input,
    costs exactly one tag byte more than the shorter form, and so never
    more than uint_array plus one byte. *)
@@ -1041,7 +1145,7 @@ let shorter_uint_array_tests =
 let qcheck_tests =
   let open QCheck in
   fuzz_tests @ journal_qcheck_tests @ uint_array_tests @ sparse_oracle_tests
-  @ shorter_uint_array_tests
+  @ dense_oracle_tests @ shorter_uint_array_tests
   @ [
     Test.make ~name:"codec: int roundtrip" ~count:1000 int (fun n ->
         roundtrip Codec.int n = n);

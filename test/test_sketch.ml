@@ -595,6 +595,90 @@ let test_l0_sampler_wire_allocation () =
       ("l0 sketch of 2^24 cells", (levels, (big, [])));
     ]
 
+(* Bob's combine in Theorem 3.2 both ways, at seeds 1–5: sampler states
+   merged by L0_sampler.add_scaled, and the same states summed as dense
+   arrays — One_sparse.add_scaled on every flat cell of every level, the
+   field formula on every ℓ0 cell — and read back through the wire. The
+   coefficients repeat a column with c and −c, which cancels it. Both
+   give the same state, byte for byte, and so the same pair. *)
+let test_l0_sampler_matches_dense_path () =
+  let module Codec = Matprod_comm.Codec in
+  List.iter
+    (fun seed ->
+      let rng = Prng.create seed in
+      let t = L0_sampler.create rng ~dim:200 () in
+      let states =
+        Array.init 6 (fun _ ->
+            L0_sampler.sketch t (random_sparse_vec rng ~dim:200 ~nnz:4 ~maxval:3))
+      in
+      let coeffs = [| (0, 1); (2, 3); (3, -1); (5, 2); (1, 7); (1, -7) |] in
+      let sparse =
+        Array.fold_left
+          (fun acc (k, c) -> L0_sampler.add_scaled t acc ~coeff:c states.(k))
+          (L0_sampler.fresh t) coeffs
+      in
+      let dense_of st =
+        let levels, (len, pairs) =
+          Codec.decode raw_sampler_wire (Codec.encode (L0_sampler.wire t) st)
+        in
+        let level (n, cells) =
+          let a = Array.make (One_sparse.words * n) 0 in
+          List.iter
+            (fun (j, ((w0, w1), (w2, w3))) -> Array.blit [| w0; w1; w2; w3 |] 0 a (4 * j) 4)
+            cells;
+          a
+        in
+        let l0 = Array.make len 0 and at = ref (-1) in
+        List.iter
+          (fun (gap, v) ->
+            at := !at + gap + 1;
+            l0.(!at) <- v)
+          pairs;
+        (Array.map level levels, l0)
+      in
+      let levels0, l00 = dense_of (L0_sampler.fresh t) in
+      Array.iter
+        (fun (k, c) ->
+          let levels, l0 = dense_of states.(k) in
+          Array.iteri
+            (fun l src ->
+              for j = 0 to (Array.length src / One_sparse.words) - 1 do
+                One_sparse.add_scaled levels0.(l) j ~coeff:c src j
+              done)
+            levels;
+          let f = Field31.of_int c in
+          Array.iteri (fun i x -> l00.(i) <- Field31.add l00.(i) (Field31.mul f x)) l0)
+        coeffs;
+      let raw_of_dense =
+        let level a =
+          let cells = ref [] in
+          for j = (Array.length a / 4) - 1 downto 0 do
+            if Array.exists (fun w -> w <> 0) (Array.sub a (4 * j) 4) then
+              cells := (j, ((a.(4 * j), a.((4 * j) + 1)), (a.((4 * j) + 2), a.((4 * j) + 3)))) :: !cells
+          done;
+          (Array.length a / 4, !cells)
+        in
+        let pairs = ref [] and prev = ref (-1) in
+        Array.iteri
+          (fun i v ->
+            if v <> 0 then begin
+              pairs := (i - !prev - 1, v) :: !pairs;
+              prev := i
+            end)
+          l00;
+        (Array.map level levels0, (Array.length l00, List.rev !pairs))
+      in
+      let dense_bytes = Codec.encode raw_sampler_wire raw_of_dense in
+      check Alcotest.string
+        (Printf.sprintf "seed %d: combined state" seed)
+        dense_bytes
+        (Codec.encode (L0_sampler.wire t) sparse);
+      check Alcotest.(option (pair int int))
+        (Printf.sprintf "seed %d: sampled pair" seed)
+        (L0_sampler.sample t (Codec.decode (L0_sampler.wire t) dense_bytes))
+        (L0_sampler.sample t sparse))
+    [ 1; 2; 3; 4; 5 ]
+
 (* ------------------------------------------------------------------ *)
 (* CountSketch *)
 
@@ -1245,6 +1329,7 @@ let () =
       ( "l0-sampler",
         [
           Alcotest.test_case "returns support" `Slow test_l0_sampler_returns_support;
+          Alcotest.test_case "matches the dense path" `Quick test_l0_sampler_matches_dense_path;
           Alcotest.test_case "zero vector" `Quick test_l0_sampler_zero_vector;
           Alcotest.test_case "uniformity" `Slow test_l0_sampler_uniformity;
           Alcotest.test_case "linear composition" `Quick test_l0_sampler_linear_composition;

@@ -273,6 +273,35 @@ let test_stable_median_abs_calibration () =
         (Float.abs (med -. c) /. c < 0.03))
     [ 0.5; 1.5 ]
 
+(* The calibration on its own, single-domain: the median of |X| over
+   200 001 draws from the fixed seed 0x5eedab1e. *)
+let calibrated_median ~p =
+  let rng = Prng.create 0x5eedab1e in
+  let xs = Array.init 200_001 (fun _ -> Float.abs (Stable.sample rng ~p)) in
+  Array.sort Float.compare xs;
+  xs.(100_000)
+
+(* Pool tasks on 4 domains ask at once for p values no test has used, so
+   they all find the cache empty and fill it concurrently; each gets the
+   single-domain calibration bit for bit. *)
+let test_stable_median_abs_domains () =
+  let module Pool = Matprod_util.Pool in
+  let ps = [| 0.37; 0.43 |] in
+  let got =
+    Pool.set_size 4;
+    Fun.protect
+      ~finally:(fun () -> Pool.set_size 1)
+      (fun () -> Pool.init 8 (fun i -> Stable.median_abs ~p:ps.(i mod 2)))
+  in
+  let want = Array.map (fun p -> calibrated_median ~p) ps in
+  Array.iteri
+    (fun i m ->
+      check Alcotest.bool
+        (Printf.sprintf "task %d, p=%.2f" i ps.(i mod 2))
+        true
+        (Int64.equal (Int64.bits_of_float m) (Int64.bits_of_float want.(i mod 2))))
+    got
+
 let test_stable_sums () =
   (* 1-stability of Cauchy: x+y for independent Cauchy ~ 2*Cauchy. *)
   let rng = Prng.create 24 in
@@ -495,6 +524,7 @@ let () =
           Alcotest.test_case "p=1 cauchy" `Slow test_stable_p1_is_cauchy;
           Alcotest.test_case "median constants" `Quick test_stable_median_abs_constants;
           Alcotest.test_case "median calibration" `Slow test_stable_median_abs_calibration;
+          Alcotest.test_case "median at 4 domains" `Quick test_stable_median_abs_domains;
           Alcotest.test_case "stability of sums" `Slow test_stable_sums;
           Alcotest.test_case "rejects bad p" `Quick test_stable_rejects_bad_p;
         ] );
