@@ -7,13 +7,6 @@ exception Decode_error of string
 
 let dec_fail msg = raise (Decode_error msg)
 
-(* A sparse encoding legitimately declares a dense length much larger
-   than its wire bytes, and its decoder must allocate that length. This
-   cap, for callers with no tighter bound, limits what a corrupted or
-   adversarial length prefix can make us allocate: 2^24 words ≈ 128 MB,
-   far above any sketch state the library ships. *)
-let max_dense_length = 1 lsl 24
-
 let encode c v =
   let b = Buffer.create 64 in
   c.enc b v;

@@ -14,15 +14,9 @@ exception Decode_error of string
     truncation, trailing garbage, bad tags, overlong or negative varints,
     length prefixes exceeding the remaining input, and index overflow in
     delta-coded sequences. Decoders never raise anything else on corrupt
-    bytes, and allocation before the check is bounded by the input length
-    (a sparse encoding's dense length is additionally bounded by the
-    receiver: [max_length] or [length]), so feeding adversarial bytes to
-    [decode] is safe. *)
-
-val max_dense_length : int
-(** A bound (2^24) on the dense logical length a sparse encoding may
-    declare, for receivers with no tighter one: a length prefix drives an
-    allocation larger than the wire bytes only in such encodings. *)
+    bytes, and allocation is bounded by the input length (a sparse
+    source's dense length is never allocated), so feeding adversarial
+    bytes to [decode] is safe. *)
 
 val encode : 'a t -> 'a -> string
 val decode : 'a t -> string -> 'a

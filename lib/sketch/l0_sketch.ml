@@ -64,41 +64,102 @@ let cell_index t ~rep_idx ~level ~bucket =
 (* --- sparse builds ------------------------------------------------------
 
    A build appends one (cell lsl 31) lor residue per cell a key touches,
-   sorts them, and sums each cell's run in the field, dropping the cells
-   that come out 0. Field addition of canonical residues is associative
-   and commutative, so every cell is the one adding the residues into
-   dense storage key by key would give, and no cell outside the touched
-   ones is ever written or scanned. *)
+   sorts them by cell, and sums each cell's run in the field, dropping
+   the cells that come out 0. Field addition of canonical residues is
+   associative and commutative, so every cell is the one adding the
+   residues into dense storage key by key would give, and no cell
+   outside the touched ones is ever written or scanned. *)
 
-type touched = { mutable keys : int array; mutable n : int }
+(* The two key buffers of a build, one domain's, checked out for the
+   call — a second thread of the same domain that arrives meanwhile
+   allocates its own — so a build allocates only its state. *)
+type touched = { mutable keys : int array; mutable spare : int array; mutable n : int }
 
-let touched cap = { keys = Array.make (max 8 cap) 0; n = 0 }
+let touched_key = Domain.DLS.new_key (fun () -> ref None)
+
+let touched () =
+  let slot = Domain.DLS.get touched_key in
+  match !slot with
+  | Some tc ->
+      slot := None;
+      tc.n <- 0;
+      tc
+  | None -> { keys = Array.make 64 0; spare = Array.make 64 0; n = 0 }
+
+(* Room for [m] more keys. *)
+let reserve tc m =
+  if tc.n + m > Array.length tc.keys then
+    tc.keys <- Array.append tc.keys (Array.make (max tc.n m) 0)
 
 let touch tc cell residue =
-  if tc.n = Array.length tc.keys then
-    tc.keys <- Array.append tc.keys (Array.make tc.n 0);
+  reserve tc 1;
   Array.unsafe_set tc.keys tc.n ((cell lsl 31) lor residue);
   tc.n <- tc.n + 1
 
+(* Orders [tc]'s keys by cell (bits 31 and up, below [1 lsl (31 + bits)])
+   with a least-significant-digit radix sort in passes of at most 11
+   bits, leaving them in [tc.keys]. One read of the keys counts every
+   pass's digits. *)
+let sort_by_cell tc ~bits =
+  let n = tc.n in
+  if Array.length tc.spare < n then tc.spare <- Array.make (Array.length tc.keys) 0;
+  let passes = max 1 ((bits + 10) / 11) in
+  let digit = (bits + passes - 1) / passes in
+  let mask = (1 lsl digit) - 1 and width = (1 lsl digit) + 1 in
+  let count = Array.make (passes * width) 0 in
+  for x = 0 to n - 1 do
+    let k = Array.unsafe_get tc.keys x lsr 31 in
+    for pass = 0 to passes - 1 do
+      let d = (pass * width) + ((k lsr (pass * digit)) land mask) + 1 in
+      Array.unsafe_set count d (Array.unsafe_get count d + 1)
+    done
+  done;
+  for pass = 0 to passes - 1 do
+    let a = tc.keys and b = tc.spare in
+    let base = pass * width and shift = 31 + (pass * digit) in
+    for d = base + 1 to base + mask do
+      Array.unsafe_set count d (Array.unsafe_get count d + Array.unsafe_get count (d - 1))
+    done;
+    for x = 0 to n - 1 do
+      let k = Array.unsafe_get a x in
+      let d = base + ((k lsr shift) land mask) in
+      Array.unsafe_set b (Array.unsafe_get count d) k;
+      Array.unsafe_set count d (Array.unsafe_get count d + 1)
+    done;
+    tc.keys <- b;
+    tc.spare <- a
+  done
+
+let rec bit_width n = if n = 0 then 0 else 1 + bit_width (n lsr 1)
+
+(* Sums each cell's run into [tc.spare], packed as the keys are, then
+   unpacks the nonzero cells into the state, and hands [tc] back. *)
 let state_of_touched t tc =
-  let keys = Array.sub tc.keys 0 tc.n in
-  Array.sort Int.compare keys;
-  let cells = Array.make tc.n 0 and values = Array.make tc.n 0 in
+  sort_by_cell tc ~bits:(bit_width (size t - 1));
+  let keys = tc.keys and sums = tc.spare and n = tc.n in
   let out = ref 0 and x = ref 0 in
-  while !x < tc.n do
-    let cell = keys.(!x) lsr 31 in
+  while !x < n do
+    let cell = Array.unsafe_get keys !x lsr 31 in
     let v = ref 0 in
-    while !x < tc.n && keys.(!x) lsr 31 = cell do
-      v := Field31.add !v (keys.(!x) land 0x7FFFFFFF);
+    while !x < n && Array.unsafe_get keys !x lsr 31 = cell do
+      v := Field31.add !v (Array.unsafe_get keys !x land 0x7FFFFFFF);
       incr x
     done;
     if !v <> 0 then begin
-      cells.(!out) <- cell;
-      values.(!out) <- !v;
+      Array.unsafe_set sums !out ((cell lsl 31) lor !v);
       incr out
     end
   done;
-  { Codec.length = size t; cells = Array.sub cells 0 !out; values = Array.sub values 0 !out }
+  let m = !out in
+  let cells = Array.make m 0 and values = Array.make m 0 in
+  for k = 0 to m - 1 do
+    let x = Array.unsafe_get sums k in
+    Array.unsafe_set cells k (x lsr 31);
+    Array.unsafe_set values k (x land 0x7FFFFFFF)
+  done;
+  let state = { Codec.length = size t; cells; values } in
+  (Domain.DLS.get touched_key) := Some tc;
+  state
 
 let add_coord t tc ~rep_idx ~coord ~weight =
   let rep = t.reps.(rep_idx) in
@@ -115,7 +176,7 @@ let add_coord t tc ~rep_idx ~coord ~weight =
   done
 
 let build t vec =
-  let tc = touched (2 * Array.length t.reps * Array.length vec) in
+  let tc = touched () in
   Array.iter
     (fun (i, v) ->
       if i < 0 || i >= t.dim then invalid_arg "L0_sketch.sketch: index range";
@@ -208,7 +269,7 @@ let sketch_with_plan t p vec =
   Metrics.timed h_build_planned (fun () ->
       let groups = p.pgroups in
       let lb = t.levels * t.buckets in
-      let tc = touched (2 * groups * Array.length vec) in
+      let tc = touched () in
       (* One enabled() check per row; logical hash/cell counts accumulate
          in locals and post once, so the totals match the per-entry
          unplanned path without a metrics call in the inner loop. *)
@@ -230,9 +291,13 @@ let sketch_with_plan t p vec =
               end;
               let c = Field31.mul (h land 0x7FFFFFFF) w in
               let cb = g * lb in
+              reserve tc (lmax + 1);
+              let keys = tc.keys and n0 = tc.n in
               for l = 0 to lmax do
-                touch tc (cb + (l * t.buckets) + Array.unsafe_get p.buckets (off + l)) c
-              done
+                let cell = cb + (l * t.buckets) + Array.unsafe_get p.buckets (off + l) in
+                Array.unsafe_set keys (n0 + l) ((cell lsl 31) lor c)
+              done;
+              tc.n <- n0 + lmax + 1
             done
           end)
         vec;
@@ -250,7 +315,7 @@ let add_scaled t (acc : state) ~coeff (src : state) =
   let c = Field31.of_int coeff in
   if c = 0 then acc
   else begin
-    let tc = touched (Array.length acc.cells + Array.length src.cells) in
+    let tc = touched () in
     Array.iteri (fun k i -> touch tc i acc.values.(k)) acc.cells;
     Array.iteri (fun k i -> touch tc i (Field31.mul c src.values.(k))) src.cells;
     state_of_touched t tc

@@ -60,8 +60,6 @@ let cell_codec =
 
 type cells = { count : int; nonzero : int array; cell_words : int array }
 
-let no_cells count = { count; nonzero = [||]; cell_words = [||] }
-
 (* Cells listed in any order, possibly repeated or zero, to the form
    above: a later listing of a position overwrites an earlier one, as
    writing them into dense storage in order would. *)

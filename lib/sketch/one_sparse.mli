@@ -42,9 +42,6 @@ type cells = { count : int; nonzero : int array; cell_words : int array }
     positions [nonzero] are not all zero: cell [nonzero.(j)] holds
     [cell_words.(4j .. 4j+3)], so [cell_words] is flat storage as above. *)
 
-val no_cells : int -> cells
-(** [count] zero cells. *)
-
 val cells_wire : max_cells:int -> cells Matprod_comm.Codec.t
 (** Codec for shipping cells: (count, nonzero cells with their positions).
     Decoding is total up to {!Matprod_comm.Codec.Decode_error}: counts

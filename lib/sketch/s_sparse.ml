@@ -23,7 +23,7 @@ let create rng ~s ~reps =
   { reps; buckets = 2 * s; spec = One_sparse.spec rng; hashes }
 
 let cells t = t.reps * t.buckets
-let fresh t = One_sparse.no_cells (cells t)
+let fresh t = { One_sparse.count = cells t; nonzero = [||]; cell_words = [||] }
 
 let bucket_of t ~rep i = (rep * t.buckets) + Hashing.bucket t.hashes.(rep) ~buckets:t.buckets i
 

@@ -7,6 +7,9 @@
 
 module Codec = Matprod_comm.Codec
 
+(* A bound on the dense lengths the dense decoders here may allocate. *)
+let max_dense_length = 1 lsl 24
+
 let to_dense (s : Codec.sparse) =
   let a = Array.make s.length 0 in
   Array.iteri (fun k c -> a.(c) <- s.values.(k)) s.cells;

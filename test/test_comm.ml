@@ -76,7 +76,7 @@ let test_codec_sorted_array_compression () =
   check Alcotest.bool "delta coding compresses" true (bytes < 1100)
 
 let counter_array =
-  Dense_oracle.dense_view (Codec.bounded_counter_array ~max_length:Codec.max_dense_length)
+  Dense_oracle.dense_view (Codec.bounded_counter_array ~max_length:Dense_oracle.max_dense_length)
 
 let test_codec_bounded_counter_array () =
   let v = [| 0; 5; 0; 0; 7; 0 |] in
@@ -193,7 +193,7 @@ let test_codec_adversarial_lengths () =
           let c = Codec.pair Codec.uint (Codec.list Codec.unit) in
           ignore
             (Codec.decode
-               (One_sparse.cells_wire ~max_cells:Codec.max_dense_length)
+               (One_sparse.cells_wire ~max_cells:Dense_oracle.max_dense_length)
                (Codec.encode c (1 lsl 40, [])))
       );
       ( "cells index beyond length",
@@ -206,7 +206,7 @@ let test_codec_adversarial_lengths () =
           let bytes = Codec.encode c (3, [ (3, ((1, 3), (7, 9))) ]) in
           ignore
             (Codec.decode
-               (One_sparse.cells_wire ~max_cells:Codec.max_dense_length)
+               (One_sparse.cells_wire ~max_cells:Dense_oracle.max_dense_length)
                bytes) );
     ]
 
@@ -936,7 +936,7 @@ module Counter_ref = struct
     in
     match
       let len = uvarint () in
-      if len > Codec.max_dense_length then
+      if len > Dense_oracle.max_dense_length then
         fail "Codec.bounded_counter_array: dense length exceeds cap";
       let n = uvarint () in
       if n > String.length s - !pos then

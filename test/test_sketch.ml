@@ -579,7 +579,7 @@ let test_l0_sampler_wire_allocation () =
   let t = L0_sampler.create (Prng.create 33) ~dim:24 () in
   let wire = L0_sampler.wire t in
   let levels, l0 = Codec.decode raw_sampler_wire (Codec.encode wire (L0_sampler.fresh t)) in
-  let big = Codec.max_dense_length in
+  let big = Dense_oracle.max_dense_length in
   List.iter
     (fun (name, msg) ->
       let bytes = Codec.encode raw_sampler_wire msg in
@@ -957,7 +957,7 @@ module Record = struct
           cells;
         (Array.length cells, List.rev !nonzero))
       (fun (len, nonzero) ->
-        if len > Codec.max_dense_length then
+        if len > Dense_oracle.max_dense_length then
           raise (Codec.Decode_error "One_sparse.cells_wire: length exceeds cap");
         if List.exists (fun (idx, _) -> idx >= len) nonzero then
           raise (Codec.Decode_error "One_sparse.cells_wire: index beyond length");
@@ -1145,7 +1145,7 @@ let qcheck_tests =
      in
      let flat =
        Dense_oracle.cells_view
-         (One_sparse.cells_wire ~max_cells:Matprod_comm.Codec.max_dense_length)
+         (One_sparse.cells_wire ~max_cells:Dense_oracle.max_dense_length)
      in
      let decode c b =
        match Matprod_comm.Codec.decode c b with
