@@ -3,15 +3,15 @@
    The drivers sketch every row of B against ONE shared hash family, so
    the per-key hash work (splitmix64 finalisers, GF(2^31-1) coefficient
    maps, Int64 boxing) can be tabulated once — [plan] — and each row
-   applied with table lookups into a reused scratch buffer —
-   [sketch_into]. P1 measures rows/second of the seed path vs the planned
-   path for every sketch family, plan cost amortised exactly the way the
-   drivers amortise it (one plan, many rows), and reports the planned
-   fan-out across the domain pool as well.
+   applied with table lookups — [sketch_with_plan]. P1 measures
+   rows/second of the seed path vs the planned path for every sketch
+   family, plan cost amortised exactly the way the drivers amortise it
+   (one plan, many rows), and reports the planned fan-out across the
+   domain pool as well.
 
    Verdicts:
    - planned kernels >= 3x the seed path on every family whose seed path
-     re-hashes per row (countsketch, ams, l0_sketch, lp, cohen, srht);
+     re-hashes per row (ams, l0_sketch, lp, cohen, srht);
    - stable (p=1) >= 2x: its seed path already amortises entry
      generation through a lazy column cache, so the plan's win is the
      4-key batched accumulate, a smaller (but now gated) margin;
@@ -27,7 +27,6 @@ module Prng = Matprod_util.Prng
 module Pool = Matprod_util.Pool
 module Bmat = Matprod_matrix.Bmat
 module Workload = Matprod_workload.Workload
-module Countsketch = Matprod_sketch.Countsketch
 module Ams = Matprod_sketch.Ams
 module Stable_sketch = Matprod_sketch.Stable_sketch
 module L0_sketch = Matprod_sketch.L0_sketch
@@ -48,65 +47,64 @@ let mk_rows ~rows ~nnz seed =
   Array.init rows (fun r ->
       Array.init nnz (fun i -> (((r * 131) + (i * 37)) mod dim, 1 + Prng.int rng 20)))
 
-(* Best-of-five timing of [f] applied to every row; returns rows/sec.
-   Each pass starts from a collected heap so a family's measurement does
-   not inherit GC debt from the allocations of the previous one. *)
-let rows_per_sec ~rows f =
-  let pass () =
+(* Best-of-five wall times (ns) of two jobs whose passes alternate inside
+   one loop, so host drift (clock scaling, a busy neighbour) hits both
+   sides of a ratio alike. Each pass starts from a collected heap so a
+   measurement does not inherit GC debt from the allocations of the
+   previous one. *)
+let best_pair a b =
+  let pass job =
     Gc.full_major ();
     let t0 = Matprod_obs.Clock.now_ns () in
-    for r = 0 to rows - 1 do
-      f r
-    done;
+    job ();
     Matprod_obs.Clock.elapsed_ns t0
   in
-  let best = ref max_int in
+  let best_a = ref max_int and best_b = ref max_int in
   for _ = 1 to 5 do
-    let dt = pass () in
-    if dt < !best then best := dt
+    best_a := min !best_a (pass a);
+    best_b := min !best_b (pass b)
   done;
-  float_of_int rows /. (float_of_int (max 1 !best) /. 1e9)
+  (!best_a, !best_b)
+
+let per_sec n ns = float_of_int n /. (float_of_int (max 1 ns) /. 1e9)
+
+(* rows/sec of [f] and of [g], each applied to every row. *)
+let rows_per_sec ~rows f g =
+  let all h () =
+    for r = 0 to rows - 1 do
+      h r
+    done
+  in
+  let a, b = best_pair (all f) (all g) in
+  (per_sec rows a, per_sec rows b)
 
 type family = {
   name : string;
   gate_full : float option; (* speedup floor at full size; None = report-only *)
   gate_quick : float option; (* looser floor for the 300-row smoke tier *)
   seed_path : int -> unit;
-  planned_path : int -> unit; (* plan + scratch built once, outside timing *)
+  planned_path : int -> unit; (* plan built once, outside timing *)
 }
 
 let families ~rows =
   let vecs = mk_rows ~rows ~nnz 42 in
-  let cs = Countsketch.create (Prng.create 1) ~buckets:256 ~reps:5 in
-  let cs_plan = Countsketch.plan cs ~dim in
-  let cs_dst = Countsketch.empty cs in
   let ams = Ams.create (Prng.create 2) ~eps:0.2 ~groups:5 in
   let ams_plan = Ams.plan ams ~dim in
-  let ams_dst = Ams.empty ams in
   let l0 = L0_sketch.create (Prng.create 3) ~eps:0.2 ~groups:3 ~dim in
   let l0_plan = L0_sketch.plan l0 ~dim in
   let lp = Lp.create (Prng.create 4) ~p:0.0 ~eps:0.2 ~groups:3 ~dim in
   let lp_plan = Lp.plan lp ~dim in
   let stable = Stable_sketch.create (Prng.create 5) ~p:1.0 ~eps:0.2 ~groups:5 in
   let stable_plan = Stable_sketch.plan stable ~dim in
-  let stable_dst = Stable_sketch.empty stable in
   let srht = Srht.create (Prng.create 9) ~eps:0.2 ~groups:5 ~dim in
   let srht_plan = Srht.plan srht ~dim in
-  let srht_dst = Srht.empty srht in
   [
-    {
-      name = "countsketch";
-      gate_full = Some 3.0;
-      gate_quick = Some 2.0;
-      seed_path = (fun r -> ignore (Countsketch.sketch cs vecs.(r)));
-      planned_path = (fun r -> Countsketch.sketch_into cs cs_plan ~dst:cs_dst vecs.(r));
-    };
     {
       name = "ams";
       gate_full = Some 3.0;
       gate_quick = Some 2.0;
       seed_path = (fun r -> ignore (Ams.sketch ams vecs.(r)));
-      planned_path = (fun r -> Ams.sketch_into ams ams_plan ~dst:ams_dst vecs.(r));
+      planned_path = (fun r -> ignore (Ams.sketch_with_plan ams ams_plan vecs.(r)));
     };
     {
       name = "l0_sketch";
@@ -131,7 +129,7 @@ let families ~rows =
       gate_quick = Some 1.5;
       seed_path = (fun r -> ignore (Stable_sketch.sketch stable vecs.(r)));
       planned_path =
-        (fun r -> Stable_sketch.sketch_into stable stable_plan ~dst:stable_dst vecs.(r));
+        (fun r -> ignore (Stable_sketch.sketch_with_plan stable stable_plan vecs.(r)));
     };
     (* srht's seed path materialises D and the sampled Hadamard rows per
        key (Prng.derive + popcount per entry); the plan tabulates both
@@ -141,32 +139,26 @@ let families ~rows =
       gate_full = Some 3.0;
       gate_quick = Some 2.0;
       seed_path = (fun r -> ignore (Srht.sketch srht vecs.(r)));
-      planned_path = (fun r -> Srht.sketch_into srht srht_plan ~dst:srht_dst vecs.(r));
+      planned_path = (fun r -> ignore (Srht.sketch_with_plan srht srht_plan vecs.(r)));
     };
   ]
 
 (* Cohen's shape differs (column minima, not per-row buffers), so it gets
-   its own batch measurement: columns/second over one support structure. *)
-let cohen_cols_per_sec ~cols ~planned =
+   its own batch measurement: columns/second over one support structure,
+   seed and planned. *)
+let cohen_cols_per_sec ~cols =
   let rng = Prng.create 6 in
   let t = Cohen.create rng ~reps:64 ~rows:1024 in
   let a = Workload.uniform_bool rng ~rows:1024 ~cols ~density:0.05 in
   let at = Bmat.transpose a in
   let supp_of_col k = Bmat.row at k in
   let plan = Cohen.plan t in
-  let pass () =
-    Gc.full_major ();
-    let t0 = Matprod_obs.Clock.now_ns () in
-    (if planned then ignore (Cohen.column_mins_with_plan t plan ~supp_of_col ~cols)
-     else ignore (Cohen.column_mins t ~supp_of_col ~cols));
-    Matprod_obs.Clock.elapsed_ns t0
+  let seed, planned =
+    best_pair
+      (fun () -> ignore (Cohen.column_mins t ~supp_of_col ~cols))
+      (fun () -> ignore (Cohen.column_mins_with_plan t plan ~supp_of_col ~cols))
   in
-  let best = ref max_int in
-  for _ = 1 to 5 do
-    let dt = pass () in
-    if dt < !best then best := dt
-  done;
-  float_of_int cols /. (float_of_int (max 1 !best) /. 1e9)
+  (per_sec cols seed, per_sec cols planned)
 
 let frate r =
   if r >= 1e6 then Printf.sprintf "%.2fM" (r /. 1e6)
@@ -182,10 +174,8 @@ let crossover ~quick =
   let rows = if quick then 80 else 300 in
   let ams = Ams.create (Prng.create 7) ~eps:0.4 ~groups:5 in
   let ams_plan = Ams.plan ams ~dim in
-  let ams_dst = Ams.empty ams in
   let srht = Srht.create (Prng.create 8) ~eps:0.4 ~groups:5 ~dim in
   let srht_plan = Srht.plan srht ~dim in
-  let srht_dst = Srht.empty srht in
   let tbl =
     [ ("nnz/d", 8); ("nnz", 6); ("hashing rows/s", 14); ("srht rows/s", 12);
       ("srht/hashing", 12); ("gated", 6) ]
@@ -200,12 +190,10 @@ let crossover ~quick =
       let frac = float_of_int permille /. 1000.0 in
       let row_nnz = max 1 (int_of_float (frac *. float_of_int dim)) in
       let vecs = mk_rows ~rows ~nnz:row_nnz (100 + permille) in
-      let hashing_rate =
-        rows_per_sec ~rows (fun r -> Ams.sketch_into ams ams_plan ~dst:ams_dst vecs.(r))
-      in
-      let srht_rate =
-        rows_per_sec ~rows (fun r ->
-            Srht.sketch_into srht srht_plan ~dst:srht_dst vecs.(r))
+      let hashing_rate, srht_rate =
+        rows_per_sec ~rows
+          (fun r -> ignore (Ams.sketch_with_plan ams ams_plan vecs.(r)))
+          (fun r -> ignore (Srht.sketch_with_plan srht srht_plan vecs.(r)))
       in
       let ratio = srht_rate /. hashing_rate in
       let gated = permille >= 500 in
@@ -239,9 +227,9 @@ let crossover ~quick =
    floor on the chunked dispatch overhead. *)
 let fanout ~rows =
   let vecs = mk_rows ~rows ~nnz 42 in
-  let cs = Countsketch.create (Prng.create 1) ~buckets:256 ~reps:5 in
-  let plan = Countsketch.plan cs ~dim in
-  let job () = ignore (Pool.init rows (fun r -> Countsketch.sketch_with_plan cs plan vecs.(r))) in
+  let l0 = L0_sketch.create (Prng.create 3) ~eps:0.2 ~groups:3 ~dim in
+  let plan = L0_sketch.plan l0 ~dim in
+  let job () = ignore (Pool.init rows (fun r -> L0_sketch.sketch_with_plan l0 plan vecs.(r))) in
   let rate_at d =
     Pool.set_size d;
     job ();
@@ -260,11 +248,11 @@ let fanout ~rows =
     List.map
       (fun d ->
         let rate = rate_at d in
-        Printf.printf "pool fan-out (countsketch planned), domains=%d: %s rows/s\n"
+        Printf.printf "pool fan-out (l0_sketch planned), domains=%d: %s rows/s\n"
           d (frate rate);
         Report.bench_row
           [
-            ("family", Matprod_obs.Json.String "countsketch pool fan-out");
+            ("family", Matprod_obs.Json.String "l0_sketch pool fan-out");
             ("domains", Matprod_obs.Json.Int d);
             ("rows", Matprod_obs.Json.Int rows);
             ("planned_rows_per_sec", Matprod_obs.Json.Float rate);
@@ -278,7 +266,7 @@ let fanout ~rows =
   let ratio = r4 /. r1 in
   Report.bench_row
     [
-      ("family", Matprod_obs.Json.String "countsketch pool fan-out");
+      ("family", Matprod_obs.Json.String "l0_sketch pool fan-out");
       ("fanout_speedup", Matprod_obs.Json.Float ratio);
       ("gated", Matprod_obs.Json.Bool true);
     ];
@@ -296,7 +284,7 @@ let p1 ~quick =
   Report.section ~id:"P1  plan/apply kernel throughput (rows/sec)"
     ~claim:
       "tabulating the hash family once per driver (plan) and applying it \
-       with table lookups into a reused scratch (sketch_into) lifts \
+       with table lookups (sketch_with_plan) lifts \
        sketch-build throughput >= 3x over the per-row rehashing seed path \
        (>= 2x for stable, whose seed path already caches columns), and the \
        srht FWHT route beats the hashing table walk on dense rows";
@@ -340,13 +328,13 @@ let p1 ~quick =
   in
   List.iter
     (fun fam ->
-      let seed_rate = rows_per_sec ~rows fam.seed_path in
-      let planned_rate = rows_per_sec ~rows fam.planned_path in
+      let seed_rate, planned_rate =
+        rows_per_sec ~rows fam.seed_path fam.planned_path
+      in
       let gate = if quick then fam.gate_quick else fam.gate_full in
       record fam.name ~gate ~seed_rate ~planned_rate)
     (families ~rows);
-  let cohen_seed = cohen_cols_per_sec ~cols ~planned:false in
-  let cohen_planned = cohen_cols_per_sec ~cols ~planned:true in
+  let cohen_seed, cohen_planned = cohen_cols_per_sec ~cols in
   record "cohen (cols/s)"
     ~gate:(Some (if quick then 2.0 else 3.0))
     ~seed_rate:cohen_seed ~planned_rate:cohen_planned;

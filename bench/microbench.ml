@@ -9,7 +9,6 @@ module Prng = Matprod_util.Prng
 module Ams = Matprod_sketch.Ams
 module L0_sketch = Matprod_sketch.L0_sketch
 module L0_sampler = Matprod_sketch.L0_sampler
-module Countsketch = Matprod_sketch.Countsketch
 module Stable_sketch = Matprod_sketch.Stable_sketch
 module S_sparse = Matprod_sketch.S_sparse
 module Cohen = Matprod_sketch.Cohen
@@ -56,13 +55,6 @@ let bench_l0_sampler =
   Test.make ~name:"l0 sampler: sample"
     (Staged.stage (fun () -> ignore (L0_sampler.sample t st)))
 
-let bench_countsketch =
-  let rng = Prng.create 11 in
-  let t = Countsketch.create rng ~buckets:512 ~reps:5 in
-  let vec = mk_vec 12 64 in
-  Test.make ~name:"countsketch: sketch 64-sparse vector"
-    (Staged.stage (fun () -> ignore (Countsketch.sketch t vec)))
-
 let bench_cohen =
   let rng = Prng.create 23 in
   let t = Cohen.create rng ~reps:32 ~rows:dim in
@@ -91,25 +83,18 @@ let bench_compressed_matmul =
       (Staged.stage (fun () -> ignore (Cm.combine t ~rep:0 ~left ~right)));
   ]
 
-(* Planned kernels vs their seed paths — same instances as above, plan and
-   scratch built once (the driver amortisation). *)
+(* Planned kernels vs their seed paths — same instances as above, plan
+   built once (the driver amortisation). *)
 let bench_planned =
-  let cs = Countsketch.create (Prng.create 11) ~buckets:512 ~reps:5 in
-  let cs_plan = Countsketch.plan cs ~dim in
-  let cs_dst = Countsketch.empty cs in
-  let cs_vec = mk_vec 12 64 in
   let ams = Ams.create (Prng.create 1) ~eps:0.2 ~groups:5 in
   let ams_plan = Ams.plan ams ~dim in
-  let ams_dst = Ams.empty ams in
   let ams_vec = mk_vec 2 64 in
   let l0 = L0_sketch.create (Prng.create 5) ~eps:0.2 ~groups:3 ~dim in
   let l0_plan = L0_sketch.plan l0 ~dim in
   let l0_vec = mk_vec 6 64 in
   [
-    Test.make ~name:"countsketch: sketch_into, planned"
-      (Staged.stage (fun () -> Countsketch.sketch_into cs cs_plan ~dst:cs_dst cs_vec));
-    Test.make ~name:"ams: sketch_into, planned (eps=0.2)"
-      (Staged.stage (fun () -> Ams.sketch_into ams ams_plan ~dst:ams_dst ams_vec));
+    Test.make ~name:"ams: sketch_with_plan"
+      (Staged.stage (fun () -> ignore (Ams.sketch_with_plan ams ams_plan ams_vec)));
     Test.make ~name:"l0 sketch: sketch_with_plan"
       (Staged.stage (fun () -> ignore (L0_sketch.sketch_with_plan l0 l0_plan l0_vec)));
   ]
@@ -268,7 +253,7 @@ let all_tests =
   Test.make_grouped ~name:"sketches"
     ([
        bench_ams; bench_stable; bench_l0_sketch; bench_l0_estimate;
-       bench_l0_sampler; bench_countsketch;
+       bench_l0_sampler;
        bench_s_sparse_decode;
      ]
     @ bench_planned @ bench_cohen @ bench_compressed_matmul

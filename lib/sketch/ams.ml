@@ -65,12 +65,6 @@ let apply_plan t p dst vec =
   if p.psize <> sz then invalid_arg "Ams: plan belongs to another sketch shape";
   Kernel.apply ~name:"Ams" p.sgn ~size:sz ~dim:p.pdim dst vec
 
-let sketch_into t p ~dst vec =
-  if Array.length dst <> size t then invalid_arg "Ams.sketch_into: size";
-  Metrics.timed h_build_planned (fun () ->
-      Array.fill dst 0 (Array.length dst) 0.0;
-      apply_plan t p dst vec)
-
 let sketch_with_plan t p vec =
   Metrics.timed h_build_planned (fun () ->
       let y = empty t in

@@ -39,10 +39,6 @@ val plan : t -> dim:int -> plan
 val sketch_with_plan : t -> plan -> (int * int) array -> float array
 (** Same result as {!sketch}; keys must lie in the plan's [0, dim). *)
 
-val sketch_into : t -> plan -> dst:float array -> (int * int) array -> unit
-(** Zeroes [dst] (length {!size}) then sketches into it — no per-row
-    allocation. *)
-
 val add_scaled : t -> dst:float array -> coeff:int -> float array -> unit
 (** dst ← dst + coeff·src: the linear composition primitive. *)
 

@@ -67,9 +67,6 @@ let parity_neg x =
 
 let hadamard s i = if parity_neg (s land i) then -1.0 else 1.0
 
-(* Entry (r, i) of the implicit S·H·D matrix. *)
-let entry t ~row i = hadamard t.samples.(row) i *. sign t i
-
 let sketch t vec =
   Metrics.timed h_build (fun () ->
       let m = size t in
@@ -171,12 +168,6 @@ let apply_plan t p dst vec =
     invalid_arg "Srht: plan belongs to another sketch shape";
   if Array.length vec >= p.dense_nnz then apply_dense p dst vec
   else Kernel.apply ~name:"Srht" p.sgn ~size:m ~dim:p.pdim dst vec
-
-let sketch_into t p ~dst vec =
-  if Array.length dst <> size t then invalid_arg "Srht.sketch_into: size";
-  Metrics.timed h_build_planned (fun () ->
-      Array.fill dst 0 (Array.length dst) 0.0;
-      apply_plan t p dst vec)
 
 let sketch_with_plan t p vec =
   Metrics.timed h_build_planned (fun () ->

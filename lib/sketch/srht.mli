@@ -49,11 +49,5 @@ val plan : ?dense_nnz:int -> t -> dim:int -> plan
 
 val sketch_with_plan : t -> plan -> (int * int) array -> float array
 
-val sketch_into : t -> plan -> dst:float array -> (int * int) array -> unit
-(** Zeroes [dst] (length {!size}) then sketches into it. *)
-
 val estimate_sq : t -> float array -> float
 (** Median-of-means estimate of ‖x‖₂². *)
-
-val entry : t -> row:int -> int -> float
-(** Entry of the implicit S·H·D matrix; deterministic per (row, key). *)

@@ -91,12 +91,6 @@ let apply_plan t p dst vec =
     invalid_arg "Stable_sketch: plan belongs to another sketch shape";
   Kernel.apply ~name:"Stable_sketch" p.cols ~size:t.rows ~dim:p.pdim dst vec
 
-let sketch_into t p ~dst vec =
-  if Array.length dst <> t.rows then invalid_arg "Stable_sketch.sketch_into: size";
-  Metrics.timed h_build_planned (fun () ->
-      Array.fill dst 0 (Array.length dst) 0.0;
-      apply_plan t p dst vec)
-
 let sketch_with_plan t p vec =
   Metrics.timed h_build_planned (fun () ->
       let y = empty t in

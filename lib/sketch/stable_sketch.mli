@@ -32,9 +32,6 @@ type plan
 val plan : t -> dim:int -> plan
 val sketch_with_plan : t -> plan -> (int * int) array -> float array
 
-val sketch_into : t -> plan -> dst:float array -> (int * int) array -> unit
-(** Zeroes [dst] (length {!size}) then sketches into it. *)
-
 val estimate : t -> float array -> float
 (** Estimate of ‖x‖p. *)
 

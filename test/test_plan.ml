@@ -12,7 +12,6 @@
 
 module Prng = Matprod_util.Prng
 module Pool = Matprod_util.Pool
-module Countsketch = Matprod_sketch.Countsketch
 module Ams = Matprod_sketch.Ams
 module Stable_sketch = Matprod_sketch.Stable_sketch
 module L0_sketch = Matprod_sketch.L0_sketch
@@ -56,21 +55,13 @@ let float_bits_equal x y =
 let farray_bits_equal a b =
   Array.length a = Array.length b && Array.for_all2 float_bits_equal a b
 
+let with_domains d f =
+  Pool.set_size d;
+  Fun.protect ~finally:(fun () -> Pool.set_size 1) f
+
 let qcheck_tests =
   let open QCheck in
   [
-    Test.make ~name:"countsketch: planned = unplanned" ~count:100 seeded_vec
-      (fun (seed, vec) ->
-        let t = Countsketch.create (Prng.create seed) ~buckets:32 ~reps:5 in
-        let p = Countsketch.plan t ~dim in
-        Countsketch.sketch_with_plan t p vec = Countsketch.sketch t vec);
-    Test.make ~name:"countsketch: sketch_into scrubs a dirty scratch" ~count:50
-      seeded_vec (fun (seed, vec) ->
-        let t = Countsketch.create (Prng.create seed) ~buckets:32 ~reps:5 in
-        let p = Countsketch.plan t ~dim in
-        let dst = Array.make (Countsketch.size t) Float.nan in
-        Countsketch.sketch_into t p ~dst vec;
-        dst = Countsketch.sketch t vec);
     Test.make ~name:"ams: planned = unplanned" ~count:100 seeded_vec
       (fun (seed, vec) ->
         let t = Ams.create (Prng.create seed) ~eps:0.4 ~groups:3 in
@@ -81,18 +72,27 @@ let qcheck_tests =
         let t = Stable_sketch.create (Prng.create seed) ~p:1.0 ~eps:0.4 ~groups:2 in
         let p = Stable_sketch.plan t ~dim in
         Stable_sketch.sketch_with_plan t p vec = Stable_sketch.sketch t vec);
-    Test.make ~name:"stable p=0.5: sketch_into = sketch" ~count:60 seeded_vec
+    Test.make ~name:"stable p=0.5: planned = unplanned" ~count:60 seeded_vec
       (fun (seed, vec) ->
         let t = Stable_sketch.create (Prng.create seed) ~p:0.5 ~eps:0.4 ~groups:2 in
         let p = Stable_sketch.plan t ~dim in
-        let dst = Array.make (Stable_sketch.size t) Float.nan in
-        Stable_sketch.sketch_into t p ~dst vec;
-        dst = Stable_sketch.sketch t vec);
+        Stable_sketch.sketch_with_plan t p vec = Stable_sketch.sketch t vec);
+    (* Also fanned out over 4 pool domains: each domain builds into its own
+       radix buffers, and the rows (shifts of [vec], more than one pool
+       chunk) must still equal the sequential unplanned sketches. *)
     Test.make ~name:"l0: planned = unplanned" ~count:100 seeded_vec
       (fun (seed, vec) ->
         let t = L0_sketch.create (Prng.create seed) ~eps:0.5 ~groups:3 ~dim in
         let p = L0_sketch.plan t ~dim in
-        L0_sketch.sketch_with_plan t p vec = L0_sketch.sketch t vec);
+        let rows =
+          Array.init 96 (fun r -> Array.map (fun (k, v) -> ((k + r) mod dim, v)) vec)
+        in
+        let fanned =
+          with_domains 4 (fun () ->
+              Pool.init 96 (fun r -> L0_sketch.sketch_with_plan t p rows.(r)))
+        in
+        L0_sketch.sketch_with_plan t p vec = L0_sketch.sketch t vec
+        && fanned = Array.map (L0_sketch.sketch t) rows);
     Test.make ~name:"lp dispatcher: planned = unplanned on every branch"
       ~count:40
       (pair (int_bound 10_000) (make sparse_vec_gen))
@@ -184,21 +184,10 @@ let qcheck_tests =
         let y = Srht.sketch t vec in
         farray_bits_equal (Srht.sketch_with_plan t dense vec) y
         && farray_bits_equal (Srht.sketch_with_plan t sparse vec) y);
-    Test.make ~name:"srht: sketch_into scrubs a dirty scratch" ~count:50
-      seeded_vec (fun (seed, vec) ->
-        let t = Srht.create (Prng.create seed) ~eps:0.4 ~groups:3 ~dim in
-        let p = Srht.plan t ~dim in
-        let dst = Array.make (Srht.size t) Float.nan in
-        Srht.sketch_into t p ~dst vec;
-        dst = Srht.sketch t vec);
   ]
 
 (* ------------------------------------------------------------------ *)
 (* Pool semantics. *)
-
-let with_domains d f =
-  Pool.set_size d;
-  Fun.protect ~finally:(fun () -> Pool.set_size 1) f
 
 let test_pool_init_matches_sequential () =
   let f i = (i * 7919) land 1023 in

@@ -11,7 +11,6 @@ module Lp = Matprod_sketch.Lp
 module One_sparse = Matprod_sketch.One_sparse
 module S_sparse = Matprod_sketch.S_sparse
 module L0_sampler = Matprod_sketch.L0_sampler
-module Countsketch = Matprod_sketch.Countsketch
 module Cohen = Matprod_sketch.Cohen
 module Blocked_ams = Matprod_sketch.Blocked_ams
 module Pool = Matprod_util.Pool
@@ -680,27 +679,6 @@ let test_l0_sampler_matches_dense_path () =
     [ 1; 2; 3; 4; 5 ]
 
 (* ------------------------------------------------------------------ *)
-(* CountSketch *)
-
-let test_countsketch_point_queries () =
-  let rng = Prng.create 32 in
-  let t = Countsketch.create rng ~buckets:256 ~reps:5 in
-  let vec = [| (3, 100); (70, -50); (500, 5) |] in
-  let arr = Countsketch.sketch t vec in
-  check Alcotest.bool "big entry" true (Float.abs (Countsketch.query t arr 3 -. 100.0) < 15.0);
-  check Alcotest.bool "negative entry" true (Float.abs (Countsketch.query t arr 70 +. 50.0) < 15.0);
-  check Alcotest.bool "absent entry small" true (Float.abs (Countsketch.query t arr 999) < 15.0)
-
-let test_countsketch_heavy_candidates () =
-  let rng = Prng.create 33 in
-  let t = Countsketch.create rng ~buckets:512 ~reps:5 in
-  let vec = Array.append [| (42, 1000) |] (Array.init 100 (fun i -> (i + 100, 3))) in
-  let arr = Countsketch.sketch t vec in
-  let heavy = Countsketch.heavy_candidates t arr ~dim:1000 ~threshold:500.0 in
-  check Alcotest.bool "finds planted heavy" true (List.mem_assoc 42 heavy);
-  check Alcotest.bool "few false positives" true (List.length heavy <= 3)
-
-(* ------------------------------------------------------------------ *)
 (* Cohen *)
 
 let test_cohen_estimates_union_sizes () =
@@ -1336,11 +1314,6 @@ let () =
           Alcotest.test_case "wire" `Quick test_l0_sampler_wire;
           Alcotest.test_case "wire checks shape" `Quick test_l0_sampler_wire_shape;
           Alcotest.test_case "wire bounds allocation" `Quick test_l0_sampler_wire_allocation;
-        ] );
-      ( "countsketch",
-        [
-          Alcotest.test_case "point queries" `Quick test_countsketch_point_queries;
-          Alcotest.test_case "heavy candidates" `Quick test_countsketch_heavy_candidates;
         ] );
       ( "cohen",
         [

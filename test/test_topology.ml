@@ -23,7 +23,6 @@ module Ctx = Matprod_comm.Ctx
 module Fault = Matprod_comm.Fault
 module Transcript = Matprod_comm.Transcript
 module Lp = Matprod_sketch.Lp
-module Countsketch = Matprod_sketch.Countsketch
 module Srht = Matprod_sketch.Srht
 module Estimator = Matprod_core.Estimator
 module Registry = Matprod_core.Registry
@@ -193,38 +192,6 @@ let qcheck_sketch_merge =
             unsharded merged))
     families
   @ [
-      Test.make ~name:"shard sketches merge bit-identically (countsketch)"
-        ~count:25
-        (pair (int_bound 10_000) (int_range 2 5))
-        (fun (seed, workers) ->
-          let rows = 11 and cols = 23 in
-          let m =
-            sparse_rows (Prng.create (seed + 1)) ~rows ~cols ~density:0.3
-          in
-          let mk () =
-            let t = Countsketch.create (Prng.create seed) ~buckets:16 ~reps:3 in
-            (t, Countsketch.plan t ~dim:cols)
-          in
-          let t0, plan0 = mk () in
-          let unsharded =
-            Array.map (fun row -> Countsketch.sketch_with_plan t0 plan0 row) m
-          in
-          let ok = ref true in
-          Array.iter
-            (fun r ->
-              let t, plan = mk () in
-              for j = 0 to r.Shard.length - 1 do
-                let v =
-                  Countsketch.sketch_with_plan t plan m.(r.Shard.offset + j)
-                in
-                if
-                  not
-                    (Array.for_all2 float_bits_equal v
-                       unsharded.(r.Shard.offset + j))
-                then ok := false
-              done)
-            (Shard.ranges ~rows ~workers);
-          !ok);
       (* srht: at cols = 23 the default route threshold sits at a few
          nonzeros, so density 0.3 rows exercise the densify+FWHT route
          inside the sharded sketches too. *)
