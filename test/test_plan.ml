@@ -59,6 +59,17 @@ let with_domains d f =
   Pool.set_size d;
   Fun.protect ~finally:(fun () -> Pool.set_size 1) f
 
+(* 96 shifted copies of [vec] (more than one pool chunk) sketched through
+   one shared plan by [Pool.init] at 4 domains must equal the sequential
+   unplanned sketches bit for bit: a plan is read-only, and any scratch it
+   needs is per domain. *)
+let fanned_equals_unplanned ~planned ~unplanned vec =
+  let rows =
+    Array.init 96 (fun r -> Array.map (fun (k, v) -> ((k + r) mod dim, v)) vec)
+  in
+  let fanned = with_domains 4 (fun () -> Pool.init 96 (fun r -> planned rows.(r))) in
+  Array.for_all2 farray_bits_equal fanned (Array.map unplanned rows)
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -184,6 +195,31 @@ let qcheck_tests =
         let y = Srht.sketch t vec in
         farray_bits_equal (Srht.sketch_with_plan t dense vec) y
         && farray_bits_equal (Srht.sketch_with_plan t sparse vec) y);
+    Test.make ~name:"ams: planned at 4 pool domains = unplanned" ~count:30
+      seeded_vec (fun (seed, vec) ->
+        let t = Ams.create (Prng.create seed) ~eps:0.4 ~groups:3 in
+        let p = Ams.plan t ~dim in
+        fanned_equals_unplanned ~planned:(Ams.sketch_with_plan t p)
+          ~unplanned:(Ams.sketch t) vec);
+    Test.make ~name:"stable p=1: planned at 4 pool domains = unplanned"
+      ~count:30 seeded_vec (fun (seed, vec) ->
+        let t = Stable_sketch.create (Prng.create seed) ~p:1.0 ~eps:0.4 ~groups:2 in
+        let p = Stable_sketch.plan t ~dim in
+        fanned_equals_unplanned ~planned:(Stable_sketch.sketch_with_plan t p)
+          ~unplanned:(Stable_sketch.sketch t) vec);
+    (* The dense route runs the FWHT in each domain's own scratch buffer. *)
+    Test.make ~name:"srht dense route: planned at 4 pool domains = unplanned"
+      ~count:30 seeded_vec (fun (seed, vec) ->
+        let t = Srht.create (Prng.create seed) ~eps:0.4 ~groups:3 ~dim in
+        let p = Srht.plan ~dense_nnz:0 t ~dim in
+        fanned_equals_unplanned ~planned:(Srht.sketch_with_plan t p)
+          ~unplanned:(Srht.sketch t) vec);
+    Test.make ~name:"srht sparse route: planned at 4 pool domains = unplanned"
+      ~count:30 seeded_vec (fun (seed, vec) ->
+        let t = Srht.create (Prng.create seed) ~eps:0.4 ~groups:3 ~dim in
+        let p = Srht.plan ~dense_nnz:max_int t ~dim in
+        fanned_equals_unplanned ~planned:(Srht.sketch_with_plan t p)
+          ~unplanned:(Srht.sketch t) vec);
   ]
 
 (* ------------------------------------------------------------------ *)

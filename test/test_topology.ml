@@ -24,6 +24,8 @@ module Fault = Matprod_comm.Fault
 module Transcript = Matprod_comm.Transcript
 module Lp = Matprod_sketch.Lp
 module Srht = Matprod_sketch.Srht
+module Ams = Matprod_sketch.Ams
+module Stable_sketch = Matprod_sketch.Stable_sketch
 module Estimator = Matprod_core.Estimator
 module Registry = Matprod_core.Registry
 module Outcome = Matprod_core.Outcome
@@ -191,42 +193,60 @@ let qcheck_sketch_merge =
               | None -> false)
             unsharded merged))
     families
-  @ [
-      (* srht: at cols = 23 the default route threshold sits at a few
-         nonzeros, so density 0.3 rows exercise the densify+FWHT route
-         inside the sharded sketches too. *)
-      Test.make ~name:"shard sketches merge bit-identically (srht)" ~count:25
-        (pair (int_bound 10_000) (int_range 2 5))
-        (fun (seed, workers) ->
-          let rows = 11 and cols = 23 in
-          let m =
-            sparse_rows (Prng.create (seed + 1)) ~rows ~cols ~density:0.3
-          in
-          let mk () =
-            let t =
-              Srht.create (Prng.create seed) ~eps:0.5 ~groups:3 ~dim:cols
+  @ List.map
+      (fun (fname, mk) ->
+        Test.make
+          ~name:(Printf.sprintf "shard sketches merge bit-identically (%s)" fname)
+          ~count:25
+          (pair (int_bound 10_000) (int_range 2 5))
+          (fun (seed, workers) ->
+            let rows = 11 and cols = 23 in
+            let m =
+              sparse_rows (Prng.create (seed + 1)) ~rows ~cols ~density:0.3
             in
-            (t, Srht.plan t ~dim:cols)
-          in
-          let t0, plan0 = mk () in
-          let unsharded =
-            Array.map (fun row -> Srht.sketch_with_plan t0 plan0 row) m
-          in
-          let ok = ref true in
-          Array.iter
-            (fun r ->
-              let t, plan = mk () in
-              for j = 0 to r.Shard.length - 1 do
-                let v = Srht.sketch_with_plan t plan m.(r.Shard.offset + j) in
-                if
-                  not
-                    (Array.for_all2 float_bits_equal v
-                       unsharded.(r.Shard.offset + j))
-                then ok := false
-              done)
-            (Shard.ranges ~rows ~workers);
-          !ok);
-    ]
+            let sketch0 = mk ~seed ~cols in
+            let unsharded = Array.map sketch0 m in
+            let ok = ref true in
+            Array.iter
+              (fun r ->
+                let sketch = mk ~seed ~cols in
+                for j = 0 to r.Shard.length - 1 do
+                  let v = sketch m.(r.Shard.offset + j) in
+                  if
+                    not
+                      (Array.for_all2 float_bits_equal v
+                         unsharded.(r.Shard.offset + j))
+                  then ok := false
+                done)
+              (Shard.ranges ~rows ~workers);
+            !ok))
+      (* Each [mk] instantiates the family fresh at the fleet seed and
+         returns its planned sketch of one row. srht: at cols = 23 the
+         default route threshold sits at a few nonzeros, so density 0.3
+         rows exercise the densify+FWHT route inside the sharded sketches
+         too. *)
+      [
+        ( "srht",
+          fun ~seed ~cols ->
+            let t = Srht.create (Prng.create seed) ~eps:0.5 ~groups:3 ~dim:cols in
+            Srht.sketch_with_plan t (Srht.plan t ~dim:cols) );
+        ( "ams",
+          fun ~seed ~cols ->
+            let t = Ams.create (Prng.create seed) ~eps:0.5 ~groups:3 in
+            Ams.sketch_with_plan t (Ams.plan t ~dim:cols) );
+        ( "stable p=1",
+          fun ~seed ~cols ->
+            let t =
+              Stable_sketch.create (Prng.create seed) ~p:1.0 ~eps:0.5 ~groups:3
+            in
+            Stable_sketch.sketch_with_plan t (Stable_sketch.plan t ~dim:cols) );
+        ( "stable p=0.5",
+          fun ~seed ~cols ->
+            let t =
+              Stable_sketch.create (Prng.create seed) ~p:0.5 ~eps:0.5 ~groups:3
+            in
+            Stable_sketch.sketch_with_plan t (Stable_sketch.plan t ~dim:cols) );
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Outcome.graded (satellite 2) *)
