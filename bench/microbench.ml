@@ -99,6 +99,23 @@ let bench_planned =
       (Staged.stage (fun () -> ignore (L0_sketch.sketch_with_plan l0 l0_plan l0_vec)));
   ]
 
+(* The benchmark's ℓp row shapes (eps 0.5, 5 groups, dim 96): the p=1
+   estimate's median over a 240-float stable state, and a p=0 planned
+   build of a 5-nonzero row, about 50 keys sorted by a 1 680-cell index.
+   P1's 192-nonzero rows never reach these sizes. *)
+let bench_lp_rows =
+  let rng = Prng.create 27 in
+  let xs = Array.init 240 (fun _ -> Matprod_util.Stable.sample rng ~p:1.0) in
+  let l0 = L0_sketch.create (Prng.create 28) ~eps:0.5 ~groups:5 ~dim:96 in
+  let plan = L0_sketch.plan l0 ~dim:96 in
+  let row = Array.init 5 (fun i -> (i * 19, 1 + i)) in
+  [
+    Test.make ~name:"stats: median of 240 floats"
+      (Staged.stage (fun () -> ignore (Matprod_util.Stats.median xs)));
+    Test.make ~name:"l0_sketch: planned build, 5-nonzero row (eps 0.5, 5 groups, dim 96)"
+      (Staged.stage (fun () -> ignore (L0_sketch.sketch_with_plan l0 plan row)));
+  ]
+
 let bench_s_sparse_decode =
   let rng = Prng.create 13 in
   let t = S_sparse.create rng ~s:16 ~reps:3 in
@@ -256,7 +273,7 @@ let all_tests =
        bench_l0_sampler;
        bench_s_sparse_decode;
      ]
-    @ bench_planned @ bench_cohen @ bench_compressed_matmul
+    @ bench_planned @ bench_lp_rows @ bench_cohen @ bench_compressed_matmul
     @ bench_product_backends @ bench_obs_overhead @ bench_wire_path)
 
 let run () =

@@ -70,10 +70,16 @@ let cell_index t ~rep_idx ~level ~bucket =
    residues into dense storage key by key would give, and no cell
    outside the touched ones is ever written or scanned. *)
 
-(* The two key buffers of a build, one domain's, checked out for the
-   call — a second thread of the same domain that arrives meanwhile
-   allocates its own — so a build allocates only its state. *)
-type touched = { mutable keys : int array; mutable spare : int array; mutable n : int }
+(* The two key buffers and the radix count table of a build, one
+   domain's, checked out for the call — a second thread of the same
+   domain that arrives meanwhile allocates its own — so a build
+   allocates only its state. *)
+type touched = {
+  mutable keys : int array;
+  mutable spare : int array;
+  mutable count : int array;
+  mutable n : int;
+}
 
 let touched_key = Domain.DLS.new_key (fun () -> ref None)
 
@@ -84,7 +90,7 @@ let touched () =
       slot := None;
       tc.n <- 0;
       tc
-  | None -> { keys = Array.make 64 0; spare = Array.make 64 0; n = 0 }
+  | None -> { keys = Array.make 64 0; spare = Array.make 64 0; count = [||]; n = 0 }
 
 (* Room for [m] more keys. *)
 let reserve tc m =
@@ -96,17 +102,24 @@ let touch tc cell residue =
   Array.unsafe_set tc.keys tc.n ((cell lsl 31) lor residue);
   tc.n <- tc.n + 1
 
+let rec bit_width n = if n = 0 then 0 else 1 + bit_width (n lsr 1)
+
 (* Orders [tc]'s keys by cell (bits 31 and up, below [1 lsl (31 + bits)])
-   with a least-significant-digit radix sort in passes of at most 11
-   bits, leaving them in [tc.keys]. One read of the keys counts every
-   pass's digits. *)
+   with a least-significant-digit radix sort, leaving them in [tc.keys].
+   A pass costs its keys plus its digit's 2^digit counts, so the digit
+   is sized to the key count: at most bit_width n bits (4 to 11), spread
+   evenly over the fewest passes that cover [bits]. One read of the keys
+   counts every pass's digits. *)
 let sort_by_cell tc ~bits =
   let n = tc.n in
   if Array.length tc.spare < n then tc.spare <- Array.make (Array.length tc.keys) 0;
-  let passes = max 1 ((bits + 10) / 11) in
+  let cap = max 4 (min 11 (bit_width n)) in
+  let passes = max 1 ((bits + cap - 1) / cap) in
   let digit = (bits + passes - 1) / passes in
   let mask = (1 lsl digit) - 1 and width = (1 lsl digit) + 1 in
-  let count = Array.make (passes * width) 0 in
+  if Array.length tc.count < passes * width then tc.count <- Array.make (passes * width) 0
+  else Array.fill tc.count 0 (passes * width) 0;
+  let count = tc.count in
   for x = 0 to n - 1 do
     let k = Array.unsafe_get tc.keys x lsr 31 in
     for pass = 0 to passes - 1 do
@@ -129,8 +142,6 @@ let sort_by_cell tc ~bits =
     tc.keys <- b;
     tc.spare <- a
   done
-
-let rec bit_width n = if n = 0 then 0 else 1 + bit_width (n lsr 1)
 
 (* Sums each cell's run into [tc.spare], packed as the keys are, then
    unpacks the nonzero cells into the state, and hands [tc] back. *)

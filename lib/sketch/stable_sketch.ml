@@ -108,7 +108,10 @@ let add_scaled t ~dst ~coeff src =
 
 let estimate t y =
   if Array.length y <> t.rows then invalid_arg "Stable_sketch.estimate: size";
-  let abs = Array.map Float.abs y in
-  Stats.median abs /. t.median_abs
+  let abs = Array.create_float t.rows in
+  for r = 0 to t.rows - 1 do
+    Array.unsafe_set abs r (Float.abs (Array.unsafe_get y r))
+  done;
+  Stats.median_in_place abs /. t.median_abs
 
 let estimate_pow t y = estimate t y ** t.p

@@ -39,7 +39,7 @@ let median_abs ~p =
             let xs =
               Array.init calibration_samples (fun _ -> Float.abs (sample rng ~p))
             in
-            Array.sort Float.compare xs;
-            let m = xs.(calibration_samples / 2) in
+            (* An odd count: the median is the middle order statistic. *)
+            let m = Stats.median_in_place xs in
             Hashtbl.replace cache p m;
             m)

@@ -9,11 +9,23 @@ val variance : float array -> float
 (** Population variance (divides by n). *)
 
 val median : float array -> float
-(** Median without mutating the input (copies then sorts). Even lengths
-    average the two central elements. *)
+(** Median without mutating the input: {!median_in_place} on a copy. *)
+
+val median_in_place : float array -> float
+(** Median of [xs], found by selection in place, so [xs] is left
+    permuted. Elements are ordered by [Float.compare] (NaN below every
+    other value). Odd lengths return the middle order statistic; even
+    lengths average the two central ones, lower plus upper. Where a rank
+    falls among values that compare equal but differ in bits (0.0 and
+    −0.0, NaNs with different payloads), which of them is returned is
+    unspecified: the result equals a sort's up to [Float.compare], and
+    bit for bit when no such ties straddle the rank. Expected O(n) time,
+    O(n log n) at worst; no float is boxed. *)
 
 val quantile : float array -> float -> float
-(** [quantile xs q] for q ∈ [0,1], nearest-rank on a sorted copy. *)
+(** [quantile xs q] for q ∈ [0,1]: the nearest-rank order statistic,
+    index round(q·(n−1)) of the sorted order, selected on a copy; ties
+    as for {!median_in_place}. *)
 
 val median_of_means : float array -> groups:int -> float
 (** Split [xs] into [groups] contiguous groups, take each group's mean,

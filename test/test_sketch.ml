@@ -1200,6 +1200,71 @@ let qcheck_tests =
               (Dense_oracle.of_dense src))
          = want));
 
+    (* A build's radix digit is sized to its key count. add_scaled sorts
+       exactly |dst| + |src| keys, so these builds hit key counts on both
+       sides of every digit-width switch (16, 32, ..., 2048 keys), on a
+       sketch of 1 680 cells (11 bits, the benchmark's ℓ0 shape) and one
+       of 11 700 (14 bits, more passes), rising and then falling so a
+       wide build precedes a narrow one on the same domain. The
+       specification is the cell-by-cell field sum. *)
+    Test.make ~name:"l0 sketch: builds across radix digit widths = dense field sum"
+      ~count:4 (make Gen.(int_bound 10_000))
+      (fun seed ->
+        let rng = Prng.create seed in
+        let counts =
+          0 :: 1 :: List.concat_map (fun w -> [ (1 lsl w) - 1; 1 lsl w ]) [ 4; 5; 6; 7; 8; 9; 10; 11 ]
+        in
+        List.for_all
+          (fun t ->
+            let size = L0_sketch.size t in
+            let perm = Array.init size Fun.id in
+            let random_dense nnz =
+              Prng.shuffle rng perm;
+              let a = Array.make size 0 in
+              for k = 0 to nnz - 1 do
+                a.(perm.(k)) <- 1 + Prng.int rng (Field31.p - 1)
+              done;
+              a
+            in
+            List.for_all
+              (fun n ->
+                let dst = random_dense (n / 2) and src = random_dense (n - (n / 2)) in
+                let coeff = 1 + Prng.int rng (Field31.p - 1) in
+                let want =
+                  Array.map2 (fun d x -> Field31.add d (Field31.mul coeff x)) dst src
+                in
+                Dense_oracle.to_dense
+                  (L0_sketch.add_scaled t (Dense_oracle.of_dense dst) ~coeff
+                     (Dense_oracle.of_dense src))
+                = want)
+              (counts @ List.rev counts))
+          [
+            L0_sketch.create (Prng.create seed) ~eps:0.5 ~groups:5 ~dim:96;
+            L0_sketch.create (Prng.create seed) ~eps:0.2 ~groups:3 ~dim:4096;
+          ]);
+    (* Planned builds of rows from 1 to 96 nonzeros (about 10 to 1 000
+       keys on the benchmark's ℓ0 shape), wide rows before narrow ones,
+       against the field sum of the rows' one-nonzero sketches. *)
+    Test.make ~name:"l0 sketch: planned builds = dense sum of one-nonzero sketches"
+      ~count:10 (make Gen.(int_bound 10_000))
+      (fun seed ->
+        let rng = Prng.create seed in
+        let t = L0_sketch.create (Prng.create seed) ~eps:0.5 ~groups:5 ~dim:96 in
+        let plan = L0_sketch.plan t ~dim:96 in
+        let keys = Array.init 96 Fun.id in
+        List.for_all
+          (fun nnz ->
+            Prng.shuffle rng keys;
+            let row = Array.init nnz (fun k -> (keys.(k), Prng.int rng 41 - 20)) in
+            let want = Array.make (L0_sketch.size t) 0 in
+            Array.iter
+              (fun e ->
+                Array.iteri
+                  (fun i x -> want.(i) <- Field31.add want.(i) x)
+                  (Dense_oracle.to_dense (L0_sketch.sketch t [| e |])))
+              row;
+            Dense_oracle.to_dense (L0_sketch.sketch_with_plan t plan row) = want)
+          [ 1; 2; 5; 13; 24; 48; 96; 5; 1 ]);
     (* The sparse combine against its specification, estimate_pow of the
        sum built by add_scaled, bit for bit on every Lp branch. The
        sources repeat one sketch and add an empty one; the coefficients

@@ -327,6 +327,20 @@ let test_stats_mean_median () =
   checkf "median odd" 3.0 (Stats.median [| 5.0; 1.0; 3.0 |]);
   checkf "median even" 2.5 (Stats.median [| 4.0; 1.0; 2.0; 3.0 |])
 
+(* NaN orders below every value, as in Float.compare; a rank among
+   compare-equal ties (0.0 and -0.0) returns one of them. *)
+let test_stats_median_ties () =
+  checkf "nan lowest" 1.0 (Stats.median [| 2.0; Float.nan; 1.0 |]);
+  check Alcotest.bool "nan median" true
+    (Float.is_nan (Stats.median [| Float.nan; 3.0; Float.nan |]));
+  check Alcotest.int "signed zeros" 0
+    (Float.compare 0.0 (Stats.median [| -0.0; 1.0; 0.0; -1.0; -0.0 |]));
+  let xs = [| 5.0; -0.0; 3.0; 0.0; 9.0; 1.0 |] in
+  let before = Array.to_list xs |> List.map Int64.bits_of_float |> List.sort compare in
+  checkf "in place, even" 2.0 (Stats.median_in_place xs);
+  check Alcotest.(list int64) "a permutation of the input" before
+    (Array.to_list xs |> List.map Int64.bits_of_float |> List.sort compare)
+
 let test_stats_variance () =
   (* Population variance of {1,3,5} is 8/3. *)
   check (Alcotest.float 1e-9) "variance" (8.0 /. 3.0) (Stats.variance [| 1.0; 3.0; 5.0 |]);
@@ -467,6 +481,40 @@ let qcheck_tests =
         let mn = Array.fold_left Float.min Float.infinity xs in
         let mx = Array.fold_left Float.max Float.neg_infinity xs in
         m >= mn && m <= mx);
+    (* The specification: a sort by Float.compare, then the median's
+       and nearest rank's formulas. Heavy duplicates straddle every rank;
+       0.0 and ±infinity are in, -0.0 and NaN out (their ties are
+       unspecified bit for bit). *)
+    (let elt =
+       Gen.frequency
+         [
+           (6, Gen.oneofl [ 1.0; 2.0; 2.5; -3.0; 1e300 ]);
+           (2, Gen.return 0.0);
+           (1, Gen.return Float.infinity);
+           (1, Gen.return Float.neg_infinity);
+           (3, Gen.float_range (-10.0) 10.0);
+         ]
+     in
+     let bits = Int64.bits_of_float in
+     Test.make ~name:"stats: median and quantile equal the sort's, bit for bit"
+       ~count:300
+       (make ~print:Print.(array float) Gen.(array_size (1 -- 600) elt))
+       (fun xs ->
+         let ys = Array.copy xs in
+         Array.sort Float.compare ys;
+         let n = Array.length ys in
+         let median =
+           if n land 1 = 1 then ys.(n / 2)
+           else (ys.((n / 2) - 1) +. ys.(n / 2)) /. 2.0
+         in
+         let keep = Array.copy xs in
+         bits (Stats.median xs) = bits median
+         && xs = keep
+         && List.for_all
+              (fun q ->
+                let idx = int_of_float (Float.round (q *. float_of_int (n - 1))) in
+                bits (Stats.quantile xs q) = bits ys.(idx))
+              [ 0.0; 0.1; 0.5; 0.9; 1.0 ]));
     Test.make ~name:"stats: tv symmetric" ~count:200
       (pair
          (array_of_size (Gen.return 8) (float_range 0.1 10.0))
@@ -531,6 +579,7 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "mean median" `Quick test_stats_mean_median;
+          Alcotest.test_case "median ties" `Quick test_stats_median_ties;
           Alcotest.test_case "variance" `Quick test_stats_variance;
           Alcotest.test_case "quantile" `Quick test_stats_quantile;
           Alcotest.test_case "median of means" `Quick test_stats_median_of_means;
