@@ -47,7 +47,9 @@ let inputs ~n name =
 let byzantine_wire ~mode ~rank ~replica ~attempt ctx =
   if rank = victim && replica = 0 && attempt = 1 then
     Ctx.install_wire ctx
-      ~fault:(Fault.byzantine_only ~seed:(97 * (victim + 1)) ~mode ())
+      ~fault:
+        (Fault.of_string ~seed:(97 * (victim + 1))
+           ("kind=byzantine,mode=" ^ Fault.byzantine_mode_to_string mode))
       ()
 
 let c4 ~quick =

@@ -18,24 +18,18 @@ module Workload = Matprod_workload.Workload
 module Outcome = Matprod_core.Outcome
 module Json = Matprod_obs.Json
 
-let z = Fault.zero_rates
-
-(* (name, rates, comparable WAN loss probability) *)
+(* (name, fault spec, comparable WAN loss probability). The clean
+   profile arms an inert wire, so its overhead column measures what the
+   reliability layer costs when nothing fires. *)
 let profiles =
   [
-    ("clean", z, 0.0);
-    ("drop 10%", { z with Fault.drop = 0.1 }, 0.1);
-    ("corrupt 20%", { z with Fault.corrupt = 0.2 }, 0.2);
-    ("truncate 15%", { z with Fault.truncate = 0.15 }, 0.15);
+    ("clean", "kind=drop,rate=0", 0.0);
+    ("drop 10%", "kind=drop,rate=0.1", 0.1);
+    ("corrupt 20%", "kind=corrupt,rate=0.2", 0.2);
+    ("truncate 15%", "kind=truncate,rate=0.15", 0.15);
     ( "storm",
-      {
-        Fault.drop = 0.08;
-        corrupt = 0.1;
-        truncate = 0.08;
-        duplicate = 0.1;
-        delay = 0.15;
-        delay_s = 0.1;
-      },
+      "kind=drop,rate=0.08;kind=corrupt,rate=0.1;kind=truncate,rate=0.08;\
+       kind=duplicate,rate=0.1;kind=delay,rate=0.15,delay=0.1",
       0.26 );
   ]
 
@@ -96,7 +90,7 @@ let c1 ~quick =
   let faulted_inflation_ok = ref true in
   let total_retries = ref 0 in
   List.iter
-    (fun (pname, rates, wan_loss) ->
+    (fun (pname, spec, wan_loss) ->
       List.iter
         (fun (proto, _) ->
           let oks = ref 0 and runs = ref 0 in
@@ -121,7 +115,7 @@ let c1 ~quick =
                   Outcome.guard (fun () ->
                       Ctx.run ~seed (fun ctx ->
                           Ctx.install_wire ctx
-                            ~fault:(Fault.uniform ~seed:(seed + 7000) rates)
+                            ~fault:(Fault.of_string ~seed:(seed + 7000) spec)
                             ~reliable ();
                           let digest = f ctx in
                           (digest, Ctx.wire_stats ctx)))
@@ -137,7 +131,7 @@ let c1 ~quick =
                     incr trichotomy_violations;
                   bits_faulty := run.Ctx.bits :: !bits_faulty;
                   retries := !retries + wire.Matprod_comm.Channel.retries;
-                  if Fault.zero_rates = rates then
+                  if pname = "clean" then
                     clean_overhead :=
                       !clean_overhead + (run.Ctx.bits - clean.Ctx.bits)
                   else if run.Ctx.bits < clean.Ctx.bits then
@@ -237,8 +231,9 @@ let c2 ~quick =
                      (fun ctx ->
                        Ctx.install_wire ctx
                          ~fault:
-                           (Fault.crash_only ~party:victim
-                              ~at:(Fault.After_messages k))
+                           (Fault.of_string
+                              (Printf.sprintf "kind=crash,party=%s,after=%d"
+                                 (Transcript.party_name victim) k))
                          ~reliable ();
                        f ctx))
              with

@@ -9,7 +9,6 @@ module Prng = Matprod_util.Prng
 module Bmat = Matprod_matrix.Bmat
 module Ctx = Matprod_comm.Ctx
 module Fault = Matprod_comm.Fault
-module Transcript = Matprod_comm.Transcript
 module Workload = Matprod_workload.Workload
 module Estimator = Matprod_core.Estimator
 module Registry = Matprod_core.Registry
@@ -31,13 +30,9 @@ let estimators = [ "lp p=0"; "l1_exact"; "matprod" ]
 let kill_both ~after ctx =
   Ctx.install_wire ctx
     ~fault:
-      (Fault.create
-         ~crashes:
-           [
-             { Fault.victim = Transcript.Alice; site = Fault.After_messages after };
-             { Fault.victim = Transcript.Bob; site = Fault.After_messages after };
-           ]
-         ~seed:1 [])
+      (Fault.of_string ~seed:1
+         (Printf.sprintf "kind=crash,party=a,after=%d;kind=crash,party=b,after=%d"
+            after after))
     ()
 
 let with_tmp_journals k =
@@ -119,7 +114,7 @@ let c3 ~quick =
   let straggle_wire ~rank ~replica:_ ~attempt ctx =
     if rank = victim && attempt = 1 then
       Ctx.install_wire ctx
-        ~fault:(Fault.straggle_only ~after:0 ~burst:2 ~delay_s:5.0 ())
+        ~fault:(Fault.of_string "kind=straggle,after=0,burst=2,delay=5")
         ()
   in
   let deadline_policy =

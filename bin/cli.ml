@@ -12,8 +12,8 @@ module Imat = Matprod_matrix.Imat
 module Product = Matprod_matrix.Product
 module Ctx = Matprod_comm.Ctx
 module Transcript = Matprod_comm.Transcript
-module Chaos = Matprod_comm.Chaos
 module Journal = Matprod_comm.Journal
+module Fault = Matprod_comm.Fault
 module Outcome = Matprod_core.Outcome
 module Supervisor = Matprod_core.Supervisor
 module Estimator = Matprod_core.Estimator
@@ -174,11 +174,11 @@ let transport_conn c = Option.map (fun f -> f ()) (transport_factory c)
 (* A choice whose value keeps its spelling, for banners and summaries. *)
 let named_enum choices = Arg.enum (List.map (fun (s, v) -> (s, (s, v))) choices)
 
-(* One grammar for every fault knob (lib/comm/chaos.mli). *)
+(* One grammar for every fault knob (lib/comm/fault.mli). *)
 let chaos_arg =
   let chaos =
     Arg.conv' ~docv:"SPEC"
-      (Chaos.parse, fun ppf t -> Format.pp_print_string ppf (Chaos.to_string t))
+      (Fault.parse, fun ppf t -> Format.pp_print_string ppf (Fault.to_string t))
   in
   Arg.(
     value
@@ -197,12 +197,12 @@ let chaos_arg =
 (* Arm a two-party run's wire with the spec's byte-level rules and
    crashes, if it has any. *)
 let install_chaos ~seed spec ctx =
-  match Chaos.to_fault ~seed:(seed + 77) spec with
+  match Fault.create ~seed:(seed + 77) spec with
   | Some fault -> Ctx.install_wire ctx ~fault ()
   | None -> ()
 
 (* Per-link fault installation for fleet runs ([None] without a spec);
-   the per-attempt policy lives in [Chaos.link_fault]. *)
+   the per-attempt policy lives in [Fault.for_link]. *)
 let chaos_wire ~seed spec =
   if spec = [] then None
   else
@@ -210,7 +210,7 @@ let chaos_wire ~seed spec =
       (fun ~rank ~replica ~attempt ctx ->
         Option.iter
           (fun fault -> Ctx.install_wire ctx ~fault ())
-          (Chaos.link_fault ~seed spec ~rank ~replica ~attempt))
+          (Fault.for_link ~seed spec ~rank ~replica ~attempt))
 
 (* One two-party run over the chosen wire. *)
 let run_ctx c ~seed body = Ctx.run ?transport:(transport_conn c) ~seed body

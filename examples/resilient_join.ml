@@ -22,7 +22,6 @@ module Imat = Matprod_matrix.Imat
 module Product = Matprod_matrix.Product
 module Ctx = Matprod_comm.Ctx
 module Fault = Matprod_comm.Fault
-module Transcript = Matprod_comm.Transcript
 module Workload = Matprod_workload.Workload
 module Outcome = Matprod_core.Outcome
 module Supervisor = Matprod_core.Supervisor
@@ -58,14 +57,13 @@ let () =
   let wire ~attempt ctx =
     if attempt = 1 then
       Ctx.install_wire ctx
-        ~fault:
-          (Fault.crash_only ~party:Transcript.Alice
-             ~at:(Fault.After_messages 1))
+        ~fault:(Fault.of_string "kind=crash,party=alice,after=1")
         ()
   in
 
   let journal = Filename.temp_file "resilient_join_" ".journal" in
-  Printf.printf "exact |R o S| = %.0f; journaling to %s\n\n" exact journal;
+  Printf.printf "exact |R o S| = %.0f; journaling to a temporary file\n\n"
+    exact;
   (match
      Supervisor.run ~journal ~wire
        ~fallbacks:[ ("exact", exact_fallback) ]

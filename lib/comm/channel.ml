@@ -151,18 +151,9 @@ let record_msg t ~from ~label ~bytes =
         Metrics.incr_by (Metrics.counter ~label "bytes_sent") bytes)
   end;
   if Trace.enabled () then begin
-    let frame = Trace.context_frame () in
     if Metrics.enabled () then
-      Metrics.incr_by c_telemetry (String.length frame);
-    let ctx_attrs =
-      match Trace.parse_context_frame frame with
-      | Some c ->
-          [
-            ("trace", Matprod_obs.Json.String (Trace.hex_id c.Trace.trace_id));
-            ("span", Matprod_obs.Json.String (Trace.hex_id c.Trace.span_id));
-          ]
-      | None -> []
-    in
+      Metrics.incr_by c_telemetry Trace.context_frame_length;
+    let c = Trace.current_context () in
     if round > round_before then
       Trace.event ~name:"channel.round"
         ~attrs:
@@ -178,8 +169,9 @@ let record_msg t ~from ~label ~bytes =
            ("label", Matprod_obs.Json.String label);
            ("bytes", Matprod_obs.Json.Int bytes);
            ("round", Matprod_obs.Json.Int round);
-         ]
-        @ ctx_attrs)
+           ("trace", Matprod_obs.Json.String (Trace.hex_id c.Trace.trace_id));
+           ("span", Matprod_obs.Json.String (Trace.hex_id c.Trace.span_id));
+         ])
       ()
   end
 

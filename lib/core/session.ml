@@ -23,8 +23,6 @@ let establish ?(p = 0.0) ?(groups = 5) ctx ~beta ~a ~b =
   in
   { p; beta; a; b; est }
 
-let p t = t.p
-let beta t = t.beta
 let norm_pow t = Array.fold_left ( +. ) 0.0 t.est
 
 let row_norm_pow t i =

@@ -25,9 +25,6 @@ val establish :
   t
 (** One round, Õ(n/β²) bits. [p] defaults to 0. *)
 
-val p : t -> float
-val beta : t -> float
-
 val norm_pow : t -> float
 (** (1+β)-estimate of ‖C‖_p^p. No communication. *)
 

@@ -55,6 +55,10 @@ val with_trace : seed:int -> (unit -> 'a) -> 'a
     restores the previous trace id on exit (exception-safe). A no-op when
     tracing is disabled. *)
 
+val current_context : unit -> context
+(** The active trace id and the innermost open span's id ([0L] when no
+    span is open). *)
+
 val context_frame_length : int
 (** Byte length of a serialized context frame (18). *)
 

@@ -2,8 +2,6 @@ module Transport = Matprod_comm.Transport
 
 type t = {
   fd : Unix.file_descr;
-  session : int;
-  session_seed : int;
   mutable closed : bool;
 }
 
@@ -30,7 +28,7 @@ let connect ?(host = "127.0.0.1") ~port ~session_seed () =
     send_fd fd (Proto.Hello { session_seed });
     Proto.decode_response (Transport.read_frame fd)
   with
-  | Proto.Welcome { session } -> { fd; session; session_seed; closed = false }
+  | Proto.Welcome _ -> { fd; closed = false }
   | Proto.Err e ->
       Unix.close fd;
       failwith (Printf.sprintf "connect: server refused: %s" e)
@@ -41,8 +39,6 @@ let connect ?(host = "127.0.0.1") ~port ~session_seed () =
       Unix.close fd;
       raise e
 
-let session t = t.session
-let session_seed t = t.session_seed
 let send t req = send_fd t.fd req
 let response_raw t = Transport.read_frame t.fd
 let response t = Proto.decode_response (response_raw t)

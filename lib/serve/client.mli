@@ -13,11 +13,6 @@ val connect :
     Connection refusals are retried (100 × 50 ms — covers a daemon still
     binding its socket); protocol violations raise [Failure]. *)
 
-val session : t -> int
-(** The server-side session number from [Welcome]. *)
-
-val session_seed : t -> int
-
 val send : t -> Proto.request -> unit
 (** Fire one request without waiting. *)
 

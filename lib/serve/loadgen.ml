@@ -1,4 +1,5 @@
 module Prng = Matprod_util.Prng
+module Stats = Matprod_util.Stats
 module Clock = Matprod_obs.Clock
 module Reliable = Matprod_comm.Reliable
 
@@ -64,13 +65,6 @@ type worker = {
 }
 
 let digest_mask = (1 lsl 30) - 1
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0
-  else
-    let i = int_of_float (Float.round (p *. float_of_int (n - 1))) in
-    sorted.(max 0 (min (n - 1) i))
 
 let run ?(host = "127.0.0.1") ~port ~connections ~batches ~queries ~n ~density
     ~seed ~specs () =
@@ -190,10 +184,13 @@ let run ?(host = "127.0.0.1") ~port ~connections ~batches ~queries ~n ~density
   in
   let lats =
     Array.of_list
-      (Array.fold_left (fun acc w -> List.rev_append w.latencies acc) []
-         workers)
+      (List.concat_map
+         (fun w -> List.map float_of_int w.latencies)
+         (Array.to_list workers))
   in
-  Array.sort compare lats;
+  let percentile q =
+    if lats = [||] then 0 else int_of_float (Stats.quantile lats q)
+  in
   let t_first =
     Array.fold_left
       (fun a w -> if w.ok && w.t_first <> 0L && (a = 0L || w.t_first < a)
@@ -223,9 +220,9 @@ let run ?(host = "127.0.0.1") ~port ~connections ~batches ~queries ~n ~density
     in_flight = Atomic.get peak;
     elapsed_ns;
     qps;
-    p50_ns = percentile lats 0.50;
-    p90_ns = percentile lats 0.90;
-    p99_ns = percentile lats 0.99;
+    p50_ns = percentile 0.50;
+    p90_ns = percentile 0.90;
+    p99_ns = percentile 0.99;
     bits;
     replayed_bits;
     digest;

@@ -6,7 +6,7 @@ let h_build_planned = Metrics.histogram ~label:"lp_planned" "sketch_build_ns"
 let h_query = Metrics.histogram ~label:"lp" "sketch_query_ns"
 
 type impl = L0 of L0_sketch.t | Stable of Stable_sketch.t | Ams_l2 of Ams.t
-type t = { p : float; impl : impl }
+type t = { impl : impl }
 type value = F of float array | Z of L0_sketch.state
 
 let create rng ~p ~eps ~groups ~dim =
@@ -16,15 +16,7 @@ let create rng ~p ~eps ~groups ~dim =
     else if p = 2.0 then Ams_l2 (Ams.create rng ~eps ~groups)
     else Stable (Stable_sketch.create rng ~p ~eps ~groups)
   in
-  { p; impl }
-
-let p t = t.p
-
-let size t =
-  match t.impl with
-  | L0 s -> L0_sketch.size s
-  | Stable s -> Stable_sketch.size s
-  | Ams_l2 s -> Ams.size s
+  { impl }
 
 let empty t =
   match t.impl with
@@ -79,14 +71,6 @@ let estimate_pow t v =
       | L0 s, Z a -> L0_sketch.estimate s a
       | Stable s, F a -> Stable_sketch.estimate_pow s a
       | Ams_l2 s, F a -> Ams.estimate_sq s a
-      | _ -> type_error ())
-
-let estimate t v =
-  Metrics.timed h_query (fun () ->
-      match (t.impl, v) with
-      | L0 s, Z a -> L0_sketch.estimate s a
-      | Stable s, F a -> Stable_sketch.estimate s a
-      | Ams_l2 s, F a -> sqrt (Ams.estimate_sq s a)
       | _ -> type_error ())
 
 (* The ℓ0 family combines sparsely; the float families' states are dense,

@@ -17,10 +17,6 @@ val create :
 (** Requires p ∈ [0,2], eps ∈ (0,1], groups ≥ 1. [dim] is the length of the
     vectors to be sketched (only the ℓ0 branch uses it). *)
 
-val p : t -> float
-val size : t -> int
-(** Number of scalar counters — the per-vector message cost driver. *)
-
 val empty : t -> value
 val sketch : t -> (int * int) array -> value
 val add_scaled : t -> value -> coeff:int -> value -> value
@@ -29,9 +25,6 @@ val add_scaled : t -> value -> coeff:int -> value -> value
 
 val estimate_pow : t -> value -> float
 (** Estimate of ‖x‖_p^p (with ‖x‖₀⁰ = ‖x‖₀ as in the paper, 0⁰ = 0). *)
-
-val estimate : t -> value -> float
-(** Estimate of ‖x‖_p (for p = 0 this equals [estimate_pow]). *)
 
 (** {1 Combine and estimate} — the receiving side of every linear-sketch
     protocol: one sketch per inner index arrives, and each output row or

@@ -31,10 +31,11 @@ type t = {
   samples : int array; (* sketch row r -> Hadamard row s_r in [0, dpad) *)
 }
 
-let create_rows rng ~rows_per_group ~groups ~dim =
-  if rows_per_group <= 0 || groups <= 0 then
-    invalid_arg "Srht.create_rows: dimensions must be positive";
-  if dim <= 0 then invalid_arg "Srht.create_rows: dim must be positive";
+let create rng ~eps ~groups ~dim =
+  if not (eps > 0.0 && eps <= 1.0) then invalid_arg "Srht.create: eps range";
+  if groups <= 0 then invalid_arg "Srht.create: groups must be positive";
+  if dim <= 0 then invalid_arg "Srht.create: dim must be positive";
+  let rows_per_group = max 4 (int_of_float (Float.ceil (6.0 /. (eps *. eps)))) in
   let dpad = Fwht.next_pow2 dim in
   let seed = Prng.fresh_seed rng in
   let total = rows_per_group * groups in
@@ -42,11 +43,6 @@ let create_rows rng ~rows_per_group ~groups ~dim =
     Array.init total (fun r -> Prng.int (Prng.derive seed 1 r) dpad)
   in
   { rows_per_group; groups; dim; dpad; seed; samples }
-
-let create rng ~eps ~groups ~dim =
-  if not (eps > 0.0 && eps <= 1.0) then invalid_arg "Srht.create: eps range";
-  let rows_per_group = max 4 (int_of_float (Float.ceil (6.0 /. (eps *. eps)))) in
-  create_rows rng ~rows_per_group ~groups ~dim
 
 let size t = t.rows_per_group * t.groups
 let dim t = t.dim

@@ -25,9 +25,6 @@ val create : Matprod_util.Prng.t -> eps:float -> groups:int -> dim:int -> t
 (** rows = Θ(1/ε²)·groups, sized as {!Ams.create}. [dim] fixes the key
     domain (and with it the Hadamard order: next power of two). *)
 
-val create_rows :
-  Matprod_util.Prng.t -> rows_per_group:int -> groups:int -> dim:int -> t
-
 val size : t -> int
 val dim : t -> int
 

@@ -32,6 +32,12 @@ module Engine = Matprod_engine.Engine
 
 let check = Alcotest.check
 
+(* A wire on which [party] dies once [after] messages have crossed it. *)
+let crash ~party ~after =
+  Fault.of_string
+    (Printf.sprintf "kind=crash,party=%s,after=%d"
+       (Transcript.party_name party) after)
+
 let gen_pair ~seed ~n =
   let rng = Prng.create (7 * seed) in
   let a = Workload.uniform_bool rng ~rows:n ~cols:n ~density:0.25 in
@@ -251,9 +257,7 @@ let test_journal_resume_mid_batch () =
              Ctx.run_journaled ~seed ~journal:path ~protocol:"engine batch"
                (fun ctx ->
                  Ctx.install_wire ctx
-                   ~fault:
-                     (Fault.crash_only ~party:victim
-                        ~at:(Fault.After_messages 2))
+                   ~fault:(crash ~party:victim ~after:2)
                    ~reliable:(Reliable.config ~max_attempts:4 ())
                    ();
                  body ctx))
@@ -617,7 +621,7 @@ let test_fused_crash_resume () =
         let crashed =
           Ctx.run_journaled ~seed ~journal:path ~protocol:"serve" (fun ctx ->
               Ctx.install_wire ctx
-                ~fault:(Fault.crash_only ~party ~at:(Fault.After_messages k))
+                ~fault:(crash ~party ~after:k)
                 ();
               Outcome.capture ctx (fun () -> body ctx))
         in
@@ -722,8 +726,7 @@ let test_run_safe () =
   let crashed =
     Ctx.run ~seed (fun ctx ->
         Ctx.install_wire ctx
-          ~fault:
-            (Fault.crash_only ~party:Transcript.Bob ~at:(Fault.After_messages 0))
+          ~fault:(crash ~party:Transcript.Bob ~after:0)
           ~reliable:(Reliable.config ~max_attempts:3 ())
           ();
         Outcome.capture ctx (fun () ->

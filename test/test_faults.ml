@@ -41,24 +41,18 @@ let seeds =
 (* ------------------------------------------------------------------ *)
 (* Fault configurations: >= 4 kinds plus a mixed storm. *)
 
-let z = Fault.zero_rates
+let storm =
+  "kind=drop,rate=0.08;kind=corrupt,rate=0.1;kind=truncate,rate=0.08;\
+   kind=duplicate,rate=0.1;kind=delay,rate=0.15,delay=0.1"
 
 let fault_kinds =
   [
-    ("drop", { z with Fault.drop = 0.15 });
-    ("corrupt", { z with Fault.corrupt = 0.25 });
-    ("truncate", { z with Fault.truncate = 0.25 });
-    ("duplicate", { z with Fault.duplicate = 0.3 });
-    ("delay", { z with Fault.delay = 0.3; delay_s = 0.12 });
-    ( "mixed",
-      {
-        Fault.drop = 0.08;
-        corrupt = 0.1;
-        truncate = 0.08;
-        duplicate = 0.1;
-        delay = 0.15;
-        delay_s = 0.1;
-      } );
+    ("drop", "kind=drop,rate=0.15");
+    ("corrupt", "kind=corrupt,rate=0.25");
+    ("truncate", "kind=truncate,rate=0.25");
+    ("duplicate", "kind=duplicate,rate=0.3");
+    ("delay", "kind=delay,rate=0.3,delay=0.12");
+    ("mixed", storm);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -86,18 +80,18 @@ let reliable = Reliable.config ~max_attempts:12 ~base_timeout:0.05 ()
 
 let run_baseline ~seed f = (Ctx.run ~seed f).Ctx.output
 
-let run_chaotic ~seed ~fault_seed ~rates f =
+let run_chaotic ~seed ~fault_seed ~spec f =
   Outcome.guard (fun () ->
       Ctx.run ~seed (fun ctx ->
           Ctx.install_wire ctx
-            ~fault:(Fault.uniform ~seed:fault_seed rates)
+            ~fault:(Fault.of_string ~seed:fault_seed spec)
             ~reliable ();
           f ctx))
 
 (* The trichotomy, for one fault kind over every protocol and seed. Any
    exception other than the typed families turns into an alcotest error
    (it escapes), which is exactly what the sweep forbids. *)
-let test_trichotomy (kind, rates) () =
+let test_trichotomy (kind, spec) () =
   let failures = ref 0 and successes = ref 0 in
   List.iter
     (fun seed ->
@@ -106,7 +100,7 @@ let test_trichotomy (kind, rates) () =
           let run_seed = (1000 * seed) + i in
           let baseline = run_baseline ~seed:run_seed f in
           match
-            run_chaotic ~seed:run_seed ~fault_seed:(run_seed + 500_000) ~rates f
+            run_chaotic ~seed:run_seed ~fault_seed:(run_seed + 500_000) ~spec f
           with
           | Ok run ->
               incr successes;
@@ -149,7 +143,7 @@ let test_zero_rates_transparent () =
           let wired =
             Ctx.run ~seed:run_seed (fun ctx ->
                 Ctx.install_wire ctx
-                  ~fault:(Fault.uniform ~seed:99 Fault.zero_rates)
+                  ~fault:(Fault.of_string ~seed:99 "kind=drop,rate=0")
                   ~reliable ();
                 f ctx)
           in
@@ -167,12 +161,12 @@ let test_zero_rates_transparent () =
 (* A wire that drops everything must end in Link_failure, with every
    attempt charged to the transcript. *)
 let test_total_loss_is_typed () =
-  let rates = { z with Fault.drop = 1.0 } in
   let tr = ref None in
   (match
      Outcome.guard (fun () ->
          Ctx.run ~seed:4 (fun ctx ->
-             Ctx.install_wire ctx ~fault:(Fault.uniform ~seed:5 rates)
+             Ctx.install_wire ctx
+               ~fault:(Fault.of_string ~seed:5 "kind=drop,rate=1")
                ~reliable:(Reliable.config ~max_attempts:7 ())
                ();
              tr := Some (Ctx.transcript ctx);
@@ -191,12 +185,11 @@ let test_total_loss_is_typed () =
 let test_accounting_and_counters () =
   Metrics.set_enabled true;
   Metrics.reset ();
-  let rates = { z with Fault.drop = 0.3 } in
   let name, f = List.hd (protocols ~seed:1) in
   ignore name;
   let base = Ctx.run ~seed:11 f in
   let result =
-    run_chaotic ~seed:11 ~fault_seed:42 ~rates f
+    run_chaotic ~seed:11 ~fault_seed:42 ~spec:"kind=drop,rate=0.3" f
   in
   let retries = Metrics.value (Metrics.counter "reliable_retries") in
   let dropped = Metrics.value (Metrics.counter "faults_dropped") in
@@ -221,10 +214,7 @@ let test_accounting_and_counters () =
 (* Per-direction / per-label rules: a wire hostile only to Bob leaves
    Alice's messages untouched. *)
 let test_rule_scoping () =
-  let fault =
-    Fault.create ~seed:3
-      [ Fault.rule ~from:Matprod_comm.Transcript.Bob { z with Fault.drop = 1.0 } ]
-  in
+  let fault = Fault.of_string ~seed:3 "kind=drop,rate=1,from=bob" in
   match
     Outcome.guard (fun () ->
         Ctx.run ~seed:8 (fun ctx ->
@@ -243,6 +233,68 @@ let test_rule_scoping () =
         (label = "alice speaks" || label = "bob speaks")
   | Ok _ -> Alcotest.fail "bob-side total loss must fail"
   | Error e -> Alcotest.failf "wrong error: %s" (Outcome.error_to_string e)
+
+(* ------------------------------------------------------------------ *)
+(* Byte clauses: every clause matching a frame applies, per kind the
+   first one wins. A single clause, or clauses of distinct kinds in one
+   scope, draw exactly as the one merged rule they describe. *)
+
+let byte_kinds = [ "drop"; "corrupt"; "truncate"; "duplicate"; "delay" ]
+
+(* 10 000 frames sent by Alice under label "x" through a seed-7 model. *)
+let probe spec =
+  let fault = Fault.of_string ~seed:7 spec in
+  for i = 0 to 9_999 do
+    ignore
+      (Fault.apply fault ~from:Transcript.Alice ~label:"x"
+         (string_of_int i ^ "payload"))
+  done;
+  Fault.stats fault
+
+let injected (s : Fault.stats) = function
+  | "drop" -> s.Fault.dropped
+  | "corrupt" -> s.Fault.corrupted
+  | "truncate" -> s.Fault.truncated
+  | "duplicate" -> s.Fault.duplicated
+  | "delay" -> s.Fault.delayed
+  | kind -> Alcotest.failf "not a byte kind: %s" kind
+
+let test_every_matching_clause_fires () =
+  let both spec k1 k2 =
+    let s = probe spec in
+    if injected s k1 = 0 || injected s k2 = 0 then
+      Alcotest.failf "%s: %s %d, %s %d" spec k1 (injected s k1) k2
+        (injected s k2)
+  in
+  both "kind=drop,rate=0.1;kind=corrupt,rate=0.2" "drop" "corrupt";
+  both "kind=corrupt,rate=0.2;kind=drop,rate=0.1" "corrupt" "drop";
+  List.iter
+    (fun (scope1, scope2) ->
+      List.iter
+        (fun k1 ->
+          List.iter
+            (fun k2 ->
+              if k1 <> k2 then
+                both
+                  (Printf.sprintf "kind=%s,rate=0.2%s;kind=%s,rate=0.2%s" k1
+                     scope1 k2 scope2)
+                  k1 k2)
+            byte_kinds)
+        byte_kinds)
+    [ ("", ""); (",from=a", ",label=x"); (",label=x", ",from=alice") ]
+
+let test_byte_draws_pinned () =
+  let counts s = List.map (injected s) byte_kinds in
+  let pinned spec expected =
+    check (Alcotest.list Alcotest.int) spec expected (counts (probe spec))
+  in
+  pinned "kind=corrupt,rate=0.2" [ 0; 1969; 0; 0; 0 ];
+  pinned "kind=drop,rate=0.1" [ 977; 0; 0; 0; 0 ];
+  pinned storm [ 806; 1045; 833; 849; 1495 ];
+  (* Per kind the first matching clause wins; one that does not match the
+     frame shadows nothing. *)
+  pinned "kind=drop,rate=0.1;kind=drop,rate=1" [ 977; 0; 0; 0; 0 ];
+  pinned "kind=drop,rate=1,from=b;kind=drop,rate=0.1" [ 977; 0; 0; 0; 0 ]
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery: seeded crash faults, journal resume, and the
@@ -273,8 +325,9 @@ let test_crash_then_resume () =
               Ctx.run_journaled ~seed ~journal:path ~protocol:name (fun ctx ->
                   Ctx.install_wire ctx
                     ~fault:
-                      (Fault.crash_only ~party:victim
-                         ~at:(Fault.After_messages 1))
+                      (Fault.of_string
+                         ("kind=crash,after=1,party="
+                         ^ Transcript.party_name victim))
                     ~reliable ();
                   f ctx))
         in
@@ -444,9 +497,7 @@ let test_supervisor_resume_rung () =
       ~wire:(fun ~attempt ctx ->
         if attempt = 1 then
           Ctx.install_wire ctx
-            ~fault:
-              (Fault.crash_only ~party:Transcript.Bob
-                 ~at:(Fault.After_messages 1))
+            ~fault:(Fault.of_string "kind=crash,party=b,after=1")
             ~reliable ())
       ~seed ~protocol:name f
   in
@@ -502,19 +553,13 @@ let test_supervisor_resume_rung () =
 let test_supervisor_fallback () =
   let lp = protocol_exn "lp p=1" ~seed:1 in
   let l1 = protocol_exn "l1_exact" ~seed:1 in
-  let kill_all =
-    [
-      { Fault.victim = Transcript.Alice; site = Fault.After_messages 0 };
-      { Fault.victim = Transcript.Bob; site = Fault.After_messages 0 };
-    ]
-  in
   let result =
     with_tmp_journal "fallback" @@ fun path ->
     Supervisor.run ~journal:path
       ~wire:(fun ~attempt ctx ->
         if attempt <= 2 then
           Ctx.install_wire ctx
-            ~fault:(Fault.create ~crashes:kill_all ~seed:0 [])
+            ~fault:(Fault.of_string "kind=crash,party=a;kind=crash,party=b")
             ~reliable ())
       ~fallbacks:[ ("l1_exact", l1) ]
       ~seed:52 ~protocol:"lp p=1" lp
@@ -559,9 +604,7 @@ let test_session_safe () =
   let crashed =
     Ctx.run ~seed:61 (fun ctx ->
         Ctx.install_wire ctx
-          ~fault:
-            (Fault.crash_only ~party:Transcript.Bob
-               ~at:(Fault.After_messages 0))
+          ~fault:(Fault.of_string "kind=crash,party=b,after=0")
           ~reliable ();
         Outcome.capture ctx (fun () -> Session.establish ctx ~beta:0.5 ~a ~b))
   in
@@ -603,8 +646,8 @@ let test_session_safe () =
 (* Fail-safe boosting: quorum behaviour under a lossy wire and the edge
    cases of the result-typed refactor. *)
 
-let flaky_estimator ~fault_seed ~rates ctx =
-  Ctx.install_wire ctx ~fault:(Fault.uniform ~seed:fault_seed rates)
+let flaky_estimator ~fault_seed ~spec ctx =
+  Ctx.install_wire ctx ~fault:(Fault.of_string ~seed:fault_seed spec)
     ~reliable:(Reliable.config ~max_attempts:2 ())
     ();
   ignore (Ctx.a2b ctx ~label:"est" Matprod_comm.Codec.uint 21);
@@ -612,11 +655,10 @@ let flaky_estimator ~fault_seed ~rates ctx =
 
 let test_boosting_degrades () =
   let next_fault = ref 0 in
-  let rates = { z with Fault.drop = 0.55 } in
   match
     Boosting.run_median_safe ~seed:5 ~repetitions:9 (fun ctx ->
         incr next_fault;
-        flaky_estimator ~fault_seed:!next_fault ~rates ctx)
+        flaky_estimator ~fault_seed:!next_fault ~spec:"kind=drop,rate=0.55" ctx)
   with
   | Ok r ->
       check (Alcotest.float 0.0) "median over survivors" 21.0 r.Boosting.estimate;
@@ -679,9 +721,7 @@ let test_boosting_edge_repetitions () =
 let test_one_shot_crash_no_rearm () =
   let name = "linf_binary" in
   let f = protocol_exn name ~seed:1 in
-  let shared =
-    Fault.crash_only ~party:Transcript.Bob ~at:(Fault.After_messages 1)
-  in
+  let shared = Fault.of_string "kind=crash,party=b,after=1" in
   let installs = ref 0 in
   let result =
     Supervisor.run
@@ -702,7 +742,7 @@ let test_one_shot_crash_no_rearm () =
 
 let test_one_shot_straggle_no_rearm () =
   let f = protocol_exn "l1_exact" ~seed:1 in
-  let shared = Fault.straggle_only ~after:0 ~burst:2 ~delay_s:0.5 () in
+  let shared = Fault.of_string "kind=straggle,after=0,burst=2,delay=0.5" in
   let run () =
     (Ctx.run ~seed:62 (fun ctx ->
          Ctx.install_wire ctx ~fault:shared ~reliable ();
@@ -718,7 +758,7 @@ let test_one_shot_straggle_no_rearm () =
   if first <> again then Alcotest.fail "straggle spike changed the output"
 
 let test_one_shot_byzantine_no_rearm () =
-  let shared = Fault.byzantine_only ~seed:7 ~mode:Fault.Scale () in
+  let shared = Fault.of_string ~seed:7 "kind=byzantine,mode=scale" in
   (match Fault.check_byzantine shared with
   | Some (Fault.Scale, _) -> ()
   | Some _ -> Alcotest.fail "wrong byzantine mode"
@@ -905,8 +945,8 @@ let () =
     [
       ( "trichotomy",
         List.map
-          (fun (kind, rates) ->
-            Alcotest.test_case kind `Quick (test_trichotomy (kind, rates)))
+          (fun (kind, spec) ->
+            Alcotest.test_case kind `Quick (test_trichotomy (kind, spec)))
           fault_kinds );
       ( "transparency",
         [
@@ -966,5 +1006,11 @@ let () =
         [
           Alcotest.test_case "corruption gallery" `Slow
             test_byzantine_corruption_gallery;
+        ] );
+      ( "byte clauses",
+        [
+          Alcotest.test_case "every matching clause fires" `Quick
+            test_every_matching_clause_fires;
+          Alcotest.test_case "draws pinned" `Quick test_byte_draws_pinned;
         ] );
     ]

@@ -20,7 +20,6 @@ module Codec = Matprod_comm.Codec
 module Ctx = Matprod_comm.Ctx
 module Fault = Matprod_comm.Fault
 module Journal = Matprod_comm.Journal
-module Chaos = Matprod_comm.Chaos
 module Trace = Matprod_obs.Trace
 module Estimator = Matprod_core.Estimator
 module Registry = Matprod_core.Registry
@@ -189,7 +188,8 @@ let test_channel_create_config () =
   @@ fun () ->
   let w = Journal.create ~path ~protocol:"t" ~seed:3 in
   let ch = Channel.create () in
-  Channel.configure ch ~fault:(Fault.create ~seed:1 []) ~journal:w ();
+  Channel.configure ch ~fault:(Fault.of_string ~seed:1 "kind=drop,rate=0")
+    ~journal:w ();
   let v = [| 1; 4; 9 |] in
   let got =
     Channel.send ch ~from:Transcript.Alice ~label:"xs" Codec.sorted_int_array v
@@ -222,11 +222,11 @@ let test_channel_create_config () =
 let test_chaos_roundtrip () =
   List.iter
     (fun spec ->
-      match Chaos.parse spec with
+      match Fault.parse spec with
       | Error e -> Alcotest.fail (spec ^ ": " ^ e)
       | Ok t -> (
-          let printed = Chaos.to_string t in
-          match Chaos.parse printed with
+          let printed = Fault.to_string t in
+          match Fault.parse printed with
           | Error e -> Alcotest.fail (printed ^ ": " ^ e)
           | Ok t' ->
               check Alcotest.bool
@@ -247,15 +247,15 @@ let test_chaos_roundtrip () =
 let test_chaos_canonical_idempotent () =
   let spec =
     match
-      Chaos.parse "kind=crash,party=bob,after=2;kind=drop,rate=0.5,from=alice"
+      Fault.parse "kind=crash,party=bob,after=2;kind=drop,rate=0.5,from=alice"
     with
     | Ok t -> t
     | Error e -> Alcotest.fail e
   in
-  let s1 = Chaos.to_string spec in
+  let s1 = Fault.to_string spec in
   let s2 =
-    match Chaos.parse s1 with
-    | Ok t -> Chaos.to_string t
+    match Fault.parse s1 with
+    | Ok t -> Fault.to_string t
     | Error e -> Alcotest.fail e
   in
   check Alcotest.string "canonical form is a fixpoint" s1 s2
@@ -263,7 +263,7 @@ let test_chaos_canonical_idempotent () =
 let test_chaos_rejects () =
   List.iter
     (fun spec ->
-      match Chaos.parse spec with
+      match Fault.parse spec with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail ("accepted bad spec: " ^ spec))
     [
@@ -282,36 +282,47 @@ let test_chaos_rejects () =
 let test_chaos_lowering_scope () =
   let spec =
     match
-      Chaos.parse
+      Fault.parse
         "kind=crash,worker=2,after=1;kind=straggle,delay=3;kind=byzantine,worker=0"
     with
     | Ok t -> t
     | Error e -> Alcotest.fail e
   in
-  check Alcotest.int "crash only on its rank" 0
-    (List.length (Chaos.crashes ~scope_worker:1 spec));
-  check Alcotest.int "crash applies on rank 2" 1
-    (List.length (Chaos.crashes ~scope_worker:2 spec));
-  check Alcotest.int "unkeyed straggle applies everywhere" 1
-    (List.length (Chaos.straggles ~scope_worker:5 spec));
-  check Alcotest.int "worker-keyed clause invisible outside fleets" 0
-    (List.length (Chaos.byzantines spec));
+  let model scope_worker = Option.get (Fault.create ?scope_worker ~seed:1 spec) in
+  (* The crash clause fires on the second message. *)
+  let crashes fault =
+    match
+      for _ = 1 to 2 do
+        Fault.check_crash fault ~from:Transcript.Alice ~label:"x"
+      done
+    with
+    | () -> false
+    | exception Fault.Party_crash _ -> true
+  in
+  check Alcotest.bool "crash only on its rank" false (crashes (model (Some 1)));
+  check Alcotest.bool "crash applies on rank 2" true (crashes (model (Some 2)));
+  check Alcotest.bool "unkeyed straggle applies everywhere" true
+    (Fault.is_active (model (Some 5)));
+  check Alcotest.bool "worker-keyed clause invisible outside fleets" true
+    (Fault.check_byzantine (model None) = None);
+  check Alcotest.bool "byzantine armed on its rank" true
+    (Fault.check_byzantine (model (Some 0)) <> None);
   check Alcotest.bool "two-party sees a fault model" true
-    (Chaos.to_fault ~seed:1 spec <> None);
+    (Fault.create ~seed:1 spec <> None);
   check Alcotest.bool "rank 1 still straggles" true
-    (Chaos.to_fault ~scope_worker:1 ~seed:1 spec <> None)
+    (Fault.create ~scope_worker:1 ~seed:1 spec <> None)
 
 (* Every clause scoped to a link lowers into one model: a byte rule next
    to a crash keeps the crash armed, and the per-attempt policy holds. *)
 let test_chaos_link_fault () =
-  let parse s = match Chaos.parse s with Ok t -> t | Error e -> Alcotest.fail e in
+  let parse s = match Fault.parse s with Ok t -> t | Error e -> Alcotest.fail e in
   let crashes fault =
     match Fault.check_crash fault ~from:Transcript.Alice ~label:"x" with
     | () -> false
     | exception Fault.Party_crash _ -> true
   in
   let link spec ~rank ~replica ~attempt =
-    Chaos.link_fault ~seed:5 spec ~rank ~replica ~attempt
+    Fault.for_link ~seed:5 spec ~rank ~replica ~attempt
   in
   let mixed =
     parse

@@ -270,15 +270,15 @@ let test_degradation () =
 
 let test_straggle_validation () =
   List.iter
-    (fun f ->
-      match f () with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "bad straggle spec should be rejected")
+    (fun spec ->
+      match Fault.parse spec with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail ("bad straggle spec should be rejected: " ^ spec))
     [
-      (fun () -> ignore (Fault.straggle ~delay_s:0.0 ()));
-      (fun () -> ignore (Fault.straggle ~delay_s:(-1.0) ()));
-      (fun () -> ignore (Fault.straggle ~after:(-1) ~delay_s:1.0 ()));
-      (fun () -> ignore (Fault.straggle ~burst:0 ~delay_s:1.0 ()));
+      "kind=straggle,delay=0";
+      "kind=straggle,delay=-1";
+      "kind=straggle,after=-1,delay=1";
+      "kind=straggle,burst=0,delay=1";
     ]
 
 (* A straggle spike larger than the retransmission timeout makes the link
@@ -295,7 +295,7 @@ let test_straggle_reproducible () =
   let run () =
     Ctx.run ~seed:5 (fun ctx ->
         Ctx.install_wire ctx
-          ~fault:(Fault.straggle_only ~after:1 ~burst:2 ~delay_s:5.0 ())
+          ~fault:(Fault.of_string "kind=straggle,after=1,burst=2,delay=5")
           ();
         let out = est.run ctx ~a ~b in
         (out, Ctx.wire_stats ctx, Outcome.diagnostics_of_ctx ctx))
@@ -316,13 +316,9 @@ let test_straggle_reproducible () =
 let kill_both ~after ctx =
   Ctx.install_wire ctx
     ~fault:
-      (Fault.create
-         ~crashes:
-           [
-             { Fault.victim = Transcript.Alice; site = Fault.After_messages after };
-             { Fault.victim = Transcript.Bob; site = Fault.After_messages after };
-           ]
-         ~seed:1 [])
+      (Fault.of_string ~seed:1
+         (Printf.sprintf "kind=crash,party=a,after=%d;kind=crash,party=b,after=%d"
+            after after))
     ()
 
 let permanent_crash ~victim ~rank ~attempt:_ ctx =
@@ -336,8 +332,13 @@ let transient_crash ~victim ~rank ~attempt ctx =
 let transient_straggle ~victim ~rank ~attempt ctx =
   if rank = victim && attempt = 1 then
     Ctx.install_wire ctx
-      ~fault:(Fault.straggle_only ~after:0 ~burst:2 ~delay_s:5.0 ())
+      ~fault:(Fault.of_string "kind=straggle,after=0,burst=2,delay=5")
       ()
+
+(* A one-shot lie by [victim], seeded per victim. *)
+let byzantine_fault ~victim mode =
+  Fault.of_string ~seed:(91 * (victim + 1))
+    ("kind=byzantine,mode=" ^ Fault.byzantine_mode_to_string mode)
 
 (* ------------------------------------------------------------------ *)
 (* Fleet: exactness against ground truth *)
@@ -566,8 +567,7 @@ let test_byzantine_gallery () =
               let wire ~rank ~replica ~attempt ctx =
                 if rank = victim && replica = 0 && attempt = 1 then
                   Ctx.install_wire ctx
-                    ~fault:
-                      (Fault.byzantine_only ~seed:(91 * (victim + 1)) ~mode ())
+                    ~fault:(byzantine_fault ~victim mode)
                     ()
               in
               match Fleet.run ~wire cfg est ~a ~b with
@@ -735,7 +735,7 @@ let batch_answers_equal (xs : Engine.answer array) ys = compare xs ys = 0
 let byzantine_wire ~victim ~replica:r ~mode ~rank ~replica ~attempt ctx =
   if rank = victim && replica = r && attempt = 1 then
     Ctx.install_wire ctx
-      ~fault:(Fault.byzantine_only ~seed:(91 * (victim + 1)) ~mode ())
+      ~fault:(byzantine_fault ~victim mode)
       ()
 
 (* TMR for batches: one replica of each victim rank lies with a valid
@@ -816,9 +816,7 @@ let test_batch_verify_quarantine () =
         let honest = Result.get_ok honest_link.Fleet.b_answers in
         let mode, g =
           Option.get
-            (Fault.check_byzantine
-               (Fault.byzantine_only ~seed:(91 * (victim + 1))
-                  ~mode:Fault.Garbage ()))
+            (Fault.check_byzantine (byzantine_fault ~victim Fault.Garbage))
         in
         let lie = Array.map (Verify.corrupt mode g) honest in
         let summary =
