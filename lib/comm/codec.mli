@@ -19,10 +19,17 @@ exception Decode_error of string
     bytes to [decode] is safe. *)
 
 val encode : 'a t -> 'a -> string
+(** Encodes into a per-domain scratch buffer and copies the bytes out
+    once. The scratch is checked out for the duration of the call, so a
+    second thread of the same domain, or an encode nested in this one,
+    writes into its own; it is kept for the next call unless it grew past
+    1 MiB, so a long-lived process holds at most that much per domain. *)
+
 val decode : 'a t -> string -> 'a
 (** Raises {!Decode_error} on trailing garbage or any malformed input. *)
 
 val encoded_bytes : 'a t -> 'a -> int
+(** [String.length (encode c v)], without the copy. *)
 
 (** {1 Primitive codecs} *)
 
@@ -54,8 +61,9 @@ val int_array : int array t
 
 val uint_array : int array t
 (** Non-negative varints, length-prefixed: byte for byte [array uint],
-    with the same decode errors, plus a one-byte fast path for values
-    below 0x80 — the zero counters that fill dense sketch states. *)
+    with the same decode errors. Encode fills each run of zero counters
+    (the bulk of dense sketch states) at once; decode skips zero bytes
+    eight at a time and reads values below 0x80 inline. *)
 
 val sorted_int_array : int array t
 (** Strictly increasing non-negative ints, delta-coded — the natural
@@ -76,8 +84,11 @@ val bytes : string t
 (** {1 Sparse sources} — mostly-zero arrays by their nonzero cells. Each
     codec below writes exactly the bytes its dense counterpart writes for
     the dense array, and decodes to the nonzero cells of the array that
-    counterpart would return, with the same {!Decode_error} text; nothing
-    is allocated per zero cell. *)
+    counterpart would return, with the same {!Decode_error} text. Neither
+    direction allocates per cell: encode sizes its output in one pass
+    over the nonzero cells and writes it in place, and decode collects
+    the cells in per-domain scratch arrays (checked out as {!encode}'s
+    buffer is) and returns exact-size copies. *)
 
 type sparse = { length : int; cells : int array; values : int array }
 (** The array of [length] cells that is [values.(k)] at [cells.(k)] and 0
@@ -86,7 +97,9 @@ type sparse = { length : int; cells : int array; values : int array }
     sketches build, has this form. Encoders skip a zero value. *)
 
 val sparse_uint_array : sparse t
-(** Byte for byte {!uint_array} of the dense array. *)
+(** Byte for byte {!uint_array} of the dense array. Encoding raises
+    [Invalid_argument] on cells that are not strictly ascending within
+    [length]. *)
 
 val bounded_counter_array : max_length:int -> sparse t
 (** Non-negative counter arrays that are often mostly zero (sketch
@@ -105,3 +118,31 @@ val shorter_uint_array : length:int -> sparse t
 
 val map : ('a -> 'b) -> ('b -> 'a) -> 'b t -> 'a t
 (** [map to_wire of_wire codec] transports a codec across an isomorphism. *)
+
+(** {1 Kernels} — a codec written as one loop over the bytes, for a hot
+    message whose generic composition would allocate per element. A
+    kernel must write exactly the bytes of the composition it replaces
+    and raise its {!Decode_error} texts, and it inherits this module's
+    promise that a decode raises nothing else on corrupt bytes. *)
+
+type writer
+(** The buffer an encoder appends to. *)
+
+val kernel : enc:(writer -> 'a -> unit) -> dec:(string -> int ref -> 'a) -> 'a t
+(** [dec s pos] decodes from offset [!pos] of [s] and leaves [pos] after
+    the bytes it read. *)
+
+val write_uint : writer -> int -> unit
+(** {!uint}'s bytes. *)
+
+val write_int : writer -> int -> unit
+(** {!int}'s bytes. *)
+
+val read_uint : string -> int ref -> int
+val read_int : string -> int ref -> int
+
+val read_count : string -> int ref -> string -> int
+(** [read_count s pos what] reads the length prefix of a sequence whose
+    elements take a byte or more each, as {!list} and {!array} do: a
+    count beyond the bytes left raises
+    [Decode_error (what ^ ": length prefix exceeds remaining input")]. *)

@@ -52,12 +52,6 @@ let decode spec a k =
       let want2 = Field31.mul w (Hashing.field_coeff spec.c2 i) in
       if fp1 = want1 && fp2 = want2 then One (i, sum) else Many
 
-let cell_codec =
-  Codec.map
-    (fun c -> ((c.(0), c.(1)), (c.(2), c.(3))))
-    (fun ((sum, isum), (fp1, fp2)) -> [| sum; isum; fp1; fp2 |])
-    (Codec.pair (Codec.pair Codec.int Codec.int) (Codec.pair Codec.uint Codec.uint))
-
 type cells = { count : int; nonzero : int array; cell_words : int array }
 
 (* Cells listed in any order, possibly repeated or zero, to the form
@@ -79,21 +73,67 @@ let of_listing count listed =
 
 (* Recovery structures over subsampling levels are mostly zero cells, so
    the wire format carries (cell count, nonzero cells with their
-   positions) rather than every cell. The declared count is checked
-   against the receiver's bound, and positions must fall inside it. *)
+   positions) rather than every cell: the count, then the listing's
+   length, then per cell its position, Σ x_i and Σ i·x_i as zigzag
+   varints and the two fingerprints as varints — the bytes of
+   [pair uint (list (pair uint (pair (pair int int) (pair uint uint))))].
+   Encode writes them straight from the flat storage. Decode reads the
+   listing into flat arrays, which are the state itself when the listing
+   is canonical (strictly ascending, no zero cell), as every encoder
+   writes it; any other listing goes through [of_listing]. The declared
+   count is checked against the receiver's bound, and positions must
+   fall inside it, once the whole listing has parsed. *)
 let cells_wire ~max_cells =
-  Codec.map
-    (fun st ->
-      let listed = ref [] in
-      for j = Array.length st.nonzero - 1 downto 0 do
-        if not (is_zero st.cell_words j) then
-          listed := (st.nonzero.(j), Array.sub st.cell_words (words * j) words) :: !listed
-      done;
-      (st.count, !listed))
-    (fun (n, listed) ->
-      if n > max_cells then
-        raise (Codec.Decode_error "One_sparse.cells_wire: cell count exceeds bound");
-      if List.exists (fun (k, _) -> k >= n) listed then
-        raise (Codec.Decode_error "One_sparse.cells_wire: index beyond length");
-      of_listing n listed)
-    (Codec.pair Codec.uint (Codec.list (Codec.pair Codec.uint cell_codec)))
+  let enc w st =
+    let m = Array.length st.nonzero and a = st.cell_words in
+    if Array.length a <> words * m then invalid_arg "One_sparse.cells_wire: shape";
+    Codec.write_uint w st.count;
+    let listed = ref 0 in
+    for j = 0 to m - 1 do
+      if not (is_zero a j) then incr listed
+    done;
+    Codec.write_uint w !listed;
+    for j = 0 to m - 1 do
+      if not (is_zero a j) then begin
+        let o = words * j in
+        Codec.write_uint w st.nonzero.(j);
+        Codec.write_int w a.(o);
+        Codec.write_int w a.(o + 1);
+        Codec.write_uint w a.(o + 2);
+        Codec.write_uint w a.(o + 3)
+      end
+    done
+  in
+  let dec s pos =
+    let n = Codec.read_uint s pos in
+    let m = Codec.read_count s pos "Codec.list" in
+    (* A cell takes at least five bytes, so a listing that parses fits
+       [cap] cells; a longer one fails before its arrays would overflow. *)
+    let cap = Int.min m ((String.length s - !pos) / 5) in
+    let nonzero = Array.make cap 0 and cell_words = Array.make (words * cap) 0 in
+    let canonical = ref true and last = ref (-1) in
+    for j = 0 to m - 1 do
+      let k = Codec.read_uint s pos in
+      let sum = Codec.read_int s pos in
+      let isum = Codec.read_int s pos in
+      let fp1 = Codec.read_uint s pos in
+      let fp2 = Codec.read_uint s pos in
+      let o = words * j in
+      nonzero.(j) <- k;
+      cell_words.(o) <- sum;
+      cell_words.(o + 1) <- isum;
+      cell_words.(o + 2) <- fp1;
+      cell_words.(o + 3) <- fp2;
+      if k <= !last || is_zero cell_words j then canonical := false;
+      last := Int.max k !last
+    done;
+    if n > max_cells then
+      raise (Codec.Decode_error "One_sparse.cells_wire: cell count exceeds bound");
+    if !last >= n then
+      raise (Codec.Decode_error "One_sparse.cells_wire: index beyond length");
+    if !canonical then { count = n; nonzero; cell_words }
+    else
+      of_listing n
+        (List.init m (fun j -> (nonzero.(j), Array.sub cell_words (words * j) words)))
+  in
+  Codec.kernel ~enc ~dec

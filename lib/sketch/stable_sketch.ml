@@ -67,22 +67,18 @@ let sketch t vec =
 
 (* --- plan/apply: the implicit stable matrix, materialised eagerly for
    the whole domain. The per-key columns are exactly what [column] caches
-   lazily ([entry] is deterministic in (seed, row, key)), so planned
-   sketches are bit-identical — and the plan is read-only, which makes it
-   safe to share across domains where the Hashtbl cache is not. *)
+   lazily ([entry] is deterministic in (seed, row, key), and
+   [Stable.fill_derived] computes every entry without allocating), so
+   planned sketches are bit-identical — and the plan is read-only, which
+   makes it safe to share across domains where the Hashtbl cache is not. *)
 
 type plan = { pdim : int; prows : int; cols : float array (* key*rows + r *) }
 
 let plan t ~dim =
   if dim <= 0 then invalid_arg "Stable_sketch.plan: dim";
   Metrics.incr_by c_plan (t.rows * dim);
-  let cols = Array.make (dim * t.rows) 0.0 in
-  for i = 0 to dim - 1 do
-    let base = i * t.rows in
-    for r = 0 to t.rows - 1 do
-      cols.(base + r) <- entry t ~row:r i
-    done
-  done;
+  let cols = Array.create_float (dim * t.rows) in
+  Stable.fill_derived ~p:t.p ~seed:t.seed ~rows:t.rows ~dim cols;
   { pdim = dim; prows = t.rows; cols }
 
 

@@ -11,6 +11,13 @@ val sample : Prng.t -> p:float -> float
     [p = 2] is Gaussian (scaled so that sums behave p-stably, i.e. N(0,2)),
     [p = 1] is standard Cauchy. Requires [0 < p <= 2]. *)
 
+val fill_derived : p:float -> seed:int -> rows:int -> dim:int -> float array -> unit
+(** [fill_derived ~p ~seed ~rows ~dim a] sets [a.(i * rows + r)] to
+    [sample (Prng.derive seed r i) ~p] for every [r < rows] and
+    [i < dim], bit for bit, without allocating: the derived streams'
+    draws stay in unboxed locals. Raises [Invalid_argument] if [a] is
+    shorter than [rows * dim]. *)
+
 val median_abs : p:float -> float
 (** Median of |X| for X standard symmetric p-stable. Closed form for
     p ∈ {1, 2}; otherwise computed once per [p] by deterministic Monte
