@@ -1117,6 +1117,205 @@ let dense_oracle_tests =
              [ e; truncated; flipped ]);
   ]
 
+(* The codec kernels against the generic compositions they replaced
+   (test/dense_oracle.ml, and [array float32]), on the edge states: empty,
+   all zero, fully dense, values of 2^31 and above, and cells at 0 and at
+   length − 1. The kernel writes the reference's bytes, and every
+   truncation of them and every change of a single byte decodes to the
+   reference's value or raises the reference's Decode_error text. *)
+let edge_value =
+  QCheck.Gen.oneofl
+    [ 1; 3; 0x7f; 0x80; (1 lsl 31) - 2; (1 lsl 31) - 1; 1 lsl 31; (1 lsl 31) + 5; 1 lsl 40; max_int ]
+
+let edge_uint_gen =
+  let open QCheck.Gen in
+  int_bound 80 >>= fun n ->
+  oneofl [ `Empty; `Zero; `Dense; `Ends; `Sparse ] >>= fun shape ->
+  array_repeat n edge_value >>= fun vals ->
+  int_bound 7 >|= fun k ->
+  match shape with
+  | `Empty -> [||]
+  | `Zero -> Array.make n 0
+  | `Dense -> vals
+  | `Ends ->
+      Array.mapi (fun i v -> if i = 0 || i = n - 1 then v else 0) vals
+  | `Sparse -> Array.mapi (fun i v -> if i mod 8 = k then v else 0) vals
+
+let edge_uint_arb =
+  QCheck.make ~print:QCheck.Print.(array int) edge_uint_gen
+
+(* [e] cut at every length, and [e] with each byte xor-ed with [mask]. *)
+let damaged e mask =
+  let n = String.length e in
+  List.init n (fun k -> String.sub e 0 k)
+  @ List.init n (fun k ->
+        let b = Bytes.of_string e in
+        Bytes.set b k (Char.chr (Char.code e.[k] lxor mask));
+        Bytes.to_string b)
+
+let kernel_oracle_tests =
+  let open QCheck in
+  let mask = int_range 1 255 in
+  let agrees ~name arb ~enc ~oracle_enc ~dec ~oracle_dec =
+    Test.make ~name ~count:60 (pair arb mask) (fun (a, m) ->
+        let e = oracle_enc a in
+        String.equal (enc a) e
+        && List.for_all (fun s -> dec s = oracle_dec s) (e :: damaged e m))
+  in
+  let dense c a = Codec.encode (Dense_oracle.dense_view c) a in
+  let via_dense c s = Result.map Dense_oracle.to_dense (decode_outcome c s) in
+  let bounded = Codec.bounded_counter_array ~max_length:100 in
+  let float32_oracle = Codec.array Codec.float32 in
+  let floats =
+    make ~print:Print.(array float)
+      Gen.(
+        map
+          (Array.map (fun v -> if v = 0 then 0.0 else ldexp (float_of_int (v land 0xffff)) (v mod 40 - 20)))
+          edge_uint_gen)
+  in
+  let cells_arb =
+    let open Gen in
+    let word = oneof [ edge_value; return 0; return 0 ] in
+    let sum = oneof [ word; oneofl [ -1; min_int; -(1 lsl 31) ] ] in
+    let cell = map (fun (a, b, c, d) -> [| a; b; c; d |]) (quad sum sum word word) in
+    let gen =
+      int_bound 40 >>= fun n ->
+      oneofl [ `Empty; `Zero; `Dense; `Ends ] >>= fun shape ->
+      array_repeat n cell >|= fun cs ->
+      let keep i = match shape with
+        | `Empty | `Zero -> false
+        | `Dense -> true
+        | `Ends -> i = 0 || i = n - 1
+      in
+      let a = Array.make (4 * n) 0 in
+      Array.iteri (fun i c -> if keep i then Array.blit c 0 a (4 * i) 4) cs;
+      a
+    in
+    make ~print:Print.(array int) gen
+  in
+  let cells = One_sparse.cells_wire ~max_cells:100 in
+  let dense_cells = Dense_oracle.cells_wire ~max_cells:100 in
+  [
+    agrees ~name:"kernels: sparse_uint_array is array uint on edge states" edge_uint_arb
+      ~enc:(dense Codec.sparse_uint_array)
+      ~oracle_enc:(Dense_oracle.encode Dense_oracle.uint_array)
+      ~dec:(via_dense Codec.sparse_uint_array)
+      ~oracle_dec:(oracle_outcome Dense_oracle.uint_array);
+    agrees ~name:"kernels: uint_array is array uint on edge states" edge_uint_arb
+      ~enc:(Codec.encode Codec.uint_array)
+      ~oracle_enc:(Dense_oracle.encode Dense_oracle.uint_array)
+      ~dec:(decode_outcome Codec.uint_array)
+      ~oracle_dec:(oracle_outcome Dense_oracle.uint_array);
+    agrees ~name:"kernels: bounded_counter_array is the Buffer-built pairs on edge states"
+      edge_uint_arb ~enc:(dense bounded)
+      ~oracle_enc:(Dense_oracle.encode (Dense_oracle.bounded_counter_array ~max_length:100))
+      ~dec:(via_dense bounded)
+      ~oracle_dec:(oracle_outcome (Dense_oracle.bounded_counter_array ~max_length:100));
+    Test.make ~name:"kernels: shorter_uint_array is the reference on edge states" ~count:60
+      (pair edge_uint_arb mask) (fun (a, m) ->
+        let length = Array.length a in
+        let c = Codec.shorter_uint_array ~length
+        and o = Dense_oracle.shorter_uint_array ~length in
+        let e = Dense_oracle.encode o a in
+        String.equal (dense c a) e
+        && List.for_all
+             (fun s -> via_dense c s = oracle_outcome o s)
+             (e :: damaged e m));
+    agrees ~name:"kernels: float32_array is array float32 on edge states" floats
+      ~enc:(Codec.encode Codec.float32_array)
+      ~oracle_enc:(Codec.encode float32_oracle)
+      ~dec:(fun s -> Result.map float_bits (decode_outcome Codec.float32_array s))
+      ~oracle_dec:(fun s -> Result.map float_bits (decode_outcome float32_oracle s));
+    agrees ~name:"kernels: cells_wire is the list/tuple codec on edge states" cells_arb
+      ~enc:(fun a -> Codec.encode cells (Dense_oracle.cells_of_dense a))
+      ~oracle_enc:(Codec.encode dense_cells)
+      ~dec:(fun s -> Result.map Dense_oracle.cells_to_dense (decode_outcome cells s))
+      ~oracle_dec:(decode_outcome dense_cells);
+  ]
+
+(* Listings no encoder writes — descending, repeated or zero cells —
+   decode as writing them into dense storage in order would, which is
+   what One_sparse.of_listing does, into a canonical state. *)
+let cells_listing_tests =
+  let open QCheck in
+  let listing =
+    Codec.pair Codec.uint
+      (Codec.list
+         (Codec.pair Codec.uint
+            (Codec.pair (Codec.pair Codec.int Codec.int) (Codec.pair Codec.uint Codec.uint))))
+  in
+  let gen =
+    let open Gen in
+    let word = oneofl [ 0; 0; 1; 0x80; 1 lsl 31 ] in
+    let sum = oneofl [ 0; 0; 1; -1; 1 lsl 33 ] in
+    int_range 1 12 >>= fun n ->
+    list_size (0 -- 10)
+      (pair (int_bound (n - 1)) (pair (pair sum sum) (pair word word)))
+    >|= fun l -> (n, l)
+  in
+  let print (n, l) =
+    Printf.sprintf "%d cells, listing at %s" n
+      (String.concat "," (List.map (fun (k, _) -> string_of_int k) l))
+  in
+  let cells = One_sparse.cells_wire ~max_cells:100 in
+  let dense_cells = Dense_oracle.cells_wire ~max_cells:100 in
+  [
+    Test.make ~name:"cells_wire: non-canonical listings decode as of_listing"
+      ~count:500 (make ~print gen) (fun v ->
+        let e = Codec.encode listing v in
+        let canonical (st : One_sparse.cells) =
+          Array.length st.cell_words = 4 * Array.length st.nonzero
+          && Array.for_all (fun k -> k >= 0 && k < st.count) st.nonzero
+          && List.for_all
+               (fun j ->
+                 (j = 0 || st.nonzero.(j - 1) < st.nonzero.(j))
+                 && not (One_sparse.is_zero st.cell_words j))
+               (List.init (Array.length st.nonzero) Fun.id)
+        in
+        match Codec.decode cells e with
+        | st -> canonical st && Ok (Dense_oracle.cells_to_dense st) = decode_outcome dense_cells e
+        | exception Codec.Decode_error m -> decode_outcome dense_cells e = Error m);
+  ]
+
+(* Codec.encode's scratch is per domain and checked out per call: two
+   systhreads of one domain, an encode nested in another, and four pool
+   domains, each encoding different values at once, get their own bytes. *)
+let test_codec_scratch_isolation () =
+  let module Pool = Matprod_util.Pool in
+  let value k = { Codec.length = 20_000 + k; cells = [| k; 5_000 + k |]; values = [| k + 1; 1 lsl 40 |] } in
+  let expect = Array.init 64 (fun k -> Dense_oracle.encode Dense_oracle.uint_array (Dense_oracle.to_dense (value k))) in
+  let ok k s = String.equal s expect.(k) in
+  let failures = Atomic.make 0 in
+  let worker k () =
+    for _ = 1 to 200 do
+      if not (ok k (Codec.encode Codec.sparse_uint_array (value k))) then Atomic.incr failures
+    done
+  in
+  let threads = List.map (fun k -> Thread.create (worker k) ()) [ 1; 2 ] in
+  List.iter Thread.join threads;
+  check Alcotest.int "two systhreads" 0 (Atomic.get failures);
+  let inner = ref "" in
+  let nested =
+    Codec.map
+      (fun k ->
+        inner := Codec.encode Codec.sparse_uint_array (value (k + 1));
+        value k)
+      (fun _ -> 0)
+      Codec.sparse_uint_array
+  in
+  check Alcotest.bool "nested: outer" true (ok 3 (Codec.encode nested 3));
+  check Alcotest.bool "nested: inner" true (ok 4 !inner);
+  Pool.set_size 4;
+  let got =
+    Fun.protect
+      ~finally:(fun () ->
+        Pool.shutdown ();
+        Pool.set_size 1)
+      (fun () ->
+        Pool.init 64 (fun k -> Codec.encode Codec.sparse_uint_array (value k)))
+  in
+  check Alcotest.bool "four pool domains" true (Array.for_all2 String.equal got expect)
+
 (* shorter_uint_array against its two forms: it decodes back to its input,
    costs exactly one tag byte more than the shorter form, and so never
    more than uint_array plus one byte. *)
@@ -1145,7 +1344,8 @@ let shorter_uint_array_tests =
 let qcheck_tests =
   let open QCheck in
   fuzz_tests @ journal_qcheck_tests @ uint_array_tests @ sparse_oracle_tests
-  @ dense_oracle_tests @ shorter_uint_array_tests
+  @ dense_oracle_tests @ kernel_oracle_tests @ cells_listing_tests
+  @ shorter_uint_array_tests
   @ [
     Test.make ~name:"codec: int roundtrip" ~count:1000 int (fun n ->
         roundtrip Codec.int n = n);
@@ -1197,6 +1397,7 @@ let () =
           Alcotest.test_case "trailing garbage" `Quick test_codec_trailing_garbage;
           Alcotest.test_case "adversarial lengths" `Quick test_codec_adversarial_lengths;
           Alcotest.test_case "map" `Quick test_codec_map;
+          Alcotest.test_case "scratch per call and domain" `Quick test_codec_scratch_isolation;
         ] );
       ( "transcript",
         [

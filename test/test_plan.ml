@@ -88,6 +88,23 @@ let qcheck_tests =
         let t = Stable_sketch.create (Prng.create seed) ~p:0.5 ~eps:0.4 ~groups:2 in
         let p = Stable_sketch.plan t ~dim in
         Stable_sketch.sketch_with_plan t p vec = Stable_sketch.sketch t vec);
+    (* The plan's column for key i, read back as the sketch of e_i (each
+       word 0.0 +. 1.0 ·. column word), is [entry] word for word, for every
+       p: Stable.fill_derived computes the whole table in unboxed locals. *)
+    Test.make ~name:"stable: plan columns = entry, bit for bit, at every p"
+      ~count:20 (int_bound 10_000) (fun seed ->
+        List.for_all
+          (fun p ->
+            let t = Stable_sketch.create (Prng.create seed) ~p ~eps:0.5 ~groups:2 in
+            let plan = Stable_sketch.plan t ~dim in
+            List.for_all
+              (fun i ->
+                let col = Stable_sketch.sketch_with_plan t plan [| (i, 1) |] in
+                farray_bits_equal col
+                  (Array.init (Stable_sketch.size t) (fun row ->
+                       0.0 +. (1.0 *. Stable_sketch.entry t ~row i))))
+              [ 0; 1; 17; dim / 2; dim - 1 ])
+          [ 0.5; 0.7; 1.0; 1.5; 2.0 ]);
     (* Also fanned out over 4 pool domains: each domain builds into its own
        radix buffers, and the rows (shifts of [vec], more than one pool
        chunk) must still equal the sequential unplanned sketches. *)

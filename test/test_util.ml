@@ -454,9 +454,52 @@ let test_fft_rejects_bad_sizes () =
     (Invalid_argument "Fft: re/im length mismatch") (fun () ->
       Fft.fft ~re:(Array.make 8 0.0) ~im:(Array.make 4 0.0))
 
+(* [Stable.sample] as it was written before it shared its formulas with
+   [Stable.fill_derived]: draws taken from the stream one at a time. *)
+let reference_sample rng ~p =
+  if p = 2.0 then sqrt 2.0 *. Prng.gaussian rng
+  else
+    let theta = (Prng.float rng -. 0.5) *. Float.pi in
+    if p = 1.0 then tan theta
+    else
+      let w = Prng.exponential rng in
+      let a = sin (p *. theta) /. (cos theta ** (1.0 /. p)) in
+      let b = (cos ((1.0 -. p) *. theta) /. w) ** ((1.0 -. p) /. p) in
+      a *. b
+
+let stable_ps = [ 0.5; 0.7; 1.0; 1.5; 2.0 ]
+
 let qcheck_tests =
   let open QCheck in
+  let bits = Int64.bits_of_float in
   [
+    Test.make ~name:"stable: sample is the reference formula, bit for bit"
+      ~count:200 (int_bound max_int) (fun seed ->
+        List.for_all
+          (fun p ->
+            let a = Prng.create seed and b = Prng.create seed in
+            List.for_all
+              (fun _ -> bits (Stable.sample a ~p) = bits (reference_sample b ~p))
+              [ 1; 2; 3 ]
+            && Prng.int64 a = Prng.int64 b)
+          stable_ps);
+    Test.make ~name:"stable: fill_derived is sample on Prng.derive, bit for bit"
+      ~count:100
+      (triple (int_bound max_int) (int_range 1 12) (int_range 1 12))
+      (fun (seed, rows, dim) ->
+        List.for_all
+          (fun p ->
+            let a = Array.make (rows * dim) nan in
+            Stable.fill_derived ~p ~seed ~rows ~dim a;
+            List.for_all
+              (fun i ->
+                List.for_all
+                  (fun r ->
+                    bits a.((i * rows) + r)
+                    = bits (Stable.sample (Prng.derive seed r i) ~p))
+                  (List.init rows Fun.id))
+              (List.init dim Fun.id))
+          stable_ps);
     Test.make ~name:"field: mul commutative" ~count:500
       (pair (int_bound (Field31.p - 1)) (int_bound (Field31.p - 1)))
       (fun (a, b) -> Field31.mul a b = Field31.mul b a);
