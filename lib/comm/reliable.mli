@@ -28,15 +28,12 @@ type config = {
 val default_config : config
 (** 16 attempts, 50 ms initial timeout. *)
 
-val max_timeout : float
-(** The backoff cap, 1.6 s. *)
-
 val config : ?max_attempts:int -> ?base_timeout:float -> unit -> config
 (** Raises [Invalid_argument] unless [max_attempts >= 1] and
-    [0 < base_timeout <= max_timeout]. *)
+    [0 < base_timeout <= 1.6] (the backoff cap, in seconds). *)
 
 val next_timeout : float -> float
-(** One backoff step: [min max_timeout (2 * t)]. *)
+(** One backoff step: [min 1.6 (2 * t)]. *)
 
 (** {1 Frames} *)
 

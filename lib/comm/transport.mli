@@ -54,11 +54,6 @@ type factory = unit -> t
 
 exception Frame_error of string
 
-val max_frame_bytes : int
-(** Upper bound on the framed body; oversized frames raise {!Frame_error}
-    rather than allocate unbounded buffers from attacker-controlled
-    lengths. *)
-
 val frame : string -> string
 (** Encode one payload as a self-delimiting frame. The telemetry context
     rides along (flags bit 0) when {!Matprod_obs.Trace.enabled}. *)

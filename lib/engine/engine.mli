@@ -138,13 +138,6 @@ val max_batch_samples : int
     and [L1_sample] counts (256). A served batch runs under the daemon's
     compute lock, so its size is bounded. *)
 
-val max_sketch_cells : int
-(** The most sketch counters one query may ask for (2²²), counted as
-    12/acc² per repetition group and inner index at the accuracy [acc] of
-    a [Norm_pow] (√eps), [Row_norms], [Top_rows], [Frob_norm] or
-    [L0_sample] query (the ℓ0 families hold that once per level). Like
-    {!max_batch_samples}, it bounds the memory a served batch takes. *)
-
 val run :
   t ->
   Matprod_comm.Ctx.t ->
@@ -152,9 +145,14 @@ val run :
   b:Matprod_matrix.Imat.t ->
   query list ->
   report
-(** Execute a batch. Requires [cols a = rows b], a non-empty batch, sample
+(** Execute a batch. The sketch budget is the most sketch counters one
+    query may ask for (2²²), counted as 12/acc² per repetition group and
+    inner index at the accuracy [acc] of a [Norm_pow] (√eps),
+    [Row_norms], [Top_rows], [Frob_norm] or [L0_sample] query (the ℓ0
+    families hold that once per level); like {!max_batch_samples}, it
+    bounds the memory a served batch takes. Requires [cols a = rows b], a non-empty batch, sample
     counts that are non-negative and total at most {!max_batch_samples},
-    queries within {!max_sketch_cells}, and — for [L1_sample] and
+    queries within the sketch budget, and — for [L1_sample] and
     [Heavy_hitters] — non-negative matrices (raises [Invalid_argument]
     otherwise, which {!Matprod_core.Outcome} types as [Precondition]).
     The transcript simply continues on [ctx]; run several batches in one

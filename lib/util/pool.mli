@@ -33,20 +33,17 @@ val shutdown : unit -> unit
     teardown races their wake-ups. Idempotent, cheap when nothing was
     spawned, and {e not} a terminal state — the next parallel call lazily
     respawns a fresh pool. Must be called from the domain that drives the
-    pool (no [parallel_for] may be in flight). *)
-
-val parallel_for : int -> (int -> unit) -> unit
-(** [parallel_for n f] runs [f 0 .. f (n-1)], in parallel when the pool
-    size exceeds 1. Chunks of [max 32 (n/(domains*8))] indices are handed
-    out dynamically through an atomic cursor — the floor keeps short
-    fan-outs from degenerating into per-item handouts, bench P1. Chunking
-    never affects results: each index writes its own slot. The first exception
-    raised by any domain is re-raised on the caller after all domains
-    quiesce. *)
+    pool (no {!init} may be in flight). *)
 
 val init : int -> (int -> 'a) -> 'a array
 (** [init n f] is elementwise identical to [Array.init n f], computed in
-    parallel. [f] must be pure with respect to shared state. *)
+    parallel when the pool size exceeds 1. [f] must be pure with respect
+    to shared state. Chunks of [max 32 (n/(domains*8))] indices are
+    handed out dynamically through an atomic cursor — the floor keeps
+    short fan-outs from degenerating into per-item handouts, bench P1.
+    Chunking never affects results: each index writes its own slot. The
+    first exception raised by any domain is re-raised on the caller after
+    all domains quiesce. *)
 
 val map_sum : int -> (int -> float) -> float
 (** [map_sum n f = Σ_{i<n} f i], folded in index order so the float
