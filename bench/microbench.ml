@@ -266,6 +266,47 @@ let bench_sampler_message =
          let msg = Array.init 96 (fun k -> L0_sampler.sketch smp (Imat.row cols k)) in
          ignore (Codec.decode wire (Codec.encode wire msg))))
 
+(* The four largest messages of a fleet-verify batch (perfbench: 96x96
+   boolean, density 0.05, 4 workers), one link's worth each, encoded and
+   decoded on their own: B's row sketches for the lp(p=0) and lp(p=1)
+   groups (beta 0.5, 5 groups, dim 96), and the column sketches (eps
+   0.25, 3 groups) and samplers of a 24-row share of A. *)
+let bench_codec_messages =
+  let module Codec = Matprod_comm.Codec in
+  let module Imat = Matprod_matrix.Imat in
+  let module Lp = Matprod_sketch.Lp in
+  let module Workload = Matprod_workload.Workload in
+  let n = 96 in
+  let root = Prng.create 1 in
+  let _ = Prng.split root in
+  let b = Imat.of_bmat (Workload.uniform_bool (Prng.split root) ~rows:n ~cols:n ~density:0.05) in
+  let lp_rows p =
+    let lp = Lp.create (Prng.create 4) ~p ~eps:0.5 ~groups:5 ~dim:n in
+    let plan = Lp.plan lp ~dim:n in
+    (Codec.array (Lp.wire lp), Array.init n (fun k -> Lp.sketch_with_plan lp plan (Imat.row b k)))
+  in
+  let share = Imat.of_bmat (Workload.uniform_bool (Prng.create 6) ~rows:24 ~cols:n ~density:0.05) in
+  let cols = Imat.transpose share in
+  let sk = L0_sketch.create (Prng.create 2) ~eps:0.25 ~groups:3 ~dim:24 in
+  let sk_plan = L0_sketch.plan sk ~dim:24 in
+  let smp = L0_sampler.create (Prng.create 5) ~dim:24 () in
+  let rows (type a) name ((codec : a Codec.t), (msg : a)) =
+    let wire = Codec.encode codec msg in
+    [
+      Test.make ~name:(Printf.sprintf "codec: %s, encode (%d B)" name (String.length wire))
+        (Staged.stage (fun () -> ignore (Codec.encode codec msg)));
+      Test.make ~name:(Printf.sprintf "codec: %s, decode" name)
+        (Staged.stage (fun () -> ignore (Codec.decode codec wire)));
+    ]
+  in
+  rows "lp(p=0) B rows" (lp_rows 0.0)
+  @ rows "lp(p=1) B rows" (lp_rows 1.0)
+  @ rows "l0 samplers of A cols"
+      (Codec.array (L0_sampler.wire smp), Array.init n (fun k -> L0_sampler.sketch smp (Imat.row cols k)))
+  @ rows "l0 sketches of A cols"
+      ( Codec.array (L0_sketch.wire sk),
+        Array.init n (fun k -> L0_sketch.sketch_with_plan sk sk_plan (Imat.row cols k)) )
+
 let all_tests =
   Test.make_grouped ~name:"sketches"
     ([
@@ -274,7 +315,8 @@ let all_tests =
        bench_s_sparse_decode;
      ]
     @ bench_planned @ bench_lp_rows @ bench_cohen @ bench_compressed_matmul
-    @ bench_product_backends @ bench_obs_overhead @ bench_wire_path)
+    @ bench_product_backends @ bench_obs_overhead @ bench_wire_path
+    @ bench_codec_messages)
 
 let run () =
   Printf.printf "\n%s\n" Report.hrule;

@@ -103,11 +103,13 @@ let wire t =
      the ℓ0-sampler's column sketches, flattens SC2's fitted ε-exponents
      and fails SC1/SC2 verdicts. Recovery structures (samplers), whose
      content is genuinely sparse, do ship sparsely. The zeros of an ℓ0
-     state cost wire bytes and some CPU: encode copies each zero run
-     from a zero block and decode skips it eight bytes at a time. The
-     state itself keeps only its nonzero cells from build to combine, so
-     no zero is allocated, filled or scanned (docs/PERFORMANCE.md,
-     "Dense on the wire, sparse on the CPU"). *)
+     state cost wire bytes and a little CPU: encode sizes each row from
+     its nonzero cells, zero-fills it once and stores the values in
+     place, and decode skips zero bytes a word at a time and decodes each
+     nonzero varint in place. The state itself keeps only its nonzero
+     cells from build to combine, so no zero is allocated or scanned
+     (docs/PERFORMANCE.md, "Dense on the wire, sparse on the CPU" and
+     "Codec kernels"). *)
   | L0 _ ->
       Codec.map
         (function Z a -> a | F _ -> type_error ())
