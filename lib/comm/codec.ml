@@ -26,9 +26,10 @@ let reserve w n = if w.pos + n > Bytes.length w.bytes then grow w n
 
 (* One writer per domain, checked out for the duration of an encode — a
    second thread of the same domain that arrives meanwhile, or an encode
-   nested in this one, gets its own — and handed back unless it grew past
-   [scratch_limit], so a long-lived process keeps at most that much per
-   domain. On an exception the writer is dropped. *)
+   nested in this one, starts a small one of its own, as a fresh Buffer
+   would — and handed back unless it grew past [scratch_limit], so a
+   long-lived process keeps at most that much per domain. On an exception
+   the writer is dropped. *)
 let scratch_limit = 1 lsl 20
 let scratch_key = Domain.DLS.new_key (fun () -> ref None)
 
@@ -40,7 +41,7 @@ let with_scratch f =
         slot := None;
         w.pos <- 0;
         w
-    | None -> { bytes = Bytes.create 4096; pos = 0 }
+    | None -> { bytes = Bytes.create 256; pos = 0 }
   in
   let r = f w in
   if Bytes.length w.bytes <= scratch_limit then slot := Some w;
@@ -506,7 +507,8 @@ let[@inline] push f i v =
 
 let to_sparse length f =
   let s =
-    { length; cells = Array.sub f.idx 0 f.n; values = Array.sub f.vals 0 f.n }
+    if f.n = 0 then { length; cells = [||]; values = [||] }
+    else { length; cells = Array.sub f.idx 0 f.n; values = Array.sub f.vals 0 f.n }
   in
   if Array.length f.idx <= found_limit then (Domain.DLS.get found_key) := Some f;
   s

@@ -74,9 +74,11 @@ val sparse_int_vec : (int * int) array t
     indices, zigzag values. Encodes sampled matrix rows. *)
 
 val float_array : float array t
-(** 64-bit floats, length-prefixed. *)
+(** 64-bit floats, length-prefixed: byte for byte [array float64]. *)
 
 val float32_array : float array t
+(** Byte for byte [array float32]. Both float arrays reserve the whole
+    array's bytes once and write them in one loop. *)
 
 val bytes : string t
 (** Length-prefixed raw bytes — for bit-packed payloads. *)
@@ -104,8 +106,9 @@ val sparse_uint_array : sparse t
 val bounded_counter_array : max_length:int -> sparse t
 (** Non-negative counter arrays that are often mostly zero (sketch
     states), encoded as (length, nonzero count, (gap, value) pairs): ~2
-    bytes per nonzero entry plus a small header. Decoding rejects dense
-    lengths above [max_length]. *)
+    bytes per nonzero entry plus a small header. Encode sizes the pairs
+    in one pass and writes them straight after the header. Decoding
+    rejects dense lengths above [max_length]. *)
 
 val shorter_uint_array : length:int -> sparse t
 (** Arrays of exactly [length] non-negative values, each in the shorter

@@ -110,7 +110,9 @@ let cells_wire ~max_cells =
     (* A cell takes at least five bytes, so a listing that parses fits
        [cap] cells; a longer one fails before its arrays would overflow. *)
     let cap = Int.min m ((String.length s - !pos) / 5) in
-    let nonzero = Array.make cap 0 and cell_words = Array.make (words * cap) 0 in
+    let nonzero, cell_words =
+      if cap = 0 then ([||], [||]) else (Array.make cap 0, Array.make (words * cap) 0)
+    in
     let canonical = ref true and last = ref (-1) in
     for j = 0 to m - 1 do
       let k = Codec.read_uint s pos in
