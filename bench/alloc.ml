@@ -2,9 +2,9 @@
    density 0.05, its six queries, 4 workers, verify on) at one domain, as
    exact counts: Gc counters around 20 batches after a warm-up one, on one
    engine, as perfbench runs them. Gc counts the calling domain only, so
-   the pool stays at one domain. Under MATPROD_OBS_FAKE_CLOCK the counts
-   are the same on every run (the real clock allocates a boxed Int64 when
-   it advances):
+   the pool stays at one domain. The counts are the same on every run;
+   CI runs it under MATPROD_OBS_FAKE_CLOCK, which freezes every timing,
+   and fails when minor + major words per batch pass its ceiling:
 
      MATPROD_OBS_FAKE_CLOCK=1 dune exec bench/alloc.exe *)
 

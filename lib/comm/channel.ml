@@ -306,8 +306,9 @@ let replay_one t ~from ~label ~wire (e : Journal.entry) rest =
         ]
       ()
 
-let send t ~from ~label codec v =
-  let wire = Metrics.timed h_encode (fun () -> Codec.encode codec v) in
+let encode codec v = Metrics.timed h_encode (fun () -> Codec.encode codec v)
+
+let send_encoded t ~from ~label codec wire =
   match t.replay with
   | e :: rest ->
       replay_one t ~from ~label ~wire e rest;
@@ -333,3 +334,6 @@ let send t ~from ~label codec v =
       | Some jw -> Journal.append jw ~sender:from ~label ~payload
       | None -> ());
       Metrics.timed h_decode (fun () -> Codec.decode codec payload)
+
+let send t ~from ~label codec v =
+  send_encoded t ~from ~label codec (encode codec v)

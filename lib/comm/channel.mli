@@ -109,3 +109,17 @@ val send :
     {!Journal.Replay_mismatch} when a replayed run diverges from its
     journal, and {!Transport.Frame_error} when a [Tcp] backend observes a
     torn or corrupt frame. *)
+
+val encode : 'a Codec.t -> 'a -> string
+(** The bytes {!send} puts on the wire for a value, timed under
+    [codec_encode_ns]. *)
+
+val send_encoded :
+  t -> from:Transcript.party -> label:string -> 'a Codec.t -> string -> 'a
+(** [send t ~from ~label codec v] is
+    [send_encoded t ~from ~label codec (encode codec v)]: the second half,
+    for bytes already encoded with [codec]. A sender whose message is the
+    same on many channels (the fleet coordinator's sketches of B) encodes
+    it once and sends those bytes on each; every channel still charges,
+    journals, replays, faults and decodes its own copy. Raises as
+    {!send}. *)

@@ -36,6 +36,10 @@ let send t ~from ~label codec v =
 
 let a2b t ~label codec v = send t ~from:Transcript.Alice ~label codec v
 let b2a t ~label codec v = send t ~from:Transcript.Bob ~label codec v
+
+let b2a_encoded t ~label codec wire =
+  t.turn Transcript.Bob;
+  Channel.send_encoded t.chan ~from:Transcript.Bob ~label codec wire
 let transcript t = Channel.transcript t.chan
 let installed_fault t = Channel.installed_fault t.chan
 

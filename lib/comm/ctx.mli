@@ -58,6 +58,11 @@ val a2b : t -> label:string -> 'a Codec.t -> 'a -> 'a
 val b2a : t -> label:string -> 'a Codec.t -> 'a -> 'a
 (** Bob speaks. *)
 
+val b2a_encoded : t -> label:string -> 'a Codec.t -> string -> 'a
+(** Bob speaks bytes already encoded with the codec ({!Channel.encode}):
+    [t.turn Bob], then {!Channel.send_encoded}. Returns Alice's decoded
+    copy. *)
+
 val transcript : t -> Transcript.t
 
 (** {1 Crash recovery}

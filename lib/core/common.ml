@@ -2,34 +2,54 @@ module Imat = Matprod_matrix.Imat
 module Codec = Matprod_comm.Codec
 
 module Entry_map = struct
-  type t = ((int * int), int) Hashtbl.t
+  (* One immediate int per entry, (i, j) packed as i·2³¹ + j, in a table
+     specialised to int keys: a lookup allocates neither a tuple key nor
+     an option. Packed keys order as (row, col) pairs do. *)
+  module Tbl = Hashtbl.Make (struct
+    type t = int
 
-  let create () : t = Hashtbl.create 256
+    let equal = Int.equal
+    let hash = Hashtbl.hash
+  end)
 
-  let add m i j v =
+  type t = int Tbl.t
+
+  let col_bits = 31
+  let col_mask = (1 lsl col_bits) - 1
+
+  let key i j =
+    if (i lor j) lsr col_bits <> 0 then
+      invalid_arg "Entry_map: index outside [0, 2^31)";
+    (i lsl col_bits) lor j
+
+  let create () : t = Tbl.create 256
+
+  let add_key m k v =
     if v <> 0 then
-      match Hashtbl.find_opt m (i, j) with
-      | None -> Hashtbl.replace m (i, j) v
-      | Some old ->
+      match Tbl.find m k with
+      | old ->
           let s = old + v in
-          if s = 0 then Hashtbl.remove m (i, j) else Hashtbl.replace m (i, j) s
+          if s = 0 then Tbl.remove m k else Tbl.replace m k s
+      | exception Not_found -> Tbl.add m k v
 
-  let get m i j = Option.value ~default:0 (Hashtbl.find_opt m (i, j))
-  let nnz m = Hashtbl.length m
-  let linf m = Hashtbl.fold (fun _ v acc -> max acc (abs v)) m 0
+  let add m i j v = add_key m (key i j) v
+  let get m i j = match Tbl.find m (key i j) with v -> v | exception Not_found -> 0
+  let nnz m = Tbl.length m
+  let linf m = Tbl.fold (fun _ v acc -> max acc (abs v)) m 0
 
   let entries m =
-    Hashtbl.fold (fun (i, j) v acc -> (i, j, v) :: acc) m []
-    |> List.sort compare
+    Tbl.fold (fun k v acc -> (k, v) :: acc) m []
+    |> List.sort (fun (k, _) (k', _) -> Int.compare k k')
+    |> List.map (fun (k, v) -> (k lsr col_bits, k land col_mask, v))
 
-  let iter m f = Hashtbl.iter (fun (i, j) v -> f i j v) m
+  let iter m f = Tbl.iter (fun k v -> f (k lsr col_bits) (k land col_mask) v) m
 
   let add_outer m col row =
     Array.iter
-      (fun (i, a) -> Array.iter (fun (j, b) -> add m i j (a * b)) row)
+      (fun (i, a) -> Array.iter (fun (j, b) -> add_key m (key i j) (a * b)) row)
       col
 
-  let merge_into ~dst src = iter src (fun i j v -> add dst i j v)
+  let merge_into ~dst src = Tbl.iter (fun k v -> add_key dst k v) src
 
   let wire_entries =
     Codec.list (Codec.triple Codec.uint Codec.uint Codec.int)

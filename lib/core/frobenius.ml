@@ -2,6 +2,7 @@ module Pool = Matprod_util.Pool
 module Imat = Matprod_matrix.Imat
 module Srht = Matprod_sketch.Srht
 module Ctx = Matprod_comm.Ctx
+module Channel = Matprod_comm.Channel
 module Codec = Matprod_comm.Codec
 module Trace = Matprod_obs.Trace
 
@@ -27,15 +28,16 @@ let validate prm ~a ~b =
    sketches (see Lp.wire on why norm sketches ship dense). *)
 let wire = Codec.array Codec.float32_array
 
-let run_planned ctx ~sk ~plan ~a ~b =
+let row_sketch_message sk plan ~b =
+  Pool.init (Imat.rows b) (fun k -> Srht.sketch_with_plan sk plan (Imat.row b k))
+  |> Channel.encode wire
+
+let exchange_row_sketches ctx ~sk ~message ~a =
   Trace.with_span ~name:"frobenius.round1_srht_exchange"
-    ~attrs:[ ("rows", Matprod_obs.Json.Int (Imat.rows b)) ]
+    ~attrs:[ ("rows", Matprod_obs.Json.Int (Imat.cols a)) ]
   @@ fun () ->
-  let bob_sketches =
-    Pool.init (Imat.rows b) (fun k -> Srht.sketch_with_plan sk plan (Imat.row b k))
-  in
   let sketches =
-    Ctx.b2a ctx ~label:"srht-sketches(B rows)" wire bob_sketches
+    Ctx.b2a_encoded ctx ~label:"srht-sketches(B rows)" wire message
   in
   Pool.map_sum (Imat.rows a) (fun i ->
       let acc = Srht.empty sk in
@@ -50,5 +52,6 @@ let run ctx prm ~a ~b =
   let sk =
     Srht.create ctx.Ctx.public ~eps:prm.eps ~groups:prm.sketch_groups ~dim
   in
-  let plan = Srht.plan sk ~dim in
-  run_planned ctx ~sk ~plan ~a ~b
+  exchange_row_sketches ctx ~sk
+    ~message:(row_sketch_message sk (Srht.plan sk ~dim) ~b)
+    ~a

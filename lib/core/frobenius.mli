@@ -18,16 +18,24 @@ val run :
   b:Matprod_matrix.Imat.t ->
   float
 
-val run_planned :
+val row_sketch_message :
+  Matprod_sketch.Srht.t ->
+  Matprod_sketch.Srht.plan ->
+  b:Matprod_matrix.Imat.t ->
+  string
+(** Bob's message: the SRHT sketch of each row of B under [sk] and its
+    [plan], encoded with {!wire}. It depends on B and the family alone,
+    like {!Lp_protocol.row_sketch_message}. *)
+
+val exchange_row_sketches :
   Matprod_comm.Ctx.t ->
   sk:Matprod_sketch.Srht.t ->
-  plan:Matprod_sketch.Srht.plan ->
+  message:string ->
   a:Matprod_matrix.Imat.t ->
-  b:Matprod_matrix.Imat.t ->
   float
-(** The exchange with a caller-supplied family and plan — the Engine's
-    plan cache hands both in. The family must be built over
-    [dim = max 1 (cols b)] at the run's public coins for the transcript
-    to match {!run}. *)
+(** The exchange with a caller-supplied family and Bob's message
+    ({!row_sketch_message}) — the Engine's plan cache hands the family
+    in. The family must be built over [dim = max 1 (cols b)] at the run's
+    public coins for the transcript to match {!run}. *)
 
 val wire : float array array Matprod_comm.Codec.t

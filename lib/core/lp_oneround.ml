@@ -18,6 +18,7 @@ let run ctx prm ~a ~b =
   in
   (* Per-row estimates land by slot and are summed in index order, so the
      result is byte-identical at any --domains. *)
-  Lp_protocol.exchange_row_sketches ctx lp (Lp.plan lp ~dim)
-    ~label:"lp-sketches(B rows, eps)" ~a ~b
+  Lp_protocol.exchange_row_sketches ctx lp ~label:"lp-sketches(B rows, eps)"
+    ~message:(Lp_protocol.row_sketch_message lp (Lp.plan lp ~dim) ~b)
+    ~a
   |> Array.fold_left ( +. ) 0.0

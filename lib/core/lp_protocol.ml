@@ -3,6 +3,7 @@ module Pool = Matprod_util.Pool
 module Imat = Matprod_matrix.Imat
 module Lp = Matprod_sketch.Lp
 module Ctx = Matprod_comm.Ctx
+module Channel = Matprod_comm.Channel
 module Codec = Matprod_comm.Codec
 module Trace = Matprod_obs.Trace
 
@@ -23,14 +24,16 @@ let validate prm ~a ~b =
     invalid_arg "Lp_protocol: eps must be in (0,1]";
   if Imat.cols a <> Imat.rows b then invalid_arg "Lp_protocol: dims"
 
-(* Round 1 of every ℓp driver: Bob ships sketches of his rows under the
-   caller's family [lp] and its [plan]; Alice combines them into raw
-   estimates of every row norm of C = A·B. *)
-let exchange_row_sketches ctx lp plan ~label ~a ~b =
-  let bob_sketches =
-    Pool.init (Imat.rows b) (fun k -> Lp.sketch_with_plan lp plan (Imat.row b k))
-  in
-  let sketches = Ctx.b2a ctx ~label (Codec.array (Lp.wire lp)) bob_sketches in
+(* Round 1 of every ℓp driver: Bob's message is the sketch of each of
+   his rows under the caller's family [lp] and its [plan], encoded; it
+   depends on B and the family alone. Alice combines her decoded copy
+   into raw estimates of every row norm of C = A·B. *)
+let row_sketch_message lp plan ~b =
+  Pool.init (Imat.rows b) (fun k -> Lp.sketch_with_plan lp plan (Imat.row b k))
+  |> Channel.encode (Codec.array (Lp.wire lp))
+
+let exchange_row_sketches ctx lp ~label ~message ~a =
+  let sketches = Ctx.b2a_encoded ctx ~label (Codec.array (Lp.wire lp)) message in
   let comb = Lp.combiner lp sketches in
   Pool.init (Imat.rows a) (fun i -> Lp.estimate_combination comb (Imat.row a i))
 
@@ -47,8 +50,9 @@ let round1 ctx prm ~beta ~a ~b =
   let lp =
     Lp.create ctx.Ctx.public ~p:prm.p ~eps:beta ~groups:prm.sketch_groups ~dim
   in
-  exchange_row_sketches ctx lp (Lp.plan lp ~dim) ~label:"lp-sketches(B rows)"
-    ~a ~b
+  exchange_row_sketches ctx lp ~label:"lp-sketches(B rows)"
+    ~message:(row_sketch_message lp (Lp.plan lp ~dim) ~b)
+    ~a
 
 let estimate_row_norms ctx prm ~a ~b =
   validate prm ~a ~b;

@@ -35,19 +35,28 @@ val run :
   float
 (** Estimate of ‖A·B‖_p^p. Requires cols a = rows b. *)
 
+val row_sketch_message :
+  Matprod_sketch.Lp.t ->
+  Matprod_sketch.Lp.plan ->
+  b:Matprod_matrix.Imat.t ->
+  string
+(** Bob's round-1 message in every ℓp driver: the sketch of each row of B
+    under [lp] and its [plan], encoded ({!Matprod_comm.Channel.encode}).
+    It depends on B and the family (its coins, accuracy and dimension)
+    alone, so a sender facing many links at one seed builds it once. *)
+
 val exchange_row_sketches :
   Matprod_comm.Ctx.t ->
   Matprod_sketch.Lp.t ->
-  Matprod_sketch.Lp.plan ->
   label:string ->
+  message:string ->
   a:Matprod_matrix.Imat.t ->
-  b:Matprod_matrix.Imat.t ->
   float array
-(** The round-1 exchange every ℓp driver shares: Bob sketches each row of B
-    under [lp] and its [plan] and ships them in one message labelled
-    [label]; Alice combines them into the raw (unclamped) estimate of every
-    ‖C_{i,*}‖_p^p. The caller's choice of family (its coins and accuracy)
-    and label fixes the transcript bytes. *)
+(** The round-1 exchange every ℓp driver shares: Bob ships [message]
+    ({!row_sketch_message} under [lp]) labelled [label]; Alice decodes
+    her own copy and combines it into the raw (unclamped) estimate of
+    every ‖C_{i,*}‖_p^p. The caller's choice of family (its coins and
+    accuracy) and label fixes the transcript bytes. *)
 
 val estimate_row_norms :
   Matprod_comm.Ctx.t ->

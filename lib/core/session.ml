@@ -17,8 +17,10 @@ let establish ?(p = 0.0) ?(groups = 5) ctx ~beta ~a ~b =
   let dim = max 1 (Imat.cols b) in
   let lp = Lp.create ctx.Ctx.public ~p ~eps:beta ~groups ~dim in
   let est =
-    Lp_protocol.exchange_row_sketches ctx lp (Lp.plan lp ~dim)
-      ~label:"session: lp sketches of B rows" ~a ~b
+    Lp_protocol.exchange_row_sketches ctx lp
+      ~label:"session: lp sketches of B rows"
+      ~message:(Lp_protocol.row_sketch_message lp (Lp.plan lp ~dim) ~b)
+      ~a
     |> Array.map (Float.max 0.0)
   in
   { p; beta; a; b; est }

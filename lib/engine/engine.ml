@@ -130,6 +130,28 @@ let cache_find_or_build cache key build =
       (entry, Plan_miss)
 
 (* ------------------------------------------------------------------ *)
+(* Shared B-row messages. Bob's message in the lp and frob groups is the
+   encoded sketch of each row of B under the group's family, so it
+   depends on (tag, dim, seed) — which fix the family, as for the plan
+   cache — and on B alone. A memo holds it per (key, B by physical
+   equality): the links of one fleet batch, which all run at one seed
+   over one B, build and encode it once and send the same bytes. *)
+
+type memo = { mutable messages : (plan_key * Imat.t * string) list }
+
+let fresh_memo () = { messages = [] }
+
+let shared_message memo key ~b build =
+  match
+    List.find_opt (fun (k, b', _) -> k = key && b' == b) memo.messages
+  with
+  | Some (_, _, message) -> message
+  | None ->
+      let message = build () in
+      memo.messages <- (key, b, message) :: memo.messages;
+      message
+
+(* ------------------------------------------------------------------ *)
 (* Compilation: queries sharing a sketch family and shape collapse into
    one exchange group. *)
 
@@ -220,7 +242,7 @@ let slice_counts samples counts =
       part)
     counts
 
-let exec_lp t ctx ~a ~b ~p ~members ~queries set =
+let exec_lp t memo ctx ~a ~b ~p ~members ~queries set =
   let beta =
     List.fold_left (fun acc i -> Float.min acc (beta_of queries.(i))) 1.0 members
   in
@@ -240,10 +262,14 @@ let exec_lp t ctx ~a ~b ~p ~members ~queries set =
     | Lp_entry e -> (e.lp, e.plan)
     | Srht_entry _ -> assert false (* tags distinguish the families *)
   in
+  let message =
+    shared_message memo key ~b (fun () ->
+        Lp_protocol.row_sketch_message lp plan ~b)
+  in
   let est =
-    Lp_protocol.exchange_row_sketches gctx lp plan
+    Lp_protocol.exchange_row_sketches gctx lp
       ~label:(Printf.sprintf "engine: lp sketches of B rows %s" tag)
-      ~a ~b
+      ~message ~a
     |> Array.map (Float.max 0.0)
   in
   (* One sampling round upgrades every norm query in the group to (1+beta²)
@@ -264,7 +290,7 @@ let exec_lp t ctx ~a ~b ~p ~members ~queries set =
     members;
   (tag, status)
 
-let exec_frob t ctx ~a ~b ~eps ~members set =
+let exec_frob t memo ctx ~a ~b ~eps ~members set =
   if not (eps > 0.0) then invalid_arg "Engine: eps must be positive";
   let tag = Printf.sprintf "frob(eps=%g)" eps in
   let gctx = group_ctx ctx ~tag in
@@ -281,14 +307,17 @@ let exec_frob t ctx ~a ~b ~eps ~members set =
     | Srht_entry e -> (e.sk, e.plan)
     | Lp_entry _ -> assert false (* tags distinguish the families *)
   in
-  let est = Frobenius.run_planned gctx ~sk ~plan ~a ~b in
+  let message =
+    shared_message memo key ~b (fun () -> Frobenius.row_sketch_message sk plan ~b)
+  in
+  let est = Frobenius.exchange_row_sketches gctx ~sk ~message ~a in
   List.iter (fun i -> set i (Scalar est)) members;
   (tag, status)
 
-let exec_group t ctx ~a ~b ~key ~members ~queries set =
+let exec_group t memo ctx ~a ~b ~key ~members ~queries set =
   match key with
-  | KLp p -> exec_lp t ctx ~a ~b ~p ~members ~queries set
-  | KFrob eps -> exec_frob t ctx ~a ~b ~eps ~members set
+  | KLp p -> exec_lp t memo ctx ~a ~b ~p ~members ~queries set
+  | KFrob eps -> exec_frob t memo ctx ~a ~b ~eps ~members set
   | KL0 eps ->
       let tag = Printf.sprintf "l0-sample(eps=%g)" eps in
       let counts =
@@ -546,7 +575,7 @@ let sketch_cells ~inner q =
       cells ~groups:(L0_sampling.default_params ~eps).sketch_groups eps
   | L0_sample _ | L1_sample _ | Heavy_hitters _ | Linf _ | Exact_product -> 0.0
 
-let run t ctx ~a ~b queries =
+let run t ?(memo = fresh_memo ()) ctx ~a ~b queries =
   if queries = [] then invalid_arg "Engine.run: empty batch";
   if Imat.cols a <> Imat.rows b then invalid_arg "Engine.run: dims";
   List.iter
@@ -602,7 +631,7 @@ let run t ctx ~a ~b queries =
                      Obs.Trace.with_span ~name:"engine.group"
                        ~attrs:[ ("family", Obs.Json.String fam) ]
                        (fun () ->
-                         exec_group t ctx ~a ~b ~key ~members ~queries set) ))
+                         exec_group t memo ctx ~a ~b ~key ~members ~queries set) ))
                compiled)
         in
         let messages = lazy (Array.of_list (Transcript.messages tr)) in

@@ -138,8 +138,35 @@ val max_batch_samples : int
     and [L1_sample] counts (256). A served batch runs under the daemon's
     compute lock, so its size is bounded. *)
 
+(** {1 Shared B-row messages}
+
+    Bob's message in an lp or Frobenius group is the encoded sketch of
+    each row of B under the group's family. It depends on the group's tag
+    (family and accuracy), the dimension, the context seed and B alone —
+    never on A. A [memo] holds those messages, keyed by
+    [(group tag, dim, seed)] and B by physical equality. Runs that share
+    a memo and meet an equal key send the same bytes: the first builds
+    and encodes the message, the others skip the build and the encode.
+    Every run still charges, journals, faults and decodes its own copy
+    on its own channel, so its transcript, answers and bits are those of
+    a run with a fresh memo. Only its metrics differ: a run served from
+    the memo records no sketch build and no [codec_encode_ns] for that
+    message.
+
+    {!Matprod_topology.Fleet.run_batch} makes one memo per batch and
+    hands it to every link; a link that reseeds runs at another seed and
+    builds its own. A run given no memo gets a fresh one, so nothing is
+    shared beyond the batch that made it. A memo is not safe to share
+    between domains. *)
+
+type memo
+
+val fresh_memo : unit -> memo
+(** An empty memo. *)
+
 val run :
   t ->
+  ?memo:memo ->
   Matprod_comm.Ctx.t ->
   a:Matprod_matrix.Imat.t ->
   b:Matprod_matrix.Imat.t ->
@@ -156,7 +183,8 @@ val run :
     [Heavy_hitters] — non-negative matrices (raises [Invalid_argument]
     otherwise, which {!Matprod_core.Outcome} types as [Precondition]).
     The transcript simply continues on [ctx]; run several batches in one
-    context to amortise nothing twice. *)
+    context to amortise nothing twice. [?memo] (default: a fresh one)
+    holds the shared B-row messages described above. *)
 
 val own_turns : query -> Matprod_comm.Transcript.party * int
 (** The party that opens the query's group and the speaking phases the

@@ -9,10 +9,11 @@
     exported duration deterministic — golden tests of the JSON schemas
     rely on this. *)
 
-val now_ns : unit -> int64
-(** Nanoseconds since an arbitrary epoch; never decreases. *)
+val now_ns : unit -> int
+(** Nanoseconds since an arbitrary epoch; never decreases. An immediate
+    [int], so a read allocates nothing. *)
 
-val elapsed_ns : int64 -> int
+val elapsed_ns : int -> int
 (** [elapsed_ns t0] is [now_ns () - t0] as a non-negative [int]. *)
 
 val faked : unit -> bool

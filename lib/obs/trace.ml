@@ -9,7 +9,7 @@ type span = {
   name : string;
   instant : bool;
   attrs : (string * Json.t) list;
-  start_ns : int64;
+  start_ns : int;
   dur_ns : int;
   alloc_minor_w : int;
   alloc_major_w : int;
@@ -175,12 +175,12 @@ let with_span ?(attrs = []) ~name f =
 
 type frames = {
   detached : frame list; (* innermost first *)
-  at_ns : int64;
+  at_ns : int;
   at_minor : float;
   at_major : float;
 }
 
-let no_frames = { detached = []; at_ns = 0L; at_minor = 0.0; at_major = 0.0 }
+let no_frames = { detached = []; at_ns = 0; at_minor = 0.0; at_major = 0.0 }
 let depth () = List.length !stack
 
 let detach ~base =
@@ -274,7 +274,7 @@ let to_json sp =
          match sp.parent with None -> Json.Null | Some p -> Json.Int p );
        ("depth", Json.Int sp.depth);
        ("name", Json.String sp.name);
-       ("start_ns", Json.Int (Int64.to_int sp.start_ns));
+       ("start_ns", Json.Int sp.start_ns);
        ("dur_ns", Json.Int sp.dur_ns);
      ]
     @ alloc_fields sp
@@ -293,7 +293,7 @@ let write_jsonl path =
 
 (* --- Chrome trace-event export (Perfetto / chrome://tracing) --------- *)
 
-let us_of_ns ns = Int64.to_float ns /. 1e3
+let us_of_ns ns = float_of_int ns /. 1e3
 
 let chrome_event sp =
   let args =

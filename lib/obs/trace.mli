@@ -27,7 +27,7 @@ type span = {
   name : string;
   instant : bool;  (** [true] for {!event} records. *)
   attrs : (string * Json.t) list;
-  start_ns : int64;
+  start_ns : int;
   dur_ns : int;  (** 0 for instant events. *)
   alloc_minor_w : int;
       (** Minor-heap words allocated while the span was open

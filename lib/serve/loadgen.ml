@@ -59,8 +59,8 @@ type worker = {
   mutable w_bits : int;
   mutable w_replayed : int;
   mutable w_digest : int;
-  mutable t_first : int64;  (* first send *)
-  mutable t_last : int64;  (* last answer *)
+  mutable t_first : int;  (* first send *)
+  mutable t_last : int;  (* last answer *)
   mutable latencies : int list;  (* one entry per answered query *)
 }
 
@@ -96,8 +96,8 @@ let run ?(host = "127.0.0.1") ~port ~connections ~batches ~queries ~n ~density
           w_bits = 0;
           w_replayed = 0;
           w_digest = 0;
-          t_first = 0L;
-          t_last = 0L;
+          t_first = 0;
+          t_last = 0;
           latencies = [];
         })
   in
@@ -117,7 +117,7 @@ let run ?(host = "127.0.0.1") ~port ~connections ~batches ~queries ~n ~density
       with _ -> None
     in
     Barrier.wait ready;
-    let send_ns = Array.make batches 0L in
+    let send_ns = Array.make batches 0 in
     (match client with
     | Some c -> (
         try
@@ -149,7 +149,7 @@ let run ?(host = "127.0.0.1") ~port ~connections ~batches ~queries ~n ~density
              let now = Clock.now_ns () in
              w.t_last <- now;
              let lat =
-               Int64.to_int (Int64.sub now send_ns.(bi)) |> max 0
+               max 0 (now - send_ns.(bi))
              in
              w.w_digest <- (w.w_digest + Reliable.crc32 raw) land digest_mask;
              match Proto.decode_response raw with
@@ -193,18 +193,16 @@ let run ?(host = "127.0.0.1") ~port ~connections ~batches ~queries ~n ~density
   in
   let t_first =
     Array.fold_left
-      (fun a w -> if w.ok && w.t_first <> 0L && (a = 0L || w.t_first < a)
+      (fun a w -> if w.ok && w.t_first <> 0 && (a = 0 || w.t_first < a)
                   then w.t_first else a)
-      0L workers
+      0 workers
   in
   let t_last =
     Array.fold_left
       (fun a w -> if w.t_last > a then w.t_last else a)
-      0L workers
+      0 workers
   in
-  let elapsed_ns =
-    if t_last > t_first then Int64.to_int (Int64.sub t_last t_first) else 0
-  in
+  let elapsed_ns = max 0 (t_last - t_first) in
   let qps =
     if elapsed_ns > 0 then
       float_of_int answered /. (float_of_int elapsed_ns /. 1e9)

@@ -525,6 +525,9 @@ let run_batch ?wire cfg engine queries ~a ~b =
     Error (Outcome.Precondition "Fleet.run_batch: empty batch")
   else
     let bi = Imat.of_bmat b in
+    (* Every link runs at the fleet seed over [bi]: the coordinator's
+       B-row messages are built and encoded once for the batch. *)
+    let memo = Engine.fresh_memo () in
     let contracts = Array.of_list (List.map Engine.contract queries) in
     let shard range =
       let shard_a = Shard.slice a range in
@@ -532,7 +535,8 @@ let run_batch ?wire cfg engine queries ~a ~b =
       let summary = lazy (Verify.summarize ~a:shard_a ~b) in
       {
         body =
-          (fun ctx -> (Engine.run engine ctx ~a:ai ~b:bi queries).Engine.answers);
+          (fun ctx ->
+            (Engine.run engine ~memo ctx ~a:ai ~b:bi queries).Engine.answers);
         (* the first failing query's verdict quarantines the replica *)
         check =
           (fun ~seed answers ->

@@ -968,6 +968,161 @@ let test_batch_ambiguous_blame () =
     (chaos_ranks ~workers)
 
 (* ------------------------------------------------------------------ *)
+(* Fleet: the coordinator's shared B-row messages are invisible *)
+
+(* [Fleet.run_batch] hands every link one memo, so a link after the first
+   sends the lp and frob groups' B-row bytes built by an earlier link at
+   the same seed. The reference runs each link alone, as the fleet's
+   supervisor would, with a fresh memo. Per link, every attempt's
+   transcript (sender, round, label, bytes), every delivered payload, the
+   ladder (rung, seed, fresh bits and rounds of each attempt) and the
+   answers must agree, clean and under link faults: corrupted and dropped
+   frames, which the ARQ layer retransmits, and a crash of every worker
+   on its first attempt as it is about to send its sampled rows, after
+   the coordinator's sketches crossed; the rerun climbs to a Reseed rung
+   at another seed, whose messages no fleet-seed link may serve. *)
+let shared_batch_queries = batch_queries @ [ Engine.Frob_norm { eps = 0.5 } ]
+
+(* What one link saw: per attempt, its transcript and the payloads its
+   transport delivered, in order, and the retransmissions its faults
+   caused. *)
+type link_log = {
+  transcripts : (int * Transcript.message list) list;
+  payloads : (int * (Transcript.party * string * string)) list;
+  retries : int;
+}
+
+(* A wire hook that arms the spec's faults and a faithful transport that
+   logs each delivery under the attempt the hook was last called for (a
+   supervisor opens the transport first, then calls the hook). *)
+let link_recorder spec =
+  let logs = Hashtbl.create 16 in
+  let attempt_log = ref (ref []) in
+  let wire ~rank ~replica ~attempt ctx =
+    Option.iter
+      (fun fault -> Ctx.install_wire ctx ~fault ())
+      (Fault.for_link ~seed:7 spec ~rank ~replica ~attempt);
+    attempt_log := ref [];
+    Hashtbl.add logs (rank, replica)
+      (attempt, ctx, !attempt_log)
+  in
+  let transport () =
+    {
+      Matprod_comm.Transport.name = "recording";
+      deliver =
+        (fun ~from ~label payload ->
+          let log = !attempt_log in
+          log := (from, label, payload) :: !log;
+          payload);
+      close = ignore;
+    }
+  in
+  let log_of ~rank ~replica =
+    let attempts =
+      List.sort compare
+        (List.map
+           (fun (attempt, ctx, log) ->
+             (attempt, (ctx, List.rev !log)))
+           (Hashtbl.find_all logs (rank, replica)))
+    in
+    {
+      transcripts =
+        List.map
+          (fun (i, (ctx, _)) -> (i, Transcript.messages (Ctx.transcript ctx)))
+          attempts;
+      payloads =
+        List.concat_map
+          (fun (i, (_, ps)) -> List.map (fun p -> (i, p)) ps)
+          attempts;
+      retries =
+        List.fold_left
+          (fun acc (_, (ctx, _)) ->
+            acc + (Ctx.wire_stats ctx).Matprod_comm.Channel.retries)
+          0 attempts;
+    }
+  in
+  (wire, transport, log_of)
+
+let test_batch_shared_messages_invisible () =
+  let a, b = bool_pair 83 ~n:17 ~density:0.35 in
+  let chaos =
+    [
+      ("clean", "");
+      ("corrupt", "kind=corrupt,rate=0.2");
+      ("drop", "kind=drop,rate=0.2");
+      ("crash then reseed", "kind=crash,party=a,label=sampled rows");
+    ]
+  in
+  List.iter
+    (fun (workers, replicas, (name, spec_s)) ->
+      let label =
+        Printf.sprintf "workers %d, replicas %d, %s" workers replicas name
+      in
+      let spec = Result.get_ok (Fault.parse spec_s) in
+      let wire, transport, log_of = link_recorder spec in
+      let cfg = Fleet.config ~workers ~replicas ~transport ~seed:7 () in
+      let engine = Engine.create () in
+      let rep =
+        batch_value label
+          (Fleet.run_batch ~wire cfg engine shared_batch_queries ~a ~b)
+      in
+      let rwire, rtransport, rlog_of = link_recorder spec in
+      let policy =
+        Supervisor.policy ~max_resumes:cfg.Fleet.link_policy.Fleet.max_resumes
+          ~max_reseeds:cfg.Fleet.link_policy.Fleet.max_reseeds ()
+      in
+      let reseeded = ref false and retries = ref 0 in
+      List.iter
+        (fun (l : Fleet.batch_link) ->
+          let rank = l.Fleet.b_rank and replica = l.Fleet.b_replica in
+          let what = Printf.sprintf "%s: link %d.%d" label rank replica in
+          let ai = Imat.of_bmat (Shard.slice a l.Fleet.b_range) in
+          let alone =
+            Supervisor.run ~policy ~wire:(rwire ~rank ~replica)
+              ~transport:rtransport ~seed:7 ~protocol:"engine-batch"
+              (fun ctx ->
+                (Engine.run engine ctx ~a:ai ~b:(Imat.of_bmat b)
+                   shared_batch_queries)
+                  .Engine.answers)
+          in
+          let answers, attempts =
+            match alone with
+            | Ok r -> (Ok r.Supervisor.output, r.Supervisor.attempts)
+            | Error e -> (Error e, [])
+          in
+          check Alcotest.bool (what ^ ": answers") true
+            (compare answers l.Fleet.b_answers = 0);
+          check Alcotest.bool (what ^ ": attempts and fresh bits") true
+            (attempts = l.Fleet.b_attempts);
+          let shared = log_of ~rank ~replica and own = rlog_of ~rank ~replica in
+          check Alcotest.bool (what ^ ": transcripts") true
+            (shared.transcripts = own.transcripts);
+          check Alcotest.bool (what ^ ": payloads") true
+            (shared.payloads = own.payloads);
+          retries := !retries + shared.retries;
+          if
+            List.exists
+              (fun (at : Supervisor.attempt) ->
+                match at.Supervisor.rung with
+                | Supervisor.Reseed _ -> true
+                | _ -> false)
+              l.Fleet.b_attempts
+          then reseeded := true)
+        rep.Fleet.batch_links;
+      check Alcotest.int (label ^ ": links") (workers * replicas)
+        (List.length rep.Fleet.batch_links);
+      check Alcotest.bool (label ^ ": a reseed rung iff the crash") true
+        (!reseeded = (name = "crash then reseed"));
+      check Alcotest.bool (label ^ ": retransmissions iff a byte fault") true
+        (!retries > 0 = (name = "corrupt" || name = "drop")))
+    (List.concat_map
+       (fun workers ->
+         List.concat_map
+           (fun replicas -> List.map (fun c -> (workers, replicas, c)) chaos)
+           [ 1; 3 ])
+       [ 1; 2; 4 ])
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest qcheck_sketch_merge in
@@ -1013,5 +1168,7 @@ let () =
             test_batch_quorum_equivalence;
           Alcotest.test_case "ambiguous vote blame" `Quick
             test_batch_ambiguous_blame;
+          Alcotest.test_case "shared B-row messages are invisible" `Quick
+            test_batch_shared_messages_invisible;
         ] );
     ]
