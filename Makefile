@@ -24,7 +24,7 @@ bench-json:
 	dune exec bench/main.exe -- --quick e1 e9 e10
 
 # E1 pair in quick mode: Algorithm 1 vs the one-round baselines, then the
-# batched engine's shared-exchange savings and plan-cache demonstration
+# batched engine's shared-exchange savings and a held-plan hit at one seed
 # (writes BENCH_e1.json; see docs/API.md).
 bench-e1:
 	dune exec bench/main.exe -- --quick --no-micro e1

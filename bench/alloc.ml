@@ -2,9 +2,12 @@
    density 0.05, its six queries, 4 workers, verify on) at one domain, as
    exact counts: Gc counters around 20 batches after a warm-up one, on one
    engine, as perfbench runs them. Gc counts the calling domain only, so
-   the pool stays at one domain. The counts are the same on every run;
-   CI runs it under MATPROD_OBS_FAKE_CLOCK, which freezes every timing,
-   and fails when minor + major words per batch pass its ceiling:
+   the pool stays at one domain. It also prints the words still reachable
+   from the engine after those batches, which is what a long-lived engine
+   keeps between batches. The counts are the same on every run; CI runs
+   it under MATPROD_OBS_FAKE_CLOCK, which freezes every timing, and fails
+   when minor + major words per batch or the retained words pass their
+   ceilings:
 
      MATPROD_OBS_FAKE_CLOCK=1 dune exec bench/alloc.exe *)
 
@@ -47,9 +50,11 @@ let () =
   Printf.printf
     "fleet-verify batch at 1 domain, words per batch over %d batches:\n\
     \  minor %.0f\n\
-    \  major %.0f (promoted %.0f, allocated there directly %.0f)\n"
+    \  major %.0f (promoted %.0f, allocated there directly %.0f)\n\
+     words reachable from the engine after them: %d\n"
     batches
     ((minor1 -. minor0) /. float_of_int batches)
     ((major1 -. major0) /. float_of_int batches)
     ((promoted1 -. promoted0) /. float_of_int batches)
     ((major1 -. major0 -. (promoted1 -. promoted0)) /. float_of_int batches)
+    (Obj.reachable_words (Obj.repr engine))

@@ -125,7 +125,7 @@ let batch c queries journal compare fleet chaos_spec =
             Some
               (List.fold_left
                  (fun acc q ->
-                   let solo = Engine.create ~plan_cache_capacity:0 () in
+                   let solo = Engine.create () in
                    acc
                    + (run_ctx c ~seed (fun ctx ->
                           Engine.run solo ctx ~a:ai ~b:bi [ q ]))

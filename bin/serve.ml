@@ -11,17 +11,9 @@ let host_arg =
     & opt string "127.0.0.1"
     & info [ "host" ] ~docv:"ADDR" ~doc:"Address to bind/connect (dotted quad).")
 
-let serve c host port journal_dir grace plan_cache =
+let serve c host port journal_dir grace =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let cfg =
-    {
-      Server.host;
-      port;
-      journal_dir;
-      plan_cache;
-      grace_s = grace;
-    }
-  in
+  let cfg = { Server.host; port; journal_dir; grace_s = grace } in
   let t = Server.create cfg in
   (* stop only flips an atomic, so it is safe inside a signal handler;
      the accept loop notices within its poll interval and drains. *)
@@ -74,12 +66,6 @@ let serve_cmd =
             "Drain budget on shutdown: live sessions get $(docv) seconds to \
              finish before their sockets are cut.")
   in
-  let plan_cache_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "plan-cache" ] ~docv:"SLOTS"
-          ~doc:"Engine plan-cache capacity, shared across all sessions.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -88,7 +74,7 @@ let serve_cmd =
           SIGTERM/SIGINT, draining cleanly (docs/SERVING.md).")
     Term.(
       const serve $ common_term $ host_arg $ port_arg $ journal_dir_arg
-      $ grace_arg $ plan_cache_arg)
+      $ grace_arg)
 
 let loadgen c host port connections batches queries specs =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;

@@ -5,7 +5,7 @@
     linearity into sketches of the rows of C = A·B and sums the per-row
     ‖C_i‖₂² estimates. Registered as the ["srht"] estimator; the Engine
     answers [frob:eps=..] queries from the same construction with the
-    plan cached. *)
+    plan held. *)
 
 type params = { eps : float; sketch_groups : int }
 
@@ -34,7 +34,7 @@ val exchange_row_sketches :
   a:Matprod_matrix.Imat.t ->
   float
 (** The exchange with a caller-supplied family and Bob's message
-    ({!row_sketch_message}) — the Engine's plan cache hands the family
+    ({!row_sketch_message}) — the Engine's held exchanges hand the family
     in. The family must be built over [dim = max 1 (cols b)] at the run's
     public coins for the transcript to match {!run}. *)
 

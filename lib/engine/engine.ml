@@ -77,79 +77,49 @@ type report = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Plan cache: an LRU over (family tag, dim, seed) → prebuilt Lp sketch
-   family + its tabulated plan. Sound because the family is created from
-   a Prng derived purely from (seed, tag): equal keys always denote the
-   same hash family, so a cached plan is bit-identical to a rebuilt one. *)
+(* Held exchanges. An lp or frob group builds its sketch family (with the
+   family's tabulated plan) from a Prng derived from (seed, tag) alone, and
+   Bob's message is the encoded sketch of each row of B under that family:
+   both are fixed by (tag, dim, seed), the message also by B. The engine
+   holds them for the last ctx seed it ran at, keyed by (tag, dim), with
+   the message of the last B it saw (by physical equality): the links of a
+   fleet batch, which all run at one seed over one B, build the family and
+   encode the message once. A run at any other seed drops everything
+   first, so the engine keeps one seed's exchanges at most. *)
 
-type plan_key = { tag : string; dim : int; seed : int }
-
-type plan_entry =
-  | Lp_entry of { lp : Lp.t; plan : Lp.plan }
-  | Srht_entry of { sk : Srht.t; plan : Srht.plan }
-
-type cache = {
-  capacity : int;
-  mutable slots : (plan_key * plan_entry) list; (* most recent first *)
-  mutable hits : int;
-  mutable misses : int;
+type 'f held = {
+  family : 'f; (* the sketch family and its plan *)
+  mutable b : Imat.t; (* the B [message] was encoded from *)
+  mutable message : string;
 }
 
-type t = { cache : cache }
+type t = {
+  mutable seed : int; (* the ctx seed of everything held *)
+  lp : (string * int, (Lp.t * Lp.plan) held) Hashtbl.t;
+  frob : (string * int, (Srht.t * Srht.plan) held) Hashtbl.t;
+}
 
-let create ?(plan_cache_capacity = 16) () =
-  if plan_cache_capacity < 0 then
-    invalid_arg "Engine.create: plan_cache_capacity < 0";
-  { cache = { capacity = plan_cache_capacity; slots = []; hits = 0; misses = 0 } }
-
-let plan_cache_stats t = (t.cache.hits, t.cache.misses)
+let create () = { seed = 0; lp = Hashtbl.create 4; frob = Hashtbl.create 4 }
 
 let hit_counter = lazy (Obs.Metrics.counter "engine_plan_hits")
 let miss_counter = lazy (Obs.Metrics.counter "engine_plan_misses")
 
-let cache_find_or_build cache key build =
-  match List.assoc_opt key cache.slots with
-  | Some entry ->
-      cache.hits <- cache.hits + 1;
+(* The group's family and Bob's message over [b], from [held] or built. *)
+let exchange held key ~b ~build ~encode =
+  match Hashtbl.find_opt held key with
+  | Some h ->
       Obs.Metrics.incr (Lazy.force hit_counter);
-      cache.slots <-
-        (key, entry) :: List.filter (fun (k, _) -> k <> key) cache.slots;
-      (entry, Plan_hit)
-  | None ->
-      cache.misses <- cache.misses + 1;
-      Obs.Metrics.incr (Lazy.force miss_counter);
-      let entry = build () in
-      if cache.capacity > 0 then begin
-        let keep =
-          if List.length cache.slots >= cache.capacity then
-            List.filteri (fun i _ -> i < cache.capacity - 1) cache.slots
-          else cache.slots
-        in
-        cache.slots <- (key, entry) :: keep
+      if h.b != b then begin
+        h.message <- encode h.family ~b;
+        h.b <- b
       end;
-      (entry, Plan_miss)
-
-(* ------------------------------------------------------------------ *)
-(* Shared B-row messages. Bob's message in the lp and frob groups is the
-   encoded sketch of each row of B under the group's family, so it
-   depends on (tag, dim, seed) — which fix the family, as for the plan
-   cache — and on B alone. A memo holds it per (key, B by physical
-   equality): the links of one fleet batch, which all run at one seed
-   over one B, build and encode it once and send the same bytes. *)
-
-type memo = { mutable messages : (plan_key * Imat.t * string) list }
-
-let fresh_memo () = { messages = [] }
-
-let shared_message memo key ~b build =
-  match
-    List.find_opt (fun (k, b', _) -> k = key && b' == b) memo.messages
-  with
-  | Some (_, _, message) -> message
+      (h.family, h.message, Plan_hit)
   | None ->
-      let message = build () in
-      memo.messages <- (key, b, message) :: memo.messages;
-      message
+      Obs.Metrics.incr (Lazy.force miss_counter);
+      let family = build () in
+      let message = encode family ~b in
+      Hashtbl.replace held key { family; b; message };
+      (family, message, Plan_miss)
 
 (* ------------------------------------------------------------------ *)
 (* Compilation: queries sharing a sketch family and shape collapse into
@@ -242,7 +212,7 @@ let slice_counts samples counts =
       part)
     counts
 
-let exec_lp t memo ctx ~a ~b ~p ~members ~queries set =
+let exec_lp t ctx ~a ~b ~p ~members ~queries set =
   let beta =
     List.fold_left (fun acc i -> Float.min acc (beta_of queries.(i))) 1.0 members
   in
@@ -250,21 +220,13 @@ let exec_lp t memo ctx ~a ~b ~p ~members ~queries set =
   let tag = Printf.sprintf "lp(p=%g,beta=%g)" p beta in
   let gctx = group_ctx ctx ~tag in
   let dim = max 1 (Imat.cols b) in
-  let key = { tag; dim; seed = ctx.Ctx.seed } in
-  let entry, status =
-    cache_find_or_build t.cache key (fun () ->
+  let (lp, _), message, status =
+    exchange t.lp (tag, dim) ~b
+      ~build:(fun () ->
         let rng = Prng.derive ctx.Ctx.seed (Hashtbl.hash tag) 4 in
         let lp = Lp.create rng ~p ~eps:beta ~groups:lp_groups ~dim in
-        Lp_entry { lp; plan = Lp.plan lp ~dim })
-  in
-  let lp, plan =
-    match entry with
-    | Lp_entry e -> (e.lp, e.plan)
-    | Srht_entry _ -> assert false (* tags distinguish the families *)
-  in
-  let message =
-    shared_message memo key ~b (fun () ->
-        Lp_protocol.row_sketch_message lp plan ~b)
+        (lp, Lp.plan lp ~dim))
+      ~encode:(fun (lp, plan) -> Lp_protocol.row_sketch_message lp plan)
   in
   let est =
     Lp_protocol.exchange_row_sketches gctx lp
@@ -290,34 +252,27 @@ let exec_lp t memo ctx ~a ~b ~p ~members ~queries set =
     members;
   (tag, status)
 
-let exec_frob t memo ctx ~a ~b ~eps ~members set =
+let exec_frob t ctx ~a ~b ~eps ~members set =
   if not (eps > 0.0) then invalid_arg "Engine: eps must be positive";
   let tag = Printf.sprintf "frob(eps=%g)" eps in
   let gctx = group_ctx ctx ~tag in
   let dim = max 1 (Imat.cols b) in
-  let key = { tag; dim; seed = ctx.Ctx.seed } in
-  let entry, status =
-    cache_find_or_build t.cache key (fun () ->
+  let (sk, _), message, status =
+    exchange t.frob (tag, dim) ~b
+      ~build:(fun () ->
         let rng = Prng.derive ctx.Ctx.seed (Hashtbl.hash tag) 4 in
         let sk = Srht.create rng ~eps ~groups:lp_groups ~dim in
-        Srht_entry { sk; plan = Srht.plan sk ~dim })
-  in
-  let sk, plan =
-    match entry with
-    | Srht_entry e -> (e.sk, e.plan)
-    | Lp_entry _ -> assert false (* tags distinguish the families *)
-  in
-  let message =
-    shared_message memo key ~b (fun () -> Frobenius.row_sketch_message sk plan ~b)
+        (sk, Srht.plan sk ~dim))
+      ~encode:(fun (sk, plan) -> Frobenius.row_sketch_message sk plan)
   in
   let est = Frobenius.exchange_row_sketches gctx ~sk ~message ~a in
   List.iter (fun i -> set i (Scalar est)) members;
   (tag, status)
 
-let exec_group t memo ctx ~a ~b ~key ~members ~queries set =
+let exec_group t ctx ~a ~b ~key ~members ~queries set =
   match key with
-  | KLp p -> exec_lp t memo ctx ~a ~b ~p ~members ~queries set
-  | KFrob eps -> exec_frob t memo ctx ~a ~b ~eps ~members set
+  | KLp p -> exec_lp t ctx ~a ~b ~p ~members ~queries set
+  | KFrob eps -> exec_frob t ctx ~a ~b ~eps ~members set
   | KL0 eps ->
       let tag = Printf.sprintf "l0-sample(eps=%g)" eps in
       let counts =
@@ -575,7 +530,10 @@ let sketch_cells ~inner q =
       cells ~groups:(L0_sampling.default_params ~eps).sketch_groups eps
   | L0_sample _ | L1_sample _ | Heavy_hitters _ | Linf _ | Exact_product -> 0.0
 
-let run t ?(memo = fresh_memo ()) ctx ~a ~b queries =
+let count_plans status groups =
+  List.length (List.filter (fun g -> g.plan = status) groups)
+
+let run t ctx ~a ~b queries =
   if queries = [] then invalid_arg "Engine.run: empty batch";
   if Imat.cols a <> Imat.rows b then invalid_arg "Engine.run: dims";
   List.iter
@@ -602,7 +560,11 @@ let run t ?(memo = fresh_memo ()) ctx ~a ~b queries =
   let queries = Array.of_list queries in
   let answers = Array.make (Array.length queries) None in
   let set i ans = answers.(i) <- Some ans in
-  let hits0 = t.cache.hits and misses0 = t.cache.misses in
+  if ctx.Ctx.seed <> t.seed then begin
+    Hashtbl.reset t.lp;
+    Hashtbl.reset t.frob;
+    t.seed <- ctx.Ctx.seed
+  end;
   let tr = Ctx.transcript ctx in
   let bits0 = Transcript.total_bits tr and rounds0 = Transcript.rounds tr in
   Obs.Metrics.incr (Obs.Metrics.counter "engine_batches");
@@ -631,7 +593,7 @@ let run t ?(memo = fresh_memo ()) ctx ~a ~b queries =
                      Obs.Trace.with_span ~name:"engine.group"
                        ~attrs:[ ("family", Obs.Json.String fam) ]
                        (fun () ->
-                         exec_group t memo ctx ~a ~b ~key ~members ~queries set) ))
+                         exec_group t ctx ~a ~b ~key ~members ~queries set) ))
                compiled)
         in
         let messages = lazy (Array.of_list (Transcript.messages tr)) in
@@ -669,8 +631,8 @@ let run t ?(memo = fresh_memo ()) ctx ~a ~b queries =
     groups;
     total_bits = Transcript.total_bits tr - bits0;
     total_rounds = Transcript.rounds tr - rounds0;
-    plan_hits = t.cache.hits - hits0;
-    plan_misses = t.cache.misses - misses0;
+    plan_hits = count_plans Plan_hit groups;
+    plan_misses = count_plans Plan_miss groups;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -12,9 +12,11 @@
     - ℓ0/ℓ1 sample queries merge their counts into one amortised
       multi-sample run;
     - duplicate queries are answered once;
-    - sketch plans ({!Matprod_sketch.Lp.plan} tables) are cached in an LRU
-      keyed by [(family, dim, seed, params)], so repeated batches over
-      same-shaped matrices skip hash-family tabulation entirely.
+    - the sketch families of the lp and Frobenius groups, their plans
+      ({!Matprod_sketch.Lp.plan} tables) and Bob's encoded B-row messages
+      are held for the last seed the engine ran at (see "Held exchanges"),
+      so the links of a fleet batch, all at one seed over one B, tabulate
+      each family and encode each message once.
 
     Determinism contract: each exchange group draws its randomness from
     streams {e derived} from [(ctx seed, group key)] — never from the
@@ -99,8 +101,8 @@ val contract : query -> Matprod_core.Estimator.contract
     replicas at the fleet seed agree exactly. *)
 
 type plan_status =
-  | Plan_hit  (** sketch family + tables served from the LRU *)
-  | Plan_miss  (** tabulated this batch (now cached) *)
+  | Plan_hit  (** sketch family + tables held from an earlier run *)
+  | Plan_miss  (** tabulated this batch (now held) *)
   | Not_planned  (** the group's family has no plan/apply path *)
 
 (** Cost attribution for one compiled exchange group. *)
@@ -120,53 +122,48 @@ type report = {
   groups : group_report list;  (** in execution (first-occurrence) order *)
   total_bits : int;
   total_rounds : int;
-  plan_hits : int;  (** LRU hits during this batch *)
-  plan_misses : int;
+  plan_hits : int;  (** groups whose family was held ([Plan_hit]) *)
+  plan_misses : int;  (** groups that built their family ([Plan_miss]) *)
 }
 
 type t
-(** An engine instance: owns the plan cache. Reusable across batches and
-    contexts; entries are keyed by seed so distinct-seed contexts never
-    share a hash family. *)
+(** An engine instance: holds one seed's exchanges (below). Reusable
+    across batches and contexts. Not safe to share between domains. *)
 
-val create : ?plan_cache_capacity:int -> unit -> t
-(** Capacity is the number of [(family, dim, seed, params)] plan slots
-    (default 16, LRU eviction; 0 disables caching). *)
+val create : unit -> t
+(** An engine that holds nothing yet. *)
 
 val max_batch_samples : int
 (** The most samples one batch may ask for, summed over its [L0_sample]
     and [L1_sample] counts (256). A served batch runs under the daemon's
     compute lock, so its size is bounded. *)
 
-(** {1 Shared B-row messages}
+(** {1 Held exchanges}
 
-    Bob's message in an lp or Frobenius group is the encoded sketch of
-    each row of B under the group's family. It depends on the group's tag
-    (family and accuracy), the dimension, the context seed and B alone —
-    never on A. A [memo] holds those messages, keyed by
-    [(group tag, dim, seed)] and B by physical equality. Runs that share
-    a memo and meet an equal key send the same bytes: the first builds
-    and encodes the message, the others skip the build and the encode.
-    Every run still charges, journals, faults and decodes its own copy
-    on its own channel, so its transcript, answers and bits are those of
-    a run with a fresh memo. Only its metrics differ: a run served from
-    the memo records no sketch build and no [codec_encode_ns] for that
-    message.
+    An lp or Frobenius group's sketch family and its plan depend on the
+    group's tag (family and accuracy), the dimension and the context seed
+    alone; Bob's message, the encoded sketch of each row of B under the
+    family, also on B — never on A. The engine holds them for the last
+    context seed it ran at, keyed by [(group tag, dim)], with the message
+    of the last B it saw, compared by physical equality. A run at any
+    other seed first drops everything the engine holds, so it keeps one
+    seed's exchanges at most.
 
-    {!Matprod_topology.Fleet.run_batch} makes one memo per batch and
-    hands it to every link; a link that reseeds runs at another seed and
-    builds its own. A run given no memo gets a fresh one, so nothing is
-    shared beyond the batch that made it. A memo is not safe to share
-    between domains. *)
+    A run that finds its group held reports [Plan_hit] and skips the
+    tabulation; over the same B it also skips the sketch build and the
+    encode, and over another B it builds and encodes the message again.
+    Every run still charges, journals, faults and decodes its own copy on
+    its own channel, so its transcript, answers and bits are those of a
+    run on a fresh engine. Only its metrics differ: a run served the held
+    message records no sketch build and no [codec_encode_ns] for it.
 
-type memo
-
-val fresh_memo : unit -> memo
-(** An empty memo. *)
+    {!Matprod_topology.Fleet.run_batch} hands its engine to every link:
+    all run at the fleet seed over one B, so the first link builds and
+    encodes each message and the others send those bytes. A link that
+    reseeds runs at another seed and drops what the engine held. *)
 
 val run :
   t ->
-  ?memo:memo ->
   Matprod_comm.Ctx.t ->
   a:Matprod_matrix.Imat.t ->
   b:Matprod_matrix.Imat.t ->
@@ -183,8 +180,8 @@ val run :
     [Heavy_hitters] — non-negative matrices (raises [Invalid_argument]
     otherwise, which {!Matprod_core.Outcome} types as [Precondition]).
     The transcript simply continues on [ctx]; run several batches in one
-    context to amortise nothing twice. [?memo] (default: a fresh one)
-    holds the shared B-row messages described above. *)
+    context to amortise nothing twice. The engine's held exchanges are
+    described above. *)
 
 val own_turns : query -> Matprod_comm.Transcript.party * int
 (** The party that opens the query's group and the speaking phases the
@@ -195,9 +192,6 @@ val own_turns : query -> Matprod_comm.Transcript.party * int
     family's opener and the largest of its members' phases. The
     declaration steers only when the group starts and which party opens
     the batch, never an answer or a byte. *)
-
-val plan_cache_stats : t -> int * int
-(** Lifetime [(hits, misses)] of the engine's plan cache. *)
 
 (** {1 Query specs}
 

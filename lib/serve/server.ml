@@ -12,7 +12,6 @@ type config = {
   host : string;
   port : int;
   journal_dir : string option;
-  plan_cache : int;
   grace_s : float;
 }
 
@@ -21,7 +20,6 @@ let default_config =
     host = "127.0.0.1";
     port = 0;
     journal_dir = None;
-    plan_cache = 16;
     grace_s = 5.0;
   }
 
@@ -90,7 +88,7 @@ let create cfg =
     listener;
     bound_port;
     stop_flag = Atomic.make false;
-    engine = Engine.create ~plan_cache_capacity:cfg.plan_cache ();
+    engine = Engine.create ();
     m = Mutex.create ();
     exec = Mutex.create ();
     pairs = Hashtbl.create 16;

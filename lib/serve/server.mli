@@ -1,16 +1,17 @@
 (** The [matprod serve] daemon: a long-lived estimator service.
 
     One server holds a registry of named matrix pairs and one shared
-    {!Matprod_engine.Engine} (so the plan cache warms across sessions),
-    accepts concurrent connections on a TCP socket, and runs each
-    connection as a session: [Hello] fixes the session seed, then any mix
-    of [Gen]/[Register]/[Batch] requests, pipelined at will — the server
-    answers in request order per connection while other sessions proceed
-    on their own threads.
+    {!Matprod_engine.Engine}, accepts concurrent connections on a TCP
+    socket, and runs each connection as a session: [Hello] fixes the
+    session seed, then any mix of [Gen]/[Register]/[Batch] requests,
+    pipelined at will — the server answers in request order per
+    connection while other sessions proceed on their own threads. Every
+    batch runs at its own seed, so the engine holds only the last batch's
+    sketch families and messages.
 
     Concurrency model: connection I/O is thread-per-session; everything
-    that touches shared state (the pair registry, the engine and its plan
-    cache, the {!Matprod_util.Pool} fan-out, metrics, journals) runs
+    that touches shared state (the pair registry, the engine and what it
+    holds, the {!Matprod_util.Pool} fan-out, metrics, journals) runs
     under one compute lock — a single execution engine fed by many
     pipelined sessions. Each batch executes inside a per-session
     {!Matprod_obs.Metrics} scope ([session<n>]) so per-session tables
@@ -32,12 +33,11 @@ type config = {
   port : int;  (** 0 = ephemeral; read the bound port back with {!port} *)
   journal_dir : string option;
       (** created if missing; [None] disables batch journaling *)
-  plan_cache : int;  (** engine plan-cache capacity *)
   grace_s : float;  (** drain budget before live sessions are cut *)
 }
 
 val default_config : config
-(** 127.0.0.1:0, no journaling, plan cache 16, 5 s grace. *)
+(** 127.0.0.1:0, no journaling, 5 s grace. *)
 
 type t
 

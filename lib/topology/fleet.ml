@@ -525,9 +525,8 @@ let run_batch ?wire cfg engine queries ~a ~b =
     Error (Outcome.Precondition "Fleet.run_batch: empty batch")
   else
     let bi = Imat.of_bmat b in
-    (* Every link runs at the fleet seed over [bi]: the coordinator's
-       B-row messages are built and encoded once for the batch. *)
-    let memo = Engine.fresh_memo () in
+    (* Every link runs at the fleet seed over [bi]: the engine holds the
+       coordinator's B-row messages, built and encoded once for the batch. *)
     let contracts = Array.of_list (List.map Engine.contract queries) in
     let shard range =
       let shard_a = Shard.slice a range in
@@ -536,7 +535,7 @@ let run_batch ?wire cfg engine queries ~a ~b =
       {
         body =
           (fun ctx ->
-            (Engine.run engine ~memo ctx ~a:ai ~b:bi queries).Engine.answers);
+            (Engine.run engine ctx ~a:ai ~b:bi queries).Engine.answers);
         (* the first failing query's verdict quarantines the replica *)
         check =
           (fun ~seed answers ->

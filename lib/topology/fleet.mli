@@ -163,24 +163,20 @@ val run :
 (** {1 Batched queries against a fleet}
 
     The same topology under the {!Matprod_engine.Engine}: each link runs
-    the full batch against its shard (sharing the engine's plan cache
-    across links — same seed, same family, one tabulation), and each
-    query's answers are verified and merged by its [Engine.contract]
-    ({!Merge.merge_batch}).
+    the full batch against its shard, and each query's answers are
+    verified and merged by its [Engine.contract] ({!Merge.merge_batch}).
 
-    The coordinator's B-row messages are shared across the batch's
-    links. Every link runs at the fleet seed over the same B, so the
-    coordinator's first message in each lp and Frobenius group is the
-    same bytes on every link. {!run_batch} makes one
-    {!Matprod_engine.Engine.memo} for the batch and hands it to each
-    link's [Engine.run]: the first link to reach a group builds and
-    encodes the message, and every later link sends those bytes. A link
-    whose supervisor reseeds runs at another seed, so its message is
-    built afresh. Each worker still decodes its own copy, and every
-    link's transcript, journal, faults, answers and bits are those of a
-    link run alone. The memo lives for one call, and links run one
-    after another; a fan-out of links over domains would have to fill
-    it before fanning out. *)
+    {!run_batch} hands its engine to every link. Every link runs at the
+    fleet seed over the same B, so the coordinator's first message in
+    each lp and Frobenius group is the same bytes on every link: the
+    first link to reach a group tabulates the family and encodes the
+    message, and the engine holds both for every later link. A link
+    whose supervisor reseeds runs at another seed, so it drops what the
+    engine held and builds its own. Each worker still decodes its own
+    copy, and every link's transcript, journal, faults, answers and bits
+    are those of a link run alone on a fresh engine. Links run one after
+    another; a fan-out of links over domains would have to fill the
+    engine at the fleet seed before fanning out. *)
 
 type batch_link = {
   b_rank : int;

@@ -6,8 +6,9 @@
    2. Batching is strictly cheaper: k same-family queries in one batch
       spend strictly fewer transcript bits than the k standalone runs,
       because the round-1 sketch exchange ships once.
-   3. The plan cache changes wall-clock only: hits/misses are observable
-      in the report and the Metrics counters, never in answers or bits.
+   3. The held exchanges change wall-clock only: hits/misses are
+      observable in the report and the Metrics counters, never in answers
+      or bits.
    4. A mid-batch crash leaves a journal whose resume completes with the
       fault-free answers, and fresh + replayed bits account for exactly
       the fault-free transcript.
@@ -189,10 +190,6 @@ let test_plan_cache_counters () =
       check Alcotest.bool "group reports the hit" true
         (g.Engine.plan = Engine.Plan_hit)
   | _ -> Alcotest.fail "expected one group");
-  check
-    (Alcotest.pair Alcotest.int Alcotest.int)
-    "engine stats accumulate" (1, 1)
-    (Engine.plan_cache_stats engine);
   (* Plan-cache counters record into per-group scopes: sum the tree. *)
   check Alcotest.int "metrics hit counter" 1
     (Metrics.total "engine_plan_hits");
@@ -200,7 +197,7 @@ let test_plan_cache_counters () =
     (Metrics.total "engine_plan_misses")
 
 (* Property 3b: a cache hit is invisible on the wire — same answers, same
-   bits as a cold engine. Distinct seeds never share a slot. *)
+   bits as a cold engine. Distinct seeds never share a family. *)
 let test_plan_cache_soundness () =
   let seed = 11 in
   let a, b = gen_pair ~seed ~n:20 in
@@ -216,25 +213,67 @@ let test_plan_cache_soundness () =
   let other = (run_batch ~engine:warm_engine ~seed:(seed + 1) ~a ~b lp_batch).Ctx.output in
   check Alcotest.int "different seed misses" 1 other.Engine.plan_misses
 
-(* Property 3c: LRU eviction at capacity 1, and capacity 0 disables. *)
-let test_plan_cache_lru () =
+(* Property 3c: the engine holds one seed's exchanges. A run at another
+   seed drops them, so returning to an earlier seed misses. At the held
+   seed, a run over another B keeps the family and plan (no hash
+   evaluations) but builds and encodes B's message again, and answers as
+   a fresh engine does; a run over the same B does neither. *)
+let test_one_seed_held () =
   let seed = 13 in
   let a, b = gen_pair ~seed ~n:20 in
-  let p1 = [ Engine.Row_norms { p = 0.0; beta = 0.5 } ] in
-  let p2 = [ Engine.Row_norms { p = 1.0; beta = 0.5 } ] in
-  let tiny = Engine.create ~plan_cache_capacity:1 () in
-  ignore (run_batch ~engine:tiny ~seed ~a ~b p1);
-  ignore (run_batch ~engine:tiny ~seed ~a ~b p2); (* evicts p1's plan *)
-  let again = (run_batch ~engine:tiny ~seed ~a ~b p1).Ctx.output in
-  check Alcotest.int "evicted plan misses again" 1 again.Engine.plan_misses;
-  let off = Engine.create ~plan_cache_capacity:0 () in
-  ignore (run_batch ~engine:off ~seed ~a ~b p1);
-  let second = (run_batch ~engine:off ~seed ~a ~b p1).Ctx.output in
-  check Alcotest.int "capacity 0 never hits" 1 second.Engine.plan_misses;
-  check
-    (Alcotest.pair Alcotest.int Alcotest.int)
-    "capacity 0 stats" (0, 2)
-    (Engine.plan_cache_stats off)
+  let _, b2 = gen_pair ~seed:(seed + 1) ~n:20 in
+  let rows = [ Engine.Row_norms { p = 0.0; beta = 0.5 } ] in
+  let engine = Engine.create () in
+  ignore (run_batch ~engine ~seed ~a ~b rows);
+  ignore (run_batch ~engine ~seed:(seed + 1) ~a ~b rows);
+  let back = (run_batch ~engine ~seed ~a ~b rows).Ctx.output in
+  check Alcotest.int "an earlier seed misses" 1 back.Engine.plan_misses;
+  check Alcotest.int "an earlier seed has no hits" 0 back.Engine.plan_hits;
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+  @@ fun () ->
+  (* sketch builds, encodes and hash evaluations a run records *)
+  let costs f =
+    let read () =
+      ( Metrics.in_scope "group-lp" (fun () ->
+            ( Metrics.hist_count
+                (Metrics.histogram ~label:"lp_planned" "sketch_build_ns"),
+              Metrics.hist_count (Metrics.histogram "codec_encode_ns") )),
+        Metrics.total "plan_hash_evals" )
+    in
+    let (builds0, encodes0), evals0 = read () in
+    let r = f () in
+    let (builds1, encodes1), evals1 = read () in
+    (r, builds1 - builds0, encodes1 - encodes0, evals1 - evals0)
+  in
+  let _, cold_builds, cold_encodes, cold_evals =
+    costs (fun () -> run_batch ~seed ~a ~b rows)
+  in
+  check Alcotest.bool "a cold run builds, encodes and hashes" true
+    (cold_builds > 0 && cold_encodes > 0 && cold_evals > 0);
+  let same, builds, encodes, evals =
+    costs (fun () -> run_batch ~engine ~seed ~a ~b rows)
+  in
+  check Alcotest.int "same B hits" 1 same.Ctx.output.Engine.plan_hits;
+  check Alcotest.(list int) "same B: no build, encode or hash evaluation"
+    [ 0; 0; 0 ] [ builds; encodes; evals ];
+  let other, builds, encodes, evals =
+    costs (fun () -> run_batch ~engine ~seed ~a ~b:b2 rows)
+  in
+  check Alcotest.int "another B hits the plan" 1
+    other.Ctx.output.Engine.plan_hits;
+  check Alcotest.(list int) "another B: the message is built and encoded again"
+    [ cold_builds; cold_encodes; 0 ] [ builds; encodes; evals ];
+  let fresh = run_batch ~seed ~a ~b:b2 rows in
+  if other.Ctx.output.Engine.answers <> fresh.Ctx.output.Engine.answers then
+    Alcotest.fail "a held plan over another B changed the answers";
+  check Alcotest.bool "another B: the transcript of a fresh engine" true
+    (Transcript.messages other.Ctx.transcript
+    = Transcript.messages fresh.Ctx.transcript)
 
 (* Property 4: crash mid-batch, then resume from the journal. *)
 let test_journal_resume_mid_batch () =
@@ -891,7 +930,7 @@ let () =
           Alcotest.test_case "hit/miss counters" `Quick test_plan_cache_counters;
           Alcotest.test_case "hits are invisible" `Quick
             test_plan_cache_soundness;
-          Alcotest.test_case "lru eviction" `Quick test_plan_cache_lru;
+          Alcotest.test_case "one seed held" `Quick test_one_seed_held;
         ] );
       ( "robustness",
         [

@@ -970,13 +970,13 @@ let test_batch_ambiguous_blame () =
 (* ------------------------------------------------------------------ *)
 (* Fleet: the coordinator's shared B-row messages are invisible *)
 
-(* [Fleet.run_batch] hands every link one memo, so a link after the first
-   sends the lp and frob groups' B-row bytes built by an earlier link at
-   the same seed. The reference runs each link alone, as the fleet's
-   supervisor would, with a fresh memo. Per link, every attempt's
-   transcript (sender, round, label, bytes), every delivered payload, the
-   ladder (rung, seed, fresh bits and rounds of each attempt) and the
-   answers must agree, clean and under link faults: corrupted and dropped
+(* [Fleet.run_batch] hands every link its engine, so a link after the
+   first sends the lp and frob groups' B-row bytes that the engine holds
+   from an earlier link at the same seed. The reference runs each link
+   alone, as the fleet's supervisor would, on a fresh engine. Per link,
+   every attempt's transcript (sender, round, label, bytes), every
+   delivered payload, the ladder (rung, seed, fresh bits and rounds of
+   each attempt) and the answers must agree, clean and under link faults: corrupted and dropped
    frames, which the ARQ layer retransmits, and a crash of every worker
    on its first attempt as it is about to send its sampled rows, after
    the coordinator's sketches crossed; the rerun climbs to a Reseed rung
@@ -1077,11 +1077,12 @@ let test_batch_shared_messages_invisible () =
           let rank = l.Fleet.b_rank and replica = l.Fleet.b_replica in
           let what = Printf.sprintf "%s: link %d.%d" label rank replica in
           let ai = Imat.of_bmat (Shard.slice a l.Fleet.b_range) in
+          let solo = Engine.create () in
           let alone =
             Supervisor.run ~policy ~wire:(rwire ~rank ~replica)
               ~transport:rtransport ~seed:7 ~protocol:"engine-batch"
               (fun ctx ->
-                (Engine.run engine ctx ~a:ai ~b:(Imat.of_bmat b)
+                (Engine.run solo ctx ~a:ai ~b:(Imat.of_bmat b)
                    shared_batch_queries)
                   .Engine.answers)
           in
