@@ -130,7 +130,7 @@ let c1 ~quick =
                   if digest <> clean.Ctx.output then
                     incr trichotomy_violations;
                   bits_faulty := run.Ctx.bits :: !bits_faulty;
-                  retries := !retries + wire.Matprod_comm.Channel.retries;
+                  retries := !retries + wire.Matprod_comm.Ctx.retries;
                   if pname = "clean" then
                     clean_overhead :=
                       !clean_overhead + (run.Ctx.bits - clean.Ctx.bits)

@@ -11,11 +11,14 @@
    exact fields in BENCH_s1.json — the regression gate compares them
    bit-for-bit while throughput and latency percentiles ride along as
    ignored timing fields. The run executes twice against the same daemon
-   to confirm the digest in-process before the gate ever sees it. *)
+   to confirm the digest in-process before the gate ever sees it; the
+   second run goes uncounted, so the sidecar's metrics describe the row's
+   run alone. *)
 
 module Server = Matprod_serve.Server
 module Loadgen = Matprod_serve.Loadgen
 module Json = Matprod_obs.Json
+module Metrics = Matprod_obs.Metrics
 
 let connections = 16
 let batches = 8
@@ -47,7 +50,16 @@ let s1 ~quick =
       ~density ~seed ~specs ()
   in
   let r = run () in
-  let r2 = run () in
+  let served =
+    List.map
+      (fun name -> Metrics.total name)
+      [ "serve_sessions"; "serve_batches"; "serve_queries" ]
+  in
+  let r2 =
+    let on = Metrics.enabled () in
+    Metrics.set_enabled false;
+    Fun.protect ~finally:(fun () -> Metrics.set_enabled on) run
+  in
   let cols =
     [ ("run", 6); ("answered", 9); ("in-flight", 9); ("qps", 9);
       ("p50", 8); ("p90", 8); ("p99", 8); ("bits", 10); ("digest", 10) ]
@@ -98,4 +110,15 @@ let s1 ~quick =
   Report.record_verdict
     (r.Loadgen.digest = r2.Loadgen.digest && r.Loadgen.bits = r2.Loadgen.bits)
     "response stream deterministic: digest %d and %d bits reproduce"
-    r.Loadgen.digest r.Loadgen.bits
+    r.Loadgen.digest r.Loadgen.bits;
+  let row =
+    [
+      r.Loadgen.connections;
+      r.Loadgen.connections * r.Loadgen.batches_per_connection;
+      r.Loadgen.queries;
+    ]
+  in
+  let show l = String.concat "/" (List.map string_of_int l) in
+  Report.record_verdict (served = row)
+    "metrics count the row's run: sessions/batches/queries %s = %s"
+    (show served) (show row)

@@ -136,7 +136,7 @@ exception
     [Matprod_core.Outcome.Crashed] by [Outcome.guard]. *)
 
 val check_crash : t -> from:Transcript.party -> label:string -> unit
-(** Called by {!Channel.send} once per logical message before transmission:
+(** Called by {!Ctx} once per logical message before transmission:
     raises {!Party_crash} if an unfired crash triggers for this sender,
     otherwise counts the message and returns. Emits the [faults_crashed]
     counter and a [fault.crash] trace event when firing. *)

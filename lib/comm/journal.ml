@@ -75,8 +75,6 @@ let entry_body e =
   Buffer.add_string buf e.payload;
   Buffer.contents buf
 
-let crc32 e = Reliable.crc32 (entry_body e)
-
 let crc32_of_le crc_bytes =
   Char.code crc_bytes.[0]
   lor (Char.code crc_bytes.[1] lsl 8)

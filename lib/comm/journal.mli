@@ -76,9 +76,6 @@ val of_bytes : string -> (t, string) result
 (** [Error reason] if the header is unusable; otherwise [Ok t] with the
     longest prefix of records that frame and checksum correctly. *)
 
-val crc32 : entry -> int
-(** CRC32 of the entry's record body, as stored in the file. *)
-
 (** {1 Files} *)
 
 val load : string -> (t, string) result

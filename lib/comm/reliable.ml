@@ -2,7 +2,7 @@
    is deliberately minimal: enough redundancy (CRC32) to reject corrupted
    or truncated frames with overwhelming probability, plus a sequence
    number so duplicates and stale retransmissions are recognised. The
-   retry loop itself lives in Channel.send, which owns the transcript. *)
+   retry loop itself lives in Ctx, which owns the transcript. *)
 
 exception Link_failure of { label : string; attempts : int }
 

@@ -13,10 +13,10 @@
     payload that finally decodes is byte-for-byte the payload that was
     sent: the wire can fail, but it cannot lie. Every transmitted frame,
     including retransmissions and acks, is charged to the transcript by
-    {!Channel.send}. *)
+    {!Ctx}. *)
 
 exception Link_failure of { label : string; attempts : int }
-(** Raised by {!Channel.send} when a message is still unacknowledged after
+(** Raised when a {!Ctx} message is still unacknowledged after
     [max_attempts] transmissions. [Matprod_core.Outcome.capture] converts
     it into a typed error. *)
 

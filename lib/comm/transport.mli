@@ -1,10 +1,10 @@
-(** Physical transports under the logical {!Channel}.
+(** Physical transports under the logical wire of a {!Ctx}.
 
     A transport is a plain record of closures over one connection's state.
     It carries one already-encoded logical message ("the payload
     the receiver accepted" — after the fault model and the {!Reliable}
     ARQ, if armed, have done their work) from one party to the other and
-    hands back the bytes the receiver observed. The {!Channel} charges
+    hands back the bytes the receiver observed. The {!Ctx} charges
     the transcript {e before} delivery, so two backends that deliver
     faithfully produce byte-identical transcripts at the same seed:
 

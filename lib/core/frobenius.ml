@@ -2,7 +2,6 @@ module Pool = Matprod_util.Pool
 module Imat = Matprod_matrix.Imat
 module Srht = Matprod_sketch.Srht
 module Ctx = Matprod_comm.Ctx
-module Channel = Matprod_comm.Channel
 module Codec = Matprod_comm.Codec
 module Trace = Matprod_obs.Trace
 
@@ -30,7 +29,7 @@ let wire = Codec.array Codec.float32_array
 
 let row_sketch_message sk plan ~b =
   Pool.init (Imat.rows b) (fun k -> Srht.sketch_with_plan sk plan (Imat.row b k))
-  |> Channel.encode wire
+  |> Ctx.encode wire
 
 let exchange_row_sketches ctx ~sk ~message ~a =
   Trace.with_span ~name:"frobenius.round1_srht_exchange"

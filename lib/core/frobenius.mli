@@ -24,8 +24,8 @@ val row_sketch_message :
   b:Matprod_matrix.Imat.t ->
   string
 (** Bob's message: the SRHT sketch of each row of B under [sk] and its
-    [plan], encoded with {!wire}. It depends on B and the family alone,
-    like {!Lp_protocol.row_sketch_message}. *)
+    [plan], encoded as an array of float32 arrays. It depends on B and
+    the family alone, like {!Lp_protocol.row_sketch_message}. *)
 
 val exchange_row_sketches :
   Matprod_comm.Ctx.t ->
@@ -37,5 +37,3 @@ val exchange_row_sketches :
     ({!row_sketch_message}) — the Engine's held exchanges hand the family
     in. The family must be built over [dim = max 1 (cols b)] at the run's
     public coins for the transcript to match {!run}. *)
-
-val wire : float array array Matprod_comm.Codec.t

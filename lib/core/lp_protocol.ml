@@ -3,7 +3,6 @@ module Pool = Matprod_util.Pool
 module Imat = Matprod_matrix.Imat
 module Lp = Matprod_sketch.Lp
 module Ctx = Matprod_comm.Ctx
-module Channel = Matprod_comm.Channel
 module Codec = Matprod_comm.Codec
 module Trace = Matprod_obs.Trace
 
@@ -30,7 +29,7 @@ let validate prm ~a ~b =
    into raw estimates of every row norm of C = A·B. *)
 let row_sketch_message lp plan ~b =
   Pool.init (Imat.rows b) (fun k -> Lp.sketch_with_plan lp plan (Imat.row b k))
-  |> Channel.encode (Codec.array (Lp.wire lp))
+  |> Ctx.encode (Codec.array (Lp.wire lp))
 
 let exchange_row_sketches ctx lp ~label ~message ~a =
   let sketches = Ctx.b2a_encoded ctx ~label (Codec.array (Lp.wire lp)) message in

@@ -41,7 +41,7 @@ val row_sketch_message :
   b:Matprod_matrix.Imat.t ->
   string
 (** Bob's round-1 message in every ℓp driver: the sketch of each row of B
-    under [lp] and its [plan], encoded ({!Matprod_comm.Channel.encode}).
+    under [lp] and its [plan], encoded ({!Matprod_comm.Ctx.encode}).
     It depends on B and the family (its coins, accuracy and dimension)
     alone, so a sender facing many links at one seed builds it once. *)
 

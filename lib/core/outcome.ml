@@ -1,5 +1,4 @@
 module Ctx = Matprod_comm.Ctx
-module Channel = Matprod_comm.Channel
 module Codec = Matprod_comm.Codec
 module Fault = Matprod_comm.Fault
 module Reliable = Matprod_comm.Reliable
@@ -78,10 +77,10 @@ let diagnostics_of_ctx ctx =
   {
     bits = Transcript.total_bits tr;
     rounds = Transcript.rounds tr;
-    retries = s.Channel.retries;
-    crc_rejects = s.Channel.crc_rejects;
-    faults_injected = Fault.total_injected s.Channel.faults;
-    waited = s.Channel.waited +. s.Channel.faults.Fault.injected_delay;
+    retries = s.Ctx.retries;
+    crc_rejects = s.Ctx.crc_rejects;
+    faults_injected = Fault.total_injected s.Ctx.faults;
+    waited = s.Ctx.waited +. s.Ctx.faults.Fault.injected_delay;
   }
 
 (* The catch list is deliberately narrow: the failure modes a hostile wire

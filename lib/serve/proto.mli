@@ -41,7 +41,6 @@ type response =
     }
   | Err of string
 
-val imat : Imat.t Matprod_comm.Codec.t
 val answer : Engine.answer Matprod_comm.Codec.t
 (** Encoding a [Leveled] answer, which the engine never produces, raises
     [Invalid_argument]. *)

@@ -14,7 +14,6 @@ let create rng ~dim ~kappa =
   in
   { dim; block; blocks; ams }
 
-let dim t = t.dim
 let blocks t = t.blocks
 
 let block_size t = Ams.size t.ams.(0)

@@ -14,7 +14,6 @@ type t
 val create : Matprod_util.Prng.t -> dim:int -> kappa:float -> t
 (** Requires κ ≥ 1. Block size = ⌈κ²⌉ (clamped to [1, dim]). *)
 
-val dim : t -> int
 val blocks : t -> int
 val size : t -> int
 (** Total float counters ≈ blocks × O(1). *)

@@ -17,7 +17,6 @@ let create rng ~reps ~rows =
   if rows <= 0 then invalid_arg "Cohen.create: rows";
   { reps; rows; seed = Prng.fresh_seed rng }
 
-let reps t = t.reps
 
 let label t ~rep i =
   if i < 0 || i >= t.rows then invalid_arg "Cohen.label: row range";

@@ -18,8 +18,6 @@ val create : Matprod_util.Prng.t -> reps:int -> rows:int -> t
 (** [rows] = number of rows of A (the universe being labelled);
     [reps = Θ(1/ε²)] for (1±ε) estimates. *)
 
-val reps : t -> int
-
 val label : t -> rep:int -> int -> float
 (** E_i^(rep), the exponential label of row i. *)
 

@@ -33,7 +33,6 @@ let create rng ~dim ?(s = 12) ?(reps = 3) () =
     l0 = L0_sketch.create rng ~eps:0.25 ~groups:3 ~dim;
   }
 
-let dim t = t.dim
 
 let fresh t =
   {

@@ -18,8 +18,6 @@ val create : Matprod_util.Prng.t -> dim:int -> ?s:int -> ?reps:int -> unit -> t
 (** [s] is the per-level recovery budget (default 12), [reps] the
     repetitions inside each recovery sketch (default 3). *)
 
-val dim : t -> int
-
 val fresh : t -> state
 (** The sketch of the zero vector. *)
 

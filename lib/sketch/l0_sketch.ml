@@ -46,7 +46,6 @@ let create rng ~eps ~groups ~dim =
   create_explicit rng ~buckets ~groups ~dim
 
 let size t = Array.length t.reps * t.levels * t.buckets
-let dim t = t.dim
 
 type state = Codec.sparse
 

@@ -26,8 +26,6 @@ val create_explicit :
 val size : t -> int
 (** Total number of field counters. *)
 
-val dim : t -> int
-
 type state = Matprod_comm.Codec.sparse
 (** The field counters of a sketch by their nonzero cells: a sketch of a
     vector with few nonzeros touches few cells, and every build, combine

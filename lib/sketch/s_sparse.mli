@@ -25,9 +25,6 @@ type state = One_sparse.cells
 val create : Matprod_util.Prng.t -> s:int -> reps:int -> t
 (** [s ≥ 1] sparsity budget; [reps] repetitions (3–4 typical). *)
 
-val cells : t -> int
-(** Total number of 1-sparse cells. *)
-
 val fresh : t -> state
 (** The sketch of the zero vector. *)
 

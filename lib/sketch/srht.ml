@@ -45,7 +45,6 @@ let create rng ~eps ~groups ~dim =
   { rows_per_group; groups; dim; dpad; seed; samples }
 
 let size t = t.rows_per_group * t.groups
-let dim t = t.dim
 let empty t = Array.make (size t) 0.0
 
 (* D's diagonal: ±1 per key, derived purely from (seed, 0, key). *)

@@ -25,9 +25,6 @@ val create : Matprod_util.Prng.t -> eps:float -> groups:int -> dim:int -> t
 (** rows = Θ(1/ε²)·groups, sized as {!Ams.create}. [dim] fixes the key
     domain (and with it the Hadamard order: next power of two). *)
 
-val size : t -> int
-val dim : t -> int
-
 val empty : t -> float array
 val sketch : t -> (int * int) array -> float array
 val add_scaled : t -> dst:float array -> coeff:int -> float array -> unit

@@ -35,7 +35,6 @@ let create rng ~p ~eps ~groups =
   let per = max 8 (int_of_float (Float.ceil (12.0 /. (eps *. eps)))) in
   create_rows rng ~p ~rows:(per * groups)
 
-let p t = t.p
 let size t = t.rows
 let empty t = Array.make t.rows 0.0
 

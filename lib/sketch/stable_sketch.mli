@@ -15,7 +15,6 @@ val create : Matprod_util.Prng.t -> p:float -> eps:float -> groups:int -> t
 
 val create_rows : Matprod_util.Prng.t -> p:float -> rows:int -> t
 
-val p : t -> float
 val size : t -> int
 
 val sketch : t -> (int * int) array -> float array

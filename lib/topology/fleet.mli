@@ -2,7 +2,7 @@
 
     Rows of A — the output rows of C = A·B — are sharded contiguously
     across [k] workers ({!Shard}); B is replicated at the coordinator.
-    Each coordinator↔worker link is an independent {!Matprod_comm.Channel}
+    Each coordinator↔worker link is an independent {!Matprod_comm.Ctx} wire
     running the {e unmodified} two-party protocol of any registered
     estimator on (A⟨i⟩, B), with the worker in the A-role and the
     coordinator in the B-role, at the fleet seed (a common random string

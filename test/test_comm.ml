@@ -2,8 +2,9 @@
 
 module Codec = Matprod_comm.Codec
 module Transcript = Matprod_comm.Transcript
-module Channel = Matprod_comm.Channel
 module Ctx = Matprod_comm.Ctx
+module Fault = Matprod_comm.Fault
+module Journal = Matprod_comm.Journal
 module Prng = Matprod_util.Prng
 module One_sparse = Matprod_sketch.One_sparse
 module L0_sampler = Matprod_sketch.L0_sampler
@@ -283,23 +284,21 @@ let test_transcript_message_order () =
   | _ -> Alcotest.fail "expected two messages"
 
 (* ------------------------------------------------------------------ *)
-(* Channel / Ctx *)
+(* Ctx *)
 
-let test_channel_charges_real_bytes () =
-  let ch = Channel.create () in
+let test_ctx_charges_real_bytes () =
+  let ctx = Ctx.create ~seed:1 () in
   let v = Array.init 100 (fun i -> i) in
-  let got =
-    Channel.send ch ~from:Transcript.Alice ~label:"xs" Codec.sorted_int_array v
-  in
+  let got = Ctx.a2b ctx ~label:"xs" Codec.sorted_int_array v in
   check Alcotest.bool "value intact" true (got = v);
   let want = Codec.encoded_bytes Codec.sorted_int_array v in
   check Alcotest.int "bytes charged" want
-    (Transcript.total_bytes (Channel.transcript ch))
+    (Transcript.total_bytes (Ctx.transcript ctx))
 
-let test_channel_lossy_codec_loses () =
-  let ch = Channel.create () in
+let test_ctx_lossy_codec_loses () =
+  let ctx = Ctx.create ~seed:1 () in
   let f = 1.23456789012345 in
-  let got = Channel.send ch ~from:Transcript.Bob ~label:"f" Codec.float32 f in
+  let got = Ctx.b2a ctx ~label:"f" Codec.float32 f in
   check Alcotest.bool "precision lost in transit" true (got <> f)
 
 let test_ctx_reproducible () =
@@ -335,10 +334,55 @@ let test_ctx_run_counts () =
   check Alcotest.int "rounds" 3 r.Ctx.rounds;
   check Alcotest.int "bits" 24 r.Ctx.bits
 
+(* A copy of a context speaks on the original's wire: its message is
+   charged to the original's transcript, lands in the original's journal,
+   and is framed, acked and counted by the original's ARQ state. The copy
+   is taken before the fault model is armed on the original, so it can
+   reach that state only through the wire they share. *)
+let test_ctx_copy_shares_wire () =
+  let path = Filename.temp_file "matprod_comm_" ".mpj" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let v = Array.init 50 (fun i -> 3 * i) in
+  let turns = ref [] in
+  let r =
+    Ctx.run_journaled ~seed:7 ~journal:path ~protocol:"copy" (fun ctx ->
+        let copy = { ctx with Ctx.turn = (fun p -> turns := p :: !turns) } in
+        Ctx.install_wire ctx
+          ~fault:(Fault.of_string ~seed:1 "kind=drop,rate=0.3")
+          ();
+        let got = Ctx.a2b copy ~label:"xs" Codec.sorted_int_array v in
+        check Alcotest.bool "value intact" true (got = v);
+        Ctx.wire_stats ctx)
+  in
+  let stats = r.Ctx.output in
+  check Alcotest.bool "the copy's turn was taken" true
+    (!turns = [ Transcript.Alice ]);
+  let count label =
+    List.length
+      (List.filter
+         (fun m -> m.Transcript.label = label)
+         (Transcript.messages r.Ctx.transcript))
+  in
+  check Alcotest.bool "ARQ frames charged" true (stats.Ctx.data_frames >= 1);
+  check Alcotest.bool "ARQ acks charged" true (stats.Ctx.acks >= 1);
+  check Alcotest.int "frames in the original's transcript"
+    stats.Ctx.data_frames (count "xs");
+  check Alcotest.int "acks in the original's transcript" stats.Ctx.acks
+    (count "xs/ack");
+  let j =
+    match Journal.load path with Ok j -> j | Error e -> Alcotest.fail e
+  in
+  match j.Journal.entries with
+  | [ e ] ->
+      check Alcotest.string "journaled label" "xs" e.Journal.label;
+      check Alcotest.string "journaled payload"
+        (Codec.encode Codec.sorted_int_array v)
+        e.Journal.payload
+  | es -> Alcotest.failf "journal holds %d entries, want 1" (List.length es)
+
 (* ------------------------------------------------------------------ *)
 (* Journal *)
-
-module Journal = Matprod_comm.Journal
 
 let with_tmp_journal k =
   let path = Filename.temp_file "matprod_journal_" ".journal" in
@@ -1410,11 +1454,13 @@ let () =
         ] );
       ( "channel",
         [
-          Alcotest.test_case "charges real bytes" `Quick test_channel_charges_real_bytes;
-          Alcotest.test_case "lossy codec loses" `Quick test_channel_lossy_codec_loses;
+          Alcotest.test_case "charges real bytes" `Quick test_ctx_charges_real_bytes;
+          Alcotest.test_case "lossy codec loses" `Quick test_ctx_lossy_codec_loses;
           Alcotest.test_case "ctx reproducible" `Quick test_ctx_reproducible;
           Alcotest.test_case "ctx streams independent" `Quick test_ctx_streams_independent;
           Alcotest.test_case "ctx run counts" `Quick test_ctx_run_counts;
+          Alcotest.test_case "ctx copy shares its wire" `Quick
+            test_ctx_copy_shares_wire;
         ] );
       ( "journal",
         [

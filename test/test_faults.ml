@@ -13,7 +13,6 @@ module Imat = Matprod_matrix.Imat
 module Workload = Matprod_workload.Workload
 module Fault = Matprod_comm.Fault
 module Reliable = Matprod_comm.Reliable
-module Channel = Matprod_comm.Channel
 module Ctx = Matprod_comm.Ctx
 module Transcript = Matprod_comm.Transcript
 module Metrics = Matprod_obs.Metrics
@@ -308,64 +307,78 @@ let with_tmp_journal name k =
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> k path)
 
-(* Crash the sender of the second message after one delivered message, then
-   resume from the journal: the first message replays for free and the
-   completed run matches the fault-free baseline byte-for-byte. *)
+(* Crash the sender of message k after k delivered messages, at every
+   message index k of every protocol, then resume from the journal: the
+   journal holds exactly the delivered prefix, the prefix replays for
+   free, and the completed run matches the fault-free baseline
+   byte-for-byte. *)
 let test_crash_then_resume () =
   List.iteri
     (fun i (name, f) ->
       let seed = 3000 + i in
       let base = Ctx.run ~seed f in
       let msgs = Transcript.messages base.Ctx.transcript in
-      if List.length msgs >= 2 then
-        with_tmp_journal name @@ fun path ->
-        let victim = (List.nth msgs 1).Transcript.sender in
-        let crashed =
-          Outcome.guard (fun () ->
-              Ctx.run_journaled ~seed ~journal:path ~protocol:name (fun ctx ->
-                  Ctx.install_wire ctx
-                    ~fault:
-                      (Fault.of_string
-                         ("kind=crash,after=1,party="
-                         ^ Transcript.party_name victim))
-                    ~reliable ();
-                  f ctx))
-        in
-        (match crashed with
-        | Error (Outcome.Crashed { party; after_messages }) ->
-            check Alcotest.bool
-              (Printf.sprintf "%s: crash names the victim" name)
-              true (party = victim);
-            check Alcotest.int
-              (Printf.sprintf "%s: crash position" name)
-              1 after_messages
-        | Ok _ -> Alcotest.failf "%s: crash rule did not fire" name
-        | Error e ->
-            Alcotest.failf "%s: wrong error: %s" name
-              (Outcome.error_to_string e));
-        let journal =
-          match Journal.load path with
-          | Ok j -> j
-          | Error e -> Alcotest.failf "%s: journal unreadable: %s" name e
-        in
-        check Alcotest.bool
-          (Printf.sprintf "%s: journal clean" name)
-          true journal.Journal.clean;
-        check Alcotest.int
-          (Printf.sprintf "%s: journal holds the delivered prefix" name)
-          1
-          (List.length journal.Journal.entries);
-        let resumed = Ctx.resume ~seed ~journal f in
-        if resumed.Ctx.output <> base.Ctx.output then
-          Alcotest.failf "%s: resumed output differs from fault-free run" name;
-        check Alcotest.bool
-          (Printf.sprintf "%s: replay served messages" name)
-          true
-          (resumed.Ctx.replayed_messages >= 1);
-        check Alcotest.int
-          (Printf.sprintf "%s: fresh + replayed = fault-free bits" name)
-          base.Ctx.bits
-          (resumed.Ctx.bits + resumed.Ctx.replayed_bits))
+      List.iteri
+        (fun k (m : Transcript.message) ->
+          let at = Printf.sprintf "%s, crash at message %d" name k in
+          with_tmp_journal name @@ fun path ->
+          let crashed =
+            Outcome.guard (fun () ->
+                Ctx.run_journaled ~seed ~journal:path ~protocol:name (fun ctx ->
+                    Ctx.install_wire ctx
+                      ~fault:
+                        (Fault.of_string
+                           (Printf.sprintf "kind=crash,after=%d,party=%s" k
+                              (Transcript.party_name m.sender)))
+                      ~reliable ();
+                    f ctx))
+          in
+          (match crashed with
+          | Error (Outcome.Crashed { party; after_messages }) ->
+              check Alcotest.bool (at ^ ": crash names the victim") true
+                (party = m.sender);
+              check Alcotest.int (at ^ ": crash position") k after_messages
+          | Ok _ -> Alcotest.failf "%s: crash rule did not fire" at
+          | Error e ->
+              Alcotest.failf "%s: wrong error: %s" at
+                (Outcome.error_to_string e));
+          let journal =
+            match Journal.load path with
+            | Ok j -> j
+            | Error e -> Alcotest.failf "%s: journal unreadable: %s" at e
+          in
+          check Alcotest.bool (at ^ ": journal clean") true
+            journal.Journal.clean;
+          let prefix = List.filteri (fun idx _ -> idx < k) msgs in
+          check
+            Alcotest.(list (triple string string int))
+            (at ^ ": journal holds the delivered prefix")
+            (List.map
+               (fun (p : Transcript.message) ->
+                 (Transcript.party_name p.sender, p.label, p.bytes))
+               prefix)
+            (List.map
+               (fun (e : Journal.entry) ->
+                 ( Transcript.party_name e.sender,
+                   e.label,
+                   Journal.entry_bytes e ))
+               journal.Journal.entries);
+          let resumed = Ctx.resume ~seed ~journal f in
+          if resumed.Ctx.output <> base.Ctx.output then
+            Alcotest.failf "%s: resumed output differs from fault-free run" at;
+          let prefix_bytes =
+            List.fold_left
+              (fun acc (p : Transcript.message) -> acc + p.bytes)
+              0 prefix
+          in
+          check Alcotest.int
+            (at ^ ": replayed bits = the prefix's bits")
+            (8 * prefix_bytes) resumed.Ctx.replayed_bits;
+          check Alcotest.int
+            (at ^ ": fresh + replayed = fault-free bits")
+            base.Ctx.bits
+            (resumed.Ctx.bits + resumed.Ctx.replayed_bits))
+        msgs)
     (protocols ~seed:1)
 
 (* Journaling a crash-free run is invisible: same output, same cost; and

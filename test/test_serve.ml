@@ -15,7 +15,6 @@ module Imat = Matprod_matrix.Imat
 module Workload = Matprod_workload.Workload
 module Transport = Matprod_comm.Transport
 module Transcript = Matprod_comm.Transcript
-module Channel = Matprod_comm.Channel
 module Codec = Matprod_comm.Codec
 module Ctx = Matprod_comm.Ctx
 module Fault = Matprod_comm.Fault
@@ -179,42 +178,38 @@ let test_tcp_journal_resume_no_wire () =
   check Alcotest.int "no fresh bits" 0 again.Ctx.bits
 
 (* ------------------------------------------------------------------ *)
-(* Channel configuration surface *)
+(* Wire arming surface *)
 
 let test_channel_create_config () =
-  (* All wire config through [Channel.configure]. *)
+  (* A fault model through [Ctx.install_wire], a journal through
+     [Ctx.run_journaled], a replay through [Ctx.resume]. *)
   let path = Filename.temp_file "matprod_serve_" ".mpj" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let w = Journal.create ~path ~protocol:"t" ~seed:3 in
-  let ch = Channel.create () in
-  Channel.configure ch ~fault:(Fault.of_string ~seed:1 "kind=drop,rate=0")
-    ~journal:w ();
   let v = [| 1; 4; 9 |] in
-  let got =
-    Channel.send ch ~from:Transcript.Alice ~label:"xs" Codec.sorted_int_array v
+  let r =
+    Ctx.run_journaled ~seed:3 ~journal:path ~protocol:"t" (fun ctx ->
+        Ctx.install_wire ctx
+          ~fault:(Fault.of_string ~seed:1 "kind=drop,rate=0")
+          ();
+        let got = Ctx.a2b ctx ~label:"xs" Codec.sorted_int_array v in
+        (got, Ctx.installed_fault ctx <> None))
   in
+  let got, armed = r.Ctx.output in
   check Alcotest.bool "payload intact" true (v = got);
-  check Alcotest.bool "fault armed" true (Channel.installed_fault ch <> None);
-  Channel.close ch;
+  check Alcotest.bool "fault armed" true armed;
   let j =
     match Journal.load path with Ok j -> j | Error e -> Alcotest.fail e
   in
   check Alcotest.int "journaled" 1 (List.length j.Journal.entries);
   (* Replay: the same message comes back off the log, and the replay
      path needs no live wire. *)
-  let ch2 = Channel.create () in
-  Channel.configure ch2 ~replay:j.Journal.entries ();
-  let got2 =
-    Channel.send ch2 ~from:Transcript.Alice ~label:"xs" Codec.sorted_int_array v
+  let r2 =
+    Ctx.resume ~seed:3 ~journal:j (fun ctx ->
+        Ctx.a2b ctx ~label:"xs" Codec.sorted_int_array v)
   in
-  check Alcotest.bool "replayed payload intact" true (v = got2);
-  check Alcotest.int "one replayed message" 1
-    (Channel.replay_stats ch2).Channel.replayed_messages;
-  check Alcotest.bool "replay after a message is rejected" true
-    (match Channel.configure ch ~replay:[] () with
-    | () -> false
-    | exception Invalid_argument _ -> true)
+  check Alcotest.bool "replayed payload intact" true (v = r2.Ctx.output);
+  check Alcotest.int "one replayed message" 1 r2.Ctx.replayed_messages
 
 (* ------------------------------------------------------------------ *)
 (* Chaos grammar *)

@@ -303,9 +303,9 @@ let test_straggle_reproducible () =
   let (out1, stats1, diag1) = (run ()).Ctx.output in
   let (out2, stats2, diag2) = (run ()).Ctx.output in
   check Alcotest.bool "fault-free answer" true (out1 = clean);
-  check Alcotest.int "frames straggled" 2 stats1.Matprod_comm.Channel.faults.Fault.straggled;
+  check Alcotest.int "frames straggled" 2 stats1.Matprod_comm.Ctx.faults.Fault.straggled;
   check (Alcotest.float 1e-9) "injected delay" 10.0
-    stats1.Matprod_comm.Channel.faults.Fault.injected_delay;
+    stats1.Matprod_comm.Ctx.faults.Fault.injected_delay;
   check Alcotest.bool "waiting accumulated" true (diag1.Outcome.waited >= 10.0);
   check Alcotest.bool "reproducible" true
     (out1 = out2 && stats1 = stats2 && diag1 = diag2)
@@ -1037,7 +1037,7 @@ let link_recorder spec =
       retries =
         List.fold_left
           (fun acc (_, (ctx, _)) ->
-            acc + (Ctx.wire_stats ctx).Matprod_comm.Channel.retries)
+            acc + (Ctx.wire_stats ctx).Matprod_comm.Ctx.retries)
           0 attempts;
     }
   in
